@@ -4,8 +4,7 @@ Layers, bottom up: resource grids and grants (core), the technology
 abstraction and plugin registry (abstraction), per-cell coordinators with
 class-specialized schedulers (mac), split-bearer flow control (pdcp), traffic
 steering (uts), and the world that ties them together (engine). Hot loops
-live in kernels with a numba fast path and a bit-identical numpy fallback
-(RRMSIM_NUMBA=0 selects the fallback).
+live in kernels.
 """
 
 from .core import (

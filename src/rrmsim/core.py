@@ -8,8 +8,10 @@ these types; they deliberately know nothing about scheduling policy.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 # Carrier frequencies the model accepts, in Hz (sub-GHz through mmWave).
@@ -120,37 +122,72 @@ class Grant:
     purpose: str
 
 
+_block_start = itemgetter(0)
+
+
 class AllocationMap:
-    """Grants for a single slot on a single grid; at most one owner per PRB."""
+    """Grants for a single slot on a single grid; at most one owner per PRB.
+
+    Held as sorted, pairwise-disjoint half-open blocks ``(start, stop, owner,
+    purpose)``. ``add_block`` is the one exclusivity check: it refuses a block
+    that leaves the grid or touches a held PRB, in O(log blocks), before
+    anything lands. ``add`` and ``allocate_block`` are one-PRB and inclusive
+    forms of it; ``grants()`` expands the blocks to one Grant per PRB in PRB
+    order.
+    """
 
     def __init__(self, grid: CarrierGrid, slot: int):
         self.grid = grid
         self.slot = slot
-        self._by_prb: dict[int, Grant] = {}
+        self._blocks: list[tuple[int, int, str, str]] = []
+        self._count = 0
+
+    def add_block(self, start: int, stop: int, owner: str, purpose: str) -> None:
+        """Grant the half-open PRB range [start, stop) to one owner, all or
+        nothing."""
+        if stop <= start:
+            raise ValueError(f"empty block [{start}, {stop})")
+        n = self.grid.prbs_per_slot
+        if not (0 <= start < n):
+            raise OutOfRangeError(start, n)
+        if stop > n:
+            raise OutOfRangeError(stop - 1, n)
+        blocks = self._blocks
+        i = bisect_right(blocks, start, key=_block_start)
+        if i > 0 and blocks[i - 1][1] > start:
+            raise OverlapError(start, blocks[i - 1][2], owner)
+        if i < len(blocks) and blocks[i][0] < stop:
+            raise OverlapError(blocks[i][0], blocks[i][2], owner)
+        blocks.insert(i, (start, stop, owner, purpose))
+        self._count += stop - start
 
     def add(self, grant: Grant) -> None:
-        if not (0 <= grant.prb < self.grid.prbs_per_slot):
-            raise OutOfRangeError(grant.prb, self.grid.prbs_per_slot)
-        held = self._by_prb.get(grant.prb)
-        if held is not None:
-            raise OverlapError(grant.prb, held.owner, grant.owner)
-        self._by_prb[grant.prb] = grant
+        self.add_block(grant.prb, grant.prb + 1, grant.owner, grant.purpose)
+
+    def blocks(self) -> list[tuple[int, int, str, str]]:
+        return list(self._blocks)
 
     def grants(self) -> list[Grant]:
-        return [self._by_prb[p] for p in sorted(self._by_prb)]
+        return [
+            Grant(prb=p, owner=owner, purpose=purpose)
+            for start, stop, owner, purpose in self._blocks
+            for p in range(start, stop)
+        ]
 
     def owner_of(self, prb: int) -> str | None:
-        g = self._by_prb.get(prb)
-        return g.owner if g else None
+        i = bisect_right(self._blocks, prb, key=_block_start) - 1
+        if i >= 0 and prb < self._blocks[i][1]:
+            return self._blocks[i][2]
+        return None
 
     def occupied(self) -> set[int]:
-        return set(self._by_prb)
+        return {p for start, stop, _, _ in self._blocks for p in range(start, stop)}
 
     def __len__(self) -> int:
-        return len(self._by_prb)
+        return self._count
 
     def __contains__(self, prb: int) -> bool:
-        return prb in self._by_prb
+        return self.owner_of(prb) is not None
 
 
 def allocate_block(
@@ -163,28 +200,46 @@ def allocate_block(
     """
     if end_prb < start_prb:
         raise ValueError(f"end_prb {end_prb} < start_prb {start_prb}")
-    for prb in (start_prb, end_prb):
-        if not (0 <= prb < amap.grid.prbs_per_slot):
-            raise OutOfRangeError(prb, amap.grid.prbs_per_slot)
-    for prb in range(start_prb, end_prb + 1):
-        held = amap._by_prb.get(prb)
-        if held is not None:
-            raise OverlapError(prb, held.owner, owner)
-    made = []
-    for prb in range(start_prb, end_prb + 1):
-        g = Grant(prb=prb, owner=owner, purpose=purpose)
-        amap.add(g)
-        made.append(g)
-    return made
+    amap.add_block(start_prb, end_prb + 1, owner, purpose)
+    return [Grant(prb=p, owner=owner, purpose=purpose) for p in range(start_prb, end_prb + 1)]
 
 
 @dataclass(frozen=True)
 class Violation:
-    """One broken exclusivity/bounds rule found by validate_allocation_map."""
+    """One broken exclusivity/bounds rule found by validate_blocks."""
 
     prb: int
     kind: str  # "overlap" | "out_of_range"
     detail: str
+
+
+def validate_blocks(
+    grid: CarrierGrid, blocks: Iterable[tuple[int, int, str, str]]
+) -> list[Violation]:
+    """Check ``(start, stop, owner, purpose)`` blocks against a grid; returns
+    [] when clean.
+
+    Each block must be a non-empty range inside the grid, and no two may share
+    a PRB. A broken block is reported at its first PRB. Unlike
+    AllocationMap.add_block this never raises: it is the audit behind the
+    engine's per-slot self-check, in O(blocks log blocks).
+    """
+    n = grid.prbs_per_slot
+    violations: list[Violation] = []
+    reach, holder = 0, ""
+    for start, stop, owner, _ in sorted(blocks):
+        if not (0 <= start < stop <= n):
+            violations.append(
+                Violation(start, "out_of_range", f"prbs [{start}, {stop}) outside 0..{n - 1}")
+            )
+            continue
+        if start < reach:
+            violations.append(
+                Violation(start, "overlap", f"prb {start} held by {holder!r} and {owner!r}")
+            )
+        if stop > reach:
+            reach, holder = stop, owner
+    return violations
 
 
 def validate_allocation_map(
@@ -192,24 +247,9 @@ def validate_allocation_map(
 ) -> list[Violation]:
     """Check a raw grant list against a grid; returns [] when clean.
 
-    Unlike AllocationMap.add this never raises: it is the audit path used by
-    tests and by the engine's per-slot self-check.
+    The per-PRB form of validate_blocks, used by tests on ``grants()``.
     """
-    violations: list[Violation] = []
-    seen: dict[int, str] = {}
-    for g in grants:
-        if not (0 <= g.prb < grid.prbs_per_slot):
-            violations.append(
-                Violation(g.prb, "out_of_range", f"prb {g.prb} outside 0..{grid.prbs_per_slot - 1}")
-            )
-            continue
-        if g.prb in seen:
-            violations.append(
-                Violation(g.prb, "overlap", f"prb {g.prb} held by {seen[g.prb]!r} and {g.owner!r}")
-            )
-        else:
-            seen[g.prb] = g.owner
-    return violations
+    return validate_blocks(grid, ((g.prb, g.prb + 1, g.owner, g.purpose) for g in grants))
 
 
 @dataclass(frozen=True)

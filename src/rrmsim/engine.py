@@ -23,7 +23,7 @@ from .core import (
     TrafficClass,
     UserEquipment,
     compute_fairness,
-    validate_allocation_map,
+    validate_blocks,
     DegenerateInputError,
 )
 from .mac import MacConfig, MacFlow, MacInstance, PortionSpec, SlotInputs
@@ -560,11 +560,10 @@ class World:
             inputs = self._slot_inputs(cr)
             res = cr.mac.run_slot(self.slot, inputs, self.rng_access, self.rng_backoff)
             self.events.extend(res.events)
-            grants = res.alloc.grants()
-            bad = validate_allocation_map(cr.cell.grid, grants)
+            bad = validate_blocks(cr.cell.grid, res.alloc.blocks())
             if bad:  # indicates a scheduler bug; stop rather than mis-report
                 raise AssertionError(f"allocation violations on {cid}: {bad}")
-            cr.granted_prbs_total += len(grants)
+            cr.granted_prbs_total += len(res.alloc)
             for fid in sorted(res.served_bits):
                 fr = self.flows[fid]
                 got = self._drain_flow(fr, cid, res.served_bits[fid])

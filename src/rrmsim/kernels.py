@@ -1,39 +1,15 @@
-"""Hot numeric kernels with a numba fast path and a bit-identical numpy fallback.
+"""Hot numeric kernels, kept to integer and basic IEEE arithmetic.
 
 Three inner loops dominate run time: proportional-fair PRB filling, the
 counter-based hash behind random-access-reproducible fading, and contention
-outcome classification. Each exists twice — a numba ``@njit`` version and a
-pure-numpy version — and both are kept to integer and basic IEEE arithmetic
-(no transcendentals) so the two paths produce identical bits.
-
-Selection: set ``RRMSIM_NUMBA=0`` to force the numpy fallback; any other value
-(or unset) uses numba when it is importable. The chosen path is fixed at
-import time and reported by ``backend_name()``.
+outcome classification. There is one implementation of each, in numpy and
+plain Python; ``backend_name()`` names it (``"numpy"``), and the run summary
+records that name so output stays byte-stable.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-NUMBA_ENABLED = HAVE_NUMBA and os.environ.get("RRMSIM_NUMBA", "1") != "0"
 
 # splitmix64 constants
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -46,11 +22,7 @@ _S11 = np.uint64(11)
 _INV_2_53 = float(2.0 ** -53)
 
 
-# ---------------------------------------------------------------------------
-# numpy reference implementations
-# ---------------------------------------------------------------------------
-
-def _mix64_numpy(x: np.ndarray) -> np.ndarray:
+def _mix64(x: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer over a uint64 array (wrapping arithmetic)."""
     with np.errstate(over="ignore"):
         z = (x + _GAMMA).astype(np.uint64)
@@ -60,7 +32,7 @@ def _mix64_numpy(x: np.ndarray) -> np.ndarray:
     return z
 
 
-def counter_uniform_numpy(seed: int, a, b, c: int) -> np.ndarray:
+def counter_uniform(seed: int, a, b, c: int) -> np.ndarray:
     """Uniforms in [0, 1) from the hash of (seed, a[i], b[i], c).
 
     Pure counter-based: any (seed, a, b, c) tuple can be evaluated in any
@@ -71,149 +43,68 @@ def counter_uniform_numpy(seed: int, a, b, c: int) -> np.ndarray:
     b = np.asarray(b, dtype=np.uint64)
     s = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
     cc = np.uint64(c & 0xFFFFFFFFFFFFFFFF)
-    h = _mix64_numpy(np.full(a.shape, s, dtype=np.uint64) ^ a)
-    h = _mix64_numpy(h ^ b)
-    h = _mix64_numpy(h ^ cc)
+    h = _mix64(np.full(a.shape, s, dtype=np.uint64) ^ a)
+    h = _mix64(h ^ b)
+    h = _mix64(h ^ cc)
     return (h >> _S11).astype(np.float64) * _INV_2_53
 
 
-def pf_fill_numpy(metric, per_prb_bits, backlog_bits, n_prbs: int):
-    """Sequential proportional-fair PRB fill.
+def _floats(values) -> list[float]:
+    if isinstance(values, np.ndarray):
+        return values.astype(np.float64, copy=False).tolist()
+    return [float(v) for v in values]
 
-    For each PRB in index order, grant to the backlogged candidate with the
-    highest metric (ties -> lowest index); decrement its remaining backlog by
-    its per-PRB rate. Stops early when nothing is backlogged.
 
-    Returns (owner, served): owner[p] is the winning candidate index or -1,
-    served[i] the bits actually drained from candidate i (capped at backlog).
+def pf_fill(metric, per_prb_bits, backlog_bits, n_prbs: int):
+    """Sequential proportional-fair PRB fill, one contiguous run per winner.
+
+    Each PRB in index order goes to the backlogged candidate with the highest
+    metric (ties -> lowest index), whose remaining backlog then drops by its
+    per-PRB rate. The metric is fixed for the fill and only the winner's
+    backlog changes, so a winner keeps every PRB until its backlog is drained:
+    the fill visits the backlogged candidates in stable order of decreasing
+    metric and drains each in turn, with the same ``take``/``served``/``rem``
+    float steps per PRB as the per-PRB argmax, so the result is bit-identical
+    to it. A candidate with zero rate and some backlog keeps every PRB left.
+    Cost is O(n_prbs + n log n). Accepts lists or numpy arrays.
+
+    Returns (runs, served): runs lists (candidate index, PRB count) in PRB
+    order, starting at PRB 0; served[i] is the bits drained from candidate i
+    (capped at its backlog). PRBs past the last run stay idle.
     """
-    metric = np.asarray(metric, dtype=np.float64)
-    per_prb = np.asarray(per_prb_bits, dtype=np.float64)
-    rem = np.asarray(backlog_bits, dtype=np.float64).copy()
-    n = metric.shape[0]
-    owner = np.full(n_prbs, -1, dtype=np.int64)
-    served = np.zeros(n, dtype=np.float64)
-    for p in range(n_prbs):
-        best = -1
-        best_m = -1.0
-        for i in range(n):
-            if rem[i] > 0.0 and metric[i] > best_m:
-                best_m = metric[i]
-                best = i
-        if best < 0:
+    metric = _floats(metric)
+    per_prb = _floats(per_prb_bits)
+    rem = _floats(backlog_bits)
+    served = [0.0] * len(metric)
+    # metric > -1.0 mirrors the argmax's starting best, which no lower
+    # (or NaN) metric can beat.
+    order = sorted(
+        (i for i, m in enumerate(metric) if rem[i] > 0.0 and m > -1.0),
+        key=lambda i: -metric[i],
+    )
+    runs: list[tuple[int, int]] = []
+    p = 0
+    for i in order:
+        if p >= n_prbs:
             break
-        owner[p] = best
-        take = per_prb[best] if per_prb[best] < rem[best] else rem[best]
-        served[best] += take
-        rem[best] -= take
-    return owner, served
+        rate, r, s, first = per_prb[i], rem[i], 0.0, p
+        while p < n_prbs and r > 0.0:
+            take = rate if rate < r else r
+            s += take
+            r -= take
+            p += 1
+        served[i] = s
+        runs.append((i, p - first))
+    return runs, served
 
 
-def classify_picks_numpy(picks, n_resources: int) -> np.ndarray:
+def classify_picks(picks, n_resources: int) -> np.ndarray:
     """True where picks[i] was chosen by more than one contender."""
     picks = np.asarray(picks, dtype=np.int64)
     counts = np.bincount(picks, minlength=n_resources)
     return counts[picks] > 1
 
 
-# ---------------------------------------------------------------------------
-# numba versions (same arithmetic, scalar loops)
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _mix64_scalar(x):  # pragma: no cover - numba path measured via backend tests
-    z = x + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
-@njit(cache=True)
-def _counter_uniform_jit(seed, a, b, c):  # pragma: no cover
-    n = a.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        h = _mix64_scalar(seed ^ a[i])
-        h = _mix64_scalar(h ^ b[i])
-        h = _mix64_scalar(h ^ c)
-        out[i] = np.float64(h >> np.uint64(11)) * (2.0 ** -53)
-    return out
-
-
-def counter_uniform_jit(seed: int, a, b, c: int) -> np.ndarray:
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    return _counter_uniform_jit(
-        np.uint64(seed & 0xFFFFFFFFFFFFFFFF), a, b, np.uint64(c & 0xFFFFFFFFFFFFFFFF)
-    )
-
-
-@njit(cache=True)
-def _pf_fill_jit(metric, per_prb, backlog, n_prbs):  # pragma: no cover
-    n = metric.shape[0]
-    owner = np.full(n_prbs, -1, dtype=np.int64)
-    served = np.zeros(n, dtype=np.float64)
-    rem = backlog.copy()
-    for p in range(n_prbs):
-        best = -1
-        best_m = -1.0
-        for i in range(n):
-            if rem[i] > 0.0 and metric[i] > best_m:
-                best_m = metric[i]
-                best = i
-        if best < 0:
-            break
-        owner[p] = best
-        take = per_prb[best] if per_prb[best] < rem[best] else rem[best]
-        served[best] += take
-        rem[best] -= take
-    return owner, served
-
-
-def pf_fill_jit(metric, per_prb_bits, backlog_bits, n_prbs: int):
-    return _pf_fill_jit(
-        np.asarray(metric, dtype=np.float64),
-        np.asarray(per_prb_bits, dtype=np.float64),
-        np.asarray(backlog_bits, dtype=np.float64),
-        n_prbs,
-    )
-
-
-@njit(cache=True)
-def _classify_picks_jit(picks, n_resources):  # pragma: no cover
-    counts = np.zeros(n_resources, dtype=np.int64)
-    for i in range(picks.shape[0]):
-        counts[picks[i]] += 1
-    out = np.empty(picks.shape[0], dtype=np.bool_)
-    for i in range(picks.shape[0]):
-        out[i] = counts[picks[i]] > 1
-    return out
-
-
-def classify_picks_jit(picks, n_resources: int) -> np.ndarray:
-    return _classify_picks_jit(np.asarray(picks, dtype=np.int64), n_resources)
-
-
-# ---------------------------------------------------------------------------
-# public bindings
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-    counter_uniform = counter_uniform_jit
-    pf_fill = pf_fill_jit
-    classify_picks = classify_picks_jit
-else:
-    counter_uniform = counter_uniform_numpy
-    pf_fill = pf_fill_numpy
-    classify_picks = classify_picks_numpy
-
-
 def backend_name() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
-
-
-def warmup() -> None:
-    """Trigger jit compilation up front so timed runs are steady-state."""
-    counter_uniform(1, [1, 2], [3, 4], 5)
-    pf_fill([1.0, 2.0], [10.0, 10.0], [15.0, 5.0], 4)
-    classify_picks([0, 1, 1], 4)
+    """Name of the kernel implementation; written to ``summary.json``."""
+    return "numpy"

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -231,19 +231,21 @@ class PfCandidate:
             raise ValueError("avg_bits must be positive")
 
 
-def schedule_dynamic(
-    interval: tuple[int, int],
-    candidates: Sequence[PfCandidate],
-    purpose: str = TrafficClass.EMBB.value,
-) -> tuple[list[Grant], dict[str, float]]:
-    """Proportional-fair fill of one interval, PRB by PRB.
+def schedule_dynamic_blocks(
+    interval: tuple[int, int], candidates: Sequence[PfCandidate]
+) -> tuple[list[tuple[int, int, str]], dict[str, float]]:
+    """Proportional-fair fill of one interval, one contiguous block per winner.
 
-    Each PRB goes to the backlogged candidate maximizing instantaneous rate
-    over average served rate; ties go to the lowest ue_id. Work-conserving:
-    a PRB is left idle only when no candidate has backlog remaining.
+    Same outcome as giving each PRB in turn to the backlogged candidate that
+    maximizes instantaneous rate over average served rate (ties to the lowest
+    ue_id): that metric is fixed within the slot, so a winner holds every PRB
+    until its backlog drains, and ``kernels.pf_fill`` computes the runs
+    directly. Work-conserving: PRBs are left idle only when no candidate has
+    backlog remaining.
 
-    Returns the grants and the bits served per candidate this slot (the
-    caller owns the running-average update).
+    Returns half-open ``(start, stop, ue_id)`` blocks in PRB order and the
+    bits served per candidate this slot (the caller owns the running-average
+    update).
     """
     start, stop = interval
     n_prbs = stop - start
@@ -253,17 +255,34 @@ def schedule_dynamic(
     if len(set(ids)) != len(ids):
         raise ValueError("candidates must have distinct ue_ids")
     cands = sorted(candidates, key=lambda c: c.ue_id)
-    metric = np.array([c.per_prb_bits / c.avg_bits for c in cands], dtype=np.float64)
-    per_prb = np.array([c.per_prb_bits for c in cands], dtype=np.float64)
-    backlog = np.array([c.backlog_bits for c in cands], dtype=np.float64)
-    owner, served = kernels.pf_fill(metric, per_prb, backlog, n_prbs)
+    runs, served = kernels.pf_fill(
+        [c.per_prb_bits / c.avg_bits for c in cands],
+        [c.per_prb_bits for c in cands],
+        [c.backlog_bits for c in cands],
+        n_prbs,
+    )
+    blocks = []
+    for idx, k in runs:
+        blocks.append((start, start + k, cands[idx].ue_id))
+        start += k
+    return blocks, {c.ue_id: served[i] for i, c in enumerate(cands)}
+
+
+def schedule_dynamic(
+    interval: tuple[int, int],
+    candidates: Sequence[PfCandidate],
+    purpose: str = TrafficClass.EMBB.value,
+) -> tuple[list[Grant], dict[str, float]]:
+    """Proportional-fair fill of one interval as one Grant per PRB.
+
+    The per-PRB form of ``schedule_dynamic_blocks`` (same rule, same served
+    bits), for callers that compare per-PRB owners.
+    """
+    blocks, served = schedule_dynamic_blocks(interval, candidates)
     grants = [
-        Grant(prb=start + p, owner=cands[idx].ue_id, purpose=purpose)
-        for p, idx in enumerate(owner)
-        if idx >= 0
+        Grant(prb=p, owner=ue, purpose=purpose) for a, b, ue in blocks for p in range(a, b)
     ]
-    served_by_ue = {c.ue_id: float(served[i]) for i, c in enumerate(cands)}
-    return grants, served_by_ue
+    return grants, served
 
 
 @dataclass(frozen=True)
@@ -953,17 +972,16 @@ class MacInstance:
                     if not f.due(slot):
                         continue
                     a, b = self._sps_placements[f.flow_id]
-                    for prb in range(a, b):
-                        amap.add(Grant(prb=prb, owner=f.ue_id, purpose=leaf.key))
+                    amap.add_block(a, b, f.ue_id, leaf.key)
                     rate = inputs.per_prb_bits.get((f.ue_id, leaf.portion_key), 0.0)
                     cap = (b - a) * rate
                     got = min(cap, inputs.backlog_bits.get(f.flow_id, 0.0))
                     if got > 0:
                         served[f.flow_id] = served.get(f.flow_id, 0.0) + got
             else:
-                grants, by_flow, by_ue = self._run_dynamic(leaf, inputs)
-                for g in grants:
-                    amap.add(g)
+                blocks, by_flow, by_ue = self._run_dynamic(leaf, inputs)
+                for a, b, ue in blocks:
+                    amap.add_block(a, b, ue, leaf.key)
                 for fid, bits in by_flow.items():
                     served[fid] = served.get(fid, 0.0) + bits
                 for ue, bits in by_ue.items():
@@ -982,21 +1000,6 @@ class MacInstance:
             outcomes=outcomes_all,
             events=events,
         )
-
-    def run_epoch(
-        self,
-        start_slot: int,
-        inputs_for_slot: Callable[[int], SlotInputs],
-        rng_access: np.random.Generator,
-        rng_backoff: np.random.Generator,
-    ) -> list[MacSlotResult]:
-        """Run one whole epoch from its first slot; convenience wrapper."""
-        if start_slot % self.cfg.epoch_slots != 0:
-            raise ValueError("start_slot must lie on an epoch boundary")
-        return [
-            self.run_slot(start_slot + k, inputs_for_slot(start_slot + k), rng_access, rng_backoff)
-            for k in range(self.cfg.epoch_slots)
-        ]
 
     def _leaf_owns(self, leaf: _Leaf, flow: MacFlow) -> bool:
         if flow.portion_key != leaf.portion_key:
@@ -1035,7 +1038,7 @@ class MacInstance:
                     avg_bits=self.pf_avg.get(ue, self.cfg.pf_initial_avg_bits),
                 )
             )
-        grants, served_by_ue = schedule_dynamic(leaf.interval, cands, purpose=leaf.key)
+        blocks, served_by_ue = schedule_dynamic_blocks(leaf.interval, cands)
         by_flow: dict[str, float] = {}
         for ue, bits in served_by_ue.items():
             pool = bits
@@ -1046,7 +1049,7 @@ class MacInstance:
                 if take > 0:
                     by_flow[f.flow_id] = by_flow.get(f.flow_id, 0.0) + take
                     pool -= take
-        return grants, by_flow, served_by_ue
+        return blocks, by_flow, served_by_ue
 
     def _run_contention(self, leaf, slot, epoch, rng_access, rng_backoff):
         ready = [

@@ -13,9 +13,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
-#: Sequence numbers live in [0, 2**18); flows are rebuilt long before wrap.
-SN_SPACE = 2 ** 18
-
 DEFAULT_T_REORDER_SLOTS = 50
 
 #: Load-balance hysteresis: leave a leg only above this load...
@@ -32,10 +29,6 @@ class Mode(str, Enum):
 
 class ModeArityError(ValueError):
     """Raised when a mode's leg-count requirement is not met."""
-
-
-class SequenceExhaustedError(RuntimeError):
-    """Raised when a flow outlives its sequence-number space."""
 
 
 @dataclass(frozen=True)
@@ -80,7 +73,11 @@ class Leg:
 
 @dataclass
 class FlowState:
-    """Sender-side state of one flow: its legs, mode, and SN counter."""
+    """Sender-side state of one flow: its legs, mode, and SN counter.
+
+    SNs are unbounded ints, so a flow never runs out of them however long
+    the run.
+    """
 
     flow_id: str
     mode: Mode
@@ -137,8 +134,6 @@ def route_packet(
     the active leg's load exceeds ``leave_load`` while some alternative sits
     below ``enter_load``. Duplicate sends the same SN on every leg.
     """
-    if state.next_sn >= SN_SPACE:
-        raise SequenceExhaustedError(f"flow {state.flow_id!r} exhausted {SN_SPACE} SNs")
     sn = state.next_sn
     state.next_sn += 1
     pdu = Pdu(sn=sn, bits=packet_bits, created_slot=created_slot)

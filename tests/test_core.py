@@ -17,6 +17,7 @@ from rrmsim.core import (
     allocate_block,
     compute_fairness,
     validate_allocation_map,
+    validate_blocks,
 )
 
 from conftest import mk_grid
@@ -100,6 +101,95 @@ def test_allocation_map_owner_queries():
     assert amap.owner_of(2) == "x"
     assert amap.owner_of(3) is None
     assert 2 in amap and 3 not in amap
+
+
+def _map_with_middle_block():
+    amap = AllocationMap(mk_grid(prbs=20), slot=0)
+    amap.add_block(5, 10, "ue-a", "eMBB")
+    return amap
+
+
+def test_add_block_refuses_overlap_at_left_edge():
+    amap = _map_with_middle_block()
+    with pytest.raises(OverlapError) as e:
+        amap.add_block(2, 6, "ue-b", "eMBB")
+    assert (e.value.prb, e.value.holder, e.value.claimant) == (5, "ue-a", "ue-b")
+    amap.add_block(2, 5, "ue-b", "eMBB")  # touching is not overlapping
+
+
+def test_add_block_refuses_overlap_at_right_edge():
+    amap = _map_with_middle_block()
+    with pytest.raises(OverlapError) as e:
+        amap.add_block(9, 14, "ue-b", "eMBB")
+    assert (e.value.prb, e.value.holder) == (9, "ue-a")
+    amap.add_block(10, 14, "ue-b", "eMBB")
+
+
+def test_add_block_refuses_containment_either_way():
+    amap = _map_with_middle_block()
+    with pytest.raises(OverlapError) as e:
+        amap.add_block(6, 8, "ue-b", "eMBB")  # inside the held block
+    assert e.value.prb == 6
+    with pytest.raises(OverlapError) as e:
+        amap.add_block(0, 20, "ue-b", "eMBB")  # around the held block
+    assert e.value.prb == 5
+    assert amap.blocks() == [(5, 10, "ue-a", "eMBB")]
+    assert len(amap) == 5
+
+
+def test_add_block_range_checks_start_and_stop():
+    amap = AllocationMap(mk_grid(prbs=10), slot=0)
+    for start, stop, bad in ((-1, 3, -1), (10, 11, 10), (8, 11, 10), (12, 14, 12)):
+        with pytest.raises(OutOfRangeError) as e:
+            amap.add_block(start, stop, "ue-a", "eMBB")
+        assert e.value.prb == bad
+    with pytest.raises(ValueError):
+        amap.add_block(4, 4, "ue-a", "eMBB")
+    assert len(amap) == 0 and amap.blocks() == []
+    amap.add_block(0, 10, "ue-a", "eMBB")  # the whole grid fits
+    assert len(amap) == 10
+
+
+def test_allocate_block_failure_leaves_blocks_untouched():
+    amap = AllocationMap(mk_grid(prbs=12), slot=0)
+    allocate_block(amap, 3, 5, "ue-a", "eMBB")
+    allocate_block(amap, 9, 10, "ue-b", "eMBB")
+    before = amap.blocks()
+    for start, end in ((0, 3), (5, 9), (6, 12), (11, 12)):
+        with pytest.raises((OverlapError, OutOfRangeError)):
+            allocate_block(amap, start, end, "ue-c", "eMBB")
+        assert amap.blocks() == before
+        assert len(amap) == 5
+    assert amap.occupied() == {3, 4, 5, 9, 10}
+
+
+def test_grants_expand_blocks_in_prb_order_and_validate():
+    g = mk_grid(prbs=16)
+    amap = AllocationMap(g, slot=0)
+    amap.add_block(10, 13, "ue-c", "URLLC")  # added out of PRB order
+    amap.add(Grant(prb=0, owner="ue-a", purpose="rach"))
+    amap.add_block(4, 7, "ue-b", "eMBB")
+    grants = amap.grants()
+    assert [g.prb for g in grants] == [0, 4, 5, 6, 10, 11, 12]
+    assert [g.owner for g in grants] == ["ue-a"] + ["ue-b"] * 3 + ["ue-c"] * 3
+    assert grants[-1] == Grant(prb=12, owner="ue-c", purpose="URLLC")
+    assert len(amap) == len(grants)
+    assert validate_allocation_map(g, grants) == []
+    assert validate_blocks(g, amap.blocks()) == []
+    assert [amap.owner_of(p) for p in (0, 1, 4, 7, 12, 13)] == [
+        "ue-a", None, "ue-b", None, "ue-c", None
+    ]
+
+
+def test_validate_blocks_flags_out_of_range_and_overlap():
+    g = mk_grid(prbs=10)
+    vs = validate_blocks(
+        g,
+        [(6, 9, "c", "eMBB"), (0, 4, "a", "eMBB"), (3, 5, "b", "eMBB"),
+         (8, 11, "d", "eMBB"), (7, 8, "e", "eMBB"), (2, 2, "f", "eMBB")],
+    )
+    kinds = {(v.prb, v.kind) for v in vs}
+    assert kinds == {(3, "overlap"), (7, "overlap"), (8, "out_of_range"), (2, "out_of_range")}
 
 
 def test_validate_empty_is_clean():

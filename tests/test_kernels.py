@@ -1,63 +1,39 @@
-"""The two kernel backends must agree bit for bit, not just approximately."""
-
-import os
-import subprocess
-import sys
+"""Kernels: the counter hash, and the PF fill against a per-PRB argmax."""
 
 import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrmsim import kernels
 
-needs_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
+
+def pf_fill_per_prb(metric, per_prb, backlog, n_prbs):
+    """Reference PF fill: for each PRB in order, argmax over the backlogged
+    candidates (ties to the lowest index). Returns per-PRB owners (-1 idle)
+    and served bits."""
+    n = len(metric)
+    rem = [float(b) for b in backlog]
+    owner = [-1] * max(n_prbs, 0)
+    served = [0.0] * n
+    for p in range(n_prbs):
+        best, best_m = -1, -1.0
+        for i in range(n):
+            if rem[i] > 0.0 and metric[i] > best_m:
+                best_m, best = metric[i], i
+        if best < 0:
+            break
+        owner[p] = best
+        take = per_prb[best] if per_prb[best] < rem[best] else rem[best]
+        served[best] += take
+        rem[best] -= take
+    return owner, served
 
 
-def _random_pf_case(rng):
-    n = int(rng.integers(1, 9))
-    metric = rng.uniform(0.01, 5.0, n)
-    per_prb = rng.uniform(1.0, 500.0, n)
-    backlog = rng.uniform(0.0, 2000.0, n)
-    # sprinkle exact zeros and exact ties, the two interesting edge shapes
-    if n > 1:
-        backlog[rng.integers(n)] = 0.0
-        metric[rng.integers(n)] = metric[rng.integers(n)]
-    n_prbs = int(rng.integers(0, 30))
-    return metric, per_prb, backlog, n_prbs
-
-
-@needs_numba
-def test_counter_uniform_backends_bit_identical():
-    rng = np.random.default_rng(0)
-    for seed in (0, 1, 2**63 - 1):
-        a = rng.integers(0, 2**20, size=257)
-        b = rng.integers(0, 2**20, size=257)
-        for c in (0, 7, 123456):
-            ref = kernels.counter_uniform_numpy(seed, a, b, c)
-            jit = kernels.counter_uniform_jit(seed, a, b, c)
-            assert ref.dtype == jit.dtype == np.float64
-            assert np.array_equal(ref, jit)  # exact, no tolerance
-
-
-@needs_numba
-def test_pf_fill_backends_bit_identical():
-    rng = np.random.default_rng(1)
-    for _ in range(300):
-        metric, per_prb, backlog, n_prbs = _random_pf_case(rng)
-        o_ref, s_ref = kernels.pf_fill_numpy(metric, per_prb, backlog, n_prbs)
-        o_jit, s_jit = kernels.pf_fill_jit(metric, per_prb, backlog, n_prbs)
-        assert np.array_equal(o_ref, o_jit)
-        assert np.array_equal(s_ref, s_jit)
-
-
-@needs_numba
-def test_classify_picks_backends_bit_identical():
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        m = int(rng.integers(1, 20))
-        picks = rng.integers(0, m, size=rng.integers(1, 40))
-        assert np.array_equal(
-            kernels.classify_picks_numpy(picks, m), kernels.classify_picks_jit(picks, m)
-        )
+def expand(runs, n_prbs):
+    owner = []
+    for idx, k in runs:
+        owner.extend([idx] * k)
+    return owner + [-1] * (max(n_prbs, 0) - len(owner))
 
 
 def test_counter_uniform_is_stateless_and_in_range():
@@ -84,27 +60,54 @@ def test_counter_uniform_decorrelates_across_each_input():
 
 def test_pf_fill_owner_semantics():
     # highest metric with backlog wins; ties break to the lowest index
-    owner, served = kernels.pf_fill_numpy([2.0, 2.0], [10.0, 10.0], [25.0, 25.0], 3)
-    assert owner.tolist() == [0, 0, 0]
-    assert served.tolist() == [25.0, 0.0]  # third PRB drains the 5-bit tail
-    owner, served = kernels.pf_fill_numpy([1.0, 3.0], [10.0, 10.0], [0.0, 15.0], 4)
-    assert owner.tolist() == [1, 1, -1, -1]
-    assert served.tolist() == [0.0, 15.0]
+    runs, served = kernels.pf_fill([2.0, 2.0], [10.0, 10.0], [25.0, 25.0], 3)
+    assert runs == [(0, 3)]
+    assert served == [25.0, 0.0]  # third PRB drains the 5-bit tail
+    runs, served = kernels.pf_fill([1.0, 3.0], [10.0, 10.0], [0.0, 15.0], 4)
+    assert runs == [(1, 2)]  # PRBs 2 and 3 stay idle
+    assert served == [0.0, 15.0]
+    # a drained winner hands the next PRBs to the runner-up
+    runs, served = kernels.pf_fill([1.0, 3.0], [10.0, 10.0], [40.0, 15.0], 4)
+    assert runs == [(1, 2), (0, 2)]
+    assert served == [20.0, 15.0]
+    # zero rate with backlog keeps every PRB left
+    runs, served = kernels.pf_fill([5.0, 1.0], [0.0, 10.0], [7.0, 70.0], 3)
+    assert runs == [(0, 3)]
+    assert served == [0.0, 0.0]
 
 
-def test_backend_binding_matches_flag():
-    assert kernels.backend_name() in ("numba", "numpy")
-    assert (kernels.backend_name() == "numba") == kernels.NUMBA_ENABLED
-    kernels.warmup()  # must be callable on either backend
+def test_pf_fill_accepts_arrays_and_lists_alike():
+    args = ([0.5, 1.5, 1.5], [120.0, 80.0, 95.5], [300.0, 90.0, 1e4], 9)
+    from_lists = kernels.pf_fill(*args)
+    from_arrays = kernels.pf_fill(*(np.asarray(a, dtype=np.float64) for a in args[:3]), 9)
+    assert from_lists == from_arrays
 
 
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ, RRMSIM_NUMBA="0")
-    out = subprocess.run(
-        [sys.executable, "-c", "from rrmsim import kernels; print(kernels.backend_name())"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
+_floats = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def pf_cases(draw):
+    n = draw(st.integers(1, 8))
+    metric = draw(st.lists(_floats, min_size=n, max_size=n))
+    per_prb = draw(st.lists(_floats, min_size=n, max_size=n))
+    backlog = draw(st.lists(_floats, min_size=n, max_size=n))
+    # exact ties, zero backlogs and zero rates, the interesting edge shapes
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        metric[i] = metric[draw(st.integers(0, n - 1))]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        backlog[i] = 0.0
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        per_prb[i] = 0.0
+    return metric, per_prb, backlog, draw(st.integers(0, 300))
+
+
+@settings(max_examples=400, deadline=None)
+@given(pf_cases())
+def test_pf_fill_runs_equal_per_prb_argmax_exactly(case):
+    metric, per_prb, backlog, n_prbs = case
+    runs, served = kernels.pf_fill(metric, per_prb, backlog, n_prbs)
+    ref_owner, ref_served = pf_fill_per_prb(metric, per_prb, backlog, n_prbs)
+    assert all(k > 0 for _, k in runs)
+    assert expand(runs, n_prbs) == ref_owner
+    assert served == ref_served  # exact: same float steps in the same order

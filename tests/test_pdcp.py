@@ -10,8 +10,6 @@ from rrmsim.pdcp import (
     Mode,
     ModeArityError,
     ReceiverState,
-    SequenceExhaustedError,
-    SN_SPACE,
     configure_legs,
     delay_estimate,
     reorder_deliver,
@@ -123,10 +121,26 @@ def test_sequence_numbers_increase_and_exhaust():
     state = configure_legs("f", [mk_leg("l")], Mode.AGGREGATE)
     sns = [route_packet(state, 8.0)[0][1] for _ in range(50)]
     assert sns == list(range(50))
-    state.next_sn = SN_SPACE - 1
-    assert route_packet(state, 8.0)[0][1] == SN_SPACE - 1
-    with pytest.raises(SequenceExhaustedError):
-        route_packet(state, 8.0)
+    # no sequence-number space to exhaust: SNs keep increasing past 2**18
+    state.next_sn = 2**18 - 1
+    sns = [route_packet(state, 8.0)[0][1] for _ in range(3)]
+    assert sns == [2**18 - 1, 2**18, 2**18 + 1]
+
+
+def test_long_lived_flow_routes_and_delivers_past_2_18_in_order():
+    leg = mk_leg("l")
+    state = configure_legs("f", [leg], Mode.AGGREGATE)
+    rx = ReceiverState()
+    n = 2**18 + 10
+    in_order = 0
+    for slot in range(n):
+        route_packet(state, 8.0, created_slot=slot)
+        pdu = leg.queue.popleft()
+        out = reorder_deliver(rx, pdu.sn, pdu.bits, pdu.created_slot, now=slot)
+        in_order += len(out) == 1 and out[0].sn == slot
+    assert in_order == n
+    assert rx.expected_sn == rx.delivered_count == n
+    assert rx.duplicates_dropped == rx.lost_count == 0
 
 
 # ---------------------------------------------------------------------------
