@@ -8,6 +8,7 @@ surface is a pure function of the fading seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -38,8 +39,10 @@ class ChannelConfig:
         return DEFAULT_EXPONENTS[cell_class]
 
 
+@functools.lru_cache(maxsize=64)
 def reference_pathloss_db(carrier_hz: float) -> float:
-    """Free-space loss at the 1 m reference distance."""
+    """Free-space loss at the 1 m reference distance; it depends on the
+    carrier alone, so each carrier's value is computed once."""
     return 20.0 * math.log10(4.0 * math.pi * carrier_hz / SPEED_OF_LIGHT_M_S)
 
 

@@ -5,6 +5,12 @@ Every slot runs the same stage order — mobility, arrivals, steering (on its
 epoch boundary), per-cell MAC, transmission/reception, metrics — and all
 randomness flows from named substreams of one seed plus the counter-based
 fading hash, so a (config, seed) pair fully determines every output byte.
+
+The fading hash is stateless, so it is evaluated once per slot across every
+cell, in one call over all (UE, cell) pairs with a queue-driven flow, before
+the first MAC runs. Lookups the slot loop needs (start positions, flows by
+UE, services by UE, portions by key) are indexed once at construction, so a
+slot costs work per (UE, cell) pair rather than scans of the config.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ class CellRuntime:
     index: int
     drop_prob: float
     portions: list[PortionSpec]
+    portion_by_key: dict[str, PortionSpec]
     mac: MacInstance
     descriptor: CapabilityDescriptor
     served_bits_total: float = 0.0
@@ -136,12 +143,25 @@ class World:
                 index=i,
                 drop_prob=cc.drop_prob,
                 portions=portions,
+                portion_by_key={p.key: p for p in portions},
                 mac=mac,
                 descriptor=describe_cell(cell, 0.0, best_eff),
             )
 
         # numerology is validated to be uniform, so one slot clock serves all
         self.slot_seconds = 1e-3 / (2 ** config.cells[0].numerology)
+
+        # Init-time indexes, O(U + F), so per-slot and per-handover paths never
+        # rescan the config: start positions by UE and each UE's flows in
+        # config order.
+        self._start_position = {uc.ue_id: uc.position for uc in config.ues}
+        self._flows_by_ue: dict[str, list[FlowConfig]] = {uc.ue_id: [] for uc in config.ues}
+        for fc in config.flows:
+            self._flows_by_ue[fc.ue_id].append(fc)
+        self._services = {
+            uid: tuple(sorted({fc.service for fc in fcs}, key=lambda s: s.value))
+            for uid, fcs in self._flows_by_ue.items()
+        }
 
         self.ues: dict[str, UeRuntime] = {}
         for i, uc in enumerate(config.ues):
@@ -158,7 +178,7 @@ class World:
                 serving = self.ues[fc.ue_id].serving
                 state = pdcp.configure_legs(
                     fc.flow_id,
-                    [self._make_leg(fc.flow_id, serving)],
+                    [self._make_leg(fc, serving)],
                     pdcp.Mode.AGGREGATE,
                     leave_load=config.pdcp.leave_load,
                     enter_load=config.pdcp.enter_load,
@@ -199,7 +219,8 @@ class World:
         self.serving_trace: dict[str, list[tuple[int, str]]] = {
             u: [(0, rt.serving)] for u, rt in self.ues.items()
         }
-        self._mean_sinr_cache: dict[tuple[str, str], float] = {}
+        # mean SINR per UE, then per cell; a UE that moves drops its entry
+        self._mean_sinr_cache: dict[str, dict[str, float]] = {}
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -224,23 +245,16 @@ class World:
         cands.sort()
         return cands[0][1]
 
-    def _make_leg(self, flow_id: str, cell_id: str) -> pdcp.Leg:
+    def _make_leg(self, fc: FlowConfig, cell_id: str) -> pdcp.Leg:
         cr = self.cells[cell_id]
-        fc = self.config_flow(flow_id)
         portion = self._portion_for(self.ues[fc.ue_id].ue, cell_id)
         eff = portion.waveform_efficiency if portion else 1.0
         return pdcp.Leg(
-            leg_id=f"{flow_id}@{cell_id}",
+            leg_id=f"{fc.flow_id}@{cell_id}",
             cell_id=cell_id,
             capacity_bits_per_slot=capacity_score(cr.cell.grid, eff),
             current_load=cr.descriptor.current_load,
         )
-
-    def config_flow(self, flow_id: str) -> FlowConfig:
-        for fc in self.config.flows:
-            if fc.flow_id == flow_id:
-                return fc
-        raise KeyError(flow_id)
 
     def _sps_params(self, fc: FlowConfig, cell_id: str) -> tuple[int, int, int]:
         if fc.flow_id in self.flows:
@@ -306,9 +320,7 @@ class World:
         return self._portion_for(self.ues[ue_id].ue, cell_id) is not None
 
     def _flows_of(self, ue_id: str, with_state: bool = True):
-        for fc in self.config.flows:
-            if fc.ue_id != ue_id:
-                continue
+        for fc in self._flows_by_ue[ue_id]:
             fr = self.flows[fc.flow_id]
             if with_state and fr.state is None:
                 continue
@@ -322,7 +334,7 @@ class World:
         dst_leg = state.leg_by_cell(dst)
         self.cells[src].mac.deregister_flow(fr.cfg.flow_id)
         if dst_leg is None:
-            new_leg = self._make_leg(fr.cfg.flow_id, dst)
+            new_leg = self._make_leg(fr.cfg, dst)
             state.legs[state.legs.index(src_leg)] = new_leg
             self._register_mac_flow(fr.cfg, dst)
             dst_leg = new_leg
@@ -368,8 +380,8 @@ class World:
         for fr in self._flows_of(ue_id):
             if fr.state.leg_by_cell(prev) is not None:
                 self._move_leg(fr, prev, target)
-        for fc in self.config.flows:
-            if fc.ue_id == ue_id and self.flows[fc.flow_id].state is None:
+        for fc in self._flows_by_ue[ue_id]:
+            if self.flows[fc.flow_id].state is None:
                 self.cells[prev].mac.deregister_flow(fc.flow_id)
                 self._register_mac_flow(fc, target)
         self._move_attempts(ue_id, prev, target)
@@ -393,7 +405,7 @@ class World:
             if fr.cfg.service not in (TrafficClass.EMBB, TrafficClass.LEGACY_MBB):
                 continue
             if fr.state.leg_by_cell(target) is None:
-                fr.state.legs.append(self._make_leg(fr.cfg.flow_id, target))
+                fr.state.legs.append(self._make_leg(fr.cfg, target))
                 self._register_mac_flow(fr.cfg, target)
 
     def apply_release_secondary(self, ue_id: str, target: str) -> None:
@@ -415,7 +427,7 @@ class World:
                 if state.legs:
                     self._move_leg(fr, state.legs[0].cell_id, master)
             if state.leg_by_cell(second) is None:
-                state.legs.append(self._make_leg(fr.cfg.flow_id, second))
+                state.legs.append(self._make_leg(fr.cfg, second))
                 self._register_mac_flow(fr.cfg, second)
             mode = self.config.pdcp.mode_for(fr.cfg.service)
             if len(state.legs) < 2 and mode is pdcp.Mode.DUPLICATE:
@@ -433,11 +445,7 @@ class World:
             vx, vy = rt.ue.velocity
             if vx == 0.0 and vy == 0.0:
                 continue
-            base = None
-            for uc in self.config.ues:
-                if uc.ue_id == uid:
-                    base = uc.position
-                    break
+            base = self._start_position[uid]
             new_pos = (base[0] + vx * t, base[1] + vy * t)
             rt.ue = UserEquipment(
                 ue_id=rt.ue.ue_id,
@@ -445,17 +453,16 @@ class World:
                 capabilities=rt.ue.capabilities,
                 velocity=rt.ue.velocity,
             )
-            for cid in self.cells:
-                self._mean_sinr_cache.pop((uid, cid), None)
+            self._mean_sinr_cache.pop(uid, None)
 
     def _mean_sinr(self, ue_id: str, cell_id: str) -> float:
-        key = (ue_id, cell_id)
-        hit = self._mean_sinr_cache.get(key)
+        by_cell = self._mean_sinr_cache.setdefault(ue_id, {})
+        hit = by_cell.get(cell_id)
         if hit is not None:
             return hit
         cr = self.cells[cell_id]
         val = chan.mean_sinr_db(self.chan, cr.cell, self.ues[ue_id].ue.position)
-        self._mean_sinr_cache[key] = val
+        by_cell[cell_id] = val
         return val
 
     def _arrivals(self) -> None:
@@ -476,40 +483,65 @@ class World:
                         fr.tx_pdus_by_cell[cell_id] = fr.tx_pdus_by_cell.get(cell_id, 0) + 1
 
     def _refresh_legs(self) -> None:
+        # A leg's capacity is fixed by its (UE, cell) when _make_leg builds it;
+        # only the cell's load moves from slot to slot.
         for fr in self.flows.values():
             if fr.state is None:
                 continue
             for leg in fr.state.legs:
-                cr = self.cells[leg.cell_id]
-                portion = self._portion_for(self.ues[fr.cfg.ue_id].ue, leg.cell_id)
-                eff = portion.waveform_efficiency if portion else 1.0
-                leg.refresh(capacity_score(cr.cell.grid, eff), cr.mac.load_fraction)
+                leg.current_load = self.cells[leg.cell_id].mac.load_fraction
 
-    def _slot_inputs(self, cr: CellRuntime) -> SlotInputs:
-        backlog: dict[str, float] = {}
-        pairs: list[tuple[str, str]] = []
-        seen = set()
-        for fid, mf in cr.mac.flows.items():
-            fr = self.flows.get(fid)
-            if fr is None or fr.state is None:
-                continue
-            leg = fr.state.leg_by_cell(cr.cell.cell_id)
-            if leg is not None:
-                backlog[fid] = leg.queue_bits
-            key = (mf.ue_id, mf.portion_key)
-            if mf.service is not TrafficClass.MMTC and key not in seen:
-                seen.add(key)
-                pairs.append(key)
-        rates: dict[tuple[str, str], float] = {}
-        if pairs:
-            ue_idx = np.array([self.ues[u].index for u, _ in pairs], dtype=np.uint64)
-            cell_idx = np.full(len(pairs), cr.index, dtype=np.uint64)
-            fad = chan.fading_db_batch(self.chan, ue_idx, cell_idx, self.slot)
-            for k, (u, pk) in enumerate(pairs):
-                portion = next(p for p in cr.portions if p.key == pk)
-                sinr = self._mean_sinr(u, cr.cell.cell_id) + float(fad[k])
-                rates[(u, pk)] = link_rate(sinr, 1, portion.waveform_efficiency, cr.cell.grid)
-        return SlotInputs(backlog_bits=backlog, per_prb_bits=rates)
+    def _channel_inputs(self) -> list[tuple[CellRuntime, list, dict]]:
+        """Every cell's queue legs and per-PRB rates for this slot.
+
+        Returns, per cell in order, the (flow_id, leg) pairs whose backlog the
+        MAC reads and the per-PRB rate of each (UE, portion) pair with a
+        queue-driven flow. Fading is a stateless hash of (seed, ue, cell,
+        slot), so one ``fading_db_batch`` call covers every pair of every
+        cell.
+        """
+        cells = []
+        ue_idx: list[int] = []
+        cell_idx: list[int] = []
+        for cr in self.cells.values():
+            cid = cr.cell.cell_id
+            legs = []
+            pairs: list[tuple[str, str]] = []
+            seen = set()
+            for fid, mf in cr.mac.flows.items():
+                fr = self.flows.get(fid)
+                if fr is None or fr.state is None:
+                    continue
+                leg = fr.state.leg_by_cell(cid)
+                if leg is not None:
+                    legs.append((fid, leg))
+                key = (mf.ue_id, mf.portion_key)
+                if mf.service is not TrafficClass.MMTC and key not in seen:
+                    seen.add(key)
+                    pairs.append(key)
+                    ue_idx.append(self.ues[mf.ue_id].index)
+                    cell_idx.append(cr.index)
+            cells.append((cr, legs, pairs))
+        fad = []
+        if ue_idx:
+            fad = chan.fading_db_batch(
+                self.chan,
+                np.array(ue_idx, dtype=np.uint64),
+                np.array(cell_idx, dtype=np.uint64),
+                self.slot,
+            ).tolist()
+        out = []
+        k = 0
+        for cr, legs, pairs in cells:
+            cid = cr.cell.cell_id
+            grid = cr.cell.grid
+            rates: dict[tuple[str, str], float] = {}
+            for u, pk in pairs:
+                eff = cr.portion_by_key[pk].waveform_efficiency
+                rates[(u, pk)] = link_rate(self._mean_sinr(u, cid) + fad[k], 1, eff, grid)
+                k += 1
+            out.append((cr, legs, rates))
+        return out
 
     def _drain_flow(self, fr: FlowRuntime, cell_id: str, bits: float) -> float:
         leg = fr.state.leg_by_cell(cell_id)
@@ -556,8 +588,12 @@ class World:
                     fr.deadline_misses += 1
 
     def _run_macs(self) -> None:
-        for cid, cr in self.cells.items():
-            inputs = self._slot_inputs(cr)
+        for cr, legs, rates in self._channel_inputs():
+            cid = cr.cell.cell_id
+            # backlog is read just before the cell's MAC runs
+            inputs = SlotInputs(
+                backlog_bits={fid: leg.queue_bits for fid, leg in legs}, per_prb_bits=rates
+            )
             res = cr.mac.run_slot(self.slot, inputs, self.rng_access, self.rng_backoff)
             self.events.extend(res.events)
             bad = validate_blocks(cr.cell.grid, res.alloc.blocks())
@@ -611,12 +647,6 @@ class World:
         )
         ues = []
         for uid, rt in self.ues.items():
-            services = tuple(
-                sorted(
-                    {fc.service for fc in self.config.flows if fc.ue_id == uid},
-                    key=lambda s: s.value,
-                )
-            )
             rsrp = {
                 cid: chan.rsrp_dbm(self.chan, cr.cell, rt.ue.position)
                 for cid, cr in self.cells.items()
@@ -632,7 +662,7 @@ class World:
                     serving_cell=rt.serving,
                     secondary_cells=rt.secondary,
                     rsrp_dbm_by_cell=rsrp,
-                    services=services,
+                    services=self._services[uid],
                     capabilities=rt.ue.capabilities,
                     eligible_cells=eligible,
                     rate_bps=rate,

@@ -507,6 +507,9 @@ class _Leaf:
     slice_id: str | None
     key: str
     interval: tuple[int, int]
+    #: the flows this leaf owns, by UE in ue_id order, each UE's in flow_id
+    #: order; rebuilt when flows or leaves change (see ``_build_rosters``)
+    roster: dict[str, list[MacFlow]] = field(default_factory=dict)
 
 
 @dataclass
@@ -547,6 +550,9 @@ class MacInstance:
         self._leaves: list[_Leaf] = []
         self._sps_placements: dict[str, tuple[int, int]] = {}
         self._sps_active: dict[str, SpsFlow] = {}
+        # UEs with a PF-scheduled flow, in order of their first flow_id
+        self._dynamic_ues: list[str] = []
+        self._rosters_stale = True
 
     # -- population ---------------------------------------------------------
 
@@ -559,10 +565,12 @@ class MacInstance:
             if not flow.sps_period_slots or not flow.sps_prbs:
                 raise ValueError("URLLC flows need sps_period_slots and sps_prbs")
         self.flows[flow.flow_id] = flow
+        self._rosters_stale = True
 
     def deregister_flow(self, flow_id: str) -> None:
         self.flows.pop(flow_id, None)
         self.pending = [p for p in self.pending if p.flow_id != flow_id]
+        self._rosters_stale = True
 
     def queue_attempt(self, flow_id: str, payload_bits: float, slot: int) -> None:
         flow = self.flows[flow_id]
@@ -754,6 +762,7 @@ class MacInstance:
             )
 
         self._leaves = []
+        self._rosters_stale = True
         prev_placements = self._sps_placements
         self._sps_placements = {}
         self._sps_active = {}
@@ -930,6 +939,8 @@ class MacInstance:
         events: list[Event] = []
         if slot % cfg.epoch_slots == 0 or self.epoch_index < 0:
             events.extend(self.refresh_partitions(slot, inputs))
+        if self._rosters_stale:
+            self._build_rosters()
         epoch = slot // cfg.epoch_slots
         amap = AllocationMap(self.cell.grid, slot)
         served: dict[str, float] = {}
@@ -988,7 +999,7 @@ class MacInstance:
                     pf_served_by_ue[ue] = pf_served_by_ue.get(ue, 0.0) + bits
 
         # Average-rate bookkeeping for every UE visible to the PF scheduler.
-        for ue in self._dynamic_ues():
+        for ue in self._dynamic_ues:
             avg = self.pf_avg.get(ue, cfg.pf_initial_avg_bits)
             self.pf_avg[ue] = (1.0 - cfg.pf_ewma) * avg + cfg.pf_ewma * pf_served_by_ue.get(ue, 0.0)
 
@@ -1007,25 +1018,29 @@ class MacInstance:
         sid = (flow.slice_id or DEFAULT_SLICE) if leaf.slice_id is not None else None
         return sid == leaf.slice_id and flow.service.value == leaf.key
 
-    def _dynamic_ues(self) -> list[str]:
-        seen = []
-        for f in sorted(self.flows.values(), key=lambda f: f.flow_id):
-            if f.service in (TrafficClass.EMBB, TrafficClass.LEGACY_MBB):
-                if f.ue_id not in seen:
-                    seen.append(f.ue_id)
-        return seen
+    def _build_rosters(self) -> None:
+        """Index the flows by leaf and the PF-scheduled UEs, once per change
+        of flows or leaves rather than on every slot."""
+        flows = sorted(self.flows.values(), key=lambda f: f.flow_id)
+        for leaf in self._leaves:
+            by_ue: dict[str, list[MacFlow]] = {}
+            for f in flows:
+                if self._leaf_owns(leaf, f):
+                    by_ue.setdefault(f.ue_id, []).append(f)
+            leaf.roster = dict(sorted(by_ue.items()))
+        self._dynamic_ues = list(
+            dict.fromkeys(
+                f.ue_id
+                for f in flows
+                if f.service in (TrafficClass.EMBB, TrafficClass.LEGACY_MBB)
+            )
+        )
+        self._rosters_stale = False
 
     def _run_dynamic(self, leaf: _Leaf, inputs: SlotInputs):
-        flows = [
-            f
-            for f in sorted(self.flows.values(), key=lambda f: f.flow_id)
-            if self._leaf_owns(leaf, f)
-        ]
-        by_ue: dict[str, list[MacFlow]] = {}
-        for f in flows:
-            by_ue.setdefault(f.ue_id, []).append(f)
+        by_ue = leaf.roster
         cands = []
-        for ue, fl in sorted(by_ue.items()):
+        for ue, fl in by_ue.items():
             backlog = sum(inputs.backlog_bits.get(f.flow_id, 0.0) for f in fl)
             if backlog <= 0:
                 continue
@@ -1052,11 +1067,14 @@ class MacInstance:
         return blocks, by_flow, served_by_ue
 
     def _run_contention(self, leaf, slot, epoch, rng_access, rng_backoff):
-        ready = [
-            a
-            for a in self.pending
-            if a.portion_key == leaf.portion_key and a.ready_epoch <= epoch
-        ]
+        # one pass splits the queue, keeping order (attempts compare by identity)
+        ready: list[PendingAccess] = []
+        still: list[PendingAccess] = []
+        for a in self.pending:
+            if a.portion_key == leaf.portion_key and a.ready_epoch <= epoch:
+                ready.append(a)
+            else:
+                still.append(a)
         ready.sort(key=lambda a: (a.created_slot, a.flow_id))
         if not ready:
             return [], [], []
@@ -1065,7 +1083,6 @@ class MacInstance:
             leaf.interval, contenders, rng_access, self.cfg.access_cost_prbs
         )
         delivered = []
-        still: list[PendingAccess] = [a for a in self.pending if a not in ready]
         for attempt, outcome in zip(ready, outcomes):
             if outcome.status is AccessStatus.SUCCESS:
                 delivered.append(attempt)

@@ -42,9 +42,9 @@ class Pdu:
 class Leg:
     """One connection leg: a queue toward one cell plus its quality estimate.
 
-    ``current_load`` and ``capacity_bits_per_slot`` are refreshed by the owner
-    from the serving cell's descriptor; ``delay_estimate_slots`` is queued
-    bits over capacity.
+    The owner sets ``capacity_bits_per_slot`` when it builds the leg and
+    refreshes ``current_load`` from the cell; ``delay_estimate_slots`` is
+    queued bits over capacity.
     """
 
     leg_id: str
@@ -65,10 +65,6 @@ class Leg:
         if self.capacity_bits_per_slot <= 0:
             return float("inf")
         return self.queue_bits / self.capacity_bits_per_slot
-
-    def refresh(self, capacity_bits_per_slot: float, current_load: float) -> None:
-        self.capacity_bits_per_slot = capacity_bits_per_slot
-        self.current_load = current_load
 
 
 @dataclass
@@ -247,8 +243,3 @@ def reorder_tick(rx: ReceiverState, now: int) -> list[Delivered]:
     _drain(rx, out)
     rx.gap_since = now if rx.buffer else None
     return out
-
-
-def delay_estimate(leg: Leg) -> float:
-    """Slots of queueing delay a new packet would see on this leg."""
-    return leg.delay_estimate_slots

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrmsim.channel import (
     ChannelConfig,
@@ -149,3 +151,27 @@ def test_make_generator_factory():
     assert isinstance(make_generator("full_buffer"), FullBuffer)
     with pytest.raises(ValueError):
         make_generator("bursty_fractal")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    per_cell=st.lists(
+        st.lists(st.integers(min_value=0, max_value=2**20), min_size=1, max_size=70),
+        min_size=1,
+        max_size=8,
+    ),
+    slot=st.integers(min_value=0, max_value=2**31),
+    seed=st.integers(min_value=0, max_value=2**63),
+    scale=st.sampled_from([0.0, 1.0, 0.37, 2.5]),
+)
+def test_fading_one_batch_over_all_cells_equals_per_cell_calls(per_cell, slot, seed, scale):
+    cfg = ChannelConfig(fading_seed=seed, fading_scale=scale)
+    ue_idx = np.array([u for ues in per_cell for u in ues], dtype=np.uint64)
+    cell_idx = np.array([c for c, ues in enumerate(per_cell) for _ in ues], dtype=np.uint64)
+    batch = fading_db_batch(cfg, ue_idx, cell_idx, slot).tolist()
+    per_call = []
+    for c, ues in enumerate(per_cell):
+        per_call += fading_db_batch(
+            cfg, np.array(ues, dtype=np.uint64), np.full(len(ues), c, dtype=np.uint64), slot
+        ).tolist()
+    assert batch == per_call

@@ -209,3 +209,91 @@ def test_duplication_reduces_latency_tail(scenarios):
     # end-to-end loss is a declared reorder gap, not a per-copy transit drop
     assert f_dup["declared_lost"] < f_solo["declared_lost"]
     assert f_dup["delivered_pdus"] > f_solo["delivered_pdus"]
+
+
+def _two_cell_world(velocity=(0.0, 0.0)):
+    """Two 20-PRB macros 400 m apart, one full-buffer eMBB UE homed on each,
+    steering off; UE ``ua``'s velocity is the argument."""
+    from rrmsim.scenario import scenario_from_dict
+
+    flow = {"kind": "full_buffer", "packet_bits": 1500, "watermark_bits": 6000}
+    cfg = scenario_from_dict(
+        {
+            "name": "two_macros",
+            "sim": {"horizon_slots": 100, "seed": 3},
+            "network": {
+                "cells": [
+                    {"id": "ca", "prbs_per_slot": 20, "position": [0.0, 0.0]},
+                    {"id": "cb", "prbs_per_slot": 20, "position": [400.0, 0.0]},
+                ]
+            },
+            "ues": [
+                {
+                    "id": "ua",
+                    "position": [50.0, 10.0],
+                    "velocity": list(velocity),
+                    "serving_cell": "ca",
+                },
+                {"id": "ub", "position": [350.0, -5.0], "serving_cell": "cb"},
+            ],
+            "traffic": {
+                "flows": [
+                    {"id": "fa", "ue": "ua", "service": "eMBB", "generator": flow},
+                    {"id": "fb", "ue": "ub", "service": "eMBB", "generator": flow},
+                ]
+            },
+            "mac": {"epoch_slots": 10},
+            "uts": {"features": []},
+        }
+    )
+    return World(cfg)
+
+
+def _capture_mac_results(world):
+    """Record every MacSlotResult of the world's MACs, per cell."""
+    seen = {cid: [] for cid in world.cells}
+    for cid, cr in world.cells.items():
+        run = cr.mac.run_slot
+
+        def recording(*args, _run=run, _cid=cid):
+            res = _run(*args)
+            seen[_cid].append(res)
+            return res
+
+        cr.mac.run_slot = recording
+    return seen
+
+
+def test_mid_epoch_handover_moves_grants_on_the_next_slot():
+    w = _two_cell_world()
+    for _ in range(4):  # into the middle of the first MAC epoch
+        w.step_slot()
+    seen = _capture_mac_results(w)
+    w.step_slot()
+    owners = {cid: {b[2] for b in r[-1].alloc.blocks()} for cid, r in seen.items()}
+    assert owners == {"ca": {"ua"}, "cb": {"ub"}}
+
+    assert w.apply_handover("ua", "cb") == "ca"
+    w.step_slot()
+    assert w.slot % w.config.mac.epoch_slots != 0  # still mid-epoch
+    ca, cb = seen["ca"][-1], seen["cb"][-1]
+    assert not [b for b in ca.alloc.blocks() if b[2] == "ua"]
+    assert [b for b in cb.alloc.blocks() if b[2] == "ua"]
+    assert cb.served_bits.get("fa", 0.0) > 0.0 and "fa" not in ca.served_bits
+
+
+def test_mobility_moves_from_config_position_and_keeps_other_caches():
+    vel = (12.0, -3.0)
+    w = _two_cell_world(velocity=vel)
+    for _ in range(7):
+        w.step_slot()
+    static_cache = w._mean_sinr_cache["ub"]
+    static_before = dict(static_cache)
+    assert static_before and w._mean_sinr_cache["ua"]
+
+    w._refresh_positions()  # the mobility stage for slot 7
+    t = 7 * w.slot_seconds
+    assert w.ues["ua"].ue.position == (50.0 + vel[0] * t, 10.0 + vel[1] * t)
+    assert w.ues["ub"].ue.position == (350.0, -5.0)
+    assert "ua" not in w._mean_sinr_cache
+    assert w._mean_sinr_cache["ub"] is static_cache and static_cache == static_before

@@ -499,3 +499,26 @@ def test_mac_flow_registration_rules():
         mac.register_flow(_flow("f3", service=TrafficClass.URLLC))  # no reservation shape
     mac.deregister_flow("f1")
     mac.register_flow(_flow("f1"))
+
+
+def test_mac_schedules_flows_registered_after_the_leaves_were_built():
+    mac = _mac(prbs=24, epoch_slots=6)
+    mac.register_flow(_flow("fa"))
+    rng_a, rng_b = np.random.default_rng(0), np.random.default_rng(1)
+    # fc drains in 5 PRBs, so fa keeps the rest of the eMBB leaf
+    backlogs = {"fa": 50_000.0, "fb": 50_000.0, "fc": 900.0}
+
+    def owners(slot):
+        res = mac.run_slot(slot, _inputs(backlogs), rng_a, rng_b)
+        return {b[2] for b in res.alloc.blocks()}
+
+    assert owners(0) == {"ue-fa"}
+    # a legacy flow has no leaf until the next refresh rebuilds the leaves
+    mac.register_flow(_flow("fb", service=TrafficClass.LEGACY_MBB))
+    assert [owners(s) for s in range(1, 6)] == [{"ue-fa"}] * 5
+    assert owners(6) == {"ue-fa", "ue-fb"}
+    # an eMBB flow joins the existing eMBB leaf on the next slot
+    mac.register_flow(_flow("fc"))
+    assert owners(7) == {"ue-fa", "ue-fb", "ue-fc"}
+    mac.deregister_flow("fa")
+    assert owners(8) == {"ue-fb", "ue-fc"}

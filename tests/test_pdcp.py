@@ -11,7 +11,6 @@ from rrmsim.pdcp import (
     ModeArityError,
     ReceiverState,
     configure_legs,
-    delay_estimate,
     reorder_deliver,
     reorder_tick,
     route_packet,
@@ -59,7 +58,7 @@ def test_aggregate_routes_to_least_delay():
     sent = route_packet(state, 100.0)
     assert sent == [("fast", 0)]
     assert fast.queue_bits == 600.0 and slow.queue_bits == 5000.0
-    assert delay_estimate(slow) == pytest.approx(5.0)
+    assert slow.delay_estimate_slots == pytest.approx(5.0)
 
 
 def test_aggregate_tie_breaks_to_first_leg():
@@ -72,7 +71,7 @@ def test_aggregate_dead_leg_is_avoided():
     dead = mk_leg("dead", capacity=0.0)
     live = mk_leg("live", capacity=10.0, queued=1e6)
     state = configure_legs("f", [dead, live], Mode.AGGREGATE)
-    assert delay_estimate(dead) == float("inf")
+    assert dead.delay_estimate_slots == float("inf")
     assert route_packet(state, 1.0)[0][0] == "live"
 
 
