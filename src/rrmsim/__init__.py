@@ -20,7 +20,6 @@ from .core import (
     TrafficClass,
     UserEquipment,
     Violation,
-    allocate_block,
     compute_fairness,
     validate_allocation_map,
 )
@@ -37,7 +36,6 @@ from .abstraction import (
     capacity_score,
     describe_cell,
     link_rate,
-    register_plugin,
     to_common_unit,
 )
 from .mac import (
@@ -47,13 +45,11 @@ from .mac import (
     MacInstance,
     PartitionPlan,
     PortionSpec,
-    ReconfigRequiredError,
     dss_split,
     estimate_demands,
     partition_resources,
     schedule_dynamic,
     schedule_one_shot,
-    schedule_semi_persistent,
 )
 from .pdcp import (
     FlowState,

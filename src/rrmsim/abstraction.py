@@ -228,12 +228,6 @@ class PluginRegistry:
     def records(self) -> list[FeatureRecord]:
         return [self._records[i] for i in self._records]
 
-    def by_location(self, location: PluginLocation) -> list[FeatureRecord]:
-        return [r for r in self._records.values() if r.location is location]
-
-    def by_scenario(self, tag: str) -> list[FeatureRecord]:
-        return [r for r in self._records.values() if tag in r.scenarios or "any" in r.scenarios]
-
     def interactions(self, feature_id: str) -> list[FeatureRecord]:
         """Resolve a feature's declared interaction partners.
 
@@ -253,10 +247,3 @@ class PluginRegistry:
 
     def __len__(self) -> int:
         return len(self._records)
-
-
-def register_plugin(
-    registry: PluginRegistry, record: FeatureRecord, evaluator: Callable | None = None
-) -> PluginRegistry:
-    """Register a feature; errors on duplicate ids. Returns the registry."""
-    return registry.register(record, evaluator)

@@ -3,8 +3,9 @@
 Outputs per run: ``metrics.csv`` (one row per flow per MAC epoch),
 ``summary.json`` (end-of-run report), and ``events.log`` (one line per
 event). All three are byte-identical for the same (config, seed); files are
-staged in memory and written atomically, so a failed run leaves nothing
-behind. ``RRMSIM_LOG`` (debug/info/warning/error) controls stderr logging.
+staged in memory and all written before any is renamed into place, so a
+failed run leaves nothing behind. ``RRMSIM_LOG`` (debug/info/warning/error)
+controls stderr logging.
 """
 
 from __future__ import annotations
@@ -99,10 +100,26 @@ def render_events(events) -> str:
     return "".join(e.format() + "\n" for e in events)
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+def _write_outputs(outdir: Path, staged: dict[str, str]) -> None:
+    """Write every staged file to a temporary, then rename them all into place.
+
+    If a write fails, the temporaries and any directory made here are removed
+    before the error propagates, so old outputs stay as they were.
+    """
+    made = [d for d in (outdir, *outdir.parents) if not d.exists()]
+    outdir.mkdir(parents=True, exist_ok=True)
+    tmps = {name: outdir / (name + ".tmp") for name in staged}
+    try:
+        for name, text in staged.items():
+            tmps[name].write_text(text)
+    except OSError:
+        for tmp in tmps.values():
+            tmp.unlink(missing_ok=True)
+        for d in made:
+            d.rmdir()
+        raise
+    for name, tmp in tmps.items():
+        os.replace(tmp, outdir / name)
 
 
 def _parse_seeds(args) -> list[int] | None:
@@ -167,9 +184,12 @@ def cmd_run(args) -> int:
             print(f"run failed (seed {seed}): {e}", file=sys.stderr)
             return EXIT_RUNTIME
         outdir = args.out / f"seed-{seed}" if multi else args.out
-        outdir.mkdir(parents=True, exist_ok=True)
-        for name, text in staged.items():
-            _write_atomic(outdir / name, text)
+        try:
+            _write_outputs(outdir, staged)
+        except OSError as e:
+            log.debug("write failed", exc_info=True)
+            print(f"run failed (seed {seed}): {e}", file=sys.stderr)
+            return EXIT_RUNTIME
         delivered = sum(m["delivered_bits"] for m in result.report.per_flow.values())
         print(
             f"{cfg.name} seed={seed} slots={result.report.slots} "

@@ -131,9 +131,8 @@ class AllocationMap:
     Held as sorted, pairwise-disjoint half-open blocks ``(start, stop, owner,
     purpose)``. ``add_block`` is the one exclusivity check: it refuses a block
     that leaves the grid or touches a held PRB, in O(log blocks), before
-    anything lands. ``add`` and ``allocate_block`` are one-PRB and inclusive
-    forms of it; ``grants()`` expands the blocks to one Grant per PRB in PRB
-    order.
+    anything lands. ``add`` is its one-PRB form; ``grants()`` expands the
+    blocks to one Grant per PRB in PRB order.
     """
 
     def __init__(self, grid: CarrierGrid, slot: int):
@@ -188,20 +187,6 @@ class AllocationMap:
 
     def __contains__(self, prb: int) -> bool:
         return self.owner_of(prb) is not None
-
-
-def allocate_block(
-    amap: AllocationMap, start_prb: int, end_prb: int, owner: str, purpose: str
-) -> list[Grant]:
-    """Grant the inclusive PRB range [start_prb, end_prb] to one owner.
-
-    All-or-nothing: the whole block is checked before any grant lands, so a
-    failed call leaves the map untouched.
-    """
-    if end_prb < start_prb:
-        raise ValueError(f"end_prb {end_prb} < start_prb {start_prb}")
-    amap.add_block(start_prb, end_prb + 1, owner, purpose)
-    return [Grant(prb=p, owner=owner, purpose=purpose) for p in range(start_prb, end_prb + 1)]
 
 
 @dataclass(frozen=True)

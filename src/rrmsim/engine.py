@@ -41,7 +41,6 @@ from .uts import (
     UeState,
     UtsController,
     builtin_features,
-    register_plugin,
 )
 
 STAGE_ORDER = ("mobility", "arrivals", "steering", "mac", "transport", "metrics")
@@ -194,9 +193,9 @@ class World:
             ranking = list(config.uts.effective_ranking())
             for fid in config.uts.features:
                 rec, ev = available[fid]
-                register_plugin(registry, rec, ev)
+                registry.register(rec, ev)
             for rec, ev in extra_features:
-                register_plugin(registry, rec, ev)
+                registry.register(rec, ev)
                 if rec.feature_id not in ranking:
                     ranking.append(rec.feature_id)
             strategy = MnoStrategy(
@@ -414,9 +413,6 @@ class World:
         for fr in self._flows_of(ue_id):
             self._drop_leg(fr, target)
 
-    def apply_release_leg(self, ue_id: str, target: str) -> None:
-        self.apply_release_secondary(ue_id, target)
-
     def apply_configure_dc(self, ue_id: str, master: str, second: str) -> None:
         rt = self.ues[ue_id]
         rt.secondary = rt.secondary + (second,)
@@ -468,7 +464,7 @@ class World:
     def _arrivals(self) -> None:
         for fc in self.config.flows:
             fr = self.flows[fc.flow_id]
-            pkts = traffic.gen_traffic(fr.generator, self.slot, self.rng_traffic, fr.queued_bits())
+            pkts = fr.generator.step(self.slot, self.rng_traffic, fr.queued_bits())
             for bits in pkts:
                 fr.arrived_bits += bits
                 fr.w_arrived += bits

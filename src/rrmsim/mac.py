@@ -11,9 +11,9 @@ same exact integer apportionment (largest remainder) is used at every level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -39,14 +39,6 @@ DEFAULT_SLICE = "default"
 
 class InsufficientResourcesError(Exception):
     """Total PRBs cannot cover the minimum guarantees of the active keys."""
-
-
-class ReconfigRequiredError(Exception):
-    """A semi-persistent reservation no longer fits its partition."""
-
-    def __init__(self, flow_id: str):
-        super().__init__(f"reservation for flow {flow_id!r} does not fit; reconfigure")
-        self.flow_id = flow_id
 
 
 # ---------------------------------------------------------------------------
@@ -285,41 +277,6 @@ def schedule_dynamic(
     return grants, served
 
 
-@dataclass(frozen=True)
-class SpsFlow:
-    flow_id: str
-    ue_id: str
-    period_slots: int
-    prbs_needed: int
-    offset_slots: int = 0
-
-    def __post_init__(self):
-        if self.period_slots < 1 or self.prbs_needed < 1 or self.offset_slots < 0:
-            raise ValueError("period/prbs must be >= 1 and offset >= 0")
-
-    def due(self, slot: int) -> bool:
-        return slot >= self.offset_slots and (slot - self.offset_slots) % self.period_slots == 0
-
-
-def sps_place(
-    interval: tuple[int, int], flows: Sequence[SpsFlow]
-) -> dict[str, tuple[int, int]]:
-    """First-fit column placement of reservations inside an interval.
-
-    Columns are assigned in the given flow order; raises ReconfigRequiredError
-    for the first flow that no longer fits.
-    """
-    start, stop = interval
-    cursor = start
-    placed: dict[str, tuple[int, int]] = {}
-    for f in flows:
-        if cursor + f.prbs_needed > stop:
-            raise ReconfigRequiredError(f.flow_id)
-        placed[f.flow_id] = (cursor, cursor + f.prbs_needed)
-        cursor += f.prbs_needed
-    return placed
-
-
 def _first_gap(
     lo: int, hi: int, taken: list[tuple[int, int]], need: int
 ) -> tuple[int, int] | None:
@@ -333,27 +290,6 @@ def _first_gap(
     if hi - cursor >= need:
         return (cursor, cursor + need)
     return None
-
-
-def schedule_semi_persistent(
-    interval: tuple[int, int],
-    flows: Sequence[SpsFlow],
-    slot: int,
-    purpose: str = TrafficClass.URLLC.value,
-) -> list[Grant]:
-    """Emit this slot's grants for periodic reservations in an interval.
-
-    Grants repeat on the reserved columns every period with no per-slot
-    signalling; non-due slots produce nothing for that flow.
-    """
-    placements = sps_place(interval, flows)
-    grants: list[Grant] = []
-    for f in flows:
-        if not f.due(slot):
-            continue
-        a, b = placements[f.flow_id]
-        grants.extend(Grant(prb=p, owner=f.ue_id, purpose=purpose) for p in range(a, b))
-    return grants
 
 
 class AccessStatus(str, Enum):
@@ -548,8 +484,8 @@ class MacInstance:
         self.demand_prbs = 0
         self.load_fraction = 0.0
         self._leaves: list[_Leaf] = []
-        self._sps_placements: dict[str, tuple[int, int]] = {}
-        self._sps_active: dict[str, SpsFlow] = {}
+        # reserved columns per URLLC flow for the current epoch
+        self._sps_columns: dict[str, tuple[int, int]] = {}
         # UEs with a PF-scheduled flow, in order of their first flow_id
         self._dynamic_ues: list[str] = []
         self._rosters_stale = True
@@ -562,8 +498,10 @@ class MacInstance:
         if flow.portion_key not in {p.key for p in self.portions}:
             raise ValueError(f"unknown portion {flow.portion_key!r}")
         if flow.service is TrafficClass.URLLC:
-            if not flow.sps_period_slots or not flow.sps_prbs:
-                raise ValueError("URLLC flows need sps_period_slots and sps_prbs")
+            if (flow.sps_period_slots or 0) < 1 or (flow.sps_prbs or 0) < 1:
+                raise ValueError("URLLC flows need sps_period_slots and sps_prbs >= 1")
+            if flow.sps_offset_slots < 0:
+                raise ValueError("sps_offset_slots must be >= 0")
         self.flows[flow.flow_id] = flow
         self._rosters_stale = True
 
@@ -762,10 +700,8 @@ class MacInstance:
             )
 
         self._leaves = []
-        self._rosters_stale = True
-        prev_placements = self._sps_placements
-        self._sps_placements = {}
-        self._sps_active = {}
+        prev_placements = self._sps_columns
+        self._sps_columns = {}
         total_demand = 0
         cursor = 0
         for p in self.portions:
@@ -831,30 +767,31 @@ class MacInstance:
         # so periodic grants stay on fixed columns while the queue-driven
         # partitions around them breathe; only flows that genuinely lost their
         # columns are re-placed (first-fit) or, failing that, parked for the
-        # epoch with a reconfiguration event.
+        # epoch with a reconfiguration event. Flows are visited in flow_id order.
+        self._build_rosters()
         for leaf in self._leaves:
             if leaf.key != TrafficClass.URLLC.value:
                 continue
             lo, hi = leaf.interval
             taken: list[tuple[int, int]] = []
-            fresh: list[SpsFlow] = []
-            for f in self._sps_flows(leaf):
+            fresh: list[MacFlow] = []
+            owned = (f for fl in leaf.roster.values() for f in fl)
+            for f in sorted(owned, key=lambda f: f.flow_id):
                 cols = prev_placements.get(f.flow_id)
                 if (
                     cols is not None
-                    and cols[1] - cols[0] == f.prbs_needed
+                    and cols[1] - cols[0] == f.sps_prbs
                     and lo <= cols[0]
                     and cols[1] <= hi
                     and all(cols[1] <= s or e <= cols[0] for s, e in taken)
                 ):
                     taken.append(cols)
-                    self._sps_placements[f.flow_id] = cols
-                    self._sps_active[f.flow_id] = f
+                    self._sps_columns[f.flow_id] = cols
                 else:
                     fresh.append(f)
             for f in fresh:
                 taken.sort()
-                cols = _first_gap(lo, hi, taken, f.prbs_needed)
+                cols = _first_gap(lo, hi, taken, f.sps_prbs)
                 if cols is None:
                     events.append(
                         Event.make(
@@ -863,7 +800,7 @@ class MacInstance:
                             "sps_reconfig",
                             cell=self.cell.cell_id,
                             flow=f.flow_id,
-                            need=f.prbs_needed,
+                            need=f.sps_prbs,
                             cols="none",
                         )
                     )
@@ -876,13 +813,12 @@ class MacInstance:
                             "sps_reconfig",
                             cell=self.cell.cell_id,
                             flow=f.flow_id,
-                            need=f.prbs_needed,
+                            need=f.sps_prbs,
                             cols=f"{cols[0]}-{cols[1]}",
                         )
                     )
                 taken.append(cols)
-                self._sps_placements[f.flow_id] = cols
-                self._sps_active[f.flow_id] = f
+                self._sps_columns[f.flow_id] = cols
 
         self.demand_prbs = total_demand
         self.load_fraction = min(1.0, total_demand / total) if total else 0.0
@@ -906,25 +842,6 @@ class MacInstance:
             if key == RACH_KEY:
                 continue
             self._leaves.append(_Leaf(portion_key, slice_id, key, (a, b)))
-
-    def _sps_flows(self, leaf: _Leaf) -> list[SpsFlow]:
-        out = []
-        for f in sorted(self.flows.values(), key=lambda f: f.flow_id):
-            if (
-                f.service is TrafficClass.URLLC
-                and f.portion_key == leaf.portion_key
-                and ((f.slice_id or DEFAULT_SLICE) if leaf.slice_id else None) == leaf.slice_id
-            ):
-                out.append(
-                    SpsFlow(
-                        flow_id=f.flow_id,
-                        ue_id=f.ue_id,
-                        period_slots=f.sps_period_slots or 1,
-                        prbs_needed=f.sps_prbs or 1,
-                        offset_slots=f.sps_offset_slots,
-                    )
-                )
-        return out
 
     # -- per-slot operation ---------------------------------------------------
 
@@ -974,21 +891,21 @@ class MacInstance:
                         )
                     )
             elif leaf.key == TrafficClass.URLLC.value:
-                flows = [
-                    self._sps_active[fid]
-                    for fid in sorted(self._sps_active)
-                    if self._leaf_owns(leaf, self.flows[fid])
-                ]
-                for f in flows:
-                    if not f.due(slot):
-                        continue
-                    a, b = self._sps_placements[f.flow_id]
-                    amap.add_block(a, b, f.ue_id, leaf.key)
-                    rate = inputs.per_prb_bits.get((f.ue_id, leaf.portion_key), 0.0)
-                    cap = (b - a) * rate
-                    got = min(cap, inputs.backlog_bits.get(f.flow_id, 0.0))
-                    if got > 0:
-                        served[f.flow_id] = served.get(f.flow_id, 0.0) + got
+                # only flows placed at the last refresh hold columns; one that
+                # arrived mid-epoch waits for the next, one that left is gone
+                for ue, fl in leaf.roster.items():
+                    for f in fl:
+                        cols = self._sps_columns.get(f.flow_id)
+                        lag = slot - f.sps_offset_slots
+                        if cols is None or lag < 0 or lag % f.sps_period_slots:
+                            continue
+                        a, b = cols
+                        amap.add_block(a, b, ue, leaf.key)
+                        rate = inputs.per_prb_bits.get((ue, leaf.portion_key), 0.0)
+                        cap = (b - a) * rate
+                        got = min(cap, inputs.backlog_bits.get(f.flow_id, 0.0))
+                        if got > 0:
+                            served[f.flow_id] = served.get(f.flow_id, 0.0) + got
             else:
                 blocks, by_flow, by_ue = self._run_dynamic(leaf, inputs)
                 for a, b, ue in blocks:

@@ -69,8 +69,3 @@ def make_generator(kind: str, params: dict | None = None):
     except KeyError:
         raise ValueError(f"unknown generator kind {kind!r}") from None
     return cls(**(params or {}))
-
-
-def gen_traffic(generator, slot: int, rng: np.random.Generator, queued_bits: float = 0.0) -> list[int]:
-    """Advance a generator one slot; returns arriving packet sizes in bits."""
-    return generator.step(slot, rng, queued_bits)

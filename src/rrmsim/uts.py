@@ -21,7 +21,6 @@ from .abstraction import (
     PluginLocation,
     PluginRegistry,
     RawMeasure,
-    register_plugin,
     to_common_unit,
 )
 from .core import Event, TrafficClass
@@ -193,17 +192,6 @@ class MnoStrategy:
             raise UnrankedFeatureError(
                 f"feature {feature_id!r} missing from strategy ranking"
             ) from None
-
-
-def select_strategy(strategies: Sequence[MnoStrategy], scenario_tag: str) -> MnoStrategy:
-    """Pick the strategy whose tag matches, falling back to an "any" entry."""
-    for s in strategies:
-        if s.scenario_tag == scenario_tag:
-            return s
-    for s in strategies:
-        if s.scenario_tag == "any":
-            return s
-    raise KeyError(f"no strategy for scenario tag {scenario_tag!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +393,7 @@ def builtin_features() -> list[tuple[FeatureRecord, Callable]]:
 
 def register_builtins(registry: PluginRegistry) -> PluginRegistry:
     for record, evaluator in builtin_features():
-        register_plugin(registry, record, evaluator)
+        registry.register(record, evaluator)
     return registry
 
 
@@ -532,7 +520,6 @@ class SteerableNetwork:
     def apply_add_secondary(self, ue_id: str, target: str) -> None: ...
     def apply_release_secondary(self, ue_id: str, target: str) -> None: ...
     def apply_configure_dc(self, ue_id: str, master: str, secondary: str) -> None: ...
-    def apply_release_leg(self, ue_id: str, target: str) -> None: ...
 
 
 def apply_actions(
@@ -583,7 +570,7 @@ def apply_actions(
         k = action.kind
         serving = network.serving_cell(action.ue_id)
         secondary = tuple(network.secondary_cells(action.ue_id))
-        if k is ActionKind.HANDOVER:
+        if k in (ActionKind.HANDOVER, ActionKind.OFFLOAD):
             target = action.targets[0]
             if target == serving:
                 err(action, "already_serving")
@@ -591,19 +578,8 @@ def apply_actions(
             if not network.can_attach(action.ue_id, target):
                 err(action, "not_eligible")
                 continue
-            prev = network.apply_handover(action.ue_id, target)
-            leg_event("release_leg", action, prev)
-            leg_event("add_leg", action, target)
-            applied.append(HistoryEntry(epoch_index, action, prev_serving=prev))
-        elif k is ActionKind.OFFLOAD:
-            target = action.targets[0]
-            if target == serving:
-                err(action, "already_serving")
-                continue
-            if not network.can_attach(action.ue_id, target):
-                err(action, "not_eligible")
-                continue
-            prev = network.apply_offload(action.ue_id, target)
+            move = network.apply_handover if k is ActionKind.HANDOVER else network.apply_offload
+            prev = move(action.ue_id, target)
             leg_event("release_leg", action, prev)
             leg_event("add_leg", action, target)
             applied.append(HistoryEntry(epoch_index, action, prev_serving=prev))
@@ -618,7 +594,7 @@ def apply_actions(
             network.apply_add_secondary(action.ue_id, target)
             leg_event("add_leg", action, target)
             applied.append(HistoryEntry(epoch_index, action))
-        elif k is ActionKind.RELEASE_SECONDARY_CELL:
+        elif k in (ActionKind.RELEASE_SECONDARY_CELL, ActionKind.RELEASE_LEG):
             target = action.targets[0]
             if target not in secondary:
                 err(action, "not_attached")
@@ -640,14 +616,6 @@ def apply_actions(
             network.apply_configure_dc(action.ue_id, master, second)
             leg_event("reconfigure", action, master)
             leg_event("add_leg", action, second)
-            applied.append(HistoryEntry(epoch_index, action))
-        elif k is ActionKind.RELEASE_LEG:
-            target = action.targets[0]
-            if target not in secondary:
-                err(action, "not_attached")
-                continue
-            network.apply_release_leg(action.ue_id, target)
-            leg_event("release_leg", action, target)
             applied.append(HistoryEntry(epoch_index, action))
         else:  # pragma: no cover - enum is closed
             err(action, "unknown_kind")

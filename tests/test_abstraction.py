@@ -18,7 +18,6 @@ from rrmsim.abstraction import (
     capacity_score,
     describe_cell,
     link_rate,
-    register_plugin,
     to_common_unit,
 )
 from rrmsim.core import CellClass
@@ -160,8 +159,8 @@ def _rec(fid, interacts=("none",)):
 
 def test_registry_register_and_lookup():
     reg = PluginRegistry()
-    register_plugin(reg, _rec("f1"), evaluator=lambda ctx, rec, thr: [])
-    register_plugin(reg, _rec("f2"))
+    reg.register(_rec("f1"), evaluator=lambda ctx, rec, thr: [])
+    reg.register(_rec("f2"))
     assert reg.ids() == ["f1", "f2"]
     assert reg.get("f1").feature_id == "f1"
     assert callable(reg.evaluator_for("f1"))
@@ -173,16 +172,16 @@ def test_registry_register_and_lookup():
 
 def test_registry_refuses_duplicate_ids():
     reg = PluginRegistry()
-    register_plugin(reg, _rec("f1"))
+    reg.register(_rec("f1"))
     with pytest.raises(DuplicateIdError):
-        register_plugin(reg, _rec("f1"))
+        reg.register(_rec("f1"))
 
 
 def test_registry_resolves_interactions_lazily():
     reg = PluginRegistry()
     # f1 names f2 before f2 exists; resolution happens at lookup time
-    register_plugin(reg, _rec("f1", interacts=("f2",)))
-    register_plugin(reg, _rec("f2"))
+    reg.register(_rec("f1", interacts=("f2",)))
+    reg.register(_rec("f2"))
     assert [r.feature_id for r in reg.interactions("f1")] == ["f2"]
     assert reg.interactions("f2") == []
 

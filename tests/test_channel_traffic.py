@@ -23,7 +23,6 @@ from rrmsim.traffic import (
     FullBuffer,
     PeriodicDeadline,
     PoissonSporadic,
-    gen_traffic,
     make_generator,
 )
 
@@ -113,25 +112,25 @@ def test_sinr_composes_budget_and_fading():
 def test_full_buffer_keeps_watermark():
     g = FullBuffer(packet_bits=1000, watermark_bits=5000)
     rng = np.random.default_rng(0)
-    burst = gen_traffic(g, 0, rng, queued_bits=0.0)
+    burst = g.step(0, rng, queued_bits=0.0)
     assert sum(burst) >= 5000 and set(burst) == {1000}
-    assert gen_traffic(g, 1, rng, queued_bits=5000.0) == []
-    assert gen_traffic(g, 2, rng, queued_bits=4999.0) == [1000]
+    assert g.step(1, rng, queued_bits=5000.0) == []
+    assert g.step(2, rng, queued_bits=4999.0) == [1000]
 
 
 def test_periodic_deadline_arrival_slots():
     g = PeriodicDeadline(period_slots=10, packet_bits=800, deadline_slots=10, offset_slots=3)
     rng = np.random.default_rng(0)
-    arrivals = [s for s in range(50) if gen_traffic(g, s, rng)]
+    arrivals = [s for s in range(50) if g.step(s, rng, 0.0)]
     assert arrivals == [3, 13, 23, 33, 43]
-    assert gen_traffic(g, 13, rng) == [800]
-    assert gen_traffic(g, 14, rng) == []
+    assert g.step(13, rng, 0.0) == [800]
+    assert g.step(14, rng, 0.0) == []
 
 
 def test_poisson_count_matches_rate():
     g = PoissonSporadic(rate_per_slot=1.0, packet_bits=256)
     rng = np.random.default_rng(123)
-    n = sum(len(gen_traffic(g, s, rng)) for s in range(1000))
+    n = sum(len(g.step(s, rng, 0.0)) for s in range(1000))
     # 1000 expected arrivals; allow three standard deviations
     assert abs(n - 1000) <= 3 * math.sqrt(1000)
 
@@ -139,7 +138,7 @@ def test_poisson_count_matches_rate():
 def test_poisson_reproducible_per_seed():
     def trace(seed):
         g, rng = PoissonSporadic(0.3), np.random.default_rng(seed)
-        return [gen_traffic(g, s, rng) for s in range(200)]
+        return [g.step(s, rng, 0.0) for s in range(200)]
 
     assert trace(7) == trace(7)
     assert trace(7) != trace(8)

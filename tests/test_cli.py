@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, output files, seed handling."""
 
 import json
+from pathlib import Path
 
 import pytest
 import yaml
@@ -147,3 +148,32 @@ def test_csv_rows_parse_back_to_numbers(tiny_yaml, tmp_path):
     assert row["flow"] == "f1"
     assert int(row["epoch"]) == 0
     assert float(row["arrived_bits"]) >= float(row["delivered_bits"]) >= 0.0
+
+
+def test_failed_write_leaves_no_partial_output(tiny_yaml, tmp_path, monkeypatch, capsys):
+    real_write = Path.write_text
+    calls = []
+
+    def third_write_fails(self, text, *args, **kwargs):
+        calls.append(self.name)
+        if len(calls) == 3:
+            raise OSError(28, "No space left on device")
+        return real_write(self, text, *args, **kwargs)
+
+    # a fresh directory is not left behind
+    out = tmp_path / "new" / "out"
+    monkeypatch.setattr(Path, "write_text", third_write_fails)
+    assert main(["run", str(tiny_yaml), "--out", str(out)]) == 1
+    assert len(calls) == 3 and "No space left" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+    # an existing run's files stay as they were, with no temporaries beside them
+    monkeypatch.setattr(Path, "write_text", real_write)
+    old = tmp_path / "old"
+    assert main(["run", str(tiny_yaml), "--out", str(old)]) == 0
+    before = _read_outputs(old)
+    calls.clear()
+    monkeypatch.setattr(Path, "write_text", third_write_fails)
+    assert main(["run", str(tiny_yaml), "--seed", "42", "--out", str(old)]) == 1
+    assert sorted(p.name for p in old.iterdir()) == sorted(before)
+    assert _read_outputs(old) == before

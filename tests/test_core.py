@@ -14,7 +14,6 @@ from rrmsim.core import (
     OutOfRangeError,
     OverlapError,
     UserEquipment,
-    allocate_block,
     compute_fairness,
     validate_allocation_map,
     validate_blocks,
@@ -63,36 +62,28 @@ def test_grid_rejects_bad_shape():
 # exclusive allocation
 # ---------------------------------------------------------------------------
 
-def test_allocate_block_grants_inclusive_range():
+def test_add_block_refuses_overlap_and_stays_atomic():
     amap = AllocationMap(mk_grid(prbs=12), slot=0)
-    grants = allocate_block(amap, 0, 4, "ue-a", "eMBB")
-    assert len(grants) == 5
-    assert [g.prb for g in grants] == [0, 1, 2, 3, 4]
-    assert all(g.owner == "ue-a" for g in grants)
-
-
-def test_allocate_block_refuses_overlap_and_stays_atomic():
-    amap = AllocationMap(mk_grid(prbs=12), slot=0)
-    allocate_block(amap, 0, 4, "ue-a", "eMBB")
+    amap.add_block(0, 5, "ue-a", "eMBB")
     with pytest.raises(OverlapError) as e:
-        allocate_block(amap, 4, 8, "ue-b", "eMBB")
+        amap.add_block(4, 9, "ue-b", "eMBB")
     assert e.value.prb == 4
     assert e.value.holder == "ue-a"
     # nothing from the failed call landed
     assert amap.occupied() == {0, 1, 2, 3, 4}
-    grants = allocate_block(amap, 5, 11, "ue-b", "eMBB")
-    assert len(grants) == 7
+    amap.add_block(5, 12, "ue-b", "eMBB")
     assert len(amap) == 12
 
 
-def test_allocate_block_bounds_checked_before_any_grant():
+def test_add_block_bounds_checked_before_anything_lands():
     amap = AllocationMap(mk_grid(prbs=10), slot=3)
+    amap.add_block(0, 2, "ue-a", "eMBB")
     with pytest.raises(OutOfRangeError) as e:
-        allocate_block(amap, 8, 11, "ue-a", "eMBB")
-    assert e.value.prb == 11
-    assert len(amap) == 0
+        amap.add_block(8, 11, "ue-b", "eMBB")
+    assert e.value.prb == 10
     with pytest.raises(ValueError):
-        allocate_block(amap, 5, 4, "ue-a", "eMBB")
+        amap.add_block(5, 4, "ue-b", "eMBB")
+    assert amap.blocks() == [(0, 2, "ue-a", "eMBB")] and len(amap) == 2
 
 
 def test_allocation_map_owner_queries():
@@ -150,14 +141,14 @@ def test_add_block_range_checks_start_and_stop():
     assert len(amap) == 10
 
 
-def test_allocate_block_failure_leaves_blocks_untouched():
+def test_add_block_failure_leaves_blocks_untouched():
     amap = AllocationMap(mk_grid(prbs=12), slot=0)
-    allocate_block(amap, 3, 5, "ue-a", "eMBB")
-    allocate_block(amap, 9, 10, "ue-b", "eMBB")
+    amap.add_block(3, 6, "ue-a", "eMBB")
+    amap.add_block(9, 11, "ue-b", "eMBB")
     before = amap.blocks()
-    for start, end in ((0, 3), (5, 9), (6, 12), (11, 12)):
+    for start, stop in ((0, 4), (5, 10), (6, 13), (11, 13)):
         with pytest.raises((OverlapError, OutOfRangeError)):
-            allocate_block(amap, start, end, "ue-c", "eMBB")
+            amap.add_block(start, stop, "ue-c", "eMBB")
         assert amap.blocks() == before
         assert len(amap) == 5
     assert amap.occupied() == {3, 4, 5, 9, 10}

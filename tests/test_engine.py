@@ -8,7 +8,7 @@ from rrmsim.cli import render_csv, render_events, render_summary
 from rrmsim.core import TrafficClass
 from rrmsim.engine import World, run_scenario
 
-from conftest import shorten
+from conftest import SCENARIO_DIR, shorten
 
 
 def _short(scenarios, name, slots, seed=None):
@@ -195,6 +195,30 @@ def test_caller_supplied_feature_joins_the_loop(scenarios):
     assert res.report.slots == cfg.sim.horizon_slots
 
 
+def test_readme_extending_example_runs_its_evaluator(monkeypatch):
+    """The README's plugin example, executed as written on a shortened horizon;
+    its evaluator must be called once per steering epoch."""
+    import rrmsim
+
+    root = SCENARIO_DIR.parent
+    readme = (root / "README.md").read_text()
+    code = readme.split("## Extending", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    real_load, real_run = rrmsim.load_scenario, rrmsim.run_scenario
+    calls = []
+
+    def counted_run(cfg, seed=None, extra_features=()):
+        counted = [
+            (rec, lambda *a, _ev=ev: calls.append(a[1].feature_id) or _ev(*a))
+            for rec, ev in extra_features
+        ]
+        return real_run(cfg, seed=seed, extra_features=counted)
+
+    monkeypatch.setattr(rrmsim, "load_scenario", lambda p: shorten(real_load(root / p), 300))
+    monkeypatch.setattr(rrmsim, "run_scenario", counted_run)
+    exec(code, {})
+    assert calls == ["nudge_first_ue"] * (300 // 50)  # uts.epoch_slots is 50
+
+
 def test_duplication_reduces_latency_tail(scenarios):
     """Paired runs on the lossy two-cell scenario: with duplication configured
     (the shipped config) the URLLC flow loses less than a single-leg variant."""
@@ -211,12 +235,18 @@ def test_duplication_reduces_latency_tail(scenarios):
     assert f_dup["delivered_pdus"] > f_solo["delivered_pdus"]
 
 
-def _two_cell_world(velocity=(0.0, 0.0)):
-    """Two 20-PRB macros 400 m apart, one full-buffer eMBB UE homed on each,
-    steering off; UE ``ua``'s velocity is the argument."""
+def _two_cell_world(velocity=(0.0, 0.0), flows=None):
+    """Two 20-PRB macros 400 m apart, UE ``ua`` homed on ``ca`` and ``ub`` on
+    ``cb``, steering off; UE ``ua``'s velocity is the argument. By default
+    each UE has one full-buffer eMBB flow; ``flows`` replaces them."""
     from rrmsim.scenario import scenario_from_dict
 
     flow = {"kind": "full_buffer", "packet_bits": 1500, "watermark_bits": 6000}
+    if flows is None:
+        flows = [
+            {"id": "fa", "ue": "ua", "service": "eMBB", "generator": flow},
+            {"id": "fb", "ue": "ub", "service": "eMBB", "generator": flow},
+        ]
     cfg = scenario_from_dict(
         {
             "name": "two_macros",
@@ -236,12 +266,7 @@ def _two_cell_world(velocity=(0.0, 0.0)):
                 },
                 {"id": "ub", "position": [350.0, -5.0], "serving_cell": "cb"},
             ],
-            "traffic": {
-                "flows": [
-                    {"id": "fa", "ue": "ua", "service": "eMBB", "generator": flow},
-                    {"id": "fb", "ue": "ub", "service": "eMBB", "generator": flow},
-                ]
-            },
+            "traffic": {"flows": flows},
             "mac": {"epoch_slots": 10},
             "uts": {"features": []},
         }
@@ -280,6 +305,27 @@ def test_mid_epoch_handover_moves_grants_on_the_next_slot():
     assert not [b for b in ca.alloc.blocks() if b[2] == "ua"]
     assert [b for b in cb.alloc.blocks() if b[2] == "ua"]
     assert cb.served_bits.get("fa", 0.0) > 0.0 and "fa" not in ca.served_bits
+
+
+def test_mid_epoch_urllc_handover_moves_the_reservation_at_the_next_epoch():
+    gen = {"kind": "periodic_deadline", "period_slots": 2, "packet_bits": 2000}
+    w = _two_cell_world(flows=[{"id": "fu", "ue": "ua", "service": "URLLC", "generator": gen}])
+    epoch = w.config.mac.epoch_slots
+    for _ in range(4):  # into the middle of the first MAC epoch
+        w.step_slot()
+    seen = _capture_mac_results(w)
+    assert w.apply_handover("ua", "cb") == "ca"
+    while w.slot < 3 * epoch:
+        w.step_slot()
+
+    def urllc_blocks(res):
+        return [b for b in res.alloc.blocks() if b[2] == "ua"]
+
+    assert not [b for r in seen["ca"] for b in urllc_blocks(r)]
+    granted = {r.slot: urllc_blocks(r) for r in seen["cb"] if urllc_blocks(r)}
+    assert list(granted) == list(range(epoch, 3 * epoch, 2))  # due slots, next epoch on
+    a, b = w.cells["cb"].mac._sps_columns["fu"]
+    assert all(g == [(a, b, "ua", "URLLC")] for g in granted.values())
 
 
 def test_mobility_moves_from_config_position_and_keeps_other_caches():

@@ -16,17 +16,13 @@ from rrmsim.mac import (
     PfCandidate,
     PortionSpec,
     RACH_KEY,
-    ReconfigRequiredError,
     SlotInputs,
-    SpsFlow,
     dss_split,
     estimate_demands,
     largest_remainder,
     partition_resources,
     schedule_dynamic,
     schedule_one_shot,
-    schedule_semi_persistent,
-    sps_place,
 )
 
 from conftest import mk_cell, mk_grid
@@ -254,38 +250,6 @@ def test_pf_matches_reference_oracle():
         ref_owners, ref_served = pf_reference(interval, cands)
         assert [g.owner for g in grants] == ref_owners
         assert served == pytest.approx(ref_served)
-
-
-# ---------------------------------------------------------------------------
-# semi-persistent scheduling
-# ---------------------------------------------------------------------------
-
-def test_sps_place_first_fit_and_reconfig():
-    flows = [SpsFlow("f1", "u1", 10, 3), SpsFlow("f2", "u2", 10, 4)]
-    assert sps_place((0, 10), flows) == {"f1": (0, 3), "f2": (3, 7)}
-    with pytest.raises(ReconfigRequiredError) as e:
-        sps_place((0, 6), flows)
-    assert e.value.flow_id == "f2"
-
-
-def test_sps_grants_repeat_on_fixed_columns():
-    flows = [SpsFlow("f1", "u1", period_slots=5, prbs_needed=2, offset_slots=2)]
-    due = {}
-    for slot in range(15):
-        grants = schedule_semi_persistent((4, 10), flows, slot)
-        if grants:
-            due[slot] = sorted(g.prb for g in grants)
-    assert list(due) == [2, 7, 12]
-    assert all(cols == [4, 5] for cols in due.values())  # no per-slot drift
-    assert all(g.purpose == TrafficClass.URLLC.value for g in schedule_semi_persistent((4, 10), flows, 2))
-
-
-def test_sps_two_flows_disjoint_columns():
-    flows = [SpsFlow("f1", "u1", 4, 2), SpsFlow("f2", "u2", 6, 3)]
-    grants = schedule_semi_persistent((0, 8), flows, 0)  # both due at slot 0
-    prbs = [g.prb for g in grants]
-    assert len(prbs) == len(set(prbs)) == 5
-    assert validate_allocation_map(mk_grid(prbs=8), grants) == []
 
 
 # ---------------------------------------------------------------------------
@@ -522,3 +486,108 @@ def test_mac_schedules_flows_registered_after_the_leaves_were_built():
     assert owners(7) == {"ue-fa", "ue-fb", "ue-fc"}
     mac.deregister_flow("fa")
     assert owners(8) == {"ue-fb", "ue-fc"}
+
+
+# ---------------------------------------------------------------------------
+# semi-persistent reservations, placed by the coordinator
+# ---------------------------------------------------------------------------
+
+def _urllc(fid, period, prbs, offset=0):
+    return _flow(
+        fid,
+        service=TrafficClass.URLLC,
+        sps_period_slots=period,
+        sps_prbs=prbs,
+        sps_offset_slots=offset,
+    )
+
+
+def _urllc_blocks(res):
+    return [b for b in res.alloc.blocks() if b[3] == TrafficClass.URLLC.value]
+
+
+def test_sps_first_fit_takes_the_lowest_free_gap():
+    mac = _mac(prbs=24, epoch_slots=4)
+    for f in (_urllc("f1", 1, 2), _urllc("f2", 1, 3), _urllc("f3", 1, 1)):
+        mac.register_flow(f)
+    rng_a, rng_b = np.random.default_rng(0), np.random.default_rng(1)
+    backlog = {"f1": 100.0, "f2": 100.0, "f3": 100.0, "f4": 100.0}
+    res = mac.run_slot(0, _inputs(backlog), rng_a, rng_b)
+    assert _urllc_blocks(res) == [
+        (0, 2, "ue-f1", "URLLC"), (2, 5, "ue-f2", "URLLC"), (5, 6, "ue-f3", "URLLC"),
+    ]
+    # f1 leaves a two-column hole; f4 is placed at the next refresh, into the
+    # hole, while f2 and f3 keep their columns
+    mac.deregister_flow("f1")
+    mac.register_flow(_urllc("f4", 1, 2))
+    res = mac.run_slot(4, _inputs(backlog), rng_a, rng_b)
+    assert _urllc_blocks(res) == [
+        (0, 2, "ue-f4", "URLLC"), (2, 5, "ue-f2", "URLLC"), (5, 6, "ue-f3", "URLLC"),
+    ]
+    assert not [e for e in res.events if e.kind == "sps_reconfig"]
+
+
+def test_sps_reservation_that_no_longer_fits_is_parked():
+    # 8 reserved columns cannot fit beside the access partition on 6 PRBs
+    mac = _mac(prbs=6, epoch_slots=4)
+    mac.register_flow(_urllc("f1", 1, 4))
+    mac.register_flow(_urllc("f2", 1, 4))
+    rng_a, rng_b = np.random.default_rng(0), np.random.default_rng(1)
+    for slot in range(4):
+        res = mac.run_slot(slot, _inputs({"f1": 100.0, "f2": 100.0}), rng_a, rng_b)
+        assert _urllc_blocks(res) == [(0, 4, "ue-f1", "URLLC")]
+        if slot == 0:
+            reconf = [e for e in res.events if e.kind == "sps_reconfig"]
+            assert [(e.get("flow"), e.get("need"), e.get("cols")) for e in reconf] == [
+                ("f2", "4", "none")
+            ]
+
+
+def test_sps_grants_repeat_on_fixed_columns():
+    mac = _mac(prbs=24, epoch_slots=6)
+    mac.register_flow(_urllc("f1", period=5, prbs=2, offset=2))
+    mac.register_flow(_flow("fa"))
+    rng_a, rng_b = np.random.default_rng(0), np.random.default_rng(1)
+    due = {}
+    for slot in range(15):
+        res = mac.run_slot(slot, _inputs({"f1": 300.0, "fa": 9000.0}), rng_a, rng_b)
+        if _urllc_blocks(res):
+            due[slot] = _urllc_blocks(res)
+    assert list(due) == [2, 7, 12]
+    assert all(b == [(0, 2, "ue-f1", "URLLC")] for b in due.values())  # no drift
+
+
+def test_sps_two_flows_disjoint_columns():
+    mac = _mac(prbs=24)
+    mac.register_flow(_urllc("f1", 4, 2))
+    mac.register_flow(_urllc("f2", 6, 3))
+    res = mac.run_slot(
+        0, _inputs({"f1": 300.0, "f2": 300.0}), np.random.default_rng(0), np.random.default_rng(1)
+    )  # both due at slot 0
+    assert _urllc_blocks(res) == [(0, 2, "ue-f1", "URLLC"), (2, 5, "ue-f2", "URLLC")]
+    assert validate_allocation_map(mac.cell.grid, res.alloc.grants()) == []
+
+
+def test_sps_flow_deregistered_mid_epoch_gets_no_grant():
+    mac = _mac(prbs=24, epoch_slots=6)
+    mac.register_flow(_urllc("fu", 1, 3))
+    rng_a, rng_b = np.random.default_rng(0), np.random.default_rng(1)
+    for slot in range(3):
+        res = mac.run_slot(slot, _inputs({"fu": 300.0}), rng_a, rng_b)
+        assert _urllc_blocks(res) == [(0, 3, "ue-fu", "URLLC")]
+    mac.deregister_flow("fu")  # mid-epoch, as a handover does
+    res = mac.run_slot(3, _inputs({"fu": 300.0}), rng_a, rng_b)
+    assert _urllc_blocks(res) == []
+    assert res.served_bits == {}
+
+
+def test_sps_reservation_shape_is_checked_at_registration():
+    mac = _mac()
+    for bad in (
+        {"sps_period_slots": 4, "sps_prbs": -1},
+        {"sps_period_slots": -4, "sps_prbs": 2},
+        {"sps_period_slots": 4, "sps_prbs": 2, "sps_offset_slots": -1},
+    ):
+        with pytest.raises(ValueError):
+            mac.register_flow(_flow("fu", service=TrafficClass.URLLC, **bad))
+    assert mac.flows == {}

@@ -25,7 +25,6 @@ from rrmsim.uts import (
     evaluate_features,
     register_builtins,
     resolve_conflicts,
-    select_strategy,
 )
 
 from conftest import mk_cell, mk_grid
@@ -247,15 +246,6 @@ def test_resolution_output_is_sorted_and_deterministic():
     assert [a.ue_id for a in out] == ["u1", "u2"]
 
 
-def test_select_strategy_prefers_exact_tag():
-    a = MnoStrategy(name="generic", scenario_tag="any")
-    b = MnoStrategy(name="dense", scenario_tag="dense-urban")
-    assert select_strategy([a, b], "dense-urban").name == "dense"
-    assert select_strategy([a, b], "rural").name == "generic"
-    with pytest.raises(KeyError):
-        select_strategy([b], "rural")
-
-
 # ---------------------------------------------------------------------------
 # application
 # ---------------------------------------------------------------------------
@@ -304,10 +294,6 @@ class FakeNetwork:
         self.secondary[ue_id].append(second)
         self.log.append(("configure_dc", ue_id, master, second))
 
-    def apply_release_leg(self, ue_id, target):
-        self.secondary[ue_id].remove(target)
-        self.log.append(("release_leg", ue_id, target))
-
 
 def test_apply_handover_records_history_and_leg_events():
     net = FakeNetwork({"ca", "cb"}, {"u1": "ca"})
@@ -317,6 +303,18 @@ def test_apply_handover_records_history_and_leg_events():
     assert [h.prev_serving for h in hist] == ["ca"]
     assert [e.kind for e in events] == ["release_leg", "add_leg"]
     assert events[1].get("cell") == "cb"
+
+
+def test_release_leg_action_releases_the_secondary_cell():
+    net = FakeNetwork({"ca", "cb"}, {"u1": "ca"})
+    net.secondary["u1"] = ["cb"]
+    act = _act(ActionKind.RELEASE_LEG, "u1", ("cb",), DUAL_CONN_ID)
+    hist, events = apply_actions(net, [act], slot=0, epoch_index=0)
+    assert net.log == [("release_secondary", "u1", "cb")]
+    assert net.secondary["u1"] == [] and [h.action for h in hist] == [act]
+    assert [(e.kind, e.get("cell"), e.get("action")) for e in events] == [
+        ("release_leg", "cb", "release_leg")
+    ]
 
 
 def test_apply_skips_invalid_actions_without_mutating():
