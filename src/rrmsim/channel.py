@@ -30,7 +30,8 @@ DEFAULT_EXPONENTS: dict[CellClass, float] = {
 @dataclass(frozen=True)
 class ChannelConfig:
     fading_scale: float = 1.0
-    fading_seed: int = 0
+    #: None stands for the run seed; the engine fills it in before use.
+    fading_seed: int | None = None
     noise_psd_dbm_hz: float = -174.0
     interference_margin_db: float = 3.0
     min_distance_m: float = 1.0

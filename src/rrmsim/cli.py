@@ -136,29 +136,28 @@ def _parse_seeds(args) -> list[int] | None:
     return list(range(a, b + 1))
 
 
-def cmd_validate(args) -> int:
+def _load(path):
+    """The validated config, or None after printing why it is not one."""
     try:
-        load_scenario(args.scenario)
+        return load_scenario(path)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except ValidationError as e:
-        for path, reason in e.failures:
-            print(f"{path}: {reason}", file=sys.stderr)
+        for where, reason in e.failures:
+            print(f"{where}: {reason}", file=sys.stderr)
+    return None
+
+
+def cmd_validate(args) -> int:
+    if _load(args.scenario) is None:
         return EXIT_CONFIG
     print("ok")
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = load_scenario(args.scenario)
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValidationError as e:
-        for path, reason in e.failures:
-            print(f"{path}: {reason}", file=sys.stderr)
+    cfg = _load(args.scenario)
+    if cfg is None:
         return EXIT_CONFIG
 
     try:

@@ -16,7 +16,7 @@ slot costs work per (UE, cell) pair rather than scans of the config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .core import (
     validate_blocks,
     DegenerateInputError,
 )
-from .mac import MacConfig, MacFlow, MacInstance, PortionSpec, SlotInputs
+from .mac import MacFlow, MacInstance, PortionSpec, SlotInputs
 from .scenario import FlowConfig, ScenarioConfig, build_domain, build_ue
 from .uts import (
     CellState,
@@ -51,7 +51,7 @@ class CellRuntime:
     cell: Cell
     index: int
     drop_prob: float
-    portions: list[PortionSpec]
+    portions: tuple[PortionSpec, ...]
     portion_by_key: dict[str, PortionSpec]
     mac: MacInstance
     descriptor: CapabilityDescriptor
@@ -106,43 +106,22 @@ class World:
         self.rng_backoff = np.random.default_rng(streams[2])
         self.rng_loss = np.random.default_rng(streams[3])
 
-        fading_seed = (
-            config.channel.fading_seed if config.channel.fading_seed is not None else self.seed
-        )
-        self.chan = chan.ChannelConfig(
-            fading_scale=config.channel.fading_scale,
-            fading_seed=fading_seed,
-            noise_psd_dbm_hz=config.channel.noise_psd_dbm_hz,
-            interference_margin_db=config.channel.interference_margin_db,
-            min_distance_m=config.channel.min_distance_m,
-        )
-
-        mac_cfg = MacConfig(
-            epoch_slots=config.mac.epoch_slots,
-            min_guarantee_prbs=config.mac.min_guarantee_prbs,
-            access_cost_prbs=config.mac.access_cost_prbs,
-            pf_ewma=config.mac.pf_ewma,
-            pf_initial_avg_bits=config.mac.pf_initial_avg_bits,
-            demand_sinr_db=config.mac.demand_sinr_db,
-            backoff_min_epochs=config.mac.backoff_min_epochs,
-            backoff_max_epochs=config.mac.backoff_max_epochs,
-        )
+        if config.channel.fading_seed is None:
+            self.chan = replace(config.channel, fading_seed=self.seed)
+        else:
+            self.chan = config.channel
 
         self.cells: dict[str, CellRuntime] = {}
         for i, cc in enumerate(config.cells):
             cell = build_domain(cc)
-            portions = [
-                PortionSpec(p.key, p.required_capability, p.waveform_efficiency)
-                for p in cc.portions
-            ]
-            mac = MacInstance(cell, portions, mac_cfg)
-            best_eff = max(p.waveform_efficiency for p in portions)
+            mac = MacInstance(cell, cc.portions, config.mac)
+            best_eff = max(p.waveform_efficiency for p in cc.portions)
             self.cells[cc.cell_id] = CellRuntime(
                 cell=cell,
                 index=i,
                 drop_prob=cc.drop_prob,
-                portions=portions,
-                portion_by_key={p.key: p for p in portions},
+                portions=cc.portions,
+                portion_by_key={p.key: p for p in cc.portions},
                 mac=mac,
                 descriptor=describe_cell(cell, 0.0, best_eff),
             )

@@ -2,18 +2,28 @@
 
 A scenario is a plain mapping (usually YAML on disk) with sections for the
 network, UEs, traffic flows, and the MAC / flow-control / steering / sim
-knobs. Parsing is strict: unknown keys and out-of-range values are collected
-and reported together, each with its config path. ``scenario_to_dict`` emits
-every field, so a serialized config re-parses to an equal one.
+knobs. Each section is a config dataclass, and the runtime layers' own types
+(``mac.MacConfig``, ``channel.ChannelConfig``, ``mac.PortionSpec``) serve as
+sections directly: a section's keys, value types and defaults are read from
+its dataclass fields, so each setting is declared once. Parsing is strict:
+unknown keys and out-of-range values are collected and reported together,
+each with its config path. ``scenario_to_dict`` emits every field from the
+same field lists, so a serialized config re-parses to an equal one.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import types
+import typing
 from dataclasses import dataclass, field
+from enum import Enum
 from pathlib import Path
 
 import yaml
 
+from .channel import ChannelConfig
 from .core import (
     CarrierGrid,
     Cell,
@@ -21,12 +31,15 @@ from .core import (
     TrafficClass,
     UserEquipment,
 )
-from .pdcp import Mode
-from .traffic import GENERATOR_KINDS, make_generator
+from .mac import MacConfig, PortionSpec
+from .pdcp import DEFAULT_ENTER_LOAD, DEFAULT_LEAVE_LOAD, DEFAULT_T_REORDER_SLOTS, Mode
+from .traffic import GENERATOR_KINDS, PeriodicDeadline, make_generator
 from .uts import (
     CARRIER_AGG_ID,
+    DEFAULT_HYSTERESIS_EPOCHS,
     DEFAULT_SERVICE_MODES,
     DEFAULT_THRESHOLDS,
+    DEFAULT_TIME_TO_TRIGGER_EPOCHS,
     DUAL_CONN_ID,
     LOAD_BALANCE_ID,
 )
@@ -54,13 +67,6 @@ class ValidationError(Exception):
 
 
 @dataclass(frozen=True)
-class PortionConfig:
-    key: str
-    required_capability: str | None = None
-    waveform_efficiency: float = 1.0
-
-
-@dataclass(frozen=True)
 class CellConfig:
     cell_id: str
     cell_class: CellClass = CellClass.MACRO
@@ -74,7 +80,7 @@ class CellConfig:
     supports_duplication: bool = True
     supports_secondary: bool = True
     drop_prob: float = 0.0
-    portions: tuple[PortionConfig, ...] = (PortionConfig(key="main"),)
+    portions: tuple[PortionSpec, ...] = (PortionSpec(key="main"),)
 
     def effective_tx_power_dbm(self) -> float:
         if self.tx_power_dbm is not None:
@@ -95,7 +101,7 @@ class UeConfig:
 class FlowConfig:
     flow_id: str
     ue_id: str
-    service: TrafficClass
+    service: TrafficClass = TrafficClass.EMBB
     generator_kind: str = "full_buffer"
     generator_params: dict = field(default_factory=dict)
     slice_id: str | None = None
@@ -105,22 +111,10 @@ class FlowConfig:
 
 
 @dataclass(frozen=True)
-class MacSection:
-    epoch_slots: int = 10
-    min_guarantee_prbs: int = 1
-    access_cost_prbs: int = 1
-    pf_ewma: float = 0.01
-    pf_initial_avg_bits: float = 1.0
-    demand_sinr_db: float = 10.0
-    backoff_min_epochs: int = 1
-    backoff_max_epochs: int = 8
-
-
-@dataclass(frozen=True)
 class PdcpSection:
-    t_reorder_slots: int = 50
-    leave_load: float = 0.8
-    enter_load: float = 0.5
+    t_reorder_slots: int = DEFAULT_T_REORDER_SLOTS
+    leave_load: float = DEFAULT_LEAVE_LOAD
+    enter_load: float = DEFAULT_ENTER_LOAD
     service_modes: tuple[tuple[TrafficClass, Mode], ...] = tuple(
         sorted(DEFAULT_SERVICE_MODES.items(), key=lambda kv: kv[0].value)
     )
@@ -140,23 +134,14 @@ class UtsSection:
     features: tuple[str, ...] = BUILTIN_FEATURE_IDS
     ranking: tuple[str, ...] = ()
     thresholds: tuple[tuple[str, tuple[tuple[str, float], ...]], ...] = ()
-    hysteresis_epochs: int = 10
-    time_to_trigger_epochs: int = 2
+    hysteresis_epochs: int = DEFAULT_HYSTERESIS_EPOCHS
+    time_to_trigger_epochs: int = DEFAULT_TIME_TO_TRIGGER_EPOCHS
 
     def effective_ranking(self) -> tuple[str, ...]:
         return self.ranking if self.ranking else self.features
 
     def thresholds_dict(self) -> dict[str, dict[str, float]]:
         return {fid: dict(kv) for fid, kv in self.thresholds}
-
-
-@dataclass(frozen=True)
-class ChannelSection:
-    fading_scale: float = 1.0
-    fading_seed: int | None = None
-    noise_psd_dbm_hz: float = -174.0
-    interference_margin_db: float = 3.0
-    min_distance_m: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -169,13 +154,66 @@ class SimSection:
 class ScenarioConfig:
     name: str = "scenario"
     sim: SimSection = SimSection()
-    channel: ChannelSection = ChannelSection()
+    channel: ChannelConfig = ChannelConfig()
     cells: tuple[CellConfig, ...] = ()
     ues: tuple[UeConfig, ...] = ()
     flows: tuple[FlowConfig, ...] = ()
-    mac: MacSection = MacSection()
+    mac: MacConfig = MacConfig()
     pdcp: PdcpSection = PdcpSection()
     uts: UtsSection = UtsSection()
+
+
+#: YAML keys that differ from their dataclass field names, per class.
+_YAML_KEYS = {
+    CellConfig: {"cell_id": "id", "cell_class": "class", "rat_tag": "rat"},
+    UeConfig: {"ue_id": "id"},
+    FlowConfig: {
+        "flow_id": "id", "ue_id": "ue", "slice_id": "slice",
+        "generator_kind": "generator", "generator_params": "generator",
+    },
+}
+
+
+@functools.cache
+def _fields(cls) -> tuple[dict[str, tuple[str, object]], dict[str, object]]:
+    """How config dataclass ``cls`` maps to YAML: (field, kind) by YAML key,
+    and the defaults of the fields that have a kind.
+
+    ``kind`` is int, float, bool, str, an Enum class, or ``tuple`` for an
+    [x, y] pair; None marks a field its caller reads by hand. Two fields may
+    share a key (the flow's ``generator``), both read by hand. Resolving the
+    type hints costs far more than reading a section, so each class's table
+    is built once.
+    """
+    hints = typing.get_type_hints(cls)
+    by_key, defaults = {}, {}
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        if isinstance(hint, types.UnionType):  # X | None
+            (hint,) = (a for a in typing.get_args(hint) if a is not type(None))
+        if hint == tuple[float, float]:
+            kind = tuple
+        elif hint in (int, float, bool, str) or (isinstance(hint, type) and issubclass(hint, Enum)):
+            kind = hint
+        else:
+            kind = None
+        by_key[_YAML_KEYS.get(cls, {}).get(f.name, f.name)] = (f.name, kind)
+        if kind is not None:
+            defaults[f.name] = None if f.default is dataclasses.MISSING else f.default
+    return by_key, defaults
+
+
+def _to_dict(obj) -> dict:
+    """A config dataclass as its YAML mapping, every field explicit."""
+    out = {}
+    for key, (name, _) in _fields(type(obj))[0].items():
+        val = getattr(obj, name)
+        if isinstance(val, Enum):
+            val = val.value
+        elif isinstance(val, tuple):
+            val = [_to_dict(v) if dataclasses.is_dataclass(v) else v for v in val]
+        out[key] = val
+    return out
 
 
 class _Reader:
@@ -233,88 +271,80 @@ class _Reader:
                 self.fail(where, f"expected a non-empty string, got {val!r}")
                 return default
             return val
-        raise TypeError(kind)
-
-    def pair(self, raw: dict, key: str, default, path: str) -> tuple[float, float]:
-        if key not in raw or raw[key] is None:
-            return default
-        val = raw[key]
-        where = f"{path}.{key}"
-        if (
-            not isinstance(val, list)
-            or len(val) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in val)
-        ):
-            self.fail(where, f"expected [x, y] numbers, got {val!r}")
-            return default
-        return (float(val[0]), float(val[1]))
-
-    def enum(self, raw: dict, key: str, enum_cls, default, path: str):
-        if key not in raw or raw[key] is None:
-            return default
-        val = raw[key]
-        where = f"{path}.{key}"
+        if kind is tuple:
+            if (
+                not isinstance(val, list)
+                or len(val) != 2
+                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in val)
+            ):
+                self.fail(where, f"expected [x, y] numbers, got {val!r}")
+                return default
+            return (float(val[0]), float(val[1]))
         try:
-            return enum_cls(val)
+            return kind(val)
         except ValueError:
-            ok = ", ".join(e.value for e in enum_cls)
+            ok = ", ".join(e.value for e in kind)
             self.fail(where, f"expected one of ({ok}), got {val!r}")
             return default
 
+    def read(self, cls, raw, path: str, check=None, defaults=None, **given):
+        """Read config dataclass ``cls`` from its mapping at ``path``.
 
-def _read_portion(r: _Reader, raw, path: str, index: int) -> PortionConfig:
-    m = r.mapping(raw, path)
-    r.reject_unknown(m, {"key", "required_capability", "waveform_efficiency"}, path)
-    key = r.get(m, "key", str, f"portion{index}", path)
-    cap = r.get(m, "required_capability", str, None, path)
-    eff = r.get(m, "waveform_efficiency", float, 1.0, path)
-    if not (0.0 < eff <= 1.0):
-        r.fail(f"{path}.waveform_efficiency", f"must be in (0, 1], got {eff}")
-        eff = 1.0
-    return PortionConfig(key=key, required_capability=cap, waveform_efficiency=eff)
+        Keys, value types and defaults come from the class's fields.
+        ``defaults`` overrides a field's default (an index-derived id) and
+        ``given`` holds the fields the caller read by hand. ``check`` sees the
+        values before the instance is built and reports range failures. If
+        the values make ``__post_init__`` raise after failures were reported
+        here, the defaults are used instead, since the parse fails anyway.
+        """
+        mark = len(self.failures)
+        m = self.mapping(raw, path)
+        by_key, field_defaults = _fields(cls)
+        defaults = defaults or {}
+        values = {**field_defaults, **defaults, **given}
+        for key in m:
+            if key not in by_key:
+                self.fail(f"{path}.{key}", "unknown key")
+                continue
+            name, kind = by_key[key]
+            if kind is not None and name not in given:
+                values[name] = self.get(m, key, kind, values[name], path)
+        if check is not None:
+            ns = types.SimpleNamespace(**values)
+            check(ns)
+            values = vars(ns)
+        try:
+            return cls(**values)
+        except ValueError:
+            if len(self.failures) == mark:
+                raise
+            return cls(**defaults, **given)
+
+
+def _read_portion(r: _Reader, raw, path: str, index: int) -> PortionSpec:
+    def check(p):
+        if not (0.0 < p.waveform_efficiency <= 1.0):
+            r.fail(f"{path}.waveform_efficiency", f"must be in (0, 1], got {p.waveform_efficiency}")
+            p.waveform_efficiency = 1.0
+
+    return r.read(PortionSpec, raw, path, check, defaults={"key": f"portion{index}"})
 
 
 def _read_cell(r: _Reader, raw, path: str, index: int) -> CellConfig:
     m = r.mapping(raw, path)
-    known = {
-        "id", "class", "rat", "carrier_hz", "prbs_per_slot", "numerology",
-        "prb_bandwidth_hz", "position", "tx_power_dbm", "supports_duplication",
-        "supports_secondary", "drop_prob", "portions",
-    }
-    r.reject_unknown(m, known, path)
-    cid = r.get(m, "id", str, f"cell{index}", path)
-    cls = r.enum(m, "class", CellClass, CellClass.MACRO, path)
     portions_raw = r.seq(m.get("portions"), f"{path}.portions")
     portions = tuple(
         _read_portion(r, p, f"{path}.portions[{i}]", i) for i, p in enumerate(portions_raw)
-    ) or (PortionConfig(key="main"),)
+    ) or CellConfig.portions
     if len(portions) > 2:
         r.fail(f"{path}.portions", f"at most 2 portions may share a carrier, got {len(portions)}")
         portions = portions[:2]
     keys = [p.key for p in portions]
     if len(set(keys)) != len(keys):
         r.fail(f"{path}.portions", f"portion keys must be unique, got {keys}")
-    drop = r.get(m, "drop_prob", float, 0.0, path)
-    if not (0.0 <= drop < 1.0):
-        r.fail(f"{path}.drop_prob", f"must be in [0, 1), got {drop}")
-        drop = 0.0
-    cfg = CellConfig(
-        cell_id=cid,
-        cell_class=cls,
-        rat_tag=r.get(m, "rat", str, "nr", path),
-        carrier_hz=r.get(m, "carrier_hz", float, 2.0e9, path),
-        prbs_per_slot=r.get(m, "prbs_per_slot", int, 50, path),
-        numerology=r.get(m, "numerology", int, 0, path),
-        prb_bandwidth_hz=r.get(m, "prb_bandwidth_hz", float, 180e3, path),
-        position=r.pair(m, "position", (0.0, 0.0), path),
-        tx_power_dbm=(
-            r.get(m, "tx_power_dbm", float, None, path) if "tx_power_dbm" in m else None
-        ),
-        supports_duplication=r.get(m, "supports_duplication", bool, True, path),
-        supports_secondary=r.get(m, "supports_secondary", bool, True, path),
-        drop_prob=drop,
-        portions=portions,
-    )
+    cfg = r.read(CellConfig, m, path, defaults={"cell_id": f"cell{index}"}, portions=portions)
+    if not (0.0 <= cfg.drop_prob < 1.0):
+        r.fail(f"{path}.drop_prob", f"must be in [0, 1), got {cfg.drop_prob}")
     try:
         CarrierGrid(cfg.carrier_hz, cfg.prbs_per_slot, cfg.numerology, cfg.prb_bandwidth_hz)
     except ValueError as e:
@@ -324,57 +354,49 @@ def _read_cell(r: _Reader, raw, path: str, index: int) -> CellConfig:
 
 def _read_ue(r: _Reader, raw, path: str, index: int) -> UeConfig:
     m = r.mapping(raw, path)
-    r.reject_unknown(m, {"id", "position", "velocity", "capabilities", "serving_cell"}, path)
     caps_raw = r.seq(m.get("capabilities"), f"{path}.capabilities")
     caps = tuple(c for c in caps_raw if isinstance(c, str) and c)
     if caps_raw and len(caps) != len(caps_raw):
         r.fail(f"{path}.capabilities", "capabilities must be non-empty strings")
-    if not caps:
-        caps = ("nr",)
-    return UeConfig(
-        ue_id=r.get(m, "id", str, f"ue{index}", path),
-        position=r.pair(m, "position", (0.0, 0.0), path),
-        velocity=r.pair(m, "velocity", (0.0, 0.0), path),
-        capabilities=caps,
-        serving_cell=r.get(m, "serving_cell", str, None, path),
+    return r.read(
+        UeConfig, m, path, defaults={"ue_id": f"ue{index}"},
+        capabilities=caps or UeConfig.capabilities,
     )
 
 
 def _read_flow(r: _Reader, raw, path: str, index: int) -> FlowConfig:
     m = r.mapping(raw, path)
-    known = {
-        "id", "ue", "service", "slice", "generator",
-        "sps_period_slots", "sps_prbs", "sps_offset_slots",
-    }
-    r.reject_unknown(m, known, path)
-    gen = r.mapping(m.get("generator"), f"{path}.generator")
-    kind = r.get(gen, "kind", str, "full_buffer", f"{path}.generator")
+    gen_path = f"{path}.generator"
+    gen = r.mapping(m.get("generator"), gen_path)
+    kind = r.get(gen, "kind", str, FlowConfig.generator_kind, gen_path)
     params = {k: v for k, v in gen.items() if k != "kind"}
     if kind not in GENERATOR_KINDS:
-        r.fail(f"{path}.generator.kind", f"unknown kind {kind!r}")
-        kind, params = "full_buffer", {}
+        r.fail(f"{gen_path}.kind", f"unknown kind {kind!r}")
+        kind, params = FlowConfig.generator_kind, {}
     else:
         try:
             make_generator(kind, params)
         except TypeError:
             ok = ", ".join(GENERATOR_KINDS[kind]().__dataclass_fields__)
-            r.fail(f"{path}.generator", f"bad params for {kind!r} (accepts: {ok})")
+            r.fail(gen_path, f"bad params for {kind!r} (accepts: {ok})")
             params = {}
-    service = r.enum(m, "service", TrafficClass, TrafficClass.EMBB, path)
-    flow = FlowConfig(
-        flow_id=r.get(m, "id", str, f"flow{index}", path),
-        ue_id=r.get(m, "ue", str, "", path),
-        service=service,
-        generator_kind=kind,
-        generator_params=params,
-        slice_id=r.get(m, "slice", str, None, path),
-        sps_period_slots=r.get(m, "sps_period_slots", int, None, path),
-        sps_prbs=r.get(m, "sps_prbs", int, None, path),
-        sps_offset_slots=r.get(m, "sps_offset_slots", int, 0, path),
+    if kind == "periodic_deadline":  # a URLLC reservation takes its period and offset
+        for key, low in (("period_slots", 1), ("offset_slots", 0)):
+            val = r.get(params, key, float, getattr(PeriodicDeadline, key), gen_path)
+            if val < low:
+                r.fail(f"{gen_path}.{key}", f"must be >= {low}, got {params[key]}")
+    flow = r.read(
+        FlowConfig, m, path, defaults={"flow_id": f"flow{index}"},
+        generator_kind=kind, generator_params=params,
     )
     if not flow.ue_id:
         r.fail(f"{path}.ue", "flow must name its UE")
-    if service is TrafficClass.URLLC:
+    # the MAC refuses these reservation shapes when the flow registers
+    for name, low in (("sps_period_slots", 1), ("sps_prbs", 1), ("sps_offset_slots", 0)):
+        val = getattr(flow, name)
+        if val is not None and val < low:
+            r.fail(f"{path}.{name}", f"must be >= {low}, got {val}")
+    if flow.service is TrafficClass.URLLC:
         if flow.sps_period_slots is None and kind != "periodic_deadline":
             r.fail(
                 f"{path}",
@@ -396,32 +418,15 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         {"name", "sim", "channel", "network", "ues", "traffic", "mac", "pdcp", "uts"},
         "",
     )
-    name = r.get(data, "name", str, "scenario", "")
+    name = r.get(data, "name", str, ScenarioConfig.name, "")
 
-    sim_m = r.mapping(data.get("sim"), "sim")
-    r.reject_unknown(sim_m, {"horizon_slots", "seed"}, "sim")
-    sim = SimSection(
-        horizon_slots=r.get(sim_m, "horizon_slots", int, 1000, "sim"),
-        seed=r.get(sim_m, "seed", int, 0, "sim"),
-    )
+    sim = r.read(SimSection, data.get("sim"), "sim")
     if sim.horizon_slots < 1:
         r.fail("sim.horizon_slots", f"must be >= 1, got {sim.horizon_slots}")
     if sim.seed < 0:
         r.fail("sim.seed", f"must be >= 0, got {sim.seed}")
 
-    ch_m = r.mapping(data.get("channel"), "channel")
-    r.reject_unknown(
-        ch_m,
-        {"fading_scale", "fading_seed", "noise_psd_dbm_hz", "interference_margin_db", "min_distance_m"},
-        "channel",
-    )
-    channel = ChannelSection(
-        fading_scale=r.get(ch_m, "fading_scale", float, 1.0, "channel"),
-        fading_seed=r.get(ch_m, "fading_seed", int, None, "channel"),
-        noise_psd_dbm_hz=r.get(ch_m, "noise_psd_dbm_hz", float, -174.0, "channel"),
-        interference_margin_db=r.get(ch_m, "interference_margin_db", float, 3.0, "channel"),
-        min_distance_m=r.get(ch_m, "min_distance_m", float, 1.0, "channel"),
-    )
+    channel = r.read(ChannelConfig, data.get("channel"), "channel")
     if channel.fading_scale < 0:
         r.fail("channel.fading_scale", "must be >= 0")
     if channel.min_distance_m <= 0:
@@ -479,42 +484,23 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         if f.ue_id and f.ue_id not in known_ues:
             r.fail(f"traffic.flows[{i}].ue", f"unknown UE {f.ue_id!r}")
 
-    mac_m = r.mapping(data.get("mac"), "mac")
-    r.reject_unknown(
-        mac_m,
-        {
-            "epoch_slots", "min_guarantee_prbs", "access_cost_prbs", "pf_ewma",
-            "pf_initial_avg_bits", "demand_sinr_db", "backoff_min_epochs", "backoff_max_epochs",
-        },
-        "mac",
-    )
-    mac = MacSection(
-        epoch_slots=r.get(mac_m, "epoch_slots", int, 10, "mac"),
-        min_guarantee_prbs=r.get(mac_m, "min_guarantee_prbs", int, 1, "mac"),
-        access_cost_prbs=r.get(mac_m, "access_cost_prbs", int, 1, "mac"),
-        pf_ewma=r.get(mac_m, "pf_ewma", float, 0.01, "mac"),
-        pf_initial_avg_bits=r.get(mac_m, "pf_initial_avg_bits", float, 1.0, "mac"),
-        demand_sinr_db=r.get(mac_m, "demand_sinr_db", float, 10.0, "mac"),
-        backoff_min_epochs=r.get(mac_m, "backoff_min_epochs", int, 1, "mac"),
-        backoff_max_epochs=r.get(mac_m, "backoff_max_epochs", int, 8, "mac"),
-    )
-    if mac.epoch_slots < 1:
-        r.fail("mac.epoch_slots", "must be >= 1")
-    if mac.min_guarantee_prbs < 0:
-        r.fail("mac.min_guarantee_prbs", "must be >= 0")
-    if mac.access_cost_prbs < 1:
-        r.fail("mac.access_cost_prbs", "must be >= 1")
-    if not (0.0 < mac.pf_ewma <= 1.0):
-        r.fail("mac.pf_ewma", "must be in (0, 1]")
-    if mac.pf_initial_avg_bits <= 0:
-        r.fail("mac.pf_initial_avg_bits", "must be positive")
-    if not (1 <= mac.backoff_min_epochs <= mac.backoff_max_epochs):
-        r.fail("mac", "backoff window must satisfy 1 <= min <= max")
+    def check_mac(mac):
+        if mac.epoch_slots < 1:
+            r.fail("mac.epoch_slots", "must be >= 1")
+        if mac.min_guarantee_prbs < 0:
+            r.fail("mac.min_guarantee_prbs", "must be >= 0")
+        if mac.access_cost_prbs < 1:
+            r.fail("mac.access_cost_prbs", "must be >= 1")
+        if not (0.0 < mac.pf_ewma <= 1.0):
+            r.fail("mac.pf_ewma", "must be in (0, 1]")
+        if mac.pf_initial_avg_bits <= 0:
+            r.fail("mac.pf_initial_avg_bits", "must be positive")
+        if not (1 <= mac.backoff_min_epochs <= mac.backoff_max_epochs):
+            r.fail("mac", "backoff window must satisfy 1 <= min <= max")
+
+    mac = r.read(MacConfig, data.get("mac"), "mac", check_mac)
 
     pd_m = r.mapping(data.get("pdcp"), "pdcp")
-    r.reject_unknown(
-        pd_m, {"t_reorder_slots", "leave_load", "enter_load", "service_modes"}, "pdcp"
-    )
     modes_m = r.mapping(pd_m.get("service_modes"), "pdcp.service_modes")
     modes = dict(DEFAULT_SERVICE_MODES)
     for key, val in modes_m.items():
@@ -527,10 +513,8 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             modes[svc] = Mode(val)
         except ValueError:
             r.fail(f"pdcp.service_modes.{key}", f"unknown mode {val!r}")
-    pdcp = PdcpSection(
-        t_reorder_slots=r.get(pd_m, "t_reorder_slots", int, 50, "pdcp"),
-        leave_load=r.get(pd_m, "leave_load", float, 0.8, "pdcp"),
-        enter_load=r.get(pd_m, "enter_load", float, 0.5, "pdcp"),
+    pdcp = r.read(
+        PdcpSection, pd_m, "pdcp",
         service_modes=tuple(sorted(modes.items(), key=lambda kv: kv[0].value)),
     )
     if pdcp.t_reorder_slots < 1:
@@ -539,18 +523,10 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         r.fail("pdcp", "need 0 <= enter_load <= leave_load <= 1")
 
     uts_m = r.mapping(data.get("uts"), "uts")
-    r.reject_unknown(
-        uts_m,
-        {
-            "enabled", "epoch_slots", "scenario_tag", "features", "ranking",
-            "thresholds", "hysteresis_epochs", "time_to_trigger_epochs",
-        },
-        "uts",
-    )
     feats_raw = r.seq(uts_m.get("features"), "uts.features")
     feats = tuple(f for f in feats_raw if isinstance(f, str))
     if "features" not in uts_m or uts_m.get("features") is None:
-        feats = BUILTIN_FEATURE_IDS
+        feats = UtsSection.features
     for f in feats:
         if f not in BUILTIN_FEATURE_IDS:
             r.fail("uts.features", f"unknown feature {f!r}")
@@ -579,15 +555,9 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
                 continue
             pairs.append((k, float(v)))
         thr_entries.append((fid, tuple(sorted(pairs))))
-    uts = UtsSection(
-        enabled=r.get(uts_m, "enabled", bool, True, "uts"),
-        epoch_slots=r.get(uts_m, "epoch_slots", int, 100, "uts"),
-        scenario_tag=r.get(uts_m, "scenario_tag", str, "default", "uts"),
-        features=feats,
-        ranking=ranking,
-        thresholds=tuple(sorted(thr_entries)),
-        hysteresis_epochs=r.get(uts_m, "hysteresis_epochs", int, 10, "uts"),
-        time_to_trigger_epochs=r.get(uts_m, "time_to_trigger_epochs", int, 2, "uts"),
+    uts = r.read(
+        UtsSection, uts_m, "uts",
+        features=feats, ranking=ranking, thresholds=tuple(sorted(thr_entries)),
     )
     if uts.epoch_slots < 1:
         r.fail("uts.epoch_slots", "must be >= 1")
@@ -608,92 +578,22 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     """Serialize a config with every field explicit (round-trip stable)."""
     return {
         "name": cfg.name,
-        "sim": {"horizon_slots": cfg.sim.horizon_slots, "seed": cfg.sim.seed},
-        "channel": {
-            "fading_scale": cfg.channel.fading_scale,
-            "fading_seed": cfg.channel.fading_seed,
-            "noise_psd_dbm_hz": cfg.channel.noise_psd_dbm_hz,
-            "interference_margin_db": cfg.channel.interference_margin_db,
-            "min_distance_m": cfg.channel.min_distance_m,
-        },
-        "network": {
-            "cells": [
-                {
-                    "id": c.cell_id,
-                    "class": c.cell_class.value,
-                    "rat": c.rat_tag,
-                    "carrier_hz": c.carrier_hz,
-                    "prbs_per_slot": c.prbs_per_slot,
-                    "numerology": c.numerology,
-                    "prb_bandwidth_hz": c.prb_bandwidth_hz,
-                    "position": list(c.position),
-                    "tx_power_dbm": c.tx_power_dbm,
-                    "supports_duplication": c.supports_duplication,
-                    "supports_secondary": c.supports_secondary,
-                    "drop_prob": c.drop_prob,
-                    "portions": [
-                        {
-                            "key": p.key,
-                            "required_capability": p.required_capability,
-                            "waveform_efficiency": p.waveform_efficiency,
-                        }
-                        for p in c.portions
-                    ],
-                }
-                for c in cfg.cells
-            ]
-        },
-        "ues": [
-            {
-                "id": u.ue_id,
-                "position": list(u.position),
-                "velocity": list(u.velocity),
-                "capabilities": list(u.capabilities),
-                "serving_cell": u.serving_cell,
-            }
-            for u in cfg.ues
-        ],
+        "sim": _to_dict(cfg.sim),
+        "channel": _to_dict(cfg.channel),
+        "network": {"cells": [_to_dict(c) for c in cfg.cells]},
+        "ues": [_to_dict(u) for u in cfg.ues],
         "traffic": {
             "flows": [
-                {
-                    "id": f.flow_id,
-                    "ue": f.ue_id,
-                    "service": f.service.value,
-                    "slice": f.slice_id,
-                    "generator": {"kind": f.generator_kind, **f.generator_params},
-                    "sps_period_slots": f.sps_period_slots,
-                    "sps_prbs": f.sps_prbs,
-                    "sps_offset_slots": f.sps_offset_slots,
-                }
+                {**_to_dict(f), "generator": {"kind": f.generator_kind, **f.generator_params}}
                 for f in cfg.flows
             ]
         },
-        "mac": {
-            "epoch_slots": cfg.mac.epoch_slots,
-            "min_guarantee_prbs": cfg.mac.min_guarantee_prbs,
-            "access_cost_prbs": cfg.mac.access_cost_prbs,
-            "pf_ewma": cfg.mac.pf_ewma,
-            "pf_initial_avg_bits": cfg.mac.pf_initial_avg_bits,
-            "demand_sinr_db": cfg.mac.demand_sinr_db,
-            "backoff_min_epochs": cfg.mac.backoff_min_epochs,
-            "backoff_max_epochs": cfg.mac.backoff_max_epochs,
-        },
+        "mac": _to_dict(cfg.mac),
         "pdcp": {
-            "t_reorder_slots": cfg.pdcp.t_reorder_slots,
-            "leave_load": cfg.pdcp.leave_load,
-            "enter_load": cfg.pdcp.enter_load,
+            **_to_dict(cfg.pdcp),
             "service_modes": {svc.value: mode.value for svc, mode in cfg.pdcp.service_modes},
         },
-        "uts": {
-            "enabled": cfg.uts.enabled,
-            "epoch_slots": cfg.uts.epoch_slots,
-            "scenario_tag": cfg.uts.scenario_tag,
-            "features": list(cfg.uts.features),
-            "ranking": list(cfg.uts.ranking),
-            "thresholds": {fid: dict(kv) for fid, kv in cfg.uts.thresholds},
-            "hysteresis_epochs": cfg.uts.hysteresis_epochs,
-            "time_to_trigger_epochs": cfg.uts.time_to_trigger_epochs,
-        },
+        "uts": {**_to_dict(cfg.uts), "thresholds": cfg.uts.thresholds_dict()},
     }
 
 

@@ -177,3 +177,35 @@ def test_failed_write_leaves_no_partial_output(tiny_yaml, tmp_path, monkeypatch,
     assert main(["run", str(tiny_yaml), "--seed", "42", "--out", str(old)]) == 1
     assert sorted(p.name for p in old.iterdir()) == sorted(before)
     assert _read_outputs(old) == before
+
+
+@pytest.mark.parametrize(
+    "flow_keys, where",
+    [
+        ({"generator": {"kind": "periodic_deadline"}, "sps_prbs": -2}, "traffic.flows[0].sps_prbs"),
+        (
+            {"generator": {"kind": "periodic_deadline", "period_slots": 0}},
+            "traffic.flows[0].generator.period_slots",
+        ),
+        (
+            {"generator": {"kind": "periodic_deadline", "offset_slots": -3}},
+            "traffic.flows[0].generator.offset_slots",
+        ),
+    ],
+    ids=["sps_prbs", "period_slots", "offset_slots"],
+)
+def test_reservation_shape_the_mac_refuses_is_a_config_error(flow_keys, where, tmp_path, capsys):
+    doc = {
+        "name": "bad_reservation",
+        "network": {"cells": [{"id": "c1", "prbs_per_slot": 20}]},
+        "ues": [{"id": "u1", "position": [30.0, 0.0]}],
+        "traffic": {"flows": [{"id": "f1", "ue": "u1", "service": "URLLC", **flow_keys}]},
+        "sim": {"horizon_slots": 20, "seed": 1},
+    }
+    p = tmp_path / "bad.yaml"
+    p.write_text(yaml.safe_dump(doc))
+    assert main(["validate", str(p)]) == 2
+    assert f"{where}: must be >= " in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["run", str(p), "--out", str(out)]) == 2
+    assert not out.exists()
