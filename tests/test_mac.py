@@ -489,6 +489,107 @@ def test_mac_schedules_flows_registered_after_the_leaves_were_built():
 
 
 # ---------------------------------------------------------------------------
+# the partition tree, pinned line by line
+# ---------------------------------------------------------------------------
+
+def _tree_trace(mac, backlogs, slots, attempts=0):
+    """The partition, DSS and reservation events over ``slots``, and the
+    leaves after each refresh. ``attempts`` access attempts from flow fm are
+    queued at slot 0."""
+    rng_a, rng_b = np.random.default_rng(0), np.random.default_rng(1)
+    for _ in range(attempts):
+        mac.queue_attempt("fm", 64.0, slot=0)
+    lines, leaves = [], []
+    for slot in slots:
+        bl = backlogs(slot)
+        rates = {(f"ue-{k}", p.key): 150.0 for k in bl for p in mac.portions}
+        res = mac.run_slot(slot, SlotInputs(bl, rates), rng_a, rng_b)
+        lines += [
+            e.format() for e in res.events
+            if e.kind in ("partition", "dss_split", "sps_reconfig")
+        ]
+        if slot % mac.cfg.epoch_slots == 0:
+            leaves.append([(lf.portion_key, lf.slice_id, lf.key, lf.interval) for lf in mac._leaves])
+    return lines, leaves
+
+
+def test_partition_tree_sliced_and_unsliced_portions_share_a_carrier():
+    # nr is sliced (fd falls into the implicit default slice) and its 40 ready
+    # attempts exceed what the portion can spare, so the access floor is
+    # clamped to the room left; lte is unsliced
+    mac = _mac(
+        prbs=40,
+        epoch_slots=4,
+        portions=[
+            PortionSpec(key="lte", waveform_efficiency=0.85),
+            PortionSpec(key="nr", required_capability="nr"),
+        ],
+    )
+    for f in (
+        _flow("fl", service=TrafficClass.LEGACY_MBB, portion="lte"),
+        _flow("fd", portion="nr"),
+        _flow("fg", portion="nr", slice_id="gold"),
+        _flow("fu", service=TrafficClass.URLLC, portion="nr", slice_id="gold",
+              sps_period_slots=2, sps_prbs=3),
+        _flow("fm", service=TrafficClass.MMTC, portion="nr"),
+    ):
+        mac.register_flow(f)
+
+    def backlogs(slot):
+        return {"fl": 6000.0, "fd": 9000.0 if slot < 4 else 1500.0, "fg": 4000.0, "fu": 300.0}
+
+    lines, leaves = _tree_trace(mac, backlogs, range(8), attempts=40)
+    assert lines == [
+        "0 mac dss_split cell=c1 portions=lte:6|nr:34 demand_a=12 demand_b=65",
+        "0 mac partition cell=c1 portion=lte level=portion plan=legacy_MBB:0-5,rach:5-6",
+        "0 mac partition cell=c1 portion=nr level=portion plan=default:6-7,gold:7-11,rach:11-40",
+        "0 mac partition cell=c1 portion=nr level=slice slice=default plan=eMBB:6-7",
+        "0 mac partition cell=c1 portion=nr level=slice slice=gold plan=URLLC:7-10,eMBB:10-11",
+        "4 mac dss_split cell=c1 portions=lte:17|nr:23 demand_a=12 demand_b=16",
+        "4 mac partition cell=c1 portion=lte level=portion plan=legacy_MBB:0-12,rach:12-13",
+        "4 mac partition cell=c1 portion=nr level=portion plan=default:17-20,gold:20-30,rach:30-33",
+        "4 mac partition cell=c1 portion=nr level=slice slice=default plan=eMBB:17-20",
+        "4 mac partition cell=c1 portion=nr level=slice slice=gold plan=URLLC:20-23,eMBB:23-30",
+        "4 mac sps_reconfig cell=c1 flow=fu need=3 cols=20-23",
+    ]
+    assert leaves == [
+        [
+            ("lte", None, "legacy_MBB", (0, 5)), ("lte", None, "rach", (5, 6)),
+            ("nr", "default", "eMBB", (6, 7)), ("nr", "gold", "URLLC", (7, 10)),
+            ("nr", "gold", "eMBB", (10, 11)), ("nr", None, "rach", (11, 40)),
+        ],
+        [
+            ("lte", None, "legacy_MBB", (0, 12)), ("lte", None, "rach", (12, 13)),
+            ("nr", "default", "eMBB", (17, 20)), ("nr", "gold", "URLLC", (20, 23)),
+            ("nr", "gold", "eMBB", (23, 30)), ("nr", None, "rach", (30, 33)),
+        ],
+    ]
+
+
+def test_partition_tree_falls_back_to_bare_minimums():
+    # two 4-column reservations in slice gold cannot fit an 8-PRB carrier
+    # beside the default slice and the access partition: both levels split at
+    # the bare minimums, and the second reservation is parked
+    mac = _mac(prbs=8, epoch_slots=4)
+    mac.register_flow(_flow("fd"))
+    mac.register_flow(_flow("u1", service=TrafficClass.URLLC, slice_id="gold",
+                            sps_period_slots=1, sps_prbs=4))
+    mac.register_flow(_flow("u2", service=TrafficClass.URLLC, slice_id="gold",
+                            sps_period_slots=1, sps_prbs=4))
+    lines, leaves = _tree_trace(mac, lambda slot: {"fd": 3000.0, "u1": 100.0, "u2": 100.0}, range(4))
+    assert lines == [
+        "0 mac partition cell=c1 portion=main level=portion plan=default:0-3,gold:3-7,rach:7-8",
+        "0 mac partition cell=c1 portion=main level=slice slice=default plan=eMBB:0-3",
+        "0 mac partition cell=c1 portion=main level=slice slice=gold plan=URLLC:3-7",
+        "0 mac sps_reconfig cell=c1 flow=u2 need=4 cols=none",
+    ]
+    assert leaves == [
+        [("main", "default", "eMBB", (0, 3)), ("main", "gold", "URLLC", (3, 7)),
+         ("main", None, "rach", (7, 8))],
+    ]
+
+
+# ---------------------------------------------------------------------------
 # semi-persistent reservations, placed by the coordinator
 # ---------------------------------------------------------------------------
 
