@@ -69,15 +69,10 @@ def to_common_unit(raw: RawMeasure) -> CommonMeasure:
 
     Supported kinds:
       - "rsrp_dbm": received power in dBm -> signal_db above the -140 dBm floor
-      - "sinr_linear": linear SINR ratio -> signal_db via 10*log10
       - "queue_occupancy": queued amount vs capacity -> load_fraction in [0, 1]
     """
     if raw.kind == "rsrp_dbm":
         return CommonMeasure(MeasureKind.SIGNAL_DB, raw.value - RSRP_FLOOR_DBM)
-    if raw.kind == "sinr_linear":
-        if raw.value <= 0:
-            raise ValueError(f"sinr_linear must be positive, got {raw.value}")
-        return CommonMeasure(MeasureKind.SIGNAL_DB, 10.0 * math.log10(raw.value))
     if raw.kind == "queue_occupancy":
         if raw.capacity is None or raw.capacity <= 0:
             raise ValueError("queue_occupancy requires a positive capacity")

@@ -108,10 +108,6 @@ class CarrierGrid:
     def slot_seconds(self) -> float:
         return 1e-3 / (2 ** self.numerology)
 
-    @property
-    def slots_per_frame(self) -> int:
-        return 10 * (2 ** self.numerology)
-
 
 @dataclass(frozen=True)
 class Grant:
@@ -173,20 +169,8 @@ class AllocationMap:
             for p in range(start, stop)
         ]
 
-    def owner_of(self, prb: int) -> str | None:
-        i = bisect_right(self._blocks, prb, key=_block_start) - 1
-        if i >= 0 and prb < self._blocks[i][1]:
-            return self._blocks[i][2]
-        return None
-
-    def occupied(self) -> set[int]:
-        return {p for start, stop, _, _ in self._blocks for p in range(start, stop)}
-
     def __len__(self) -> int:
         return self._count
-
-    def __contains__(self, prb: int) -> bool:
-        return self.owner_of(prb) is not None
 
 
 @dataclass(frozen=True)

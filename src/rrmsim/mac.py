@@ -5,7 +5,8 @@ shared-spectrum portions, then (optionally) between slices, then between
 traffic classes — and runs a class-appropriate scheduler inside each leaf:
 proportional-fair for queue-driven broadband, semi-persistent reservations for
 deadline traffic, and one-shot contention for sporadic small payloads. The
-same exact integer apportionment (largest remainder) is used at every level.
+same exact integer apportionment (largest remainder) is used at every level,
+by one recursive split over the partition tree.
 """
 
 from __future__ import annotations
@@ -100,12 +101,6 @@ class PartitionPlan:
         a, b = self.interval(key)
         return b - a
 
-    def keys(self) -> list[str]:
-        return [k for k, _, _ in self.entries]
-
-    def assigned(self) -> int:
-        return sum(b - a for _, a, b in self.entries)
-
 
 def partition_resources(
     demands: Mapping[str, int],
@@ -181,27 +176,15 @@ def dss_split(demand_a: int, demand_b: int, total_prbs: int) -> tuple[int, int]:
     return (a, b)
 
 
-def estimate_demands(
-    backlog_bits: Mapping[str, float],
-    per_prb_bits: float,
-    pending_attempts: int = 0,
-    access_cost_prbs: int = 1,
-) -> dict[str, int]:
-    """PRB demand per key from queue backlogs plus the access channel.
-
-    Queue-driven keys need ceil(backlog / per-PRB rate) PRBs; the access key
-    needs one resource (``access_cost_prbs`` PRBs) per pending attempt.
-    """
+def estimate_demands(backlog_bits: Mapping[str, float], per_prb_bits: float) -> dict[str, int]:
+    """PRB demand per key from queue backlogs: ceil(backlog / per-PRB rate)."""
     if per_prb_bits <= 0:
         raise ValueError("per_prb_bits must be positive")
-    if pending_attempts < 0:
-        raise ValueError("pending_attempts must be >= 0")
     out: dict[str, int] = {}
     for key, bits in backlog_bits.items():
         if bits < 0:
             raise ValueError(f"backlog for {key!r} must be >= 0")
         out[key] = math.ceil(bits / per_prb_bits) if bits > 0 else 0
-    out[RACH_KEY] = pending_attempts * access_cost_prbs
     return out
 
 
@@ -497,6 +480,8 @@ class MacInstance:
             raise ValueError(f"flow {flow.flow_id!r} already registered")
         if flow.portion_key not in {p.key for p in self.portions}:
             raise ValueError(f"unknown portion {flow.portion_key!r}")
+        if flow.slice_id == RACH_KEY:
+            raise ValueError(f"slice {RACH_KEY!r} would collide with the access partition")
         if flow.service is TrafficClass.URLLC:
             if (flow.sps_period_slots or 0) < 1 or (flow.sps_prbs or 0) < 1:
                 raise ValueError("URLLC flows need sps_period_slots and sps_prbs >= 1")
@@ -536,115 +521,64 @@ class MacInstance:
         p = self.portion(portion_key)
         return link_rate(self.cfg.demand_sinr_db, 1, p.waveform_efficiency, self.cell.grid)
 
-    def _portion_demands(self, inputs: SlotInputs, epoch: int) -> dict[str, dict]:
-        """Raw demand breakdown per portion: classes, slices, access."""
-        out: dict[str, dict] = {}
+    def _portion_tree(self, inputs: SlotInputs) -> dict[str, list[tuple]]:
+        """Each portion's partition children, ``(key, demand, floor, bare,
+        sub)`` in split order, before the access child.
+
+        A class leaf has ``sub`` None. Deadline traffic holds its reserved
+        columns outright, so a URLLC leaf's floor covers them; queue-driven
+        classes get the configured minimum and compete for the rest. ``bare``
+        is the degraded floor used when the reservations no longer fit. In a
+        sliced portion each slice is a child whose ``sub`` holds its class
+        leaves in CLASS_ORDER; an unsliced portion holds its class leaves
+        directly.
+        """
+        g = self.cfg.min_guarantee_prbs
+        tree: dict[str, list[tuple]] = {}
         for p in self.portions:
-            flows = [f for f in self.flows.values() if f.portion_key == p.key]
-            pending_ready = sum(
-                1 for a in self.pending if a.portion_key == p.key and a.ready_epoch <= epoch
-            )
             rate = self.reference_per_prb_bits(p.key)
             # Sporadic-access flows ride the contention channel; they neither
             # hold queue partitions nor force the slice dimension open.
-            queued = [f for f in flows if f.service is not TrafficClass.MMTC]
+            queued = [
+                f for f in self.flows.values()
+                if f.portion_key == p.key and f.service is not TrafficClass.MMTC
+            ]
             sliced = any(f.slice_id for f in queued)
             groups: dict[str | None, list[MacFlow]] = {}
             for f in queued:
-                sid = (f.slice_id or DEFAULT_SLICE) if sliced else None
-                groups.setdefault(sid, []).append(f)
-            per_slice: dict[str | None, dict[str, int]] = {}
+                groups.setdefault((f.slice_id or DEFAULT_SLICE) if sliced else None, []).append(f)
+            children = []
             for sid, fl in sorted(groups.items(), key=lambda kv: kv[0] or ""):
-                backlog: dict[str, float] = {}
-                for tc in CLASS_ORDER:
-                    if tc in (TrafficClass.MMTC, TrafficClass.URLLC):
+                by_class = {tc: [f for f in fl if f.service is tc] for tc in CLASS_ORDER}
+                demands = estimate_demands(
+                    {
+                        tc.value: sum(inputs.backlog_bits.get(f.flow_id, 0.0) for f in cl)
+                        for tc, cl in by_class.items()
+                        if cl and tc is not TrafficClass.URLLC
+                    },
+                    rate,
+                )
+                leaves = []
+                for tc, cl in by_class.items():
+                    if not cl:
                         continue
-                    cl = [f for f in fl if f.service is tc]
-                    if cl:
-                        backlog[tc.value] = sum(
-                            inputs.backlog_bits.get(f.flow_id, 0.0) for f in cl
-                        )
-                demands = estimate_demands(backlog, rate, 0, self.cfg.access_cost_prbs)
-                demands.pop(RACH_KEY)
-                sps = [f for f in fl if f.service is TrafficClass.URLLC]
-                if sps:
-                    demands[TrafficClass.URLLC.value] = sum(f.sps_prbs or 0 for f in sps)
-                per_slice[sid] = demands
-            out[p.key] = {
-                "per_slice": per_slice,
-                "sliced": sliced,
-                "access": pending_ready * self.cfg.access_cost_prbs,
-                "flows": flows,
-            }
-        return out
-
-    @staticmethod
-    def _ordered(demands: dict[str, int]) -> dict[str, int]:
-        order = [tc.value for tc in CLASS_ORDER]
-        return {k: demands[k] for k in sorted(demands, key=lambda k: (order.index(k), k))}
-
-    def _class_mins(self, demands: Mapping[str, int]) -> dict[str, int]:
-        """Per-class guarantees: standing reservations are floors, not shares.
-
-        Deadline traffic holds its reserved columns outright; queue-driven
-        classes get the configured minimum and compete for the rest.
-        """
-        g = self.cfg.min_guarantee_prbs
-        return {
-            key: max(g, int(d)) if key == TrafficClass.URLLC.value else g
-            for key, d in demands.items()
-        }
-
-    def _top_mins(self, info: dict, reserve: bool, size: int | None = None) -> dict[str, int]:
-        """Per-key guarantees at a portion's top partition level.
-
-        With ``reserve`` the floors include standing reservations and the
-        current access demand (so a retry backlog cannot be starved into a
-        collision avalanche by saturated broadband queues); without it they
-        shrink to the bare per-key minimum (the degraded fallback when
-        reservations no longer fit). ``size`` caps the access floor at
-        whatever the portion can spare after the other guarantees.
-        """
-        g = self.cfg.min_guarantee_prbs
-        mins: dict[str, int] = {}
-        if info["sliced"]:
-            for sid in sorted(k for k in info["per_slice"]):
-                dem = info["per_slice"][sid]
-                inner = sum(self._class_mins(dem).values()) if reserve else len(dem) * g
-                mins[sid] = max(g, inner)
-        else:
-            dem = info["per_slice"].get(None, {})
-            mins.update(self._class_mins(dem) if reserve else {k: g for k in dem})
-        # The access partition always holds at least one whole access
-        # resource, whatever a resource costs.
-        access_min = max(g, self.cfg.access_cost_prbs)
-        if reserve and info["access"] > access_min:
-            room = (size - sum(mins.values())) if size is not None else info["access"]
-            access_min = max(access_min, min(info["access"], room))
-        mins[RACH_KEY] = access_min
-        return mins
-
-    def _min_needed(self, info: dict) -> int:
-        """PRBs the portion needs just to honor bare guarantees."""
-        return sum(self._top_mins(info, reserve=False).values())
-
-    def _partition_with_reserve(
-        self,
-        demands: Mapping[str, int],
-        size: int,
-        mins: Mapping[str, int],
-        fallback: Mapping[str, int],
-        epoch: int,
-        start: int,
-    ) -> PartitionPlan:
-        """Partition honoring reservation floors, degrading them if they
-        cannot fit (the placement pass then reports what was dropped)."""
-        try:
-            return partition_resources(demands, size, dict(mins), epoch, start)
-        except InsufficientResourcesError:
-            if dict(mins) == dict(fallback):
-                raise
-            return partition_resources(demands, size, dict(fallback), epoch, start)
+                    if tc is TrafficClass.URLLC:
+                        d = sum(f.sps_prbs for f in cl)
+                        leaves.append((tc.value, d, max(g, d), g, None))
+                    else:
+                        leaves.append((tc.value, demands[tc.value], g, g, None))
+                if sid is None:
+                    children = leaves
+                else:
+                    children.append((
+                        sid,
+                        sum(c[1] for c in leaves),
+                        max(g, sum(c[2] for c in leaves)),
+                        max(g, sum(c[3] for c in leaves)),
+                        leaves,
+                    ))
+            tree[p.key] = children
+        return tree
 
     def refresh_partitions(self, slot: int, inputs: SlotInputs) -> list[Event]:
         """Recompute the full partition tree for the epoch starting at slot."""
@@ -652,32 +586,34 @@ class MacInstance:
         epoch = slot // cfg.epoch_slots
         self.epoch_index = epoch
         total = self.cell.grid.prbs_per_slot
-        info = self._portion_demands(inputs, epoch)
+        tree = self._portion_tree(inputs)
+        access = {
+            key: cfg.access_cost_prbs
+            * sum(1 for a in self.pending if a.portion_key == key and a.ready_epoch <= epoch)
+            for key in tree
+        }
+        demand = {key: sum(c[1] for c in tree[key]) + access[key] for key in tree}
+        # The access partition always holds at least one whole access
+        # resource, whatever a resource costs.
+        access_base = max(cfg.min_guarantee_prbs, cfg.access_cost_prbs)
         events: list[Event] = []
 
-        def portion_total_demand(key: str) -> int:
-            d = info[key]
-            return sum(sum(v.values()) for v in d["per_slice"].values()) + d["access"]
-
         active = [
-            p.key
-            for p in self.portions
-            if info[p.key]["flows"]
-            or any(a.portion_key == p.key for a in self.pending)
-        ]
-        if not active:
-            active = [self.portions[0].key]
+            key
+            for key in tree
+            if any(f.portion_key == key for f in self.flows.values())
+            or any(a.portion_key == key for a in self.pending)
+        ] or [self.portions[0].key]
 
         # Portion sizing: all to a lone active portion; shared carriers split
         # proportionally, then shift PRBs so each side can honor guarantees.
-        sizes: dict[str, int] = {k: 0 for k in (p.key for p in self.portions)}
+        sizes = dict.fromkeys(tree, 0)
         if len(active) == 1:
             sizes[active[0]] = total
         else:
-            ka, kb = active[0], active[1]
-            da, db = portion_total_demand(ka), portion_total_demand(kb)
-            a, b = dss_split(da, db, total)
-            min_a, min_b = self._min_needed(info[ka]), self._min_needed(info[kb])
+            ka, kb = active
+            a, b = dss_split(demand[ka], demand[kb], total)
+            min_a, min_b = (sum(c[3] for c in tree[k]) + access_base for k in active)
             if min_a + min_b > total:
                 raise InsufficientResourcesError(
                     f"cell {self.cell.cell_id}: {total} PRBs cannot cover portion guarantees"
@@ -694,80 +630,82 @@ class MacInstance:
                     "dss_split",
                     cell=self.cell.cell_id,
                     portions="|".join(f"{k}:{sizes[k]}" for k in (ka, kb)),
-                    demand_a=da,
-                    demand_b=db,
+                    demand_a=demand[ka],
+                    demand_b=demand[kb],
                 )
             )
 
         self._leaves = []
-        prev_placements = self._sps_columns
-        self._sps_columns = {}
-        total_demand = 0
         cursor = 0
-        for p in self.portions:
-            size = sizes[p.key]
-            total_demand += portion_total_demand(p.key)
+        for key, children in tree.items():
+            size = sizes[key]
             if size == 0:
                 continue
-            start = cursor
+            # A retry backlog holds its current demand as a floor, as far as
+            # the portion can spare it after the other floors, so saturated
+            # broadband queues cannot starve it into a collision avalanche.
+            floor = access_base
+            if access[key] > floor:
+                floor = max(floor, min(access[key], size - sum(c[2] for c in children)))
+            children.append((RACH_KEY, access[key], floor, access_base, None))
+            self._split(slot, epoch, key, None, children, cursor, size, events)
             cursor += size
-            d = info[p.key]
-            if d["sliced"]:
-                top = {
-                    sid: sum(dem.values()) for sid, dem in d["per_slice"].items()
-                }
-                top = dict(sorted(top.items()))
-                top[RACH_KEY] = d["access"]
-                plan = self._partition_with_reserve(
-                    top,
-                    size,
-                    self._top_mins(d, reserve=True, size=size),
-                    self._top_mins(d, reserve=False),
-                    epoch,
-                    start,
-                )
-                events.append(self._plan_event(slot, p.key, None, "portion", plan))
-                for sid in top:
-                    if sid == RACH_KEY:
-                        self._leaves.append(
-                            _Leaf(p.key, None, RACH_KEY, plan.interval(RACH_KEY))
-                        )
-                        continue
-                    a, b = plan.interval(sid)
-                    inner = self._ordered(d["per_slice"][sid])
-                    if not inner:
-                        continue
-                    sub = self._partition_with_reserve(
-                        inner,
-                        b - a,
-                        self._class_mins(inner),
-                        {k: cfg.min_guarantee_prbs for k in inner},
-                        epoch,
-                        a,
-                    )
-                    events.append(self._plan_event(slot, p.key, sid, "slice", sub))
-                    self._add_class_leaves(p.key, sid, sub)
-            else:
-                demands = self._ordered(d["per_slice"].get(None, {}))
-                demands[RACH_KEY] = d["access"]
-                plan = self._partition_with_reserve(
-                    demands,
-                    size,
-                    self._top_mins(d, reserve=True, size=size),
-                    self._top_mins(d, reserve=False),
-                    epoch,
-                    start,
-                )
-                events.append(self._plan_event(slot, p.key, None, "portion", plan))
-                self._add_class_leaves(p.key, None, plan)
-                self._leaves.append(_Leaf(p.key, None, RACH_KEY, plan.interval(RACH_KEY)))
 
-        # Reservation placement for this epoch's URLLC leaves. Columns already
-        # held by a flow are kept whenever the new interval still covers them,
-        # so periodic grants stay on fixed columns while the queue-driven
-        # partitions around them breathe; only flows that genuinely lost their
-        # columns are re-placed (first-fit) or, failing that, parked for the
-        # epoch with a reconfiguration event. Flows are visited in flow_id order.
+        self._place_reservations(slot, events)
+        self.demand_prbs = sum(demand.values())
+        self.load_fraction = min(1.0, self.demand_prbs / total) if total else 0.0
+        return events
+
+    def _split(
+        self,
+        slot: int,
+        epoch: int,
+        portion: str,
+        slice_id: str | None,
+        children: list[tuple],
+        start: int,
+        size: int,
+        events: list[Event],
+    ) -> None:
+        """Partition [start, start + size) among ``children`` and descend.
+
+        The split honors the children's floors, degrading to their bare
+        minimums when the floors cannot fit (placement then reports the
+        reservations that were dropped). Class leaves are appended to the
+        epoch's leaves in plan order; a slice is split in turn.
+        """
+        demands = {c[0]: c[1] for c in children}
+        floors = {c[0]: c[2] for c in children}
+        bares = {c[0]: c[3] for c in children}
+        try:
+            plan = partition_resources(demands, size, floors, epoch, start)
+        except InsufficientResourcesError:
+            if floors == bares:
+                raise
+            plan = partition_resources(demands, size, bares, epoch, start)
+        fields = {"cell": self.cell.cell_id, "portion": portion, "level": "portion"}
+        if slice_id is not None:
+            fields.update(level="slice", slice=slice_id)
+        fields["plan"] = ",".join(f"{k}:{a}-{b}" for k, a, b in plan.entries)
+        events.append(Event.make(slot, "mac", "partition", **fields))
+        for (key, _, _, _, sub), (_, a, b) in zip(children, plan.entries):
+            if sub is None:
+                self._leaves.append(_Leaf(portion, slice_id, key, (a, b)))
+            else:
+                self._split(slot, epoch, portion, key, sub, a, b - a, events)
+
+    def _place_reservations(self, slot: int, events: list[Event]) -> None:
+        """Place this epoch's URLLC reservations in their leaves.
+
+        Columns already held by a flow are kept whenever the new interval
+        still covers them, so periodic grants stay on fixed columns while the
+        queue-driven partitions around them breathe; only flows that
+        genuinely lost their columns are re-placed (first-fit) or, failing
+        that, parked for the epoch with a reconfiguration event. Flows are
+        visited in flow_id order.
+        """
+        prev_placements = self._sps_columns
+        self._sps_columns = {}
         self._build_rosters()
         for leaf in self._leaves:
             if leaf.key != TrafficClass.URLLC.value:
@@ -792,7 +730,11 @@ class MacInstance:
             for f in fresh:
                 taken.sort()
                 cols = _first_gap(lo, hi, taken, f.sps_prbs)
-                if cols is None:
+                if cols is not None:
+                    taken.append(cols)
+                    self._sps_columns[f.flow_id] = cols
+                # a flow placed for the first time moves nothing
+                if cols is None or prev_placements.get(f.flow_id, cols) != cols:
                     events.append(
                         Event.make(
                             slot,
@@ -801,47 +743,9 @@ class MacInstance:
                             cell=self.cell.cell_id,
                             flow=f.flow_id,
                             need=f.sps_prbs,
-                            cols="none",
+                            cols="none" if cols is None else f"{cols[0]}-{cols[1]}",
                         )
                     )
-                    continue
-                if f.flow_id in prev_placements and prev_placements[f.flow_id] != cols:
-                    events.append(
-                        Event.make(
-                            slot,
-                            "mac",
-                            "sps_reconfig",
-                            cell=self.cell.cell_id,
-                            flow=f.flow_id,
-                            need=f.sps_prbs,
-                            cols=f"{cols[0]}-{cols[1]}",
-                        )
-                    )
-                taken.append(cols)
-                self._sps_columns[f.flow_id] = cols
-
-        self.demand_prbs = total_demand
-        self.load_fraction = min(1.0, total_demand / total) if total else 0.0
-        return events
-
-    def _plan_event(
-        self, slot: int, portion: str, slice_id: str | None, level: str, plan: PartitionPlan
-    ) -> Event:
-        fields = {
-            "cell": self.cell.cell_id,
-            "portion": portion,
-            "level": level,
-        }
-        if slice_id is not None:
-            fields["slice"] = slice_id
-        fields["plan"] = ",".join(f"{k}:{a}-{b}" for k, a, b in plan.entries)
-        return Event.make(slot, "mac", "partition", **fields)
-
-    def _add_class_leaves(self, portion_key: str, slice_id: str | None, plan: PartitionPlan):
-        for key, a, b in plan.entries:
-            if key == RACH_KEY:
-                continue
-            self._leaves.append(_Leaf(portion_key, slice_id, key, (a, b)))
 
     # -- per-slot operation ---------------------------------------------------
 

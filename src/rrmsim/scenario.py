@@ -31,9 +31,9 @@ from .core import (
     TrafficClass,
     UserEquipment,
 )
-from .mac import MacConfig, PortionSpec
+from .mac import RACH_KEY, MacConfig, PortionSpec
 from .pdcp import DEFAULT_ENTER_LOAD, DEFAULT_LEAVE_LOAD, DEFAULT_T_REORDER_SLOTS, Mode
-from .traffic import GENERATOR_KINDS, PeriodicDeadline, make_generator
+from .traffic import GENERATOR_KINDS
 from .uts import (
     CARRIER_AGG_ID,
     DEFAULT_HYSTERESIS_EPOCHS,
@@ -304,7 +304,7 @@ class _Reader:
         values = {**field_defaults, **defaults, **given}
         for key in m:
             if key not in by_key:
-                self.fail(f"{path}.{key}", "unknown key")
+                self.fail(f"{path}.{key}", f"unknown key (accepts: {', '.join(by_key)})")
                 continue
             name, kind = by_key[key]
             if kind is not None and name not in given:
@@ -369,28 +369,32 @@ def _read_flow(r: _Reader, raw, path: str, index: int) -> FlowConfig:
     gen_path = f"{path}.generator"
     gen = r.mapping(m.get("generator"), gen_path)
     kind = r.get(gen, "kind", str, FlowConfig.generator_kind, gen_path)
-    params = {k: v for k, v in gen.items() if k != "kind"}
+    # a null parameter takes its default, as a null key does everywhere else
+    params = {k: v for k, v in gen.items() if k != "kind" and v is not None}
     if kind not in GENERATOR_KINDS:
         r.fail(f"{gen_path}.kind", f"unknown kind {kind!r}")
         kind, params = FlowConfig.generator_kind, {}
-    else:
-        try:
-            make_generator(kind, params)
-        except TypeError:
-            ok = ", ".join(GENERATOR_KINDS[kind]().__dataclass_fields__)
-            r.fail(gen_path, f"bad params for {kind!r} (accepts: {ok})")
-            params = {}
-    if kind == "periodic_deadline":  # a URLLC reservation takes its period and offset
-        for key, low in (("period_slots", 1), ("offset_slots", 0)):
-            val = r.get(params, key, float, getattr(PeriodicDeadline, key), gen_path)
+
+    def check_generator(g):
+        # an empty packet never fills a full buffer; a URLLC reservation
+        # takes its period and offset from a periodic generator
+        for key, low in (
+            ("packet_bits", 1), ("rate_per_slot", 0), ("period_slots", 1), ("offset_slots", 0),
+        ):
+            val = getattr(g, key, low)
             if val < low:
-                r.fail(f"{gen_path}.{key}", f"must be >= {low}, got {params[key]}")
+                r.fail(f"{gen_path}.{key}", f"must be >= {low}, got {val}")
+
+    # checks the parameters only: the flow keeps the keys the file gave
+    r.read(GENERATOR_KINDS[kind], params, gen_path, check_generator)
     flow = r.read(
         FlowConfig, m, path, defaults={"flow_id": f"flow{index}"},
         generator_kind=kind, generator_params=params,
     )
     if not flow.ue_id:
         r.fail(f"{path}.ue", "flow must name its UE")
+    if flow.slice_id == RACH_KEY:
+        r.fail(f"{path}.slice", f"{RACH_KEY!r} is the access partition's key")
     # the MAC refuses these reservation shapes when the flow registers
     for name, low in (("sps_period_slots", 1), ("sps_prbs", 1), ("sps_offset_slots", 0)):
         val = getattr(flow, name)

@@ -35,14 +35,6 @@ def test_rsrp_converts_to_db_above_floor():
     assert m.value == pytest.approx(40.0)
 
 
-def test_linear_sinr_converts_to_db():
-    m = to_common_unit(RawMeasure("sinr_linear", 100.0))
-    assert m.kind is MeasureKind.SIGNAL_DB
-    assert m.value == pytest.approx(20.0)
-    with pytest.raises(ValueError):
-        to_common_unit(RawMeasure("sinr_linear", 0.0))
-
-
 def test_queue_occupancy_converts_to_load_fraction():
     m = to_common_unit(RawMeasure("queue_occupancy", 30.0, capacity=60.0))
     assert m.kind is MeasureKind.LOAD_FRACTION

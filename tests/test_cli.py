@@ -195,17 +195,50 @@ def test_failed_write_leaves_no_partial_output(tiny_yaml, tmp_path, monkeypatch,
     ids=["sps_prbs", "period_slots", "offset_slots"],
 )
 def test_reservation_shape_the_mac_refuses_is_a_config_error(flow_keys, where, tmp_path, capsys):
+    _assert_bad_flow_exits_2(
+        {"service": "URLLC", **flow_keys}, f"{where}: must be >= ", tmp_path, capsys
+    )
+
+
+@pytest.mark.parametrize(
+    "service, generator, reason",
+    [
+        ("mMTC", {"kind": "poisson_sporadic", "rate_per_slot": "x"},
+         "rate_per_slot: expected a number"),
+        ("mMTC", {"kind": "poisson_sporadic", "packet_bits": "x"},
+         "packet_bits: expected an integer"),
+        ("eMBB", {"kind": "full_buffer", "watermark_bits": 1.5},
+         "watermark_bits: expected an integer"),
+        ("URLLC", {"kind": "periodic_deadline", "deadline_slots": "x"},
+         "deadline_slots: expected an integer"),
+        # a full buffer of empty packets never fills: the run would hang
+        ("eMBB", {"kind": "full_buffer", "packet_bits": 0}, "packet_bits: must be >= 1"),
+        ("mMTC", {"kind": "poisson_sporadic", "rate_per_slot": -1}, "rate_per_slot: must be >= 0"),
+    ],
+    ids=[
+        "rate_per_slot", "packet_bits", "watermark_bits", "deadline_slots",
+        "empty_packets", "negative_rate",
+    ],
+)
+def test_bad_generator_param_is_a_config_error(service, generator, reason, tmp_path, capsys):
+    flow = {"service": service, "generator": generator}
+    _assert_bad_flow_exits_2(flow, f"traffic.flows[0].generator.{reason}", tmp_path, capsys)
+
+
+def _assert_bad_flow_exits_2(flow_keys, message, tmp_path, capsys):
+    """A one-flow scenario with ``flow_keys`` fails validation naming
+    ``message``, and ``run`` refuses it the same way without writing."""
     doc = {
-        "name": "bad_reservation",
+        "name": "bad_flow",
         "network": {"cells": [{"id": "c1", "prbs_per_slot": 20}]},
         "ues": [{"id": "u1", "position": [30.0, 0.0]}],
-        "traffic": {"flows": [{"id": "f1", "ue": "u1", "service": "URLLC", **flow_keys}]},
+        "traffic": {"flows": [{"id": "f1", "ue": "u1", **flow_keys}]},
         "sim": {"horizon_slots": 20, "seed": 1},
     }
     p = tmp_path / "bad.yaml"
     p.write_text(yaml.safe_dump(doc))
     assert main(["validate", str(p)]) == 2
-    assert f"{where}: must be >= " in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     out = tmp_path / "out"
     assert main(["run", str(p), "--out", str(out)]) == 2
     assert not out.exists()

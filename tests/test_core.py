@@ -42,9 +42,8 @@ def test_grid_rejects_out_of_band_carriers():
 def test_grid_slot_clock_scales_with_numerology(mu, slot_s, per_frame):
     g = mk_grid(numerology=mu)
     assert g.slot_seconds == pytest.approx(slot_s)
-    assert g.slots_per_frame == per_frame
     # a frame is always exactly 10 ms regardless of numerology
-    assert g.slots_per_frame * g.slot_seconds == pytest.approx(10e-3)
+    assert per_frame * g.slot_seconds == pytest.approx(10e-3)
 
 
 def test_grid_rejects_bad_shape():
@@ -70,7 +69,7 @@ def test_add_block_refuses_overlap_and_stays_atomic():
     assert e.value.prb == 4
     assert e.value.holder == "ue-a"
     # nothing from the failed call landed
-    assert amap.occupied() == {0, 1, 2, 3, 4}
+    assert amap.blocks() == [(0, 5, "ue-a", "eMBB")]
     amap.add_block(5, 12, "ue-b", "eMBB")
     assert len(amap) == 12
 
@@ -89,9 +88,9 @@ def test_add_block_bounds_checked_before_anything_lands():
 def test_allocation_map_owner_queries():
     amap = AllocationMap(mk_grid(prbs=8), slot=0)
     amap.add(Grant(prb=2, owner="x", purpose="URLLC"))
-    assert amap.owner_of(2) == "x"
-    assert amap.owner_of(3) is None
-    assert 2 in amap and 3 not in amap
+    assert amap.blocks() == [(2, 3, "x", "URLLC")]
+    assert amap.grants() == [Grant(prb=2, owner="x", purpose="URLLC")]
+    assert len(amap) == 1
 
 
 def _map_with_middle_block():
@@ -151,7 +150,7 @@ def test_add_block_failure_leaves_blocks_untouched():
             amap.add_block(start, stop, "ue-c", "eMBB")
         assert amap.blocks() == before
         assert len(amap) == 5
-    assert amap.occupied() == {3, 4, 5, 9, 10}
+    assert [g.prb for g in amap.grants()] == [3, 4, 5, 9, 10]
 
 
 def test_grants_expand_blocks_in_prb_order_and_validate():
@@ -167,8 +166,8 @@ def test_grants_expand_blocks_in_prb_order_and_validate():
     assert len(amap) == len(grants)
     assert validate_allocation_map(g, grants) == []
     assert validate_blocks(g, amap.blocks()) == []
-    assert [amap.owner_of(p) for p in (0, 1, 4, 7, 12, 13)] == [
-        "ue-a", None, "ue-b", None, "ue-c", None
+    assert amap.blocks() == [
+        (0, 1, "ue-a", "rach"), (4, 7, "ue-b", "eMBB"), (10, 13, "ue-c", "URLLC")
     ]
 
 

@@ -15,7 +15,6 @@ from rrmsim.mac import (
     MacInstance,
     PfCandidate,
     PortionSpec,
-    RACH_KEY,
     SlotInputs,
     dss_split,
     estimate_demands,
@@ -87,7 +86,7 @@ def test_partition_serves_demands_exactly_when_they_fit():
 def test_partition_scales_down_proportionally_when_oversubscribed():
     plan = partition_resources({"a": 60, "b": 20, "c": 20}, 50)
     assert [plan.size(k) for k in ("a", "b", "c")] == [30, 10, 10]
-    assert plan.assigned() == 50
+    assert plan.entries[-1][2] == 50
 
 
 def test_partition_minimum_guarantee_floors_idle_keys():
@@ -97,8 +96,7 @@ def test_partition_minimum_guarantee_floors_idle_keys():
 
 def test_partition_per_key_guarantee_mapping():
     plan = partition_resources({"a": 0, "b": 5}, 10, min_guarantee={"a": 2, "b": 1})
-    assert plan.size("a") == 2 and plan.size("b") == 5
-    assert plan.assigned() == 7  # no obligation to hand out the slack
+    assert plan.entries == (("a", 0, 2), ("b", 2, 7))  # no obligation to hand out the slack
 
 
 def test_partition_raises_when_guarantees_cannot_fit():
@@ -110,7 +108,7 @@ def test_partition_intervals_are_contiguous_and_start_anchored():
     plan = partition_resources({"x": 4, "y": 4}, 10, epoch_index=3, start=20)
     assert plan.entries[0][1] == 20
     assert plan.interval("x") == (20, 24) and plan.interval("y") == (24, 28)
-    assert plan.keys() == ["x", "y"]
+    assert [k for k, _, _ in plan.entries] == ["x", "y"]
     assert plan.epoch_index == 3
 
 
@@ -123,13 +121,14 @@ def test_partition_random_properties():
         total = int(rng.integers(n * g, 80))
         plan = partition_resources(demands, total, min_guarantee=g)
         sizes = {k: plan.size(k) for k in demands}
+        assigned = sum(sizes.values())
         assert all(sizes[k] >= g for k in demands)
-        assert plan.assigned() <= total
+        assert assigned <= total
         want = sum(max(g, d) for k, d in demands.items())
         if want <= total:  # demands fit: everyone gets exactly what they asked
             assert sizes == {k: max(g, d) for k, d in demands.items()}
         else:  # scarce: everything is handed out
-            assert plan.assigned() == total
+            assert assigned == total
 
 
 def test_dss_split_examples():
@@ -162,9 +161,8 @@ def test_dss_split_rejects_impossible_coexistence():
 
 def test_estimate_demands():
     d = estimate_demands({"f1": 1000.0, "f2": 0.0}, per_prb_bits=100.0)
-    assert d == {"f1": 10, "f2": 0, RACH_KEY: 0}
+    assert d == {"f1": 10, "f2": 0}
     assert estimate_demands({"f": 1001.0}, 100.0)["f"] == 11  # ceil, not round
-    assert estimate_demands({}, 100.0, pending_attempts=3, access_cost_prbs=2)[RACH_KEY] == 6
     with pytest.raises(ValueError):
         estimate_demands({"f": 1.0}, 0.0)
     with pytest.raises(ValueError):
@@ -461,6 +459,8 @@ def test_mac_flow_registration_rules():
         mac.register_flow(_flow("f2", portion="ghost"))
     with pytest.raises(ValueError):
         mac.register_flow(_flow("f3", service=TrafficClass.URLLC))  # no reservation shape
+    with pytest.raises(ValueError):
+        mac.register_flow(_flow("f4", slice_id="rach"))  # the access partition's key
     mac.deregister_flow("f1")
     mac.register_flow(_flow("f1"))
 

@@ -127,6 +127,15 @@ def test_bad_generator_params_name_the_accepted_fields():
     assert any("packet_bits" in r for r in fails.values())
 
 
+def test_null_generator_param_takes_its_default():
+    data = minimal()
+    data["traffic"]["flows"][0]["generator"] = {
+        "kind": "full_buffer", "packet_bits": 4000, "watermark_bits": None,
+    }
+    flow = scenario_from_dict(data).flows[0]
+    assert flow.generator_params == {"packet_bits": 4000}
+
+
 def test_ue_with_no_eligible_cell_is_an_error():
     data = minimal()
     data["network"]["cells"][0]["portions"] = [{"key": "nr", "required_capability": "nr6g"}]
@@ -191,7 +200,9 @@ def test_values_the_mac_would_refuse_are_reported_not_raised():
     data["network"]["cells"][0]["portions"] = [
         {"key": "a", "required_capability": "nr6g", "waveform_efficiency": 2.0}
     ]
+    data["traffic"]["flows"][0]["slice"] = "rach"
     fails = failures_of(data)
+    assert fails["traffic.flows[0].slice"] == "'rach' is the access partition's key"
     assert fails["mac.epoch_slots"] == "must be >= 1"
     assert fails["mac.pf_ewma"] == "must be in (0, 1]"
     assert "backoff window" in fails["mac"]
