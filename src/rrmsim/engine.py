@@ -9,8 +9,10 @@ fading hash, so a (config, seed) pair fully determines every output byte.
 The fading hash is stateless, so it is evaluated once per slot across every
 cell, in one call over all (UE, cell) pairs with a queue-driven flow, before
 the first MAC runs. Lookups the slot loop needs (start positions, flows by
-UE, services by UE, portions by key) are indexed once at construction, so a
-slot costs work per (UE, cell) pair rather than scans of the config.
+UE, services by UE, portions by key, eligible cells by capability set) are
+indexed once at construction. A per-UE RSRP cache and the mean SINRs derived
+from it fill as they are read and drop when the UE moves; steering reads
+through it. So a slot costs work per (UE, cell) pair that something reads.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .mac import MacFlow, MacInstance, PortionSpec, SlotInputs
 from .scenario import FlowConfig, ScenarioConfig, build_domain, build_ue
 from .uts import (
     CellState,
+    LazyRow,
     MnoStrategy,
     NetworkSnapshot,
     UeState,
@@ -55,6 +58,7 @@ class CellRuntime:
     portion_by_key: dict[str, PortionSpec]
     mac: MacInstance
     descriptor: CapabilityDescriptor
+    noise_floor_dbm: float
     served_bits_total: float = 0.0
     granted_prbs_total: int = 0
 
@@ -124,6 +128,7 @@ class World:
                 portion_by_key={p.key: p for p in cc.portions},
                 mac=mac,
                 descriptor=describe_cell(cell, 0.0, best_eff),
+                noise_floor_dbm=chan.noise_floor_dbm(self.chan, cell.grid.prb_bandwidth_hz),
             )
 
         # numerology is validated to be uniform, so one slot clock serves all
@@ -141,9 +146,25 @@ class World:
             for uid, fcs in self._flows_by_ue.items()
         }
 
+        # per UE, then per cell: RSRP and the mean SINR derived from it; a UE
+        # that moves drops both
+        self._rsrp_cache: dict[str, dict[str, float]] = {}
+        self._sinr_cache: dict[str, dict[str, float]] = {}
+
+        # Eligibility is static: each distinct capability set's best portion
+        # per cell it may use, in config cell order, and those cells by UE.
+        built = [build_ue(uc) for uc in config.ues]
+        self._portions_by_caps: dict[frozenset[str], dict[str, PortionSpec]] = {}
+        for caps in dict.fromkeys(u.capabilities for u in built):
+            table = self._portions_by_caps[caps] = {}
+            for cid, cr in self.cells.items():
+                usable = [p for p in cr.portions if p.required_capability in (None, *caps)]
+                if usable:  # the first of equally efficient portions wins
+                    table[cid] = max(usable, key=lambda p: p.waveform_efficiency)
+        self._eligible = {u.ue_id: tuple(self._portions_by_caps[u.capabilities]) for u in built}
+
         self.ues: dict[str, UeRuntime] = {}
-        for i, uc in enumerate(config.ues):
-            ue = build_ue(uc)
+        for i, (uc, ue) in enumerate(zip(config.ues, built)):
             serving = uc.serving_cell or self._best_cell(ue)
             self.ues[uc.ue_id] = UeRuntime(ue=ue, index=i, serving=serving)
 
@@ -197,31 +218,23 @@ class World:
         self.serving_trace: dict[str, list[tuple[int, str]]] = {
             u: [(0, rt.serving)] for u, rt in self.ues.items()
         }
-        # mean SINR per UE, then per cell; a UE that moves drops its entry
-        self._mean_sinr_cache: dict[str, dict[str, float]] = {}
 
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
 
     def _portion_for(self, ue: UserEquipment, cell_id: str) -> PortionSpec | None:
-        best = None
-        for p in self.cells[cell_id].portions:
-            if p.required_capability is None or p.required_capability in ue.capabilities:
-                if best is None or p.waveform_efficiency > best.waveform_efficiency:
-                    best = p
-        return best
+        return self._portions_by_caps[ue.capabilities].get(cell_id)
 
     def _best_cell(self, ue: UserEquipment) -> str:
+        dbm = self._rsrp_cache.setdefault(ue.ue_id, {})
         cands = []
-        for cid, cr in self.cells.items():
-            if self._portion_for(ue, cid) is None:
-                continue
-            cands.append((-chan.rsrp_dbm(self.chan, cr.cell, ue.position), cid))
+        for cid in self._eligible[ue.ue_id]:
+            dbm[cid] = val = chan.rsrp_dbm(self.chan, self.cells[cid].cell, ue.position)
+            cands.append((-val, cid))
         if not cands:
             raise ValueError(f"UE {ue.ue_id!r} is eligible for no cell")
-        cands.sort()
-        return cands[0][1]
+        return min(cands)[1]
 
     def _make_leg(self, fc: FlowConfig, cell_id: str) -> pdcp.Leg:
         cr = self.cells[cell_id]
@@ -428,15 +441,26 @@ class World:
                 capabilities=rt.ue.capabilities,
                 velocity=rt.ue.velocity,
             )
-            self._mean_sinr_cache.pop(uid, None)
+            self._rsrp_cache.pop(uid, None)
+            self._sinr_cache.pop(uid, None)
+
+    def _rsrp_row(self, ue_id: str, position: tuple[float, float]) -> LazyRow:
+        def rsrp(cid):
+            return chan.rsrp_dbm(self.chan, self.cells[cid].cell, position)
+
+        return LazyRow(self.cells, rsrp, self._rsrp_cache.setdefault(ue_id, {}))
 
     def _mean_sinr(self, ue_id: str, cell_id: str) -> float:
-        by_cell = self._mean_sinr_cache.setdefault(ue_id, {})
+        by_cell = self._sinr_cache.setdefault(ue_id, {})
         hit = by_cell.get(cell_id)
         if hit is not None:
             return hit
         cr = self.cells[cell_id]
-        val = chan.mean_sinr_db(self.chan, cr.cell, self.ues[ue_id].ue.position)
+        rsrp = self._rsrp_cache.setdefault(ue_id, {})
+        if cell_id not in rsrp:
+            rsrp[cell_id] = chan.rsrp_dbm(self.chan, cr.cell, self.ues[ue_id].ue.position)
+        # chan.mean_sinr_db's operations in its order, so the float is the same
+        val = rsrp[cell_id] - cr.noise_floor_dbm - self.chan.interference_margin_db
         by_cell[cell_id] = val
         return val
 
@@ -622,13 +646,6 @@ class World:
         )
         ues = []
         for uid, rt in self.ues.items():
-            rsrp = {
-                cid: chan.rsrp_dbm(self.chan, cr.cell, rt.ue.position)
-                for cid, cr in self.cells.items()
-            }
-            eligible = tuple(
-                cid for cid in self.cells if self._portion_for(rt.ue, cid) is not None
-            )
             rate = rt.delivered_window_bits / window_s if window_s > 0 else 0.0
             rt.delivered_window_bits = 0.0
             ues.append(
@@ -636,10 +653,10 @@ class World:
                     ue_id=uid,
                     serving_cell=rt.serving,
                     secondary_cells=rt.secondary,
-                    rsrp_dbm_by_cell=rsrp,
+                    rsrp_dbm_by_cell=self._rsrp_row(uid, rt.ue.position),
                     services=self._services[uid],
                     capabilities=rt.ue.capabilities,
-                    eligible_cells=eligible,
+                    eligible_cells=self._eligible[uid],
                     rate_bps=rate,
                 )
             )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import types
 import typing
 from dataclasses import dataclass, field
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import yaml
 
+from .abstraction import link_rate
 from .channel import ChannelConfig
 from .core import (
     CarrierGrid,
@@ -503,6 +505,17 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             r.fail("mac", "backoff window must satisfy 1 <= min <= max")
 
     mac = r.read(MacConfig, data.get("mac"), "mac", check_mac)
+    # a portion the MAC's demand SINR gives no bits per PRB stops the run
+    v = mac.demand_sinr_db
+    for c in cells:
+        try:
+            grid = CarrierGrid(c.carrier_hz, c.prbs_per_slot, c.numerology, c.prb_bandwidth_hz)
+        except ValueError:
+            continue  # reported under the cell
+        for p in c.portions:
+            if math.isnan(v) or link_rate(v, 1, p.waveform_efficiency, grid) <= 0:
+                where = f"cell {c.cell_id!r} portion {p.key!r}"
+                r.fail("mac.demand_sinr_db", f"{v} dB gives no bits per PRB on {where}")
 
     pd_m = r.mapping(data.get("pdcp"), "pdcp")
     modes_m = r.mapping(pd_m.get("service_modes"), "pdcp.service_modes")

@@ -9,9 +9,11 @@ against reversals and time-to-trigger maturation before anything is emitted.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .abstraction import (
     CapabilityDescriptor,
@@ -134,8 +136,37 @@ class UtsContext:
     ue_rate_bps: Mapping[str, float]
 
 
+class LazyRow(Mapping):
+    """A read-only mapping over the keys of ``keys``, iterated in sorted
+    order. A key's value is ``fill(key)``, computed on its first read and
+    kept in ``memo``; ``fill`` raises ``KeyError`` for a key not in ``keys``."""
+
+    def __init__(self, keys, fill: Callable, memo: dict | None = None):
+        self._keys, self._fill = keys, fill
+        self._memo = {} if memo is None else memo
+
+    def __getitem__(self, key):
+        val = self._memo.get(key)
+        if val is None:
+            val = self._memo[key] = self._fill(key)
+        return val
+
+    def __iter__(self):
+        return iter(sorted(self._keys))
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
+def _signal_row(rsrp_dbm_by_cell: Mapping[str, float]) -> LazyRow:
+    return LazyRow(
+        rsrp_dbm_by_cell, lambda cid: to_common_unit(RawMeasure("rsrp_dbm", rsrp_dbm_by_cell[cid]))
+    )
+
+
 def collect_context(snapshot: NetworkSnapshot) -> UtsContext:
-    """Convert a raw snapshot into the common-unit steering context."""
+    """Convert a raw snapshot into the common-unit steering context. A signal
+    is converted when a feature first reads it, not for every (UE, cell)."""
     cell_load = {}
     cell_desc = {}
     for c in snapshot.cells:
@@ -143,18 +174,12 @@ def collect_context(snapshot: NetworkSnapshot) -> UtsContext:
             RawMeasure("queue_occupancy", c.demand_prbs, capacity=c.capacity_prbs)
         )
         cell_desc[c.cell_id] = c.descriptor
-    ue_signal = {}
-    for u in snapshot.ues:
-        ue_signal[u.ue_id] = {
-            cid: to_common_unit(RawMeasure("rsrp_dbm", v))
-            for cid, v in sorted(u.rsrp_dbm_by_cell.items())
-        }
     return UtsContext(
         epoch_index=snapshot.epoch_index,
         scenario_tag=snapshot.scenario_tag,
         cell_load=cell_load,
         cell_descriptors=cell_desc,
-        ue_signal=ue_signal,
+        ue_signal={u.ue_id: _signal_row(u.rsrp_dbm_by_cell) for u in snapshot.ues},
         ue_serving={u.ue_id: u.serving_cell for u in snapshot.ues},
         ue_secondary={u.ue_id: u.secondary_cells for u in snapshot.ues},
         ue_services={u.ue_id: u.services for u in snapshot.ues},
@@ -479,14 +504,15 @@ def resolve_conflicts(
     Per UE the winner is the candidate from the best-ranked feature (ties:
     action kind order, then targets). A winner that would reverse an action
     applied within the hysteresis window is suppressed outright. Output is
-    sorted by (ue_id, kind order, targets).
+    sorted by (ue_id, kind order, targets). ``history`` must be in epoch
+    order, as the controller appends it: the window is found by bisection.
     """
     by_ue: dict[str, list[SteeringAction]] = {}
     for c in candidates:
         strategy.rank_of(c.feature_id)  # validate early, even for losers
         by_ue.setdefault(c.ue_id, []).append(c)
     window_start = epoch_index - strategy.hysteresis_epochs
-    recent = [h for h in history if h.epoch_index > window_start]
+    recent = history[bisect_right(history, window_start, key=lambda h: h.epoch_index):]
     final = []
     for ue in sorted(by_ue):
         winner = min(

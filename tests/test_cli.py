@@ -225,15 +225,26 @@ def test_bad_generator_param_is_a_config_error(service, generator, reason, tmp_p
     _assert_bad_flow_exits_2(flow, f"traffic.flows[0].generator.{reason}", tmp_path, capsys)
 
 
-def _assert_bad_flow_exits_2(flow_keys, message, tmp_path, capsys):
-    """A one-flow scenario with ``flow_keys`` fails validation naming
-    ``message``, and ``run`` refuses it the same way without writing."""
+@pytest.mark.parametrize("demand, shown", [(-30, "-30.0"), (float("nan"), "nan")])
+def test_demand_sinr_that_sizes_no_bits_is_a_config_error(demand, shown, tmp_path, capsys):
+    # at -30 dB a 180 kHz PRB carries under one bit per slot, so the MAC's
+    # demand estimate would divide by a zero rate; nan gives no rate at all
+    flow = {"service": "eMBB", "generator": {"kind": "full_buffer", "packet_bits": 4000}}
+    message = f"mac.demand_sinr_db: {shown} dB gives no bits per PRB on cell 'c1' portion 'main'"
+    _assert_bad_flow_exits_2(flow, message, tmp_path, capsys, mac={"demand_sinr_db": demand})
+
+
+def _assert_bad_flow_exits_2(flow_keys, message, tmp_path, capsys, **sections):
+    """A one-cell, one-flow scenario with ``flow_keys`` (and any extra
+    top-level ``sections``) fails validation naming ``message``, and ``run``
+    refuses it the same way without writing."""
     doc = {
         "name": "bad_flow",
         "network": {"cells": [{"id": "c1", "prbs_per_slot": 20}]},
         "ues": [{"id": "u1", "position": [30.0, 0.0]}],
         "traffic": {"flows": [{"id": "f1", "ue": "u1", **flow_keys}]},
         "sim": {"horizon_slots": 20, "seed": 1},
+        **sections,
     }
     p = tmp_path / "bad.yaml"
     p.write_text(yaml.safe_dump(doc))

@@ -3,10 +3,16 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rrmsim import channel as chan
+from rrmsim.abstraction import RawMeasure, to_common_unit
 from rrmsim.cli import render_csv, render_events, render_summary
 from rrmsim.core import TrafficClass
 from rrmsim.engine import World, run_scenario
+from rrmsim.scenario import scenario_from_dict
+from rrmsim.uts import collect_context
 
 from conftest import SCENARIO_DIR, shorten
 
@@ -239,8 +245,6 @@ def _two_cell_world(velocity=(0.0, 0.0), flows=None):
     """Two 20-PRB macros 400 m apart, UE ``ua`` homed on ``ca`` and ``ub`` on
     ``cb``, steering off; UE ``ua``'s velocity is the argument. By default
     each UE has one full-buffer eMBB flow; ``flows`` replaces them."""
-    from rrmsim.scenario import scenario_from_dict
-
     flow = {"kind": "full_buffer", "packet_bits": 1500, "watermark_bits": 6000}
     if flows is None:
         flows = [
@@ -333,13 +337,125 @@ def test_mobility_moves_from_config_position_and_keeps_other_caches():
     w = _two_cell_world(velocity=vel)
     for _ in range(7):
         w.step_slot()
-    static_cache = w._mean_sinr_cache["ub"]
-    static_before = dict(static_cache)
-    assert static_before and w._mean_sinr_cache["ua"]
+    static_rsrp, static_sinr = w._rsrp_cache["ub"], w._sinr_cache["ub"]
+    rsrp_before, sinr_before = dict(static_rsrp), dict(static_sinr)
+    assert rsrp_before and sinr_before
+    assert w._rsrp_cache["ua"] and w._sinr_cache["ua"]
 
     w._refresh_positions()  # the mobility stage for slot 7
     t = 7 * w.slot_seconds
     assert w.ues["ua"].ue.position == (50.0 + vel[0] * t, 10.0 + vel[1] * t)
     assert w.ues["ub"].ue.position == (350.0, -5.0)
-    assert "ua" not in w._mean_sinr_cache
-    assert w._mean_sinr_cache["ub"] is static_cache and static_cache == static_before
+    assert "ua" not in w._rsrp_cache and "ua" not in w._sinr_cache
+    assert w._rsrp_cache["ub"] is static_rsrp and static_rsrp == rsrp_before
+    assert w._sinr_cache["ub"] is static_sinr and static_sinr == sinr_before
+
+
+_coord = st.floats(-2000.0, 2000.0, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cells=st.lists(
+        st.tuples(
+            _coord,
+            _coord,
+            st.sampled_from(["macro", "small", "ap"]),
+            st.sampled_from([180e3, 360e3, 720e3]),
+            st.floats(0.7e9, 6.0e9),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    position=st.tuples(_coord, _coord),
+    velocity=st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0)),
+    margin=st.floats(-10.0, 20.0, allow_nan=False),
+    slot=st.integers(1, 5000),
+)
+def test_mean_sinr_reads_through_the_rsrp_cache_bit_for_bit(
+    cells, position, velocity, margin, slot
+):
+    cfg = scenario_from_dict(
+        {
+            "name": "sinr",
+            "channel": {"interference_margin_db": margin},
+            "network": {
+                "cells": [
+                    {"id": f"c{i}", "position": [x, y], "class": k,
+                     "prb_bandwidth_hz": bw, "carrier_hz": f}
+                    for i, (x, y, k, bw, f) in enumerate(cells)
+                ]
+            },
+            "ues": [{"id": "u", "position": list(position), "velocity": list(velocity)}],
+        }
+    )
+    w = World(cfg)
+
+    def check_every_cell():
+        pos = w.ues["u"].ue.position
+        for cid, cr in w.cells.items():
+            first = w._mean_sinr("u", cid)
+            assert first == chan.mean_sinr_db(w.chan, cr.cell, pos)
+            assert w._rsrp_cache["u"][cid] == chan.rsrp_dbm(w.chan, cr.cell, pos)
+            assert w._mean_sinr("u", cid) == first  # a cache hit
+
+    check_every_cell()
+    w.slot = slot
+    w._refresh_positions()
+    check_every_cell()
+
+
+def test_steering_context_computes_no_rsrp_until_a_feature_reads_it(monkeypatch):
+    calls = []
+    real = chan.rsrp_dbm
+
+    def counting(cfg, cell, position):
+        calls.append(cell.cell_id)
+        return real(cfg, cell, position)
+
+    monkeypatch.setattr(chan, "rsrp_dbm", counting)
+    w = _two_cell_world(velocity=(12.0, -3.0))  # both serving cells given
+    for _ in range(3):
+        w.step_slot()
+    w._refresh_positions()  # ua moves and drops its cache
+    calls.clear()
+    ctx = collect_context(w._snapshot())
+    assert calls == []
+
+    pos = w.ues["ua"].ue.position
+    expected = to_common_unit(RawMeasure("rsrp_dbm", real(w.chan, w.cells["cb"].cell, pos)))
+    assert ctx.ue_signal["ua"]["cb"] == expected
+    assert ctx.ue_signal["ua"].get("cb") == expected
+    assert calls == ["cb"]
+    # ub is static: the MAC's SINR for its serving cell already read cb
+    ctx.ue_signal["ub"]["cb"]
+    assert calls == ["cb"]
+    ctx.ue_signal["ub"]["ca"]
+    assert calls == ["cb", "ca"]
+
+
+def test_eligibility_built_at_init_matches_a_portion_scan(scenarios):
+    w = World(scenarios["hetnet_walkthrough"])
+
+    def scan(ue, cell_id):  # the per-UE, per-cell scan eligibility used to be
+        best = None
+        for p in w.cells[cell_id].portions:
+            if p.required_capability is None or p.required_capability in ue.capabilities:
+                if best is None or p.waveform_efficiency > best.waveform_efficiency:
+                    best = p
+        return best
+
+    snapshot = {u.ue_id: u for u in w._snapshot().ues}
+    eligible = {}
+    for uid, rt in w.ues.items():
+        eligible[uid] = tuple(cid for cid in w.cells if scan(rt.ue, cid) is not None)
+        assert snapshot[uid].eligible_cells == eligible[uid]
+        for cid in w.cells:
+            assert w._portion_for(rt.ue, cid) == scan(rt.ue, cid)
+            assert w.can_attach(uid, cid) == (cid in eligible[uid])
+    assert len({rt.ue.capabilities for rt in w.ues.values()}) == 4
+    assert eligible["ue-dc"] == ("macro1", "small1")
+    assert eligible["ue-legacy"] == ("macro1", "small1")
+    assert eligible["ue-wifi"] == ("macro1", "small1", "ap1")
+    assert w._portion_for(w.ues["ue-legacy"].ue, "macro1").key == "legacy"
+    assert w._portion_for(w.ues["ue-dc"].ue, "macro1").key == "nr"

@@ -5,7 +5,14 @@ import dataclasses
 
 import pytest
 
-from rrmsim.abstraction import FeatureRecord, PluginLocation, PluginRegistry, describe_cell
+from rrmsim.abstraction import (
+    FeatureRecord,
+    PluginLocation,
+    PluginRegistry,
+    RawMeasure,
+    describe_cell,
+    to_common_unit,
+)
 from rrmsim.core import CellClass, TrafficClass
 from rrmsim.uts import (
     ActionKind,
@@ -24,6 +31,7 @@ from rrmsim.uts import (
     collect_context,
     evaluate_features,
     register_builtins,
+    _reverses,
     resolve_conflicts,
 )
 
@@ -78,6 +86,31 @@ def test_collect_context_uses_common_units_only():
     assert ctx.ue_signal["u0"]["cb"].value == pytest.approx(50.0)
     assert ctx.ue_serving["u0"] == "ca"
     assert ctx.cell_descriptors["ca"].coverage_class == "wide"
+
+
+def test_signal_rows_convert_on_first_read_like_the_eager_dict():
+    rsrp = {"cc": -101.5, "ca": -80.0, "cb": -90.0}  # not in cell-id order
+    ctx = collect_context(_snapshot([_cell_state("ca", 10.0)], [_ue_state("u0", "ca", rsrp)]))
+    row = ctx.ue_signal["u0"]
+    eager = {cid: to_common_unit(RawMeasure("rsrp_dbm", v)) for cid, v in sorted(rsrp.items())}
+    assert list(row) == list(eager) == ["ca", "cb", "cc"]
+    assert [row[cid] for cid in row] == list(eager.values())
+    assert list(row.values()) == list(eager.values()) and row == eager
+    assert len(row) == 3 and "cb" in row and "zz" not in row
+    assert row.get("zz") is None and row.get("zz", 1.0) == 1.0
+    assert row["cb"] is row["cb"]  # converted once, then kept
+    with pytest.raises(KeyError):
+        row["zz"]
+    with pytest.raises(TypeError):
+        row["ca"] = eager["ca"]  # read-only
+
+
+def test_signal_rows_check_finiteness_when_a_value_is_read():
+    rsrp = {"ca": -80.0, "cb": float("inf")}
+    ctx = collect_context(_snapshot([_cell_state("ca", 10.0)], [_ue_state("u0", "ca", rsrp)]))
+    assert ctx.ue_signal["u0"]["ca"].value == pytest.approx(60.0)
+    with pytest.raises(ValueError, match="finite"):
+        ctx.ue_signal["u0"]["cb"]
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +258,47 @@ def test_resolution_suppresses_reversals_inside_hysteresis():
     # an unrelated move is never suppressed
     elsewhere = _act(ActionKind.HANDOVER, "u1", ("cc",), LOAD_BALANCE_ID)
     assert resolve_conflicts([elsewhere], strat, [applied], epoch_index=12) == [elsewhere]
+
+
+def test_resolution_window_over_long_history_matches_a_full_scan():
+    # 10,000 entries over 2,500 epochs, appended in epoch order as the
+    # controller does; each UE was handed over from cells c0..c6 in turn
+    n_ues, hyst = 50, 30
+    history = [
+        HistoryEntry(
+            i // 4,
+            SteeringAction(ActionKind.HANDOVER, f"u{i % n_ues}", ("cx",), LOAD_BALANCE_ID),
+            prev_serving=f"c{(i // n_ues) % 7}",
+        )
+        for i in range(10_000)
+    ]
+    cands = [
+        SteeringAction(ActionKind.HANDOVER, f"u{j}", (f"c{j % 7}",), LOAD_BALANCE_ID)
+        for j in range(n_ues)
+    ]
+    strat = _strategy(hysteresis_epochs=hyst)
+    # windows at the start, the middle and the end of history, and past it;
+    # the middle also as the controller holds history at that epoch
+    cases = [
+        (hyst, history),
+        (1_250, history),
+        (1_250, history[: 4 * 1_251]),
+        (2_499, history),
+        (2_499 + hyst, history),
+    ]
+    kept = []
+    for epoch, hist in cases:
+        window_start = epoch - hyst
+        recent = [h for h in hist if h.epoch_index > window_start]
+        expected = sorted(
+            (c for c in cands if not any(_reverses(c, h) for h in recent)),
+            key=lambda c: c.ue_id,
+        )
+        out = resolve_conflicts(cands, strat, hist, epoch_index=epoch)
+        assert out == expected, (epoch, len(hist))
+        kept.append(len(out))
+    assert kept[0] == kept[1] == 0 and 0 < kept[2] < n_ues and 0 < kept[3] < n_ues
+    assert kept[4] == n_ues
 
 
 def test_resolution_suppresses_leg_flapping():
