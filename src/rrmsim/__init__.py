@@ -31,12 +31,9 @@ from .abstraction import (
     MeasureKind,
     PluginLocation,
     PluginRegistry,
-    RawMeasure,
-    UnknownKindError,
     capacity_score,
     describe_cell,
     link_rate,
-    to_common_unit,
 )
 from .mac import (
     InsufficientResourcesError,
@@ -65,12 +62,10 @@ from .pdcp import (
 from .uts import (
     ActionKind,
     MnoStrategy,
-    NetworkSnapshot,
     SteeringAction,
     UtsContext,
     UtsController,
     apply_actions,
-    collect_context,
     evaluate_features,
     register_builtins,
     resolve_conflicts,

@@ -3,8 +3,9 @@ units, the rate model, and the feature-plugin registry.
 
 Coordinators above this layer never see technology names. A cell is reduced to
 a CapabilityDescriptor (what it can do, in numbers and flags) and raw
-measurements are converted into two common units: a dB-domain signal quality
-and a dimensionless load fraction.
+measurements are converted into two common units: ``signal_db`` turns RSRP
+into a dB-domain signal quality and ``load_fraction`` turns queued demand
+into a dimensionless load fraction.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ class MeasureKind(str, Enum):
     LOAD_FRACTION = "load_fraction"
 
 
-class UnknownKindError(ValueError):
-    """Raised for a raw measurement kind with no registered conversion."""
-
-
 class DuplicateIdError(ValueError):
     """Raised when a feature id is registered twice."""
 
@@ -51,35 +48,20 @@ class CommonMeasure:
             raise ValueError(f"load fraction outside [0, 1]: {self.value}")
 
 
-@dataclass(frozen=True)
-class RawMeasure:
-    """A technology-specific measurement before conversion.
-
-    ``capacity`` only applies to occupancy-style kinds (queue depth relative
-    to a capacity).
-    """
-
-    kind: str
-    value: float
-    capacity: float | None = None
+def signal_db(rsrp_dbm: float) -> CommonMeasure:
+    """Received power in dBm as signal quality in dB above the -140 dBm floor."""
+    return CommonMeasure(MeasureKind.SIGNAL_DB, rsrp_dbm - RSRP_FLOOR_DBM)
 
 
-def to_common_unit(raw: RawMeasure) -> CommonMeasure:
-    """Convert a raw measurement into a common unit.
-
-    Supported kinds:
-      - "rsrp_dbm": received power in dBm -> signal_db above the -140 dBm floor
-      - "queue_occupancy": queued amount vs capacity -> load_fraction in [0, 1]
-    """
-    if raw.kind == "rsrp_dbm":
-        return CommonMeasure(MeasureKind.SIGNAL_DB, raw.value - RSRP_FLOOR_DBM)
-    if raw.kind == "queue_occupancy":
-        if raw.capacity is None or raw.capacity <= 0:
-            raise ValueError("queue_occupancy requires a positive capacity")
-        if raw.value < 0:
-            raise ValueError(f"queue_occupancy value must be >= 0, got {raw.value}")
-        return CommonMeasure(MeasureKind.LOAD_FRACTION, min(1.0, raw.value / raw.capacity))
-    raise UnknownKindError(f"no conversion for raw kind {raw.kind!r}")
+def load_fraction(queued: float, capacity: float) -> CommonMeasure:
+    """Queued amount over capacity as a load fraction, clamped to [0, 1].
+    The checks are negated comparisons so that nan fails them too, rather
+    than pass through the clamp as a full load."""
+    if not capacity > 0:
+        raise ValueError(f"load fraction requires a positive capacity, got {capacity}")
+    if not queued >= 0:
+        raise ValueError(f"queued amount must be >= 0, got {queued}")
+    return CommonMeasure(MeasureKind.LOAD_FRACTION, min(1.0, queued / capacity))
 
 
 @dataclass(frozen=True)

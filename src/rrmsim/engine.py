@@ -11,20 +11,30 @@ cell, in one call over all (UE, cell) pairs with a queue-driven flow, before
 the first MAC runs. Lookups the slot loop needs (start positions, flows by
 UE, services by UE, portions by key, eligible cells by capability set) are
 indexed once at construction. A per-UE RSRP cache and the mean SINRs derived
-from it fill as they are read and drop when the UE moves; steering reads
-through it. So a slot costs work per (UE, cell) pair that something reads.
+from it fill as they are read and drop when the UE moves; the steering context
+reads through it, converting with ``signal_db``, and takes cell loads through
+``load_fraction``. So a slot costs work per (UE, cell) pair that something reads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
 from . import channel as chan
 from . import kernels, pdcp, traffic
-from .abstraction import CapabilityDescriptor, PluginRegistry, capacity_score, describe_cell, link_rate
+from .abstraction import (
+    CapabilityDescriptor,
+    PluginRegistry,
+    capacity_score,
+    describe_cell,
+    link_rate,
+    load_fraction,
+    signal_db,
+)
 from .core import (
     Cell,
     Event,
@@ -36,15 +46,7 @@ from .core import (
 )
 from .mac import MacFlow, MacInstance, PortionSpec, SlotInputs
 from .scenario import FlowConfig, ScenarioConfig, build_domain, build_ue
-from .uts import (
-    CellState,
-    LazyRow,
-    MnoStrategy,
-    NetworkSnapshot,
-    UeState,
-    UtsController,
-    builtin_features,
-)
+from .uts import LazyRow, MnoStrategy, UtsContext, UtsController, builtin_features
 
 STAGE_ORDER = ("mobility", "arrivals", "steering", "mac", "transport", "metrics")
 
@@ -141,10 +143,10 @@ class World:
         self._flows_by_ue: dict[str, list[FlowConfig]] = {uc.ue_id: [] for uc in config.ues}
         for fc in config.flows:
             self._flows_by_ue[fc.ue_id].append(fc)
-        self._services = {
+        self._services = MappingProxyType({
             uid: tuple(sorted({fc.service for fc in fcs}, key=lambda s: s.value))
             for uid, fcs in self._flows_by_ue.items()
-        }
+        })
 
         # per UE, then per cell: RSRP and the mean SINR derived from it; a UE
         # that moves drops both
@@ -161,7 +163,10 @@ class World:
                 usable = [p for p in cr.portions if p.required_capability in (None, *caps)]
                 if usable:  # the first of equally efficient portions wins
                     table[cid] = max(usable, key=lambda p: p.waveform_efficiency)
-        self._eligible = {u.ue_id: tuple(self._portions_by_caps[u.capabilities]) for u in built}
+        self._eligible = MappingProxyType(
+            {u.ue_id: tuple(self._portions_by_caps[u.capabilities]) for u in built}
+        )
+        self._capabilities = MappingProxyType({u.ue_id: u.capabilities for u in built})
 
         self.ues: dict[str, UeRuntime] = {}
         for i, (uc, ue) in enumerate(zip(config.ues, built)):
@@ -228,10 +233,7 @@ class World:
 
     def _best_cell(self, ue: UserEquipment) -> str:
         dbm = self._rsrp_cache.setdefault(ue.ue_id, {})
-        cands = []
-        for cid in self._eligible[ue.ue_id]:
-            dbm[cid] = val = chan.rsrp_dbm(self.chan, self.cells[cid].cell, ue.position)
-            cands.append((-val, cid))
+        cands = [(-self._rsrp(dbm, cid, ue.position), cid) for cid in self._eligible[ue.ue_id]]
         if not cands:
             raise ValueError(f"UE {ue.ue_id!r} is eligible for no cell")
         return min(cands)[1]
@@ -444,23 +446,23 @@ class World:
             self._rsrp_cache.pop(uid, None)
             self._sinr_cache.pop(uid, None)
 
-    def _rsrp_row(self, ue_id: str, position: tuple[float, float]) -> LazyRow:
-        def rsrp(cid):
-            return chan.rsrp_dbm(self.chan, self.cells[cid].cell, position)
-
-        return LazyRow(self.cells, rsrp, self._rsrp_cache.setdefault(ue_id, {}))
+    def _rsrp(self, dbm: dict, cell_id: str, position: tuple[float, float]) -> float:
+        """RSRP of ``cell_id`` from a UE's cache ``dbm``, computed at
+        ``position`` and kept there on a miss."""
+        val = dbm.get(cell_id)
+        if val is None:
+            val = dbm[cell_id] = chan.rsrp_dbm(self.chan, self.cells[cell_id].cell, position)
+        return val
 
     def _mean_sinr(self, ue_id: str, cell_id: str) -> float:
         by_cell = self._sinr_cache.setdefault(ue_id, {})
         hit = by_cell.get(cell_id)
         if hit is not None:
             return hit
-        cr = self.cells[cell_id]
-        rsrp = self._rsrp_cache.setdefault(ue_id, {})
-        if cell_id not in rsrp:
-            rsrp[cell_id] = chan.rsrp_dbm(self.chan, cr.cell, self.ues[ue_id].ue.position)
+        dbm = self._rsrp_cache.setdefault(ue_id, {})
+        rsrp = self._rsrp(dbm, cell_id, self.ues[ue_id].ue.position)
         # chan.mean_sinr_db's operations in its order, so the float is the same
-        val = rsrp[cell_id] - cr.noise_floor_dbm - self.chan.interference_margin_db
+        val = rsrp - self.cells[cell_id].noise_floor_dbm - self.chan.interference_margin_db
         by_cell[cell_id] = val
         return val
 
@@ -571,20 +573,21 @@ class World:
         return drained
 
     def _receive(self, fr: FlowRuntime, pdu: pdcp.Pdu) -> None:
-        out = pdcp.reorder_deliver(fr.rx, pdu.sn, pdu.bits, pdu.created_slot, self.slot)
-        self._account_delivered(fr, out)
+        for d in pdcp.reorder_deliver(fr.rx, pdu.sn, pdu.bits, pdu.created_slot, self.slot):
+            self._deliver(fr, d.bits, d.created_slot)
 
-    def _account_delivered(self, fr: FlowRuntime, out) -> None:
-        for d in out:
-            fr.delivered_bits += d.bits
-            fr.w_delivered += d.bits
-            lat = self.slot - d.created_slot
-            fr.latencies_slots.append(lat)
-            fr.w_latencies.append(lat)
-            self.ues[fr.cfg.ue_id].delivered_window_bits += d.bits
-            if isinstance(fr.generator, traffic.PeriodicDeadline):
-                if lat > fr.generator.deadline_slots:
-                    fr.deadline_misses += 1
+    def _deliver(self, fr: FlowRuntime, bits: float, created_slot: int) -> None:
+        """Book one delivery, in order or by random access: the flow's totals
+        and window, its latency and deadline, and the UE's steering window."""
+        fr.delivered_bits += bits
+        fr.w_delivered += bits
+        lat = self.slot - created_slot
+        fr.latencies_slots.append(lat)
+        fr.w_latencies.append(lat)
+        self.ues[fr.cfg.ue_id].delivered_window_bits += bits
+        if isinstance(fr.generator, traffic.PeriodicDeadline):
+            if lat > fr.generator.deadline_slots:
+                fr.deadline_misses += 1
 
     def _run_macs(self) -> None:
         for cr, legs, rates in self._channel_inputs():
@@ -608,12 +611,7 @@ class World:
                 fr = self.flows[att.flow_id]
                 cr.served_bits_total += att.payload_bits
                 fr.mac_served_bits += att.payload_bits
-                fr.delivered_bits += att.payload_bits
-                fr.w_delivered += att.payload_bits
-                lat = self.slot - att.created_slot
-                fr.latencies_slots.append(lat)
-                fr.w_latencies.append(lat)
-                self.ues[att.ue_id].delivered_window_bits += att.payload_bits
+                self._deliver(fr, att.payload_bits, att.created_slot)
             for o in res.outcomes:
                 self.rach_attempts += 1
                 if o.status.value == "success":
@@ -629,49 +627,48 @@ class World:
             fr = self.flows[fc.flow_id]
             if fr.state is None:
                 continue
-            out = pdcp.reorder_tick(fr.rx, self.slot)
-            self._account_delivered(fr, out)
+            for d in pdcp.reorder_tick(fr.rx, self.slot):
+                self._deliver(fr, d.bits, d.created_slot)
 
-    def _snapshot(self) -> NetworkSnapshot:
-        epoch = self.slot // self.config.uts.epoch_slots
+    def _context(self) -> UtsContext:
+        """This epoch's steering context. Each UE's signal row reads through
+        its RSRP cache; the cache dict and the position are bound when the row
+        is built, so a row built before the UE moves keeps the values of where
+        it was. Each UE's delivery-rate window closes here and starts again."""
+
+        def signal_row(dbm: dict, position: tuple[float, float]) -> LazyRow:
+            return LazyRow(self.cells, lambda cid: signal_db(self._rsrp(dbm, cid, position)))
+
         window_s = self.config.uts.epoch_slots * self.slot_seconds
-        cells = tuple(
-            CellState(
-                cell_id=cid,
-                demand_prbs=float(cr.mac.demand_prbs),
-                capacity_prbs=float(cr.cell.grid.prbs_per_slot),
-                descriptor=cr.descriptor,
-            )
-            for cid, cr in self.cells.items()
-        )
-        ues = []
+        rate = {}
         for uid, rt in self.ues.items():
-            rate = rt.delivered_window_bits / window_s if window_s > 0 else 0.0
+            rate[uid] = rt.delivered_window_bits / window_s
             rt.delivered_window_bits = 0.0
-            ues.append(
-                UeState(
-                    ue_id=uid,
-                    serving_cell=rt.serving,
-                    secondary_cells=rt.secondary,
-                    rsrp_dbm_by_cell=self._rsrp_row(uid, rt.ue.position),
-                    services=self._services[uid],
-                    capabilities=rt.ue.capabilities,
-                    eligible_cells=self._eligible[uid],
-                    rate_bps=rate,
-                )
-            )
-        return NetworkSnapshot(
-            epoch_index=epoch,
+        cells, ues = self.cells.items(), self.ues.items()
+        return UtsContext(
+            epoch_index=self.slot // self.config.uts.epoch_slots,
             scenario_tag=self.config.uts.scenario_tag,
-            cells=cells,
-            ues=tuple(ues),
+            cell_load={
+                cid: load_fraction(cr.mac.demand_prbs, cr.cell.grid.prbs_per_slot)
+                for cid, cr in cells
+            },
+            cell_descriptors={cid: cr.descriptor for cid, cr in cells},
+            ue_signal={
+                uid: signal_row(self._rsrp_cache.setdefault(uid, {}), rt.ue.position)
+                for uid, rt in ues
+            },
+            ue_serving={uid: rt.serving for uid, rt in ues},
+            ue_secondary={uid: rt.secondary for uid, rt in ues},
+            ue_services=self._services,
+            ue_capabilities=self._capabilities,
+            ue_eligible=self._eligible,
+            ue_rate_bps=rate,
         )
 
     def _steering(self) -> None:
         if self.controller is None or self.slot % self.config.uts.epoch_slots != 0:
             return
-        snapshot = self._snapshot()
-        applied, events = self.controller.step(snapshot, self, self.slot)
+        applied, events = self.controller.step(self._context(), self, self.slot)
         self.events.extend(events)
         for entry in applied:
             kind = entry.action.kind.value

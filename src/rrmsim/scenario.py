@@ -248,16 +248,25 @@ class _Reader:
             if key not in known:
                 self.fail(f"{path}.{key}" if path else str(key), "unknown key")
 
+    def number(self, val, where: str) -> float | None:
+        """``val`` as a float, or None once the reason it is not a finite
+        number is reported: nan and inf are refused where they are read."""
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            self.fail(where, f"expected a number, got {val!r}")
+        elif not math.isfinite(val):
+            self.fail(where, f"must be finite, got {val!r}")
+        else:
+            return float(val)
+        return None
+
     def get(self, raw: dict, key: str, kind, default, path: str):
         if key not in raw or raw[key] is None:
             return default
         val = raw[key]
         where = f"{path}.{key}" if path else key
         if kind is float:
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                self.fail(where, f"expected a number, got {val!r}")
-                return default
-            return float(val)
+            num = self.number(val, where)
+            return default if num is None else num
         if kind is int:
             if isinstance(val, bool) or not isinstance(val, int):
                 self.fail(where, f"expected an integer, got {val!r}")
@@ -274,12 +283,13 @@ class _Reader:
                 return default
             return val
         if kind is tuple:
-            if (
-                not isinstance(val, list)
-                or len(val) != 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in val)
+            if not isinstance(val, list) or len(val) != 2 or any(
+                isinstance(v, bool) or not isinstance(v, (int, float)) for v in val
             ):
                 self.fail(where, f"expected [x, y] numbers, got {val!r}")
+                return default
+            if not all(map(math.isfinite, val)):
+                self.fail(where, f"must be finite, got {val!r}")
                 return default
             return (float(val[0]), float(val[1]))
         try:
@@ -564,13 +574,13 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         kv_m = r.mapping(kv, f"uts.thresholds.{fid}")
         pairs = []
         for k, v in kv_m.items():
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                r.fail(f"uts.thresholds.{fid}.{k}", f"expected a number, got {v!r}")
+            num = r.number(v, f"uts.thresholds.{fid}.{k}")
+            if num is None:
                 continue
             if fid in DEFAULT_THRESHOLDS and k not in DEFAULT_THRESHOLDS[fid]:
                 r.fail(f"uts.thresholds.{fid}.{k}", "unknown threshold")
                 continue
-            pairs.append((k, float(v)))
+            pairs.append((k, num))
         thr_entries.append((fid, tuple(sorted(pairs))))
     uts = r.read(
         UtsSection, uts_m, "uts",

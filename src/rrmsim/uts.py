@@ -19,11 +19,8 @@ from .abstraction import (
     CapabilityDescriptor,
     CommonMeasure,
     FeatureRecord,
-    MeasureKind,
     PluginLocation,
     PluginRegistry,
-    RawMeasure,
-    to_common_unit,
 )
 from .core import Event, TrafficClass
 from .pdcp import Mode
@@ -80,47 +77,17 @@ class SteeringAction:
 
 
 # ---------------------------------------------------------------------------
-# context assembly
+# steering context
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CellState:
-    """Raw per-cell numbers straight from a coordinator."""
-
-    cell_id: str
-    demand_prbs: float
-    capacity_prbs: float
-    descriptor: CapabilityDescriptor
-
-
-@dataclass(frozen=True)
-class UeState:
-    """Raw per-UE numbers straight from the world."""
-
-    ue_id: str
-    serving_cell: str
-    secondary_cells: tuple[str, ...]
-    rsrp_dbm_by_cell: Mapping[str, float]
-    services: tuple[TrafficClass, ...]
-    capabilities: frozenset[str]
-    eligible_cells: tuple[str, ...]
-    rate_bps: float
-
-
-@dataclass(frozen=True)
-class NetworkSnapshot:
-    epoch_index: int
-    scenario_tag: str
-    cells: tuple[CellState, ...]
-    ues: tuple[UeState, ...]
-
 
 @dataclass(frozen=True)
 class UtsContext:
     """What steering features are allowed to see: common units only.
 
-    Loads are load fractions, signals are dB above the common floor, and
-    cells appear solely through their capability descriptors.
+    The engine builds one each steering epoch. Loads are load fractions,
+    signals are dB above the common floor, and cells appear solely through
+    their capability descriptors. Each ``ue_signal`` row is a ``LazyRow``:
+    a signal is computed when a feature first reads it.
     """
 
     epoch_index: int
@@ -139,11 +106,11 @@ class UtsContext:
 class LazyRow(Mapping):
     """A read-only mapping over the keys of ``keys``, iterated in sorted
     order. A key's value is ``fill(key)``, computed on its first read and
-    kept in ``memo``; ``fill`` raises ``KeyError`` for a key not in ``keys``."""
+    then kept; ``fill`` raises ``KeyError`` for a key not in ``keys``."""
 
-    def __init__(self, keys, fill: Callable, memo: dict | None = None):
+    def __init__(self, keys, fill: Callable):
         self._keys, self._fill = keys, fill
-        self._memo = {} if memo is None else memo
+        self._memo = {}
 
     def __getitem__(self, key):
         val = self._memo.get(key)
@@ -156,37 +123,6 @@ class LazyRow(Mapping):
 
     def __len__(self) -> int:
         return len(self._keys)
-
-
-def _signal_row(rsrp_dbm_by_cell: Mapping[str, float]) -> LazyRow:
-    return LazyRow(
-        rsrp_dbm_by_cell, lambda cid: to_common_unit(RawMeasure("rsrp_dbm", rsrp_dbm_by_cell[cid]))
-    )
-
-
-def collect_context(snapshot: NetworkSnapshot) -> UtsContext:
-    """Convert a raw snapshot into the common-unit steering context. A signal
-    is converted when a feature first reads it, not for every (UE, cell)."""
-    cell_load = {}
-    cell_desc = {}
-    for c in snapshot.cells:
-        cell_load[c.cell_id] = to_common_unit(
-            RawMeasure("queue_occupancy", c.demand_prbs, capacity=c.capacity_prbs)
-        )
-        cell_desc[c.cell_id] = c.descriptor
-    return UtsContext(
-        epoch_index=snapshot.epoch_index,
-        scenario_tag=snapshot.scenario_tag,
-        cell_load=cell_load,
-        cell_descriptors=cell_desc,
-        ue_signal={u.ue_id: _signal_row(u.rsrp_dbm_by_cell) for u in snapshot.ues},
-        ue_serving={u.ue_id: u.serving_cell for u in snapshot.ues},
-        ue_secondary={u.ue_id: u.secondary_cells for u in snapshot.ues},
-        ue_services={u.ue_id: u.services for u in snapshot.ues},
-        ue_capabilities={u.ue_id: u.capabilities for u in snapshot.ues},
-        ue_eligible={u.ue_id: u.eligible_cells for u in snapshot.ues},
-        ue_rate_bps={u.ue_id: u.rate_bps for u in snapshot.ues},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -676,12 +612,11 @@ class UtsController:
         self._streaks = fresh
         return out
 
-    def step(self, snapshot: NetworkSnapshot, network, slot: int):
+    def step(self, ctx: UtsContext, network, slot: int):
         """One steering epoch; returns (applied history entries, events)."""
-        ctx = collect_context(snapshot)
         candidates = evaluate_features(ctx, self.registry, self.strategy)
-        matured = self._mature(candidates, snapshot.epoch_index)
-        final = resolve_conflicts(matured, self.strategy, self.history, snapshot.epoch_index)
-        applied, events = apply_actions(network, final, slot, snapshot.epoch_index)
+        matured = self._mature(candidates, ctx.epoch_index)
+        final = resolve_conflicts(matured, self.strategy, self.history, ctx.epoch_index)
+        applied, events = apply_actions(network, final, slot, ctx.epoch_index)
         self.history.extend(applied)
         return applied, events

@@ -12,13 +12,12 @@ from rrmsim.abstraction import (
     MeasureKind,
     PluginLocation,
     PluginRegistry,
-    RawMeasure,
     SINR_CAP_DB,
-    UnknownKindError,
     capacity_score,
     describe_cell,
     link_rate,
-    to_common_unit,
+    load_fraction,
+    signal_db,
 )
 from rrmsim.core import CellClass
 
@@ -30,36 +29,40 @@ from conftest import mk_cell, mk_grid
 # ---------------------------------------------------------------------------
 
 def test_rsrp_converts_to_db_above_floor():
-    m = to_common_unit(RawMeasure("rsrp_dbm", -100.0))
+    m = signal_db(-100.0)
     assert m.kind is MeasureKind.SIGNAL_DB
     assert m.value == pytest.approx(40.0)
 
 
 def test_queue_occupancy_converts_to_load_fraction():
-    m = to_common_unit(RawMeasure("queue_occupancy", 30.0, capacity=60.0))
+    m = load_fraction(30.0, 60.0)
     assert m.kind is MeasureKind.LOAD_FRACTION
     assert m.value == pytest.approx(0.5)
     # overload clamps at 1 instead of leaking raw units upward
-    assert to_common_unit(RawMeasure("queue_occupancy", 90.0, capacity=60.0)).value == 1.0
-    with pytest.raises(ValueError):
-        to_common_unit(RawMeasure("queue_occupancy", 5.0))
-
-
-def test_unknown_measurement_kind_is_rejected():
-    with pytest.raises(UnknownKindError):
-        to_common_unit(RawMeasure("rssi_vendor_units", 17.0))
+    assert load_fraction(90.0, 60.0).value == 1.0
+    with pytest.raises(ValueError, match="positive capacity"):
+        load_fraction(5.0, 0.0)
+    with pytest.raises(ValueError, match=">= 0"):
+        load_fraction(-1.0, 60.0)
+    # nan would otherwise pass through the clamp as a full load
+    with pytest.raises(ValueError, match=">= 0, got nan"):
+        load_fraction(float("nan"), 60.0)
+    with pytest.raises(ValueError, match="positive capacity, got nan"):
+        load_fraction(5.0, float("nan"))
+    with pytest.raises(ValueError, match="finite"):
+        signal_db(float("nan"))
 
 
 def test_conversions_preserve_order():
     """Better raw measurements never convert to worse common measurements."""
     last = None
     for dbm in range(-140, -40, 5):
-        v = to_common_unit(RawMeasure("rsrp_dbm", float(dbm))).value
+        v = signal_db(float(dbm)).value
         assert last is None or v > last
         last = v
     last = None
     for q in range(0, 120, 10):
-        v = to_common_unit(RawMeasure("queue_occupancy", float(q), capacity=100.0)).value
+        v = load_fraction(float(q), 100.0).value
         assert last is None or v >= last
         last = v
 

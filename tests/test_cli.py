@@ -225,13 +225,55 @@ def test_bad_generator_param_is_a_config_error(service, generator, reason, tmp_p
     _assert_bad_flow_exits_2(flow, f"traffic.flows[0].generator.{reason}", tmp_path, capsys)
 
 
-@pytest.mark.parametrize("demand, shown", [(-30, "-30.0"), (float("nan"), "nan")])
-def test_demand_sinr_that_sizes_no_bits_is_a_config_error(demand, shown, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "demand, reason",
+    [
+        pytest.param(
+            -30, "-30.0 dB gives no bits per PRB on cell 'c1' portion 'main'", id="-30--30.0"
+        ),
+        pytest.param(float("nan"), "must be finite, got nan", id="nan-nan"),
+    ],
+)
+def test_demand_sinr_that_sizes_no_bits_is_a_config_error(demand, reason, tmp_path, capsys):
     # at -30 dB a 180 kHz PRB carries under one bit per slot, so the MAC's
-    # demand estimate would divide by a zero rate; nan gives no rate at all
+    # demand estimate would divide by a zero rate; nan is refused as it is read
     flow = {"service": "eMBB", "generator": {"kind": "full_buffer", "packet_bits": 4000}}
-    message = f"mac.demand_sinr_db: {shown} dB gives no bits per PRB on cell 'c1' portion 'main'"
+    message = f"mac.demand_sinr_db: {reason}"
     _assert_bad_flow_exits_2(flow, message, tmp_path, capsys, mac={"demand_sinr_db": demand})
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "sections, where, shown",
+    [
+        ({"channel": {"interference_margin_db": _NAN}}, "channel.interference_margin_db", "nan"),
+        (
+            {"network": {"cells": [{"id": "c1", "prbs_per_slot": 20, "tx_power_dbm": _NAN}]}},
+            "network.cells[0].tx_power_dbm",
+            "nan",
+        ),
+        ({"channel": {"min_distance_m": _INF}}, "channel.min_distance_m", "inf"),
+        (
+            {"uts": {"features": ["load_balance_handover"],
+                     "thresholds": {"load_balance_handover": {"high_load": _NAN}}}},
+            "uts.thresholds.load_balance_handover.high_load",
+            "nan",
+        ),
+        (
+            {"ues": [{"id": "u1", "position": [30.0, -_INF]}]},
+            "ues[0].position",
+            "[30.0, -inf]",
+        ),
+    ],
+    ids=["interference_margin_db", "tx_power_dbm", "min_distance_m", "threshold", "position"],
+)
+def test_non_finite_number_is_a_config_error(sections, where, shown, tmp_path, capsys):
+    # each of these used to validate and then crash the run or deliver nothing
+    flow = {"service": "eMBB", "generator": {"kind": "full_buffer", "packet_bits": 4000}}
+    message = f"{where}: must be finite, got {shown}"
+    _assert_bad_flow_exits_2(flow, message, tmp_path, capsys, **sections)
 
 
 def _assert_bad_flow_exits_2(flow_keys, message, tmp_path, capsys, **sections):

@@ -1,18 +1,18 @@
 """Whole-world runs: determinism, conservation, stage discipline."""
 
 import dataclasses
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrmsim import channel as chan
-from rrmsim.abstraction import RawMeasure, to_common_unit
+from rrmsim.abstraction import MeasureKind, signal_db
 from rrmsim.cli import render_csv, render_events, render_summary
 from rrmsim.core import TrafficClass
 from rrmsim.engine import World, run_scenario
 from rrmsim.scenario import scenario_from_dict
-from rrmsim.uts import collect_context
 
 from conftest import SCENARIO_DIR, shorten
 
@@ -124,6 +124,27 @@ def test_deadline_misses_stay_zero_when_reserved(scenarios):
     res = run_scenario(_short(scenarios, "single_cell", 600))
     urllc = [m for m in res.report.per_flow.values() if m["service"] == "URLLC"]
     assert urllc and all(m["deadline_misses"] == 0 for m in urllc)
+
+
+def test_late_random_access_deliveries_count_as_deadline_misses():
+    cfg = scenario_from_dict(
+        {
+            "name": "mmtc_deadline",
+            "sim": {"horizon_slots": 200, "seed": 1},
+            "network": {"cells": [{"id": "c1", "prbs_per_slot": 20}]},
+            "ues": [{"id": "u1", "position": [30.0, 0.0]}],
+            "traffic": {"flows": [{
+                "id": "f1", "ue": "u1", "service": "mMTC",
+                "generator": {"kind": "periodic_deadline", "period_slots": 3,
+                              "packet_bits": 200, "deadline_slots": 1},
+            }]},
+        }
+    )
+    w = World(cfg)
+    report = w.run().report
+    late = sum(lat > 1 for lat in w.flows["f1"].latencies_slots)
+    assert late > 0 and report.rach_successes > 0
+    assert report.per_flow["f1"]["deadline_misses"] == late
 
 
 def test_mmtc_uses_contention_not_queue(scenarios):
@@ -419,11 +440,11 @@ def test_steering_context_computes_no_rsrp_until_a_feature_reads_it(monkeypatch)
         w.step_slot()
     w._refresh_positions()  # ua moves and drops its cache
     calls.clear()
-    ctx = collect_context(w._snapshot())
+    ctx = w._context()
     assert calls == []
 
     pos = w.ues["ua"].ue.position
-    expected = to_common_unit(RawMeasure("rsrp_dbm", real(w.chan, w.cells["cb"].cell, pos)))
+    expected = signal_db(real(w.chan, w.cells["cb"].cell, pos))
     assert ctx.ue_signal["ua"]["cb"] == expected
     assert ctx.ue_signal["ua"].get("cb") == expected
     assert calls == ["cb"]
@@ -432,6 +453,67 @@ def test_steering_context_computes_no_rsrp_until_a_feature_reads_it(monkeypatch)
     assert calls == ["cb"]
     ctx.ue_signal["ub"]["ca"]
     assert calls == ["cb", "ca"]
+
+
+def test_context_clamps_an_overloaded_cell_at_full_load():
+    flow = {"kind": "full_buffer", "packet_bits": 1500, "watermark_bits": 400_000}
+    w = _two_cell_world(flows=[{"id": "fa", "ue": "ua", "service": "eMBB", "generator": flow}])
+    for _ in range(11):  # past the slot-10 MAC epoch, which sizes demand
+        w.step_slot()
+    ca, cb = w.cells["ca"], w.cells["cb"]
+    assert ca.mac.demand_prbs > ca.cell.grid.prbs_per_slot and cb.mac.demand_prbs == 0
+    ctx = w._context()
+    assert ctx.cell_load["ca"].kind is MeasureKind.LOAD_FRACTION
+    assert ctx.cell_load["ca"].value == 1.0
+    assert ctx.cell_load["cb"].value == 0.0
+
+
+def test_context_static_columns_are_one_read_only_mapping_each():
+    w = _two_cell_world()
+    first = w._context()
+    for _ in range(3):
+        w.step_slot()
+    second = w._context()
+    for name in ("ue_services", "ue_capabilities", "ue_eligible"):
+        col = getattr(first, name)
+        assert isinstance(col, MappingProxyType) and getattr(second, name) is col
+        with pytest.raises(TypeError):
+            col["ua"] = col["ub"]
+    assert second.ue_serving == {"ua": "ca", "ub": "cb"}
+    assert second.ue_serving is not first.ue_serving  # rebuilt each epoch
+
+
+def test_context_rate_is_the_window_bits_over_its_duration_and_resets():
+    w = _two_cell_world()
+    for _ in range(30):
+        w.step_slot()
+    bits = {uid: rt.delivered_window_bits for uid, rt in w.ues.items()}
+    assert all(b > 0 for b in bits.values())
+    window_s = w.config.uts.epoch_slots * w.slot_seconds
+    ctx = w._context()
+    assert ctx.ue_rate_bps == {uid: b / window_s for uid, b in bits.items()}
+    assert all(rt.delivered_window_bits == 0.0 for rt in w.ues.values())
+    assert w._context().ue_rate_bps == {"ua": 0.0, "ub": 0.0}
+
+
+def test_context_row_built_before_a_move_keeps_its_position():
+    w = _two_cell_world(velocity=(12.0, -3.0))
+    for _ in range(5):
+        w.step_slot()
+    before_pos = w.ues["ua"].ue.position
+    old = w._context().ue_signal["ua"]
+    w._refresh_positions()  # ua moves and drops its cache
+    after_pos = w.ues["ua"].ue.position
+    assert after_pos != before_pos
+    new = w._context().ue_signal["ua"]
+    for cid, cr in w.cells.items():
+        assert old[cid] == signal_db(chan.rsrp_dbm(w.chan, cr.cell, before_pos))
+        assert new[cid] == signal_db(chan.rsrp_dbm(w.chan, cr.cell, after_pos))
+        assert old[cid] != new[cid]
+    # only the new row's reads landed in the UE's cache
+    assert w._rsrp_cache["ua"] == {
+        cid: chan.rsrp_dbm(w.chan, cr.cell, after_pos) for cid, cr in w.cells.items()
+    }
 
 
 def test_eligibility_built_at_init_matches_a_portion_scan(scenarios):
@@ -445,11 +527,11 @@ def test_eligibility_built_at_init_matches_a_portion_scan(scenarios):
                     best = p
         return best
 
-    snapshot = {u.ue_id: u for u in w._snapshot().ues}
+    ctx = w._context()
     eligible = {}
     for uid, rt in w.ues.items():
         eligible[uid] = tuple(cid for cid in w.cells if scan(rt.ue, cid) is not None)
-        assert snapshot[uid].eligible_cells == eligible[uid]
+        assert ctx.ue_eligible[uid] == eligible[uid]
         for cid in w.cells:
             assert w._portion_for(rt.ue, cid) == scan(rt.ue, cid)
             assert w.can_attach(uid, cid) == (cid in eligible[uid])

@@ -1,5 +1,5 @@
-"""Traffic steering: context collection, feature evaluation, conflict resolution,
-and atomic application against a fake network."""
+"""Traffic steering: the steering context, feature evaluation, conflict
+resolution, and atomic application against a fake network."""
 
 import dataclasses
 
@@ -9,26 +9,24 @@ from rrmsim.abstraction import (
     FeatureRecord,
     PluginLocation,
     PluginRegistry,
-    RawMeasure,
     describe_cell,
-    to_common_unit,
+    load_fraction,
+    signal_db,
 )
 from rrmsim.core import CellClass, TrafficClass
 from rrmsim.uts import (
     ActionKind,
-    CellState,
     DUAL_CONN_ID,
     HistoryEntry,
     LOAD_BALANCE_ID,
+    LazyRow,
     MnoStrategy,
-    NetworkSnapshot,
     SteeringAction,
-    UeState,
     UndeclaredActionError,
     UnrankedFeatureError,
+    UtsContext,
     UtsController,
     apply_actions,
-    collect_context,
     evaluate_features,
     register_builtins,
     _reverses,
@@ -39,34 +37,49 @@ from conftest import mk_cell, mk_grid
 
 
 # ---------------------------------------------------------------------------
-# snapshot / context plumbing
+# context building
 # ---------------------------------------------------------------------------
 
 def _cell_state(cell_id, demand, capacity=50.0, cell_class=CellClass.MACRO, **cell_kw):
+    """A cell's (id, load, descriptor), as the engine puts them in a context."""
     cell = mk_cell(cell_id, cell_class=cell_class, grid=mk_grid(prbs=int(capacity)), **cell_kw)
-    load = min(1.0, demand / capacity)
-    return CellState(cell_id, demand, capacity, describe_cell(cell, load))
+    load = load_fraction(demand, capacity)
+    return cell_id, load, describe_cell(cell, load.value)
 
 
 def _ue_state(ue_id, serving, rsrp, secondary=(), services=(TrafficClass.EMBB,),
               caps=("nr",), eligible=None, rate=0.0):
-    return UeState(
-        ue_id=ue_id,
-        serving_cell=serving,
-        secondary_cells=tuple(secondary),
-        rsrp_dbm_by_cell=dict(rsrp),
-        services=tuple(services),
-        capabilities=frozenset(caps),
-        eligible_cells=tuple(eligible if eligible is not None else rsrp),
-        rate_bps=rate,
-    )
+    """A UE's entry in each per-UE context column, by column name. Its
+    signal row converts ``rsrp`` (dBm by cell) on first read, as the
+    engine's does."""
+    rsrp = dict(rsrp)
+    return ue_id, {
+        "ue_signal": LazyRow(rsrp, lambda cid: signal_db(rsrp[cid])),
+        "ue_serving": serving,
+        "ue_secondary": tuple(secondary),
+        "ue_services": tuple(services),
+        "ue_capabilities": frozenset(caps),
+        "ue_eligible": tuple(eligible if eligible is not None else rsrp),
+        "ue_rate_bps": rate,
+    }
 
 
 def _snapshot(cells, ues, epoch=0, tag="default"):
-    return NetworkSnapshot(epoch_index=epoch, scenario_tag=tag, cells=tuple(cells), ues=tuple(ues))
+    """The steering context of ``_cell_state`` and ``_ue_state`` entries."""
+    columns = {}
+    for ue_id, row in ues:
+        for name, val in row.items():
+            columns.setdefault(name, {})[ue_id] = val
+    return UtsContext(
+        epoch_index=epoch,
+        scenario_tag=tag,
+        cell_load={cid: load for cid, load, _ in cells},
+        cell_descriptors={cid: desc for cid, _, desc in cells},
+        **columns,
+    )
 
 
-def two_cell_snapshot(load_a=0.9, load_b=0.2, epoch=0, n_ues=3):
+def two_cell_context(load_a=0.9, load_b=0.2, epoch=0, n_ues=3):
     """Hot cell / cold cell pair with mMTC-only UEs, so of the built-in
     features only load balancing has anything to say."""
     cells = [_cell_state("ca", load_a * 50), _cell_state("cb", load_b * 50)]
@@ -77,9 +90,8 @@ def two_cell_snapshot(load_a=0.9, load_b=0.2, epoch=0, n_ues=3):
     return _snapshot(cells, ues, epoch=epoch)
 
 
-def test_collect_context_uses_common_units_only():
-    snap = two_cell_snapshot(load_a=0.5, load_b=1.4)
-    ctx = collect_context(snap)
+def test_context_uses_common_units_only():
+    ctx = two_cell_context(load_a=0.5, load_b=1.4)
     assert ctx.cell_load["ca"].value == pytest.approx(0.5)
     assert ctx.cell_load["cb"].value == 1.0  # clamped, not raw PRBs
     # -90 dBm over the -140 dBm floor
@@ -90,9 +102,9 @@ def test_collect_context_uses_common_units_only():
 
 def test_signal_rows_convert_on_first_read_like_the_eager_dict():
     rsrp = {"cc": -101.5, "ca": -80.0, "cb": -90.0}  # not in cell-id order
-    ctx = collect_context(_snapshot([_cell_state("ca", 10.0)], [_ue_state("u0", "ca", rsrp)]))
+    ctx = _snapshot([_cell_state("ca", 10.0)], [_ue_state("u0", "ca", rsrp)])
     row = ctx.ue_signal["u0"]
-    eager = {cid: to_common_unit(RawMeasure("rsrp_dbm", v)) for cid, v in sorted(rsrp.items())}
+    eager = {cid: signal_db(v) for cid, v in sorted(rsrp.items())}
     assert list(row) == list(eager) == ["ca", "cb", "cc"]
     assert [row[cid] for cid in row] == list(eager.values())
     assert list(row.values()) == list(eager.values()) and row == eager
@@ -107,7 +119,7 @@ def test_signal_rows_convert_on_first_read_like_the_eager_dict():
 
 def test_signal_rows_check_finiteness_when_a_value_is_read():
     rsrp = {"ca": -80.0, "cb": float("inf")}
-    ctx = collect_context(_snapshot([_cell_state("ca", 10.0)], [_ue_state("u0", "ca", rsrp)]))
+    ctx = _snapshot([_cell_state("ca", 10.0)], [_ue_state("u0", "ca", rsrp)])
     assert ctx.ue_signal["u0"]["ca"].value == pytest.approx(60.0)
     with pytest.raises(ValueError, match="finite"):
         ctx.ue_signal["u0"]["cb"]
@@ -134,7 +146,7 @@ def _strategy(**kw):
 
 
 def test_load_balance_feature_proposes_handover():
-    ctx = collect_context(two_cell_snapshot(load_a=0.9, load_b=0.2))
+    ctx = two_cell_context(load_a=0.9, load_b=0.2)
     actions = evaluate_features(ctx, _registry(), _strategy())
     handovers = [a for a in actions if a.kind is ActionKind.HANDOVER]
     assert len(handovers) == 1
@@ -143,7 +155,7 @@ def test_load_balance_feature_proposes_handover():
 
 
 def test_thresholds_come_from_strategy_over_defaults():
-    ctx = collect_context(two_cell_snapshot(load_a=0.7, load_b=0.2))
+    ctx = two_cell_context(load_a=0.7, load_b=0.2)
     none = evaluate_features(ctx, _registry(), _strategy())
     assert not any(a.kind is ActionKind.HANDOVER for a in none)  # 0.7 < default 0.8
     eager = _strategy(thresholds={LOAD_BALANCE_ID: {"high_load": 0.6}})
@@ -157,7 +169,7 @@ def test_dual_connectivity_splits_by_capability():
         _ue_state("u-dc", "ca", {"ca": -80.0, "cb": -85.0}, caps=("nr", "dual_connectivity")),
         _ue_state("u-plain", "ca", {"ca": -80.0, "cb": -85.0}),
     ]
-    ctx = collect_context(_snapshot(cells, ues))
+    ctx = _snapshot(cells, ues)
     actions = evaluate_features(ctx, _registry(), _strategy())
     by_ue = {a.ue_id: a for a in actions if a.feature_id == DUAL_CONN_ID}
     assert by_ue["u-dc"].kind is ActionKind.CONFIGURE_DC
@@ -179,7 +191,7 @@ def test_feature_cannot_propose_undeclared_action_kind():
     reg.register(rec, lambda ctx, r, thr: [
         SteeringAction(ActionKind.OFFLOAD, "u0", ("cb",), "rogue")
     ])
-    ctx = collect_context(two_cell_snapshot())
+    ctx = two_cell_context()
     with pytest.raises(UndeclaredActionError):
         evaluate_features(ctx, reg, _strategy(ranking=("rogue",)))
 
@@ -192,7 +204,7 @@ def test_feature_cannot_impersonate_another():
         SteeringAction(ActionKind.HANDOVER, "u0", ("cb",), "somebody_else")
     ])
     with pytest.raises(UndeclaredActionError):
-        evaluate_features(collect_context(two_cell_snapshot()), reg, _strategy())
+        evaluate_features(two_cell_context(), reg, _strategy())
 
 
 def test_scenario_scoping_filters_features():
@@ -201,15 +213,15 @@ def test_scenario_scoping_filters_features():
                         PluginLocation.BELOW_UTS, ("none",), ("factory-floor",))
     calls = []
     reg.register(rec, lambda ctx, r, thr: calls.append(1) or [])
-    evaluate_features(collect_context(two_cell_snapshot()), reg, _strategy())
+    evaluate_features(two_cell_context(), reg, _strategy())
     assert calls == []  # tag "default" not covered
-    snap = dataclasses.replace(two_cell_snapshot(), scenario_tag="factory-floor")
-    evaluate_features(collect_context(snap), reg, _strategy())
+    ctx = dataclasses.replace(two_cell_context(), scenario_tag="factory-floor")
+    evaluate_features(ctx, reg, _strategy())
     assert calls == [1]
 
 
 def test_evaluation_is_pure_and_repeatable():
-    ctx = collect_context(two_cell_snapshot())
+    ctx = two_cell_context()
     reg, strat = _registry(), _strategy()
     assert evaluate_features(ctx, reg, strat) == evaluate_features(ctx, reg, strat)
 
@@ -434,9 +446,9 @@ def test_controller_waits_for_time_to_trigger():
     strat = _strategy(time_to_trigger_epochs=2)
     ctrl = UtsController(reg, strat)
     net = FakeNetwork({"ca", "cb"}, {f"u{i}": "ca" for i in range(3)})
-    applied, _ = ctrl.step(two_cell_snapshot(epoch=0), net, slot=0)
+    applied, _ = ctrl.step(two_cell_context(epoch=0), net, slot=0)
     assert applied == []  # first sighting is not enough
-    applied, _ = ctrl.step(two_cell_snapshot(epoch=1), net, slot=100)
+    applied, _ = ctrl.step(two_cell_context(epoch=1), net, slot=100)
     assert [a.action.kind for a in applied] == [ActionKind.HANDOVER]
     assert ctrl.history == applied
 
@@ -445,10 +457,10 @@ def test_controller_streak_resets_on_gap():
     reg = _registry()
     ctrl = UtsController(reg, _strategy(time_to_trigger_epochs=2))
     net = FakeNetwork({"ca", "cb"}, {f"u{i}": "ca" for i in range(3)})
-    ctrl.step(two_cell_snapshot(epoch=0), net, slot=0)
+    ctrl.step(two_cell_context(epoch=0), net, slot=0)
     # epoch 1: condition clears, streak dies
-    ctrl.step(two_cell_snapshot(load_a=0.1, epoch=1), net, slot=100)
-    applied, _ = ctrl.step(two_cell_snapshot(epoch=2), net, slot=200)
+    ctrl.step(two_cell_context(load_a=0.1, epoch=1), net, slot=100)
+    applied, _ = ctrl.step(two_cell_context(epoch=2), net, slot=200)
     assert applied == []  # must re-earn the trigger
 
 
