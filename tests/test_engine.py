@@ -541,3 +541,71 @@ def test_eligibility_built_at_init_matches_a_portion_scan(scenarios):
     assert eligible["ue-wifi"] == ("macro1", "small1", "ap1")
     assert w._portion_for(w.ues["ue-legacy"].ue, "macro1").key == "legacy"
     assert w._portion_for(w.ues["ue-dc"].ue, "macro1").key == "nr"
+
+
+def test_carrier_aggregation_adds_and_releases_a_secondary_on_a_world():
+    """Two 25-PRB cells and one rate-starved eMBB UE between them: carrier
+    aggregation adds ``s1`` as a secondary, sheds it when its load passes
+    ``release_load``, and adds it back. After each action the flow's legs
+    and both MACs' registrations follow the UE's secondary cells."""
+    cfg = scenario_from_dict(
+        {
+            "name": "ca_pair",
+            "sim": {"horizon_slots": 3000, "seed": 1},
+            "network": {
+                "cells": [
+                    {"id": "m1", "class": "macro", "prbs_per_slot": 25, "position": [0.0, 0.0]},
+                    {"id": "s1", "class": "small", "prbs_per_slot": 25,
+                     "carrier_hz": 3.5e9, "position": [60.0, 0.0]},
+                ]
+            },
+            "ues": [{"id": "u1", "position": [30.0, 0.0], "serving_cell": "m1"}],
+            "traffic": {
+                "flows": [
+                    {
+                        "id": "f1",
+                        "ue": "u1",
+                        "service": "eMBB",
+                        "generator": {
+                            "kind": "poisson_sporadic",
+                            "rate_per_slot": 0.5,
+                            "packet_bits": 12000,
+                        },
+                    }
+                ]
+            },
+            "uts": {
+                "features": ["carrier_aggregation"],
+                "epoch_slots": 50,
+                "thresholds": {
+                    "carrier_aggregation": {
+                        "target_rate_bps": 1e9,
+                        "release_load": 0.3,
+                        "min_signal_db": 0,
+                    }
+                },
+            },
+        }
+    )
+    w = World(cfg, seed=1)
+    seen = []
+    while w.slot < cfg.sim.horizon_slots:
+        n = len(w.events)
+        w.step_slot()
+        for e in w.events[n:]:
+            if e.subsystem == "uts":
+                legs = [leg.cell_id for leg in w.flows["f1"].state.legs]
+                macs = {cid: sorted(cr.mac.flows) for cid, cr in w.cells.items()}
+                seen.append((e.format(), w.ues["u1"].secondary, legs, macs))
+
+    add = "uts add_leg ue=u1 cell=s1 action=add_secondary_cell feature=carrier_aggregation"
+    rel = "uts release_leg ue=u1 cell=s1 action=release_secondary_cell feature=carrier_aggregation"
+    both = ({"m1": ["f1"], "s1": ["f1"]}, ("s1",), ["m1", "s1"])
+    home = ({"m1": ["f1"], "s1": []}, (), ["m1"])
+    expected = [(50, add, both), (650, rel, home), (1150, add, both),
+                (2450, rel, home), (2950, add, both)]
+    assert [line for line, *_ in seen] == [f"{slot} {text}" for slot, text, _ in expected]
+    for (_, secondary, legs, macs), (_, _, (want_macs, want_sec, want_legs)) in zip(seen, expected):
+        assert (macs, secondary, legs) == (want_macs, want_sec, want_legs)
+    assert w.action_counts == {"add_secondary_cell": 3, "release_secondary_cell": 2}
+    assert w.ues["u1"].serving == "m1"

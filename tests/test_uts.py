@@ -16,6 +16,8 @@ from rrmsim.abstraction import (
 from rrmsim.core import CellClass, TrafficClass
 from rrmsim.uts import (
     ActionKind,
+    CARRIER_AGG_ID,
+    DEFAULT_THRESHOLDS,
     DUAL_CONN_ID,
     HistoryEntry,
     LOAD_BALANCE_ID,
@@ -27,6 +29,7 @@ from rrmsim.uts import (
     UtsContext,
     UtsController,
     apply_actions,
+    builtin_features,
     evaluate_features,
     register_builtins,
     _reverses,
@@ -224,6 +227,130 @@ def test_evaluation_is_pure_and_repeatable():
     ctx = two_cell_context()
     reg, strat = _registry(), _strategy()
     assert evaluate_features(ctx, reg, strat) == evaluate_features(ctx, reg, strat)
+
+
+# ---------------------------------------------------------------------------
+# carrier aggregation and dual connectivity: the second-cell search
+# ---------------------------------------------------------------------------
+
+def _propose(feature_id, ctx, **thr):
+    """``(kind, ue, targets)`` of each action the built-in feature proposes,
+    under its default thresholds with ``thr`` over them."""
+    rec, evaluator = next(f for f in builtin_features() if f[0].feature_id == feature_id)
+    actions = evaluator(ctx, rec, {**DEFAULT_THRESHOLDS[feature_id], **thr})
+    assert all(a.feature_id == feature_id for a in actions)
+    return [(a.kind, a.ue_id, a.targets) for a in actions]
+
+
+def test_second_cell_features_release_the_first_hot_secondary_and_nothing_else():
+    # cb is cold, cc and cd are hot; ce would be a fine new secondary
+    cells = [_cell_state("ca", 10.0), _cell_state("cb", 10.0), _cell_state("cc", 49.0),
+             _cell_state("cd", 49.5), _cell_state("ce", 5.0)]
+    sig = {"ca": -80.0, "cb": -80.0, "cc": -80.0, "cd": -80.0, "ce": -80.0}
+    caps = ("nr", "dual_connectivity")
+    ctx = _snapshot(cells, [
+        _ue_state("u-hot", "ca", sig, secondary=("cb", "cc", "cd"), caps=caps),
+        _ue_state("u-cold", "ca", sig, secondary=("cb",), caps=caps),
+    ])
+    # the first hot one in the UE's order, not the hottest
+    assert _propose(CARRIER_AGG_ID, ctx) == [
+        (ActionKind.RELEASE_SECONDARY_CELL, "u-hot", ("cc",))
+    ]
+    assert _propose(DUAL_CONN_ID, ctx) == [(ActionKind.RELEASE_LEG, "u-hot", ("cc",))]
+    # a secondary at release_load exactly is kept
+    assert _propose(CARRIER_AGG_ID, ctx, release_load=0.98) == [
+        (ActionKind.RELEASE_SECONDARY_CELL, "u-hot", ("cd",))
+    ]
+    assert _propose(DUAL_CONN_ID, ctx, release_load=0.98) == [
+        (ActionKind.RELEASE_LEG, "u-hot", ("cd",))
+    ]
+    assert _propose(CARRIER_AGG_ID, ctx, release_load=0.99) == []
+    assert _propose(DUAL_CONN_ID, ctx, release_load=0.99) == []
+
+
+def test_carrier_aggregation_skips_ues_at_the_target_rate():
+    cells = [_cell_state("ca", 10.0), _cell_state("cb", 10.0)]
+    sig = {"ca": -80.0, "cb": -85.0}
+    ctx = _snapshot(cells, [
+        _ue_state("u-at", "ca", sig, rate=10e6),
+        _ue_state("u-over", "ca", sig, rate=20e6),
+        _ue_state("u-under", "ca", sig, rate=10e6 - 1.0),
+        _ue_state("u-urllc", "ca", sig, services=(TrafficClass.URLLC,)),
+    ])
+    assert _propose(CARRIER_AGG_ID, ctx) == [
+        (ActionKind.ADD_SECONDARY_CELL, "u-under", ("cb",))
+    ]
+    assert _propose(CARRIER_AGG_ID, ctx, target_rate_bps=30e6) == [
+        (ActionKind.ADD_SECONDARY_CELL, u, ("cb",)) for u in ("u-at", "u-over", "u-under")
+    ]
+
+
+@pytest.mark.parametrize("feature_id", [CARRIER_AGG_ID, DUAL_CONN_ID])
+def test_second_cell_search_skips_unfit_candidates(feature_id):
+    thr = DEFAULT_THRESHOLDS[feature_id]
+    floor_rsrp = thr["min_signal_db"] - 140.0  # signal is dB above -140 dBm
+    max_load = thr["max_secondary_load"]
+    cells = [
+        _cell_state("ca", 10.0),
+        _cell_state("c-noattach", 5.0, supports_secondary=False),
+        _cell_state("c-full", max_load * 50),
+        _cell_state("c-weak", 5.0),
+        _cell_state("c-edge", 20.0),
+    ]
+    sig = {"ca": -80.0, "c-noattach": -80.0, "c-full": -80.0,
+           "c-weak": floor_rsrp - 0.5, "c-edge": floor_rsrp}
+    ctx = _snapshot(cells, [_ue_state("u1", "ca", sig)])
+    kind = ActionKind.ADD_SECONDARY_CELL if feature_id == CARRIER_AGG_ID else ActionKind.OFFLOAD
+    # the loaded, barely strong enough cell is the only fit one
+    assert _propose(feature_id, ctx) == [(kind, "u1", ("c-edge",))]
+    unfit = dataclasses.replace(ctx, ue_eligible={"u1": ("ca", "c-noattach", "c-full", "c-weak")})
+    assert _propose(feature_id, unfit) == []
+    # each threshold, loosened, lets its cell through
+    assert _propose(feature_id, unfit, max_secondary_load=max_load + 0.01) == [
+        (kind, "u1", ("c-full",))
+    ]
+    assert _propose(feature_id, unfit, min_signal_db=thr["min_signal_db"] - 1.0) == [
+        (kind, "u1", ("c-weak",))
+    ]
+
+
+def test_dual_connectivity_needs_duplication_on_both_cells_for_urllc():
+    cells = [
+        _cell_state("ca", 10.0),
+        _cell_state("c-nodup", 5.0, supports_duplication=False),
+        _cell_state("c-dup", 10.0),
+        _cell_state("cx", 10.0, supports_duplication=False),
+    ]
+    sig = {"ca": -80.0, "c-nodup": -80.0, "c-dup": -80.0, "cx": -80.0}
+    caps = ("nr", "dual_connectivity")
+    ctx = _snapshot(cells, [
+        _ue_state("u-urllc", "ca", sig, services=(TrafficClass.URLLC,), caps=caps),
+        _ue_state("u-embb", "ca", sig, caps=caps),
+        _ue_state("u-mixed", "ca", sig, services=(TrafficClass.EMBB, TrafficClass.URLLC)),
+        _ue_state("u-stuck", "cx", sig, services=(TrafficClass.URLLC,), caps=caps),
+        _ue_state("u-mmtc", "ca", sig, services=(TrafficClass.MMTC,), caps=caps),
+    ])
+    assert _propose(DUAL_CONN_ID, ctx) == [
+        (ActionKind.CONFIGURE_DC, "u-embb", ("ca", "c-nodup")),
+        (ActionKind.OFFLOAD, "u-mixed", ("c-dup",)),
+        (ActionKind.CONFIGURE_DC, "u-urllc", ("ca", "c-dup")),
+    ]
+
+
+@pytest.mark.parametrize("feature_id", [CARRIER_AGG_ID, DUAL_CONN_ID])
+def test_second_cell_search_breaks_ties_by_load_then_signal_then_cell(feature_id):
+    cells = [_cell_state(c, load) for c, load in
+             (("ca", 10.0), ("cb", 5.0), ("cc", 5.0), ("cd", 5.0), ("ce", 4.0))]
+    caps = ("nr", "dual_connectivity")
+    rsrp = {"ca": -80.0, "cb": -85.0, "cc": -85.0, "cd": -84.0, "ce": -100.0}
+    ctx = _snapshot(cells, [_ue_state("u1", "ca", rsrp, caps=caps)])
+    kind, pre = ((ActionKind.ADD_SECONDARY_CELL, ()) if feature_id == CARRIER_AGG_ID
+                 else (ActionKind.CONFIGURE_DC, ("ca",)))
+    assert _propose(feature_id, ctx) == [(kind, "u1", (*pre, "ce"))]  # least loaded
+    no_ce = dataclasses.replace(ctx, ue_eligible={"u1": ("ca", "cb", "cc", "cd")})
+    assert _propose(feature_id, no_ce) == [(kind, "u1", (*pre, "cd"))]  # strongest
+    tie = dataclasses.replace(ctx, ue_eligible={"u1": ("cc", "ca", "cb")})
+    assert _propose(feature_id, tie) == [(kind, "u1", (*pre, "cb"))]  # lowest id
 
 
 # ---------------------------------------------------------------------------
