@@ -199,28 +199,5 @@ class PluginRegistry:
         self.get(feature_id)  # raise on unknown id
         return self._evaluators.get(feature_id)
 
-    def ids(self) -> list[str]:
-        return list(self._records)  # registration order
-
     def records(self) -> list[FeatureRecord]:
-        return [self._records[i] for i in self._records]
-
-    def interactions(self, feature_id: str) -> list[FeatureRecord]:
-        """Resolve a feature's declared interaction partners.
-
-        Resolution happens here, at lookup time, so records may be registered
-        in any order; "none" marks a deliberately standalone feature.
-        """
-        rec = self.get(feature_id)
-        out = []
-        for other in rec.interacts_with:
-            if other == "none":
-                continue
-            out.append(self.get(other))
-        return out
-
-    def __contains__(self, feature_id: str) -> bool:
-        return feature_id in self._records
-
-    def __len__(self) -> int:
-        return len(self._records)
+        return list(self._records.values())

@@ -250,10 +250,7 @@ class World:
         )
 
     def _sps_params(self, fc: FlowConfig, cell_id: str) -> tuple[int, int, int]:
-        if fc.flow_id in self.flows:
-            gen = self.flows[fc.flow_id].generator
-        else:
-            gen = traffic.make_generator(fc.generator_kind, fc.generator_params)
+        gen = self.flows[fc.flow_id].generator
         period = fc.sps_period_slots
         offset = fc.sps_offset_slots
         bits = None
@@ -292,25 +289,8 @@ class World:
         )
 
     # ------------------------------------------------------------------
-    # steering hooks (SteerableNetwork protocol)
+    # steering mutators, driven by uts.apply_actions
     # ------------------------------------------------------------------
-
-    def has_cell(self, cell_id: str) -> bool:
-        return cell_id in self.cells
-
-    def has_ue(self, ue_id: str) -> bool:
-        return ue_id in self.ues
-
-    def serving_cell(self, ue_id: str) -> str:
-        return self.ues[ue_id].serving
-
-    def secondary_cells(self, ue_id: str) -> tuple:
-        return self.ues[ue_id].secondary
-
-    def can_attach(self, ue_id: str, cell_id: str) -> bool:
-        if cell_id not in self.cells:
-            return False
-        return self._portion_for(self.ues[ue_id].ue, cell_id) is not None
 
     def _flows_of(self, ue_id: str, with_state: bool = True):
         for fc in self._flows_by_ue[ue_id]:
@@ -365,31 +345,26 @@ class World:
             a.portion_key = portion.key if portion else a.portion_key
             dst_mac.pending.append(a)
 
-    def apply_handover(self, ue_id: str, target: str) -> str:
+    def apply_handover(self, ue_id: str, target: str) -> None:
         rt = self.ues[ue_id]
         prev = rt.serving
         rt.serving = target
         rt.secondary = tuple(c for c in rt.secondary if c != target)
         for fr in self._flows_of(ue_id):
-            if fr.state.leg_by_cell(prev) is not None:
-                self._move_leg(fr, prev, target)
+            self._move_leg(fr, prev, target)
         for fc in self._flows_by_ue[ue_id]:
             if self.flows[fc.flow_id].state is None:
                 self.cells[prev].mac.deregister_flow(fc.flow_id)
                 self._register_mac_flow(fc, target)
         self._move_attempts(ue_id, prev, target)
         self.serving_trace[ue_id].append((self.slot, target))
-        return prev
 
-    def apply_offload(self, ue_id: str, target: str) -> str:
+    def apply_offload(self, ue_id: str, target: str) -> None:
         """Move the UE's data legs to the target while the anchor stays."""
         rt = self.ues[ue_id]
-        prev = rt.serving
         for fr in self._flows_of(ue_id):
-            if fr.state.leg_by_cell(prev) is not None:
-                self._move_leg(fr, prev, target)
+            self._move_leg(fr, rt.serving, target)
         rt.secondary = rt.secondary + (target,)
-        return prev
 
     def apply_add_secondary(self, ue_id: str, target: str) -> None:
         rt = self.ues[ue_id]

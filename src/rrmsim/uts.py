@@ -5,6 +5,8 @@ context (common-unit measurements plus capability descriptors) and propose
 actions from one closed set. An operator strategy ranks features totally;
 conflicts resolve to at most one action per UE per epoch, with hysteresis
 against reversals and time-to-trigger maturation before anything is emitted.
+The surviving actions are checked against that same context and applied
+through the network's five ``apply_*`` mutators; steering reads nothing else.
 """
 
 from __future__ import annotations
@@ -212,6 +214,43 @@ def evaluate_load_balance(
     return actions
 
 
+def _shed_hot_secondary(
+    actions: list, ctx: UtsContext, ue: str, thr: Mapping[str, float],
+    kind: ActionKind, record: FeatureRecord,
+) -> bool:
+    """Propose a ``kind`` release of the UE's first secondary cell above
+    ``release_load``. True when the UE holds any secondary: it then gets no
+    new one this epoch."""
+    secondary = ctx.ue_secondary.get(ue, ())
+    for sec in secondary:
+        if ctx.cell_load[sec].value > thr["release_load"]:
+            actions.append(SteeringAction(kind, ue, (sec,), record.feature_id))
+            break
+    return bool(secondary)
+
+
+def _second_cell(
+    ctx: UtsContext, ue: str, thr: Mapping[str, float], need_duplication: bool = False
+) -> str | None:
+    """The eligible cell besides the serving one that best takes a second
+    leg of the UE: open to secondary attach (and duplication, if asked),
+    loaded below ``max_secondary_load``, with a signal of ``min_signal_db``
+    or more. Least loaded wins, then strongest, then lowest cell id."""
+    serving = ctx.ue_serving[ue]
+    fit = []
+    for cand in ctx.ue_eligible.get(ue, ()):
+        desc = ctx.cell_descriptors[cand]
+        if cand == serving or not desc.supports_secondary_attach:
+            continue
+        if need_duplication and not desc.supports_duplication:
+            continue
+        load = ctx.cell_load[cand].value
+        if load >= thr["max_secondary_load"] or not _signal_ok(ctx, ue, cand, thr["min_signal_db"]):
+            continue
+        fit.append((load, -ctx.ue_signal[ue][cand].value, cand))
+    return min(fit)[-1] if fit else None
+
+
 def evaluate_carrier_aggregation(
     ctx: UtsContext, record: FeatureRecord, thr: Mapping[str, float]
 ) -> list[SteeringAction]:
@@ -220,38 +259,14 @@ def evaluate_carrier_aggregation(
     for ue in sorted(ctx.ue_serving):
         if TrafficClass.EMBB not in ctx.ue_services.get(ue, ()):
             continue
-        released = False
-        for sec in ctx.ue_secondary.get(ue, ()):
-            if ctx.cell_load[sec].value > thr["release_load"]:
-                actions.append(
-                    SteeringAction(
-                        ActionKind.RELEASE_SECONDARY_CELL, ue, (sec,), record.feature_id
-                    )
-                )
-                released = True
-                break
-        if released or ctx.ue_secondary.get(ue, ()):
+        if _shed_hot_secondary(actions, ctx, ue, thr, ActionKind.RELEASE_SECONDARY_CELL, record):
             continue
         if ctx.ue_rate_bps.get(ue, 0.0) >= thr["target_rate_bps"]:
             continue
-        serving = ctx.ue_serving[ue]
-        best = None
-        for cand in sorted(ctx.ue_eligible.get(ue, ())):
-            if cand == serving:
-                continue
-            desc = ctx.cell_descriptors[cand]
-            if not desc.supports_secondary_attach:
-                continue
-            if ctx.cell_load[cand].value >= thr["max_secondary_load"]:
-                continue
-            if not _signal_ok(ctx, ue, cand, thr["min_signal_db"]):
-                continue
-            key = (ctx.cell_load[cand].value, -ctx.ue_signal[ue][cand].value, cand)
-            if best is None or key < best[0]:
-                best = (key, cand)
-        if best is not None:
+        cell = _second_cell(ctx, ue, thr)
+        if cell is not None:
             actions.append(
-                SteeringAction(ActionKind.ADD_SECONDARY_CELL, ue, (best[1],), record.feature_id)
+                SteeringAction(ActionKind.ADD_SECONDARY_CELL, ue, (cell,), record.feature_id)
             )
     return actions
 
@@ -270,46 +285,20 @@ def evaluate_dual_connectivity(
         services = ctx.ue_services.get(ue, ())
         if not any(s in (TrafficClass.EMBB, TrafficClass.URLLC) for s in services):
             continue
-        for sec in ctx.ue_secondary.get(ue, ()):
-            if ctx.cell_load[sec].value > thr["release_load"]:
-                actions.append(
-                    SteeringAction(ActionKind.RELEASE_LEG, ue, (sec,), record.feature_id)
-                )
-                break
-        if ctx.ue_secondary.get(ue, ()):
+        if _shed_hot_secondary(actions, ctx, ue, thr, ActionKind.RELEASE_LEG, record):
             continue
         serving = ctx.ue_serving[ue]
         needs_dup = TrafficClass.URLLC in services
         if needs_dup and not ctx.cell_descriptors[serving].supports_duplication:
             continue
-        best = None
-        for cand in sorted(ctx.ue_eligible.get(ue, ())):
-            if cand == serving:
-                continue
-            desc = ctx.cell_descriptors[cand]
-            if not desc.supports_secondary_attach:
-                continue
-            if needs_dup and not desc.supports_duplication:
-                continue
-            if ctx.cell_load[cand].value >= thr["max_secondary_load"]:
-                continue
-            if not _signal_ok(ctx, ue, cand, thr["min_signal_db"]):
-                continue
-            key = (ctx.cell_load[cand].value, -ctx.ue_signal[ue][cand].value, cand)
-            if best is None or key < best[0]:
-                best = (key, cand)
-        if best is None:
+        cell = _second_cell(ctx, ue, thr, needs_dup)
+        if cell is None:
             continue
         if DC_CAPABILITY in ctx.ue_capabilities.get(ue, frozenset()):
-            actions.append(
-                SteeringAction(
-                    ActionKind.CONFIGURE_DC, ue, (serving, best[1]), record.feature_id
-                )
-            )
+            kind, targets = ActionKind.CONFIGURE_DC, (serving, cell)
         else:
-            actions.append(
-                SteeringAction(ActionKind.OFFLOAD, ue, (best[1],), record.feature_id)
-            )
+            kind, targets = ActionKind.OFFLOAD, (cell,)
+        actions.append(SteeringAction(kind, ue, targets, record.feature_id))
     return actions
 
 
@@ -466,32 +455,20 @@ def resolve_conflicts(
 # application
 # ---------------------------------------------------------------------------
 
-class SteerableNetwork:
-    """Interface apply_actions drives; the sim world implements it.
-
-    Kept as a plain duck-typed protocol so tests can stand in a fake.
-    """
-
-    def has_cell(self, cell_id: str) -> bool: ...
-    def has_ue(self, ue_id: str) -> bool: ...
-    def serving_cell(self, ue_id: str) -> str: ...
-    def secondary_cells(self, ue_id: str) -> tuple: ...
-    def can_attach(self, ue_id: str, cell_id: str) -> bool: ...
-    def apply_handover(self, ue_id: str, target: str) -> str: ...
-    def apply_offload(self, ue_id: str, target: str) -> str: ...
-    def apply_add_secondary(self, ue_id: str, target: str) -> None: ...
-    def apply_release_secondary(self, ue_id: str, target: str) -> None: ...
-    def apply_configure_dc(self, ue_id: str, master: str, secondary: str) -> None: ...
-
-
 def apply_actions(
-    network, actions: Sequence[SteeringAction], slot: int, epoch_index: int
+    ctx: UtsContext, network, actions: Sequence[SteeringAction], slot: int
 ) -> tuple[list[HistoryEntry], list[Event]]:
     """Apply resolved actions atomically, one by one.
 
-    Each action is fully validated against the live network before any of its
-    mutations run; a failed check emits a steer_error event and skips the
-    action, leaving the network untouched by it. Unknown targets never raise.
+    Each action is checked against ``ctx``, the context it was decided on,
+    before any of its mutations run; a failed check emits a steer_error event
+    and skips the action, leaving the network untouched by it. Unknown
+    targets never raise. ``network`` is driven only through its five
+    ``apply_*`` mutators.
+
+    Checking against ``ctx`` rather than the live network is exact because
+    ``actions`` holds at most one action per UE, as ``resolve_conflicts``
+    leaves them, and an action changes only its own UE.
     """
     applied: list[HistoryEntry] = []
     events: list[Event] = []
@@ -523,64 +500,63 @@ def apply_actions(
         )
 
     for action in actions:
-        if not network.has_ue(action.ue_id):
+        ue = action.ue_id
+        if ue not in ctx.ue_serving:
             err(action, "unknown_ue")
             continue
-        if any(not network.has_cell(t) for t in action.targets):
+        if any(t not in ctx.cell_descriptors for t in action.targets):
             err(action, "unknown_target")
             continue
-        k = action.kind
-        serving = network.serving_cell(action.ue_id)
-        secondary = tuple(network.secondary_cells(action.ue_id))
-        if k in (ActionKind.HANDOVER, ActionKind.OFFLOAD):
-            target = action.targets[0]
+        k, target = action.kind, action.targets[0]
+        serving, secondary = ctx.ue_serving[ue], ctx.ue_secondary[ue]
+        moves = k in (ActionKind.HANDOVER, ActionKind.OFFLOAD)
+        if moves:
             if target == serving:
                 err(action, "already_serving")
                 continue
-            if not network.can_attach(action.ue_id, target):
+            if k is ActionKind.OFFLOAD and target in secondary:
+                err(action, "already_attached")
+                continue
+            if target not in ctx.ue_eligible[ue]:
                 err(action, "not_eligible")
                 continue
             move = network.apply_handover if k is ActionKind.HANDOVER else network.apply_offload
-            prev = move(action.ue_id, target)
-            leg_event("release_leg", action, prev)
+            move(ue, target)
+            leg_event("release_leg", action, serving)
             leg_event("add_leg", action, target)
-            applied.append(HistoryEntry(epoch_index, action, prev_serving=prev))
         elif k is ActionKind.ADD_SECONDARY_CELL:
-            target = action.targets[0]
             if target == serving or target in secondary:
                 err(action, "already_attached")
                 continue
-            if not network.can_attach(action.ue_id, target):
+            if target not in ctx.ue_eligible[ue]:
                 err(action, "not_eligible")
                 continue
-            network.apply_add_secondary(action.ue_id, target)
+            network.apply_add_secondary(ue, target)
             leg_event("add_leg", action, target)
-            applied.append(HistoryEntry(epoch_index, action))
         elif k in (ActionKind.RELEASE_SECONDARY_CELL, ActionKind.RELEASE_LEG):
-            target = action.targets[0]
             if target not in secondary:
                 err(action, "not_attached")
                 continue
-            network.apply_release_secondary(action.ue_id, target)
+            network.apply_release_secondary(ue, target)
             leg_event("release_leg", action, target)
-            applied.append(HistoryEntry(epoch_index, action))
         elif k is ActionKind.CONFIGURE_DC:
-            master, second = action.targets[0], action.targets[-1]
+            master, second = target, action.targets[-1]
             if master != serving:
                 err(action, "master_not_serving")
                 continue
             if second == serving or second in secondary:
                 err(action, "already_attached")
                 continue
-            if not network.can_attach(action.ue_id, second):
+            if second not in ctx.ue_eligible[ue]:
                 err(action, "not_eligible")
                 continue
-            network.apply_configure_dc(action.ue_id, master, second)
+            network.apply_configure_dc(ue, master, second)
             leg_event("reconfigure", action, master)
             leg_event("add_leg", action, second)
-            applied.append(HistoryEntry(epoch_index, action))
         else:  # pragma: no cover - enum is closed
             err(action, "unknown_kind")
+            continue
+        applied.append(HistoryEntry(ctx.epoch_index, action, serving if moves else None))
     return applied, events
 
 
@@ -617,6 +593,6 @@ class UtsController:
         candidates = evaluate_features(ctx, self.registry, self.strategy)
         matured = self._mature(candidates, ctx.epoch_index)
         final = resolve_conflicts(matured, self.strategy, self.history, ctx.epoch_index)
-        applied, events = apply_actions(network, final, slot, ctx.epoch_index)
+        applied, events = apply_actions(ctx, network, final, slot)
         self.history.extend(applied)
         return applied, events

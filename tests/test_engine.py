@@ -323,7 +323,8 @@ def test_mid_epoch_handover_moves_grants_on_the_next_slot():
     owners = {cid: {b[2] for b in r[-1].alloc.blocks()} for cid, r in seen.items()}
     assert owners == {"ca": {"ua"}, "cb": {"ub"}}
 
-    assert w.apply_handover("ua", "cb") == "ca"
+    assert w.ues["ua"].serving == "ca"
+    w.apply_handover("ua", "cb")
     w.step_slot()
     assert w.slot % w.config.mac.epoch_slots != 0  # still mid-epoch
     ca, cb = seen["ca"][-1], seen["cb"][-1]
@@ -339,7 +340,8 @@ def test_mid_epoch_urllc_handover_moves_the_reservation_at_the_next_epoch():
     for _ in range(4):  # into the middle of the first MAC epoch
         w.step_slot()
     seen = _capture_mac_results(w)
-    assert w.apply_handover("ua", "cb") == "ca"
+    assert w.ues["ua"].serving == "ca"
+    w.apply_handover("ua", "cb")
     while w.slot < 3 * epoch:
         w.step_slot()
 
@@ -534,7 +536,7 @@ def test_eligibility_built_at_init_matches_a_portion_scan(scenarios):
         assert ctx.ue_eligible[uid] == eligible[uid]
         for cid in w.cells:
             assert w._portion_for(rt.ue, cid) == scan(rt.ue, cid)
-            assert w.can_attach(uid, cid) == (cid in eligible[uid])
+            assert (w._portion_for(rt.ue, cid) is not None) == (cid in ctx.ue_eligible[uid])
     assert len({rt.ue.capabilities for rt in w.ues.values()}) == 4
     assert eligible["ue-dc"] == ("macro1", "small1")
     assert eligible["ue-legacy"] == ("macro1", "small1")
@@ -609,3 +611,28 @@ def test_carrier_aggregation_adds_and_releases_a_secondary_on_a_world():
         assert (macs, secondary, legs) == (want_macs, want_sec, want_legs)
     assert w.action_counts == {"add_secondary_cell": 3, "release_secondary_cell": 2}
     assert w.ues["u1"].serving == "m1"
+
+
+def test_offload_onto_a_held_secondary_is_refused_as_already_attached(scenarios):
+    """A plugin feature offloads a UE onto the cell it already holds as a
+    secondary: the action is refused like add_secondary_cell and
+    configure_dc refuse it, and the UE keeps one copy of that cell."""
+    from rrmsim.abstraction import FeatureRecord, PluginLocation, PluginRegistry
+    from rrmsim.uts import ActionKind, MnoStrategy, SteeringAction, UtsController
+
+    w = World(scenarios["hetnet_walkthrough"])
+    w.apply_add_secondary("ue-dc", "small1")
+    rec = FeatureRecord("offload_onto_secondary", ("ue_secondary",), ("offload",),
+                        PluginLocation.BELOW_UTS, ("none",), ("any",))
+    registry = PluginRegistry().register(rec, lambda ctx, r, thr: [
+        SteeringAction(ActionKind.OFFLOAD, "ue-dc", ("small1",), r.feature_id)
+    ])
+    strategy = MnoStrategy(ranking=(rec.feature_id,), time_to_trigger_epochs=1)
+    ctx = w._context()
+    assert ctx.ue_serving["ue-dc"] != "small1"
+    applied, events = UtsController(registry, strategy).step(ctx, w, w.slot)
+    assert applied == []
+    assert [e.format() for e in events] == [
+        "0 uts steer_error ue=ue-dc action=offload targets=small1 reason=already_attached"
+    ]
+    assert w.ues["ue-dc"].secondary == ("small1",)

@@ -473,25 +473,19 @@ class FakeNetwork:
         self.eligible = eligible or {u: set(cells) for u in serving}
         self.log = []
 
-    def has_cell(self, cell_id):
-        return cell_id in self.cells
-
-    def has_ue(self, ue_id):
-        return ue_id in self.serving
-
-    def serving_cell(self, ue_id):
-        return self.serving[ue_id]
-
-    def secondary_cells(self, ue_id):
-        return tuple(self.secondary[ue_id])
-
-    def can_attach(self, ue_id, cell_id):
-        return cell_id in self.eligible[ue_id]
+    def context(self, epoch=0):
+        """The steering context of the fake's current state."""
+        cells = [_cell_state(c, 10.0) for c in sorted(self.cells)]
+        ues = [
+            _ue_state(u, self.serving[u], {c: -80.0 for c in sorted(self.cells)},
+                      secondary=self.secondary[u], eligible=sorted(self.eligible[u]))
+            for u in sorted(self.serving)
+        ]
+        return _snapshot(cells, ues, epoch=epoch)
 
     def apply_handover(self, ue_id, target):
-        prev, self.serving[ue_id] = self.serving[ue_id], target
+        self.serving[ue_id] = target
         self.log.append(("handover", ue_id, target))
-        return prev
 
     apply_offload = apply_handover
 
@@ -511,9 +505,10 @@ class FakeNetwork:
 def test_apply_handover_records_history_and_leg_events():
     net = FakeNetwork({"ca", "cb"}, {"u1": "ca"})
     act = _act(ActionKind.HANDOVER, "u1", ("cb",), LOAD_BALANCE_ID)
-    hist, events = apply_actions(net, [act], slot=100, epoch_index=1)
+    hist, events = apply_actions(net.context(epoch=1), net, [act], slot=100)
     assert net.serving["u1"] == "cb"
     assert [h.prev_serving for h in hist] == ["ca"]
+    assert [h.epoch_index for h in hist] == [1]
     assert [e.kind for e in events] == ["release_leg", "add_leg"]
     assert events[1].get("cell") == "cb"
 
@@ -522,7 +517,7 @@ def test_release_leg_action_releases_the_secondary_cell():
     net = FakeNetwork({"ca", "cb"}, {"u1": "ca"})
     net.secondary["u1"] = ["cb"]
     act = _act(ActionKind.RELEASE_LEG, "u1", ("cb",), DUAL_CONN_ID)
-    hist, events = apply_actions(net, [act], slot=0, epoch_index=0)
+    hist, events = apply_actions(net.context(), net, [act], slot=0)
     assert net.log == [("release_secondary", "u1", "cb")]
     assert net.secondary["u1"] == [] and [h.action for h in hist] == [act]
     assert [(e.kind, e.get("cell"), e.get("action")) for e in events] == [
@@ -538,7 +533,7 @@ def test_apply_skips_invalid_actions_without_mutating():
         _act(ActionKind.HANDOVER, "u1", ("ca",), LOAD_BALANCE_ID),  # already serving
         _act(ActionKind.RELEASE_LEG, "u1", ("cb",), DUAL_CONN_ID),  # not attached
     ]
-    hist, events = apply_actions(net, bad, slot=0, epoch_index=0)
+    hist, events = apply_actions(net.context(), net, bad, slot=0)
     assert hist == []
     assert net.log == []
     assert [e.kind for e in events] == ["steer_error"] * 4
@@ -546,13 +541,31 @@ def test_apply_skips_invalid_actions_without_mutating():
     assert reasons == ["unknown_ue", "unknown_target", "already_serving", "not_attached"]
 
 
+def test_apply_refuses_a_second_leg_on_a_cell_already_held():
+    net = FakeNetwork({"ca", "cb", "cc"}, {"u1": "ca"})
+    net.secondary["u1"] = ["cb"]
+    held = [
+        _act(ActionKind.OFFLOAD, "u1", ("cb",), DUAL_CONN_ID),
+        _act(ActionKind.ADD_SECONDARY_CELL, "u1", ("cb",), "carrier_aggregation"),
+        _act(ActionKind.ADD_SECONDARY_CELL, "u1", ("ca",), "carrier_aggregation"),
+        _act(ActionKind.CONFIGURE_DC, "u1", ("ca", "cb"), DUAL_CONN_ID),
+    ]
+    for act in held:
+        hist, events = apply_actions(net.context(), net, [act], slot=0)
+        assert hist == [] and events[0].get("reason") == "already_attached"
+    assert net.log == []
+    free = _act(ActionKind.OFFLOAD, "u1", ("cc",), DUAL_CONN_ID)
+    hist, _ = apply_actions(net.context(), net, [free], slot=0)
+    assert [h.action for h in hist] == [free] and net.log == [("handover", "u1", "cc")]
+
+
 def test_apply_configure_dc_requires_master_to_serve():
     net = FakeNetwork({"ca", "cb"}, {"u1": "ca"})
     wrong = _act(ActionKind.CONFIGURE_DC, "u1", ("cb", "ca"), DUAL_CONN_ID)
-    hist, events = apply_actions(net, [wrong], slot=0, epoch_index=0)
+    hist, events = apply_actions(net.context(), net, [wrong], slot=0)
     assert hist == [] and events[0].get("reason") == "master_not_serving"
     right = _act(ActionKind.CONFIGURE_DC, "u1", ("ca", "cb"), DUAL_CONN_ID)
-    hist, events = apply_actions(net, [right], slot=0, epoch_index=0)
+    hist, events = apply_actions(net.context(), net, [right], slot=0)
     assert net.secondary["u1"] == ["cb"]
     assert [e.kind for e in events] == ["reconfigure", "add_leg"]
 
@@ -560,7 +573,7 @@ def test_apply_configure_dc_requires_master_to_serve():
 def test_apply_respects_eligibility():
     net = FakeNetwork({"ca", "cb"}, {"u1": "ca"}, eligible={"u1": {"ca"}})
     act = _act(ActionKind.HANDOVER, "u1", ("cb",), LOAD_BALANCE_ID)
-    hist, events = apply_actions(net, [act], slot=0, epoch_index=0)
+    hist, events = apply_actions(net.context(), net, [act], slot=0)
     assert hist == [] and events[0].get("reason") == "not_eligible"
 
 
