@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrmsim import channel as chan
+from rrmsim import pdcp
 from rrmsim.abstraction import MeasureKind, signal_db
 from rrmsim.cli import render_csv, render_events, render_summary
 from rrmsim.core import TrafficClass
@@ -638,3 +639,122 @@ def test_offload_onto_a_held_secondary_is_refused_as_already_attached(scenarios)
         "0 uts steer_error ue=ue-dc action=offload targets=small1 reason=already_attached"
     ]
     assert w.ues["ue-dc"].secondary == ("small1",)
+
+
+def _attach_world(flows, cells=("ca", "cb")):
+    """25-PRB cells 200 m apart in a row, steering off, and one UE ``u`` on
+    the first cell with ``flows``: (flow id, service) pairs."""
+    gens = {
+        "eMBB": {"kind": "full_buffer", "packet_bits": 1500, "watermark_bits": 6000},
+        "URLLC": {"kind": "periodic_deadline", "period_slots": 2, "packet_bits": 2000},
+    }
+    cfg = scenario_from_dict(
+        {
+            "name": "attach",
+            "sim": {"horizon_slots": 100, "seed": 1},
+            "network": {
+                "cells": [
+                    {"id": cid, "prbs_per_slot": 25, "position": [200.0 * i, 0.0]}
+                    for i, cid in enumerate(cells)
+                ]
+            },
+            "ues": [{"id": "u", "position": [50.0, 0.0], "serving_cell": cells[0]}],
+            "traffic": {
+                "flows": [
+                    {"id": fid, "ue": "u", "service": svc, "generator": gens[svc]}
+                    for fid, svc in flows
+                ]
+            },
+            "uts": {"enabled": False},
+        }
+    )
+    return World(cfg)
+
+
+def _attachment(w, flow_id):
+    """The UE's secondary cells, the flow's leg cells and each MAC's flows."""
+    legs = [leg.cell_id for leg in w.flows[flow_id].state.legs]
+    return w.ues["u"].secondary, legs, {cid: sorted(cr.mac.flows) for cid, cr in w.cells.items()}
+
+
+def _fill(leg, *sns):
+    for sn in sns:
+        leg.enqueue(pdcp.Pdu(sn=sn, bits=100.0 + sn, created_slot=0))
+
+
+def _sns(leg):
+    assert leg.queue_bits == sum(p.bits for p in leg.queue)
+    return [p.sn for p in leg.queue]
+
+
+def test_release_after_offload_keeps_the_flow_on_the_offload_target():
+    """The drop keeps a flow's last leg, so a released offload target still
+    carries the flow, and adding it back changes no legs."""
+    w = _attach_world([("f", "eMBB")])
+    on_cb = {"ca": [], "cb": ["f"]}
+    w.apply_offload("u", "cb")
+    assert _attachment(w, "f") == (("cb",), ["cb"], on_cb)
+    leg = w.flows["f"].state.legs[0]
+    w.apply_release_secondary("u", "cb")
+    assert _attachment(w, "f") == ((), ["cb"], on_cb)
+    w.apply_add_secondary("u", "cb")
+    assert _attachment(w, "f") == (("cb",), ["cb"], on_cb)
+    assert w.flows["f"].state.legs[0] is leg
+    assert w.ues["u"].serving == "ca"
+
+
+def test_handover_onto_a_held_secondary_merges_the_legs():
+    w = _attach_world([("f", "eMBB")])
+    w.apply_add_secondary("u", "cb")
+    state = w.flows["f"].state
+    src, dst = state.legs
+    _fill(src, 0, 2)
+    _fill(dst, 1)
+    state.mode, state.active_leg = pdcp.Mode.LOAD_BALANCE, 1
+    w.apply_handover("u", "cb")
+    assert _attachment(w, "f") == ((), ["cb"], {"ca": [], "cb": ["f"]})
+    assert state.legs[0] is dst
+    assert _sns(dst) == [1, 0, 2]  # the source queue follows, in order
+    assert state.mode is pdcp.Mode.AGGREGATE and state.active_leg == 0
+
+
+@pytest.mark.parametrize(
+    "mode, kept", [(pdcp.Mode.DUPLICATE, [0]), (pdcp.Mode.AGGREGATE, [0, 1, 2])]
+)
+def test_release_hands_the_queue_to_the_first_leg_left_unless_duplicating(mode, kept):
+    w = _attach_world([("f", "eMBB")])
+    w.apply_add_secondary("u", "cb")
+    state = w.flows["f"].state
+    first, dropped = state.legs
+    _fill(first, 0)
+    _fill(dropped, 1, 2)
+    state.mode, state.active_leg = mode, 1
+    w.apply_release_secondary("u", "cb")
+    assert _attachment(w, "f") == ((), ["ca"], {"ca": ["f"], "cb": []})
+    assert _sns(first) == kept
+    assert state.mode is pdcp.Mode.AGGREGATE and state.active_leg == 0
+
+
+def test_configure_dc_brings_an_offloaded_flow_to_the_master_then_adds_the_second():
+    w = _attach_world([("fe", "eMBB"), ("fu", "URLLC")], cells=("ca", "cb", "cc"))
+    w.apply_offload("u", "cb")
+    for fid in ("fe", "fu"):
+        _fill(w.flows[fid].state.legs[0], 0, 1)
+    w.apply_configure_dc("u", "ca", "cc")
+    both = {"ca": ["fe", "fu"], "cb": [], "cc": ["fe", "fu"]}
+    for fid, mode in (("fe", pdcp.Mode.AGGREGATE), ("fu", pdcp.Mode.DUPLICATE)):
+        state = w.flows[fid].state
+        assert _attachment(w, fid) == (("cb", "cc"), ["ca", "cc"], both)
+        assert _sns(state.legs[0]) == [0, 1] and _sns(state.legs[1]) == []
+        assert state.mode is mode and state.active_leg == 0
+
+
+def test_configure_dc_duplicates_a_urllc_flow_only_over_two_legs():
+    w = _attach_world([("fu", "URLLC")])
+    w.apply_configure_dc("u", "ca", "ca")
+    state = w.flows["fu"].state
+    assert [leg.cell_id for leg in state.legs] == ["ca"]
+    assert state.mode is pdcp.Mode.AGGREGATE
+    w.apply_configure_dc("u", "ca", "cb")
+    assert [leg.cell_id for leg in state.legs] == ["ca", "cb"]
+    assert state.mode is pdcp.Mode.DUPLICATE
