@@ -14,6 +14,12 @@ indexed once at construction. A per-UE RSRP cache and the mean SINRs derived
 from it fill as they are read and drop when the UE moves; the steering context
 reads through it, converting with ``signal_db``, and takes cell loads through
 ``load_fraction``. So a slot costs work per (UE, cell) pair that something reads.
+
+A flow's attachment changes in one place, ``World._attach``: it moves, adds
+or drops one leg (whose id is its cell's id) and keeps the MAC registrations,
+the queued PDUs, the last-leg rule and the mode's leg count in step. The five
+steering mutators go only through it, and so does an mMTC flow's handover,
+which carries its pending access attempts along.
 """
 
 from __future__ import annotations
@@ -137,16 +143,10 @@ class World:
         self.slot_seconds = 1e-3 / (2 ** config.cells[0].numerology)
 
         # Init-time indexes, O(U + F), so per-slot and per-handover paths never
-        # rescan the config: start positions by UE and each UE's flows in
-        # config order.
+        # rescan the config: start positions by UE, each UE's flows in config
+        # order (filled as the flows are built) and its services.
         self._start_position = {uc.ue_id: uc.position for uc in config.ues}
-        self._flows_by_ue: dict[str, list[FlowConfig]] = {uc.ue_id: [] for uc in config.ues}
-        for fc in config.flows:
-            self._flows_by_ue[fc.ue_id].append(fc)
-        self._services = MappingProxyType({
-            uid: tuple(sorted({fc.service for fc in fcs}, key=lambda s: s.value))
-            for uid, fcs in self._flows_by_ue.items()
-        })
+        self._flows_by_ue: dict[str, list[FlowRuntime]] = {uc.ue_id: [] for uc in config.ues}
 
         # per UE, then per cell: RSRP and the mean SINR derived from it; a UE
         # that moves drops both
@@ -176,20 +176,23 @@ class World:
         self.flows: dict[str, FlowRuntime] = {}
         for fc in config.flows:
             gen = traffic.make_generator(fc.generator_kind, fc.generator_params)
-            if fc.service is TrafficClass.MMTC:
-                state = None
-            else:
-                serving = self.ues[fc.ue_id].serving
-                state = pdcp.configure_legs(
+            state = None
+            if fc.service is not TrafficClass.MMTC:
+                state = pdcp.FlowState(
                     fc.flow_id,
-                    [self._make_leg(fc, serving)],
                     pdcp.Mode.AGGREGATE,
+                    [],
                     leave_load=config.pdcp.leave_load,
                     enter_load=config.pdcp.enter_load,
                 )
             rx = pdcp.ReceiverState(t_reorder_slots=config.pdcp.t_reorder_slots)
-            self.flows[fc.flow_id] = FlowRuntime(cfg=fc, generator=gen, state=state, rx=rx)
-            self._register_mac_flow(fc, self.ues[fc.ue_id].serving)
+            fr = self.flows[fc.flow_id] = FlowRuntime(cfg=fc, generator=gen, state=state, rx=rx)
+            self._flows_by_ue[fc.ue_id].append(fr)
+            self._attach(fr, None, self.ues[fc.ue_id].serving)
+        self._services = MappingProxyType({
+            uid: tuple(sorted({fr.cfg.service for fr in frs}, key=lambda s: s.value))
+            for uid, frs in self._flows_by_ue.items()
+        })
 
         self.controller = None
         if config.uts.enabled and (config.uts.features or extra_features):
@@ -238,43 +241,27 @@ class World:
             raise ValueError(f"UE {ue.ue_id!r} is eligible for no cell")
         return min(cands)[1]
 
-    def _make_leg(self, fc: FlowConfig, cell_id: str) -> pdcp.Leg:
-        cr = self.cells[cell_id]
-        portion = self._portion_for(self.ues[fc.ue_id].ue, cell_id)
-        eff = portion.waveform_efficiency if portion else 1.0
-        return pdcp.Leg(
-            leg_id=f"{fc.flow_id}@{cell_id}",
-            cell_id=cell_id,
-            capacity_bits_per_slot=capacity_score(cr.cell.grid, eff),
-            current_load=cr.descriptor.current_load,
-        )
-
-    def _sps_params(self, fc: FlowConfig, cell_id: str) -> tuple[int, int, int]:
-        gen = self.flows[fc.flow_id].generator
-        period = fc.sps_period_slots
-        offset = fc.sps_offset_slots
-        bits = None
-        if isinstance(gen, traffic.PeriodicDeadline):
-            period = period or gen.period_slots
-            offset = offset or gen.offset_slots
-            bits = gen.packet_bits
-        if period is None:
-            period = 10
-        prbs = fc.sps_prbs
-        if prbs is None:
-            portion = self._portion_for(self.ues[fc.ue_id].ue, cell_id)
-            rate = self.cells[cell_id].mac.reference_per_prb_bits(portion.key)
-            prbs = max(1, math.ceil((bits or 2000) / rate))
-        return period, prbs, offset
-
-    def _register_mac_flow(self, fc: FlowConfig, cell_id: str) -> None:
+    def _register_mac_flow(self, fr: FlowRuntime, cell_id: str) -> PortionSpec:
+        """Register the flow with the cell's MAC on the UE's best portion there.
+        A URLLC flow's explicit ``sps_*`` settings win; a periodic generator
+        fills in the rest, and the reservation covers one packet."""
+        fc = fr.cfg
         portion = self._portion_for(self.ues[fc.ue_id].ue, cell_id)
         if portion is None:
             raise ValueError(f"flow {fc.flow_id!r}: UE not eligible on cell {cell_id!r}")
-        sps_period = sps_prbs = None
-        sps_offset = 0
+        sps = {}
         if fc.service is TrafficClass.URLLC:
-            sps_period, sps_prbs, sps_offset = self._sps_params(fc, cell_id)
+            gen = fr.generator
+            period, prbs, offset = fc.sps_period_slots, fc.sps_prbs, fc.sps_offset_slots
+            bits = 2000
+            if isinstance(gen, traffic.PeriodicDeadline):
+                period = period or gen.period_slots
+                offset = offset or gen.offset_slots
+                bits = gen.packet_bits
+            if prbs is None:
+                rate = self.cells[cell_id].mac.reference_per_prb_bits(portion.key)
+                prbs = max(1, math.ceil(bits / rate))
+            sps = dict(sps_period_slots=period, sps_prbs=prbs, sps_offset_slots=offset)
         self.cells[cell_id].mac.register_flow(
             MacFlow(
                 flow_id=fc.flow_id,
@@ -282,123 +269,103 @@ class World:
                 service=fc.service,
                 portion_key=portion.key,
                 slice_id=fc.slice_id,
-                sps_period_slots=sps_period,
-                sps_prbs=sps_prbs,
-                sps_offset_slots=sps_offset,
+                **sps,
             )
         )
+        return portion
+
+    def _attach(
+        self, fr: FlowRuntime, src: str | None, dst: str | None, mode: pdcp.Mode | None = None
+    ) -> None:
+        """The one place a flow's attachment changes: move its leg on ``src``
+        to ``dst``, add a leg on ``dst`` (``src`` None) or drop the one on
+        ``src`` (``dst`` None). A leg's id is its cell's id.
+
+        In the same step the MACs follow (``src`` deregisters the flow,
+        ``dst`` registers it), the old leg's queue goes to the target leg, or
+        on a drop to the first leg left unless the flow duplicates, the flow
+        keeps its last leg, ``active_leg`` resets when a leg goes, and below
+        two legs the mode is AGGREGATE. ``mode``, if given, is the flow's mode
+        from now on. An mMTC flow has no legs: its registration moves and its
+        pending access attempts move with it.
+        """
+        fid, state = fr.cfg.flow_id, fr.state
+        if state is None:
+            moved = []
+            if src is not None:
+                mac = self.cells[src].mac
+                moved = [a for a in mac.pending if a.flow_id == fid]
+                mac.deregister_flow(fid)  # which drops them from src
+            key = self._register_mac_flow(fr, dst).key
+            for a in moved:
+                a.portion_key = key
+            self.cells[dst].mac.pending.extend(moved)
+            return
+        legs = state.legs
+        old = state.leg_by_cell(src) if src is not None else None
+        if src is not None and (old is None or (dst is None and len(legs) == 1)):
+            return  # no leg there, or the flow's last leg, which it keeps
+        new = state.leg_by_cell(dst) if dst is not None else None
+        if dst is not None and new is None:
+            eff = self._register_mac_flow(fr, dst).waveform_efficiency
+            new = pdcp.Leg(dst, dst, capacity_score(self.cells[dst].cell.grid, eff))
+            legs.insert(legs.index(old) if old is not None else len(legs), new)
+        if old is not None:
+            self.cells[src].mac.deregister_flow(fid)
+            legs.remove(old)
+            if dst is not None or state.mode is not pdcp.Mode.DUPLICATE:
+                into = new if dst is not None else legs[0]
+                for pdu in old.queue:  # carried over in order
+                    into.enqueue(pdu)
+            state.active_leg = 0
+        if mode is not None:
+            state.mode, state.active_leg = mode, 0
+        if len(legs) < 2:
+            state.mode = pdcp.Mode.AGGREGATE
 
     # ------------------------------------------------------------------
     # steering mutators, driven by uts.apply_actions
     # ------------------------------------------------------------------
 
-    def _flows_of(self, ue_id: str, with_state: bool = True):
-        for fc in self._flows_by_ue[ue_id]:
-            fr = self.flows[fc.flow_id]
-            if with_state and fr.state is None:
-                continue
-            yield fr
-
-    def _move_leg(self, fr: FlowRuntime, src: str, dst: str) -> None:
-        state = fr.state
-        src_leg = state.leg_by_cell(src)
-        if src_leg is None:
-            return
-        dst_leg = state.leg_by_cell(dst)
-        self.cells[src].mac.deregister_flow(fr.cfg.flow_id)
-        if dst_leg is None:
-            new_leg = self._make_leg(fr.cfg, dst)
-            state.legs[state.legs.index(src_leg)] = new_leg
-            self._register_mac_flow(fr.cfg, dst)
-            dst_leg = new_leg
-        else:
-            state.legs.remove(src_leg)
-        for pdu in src_leg.queue:  # carry queued data over, in order
-            dst_leg.enqueue(pdu)
-        if state.mode is not pdcp.Mode.AGGREGATE and len(state.legs) < 2:
-            state.mode = pdcp.Mode.AGGREGATE
-        state.active_leg = 0
-
-    def _drop_leg(self, fr: FlowRuntime, cell_id: str) -> None:
-        state = fr.state
-        leg = state.leg_by_cell(cell_id)
-        if leg is None or len(state.legs) <= 1:
-            return
-        self.cells[cell_id].mac.deregister_flow(fr.cfg.flow_id)
-        state.legs.remove(leg)
-        keep = state.legs[0]
-        if state.mode is not pdcp.Mode.DUPLICATE:
-            for pdu in leg.queue:
-                keep.enqueue(pdu)
-        if state.mode is not pdcp.Mode.AGGREGATE and len(state.legs) < 2:
-            state.mode = pdcp.Mode.AGGREGATE
-        state.active_leg = 0
-
-    def _move_attempts(self, ue_id: str, src: str, dst: str) -> None:
-        src_mac, dst_mac = self.cells[src].mac, self.cells[dst].mac
-        moved = [a for a in src_mac.pending if a.ue_id == ue_id]
-        if not moved:
-            return
-        src_mac.pending = [a for a in src_mac.pending if a.ue_id != ue_id]
-        for a in moved:
-            portion = self._portion_for(self.ues[ue_id].ue, dst)
-            a.portion_key = portion.key if portion else a.portion_key
-            dst_mac.pending.append(a)
-
     def apply_handover(self, ue_id: str, target: str) -> None:
         rt = self.ues[ue_id]
-        prev = rt.serving
-        rt.serving = target
+        prev, rt.serving = rt.serving, target
         rt.secondary = tuple(c for c in rt.secondary if c != target)
-        for fr in self._flows_of(ue_id):
-            self._move_leg(fr, prev, target)
-        for fc in self._flows_by_ue[ue_id]:
-            if self.flows[fc.flow_id].state is None:
-                self.cells[prev].mac.deregister_flow(fc.flow_id)
-                self._register_mac_flow(fc, target)
-        self._move_attempts(ue_id, prev, target)
+        for fr in self._flows_by_ue[ue_id]:
+            self._attach(fr, prev, target)
         self.serving_trace[ue_id].append((self.slot, target))
 
     def apply_offload(self, ue_id: str, target: str) -> None:
         """Move the UE's data legs to the target while the anchor stays."""
         rt = self.ues[ue_id]
-        for fr in self._flows_of(ue_id):
-            self._move_leg(fr, rt.serving, target)
+        for fr in self._flows_by_ue[ue_id]:
+            if fr.state is not None:
+                self._attach(fr, rt.serving, target)
         rt.secondary = rt.secondary + (target,)
 
     def apply_add_secondary(self, ue_id: str, target: str) -> None:
         rt = self.ues[ue_id]
         rt.secondary = rt.secondary + (target,)
-        for fr in self._flows_of(ue_id):
-            if fr.cfg.service not in (TrafficClass.EMBB, TrafficClass.LEGACY_MBB):
-                continue
-            if fr.state.leg_by_cell(target) is None:
-                fr.state.legs.append(self._make_leg(fr.cfg, target))
-                self._register_mac_flow(fr.cfg, target)
+        for fr in self._flows_by_ue[ue_id]:
+            if fr.cfg.service in (TrafficClass.EMBB, TrafficClass.LEGACY_MBB):
+                self._attach(fr, None, target)
 
     def apply_release_secondary(self, ue_id: str, target: str) -> None:
         rt = self.ues[ue_id]
         rt.secondary = tuple(c for c in rt.secondary if c != target)
-        for fr in self._flows_of(ue_id):
-            self._drop_leg(fr, target)
+        for fr in self._flows_by_ue[ue_id]:
+            if fr.state is not None:
+                self._attach(fr, target, None)
 
     def apply_configure_dc(self, ue_id: str, master: str, second: str) -> None:
         rt = self.ues[ue_id]
         rt.secondary = rt.secondary + (second,)
-        for fr in self._flows_of(ue_id):
-            state = fr.state
-            if state.leg_by_cell(master) is None:
-                # flow currently homed elsewhere; bring it to the master first
-                if state.legs:
-                    self._move_leg(fr, state.legs[0].cell_id, master)
-            if state.leg_by_cell(second) is None:
-                state.legs.append(self._make_leg(fr.cfg, second))
-                self._register_mac_flow(fr.cfg, second)
-            mode = self.config.pdcp.mode_for(fr.cfg.service)
-            if len(state.legs) < 2 and mode is pdcp.Mode.DUPLICATE:
-                mode = pdcp.Mode.AGGREGATE
-            state.mode = mode
-            state.active_leg = 0
+        for fr in self._flows_by_ue[ue_id]:
+            if fr.state is None:
+                continue
+            if fr.state.leg_by_cell(master) is None:  # homed elsewhere: to the master first
+                self._attach(fr, fr.state.legs[0].cell_id, master)
+            self._attach(fr, None, second, self.config.pdcp.mode_for(fr.cfg.service))
 
     # ------------------------------------------------------------------
     # per-slot stages
@@ -454,12 +421,11 @@ class World:
                     fr.attempts += 1
                 else:
                     epoch = self.slot // self.config.uts.epoch_slots
-                    for leg_id, _sn in pdcp.route_packet(fr.state, float(bits), self.slot, epoch):
-                        cell_id = leg_id.rsplit("@", 1)[1]
+                    for cell_id, _sn in pdcp.route_packet(fr.state, float(bits), self.slot, epoch):
                         fr.tx_pdus_by_cell[cell_id] = fr.tx_pdus_by_cell.get(cell_id, 0) + 1
 
     def _refresh_legs(self) -> None:
-        # A leg's capacity is fixed by its (UE, cell) when _make_leg builds it;
+        # A leg's capacity is fixed by its (UE, cell) when _attach builds it;
         # only the cell's load moves from slot to slot.
         for fr in self.flows.values():
             if fr.state is None:

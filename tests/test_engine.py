@@ -758,3 +758,46 @@ def test_configure_dc_duplicates_a_urllc_flow_only_over_two_legs():
     w.apply_configure_dc("u", "ca", "cb")
     assert [leg.cell_id for leg in state.legs] == ["ca", "cb"]
     assert state.mode is pdcp.Mode.DUPLICATE
+
+
+def test_an_mmtc_handover_carries_the_pending_attempts():
+    """A handover re-homes an mMTC flow's registration and the access
+    attempts it still has pending, re-keyed to the target's portion."""
+    gen = {"kind": "poisson_sporadic", "rate_per_slot": 0.3, "packet_bits": 200}
+    cfg = scenario_from_dict(
+        {
+            "name": "mmtc_pair",
+            "sim": {"horizon_slots": 100, "seed": 1},
+            "network": {
+                "cells": [
+                    {"id": "ca", "prbs_per_slot": 20, "position": [0.0, 0.0]},
+                    {"id": "cb", "prbs_per_slot": 20, "position": [300.0, 0.0],
+                     "portions": [{"key": "nb"}]},
+                ]
+            },
+            "ues": [
+                {"id": f"u{i}", "position": [10.0 * i, 5.0], "serving_cell": "ca"}
+                for i in range(12)
+            ],
+            "traffic": {
+                "flows": [
+                    {"id": f"f{i}", "ue": f"u{i}", "service": "mMTC", "generator": gen}
+                    for i in range(12)
+                ]
+            },
+            "uts": {"enabled": False},
+        }
+    )
+    w = World(cfg, seed=1)
+    for _ in range(13):
+        w.step_slot()
+
+    def pending(cid):
+        return [(a.flow_id, a.portion_key) for a in w.cells[cid].mac.pending if a.ue_id == "u0"]
+
+    assert (pending("ca"), pending("cb")) == ([("f0", "main")], [])
+    attempt = next(a for a in w.cells["ca"].mac.pending if a.ue_id == "u0")
+    w.apply_handover("u0", "cb")
+    assert (pending("ca"), pending("cb")) == ([], [("f0", "nb")])
+    assert w.cells["cb"].mac.pending == [attempt]
+    assert "f0" in w.cells["cb"].mac.flows and "f0" not in w.cells["ca"].mac.flows
