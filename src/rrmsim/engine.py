@@ -15,9 +15,17 @@ from it fill as they are read and drop when the UE moves; the steering context
 reads through it, converting with ``signal_db``, and takes cell loads through
 ``load_fraction``. So a slot costs work per (UE, cell) pair that something reads.
 
+Packets move as runs (``pdcp.Run``): a flow's arrivals in a slot are routed
+in one call, the drain uses up whole packets of a leg's head run with
+arithmetic, and the receiver and the delivery books take a run at a time.
+Latencies are kept as a count per latency in slots, so a flow's state does
+not grow with the horizon. Run arithmetic is exact because every bit amount
+is a whole number below 2**53; generator sizes and the MAC's served bits are
+checked where they enter (``pdcp.whole_bits``).
+
 A flow's attachment changes in one place, ``World._attach``: it moves, adds
 or drops one leg (whose id is its cell's id) and keeps the MAC registrations,
-the queued PDUs, the last-leg rule and the mode's leg count in step. The five
+the queued runs, the last-leg rule and the mode's leg count in step. The five
 steering mutators go only through it, and so does an mMTC flow's handover,
 which carries its pending access attempts along.
 """
@@ -54,7 +62,16 @@ from .mac import MacFlow, MacInstance, PortionSpec, SlotInputs
 from .scenario import FlowConfig, ScenarioConfig, build_domain, build_ue
 from .uts import LazyRow, MnoStrategy, UtsContext, UtsController, builtin_features
 
-STAGE_ORDER = ("mobility", "arrivals", "steering", "mac", "transport", "metrics")
+#: Each slot's stages in order, and the ``World`` method that runs each.
+STAGE_ORDER = (
+    ("mobility", "_refresh_positions"),
+    ("arrivals", "_arrivals"),
+    ("steering", "_steering"),
+    ("legs", "_refresh_legs"),
+    ("mac", "_run_macs"),
+    ("transport", "_reorder_ticks"),
+    ("metrics", "_metrics_rollup"),
+)
 
 
 @dataclass
@@ -91,13 +108,14 @@ class FlowRuntime:
     mac_served_bits: float = 0.0
     lost_in_transit: int = 0
     attempts: int = 0
-    latencies_slots: list = field(default_factory=list)
+    #: delivered packets by latency in slots
+    latency_counts: dict[int, int] = field(default_factory=dict)
     deadline_misses: int = 0
-    tx_pdus_by_cell: dict = field(default_factory=dict)
     # per-MAC-epoch window accumulators
     w_arrived: float = 0.0
     w_delivered: float = 0.0
-    w_latencies: list = field(default_factory=list)
+    w_latency_sum: int = 0
+    w_latency_n: int = 0
 
     def queued_bits(self) -> float:
         if self.state is None:
@@ -140,7 +158,12 @@ class World:
             )
 
         # numerology is validated to be uniform, so one slot clock serves all
-        self.slot_seconds = 1e-3 / (2 ** config.cells[0].numerology)
+        mu = config.cells[0].numerology
+        self.slot_seconds = 1e-3 / (2**mu)
+        # a power of two, so an integer latency sum times it is exact
+        self.slot_ms = self.slot_seconds * 1e3
+        if self.slot_ms != 2.0**-mu:
+            raise AssertionError(f"slot of {self.slot_ms!r} ms is not 2**-{mu}")
 
         # Init-time indexes, O(U + F), so per-slot and per-handover paths never
         # rescan the config: start positions by UE, each UE's flows in config
@@ -176,6 +199,11 @@ class World:
         self.flows: dict[str, FlowRuntime] = {}
         for fc in config.flows:
             gen = traffic.make_generator(fc.generator_kind, fc.generator_params)
+            # run arithmetic needs whole-number bits, and a packet has some
+            for name, low in (("packet_bits", 1), ("watermark_bits", 0)):
+                val = getattr(gen, name, low)
+                if not (pdcp.whole_bits(val) and val >= low):
+                    raise ValueError(f"flow {fc.flow_id!r}: {name} must be whole bits >= {low}")
             state = None
             if fc.service is not TrafficClass.MMTC:
                 state = pdcp.FlowState(
@@ -315,8 +343,8 @@ class World:
             legs.remove(old)
             if dst is not None or state.mode is not pdcp.Mode.DUPLICATE:
                 into = new if dst is not None else legs[0]
-                for pdu in old.queue:  # carried over in order
-                    into.enqueue(pdu)
+                for run in old.queue:  # carried over in order
+                    into.enqueue(run)
             state.active_leg = 0
         if mode is not None:
             state.mode, state.active_leg = mode, 0
@@ -409,20 +437,23 @@ class World:
         return val
 
     def _arrivals(self) -> None:
+        """Each flow's packets of this slot: one routed run, or for an mMTC
+        flow one access attempt per packet."""
+        epoch = self.slot // self.config.uts.epoch_slots
         for fc in self.config.flows:
             fr = self.flows[fc.flow_id]
-            pkts = fr.generator.step(self.slot, self.rng_traffic, fr.queued_bits())
-            for bits in pkts:
-                fr.arrived_bits += bits
-                fr.w_arrived += bits
-                if fr.state is None:
-                    serving = self.ues[fc.ue_id].serving
-                    self.cells[serving].mac.queue_attempt(fc.flow_id, float(bits), self.slot)
-                    fr.attempts += 1
-                else:
-                    epoch = self.slot // self.config.uts.epoch_slots
-                    for cell_id, _sn in pdcp.route_packet(fr.state, float(bits), self.slot, epoch):
-                        fr.tx_pdus_by_cell[cell_id] = fr.tx_pdus_by_cell.get(cell_id, 0) + 1
+            count, bits = fr.generator.step(self.slot, self.rng_traffic, fr.queued_bits())
+            if not count:
+                continue
+            fr.arrived_bits += bits * count
+            fr.w_arrived += bits * count
+            if fr.state is None:
+                mac = self.cells[self.ues[fc.ue_id].serving].mac
+                for _ in range(count):
+                    mac.queue_attempt(fc.flow_id, float(bits), self.slot)
+                fr.attempts += count
+            else:
+                pdcp.route_packet(fr.state, float(bits), self.slot, epoch, count)
 
     def _refresh_legs(self) -> None:
         # A leg's capacity is fixed by its (UE, cell) when _attach builds it;
@@ -486,49 +517,67 @@ class World:
         return out
 
     def _drain_flow(self, fr: FlowRuntime, cell_id: str, bits: float) -> float:
+        """Send ``bits`` from the flow's leg on ``cell_id``: finish the head
+        packet, then as many whole packets as the bits cover, then part of
+        the next. Each finished packet is lost with the cell's ``drop_prob``
+        (one draw per packet, in SN order) or received."""
         leg = fr.state.leg_by_cell(cell_id)
         if leg is None:
             return 0.0
         pool = bits
         drained = 0.0
         drop_prob = self.cells[cell_id].drop_prob
-        while pool > 0 and leg.queue:
-            head = leg.queue[0]
-            need = head.bits - leg.head_sent_bits
+        queue = leg.queue
+        while pool > 0 and queue:
+            sn, count, size, created = queue[0]
+            need = size - leg.head_sent_bits
             if pool < need:
                 leg.head_sent_bits += pool
                 leg.queue_bits -= pool
                 drained += pool
-                pool = 0.0
                 break
-            pool -= need
-            drained += need
-            leg.queue_bits -= need
-            leg.queue.popleft()
+            # whole-number bits, so this equals taking the packets one by one
+            done = 1 + min(count - 1, int((pool - need) // size))
+            used = need + (done - 1) * size
+            pool -= used
+            drained += used
+            leg.queue_bits -= used
             leg.head_sent_bits = 0.0
-            lost = drop_prob > 0.0 and float(self.rng_loss.random()) < drop_prob
-            if lost:
-                fr.lost_in_transit += 1
+            if done == count:
+                queue.popleft()
             else:
-                self._receive(fr, head)
+                queue[0] = pdcp.Run(sn + done, count - done, size, created)
+            first = 0  # the first finished packet not yet lost or received
+            if drop_prob > 0.0:
+                for i, lost in enumerate((self.rng_loss.random(done) < drop_prob).tolist()):
+                    if lost:
+                        fr.lost_in_transit += 1
+                        if i > first:
+                            self._receive(fr, sn + first, i - first, size, created)
+                        first = i + 1
+            if done > first:
+                self._receive(fr, sn + first, done - first, size, created)
         return drained
 
-    def _receive(self, fr: FlowRuntime, pdu: pdcp.Pdu) -> None:
-        for d in pdcp.reorder_deliver(fr.rx, pdu.sn, pdu.bits, pdu.created_slot, self.slot):
-            self._deliver(fr, d.bits, d.created_slot)
+    def _receive(self, fr: FlowRuntime, sn: int, count: int, bits: float, created: int) -> None:
+        for d in pdcp.reorder_deliver(fr.rx, sn, bits, created, self.slot, count):
+            self._deliver(fr, d.bits, d.created_slot, d.count)
 
-    def _deliver(self, fr: FlowRuntime, bits: float, created_slot: int) -> None:
-        """Book one delivery, in order or by random access: the flow's totals
-        and window, its latency and deadline, and the UE's steering window."""
-        fr.delivered_bits += bits
-        fr.w_delivered += bits
+    def _deliver(self, fr: FlowRuntime, bits: float, created_slot: int, count: int = 1) -> None:
+        """Book ``count`` deliveries of ``bits`` each, in order or by random
+        access: the flow's totals and window, its latency and deadline, and
+        the UE's steering window."""
+        total = bits * count
+        fr.delivered_bits += total
+        fr.w_delivered += total
         lat = self.slot - created_slot
-        fr.latencies_slots.append(lat)
-        fr.w_latencies.append(lat)
-        self.ues[fr.cfg.ue_id].delivered_window_bits += bits
+        fr.latency_counts[lat] = fr.latency_counts.get(lat, 0) + count
+        fr.w_latency_sum += lat * count
+        fr.w_latency_n += count
+        self.ues[fr.cfg.ue_id].delivered_window_bits += total
         if isinstance(fr.generator, traffic.PeriodicDeadline):
             if lat > fr.generator.deadline_slots:
-                fr.deadline_misses += 1
+                fr.deadline_misses += count
 
     def _run_macs(self) -> None:
         for cr, legs, rates in self._channel_inputs():
@@ -545,7 +594,10 @@ class World:
             cr.granted_prbs_total += len(res.alloc)
             for fid in sorted(res.served_bits):
                 fr = self.flows[fid]
-                got = self._drain_flow(fr, cid, res.served_bits[fid])
+                bits = res.served_bits[fid]
+                if not pdcp.whole_bits(bits):  # run arithmetic would round
+                    raise AssertionError(f"{cid} served {bits!r} bits to {fid}")
+                got = self._drain_flow(fr, cid, bits)
                 cr.served_bits_total += got
                 fr.mac_served_bits += got
             for att in res.access_delivered:
@@ -569,7 +621,7 @@ class World:
             if fr.state is None:
                 continue
             for d in pdcp.reorder_tick(fr.rx, self.slot):
-                self._deliver(fr, d.bits, d.created_slot)
+                self._deliver(fr, d.bits, d.created_slot, d.count)
 
     def _context(self) -> UtsContext:
         """This epoch's steering context. Each UE's signal row reads through
@@ -622,9 +674,7 @@ class World:
         epoch_s = self.config.mac.epoch_slots * self.slot_seconds
         for fc in self.config.flows:
             fr = self.flows[fc.flow_id]
-            mean_lat = (
-                sum(fr.w_latencies) / len(fr.w_latencies) if fr.w_latencies else None
-            )
+            mean_lat = fr.w_latency_sum / fr.w_latency_n if fr.w_latency_n else None
             self.rows.append(
                 {
                     "epoch": epoch,
@@ -642,7 +692,7 @@ class World:
             )
             fr.w_arrived = 0.0
             fr.w_delivered = 0.0
-            fr.w_latencies = []
+            fr.w_latency_sum = fr.w_latency_n = 0
             if fr.state is not None and len(fr.state.legs) > 1:
                 self.events.append(
                     Event.make(
@@ -652,20 +702,15 @@ class World:
                         flow=fc.flow_id,
                         mode=fr.state.mode.value,
                         legs="|".join(
-                            f"{c}:{n}" for c, n in sorted(fr.tx_pdus_by_cell.items())
+                            f"{c}:{n}" for c, n in sorted(fr.state.sent_pdus.items())
                         ),
                     )
                 )
 
     def step_slot(self) -> None:
-        """Advance the world one slot through the fixed stage order."""
-        self._refresh_positions()
-        self._arrivals()
-        self._steering()
-        self._refresh_legs()
-        self._run_macs()
-        self._reorder_ticks()
-        self._metrics_rollup()
+        """Advance the world one slot through ``STAGE_ORDER``."""
+        for _stage, method in STAGE_ORDER:
+            getattr(self, method)()
         self.slot += 1
 
     def run(self, horizon_slots: int | None = None) -> "RunResult":
@@ -697,11 +742,14 @@ class World:
 
     def build_report(self) -> "MetricsReport":
         per_flow = {}
-        all_lat: list[float] = []
+        all_lat: dict[int, int] = {}
         for fc in self.config.flows:
             fr = self.flows[fc.flow_id]
-            lat_ms = [l * self.slot_seconds * 1e3 for l in fr.latencies_slots]
-            all_lat.extend(lat_ms)
+            lat_sum = lat_n = 0
+            for lat, n in fr.latency_counts.items():
+                all_lat[lat] = all_lat.get(lat, 0) + n
+                lat_sum += lat * n
+                lat_n += n
             per_flow[fc.flow_id] = {
                 "ue": fc.ue_id,
                 "service": fc.service.value,
@@ -715,7 +763,7 @@ class World:
                 "lost_in_transit": fr.lost_in_transit,
                 "deadline_misses": fr.deadline_misses,
                 "access_attempts": fr.attempts,
-                "mean_latency_ms": (sum(lat_ms) / len(lat_ms)) if lat_ms else None,
+                "mean_latency_ms": lat_sum * self.slot_ms / lat_n if lat_n else None,
             }
         per_cell = {}
         horizon = max(self.slot, 1)
@@ -733,9 +781,12 @@ class World:
         except DegenerateInputError:
             fairness = None
         if all_lat:
-            p50, p95, p99 = (
-                float(x) for x in np.percentile(np.array(all_lat), [50, 95, 99])
-            )
+            # percentiles over every delivered packet, each latency in ms as
+            # it always was: l * slot_seconds * 1e3 is not always l * slot_ms
+            # (9 slots of 1 ms give 9.000000000000002)
+            values_ms = np.array([l * self.slot_seconds * 1e3 for l in all_lat])
+            per_packet = np.repeat(values_ms, list(all_lat.values()))
+            p50, p95, p99 = (float(x) for x in np.percentile(per_packet, [50, 95, 99]))
         else:
             p50 = p95 = p99 = None
         return MetricsReport(

@@ -1,10 +1,17 @@
 """Split-bearer flow control above the per-cell MACs.
 
 One flow may ride several connection legs (one per serving cell). The sender
-assigns sequence numbers and routes each packet according to the flow's mode:
+assigns sequence numbers and routes packets according to the flow's mode:
 pick the fastest leg, balance onto one leg with hysteresis, or duplicate onto
 every leg. The receiver delivers strictly in order, buffers gaps, discards
 duplicates silently, and declares a gap lost when its reorder timer expires.
+
+The unit both sides work on is a ``Run``: ``count`` identical packets with
+consecutive SNs, created in the same slot. A slot's arrivals for one flow are
+routed in one call, leg queues hold runs, and an in-order run with no gap
+buffered is delivered in one step. Bit amounts are whole numbers below
+2**53 (``whole_bits``), so ``bits * count`` equals the sum over the run's
+packets exactly, and a run gives the same result as its packets one by one.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 DEFAULT_T_REORDER_SLOTS = 50
 
@@ -19,6 +27,12 @@ DEFAULT_T_REORDER_SLOTS = 50
 DEFAULT_LEAVE_LOAD = 0.8
 #: ...and only for an alternative below this load.
 DEFAULT_ENTER_LOAD = 0.5
+
+
+def whole_bits(bits: float) -> bool:
+    """True if run arithmetic carries ``bits`` exactly: a whole number in
+    [0, 2**53), where floats hold every whole number, so sums do not round."""
+    return 0 <= bits < 2.0**53 and float(bits).is_integer()
 
 
 class Mode(str, Enum):
@@ -31,16 +45,20 @@ class ModeArityError(ValueError):
     """Raised when a mode's leg-count requirement is not met."""
 
 
-@dataclass(frozen=True)
-class Pdu:
+class Run(NamedTuple):
+    """``count`` packets of ``bits`` each, with SNs ``sn`` .. ``sn + count - 1``,
+    all created in ``created_slot``."""
+
     sn: int
+    count: int
     bits: float
     created_slot: int
 
 
 @dataclass
 class Leg:
-    """One connection leg: a queue toward one cell plus its quality estimate.
+    """One connection leg: a queue of runs toward one cell plus its quality
+    estimate.
 
     The owner sets ``capacity_bits_per_slot`` when it builds the leg and
     refreshes ``current_load`` from the cell; ``delay_estimate_slots`` is
@@ -53,12 +71,12 @@ class Leg:
     current_load: float = 0.0
     queue: deque = field(default_factory=deque)
     queue_bits: float = 0.0
-    #: bits of the head PDU already transmitted (partial-PDU progress)
+    #: bits already transmitted of the head run's first packet
     head_sent_bits: float = 0.0
 
-    def enqueue(self, pdu: Pdu) -> None:
-        self.queue.append(pdu)
-        self.queue_bits += pdu.bits
+    def enqueue(self, run: Run) -> None:
+        self.queue.append(run)
+        self.queue_bits += run.bits * run.count
 
     @property
     def delay_estimate_slots(self) -> float:
@@ -72,7 +90,8 @@ class FlowState:
     """Sender-side state of one flow: its legs, mode, and SN counter.
 
     SNs are unbounded ints, so a flow never runs out of them however long
-    the run.
+    the run. ``sent_pdus`` counts the packets routed onto each leg id over
+    the flow's life.
     """
 
     flow_id: str
@@ -83,6 +102,7 @@ class FlowState:
     next_sn: int = 0
     active_leg: int = 0
     last_switch_epoch: int = -1
+    sent_pdus: dict[str, int] = field(default_factory=dict)
 
     def leg_by_cell(self, cell_id: str) -> Leg | None:
         for leg in self.legs:
@@ -120,61 +140,79 @@ def configure_legs(
 
 
 def route_packet(
-    state: FlowState, packet_bits: float, created_slot: int = 0, epoch: int = 0
+    state: FlowState, packet_bits: float, created_slot: int = 0, epoch: int = 0, count: int = 1
 ) -> list[tuple[str, int]]:
-    """Assign the next SN and enqueue the packet on the mode's leg(s).
+    """Assign the next ``count`` SNs and enqueue the packets on the mode's
+    leg(s) as runs.
 
-    Returns (leg_id, sn) per copy sent. Aggregate picks the leg with the
-    smallest delay estimate (ties to the lowest leg index). Load-balance
+    Returns (leg_id, first SN) per run sent. Aggregate picks, per packet, the
+    leg with the smallest delay estimate (ties to the lowest leg index);
+    consecutive packets that pick the same leg form one run. Load-balance
     sticks to the active leg, switching at most once per epoch and only when
     the active leg's load exceeds ``leave_load`` while some alternative sits
-    below ``enter_load``. Duplicate sends the same SN on every leg.
+    below ``enter_load``; loads do not change within a call, so one decision
+    covers all ``count`` packets. Duplicate sends the same run on every leg.
+    Runs never merge across calls.
     """
+    if count < 1:
+        raise ValueError(f"flow {state.flow_id!r}: a run holds at least one packet, got {count}")
     sn = state.next_sn
-    state.next_sn += 1
-    pdu = Pdu(sn=sn, bits=packet_bits, created_slot=created_slot)
+    state.next_sn += count
+    legs = state.legs
 
     if state.mode is Mode.DUPLICATE:
-        if len(state.legs) < 2:
+        if len(legs) < 2:
             raise ModeArityError(f"flow {state.flow_id!r}: duplicate mode needs >= 2 legs")
-        for leg in state.legs:
-            leg.enqueue(pdu)
-        return [(leg.leg_id, sn) for leg in state.legs]
+        run = Run(sn, count, packet_bits, created_slot)
+        return [_send(state, leg, run) for leg in legs]
 
-    if state.mode is Mode.AGGREGATE:
-        best = min(range(len(state.legs)), key=lambda i: (state.legs[i].delay_estimate_slots, i))
-        state.legs[best].enqueue(pdu)
-        return [(state.legs[best].leg_id, sn)]
+    if state.mode is Mode.AGGREGATE and len(legs) > 1:
+        # per packet, each seeing the bits its predecessors queued; a packet
+        # that picks its predecessor's leg joins that run
+        sent: list[tuple[str, int]] = []
+        prev = None
+        for s in range(sn, sn + count):
+            leg = legs[min(range(len(legs)), key=lambda i: (legs[i].delay_estimate_slots, i))]
+            if leg is prev:
+                tail = leg.queue[-1]
+                leg.queue[-1] = tail._replace(count=tail.count + 1)
+                leg.queue_bits += packet_bits
+                state.sent_pdus[leg.leg_id] += 1
+            else:
+                sent.append(_send(state, leg, Run(s, 1, packet_bits, created_slot)))
+            prev = leg
+        return sent
 
-    # load_balance
-    if state.active_leg >= len(state.legs):
-        state.active_leg = 0
-    cur = state.legs[state.active_leg]
-    if cur.current_load > state.leave_load and state.last_switch_epoch != epoch:
-        alts = [
-            i
-            for i in range(len(state.legs))
-            if i != state.active_leg and state.legs[i].current_load < state.enter_load
-        ]
-        if alts:
-            best = min(alts, key=lambda i: (state.legs[i].current_load, i))
-            state.active_leg = best
-            state.last_switch_epoch = epoch
-    leg = state.legs[state.active_leg]
-    leg.enqueue(pdu)
-    return [(leg.leg_id, sn)]
+    if state.mode is Mode.LOAD_BALANCE:
+        if state.active_leg >= len(legs):
+            state.active_leg = 0
+        cur = legs[state.active_leg]
+        if cur.current_load > state.leave_load and state.last_switch_epoch != epoch:
+            alts = [
+                i
+                for i in range(len(legs))
+                if i != state.active_leg and legs[i].current_load < state.enter_load
+            ]
+            if alts:
+                best = min(alts, key=lambda i: (legs[i].current_load, i))
+                state.active_leg = best
+                state.last_switch_epoch = epoch
+        leg = legs[state.active_leg]
+    else:  # aggregate over its one leg
+        leg = legs[0]
+    return [_send(state, leg, Run(sn, count, packet_bits, created_slot))]
 
 
-@dataclass(frozen=True)
-class Delivered:
-    sn: int
-    bits: float
-    created_slot: int
+def _send(state: FlowState, leg: Leg, run: Run) -> tuple[str, int]:
+    leg.enqueue(run)
+    state.sent_pdus[leg.leg_id] = state.sent_pdus.get(leg.leg_id, 0) + run.count
+    return leg.leg_id, run.sn
 
 
 @dataclass
 class ReceiverState:
-    """Receive-side reordering window for one flow."""
+    """Receive-side reordering window for one flow. ``buffer`` maps each
+    buffered SN to its (bits, created_slot)."""
 
     t_reorder_slots: int = DEFAULT_T_REORDER_SLOTS
     expected_sn: int = 0
@@ -185,51 +223,61 @@ class ReceiverState:
     lost_count: int = 0
 
 
-def _drain(rx: ReceiverState, out: list[Delivered]) -> None:
+def _drain(rx: ReceiverState, out: list[Run]) -> None:
     while rx.expected_sn in rx.buffer:
         bits, created = rx.buffer.pop(rx.expected_sn)
-        out.append(Delivered(rx.expected_sn, bits, created))
+        out.append(Run(rx.expected_sn, 1, bits, created))
         rx.expected_sn += 1
         rx.delivered_count += 1
 
 
 def reorder_deliver(
-    rx: ReceiverState, sn: int, bits: float, created_slot: int, now: int
-) -> list[Delivered]:
-    """Accept one arriving PDU; return everything deliverable in order.
+    rx: ReceiverState, sn: int, bits: float, created_slot: int, now: int, count: int = 1
+) -> list[Run]:
+    """Accept an arriving run of ``count`` packets from ``sn`` on; return
+    everything deliverable in order, as runs.
 
-    Already-delivered or already-buffered SNs are dropped silently (duplicate
-    elimination). An out-of-order arrival opens the gap timer; a delivery
-    that still leaves a gap restarts it.
+    The run is taken SN by SN, with the same result as ``count`` one-packet
+    calls: already-delivered or already-buffered SNs are dropped silently
+    (duplicate elimination); an out-of-order arrival opens the gap timer; a
+    delivery that still leaves a gap restarts it. Once an SN is the expected
+    one and nothing is buffered, the rest of the run is delivered at once.
     """
-    if sn < rx.expected_sn or sn in rx.buffer:
-        rx.duplicates_dropped += 1
-        return []
-    out: list[Delivered] = []
-    if sn == rx.expected_sn:
-        out.append(Delivered(sn, bits, created_slot))
-        rx.expected_sn += 1
-        rx.delivered_count += 1
-        _drain(rx, out)
-    else:
-        rx.buffer[sn] = (bits, created_slot)
-    if rx.buffer:
-        if rx.gap_since is None:
-            rx.gap_since = now
-        elif out:
-            rx.gap_since = now  # a new gap is now at the head
-    else:
-        rx.gap_since = None
+    out: list[Run] = []
+    for s in range(sn, sn + count):
+        if s == rx.expected_sn and not rx.buffer:
+            rest = sn + count - s
+            out.append(Run(s, rest, bits, created_slot))
+            rx.expected_sn += rest
+            rx.delivered_count += rest
+            rx.gap_since = None
+            break
+        if s < rx.expected_sn or s in rx.buffer:
+            rx.duplicates_dropped += 1
+            continue
+        before = len(out)
+        if s == rx.expected_sn:
+            out.append(Run(s, 1, bits, created_slot))
+            rx.expected_sn += 1
+            rx.delivered_count += 1
+            _drain(rx, out)
+        else:
+            rx.buffer[s] = (bits, created_slot)
+        if rx.buffer:
+            if rx.gap_since is None or len(out) > before:
+                rx.gap_since = now  # a gap just opened, or a delivery left a new one
+        else:
+            rx.gap_since = None
     return out
 
 
-def reorder_tick(rx: ReceiverState, now: int) -> list[Delivered]:
+def reorder_tick(rx: ReceiverState, now: int) -> list[Run]:
     """Advance the reorder timer; on expiry, declare the head gap lost.
 
     Releases the buffered SNs above the expired gap (in order); a remaining
     gap restarts the timer at ``now``.
     """
-    out: list[Delivered] = []
+    out: list[Run] = []
     if rx.gap_since is None:
         return out
     if now - rx.gap_since < rx.t_reorder_slots:

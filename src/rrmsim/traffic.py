@@ -2,8 +2,9 @@
 
 Three generator kinds: a saturated source that keeps a queue topped up, a
 sporadic small-packet source with Poisson arrivals, and a strictly periodic
-source with a delivery deadline. Each step returns the packet sizes (bits)
-arriving in that slot.
+source with a delivery deadline. Every packet of a generator has the same
+size, so each step returns ``(count, bits)``: how many packets arrive in that
+slot and the size of each.
 """
 
 from __future__ import annotations
@@ -20,13 +21,11 @@ class FullBuffer:
     packet_bits: int = 1500 * 8
     watermark_bits: int = 10 * 1500 * 8
 
-    def step(self, slot: int, rng: np.random.Generator, queued_bits: float) -> list[int]:
-        out = []
-        level = queued_bits
-        while level < self.watermark_bits:
-            out.append(self.packet_bits)
-            level += self.packet_bits
-        return out
+    def step(self, slot: int, rng: np.random.Generator, queued_bits: float) -> tuple[int, int]:
+        # the fewest packets that lift the queue to the watermark; bit
+        # amounts are whole numbers, so the float floor division is exact
+        deficit = self.watermark_bits - queued_bits
+        return (int(-(-deficit // self.packet_bits)) if deficit > 0 else 0), self.packet_bits
 
 
 @dataclass
@@ -36,9 +35,8 @@ class PoissonSporadic:
     rate_per_slot: float = 0.01
     packet_bits: int = 256
 
-    def step(self, slot: int, rng: np.random.Generator, queued_bits: float) -> list[int]:
-        k = int(rng.poisson(self.rate_per_slot))
-        return [self.packet_bits] * k
+    def step(self, slot: int, rng: np.random.Generator, queued_bits: float) -> tuple[int, int]:
+        return int(rng.poisson(self.rate_per_slot)), self.packet_bits
 
 
 @dataclass
@@ -50,10 +48,9 @@ class PeriodicDeadline:
     deadline_slots: int = 10
     offset_slots: int = 0
 
-    def step(self, slot: int, rng: np.random.Generator, queued_bits: float) -> list[int]:
-        if slot >= self.offset_slots and (slot - self.offset_slots) % self.period_slots == 0:
-            return [self.packet_bits]
-        return []
+    def step(self, slot: int, rng: np.random.Generator, queued_bits: float) -> tuple[int, int]:
+        due = slot >= self.offset_slots and (slot - self.offset_slots) % self.period_slots == 0
+        return int(due), self.packet_bits
 
 
 GENERATOR_KINDS = {

@@ -112,27 +112,44 @@ def test_sinr_composes_budget_and_fading():
 def test_full_buffer_keeps_watermark():
     g = FullBuffer(packet_bits=1000, watermark_bits=5000)
     rng = np.random.default_rng(0)
-    burst = g.step(0, rng, queued_bits=0.0)
-    assert sum(burst) >= 5000 and set(burst) == {1000}
-    assert g.step(1, rng, queued_bits=5000.0) == []
-    assert g.step(2, rng, queued_bits=4999.0) == [1000]
+    count, bits = g.step(0, rng, queued_bits=0.0)
+    assert count * bits >= 5000 and bits == 1000
+    assert g.step(1, rng, queued_bits=5000.0)[0] == 0
+    assert g.step(2, rng, queued_bits=4999.0) == (1, 1000)
 
 
 def test_periodic_deadline_arrival_slots():
     g = PeriodicDeadline(period_slots=10, packet_bits=800, deadline_slots=10, offset_slots=3)
     rng = np.random.default_rng(0)
-    arrivals = [s for s in range(50) if g.step(s, rng, 0.0)]
+    arrivals = [s for s in range(50) if g.step(s, rng, 0.0)[0]]
     assert arrivals == [3, 13, 23, 33, 43]
-    assert g.step(13, rng, 0.0) == [800]
-    assert g.step(14, rng, 0.0) == []
+    assert g.step(13, rng, 0.0) == (1, 800)
+    assert g.step(14, rng, 0.0)[0] == 0
 
 
 def test_poisson_count_matches_rate():
     g = PoissonSporadic(rate_per_slot=1.0, packet_bits=256)
     rng = np.random.default_rng(123)
-    n = sum(len(g.step(s, rng, 0.0)) for s in range(1000))
+    n = sum(g.step(s, rng, 0.0)[0] for s in range(1000))
     # 1000 expected arrivals; allow three standard deviations
     assert abs(n - 1000) <= 3 * math.sqrt(1000)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    packet_bits=st.integers(min_value=1, max_value=20_000),
+    watermark_bits=st.integers(min_value=0, max_value=200_000),
+    queued_bits=st.integers(min_value=0, max_value=250_000),
+)
+def test_full_buffer_count_equals_topping_up_one_packet_at_a_time(
+    packet_bits, watermark_bits, queued_bits
+):
+    count, bits = FullBuffer(packet_bits, watermark_bits).step(0, None, float(queued_bits))
+    level, want = float(queued_bits), 0
+    while level < watermark_bits:
+        level += packet_bits
+        want += 1
+    assert (count, bits) == (want, packet_bits) and type(count) is int
 
 
 def test_poisson_reproducible_per_seed():

@@ -81,6 +81,72 @@ def test_clean_channel_conserves_every_bit(scenarios):
             assert 0.0 <= gap <= pkt[fid] + 1e-9, fid
 
 
+def _ledger(w, fr):
+    """A flow's bit ledger: (arrived, queued + in flight + completed) and
+    (MAC-served, in flight + completed). In flight is the sent part of each
+    leg's head packet; completed packets were received (delivered, buffered,
+    or dropped as arriving after the reorder timer gave them up) or lost in
+    transit. An mMTC flow's queue is its pending access attempts."""
+    fid = fr.cfg.flow_id
+    if fr.state is None:
+        pending = sum(
+            a.payload_bits for cr in w.cells.values() for a in cr.mac.pending if a.flow_id == fid
+        )
+        return (fr.arrived_bits, pending + fr.mac_served_bits), (0.0, 0.0)
+    legs = fr.state.legs
+    queued = sum(leg.queue_bits for leg in legs)
+    in_flight = sum(leg.head_sent_bits for leg in legs)
+    late_or_lost = (fr.rx.duplicates_dropped + fr.lost_in_transit) * fr.generator.packet_bits
+    buffered = sum(bits for bits, _ in fr.rx.buffer.values())
+    completed = fr.delivered_bits + buffered + late_or_lost
+    return (fr.arrived_bits, queued + in_flight + completed), (
+        fr.mac_served_bits,
+        in_flight + completed,
+    )
+
+
+@pytest.mark.parametrize("seed", (1, 7))
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIO_DIR.glob("*.yaml")))
+def test_bit_ledger_balances_every_mac_epoch(scenarios, name, seed):
+    """Every bit that arrived is queued, half sent, or in a completed
+    packet, and every bit the MAC served is in the last two, exactly. A flow
+    that ever duplicates is left out: its copies count twice."""
+    w = World(scenarios[name], seed=seed)
+    duplicating = set()
+    checks = 0
+    while w.slot < w.config.sim.horizon_slots:
+        w.step_slot()
+        duplicating.update(
+            fid for fid, fr in w.flows.items()
+            if fr.state is not None and fr.state.mode is pdcp.Mode.DUPLICATE
+        )
+        if w.slot % w.config.mac.epoch_slots:
+            continue
+        for fid, fr in w.flows.items():
+            if fid not in duplicating:
+                (arrived, held), (served, sent) = _ledger(w, fr)
+                assert arrived == held and served == sent, (w.slot, fid)
+                checks += 1
+    assert checks >= len(w.flows) - len(duplicating)
+
+
+def test_latency_books_do_not_grow_with_the_horizon(scenarios):
+    """Twice the horizon delivers about twice the packets into the same few
+    latency entries: one per distinct latency, not one per packet."""
+    cfg = scenarios["two_cell_load_balance"]
+    w = World(cfg, seed=1)
+    horizon = cfg.sim.horizon_slots
+    tables = []
+    for end in (horizon, 2 * horizon):
+        w.run(end)
+        tables.append({fid: dict(fr.latency_counts) for fid, fr in w.flows.items()})
+    for fid, fr in w.flows.items():
+        short, long = tables[0][fid], tables[1][fid]
+        assert sum(long.values()) == fr.rx.delivered_count > 1.9 * sum(short.values())
+        assert all(n > 0 for n in long.values())
+        assert len(long) <= 2 and len(short) <= 2, (fid, short, long)
+
+
 def test_steering_happens_only_on_uts_epoch_boundaries(scenarios):
     cfg = _short(scenarios, "two_cell_load_balance", 600)
     res = run_scenario(cfg)
@@ -143,7 +209,7 @@ def test_late_random_access_deliveries_count_as_deadline_misses():
     )
     w = World(cfg)
     report = w.run().report
-    late = sum(lat > 1 for lat in w.flows["f1"].latencies_slots)
+    late = sum(n for lat, n in w.flows["f1"].latency_counts.items() if lat > 1)
     assert late > 0 and report.rach_successes > 0
     assert report.per_flow["f1"]["deadline_misses"] == late
 
@@ -199,7 +265,16 @@ def test_world_run_can_be_stepped_manually(scenarios):
 def test_stage_order_is_declared():
     from rrmsim.engine import STAGE_ORDER
 
-    assert STAGE_ORDER == ("mobility", "arrivals", "steering", "mac", "transport", "metrics")
+    assert STAGE_ORDER == (
+        ("mobility", "_refresh_positions"),
+        ("arrivals", "_arrivals"),
+        ("steering", "_steering"),
+        ("legs", "_refresh_legs"),
+        ("mac", "_run_macs"),
+        ("transport", "_reorder_ticks"),
+        ("metrics", "_metrics_rollup"),
+    )
+    assert all(callable(getattr(World, method)) for _, method in STAGE_ORDER)
 
 
 def test_caller_supplied_feature_joins_the_loop(scenarios):
@@ -679,12 +754,12 @@ def _attachment(w, flow_id):
 
 def _fill(leg, *sns):
     for sn in sns:
-        leg.enqueue(pdcp.Pdu(sn=sn, bits=100.0 + sn, created_slot=0))
+        leg.enqueue(pdcp.Run(sn=sn, count=1, bits=100.0 + sn, created_slot=0))
 
 
 def _sns(leg):
-    assert leg.queue_bits == sum(p.bits for p in leg.queue)
-    return [p.sn for p in leg.queue]
+    assert leg.queue_bits == sum(r.bits * r.count for r in leg.queue)
+    return [sn for r in leg.queue for sn in range(r.sn, r.sn + r.count)]
 
 
 def test_release_after_offload_keeps_the_flow_on_the_offload_target():
@@ -801,3 +876,20 @@ def test_an_mmtc_handover_carries_the_pending_attempts():
     assert (pending("ca"), pending("cb")) == ([], [("f0", "nb")])
     assert w.cells["cb"].mac.pending == [attempt]
     assert "f0" in w.cells["cb"].mac.flows and "f0" not in w.cells["ca"].mac.flows
+
+
+@pytest.mark.parametrize(
+    "params", [{"packet_bits": 1500.5}, {"packet_bits": 0}, {"watermark_bits": 2.0**53}]
+)
+def test_a_generator_size_that_run_arithmetic_would_round_is_refused(params):
+    cfg = scenario_from_dict(
+        {
+            "name": "bits",
+            "network": {"cells": [{"id": "c1", "prbs_per_slot": 10}]},
+            "ues": [{"id": "u1", "position": [30.0, 0.0]}],
+            "traffic": {"flows": [{"id": "f1", "ue": "u1", "generator": {"kind": "full_buffer"}}]},
+        }
+    )
+    cfg.flows[0].generator_params.update(params)
+    with pytest.raises(ValueError, match="f1"):
+        World(cfg)

@@ -10,6 +10,7 @@ from rrmsim.pdcp import (
     Mode,
     ModeArityError,
     ReceiverState,
+    Run,
     configure_legs,
     reorder_deliver,
     reorder_tick,
@@ -236,3 +237,152 @@ def test_duplicate_legs_mask_single_leg_loss():
     assert delivered + rx.lost_count == rx.expected_sn
     assert delivered > 2000 * 0.9
     assert rx.lost_count < 2000 * 0.04 * 2.5
+
+
+# ---------------------------------------------------------------------------
+# packet runs
+# ---------------------------------------------------------------------------
+
+def _packets(runs):
+    """Runs as one (sn, bits, created_slot) per packet, in order."""
+    return [(s, r.bits, r.created_slot) for r in runs for s in range(r.sn, r.sn + r.count)]
+
+
+def test_a_run_is_routed_in_one_piece_except_across_aggregate_picks():
+    a, b = mk_leg("a"), mk_leg("b")
+    state = configure_legs("f", [a, b], Mode.DUPLICATE)
+    assert route_packet(state, 64.0, created_slot=3, count=4) == [("a", 0), ("b", 0)]
+    assert list(a.queue) == list(b.queue) == [Run(0, 4, 64.0, 3)]
+    assert a.queue_bits == b.queue_bits == 256.0
+    assert state.next_sn == 4 and state.sent_pdus == {"a": 4, "b": 4}
+
+    # aggregate: b starts 250 bits behind a, so the packets go a, a, a, b, a, b
+    a, b = mk_leg("a"), mk_leg("b", queued=250.0)
+    state = configure_legs("f", [a, b], Mode.AGGREGATE)
+    assert route_packet(state, 100.0, count=6) == [("a", 0), ("b", 3), ("a", 4), ("b", 5)]
+    assert list(a.queue) == [Run(0, 3, 100.0, 0), Run(4, 1, 100.0, 0)]
+    assert list(b.queue) == [Run(3, 1, 100.0, 0), Run(5, 1, 100.0, 0)]
+    assert (a.queue_bits, b.queue_bits) == (400.0, 450.0)
+    # runs never merge across calls
+    route_packet(state, 100.0, count=1)
+    assert list(a.queue)[-1] == Run(6, 1, 100.0, 0)
+
+    with pytest.raises(ValueError):
+        route_packet(state, 100.0, count=0)
+
+
+def test_an_in_order_run_is_delivered_whole_and_a_gap_splits_it():
+    rx = ReceiverState()
+    assert reorder_deliver(rx, 0, 8.0, 0, now=0, count=5) == [Run(0, 5, 8.0, 0)]
+    assert (rx.expected_sn, rx.delivered_count) == (5, 5)
+    # 5..6 missing: 7..9 buffered SN by SN
+    assert reorder_deliver(rx, 7, 8.0, 1, now=1, count=3) == []
+    assert sorted(rx.buffer) == [7, 8, 9] and rx.gap_since == 1
+    # 4..5: 4 is a duplicate; 5 is delivered, and the gap left at 6 restarts the timer
+    assert _packets(reorder_deliver(rx, 4, 8.0, 2, now=2, count=2)) == [(5, 8.0, 2)]
+    assert rx.duplicates_dropped == 1 and rx.gap_since == 2
+    # 6 closes the gap and releases the buffer
+    out = reorder_deliver(rx, 6, 8.0, 3, now=3)
+    assert _packets(out) == [(6, 8.0, 3), (7, 8.0, 1), (8, 8.0, 1), (9, 8.0, 1)]
+    assert rx.buffer == {} and rx.gap_since is None and rx.delivered_count == 10
+
+
+def test_a_batch_of_uniforms_is_the_same_as_one_draw_at_a_time():
+    batch, one = np.random.default_rng(11), np.random.default_rng(11)
+    for k in (1, 7, 64, 3):
+        assert batch.random(k).tolist() == [float(one.random()) for _ in range(k)]
+
+
+def _take(leg, k):
+    """Take the first ``k`` packets off the leg's queue, as runs."""
+    out = []
+    while k and leg.queue:
+        r = leg.queue[0]
+        n = min(k, r.count)
+        out.append(Run(r.sn, n, r.bits, r.created_slot))
+        if n == r.count:
+            leg.queue.popleft()
+        else:
+            leg.queue[0] = Run(r.sn + n, r.count - n, r.bits, r.created_slot)
+        leg.queue_bits -= r.bits * n
+        k -= n
+    return out
+
+
+def _rx_state(rx):
+    return (rx.expected_sn, rx.buffer, rx.gap_since, rx.delivered_count,
+            rx.duplicates_dropped, rx.lost_count)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    mode=st.sampled_from(list(Mode)),
+    n_legs=st.integers(min_value=1, max_value=3),
+    loss=st.sampled_from([0.0, 0.25, 0.6]),
+    slots=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_a_run_of_n_packets_equals_n_single_packet_calls(mode, n_legs, loss, slots, seed):
+    """Route, lose, reorder and deliver the same traffic twice: once as runs,
+    once packet by packet. Legs drain unevenly and in a shuffled order, so
+    packets arrive out of order (and twice when duplicating)."""
+    if mode is Mode.DUPLICATE:
+        n_legs = max(n_legs, 2)
+    rng = np.random.default_rng(seed)
+    caps = [float(c) for c in rng.choice([0.0, 300.0, 700.0, 1500.0], n_legs)]
+
+    def build():
+        legs = [mk_leg(f"l{i}", capacity=c) for i, c in enumerate(caps)]
+        return configure_legs("f", legs, mode, 0.6, 0.4), ReceiverState(t_reorder_slots=3)
+
+    runs_tx, runs_rx = build()
+    one_tx, one_rx = build()
+    got_runs, got_one = [], []
+    for slot in range(slots):
+        epoch = slot // 4
+        loads = rng.uniform(0.0, 1.0, n_legs).tolist()
+        for tx in (runs_tx, one_tx):
+            for leg, load in zip(tx.legs, loads):
+                leg.current_load = load
+        count, bits = int(rng.integers(0, 9)), float(rng.integers(1, 600))
+        if count:
+            route_packet(runs_tx, bits, slot, epoch, count)
+            for _ in range(count):
+                route_packet(one_tx, bits, slot, epoch)
+        for a, b in zip(runs_tx.legs, one_tx.legs):
+            assert _packets(a.queue) == _packets(b.queue)
+            assert a.queue_bits == b.queue_bits
+        assert (runs_tx.next_sn, runs_tx.active_leg, runs_tx.last_switch_epoch, runs_tx.sent_pdus) == (
+            one_tx.next_sn, one_tx.active_leg, one_tx.last_switch_epoch, one_tx.sent_pdus
+        )
+
+        order = rng.permutation(n_legs).tolist()
+        for i in order:
+            k = int(rng.integers(0, 7))
+            taken = _take(runs_tx.legs[i], k)
+            assert _packets(taken) == _packets(_take(one_tx.legs[i], k))
+            lost = (rng.random(len(_packets(taken))) < loss).tolist()
+            # as runs: each stretch between lost packets arrives in one call
+            j = 0
+            for r in taken:
+                first = 0
+                for x in range(r.count):
+                    if lost[j + x]:
+                        if x > first:
+                            got_runs += reorder_deliver(runs_rx, r.sn + first, r.bits,
+                                                        r.created_slot, slot, x - first)
+                        first = x + 1
+                if r.count > first:
+                    got_runs += reorder_deliver(runs_rx, r.sn + first, r.bits, r.created_slot,
+                                                slot, r.count - first)
+                j += r.count
+            # packet by packet
+            for (sn, b, created), dropped in zip(_packets(taken), lost):
+                if not dropped:
+                    got_one += reorder_deliver(one_rx, sn, b, created, slot)
+            assert _rx_state(runs_rx) == _rx_state(one_rx)
+        got_runs += reorder_tick(runs_rx, slot)
+        got_one += reorder_tick(one_rx, slot)
+        assert _rx_state(runs_rx) == _rx_state(one_rx)
+    assert all(r.count == 1 for r in got_one)
+    assert [(s, c) for s, _, c in _packets(got_runs)] == [(s, c) for s, _, c in _packets(got_one)]
