@@ -1,9 +1,10 @@
 """Radio channel model: log-distance pathloss, counter-seeded fast fading,
-and the per-slot SINR seen by a UE toward a cell.
+and the fading-free SINR seen by a UE toward a cell.
 
 Fading is replayable: the dB excursion for (ue, cell, slot) comes from a
-counter-based hash, so any slot can be evaluated independently and the whole
-surface is a pure function of the fading seed.
+counter-based hash, so any slot can be evaluated independently, or a block
+of slots in one call, and the whole surface is a pure function of the fading
+seed. The engine adds the excursion to the mean SINR for each slot's rate.
 """
 
 from __future__ import annotations
@@ -64,49 +65,31 @@ def noise_floor_dbm(cfg: ChannelConfig, prb_bandwidth_hz: float) -> float:
     return cfg.noise_psd_dbm_hz + 10.0 * math.log10(prb_bandwidth_hz)
 
 
-def fading_db(cfg: ChannelConfig, ue_index: int, cell_index: int, slot: int) -> float:
-    """Rayleigh-style fading excursion in dB for one (ue, cell, slot) triple.
+def fading_db_batch(cfg: ChannelConfig, ue_indices, cell_indices, slots) -> np.ndarray:
+    """Rayleigh-style fading excursions in dB, broadcast over the UE, cell
+    and slot indices: parallel pair arrays with one slot, or (pairs, 1)
+    columns against a row of slots for a block of slots at once.
 
     The hash gives a uniform; -log(1-u) is the unit-mean exponential power of
     a Rayleigh envelope; 10*log10 of that is the dB excursion, scaled by
-    fading_scale (0 disables fading exactly).
+    fading_scale (0 disables fading exactly). The hash is integer-exact and
+    every float step is elementwise, so a value does not depend on the block
+    it is evaluated in.
     """
-    if cfg.fading_scale == 0.0:
-        return 0.0
-    # reuse the vector path so scalar and batch agree bit for bit
-    return float(fading_db_batch(cfg, [ue_index], [cell_index], slot)[0])
-
-
-def fading_db_batch(
-    cfg: ChannelConfig, ue_indices, cell_indices, slot: int
-) -> np.ndarray:
-    """Vector form of fading_db over parallel index arrays."""
-    u = kernels.counter_uniform(cfg.fading_seed, ue_indices, cell_indices, slot)
+    u = kernels.counter_uniform(cfg.fading_seed, ue_indices, cell_indices, slots)
     if cfg.fading_scale == 0.0:
         return np.zeros_like(u)
     power = -np.log1p(-u)
     return cfg.fading_scale * 10.0 * np.log10(np.maximum(power, 1e-12))
 
 
-def sinr_db(
-    cfg: ChannelConfig,
-    cell: Cell,
-    position: tuple[float, float],
-    ue_index: int,
-    cell_index: int,
-    slot: int,
-) -> float:
-    """Per-slot SINR: RSRP + fading - (noise floor + interference margin).
+def mean_sinr_db(cfg: ChannelConfig, cell: Cell, position: tuple[float, float]) -> float:
+    """Fading-free SINR: RSRP - (noise floor + interference margin), the
+    stable quantity used for demand estimation.
 
     Interference from other cells is folded into the fixed margin rather than
     tracked per-transmission; the margin is part of the channel config.
     """
-    signal = rsrp_dbm(cfg, cell, position) + fading_db(cfg, ue_index, cell_index, slot)
-    return signal - noise_floor_dbm(cfg, cell.grid.prb_bandwidth_hz) - cfg.interference_margin_db
-
-
-def mean_sinr_db(cfg: ChannelConfig, cell: Cell, position: tuple[float, float]) -> float:
-    """Fading-free SINR; the stable quantity used for demand estimation."""
     return (
         rsrp_dbm(cfg, cell, position)
         - noise_floor_dbm(cfg, cell.grid.prb_bandwidth_hz)

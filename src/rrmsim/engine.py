@@ -6,11 +6,13 @@ epoch boundary), per-cell MAC, transmission/reception, metrics — and all
 randomness flows from named substreams of one seed plus the counter-based
 fading hash, so a (config, seed) pair fully determines every output byte.
 
-The fading hash is stateless, so it is evaluated once per slot across every
-cell, in one call over all (UE, cell) pairs with a queue-driven flow, before
-the first MAC runs. Lookups the slot loop needs (start positions, flows by
-UE, services by UE, portions by key, eligible cells by capability set) are
-indexed once at construction. A per-UE RSRP cache and the mean SINRs derived
+The fading hash is stateless, so it is evaluated a MAC epoch at a time: one
+call gives every (UE, cell) pair with a queue-driven flow its fading for each
+slot of the epoch, and a pair that a handover brings in mid-epoch gets its row
+the same way. Each slot reads its own column; the rows go when the epoch
+ends. Lookups the slot loop needs (start positions, flows by UE, services by
+UE, portions by key, eligible cells by capability set) are indexed once at
+construction. A per-UE RSRP cache and the mean SINRs derived
 from it fill as they are read and drop when the UE moves; the steering context
 reads through it, converting with ``signal_db``, and takes cell loads through
 ``load_fraction``. So a slot costs work per (UE, cell) pair that something reads.
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -107,6 +110,8 @@ class FlowRuntime:
     delivered_bits: float = 0.0
     mac_served_bits: float = 0.0
     lost_in_transit: int = 0
+    #: bits of partly sent head packets that a leg change re-sends whole
+    resent_bits: float = 0.0
     attempts: int = 0
     #: delivered packets by latency in slots
     latency_counts: dict[int, int] = field(default_factory=dict)
@@ -140,6 +145,10 @@ class World:
             self.chan = replace(config.channel, fading_seed=self.seed)
         else:
             self.chan = config.channel
+        # fading of each (UE index, cell index) pair over the current MAC
+        # epoch's slots, filled by _channel_inputs
+        self._fading_epoch = -1
+        self._fading: dict[tuple[int, int], list[float]] = {}
 
         self.cells: dict[str, CellRuntime] = {}
         for i, cc in enumerate(config.cells):
@@ -311,9 +320,10 @@ class World:
 
         In the same step the MACs follow (``src`` deregisters the flow,
         ``dst`` registers it), the old leg's queue goes to the target leg, or
-        on a drop to the first leg left unless the flow duplicates, the flow
-        keeps its last leg, ``active_leg`` resets when a leg goes, and below
-        two legs the mode is AGGREGATE. ``mode``, if given, is the flow's mode
+        on a drop to the first leg left unless the flow duplicates (a partly
+        sent head packet goes whole, and its sent bits count in
+        ``resent_bits``), the flow keeps its last leg, ``active_leg`` resets
+        when a leg goes, and below two legs the mode is AGGREGATE. ``mode``, if given, is the flow's mode
         from now on. An mMTC flow has no legs: its registration moves and its
         pending access attempts move with it.
         """
@@ -345,6 +355,9 @@ class World:
                 into = new if dst is not None else legs[0]
                 for run in old.queue:  # carried over in order
                     into.enqueue(run)
+                # the head packet goes whole, as PDCP re-sends an
+                # unacknowledged PDU: its sent part will be served again
+                fr.resent_bits += old.head_sent_bits
             state.active_leg = 0
         if mode is not None:
             state.mode, state.active_leg = mode, 0
@@ -470,17 +483,23 @@ class World:
         Returns, per cell in order, the (flow_id, leg) pairs whose backlog the
         MAC reads and the per-PRB rate of each (UE, portion) pair with a
         queue-driven flow. Fading is a stateless hash of (seed, ue, cell,
-        slot), so one ``fading_db_batch`` call covers every pair of every
-        cell.
+        slot), so it is evaluated a MAC epoch at a time: ``_fading`` holds,
+        per (UE index, cell index), the fading of every slot of the current
+        MAC epoch, and is dropped when the epoch changes. The pairs it lacks,
+        at the epoch's first slot or when a handover brings one in mid-epoch,
+        get their whole rows from one ``fading_db_batch`` call.
         """
+        epoch_slots = self.config.mac.epoch_slots
+        epoch, k = divmod(self.slot, epoch_slots)
+        if epoch != self._fading_epoch:
+            self._fading_epoch, self._fading = epoch, {}
+        fading = self._fading
         cells = []
-        ue_idx: list[int] = []
-        cell_idx: list[int] = []
+        missing: dict[tuple[int, int], None] = {}
         for cr in self.cells.values():
             cid = cr.cell.cell_id
             legs = []
-            pairs: list[tuple[str, str]] = []
-            seen = set()
+            pairs: dict[tuple[str, str], tuple[int, int]] = {}
             for fid, mf in cr.mac.flows.items():
                 fr = self.flows.get(fid)
                 if fr is None or fr.state is None:
@@ -489,30 +508,30 @@ class World:
                 if leg is not None:
                     legs.append((fid, leg))
                 key = (mf.ue_id, mf.portion_key)
-                if mf.service is not TrafficClass.MMTC and key not in seen:
-                    seen.add(key)
-                    pairs.append(key)
-                    ue_idx.append(self.ues[mf.ue_id].index)
-                    cell_idx.append(cr.index)
+                if mf.service is not TrafficClass.MMTC and key not in pairs:
+                    fk = pairs[key] = (self.ues[mf.ue_id].index, cr.index)
+                    if fk not in fading:
+                        missing[fk] = None
             cells.append((cr, legs, pairs))
-        fad = []
-        if ue_idx:
-            fad = chan.fading_db_batch(
+        if missing:
+            idx = np.fromiter(chain.from_iterable(missing), np.uint64, 2 * len(missing))
+            idx = idx.reshape(-1, 2)
+            first = epoch * epoch_slots
+            rows = chan.fading_db_batch(
                 self.chan,
-                np.array(ue_idx, dtype=np.uint64),
-                np.array(cell_idx, dtype=np.uint64),
-                self.slot,
+                idx[:, :1],
+                idx[:, 1:],
+                np.arange(first, first + epoch_slots, dtype=np.uint64),
             ).tolist()
+            fading.update(zip(missing, rows))
         out = []
-        k = 0
         for cr, legs, pairs in cells:
             cid = cr.cell.cell_id
             grid = cr.cell.grid
             rates: dict[tuple[str, str], float] = {}
-            for u, pk in pairs:
+            for (u, pk), fk in pairs.items():
                 eff = cr.portion_by_key[pk].waveform_efficiency
-                rates[(u, pk)] = link_rate(self._mean_sinr(u, cid) + fad[k], 1, eff, grid)
-                k += 1
+                rates[(u, pk)] = link_rate(self._mean_sinr(u, cid) + fading[fk][k], 1, eff, grid)
             out.append((cr, legs, rates))
         return out
 

@@ -5,6 +5,11 @@ counter-based hash behind random-access-reproducible fading, and contention
 outcome classification. There is one implementation of each, in numpy and
 plain Python; ``backend_name()`` names it (``"numpy"``), and the run summary
 records that name so output stays byte-stable.
+
+The hash broadcasts over its index arguments, so a block of (pair, slot)
+values, such as a MAC epoch of fading, is one call. Its fixed cost is the
+numpy calls themselves: it mixes in place on arrays it made, in uint64
+arithmetic that wraps without a warning, so it needs no ``np.errstate``.
 """
 
 from __future__ import annotations
@@ -22,31 +27,34 @@ _S11 = np.uint64(11)
 _INV_2_53 = float(2.0 ** -53)
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer over a uint64 array (wrapping arithmetic)."""
-    with np.errstate(over="ignore"):
-        z = (x + _GAMMA).astype(np.uint64)
-        z = (z ^ (z >> _S30)) * _MUL1
-        z = (z ^ (z >> _S27)) * _MUL2
-        z = z ^ (z >> _S31)
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, in place over a fresh uint64 array. Integer
+    array arithmetic wraps modulo 2**64 and raises no warning."""
+    z += _GAMMA
+    z ^= z >> _S30
+    z *= _MUL1
+    z ^= z >> _S27
+    z *= _MUL2
+    z ^= z >> _S31
     return z
 
 
-def counter_uniform(seed: int, a, b, c: int) -> np.ndarray:
-    """Uniforms in [0, 1) from the hash of (seed, a[i], b[i], c).
+def counter_uniform(seed: int, a, b, c) -> np.ndarray:
+    """Uniforms in [0, 1) from the hash of (seed, a, b, c), broadcast over
+    the three index arguments (so ``c`` may be an array of slots); the
+    result is at least one-dimensional.
 
     Pure counter-based: any (seed, a, b, c) tuple can be evaluated in any
-    order and yields the same value, which is what makes fading replayable
-    without storing state.
+    order, alone or in any block, and yields the same value, which is what
+    makes fading replayable without storing state. The inputs are left as
+    they are: every step mixes an array made for it.
     """
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    s = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    cc = np.uint64(c & 0xFFFFFFFFFFFFFFFF)
-    h = _mix64(np.full(a.shape, s, dtype=np.uint64) ^ a)
-    h = _mix64(h ^ b)
-    h = _mix64(h ^ cc)
-    return (h >> _S11).astype(np.float64) * _INV_2_53
+    h = np.array(a, dtype=np.uint64, ndmin=1)  # a copy, mixed in place
+    h ^= np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    h = _mix64(_mix64(h) ^ np.asarray(b, dtype=np.uint64))
+    h = _mix64(h ^ np.asarray(c, dtype=np.uint64))
+    h >>= _S11
+    return h.astype(np.float64) * _INV_2_53
 
 
 def _floats(values) -> list[float]:

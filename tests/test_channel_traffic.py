@@ -7,18 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrmsim.abstraction import link_rate
 from rrmsim.channel import (
     ChannelConfig,
-    fading_db,
     fading_db_batch,
     mean_sinr_db,
     noise_floor_dbm,
     pathloss_db,
     reference_pathloss_db,
     rsrp_dbm,
-    sinr_db,
 )
 from rrmsim.core import CellClass
+from rrmsim.engine import World
+from rrmsim.kernels import counter_uniform
+from rrmsim.scenario import scenario_from_dict
 from rrmsim.traffic import (
     FullBuffer,
     PeriodicDeadline,
@@ -69,24 +71,66 @@ def test_mean_sinr_is_fading_free_link_budget():
     assert mean_sinr_db(cfg, cell, pos) == pytest.approx(expect)
 
 
+def _fading(cfg, ue, cell, slot):
+    """One pair's excursion at one slot, from a call of its own."""
+    return float(fading_db_batch(cfg, [ue], [cell], slot)[0])
+
+
 def test_fading_replayable_and_scale_zero_exact():
     cfg = ChannelConfig(fading_seed=11)
-    assert fading_db(cfg, 3, 1, 500) == fading_db(cfg, 3, 1, 500)
+    assert _fading(cfg, 3, 1, 500) == _fading(cfg, 3, 1, 500)
     off = ChannelConfig(fading_scale=0.0, fading_seed=11)
-    assert all(fading_db(off, u, c, s) == 0.0 for u in range(3) for c in range(2) for s in range(5))
+    assert all(_fading(off, u, c, s) == 0.0 for u in range(3) for c in range(2) for s in range(5))
+    ues, cells = np.repeat(np.arange(3), 2)[:, None], np.tile(np.arange(2), 3)[:, None]
+    block = fading_db_batch(off, ues, cells, np.arange(5))
+    assert block.shape == (6, 5) and not block.any()
     # a different seed reshuffles the excursions
     other = ChannelConfig(fading_seed=12)
-    vals = [fading_db(cfg, 0, 0, s) for s in range(20)]
-    assert vals != [fading_db(other, 0, 0, s) for s in range(20)]
+    vals = [_fading(cfg, 0, 0, s) for s in range(20)]
+    assert vals != [_fading(other, 0, 0, s) for s in range(20)]
 
 
 def test_fading_batch_matches_scalar():
+    """A batch over pairs gives each pair's value from a call of its own."""
     cfg = ChannelConfig(fading_seed=4, fading_scale=1.0)
     ues = np.arange(40)
     cells = np.repeat(np.arange(4), 10)
-    batch = fading_db_batch(cfg, ues, cells, slot=77)
-    scalar = np.array([fading_db(cfg, int(u), int(c), 77) for u, c in zip(ues, cells)])
+    batch = fading_db_batch(cfg, ues, cells, 77)
+    scalar = np.array([_fading(cfg, int(u), int(c), 77) for u, c in zip(ues, cells)])
     assert np.array_equal(batch, scalar)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    pairs=st.lists(
+        st.tuples(st.integers(0, 2**20), st.integers(0, 64)), min_size=1, max_size=40
+    ),
+    n_slots=st.integers(min_value=1, max_value=20),
+    first=st.one_of(
+        st.integers(min_value=0, max_value=2**31),
+        st.integers(min_value=2**32 - 25, max_value=2**32 + 5),
+    ),
+    seed=st.integers(min_value=0, max_value=2**63),
+    scale=st.sampled_from([0.0, 1.0, 0.37, 2.5]),
+)
+def test_a_block_of_slots_equals_one_call_per_slot_bit_for_bit(
+    pairs, n_slots, first, seed, scale
+):
+    """(pairs, 1) columns against a row of slots: column j is the per-slot
+    call at slot first + j, to the last bit, and both are the float steps
+    -log1p(-u), maximum, log10 and (scale * 10) * in that order."""
+    cfg = ChannelConfig(fading_seed=seed, fading_scale=scale)
+    ues = np.array([u for u, _ in pairs], dtype=np.uint64)
+    cells = np.array([c for _, c in pairs], dtype=np.uint64)
+    slots = np.arange(first, first + n_slots, dtype=np.uint64)
+    block = fading_db_batch(cfg, ues[:, None], cells[:, None], slots)
+    per_slot = np.stack([fading_db_batch(cfg, ues, cells, int(s)) for s in slots], axis=1)
+    assert block.shape == (len(pairs), n_slots)
+    assert np.array_equal(block.view(np.uint64), per_slot.view(np.uint64))
+    u = counter_uniform(seed, ues[:, None], cells[:, None], slots)
+    steps = (scale * 10.0) * np.log10(np.maximum(-np.log1p(-u), 1e-12))
+    expected = steps if scale else np.zeros_like(u)
+    assert np.array_equal(block.view(np.uint64), expected.view(np.uint64))
 
 
 def test_fading_has_roughly_zero_median_in_power():
@@ -98,11 +142,29 @@ def test_fading_has_roughly_zero_median_in_power():
 
 
 def test_sinr_composes_budget_and_fading():
-    cfg = ChannelConfig(fading_seed=2)
-    cell = mk_cell()
-    pos = (90.0, 0.0)
-    got = sinr_db(cfg, cell, pos, ue_index=5, cell_index=0, slot=13)
-    assert got == pytest.approx(mean_sinr_db(cfg, cell, pos) + fading_db(cfg, 5, 0, 13))
+    """The engine's per-PRB rate is link_rate at mean SINR + fading."""
+    cfg = scenario_from_dict(
+        {
+            "name": "one_cell",
+            "channel": {"fading_seed": 2},
+            "network": {"cells": [{"id": "c1", "position": [0.0, 0.0]}]},
+            "ues": [{"id": f"u{i}", "position": [40.0 + 30.0 * i, 0.0]} for i in range(6)],
+            "traffic": {
+                "flows": [
+                    {"id": "f5", "ue": "u5", "service": "eMBB",
+                     "generator": {"kind": "full_buffer", "packet_bits": 1500,
+                                   "watermark_bits": 6000}}
+                ]
+            },
+        }
+    )
+    w = World(cfg)
+    w.slot = 13
+    ((cr, _legs, rates),) = w._channel_inputs()
+    ((ue, pk), rate), = rates.items()
+    sinr = mean_sinr_db(w.chan, cr.cell, w.ues[ue].ue.position) + _fading(w.chan, 5, 0, 13)
+    eff = cr.portion_by_key[pk].waveform_efficiency
+    assert ue == "u5" and rate == link_rate(sinr, 1, eff, cr.cell.grid)
 
 
 # ---------------------------------------------------------------------------

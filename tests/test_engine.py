@@ -3,13 +3,14 @@
 import dataclasses
 from types import MappingProxyType
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrmsim import channel as chan
 from rrmsim import pdcp
-from rrmsim.abstraction import MeasureKind, signal_db
+from rrmsim.abstraction import MeasureKind, link_rate, signal_db
 from rrmsim.cli import render_csv, render_events, render_summary
 from rrmsim.core import TrafficClass
 from rrmsim.engine import World, run_scenario
@@ -83,10 +84,11 @@ def test_clean_channel_conserves_every_bit(scenarios):
 
 def _ledger(w, fr):
     """A flow's bit ledger: (arrived, queued + in flight + completed) and
-    (MAC-served, in flight + completed). In flight is the sent part of each
-    leg's head packet; completed packets were received (delivered, buffered,
-    or dropped as arriving after the reorder timer gave them up) or lost in
-    transit. An mMTC flow's queue is its pending access attempts."""
+    (MAC-served, in flight + completed + re-sent). In flight is the sent part
+    of each leg's head packet; completed packets were received (delivered,
+    buffered, or dropped as arriving after the reorder timer gave them up) or
+    lost in transit; re-sent bits were in flight when a leg change moved
+    their packet whole. An mMTC flow's queue is its pending access attempts."""
     fid = fr.cfg.flow_id
     if fr.state is None:
         pending = sum(
@@ -101,7 +103,7 @@ def _ledger(w, fr):
     completed = fr.delivered_bits + buffered + late_or_lost
     return (fr.arrived_bits, queued + in_flight + completed), (
         fr.mac_served_bits,
-        in_flight + completed,
+        in_flight + completed + fr.resent_bits,
     )
 
 
@@ -429,6 +431,73 @@ def test_mid_epoch_urllc_handover_moves_the_reservation_at_the_next_epoch():
     assert list(granted) == list(range(epoch, 3 * epoch, 2))  # due slots, next epoch on
     a, b = w.cells["cb"].mac._sps_columns["fu"]
     assert all(g == [(a, b, "ua", "URLLC")] for g in granted.values())
+
+
+def test_a_handover_mid_packet_re_sends_the_head_and_the_ledger_counts_it():
+    """A handover while a head packet is partly sent moves the packet whole
+    to the target, which sends all of it again. The sent part is counted as
+    re-sent, so both halves of every flow's ledger balance after each slot."""
+    big = {"kind": "full_buffer", "packet_bits": 40_000, "watermark_bits": 160_000}
+    w = _two_cell_world(flows=[
+        {"id": f, "ue": u, "service": "eMBB", "generator": big} for f, u in (("fa", "ua"), ("fb", "ub"))
+    ])
+    fr = w.flows["fa"]
+    while w.slot < 5 or not fr.state.legs[0].head_sent_bits:
+        assert w.slot < 50, "no partly sent head packet to hand over"
+        w.step_slot()
+    sent = fr.state.legs[0].head_sent_bits
+    assert w.slot % w.config.mac.epoch_slots and 0.0 < sent < 40_000.0
+    w.apply_handover("ua", "cb")
+    (leg,) = fr.state.legs
+    assert leg.cell_id == "cb" and leg.head_sent_bits == 0.0
+    assert fr.resent_bits == sent
+    for _ in range(3 * w.config.mac.epoch_slots):
+        w.step_slot()
+        for f in w.flows.values():
+            (arrived, held), (served, accounted) = _ledger(w, f)
+            assert arrived == held and served == accounted, (w.slot, f.cfg.flow_id)
+    assert fr.resent_bits == sent and w.flows["fb"].resent_bits == 0.0
+
+
+def test_fading_rows_cover_the_mac_epoch_across_mid_epoch_handovers(scenarios):
+    """Steering every 7 slots against MAC epochs of 10 hands UEs over
+    mid-epoch. Every slot's rates equal link_rate at the mean SINR plus the
+    fading of that pair and slot from a call of its own; a pair that appears
+    mid-epoch gets its row then; the table only holds the current MAC
+    epoch's rows."""
+    base = scenarios["two_cell_load_balance"]
+    cfg = dataclasses.replace(
+        shorten(base, 150), uts=dataclasses.replace(base.uts, epoch_slots=7)
+    )
+    w = World(cfg, seed=1)
+    n = w.config.mac.epoch_slots
+    assert cfg.uts.epoch_slots % n
+    inputs = w._channel_inputs
+    late_rows = []
+
+    def checked():
+        before = set(w._fading) if w._fading_epoch == w.slot // n else set()
+        out = inputs()
+        assert w._fading_epoch == w.slot // n
+        if w.slot % n:
+            late_rows.extend(set(w._fading) - before)
+        first = w.slot - w.slot % n
+        slots = np.arange(first, first + n)
+        for (ui, ci), row in w._fading.items():
+            assert row == chan.fading_db_batch(w.chan, [ui], [ci], slots).tolist()
+        for cr, _legs, rates in out:
+            for (uid, pk), rate in rates.items():
+                rt = w.ues[uid]
+                fad = chan.fading_db_batch(w.chan, [rt.index], [cr.index], w.slot)[0]
+                sinr = chan.mean_sinr_db(w.chan, cr.cell, rt.ue.position) + float(fad)
+                eff = cr.portion_by_key[pk].waveform_efficiency
+                assert rate == link_rate(sinr, 1, eff, cr.cell.grid), (w.slot, uid)
+        return out
+
+    w._channel_inputs = checked
+    w.run()
+    mid_epoch = [s for trace in w.serving_trace.values() for s, _ in trace[1:] if s % n]
+    assert mid_epoch and late_rows
 
 
 def test_mobility_moves_from_config_position_and_keeps_other_caches():

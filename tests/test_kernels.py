@@ -58,6 +58,30 @@ def test_counter_uniform_decorrelates_across_each_input():
     assert abs(float(base.mean()) - 0.5) < 0.05
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    n=st.integers(min_value=1, max_value=50),
+    n_slots=st.integers(min_value=1, max_value=12),
+    first=st.integers(min_value=0, max_value=2**40),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_counter_uniform_leaves_its_inputs_as_they_were(n, n_slots, first, seed):
+    """The kernel mixes in place, but only on arrays it made: the index
+    arrays come back unchanged, and a block equals one call per slot."""
+    rng = np.random.default_rng(n)
+    a = rng.integers(0, 2**63, size=(n, 1), dtype=np.uint64)
+    b = rng.integers(0, 2**63, size=(n, 1), dtype=np.uint64)
+    c = np.arange(first, first + n_slots, dtype=np.uint64)
+    kept = a.copy(), b.copy(), c.copy()
+    block = kernels.counter_uniform(seed, a, b, c)
+    assert all(np.array_equal(x, y) for x, y in zip((a, b, c), kept))
+    assert block.shape == (n, n_slots)
+    for j, s in enumerate(c.tolist()):
+        u = kernels.counter_uniform(seed, a[:, 0], b[:, 0], s)
+        assert np.array_equal(block[:, j].view(np.uint64), u.view(np.uint64))
+    assert all(np.array_equal(x, y) for x, y in zip((a, b, c), kept))
+
+
 def test_pf_fill_owner_semantics():
     # highest metric with backlog wins; ties break to the lowest index
     runs, served = kernels.pf_fill([2.0, 2.0], [10.0, 10.0], [25.0, 25.0], 3)
