@@ -1,6 +1,8 @@
 """Whole-world runs: determinism, conservation, stage discipline."""
 
 import dataclasses
+import importlib.util
+import sys
 from types import MappingProxyType
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from rrmsim import channel as chan
 from rrmsim import pdcp
-from rrmsim.abstraction import MeasureKind, link_rate, signal_db
+from rrmsim.abstraction import MeasureKind, describe_cell, link_rate, signal_db
 from rrmsim.cli import render_csv, render_events, render_summary
 from rrmsim.core import TrafficClass
 from rrmsim.engine import World, run_scenario
@@ -498,6 +500,59 @@ def test_fading_rows_cover_the_mac_epoch_across_mid_epoch_handovers(scenarios):
     w.run()
     mid_epoch = [s for trace in w.serving_trace.values() for s, _ in trace[1:] if s % n]
     assert mid_epoch and late_rows
+
+
+def _dense_embb_config():
+    """The benchmark's dense_embb scenario at seed 1, read from its builder."""
+    path = SCENARIO_DIR.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    mod = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(mod)
+    return scenario_from_dict(mod.dense_embb_dict(1))
+
+
+@pytest.mark.parametrize(
+    "name", [*sorted(p.stem for p in SCENARIO_DIR.glob("*.yaml")), "dense_embb"]
+)
+def test_context_descriptors_and_mac_backlogs_read_their_owners(scenarios, name):
+    """At every steering epoch each cell's descriptor is the one its load
+    measure and best portion give; at every MAC call each cell's backlogs
+    are its legs' queued bits."""
+    cfg = _dense_embb_config() if name == "dense_embb" else scenarios[name]
+    w = World(cfg, seed=1 if name == "dense_embb" else 7)
+    best = {cc.cell_id: max(p.waveform_efficiency for p in cc.portions) for cc in cfg.cells}
+    context, epochs = w._context, []
+
+    def checked():
+        ctx = context()
+        for cid, cr in w.cells.items():
+            load = ctx.cell_load[cid].value
+            assert ctx.cell_descriptors[cid] == describe_cell(cr.cell, load, best[cid])
+        epochs.append(w.slot)
+        return ctx
+
+    w._context = checked
+    calls = 0
+    for cid, cr in w.cells.items():
+        run = cr.mac.run_slot
+
+        def backlog_checked(slot, inputs, *rngs, _run=run, _cid=cid):
+            nonlocal calls
+            legs = {
+                fid: leg.queue_bits
+                for fid, fr in w.flows.items() if fr.state is not None
+                for leg in fr.state.legs if leg.cell_id == _cid
+            }
+            assert inputs.backlog_bits == legs, (slot, _cid)
+            calls += 1
+            return _run(slot, inputs, *rngs)
+
+        cr.mac.run_slot = backlog_checked
+    w.run()
+    assert calls == len(w.cells) * cfg.sim.horizon_slots
+    if w.controller is not None:
+        n = cfg.uts.epoch_slots
+        assert epochs == list(range(0, cfg.sim.horizon_slots, n))
 
 
 def test_mobility_moves_from_config_position_and_keeps_other_caches():
