@@ -123,17 +123,22 @@ def _write_outputs(outdir: Path, staged: dict[str, str]) -> None:
 
 
 def _parse_seeds(args) -> list[int] | None:
+    """The seeds ``--seed``/``--seeds`` ask for, or None for the config's."""
     if args.seeds is not None and args.seed is not None:
         raise ValueError("--seed and --seeds are mutually exclusive")
     if args.seeds is None:
-        return None
-    lo, sep, hi = args.seeds.partition("..")
-    if not sep:
-        raise ValueError(f"--seeds expects A..B, got {args.seeds!r}")
-    a, b = int(lo), int(hi)
-    if b < a:
-        raise ValueError(f"--seeds range is empty: {args.seeds!r}")
-    return list(range(a, b + 1))
+        seeds = None if args.seed is None else [args.seed]
+    else:
+        lo, sep, hi = args.seeds.partition("..")
+        if not sep:
+            raise ValueError(f"--seeds expects A..B, got {args.seeds!r}")
+        a, b = int(lo), int(hi)
+        if b < a:
+            raise ValueError(f"--seeds range is empty: {args.seeds!r}")
+        seeds = list(range(a, b + 1))
+    if seeds and seeds[0] < 0:
+        raise ValueError(f"a seed must be a non-negative integer, got {seeds[0]}")
+    return seeds
 
 
 def _load(path):
@@ -166,7 +171,7 @@ def cmd_run(args) -> int:
         print(str(e), file=sys.stderr)
         return EXIT_CONFIG
 
-    runs = seeds if seeds is not None else [args.seed if args.seed is not None else cfg.sim.seed]
+    runs = seeds if seeds is not None else [cfg.sim.seed]
     multi = len(runs) > 1
     for seed in runs:
         log.info("running %s with seed %d", cfg.name, seed)

@@ -21,8 +21,6 @@ CARRIER_HZ_MAX = 52.6e9
 NUMEROLOGY_MIN = 0
 NUMEROLOGY_MAX = 4
 
-FRAME_SECONDS = 10e-3
-
 
 class TrafficClass(str, Enum):
     """Service categories a flow may belong to."""
@@ -190,8 +188,8 @@ def validate_blocks(
 
     Each block must be a non-empty range inside the grid, and no two may share
     a PRB. A broken block is reported at its first PRB. Unlike
-    AllocationMap.add_block this never raises: it is the audit behind the
-    engine's per-slot self-check, in O(blocks log blocks).
+    AllocationMap.add_block, which refuses such a block before it lands, this
+    never raises: it audits blocks from elsewhere, in O(blocks log blocks).
     """
     n = grid.prbs_per_slot
     violations: list[Violation] = []

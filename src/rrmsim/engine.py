@@ -10,12 +10,14 @@ The fading hash is stateless, so it is evaluated a MAC epoch at a time: one
 call gives every (UE, cell) pair with a queue-driven flow its fading for each
 slot of the epoch, and a pair that a handover brings in mid-epoch gets its row
 the same way. Each slot reads its own column; the rows go when the epoch
-ends. Lookups the slot loop needs (start positions, flows by UE, services by
-UE, portions by key, eligible cells by capability set) are indexed once at
-construction. A per-UE RSRP cache and the mean SINRs derived
-from it fill as they are read and drop when the UE moves; the steering context
-reads through it, converting with ``signal_db``, and takes cell loads through
-``load_fraction``. So a slot costs work per (UE, cell) pair that something reads.
+ends. Lookups the slot loop needs (flows by UE, services by UE, eligible cells
+by capability set) are indexed once at construction. One RSRP cache per UE
+fills as it is read and drops when the UE moves; the mean SINR is derived from
+it on each read. The steering context reads through it, converting with
+``signal_db``, takes cell loads through ``load_fraction`` and describes each
+cell at that load. So a slot costs work per (UE, cell) pair that something
+reads. The World keeps no copy of what the MACs own: portions, loads and
+registrations are read from each ``MacInstance``.
 
 Packets move as runs (``pdcp.Run``): a flow's arrivals in a slot are routed
 in one call, the drain uses up whole packets of a leg's head run with
@@ -44,7 +46,6 @@ import numpy as np
 from . import channel as chan
 from . import kernels, pdcp, traffic
 from .abstraction import (
-    CapabilityDescriptor,
     PluginRegistry,
     capacity_score,
     describe_cell,
@@ -58,7 +59,6 @@ from .core import (
     TrafficClass,
     UserEquipment,
     compute_fairness,
-    validate_blocks,
     DegenerateInputError,
 )
 from .mac import MacFlow, MacInstance, PortionSpec, SlotInputs
@@ -82,10 +82,7 @@ class CellRuntime:
     cell: Cell
     index: int
     drop_prob: float
-    portions: tuple[PortionSpec, ...]
-    portion_by_key: dict[str, PortionSpec]
     mac: MacInstance
-    descriptor: CapabilityDescriptor
     noise_floor_dbm: float
     served_bits_total: float = 0.0
     granted_prbs_total: int = 0
@@ -93,9 +90,11 @@ class CellRuntime:
 
 @dataclass
 class UeRuntime:
+    #: as configured, so ``ue.position`` is where the UE starts
     ue: UserEquipment
     index: int
     serving: str
+    position: tuple[float, float]
     secondary: tuple[str, ...] = ()
     delivered_window_bits: float = 0.0
 
@@ -153,16 +152,11 @@ class World:
         self.cells: dict[str, CellRuntime] = {}
         for i, cc in enumerate(config.cells):
             cell = build_domain(cc)
-            mac = MacInstance(cell, cc.portions, config.mac)
-            best_eff = max(p.waveform_efficiency for p in cc.portions)
             self.cells[cc.cell_id] = CellRuntime(
                 cell=cell,
                 index=i,
                 drop_prob=cc.drop_prob,
-                portions=cc.portions,
-                portion_by_key={p.key: p for p in cc.portions},
-                mac=mac,
-                descriptor=describe_cell(cell, 0.0, best_eff),
+                mac=MacInstance(cell, cc.portions, config.mac),
                 noise_floor_dbm=chan.noise_floor_dbm(self.chan, cell.grid.prb_bandwidth_hz),
             )
 
@@ -175,15 +169,12 @@ class World:
             raise AssertionError(f"slot of {self.slot_ms!r} ms is not 2**-{mu}")
 
         # Init-time indexes, O(U + F), so per-slot and per-handover paths never
-        # rescan the config: start positions by UE, each UE's flows in config
-        # order (filled as the flows are built) and its services.
-        self._start_position = {uc.ue_id: uc.position for uc in config.ues}
+        # rescan the config: each UE's flows in config order (filled as the
+        # flows are built) and its services.
         self._flows_by_ue: dict[str, list[FlowRuntime]] = {uc.ue_id: [] for uc in config.ues}
 
-        # per UE, then per cell: RSRP and the mean SINR derived from it; a UE
-        # that moves drops both
+        # per UE, then per cell: RSRP; a UE that moves drops its row
         self._rsrp_cache: dict[str, dict[str, float]] = {}
-        self._sinr_cache: dict[str, dict[str, float]] = {}
 
         # Eligibility is static: each distinct capability set's best portion
         # per cell it may use, in config cell order, and those cells by UE.
@@ -192,7 +183,9 @@ class World:
         for caps in dict.fromkeys(u.capabilities for u in built):
             table = self._portions_by_caps[caps] = {}
             for cid, cr in self.cells.items():
-                usable = [p for p in cr.portions if p.required_capability in (None, *caps)]
+                usable = [
+                    p for p in cr.mac.portions.values() if p.required_capability in (None, *caps)
+                ]
                 if usable:  # the first of equally efficient portions wins
                     table[cid] = max(usable, key=lambda p: p.waveform_efficiency)
         self._eligible = MappingProxyType(
@@ -203,7 +196,7 @@ class World:
         self.ues: dict[str, UeRuntime] = {}
         for i, (uc, ue) in enumerate(zip(config.ues, built)):
             serving = uc.serving_cell or self._best_cell(ue)
-            self.ues[uc.ue_id] = UeRuntime(ue=ue, index=i, serving=serving)
+            self.ues[uc.ue_id] = UeRuntime(ue=ue, index=i, serving=serving, position=ue.position)
 
         self.flows: dict[str, FlowRuntime] = {}
         for fc in config.flows:
@@ -256,7 +249,6 @@ class World:
         self.slot = 0
         self.events: list[Event] = []
         self.rows: list[dict] = []
-        self.rach_attempts = 0
         self.rach_successes = 0
         self.rach_collisions = 0
         self.action_counts: dict[str, int] = {}
@@ -418,16 +410,9 @@ class World:
             vx, vy = rt.ue.velocity
             if vx == 0.0 and vy == 0.0:
                 continue
-            base = self._start_position[uid]
-            new_pos = (base[0] + vx * t, base[1] + vy * t)
-            rt.ue = UserEquipment(
-                ue_id=rt.ue.ue_id,
-                position=new_pos,
-                capabilities=rt.ue.capabilities,
-                velocity=rt.ue.velocity,
-            )
+            x, y = rt.ue.position
+            rt.position = (x + vx * t, y + vy * t)
             self._rsrp_cache.pop(uid, None)
-            self._sinr_cache.pop(uid, None)
 
     def _rsrp(self, dbm: dict, cell_id: str, position: tuple[float, float]) -> float:
         """RSRP of ``cell_id`` from a UE's cache ``dbm``, computed at
@@ -438,23 +423,17 @@ class World:
         return val
 
     def _mean_sinr(self, ue_id: str, cell_id: str) -> float:
-        by_cell = self._sinr_cache.setdefault(ue_id, {})
-        hit = by_cell.get(cell_id)
-        if hit is not None:
-            return hit
         dbm = self._rsrp_cache.setdefault(ue_id, {})
-        rsrp = self._rsrp(dbm, cell_id, self.ues[ue_id].ue.position)
+        rsrp = self._rsrp(dbm, cell_id, self.ues[ue_id].position)
         # chan.mean_sinr_db's operations in its order, so the float is the same
-        val = rsrp - self.cells[cell_id].noise_floor_dbm - self.chan.interference_margin_db
-        by_cell[cell_id] = val
-        return val
+        return rsrp - self.cells[cell_id].noise_floor_dbm - self.chan.interference_margin_db
 
     def _arrivals(self) -> None:
         """Each flow's packets of this slot: one routed run, or for an mMTC
         flow one access attempt per packet."""
         epoch = self.slot // self.config.uts.epoch_slots
-        for fc in self.config.flows:
-            fr = self.flows[fc.flow_id]
+        for fr in self.flows.values():
+            fc = fr.cfg
             count, bits = fr.generator.step(self.slot, self.rng_traffic, fr.queued_bits())
             if not count:
                 continue
@@ -477,17 +456,19 @@ class World:
             for leg in fr.state.legs:
                 leg.current_load = self.cells[leg.cell_id].mac.load_fraction
 
-    def _channel_inputs(self) -> list[tuple[CellRuntime, list, dict]]:
-        """Every cell's queue legs and per-PRB rates for this slot.
+    def _channel_inputs(self) -> list[tuple[CellRuntime, SlotInputs]]:
+        """Every cell's ``SlotInputs`` for this slot, in cell order: the
+        backlog of each queue-driven flow's leg on the cell and the per-PRB
+        rate of each (UE, portion) pair with such a flow. A MAC drains only
+        its own cell's legs, so reading every backlog up front gives the
+        values each MAC would read just before it runs.
 
-        Returns, per cell in order, the (flow_id, leg) pairs whose backlog the
-        MAC reads and the per-PRB rate of each (UE, portion) pair with a
-        queue-driven flow. Fading is a stateless hash of (seed, ue, cell,
-        slot), so it is evaluated a MAC epoch at a time: ``_fading`` holds,
-        per (UE index, cell index), the fading of every slot of the current
-        MAC epoch, and is dropped when the epoch changes. The pairs it lacks,
-        at the epoch's first slot or when a handover brings one in mid-epoch,
-        get their whole rows from one ``fading_db_batch`` call.
+        Fading is a stateless hash of (seed, ue, cell, slot), so it is
+        evaluated a MAC epoch at a time: ``_fading`` holds, per (UE index,
+        cell index), the fading of every slot of the current MAC epoch, and is
+        dropped when the epoch changes. The pairs it lacks, at the epoch's
+        first slot or when a handover brings one in mid-epoch, get their whole
+        rows from one ``fading_db_batch`` call.
         """
         epoch_slots = self.config.mac.epoch_slots
         epoch, k = divmod(self.slot, epoch_slots)
@@ -498,21 +479,19 @@ class World:
         missing: dict[tuple[int, int], None] = {}
         for cr in self.cells.values():
             cid = cr.cell.cell_id
-            legs = []
+            backlog: dict[str, float] = {}
             pairs: dict[tuple[str, str], tuple[int, int]] = {}
             for fid, mf in cr.mac.flows.items():
-                fr = self.flows.get(fid)
-                if fr is None or fr.state is None:
+                state = self.flows[fid].state
+                if state is None:  # mMTC: the access channel, no queue
                     continue
-                leg = fr.state.leg_by_cell(cid)
-                if leg is not None:
-                    legs.append((fid, leg))
+                backlog[fid] = state.leg_by_cell(cid).queue_bits
                 key = (mf.ue_id, mf.portion_key)
-                if mf.service is not TrafficClass.MMTC and key not in pairs:
+                if key not in pairs:
                     fk = pairs[key] = (self.ues[mf.ue_id].index, cr.index)
                     if fk not in fading:
                         missing[fk] = None
-            cells.append((cr, legs, pairs))
+            cells.append((cr, backlog, pairs))
         if missing:
             idx = np.fromiter(chain.from_iterable(missing), np.uint64, 2 * len(missing))
             idx = idx.reshape(-1, 2)
@@ -525,14 +504,13 @@ class World:
             ).tolist()
             fading.update(zip(missing, rows))
         out = []
-        for cr, legs, pairs in cells:
-            cid = cr.cell.cell_id
-            grid = cr.cell.grid
+        for cr, backlog, pairs in cells:
+            cid, grid, portions = cr.cell.cell_id, cr.cell.grid, cr.mac.portions
             rates: dict[tuple[str, str], float] = {}
             for (u, pk), fk in pairs.items():
-                eff = cr.portion_by_key[pk].waveform_efficiency
+                eff = portions[pk].waveform_efficiency
                 rates[(u, pk)] = link_rate(self._mean_sinr(u, cid) + fading[fk][k], 1, eff, grid)
-            out.append((cr, legs, rates))
+            out.append((cr, SlotInputs(backlog_bits=backlog, per_prb_bits=rates)))
         return out
 
     def _drain_flow(self, fr: FlowRuntime, cell_id: str, bits: float) -> float:
@@ -599,17 +577,10 @@ class World:
                 fr.deadline_misses += count
 
     def _run_macs(self) -> None:
-        for cr, legs, rates in self._channel_inputs():
+        for cr, inputs in self._channel_inputs():
             cid = cr.cell.cell_id
-            # backlog is read just before the cell's MAC runs
-            inputs = SlotInputs(
-                backlog_bits={fid: leg.queue_bits for fid, leg in legs}, per_prb_bits=rates
-            )
             res = cr.mac.run_slot(self.slot, inputs, self.rng_access, self.rng_backoff)
             self.events.extend(res.events)
-            bad = validate_blocks(cr.cell.grid, res.alloc.blocks())
-            if bad:  # indicates a scheduler bug; stop rather than mis-report
-                raise AssertionError(f"allocation violations on {cid}: {bad}")
             cr.granted_prbs_total += len(res.alloc)
             for fid in sorted(res.served_bits):
                 fr = self.flows[fid]
@@ -625,18 +596,13 @@ class World:
                 fr.mac_served_bits += att.payload_bits
                 self._deliver(fr, att.payload_bits, att.created_slot)
             for o in res.outcomes:
-                self.rach_attempts += 1
                 if o.status.value == "success":
                     self.rach_successes += 1
                 else:
                     self.rach_collisions += 1
-            if self.slot % self.config.mac.epoch_slots == 0:
-                best_eff = max(p.waveform_efficiency for p in cr.portions)
-                cr.descriptor = describe_cell(cr.cell, cr.mac.load_fraction, best_eff)
 
     def _reorder_ticks(self) -> None:
-        for fc in self.config.flows:
-            fr = self.flows[fc.flow_id]
+        for fr in self.flows.values():
             if fr.state is None:
                 continue
             for d in pdcp.reorder_tick(fr.rx, self.slot):
@@ -646,7 +612,8 @@ class World:
         """This epoch's steering context. Each UE's signal row reads through
         its RSRP cache; the cache dict and the position are bound when the row
         is built, so a row built before the UE moves keeps the values of where
-        it was. Each UE's delivery-rate window closes here and starts again."""
+        it was. Each cell is described at its load measure. Each UE's
+        delivery-rate window closes here and starts again."""
 
         def signal_row(dbm: dict, position: tuple[float, float]) -> LazyRow:
             return LazyRow(self.cells, lambda cid: signal_db(self._rsrp(dbm, cid, position)))
@@ -657,16 +624,24 @@ class World:
             rate[uid] = rt.delivered_window_bits / window_s
             rt.delivered_window_bits = 0.0
         cells, ues = self.cells.items(), self.ues.items()
+        load = {
+            cid: load_fraction(cr.mac.demand_prbs, cr.cell.grid.prbs_per_slot)
+            for cid, cr in cells
+        }
         return UtsContext(
             epoch_index=self.slot // self.config.uts.epoch_slots,
             scenario_tag=self.config.uts.scenario_tag,
-            cell_load={
-                cid: load_fraction(cr.mac.demand_prbs, cr.cell.grid.prbs_per_slot)
+            cell_load=load,
+            cell_descriptors={
+                cid: describe_cell(
+                    cr.cell,
+                    load[cid].value,
+                    max(p.waveform_efficiency for p in cr.mac.portions.values()),
+                )
                 for cid, cr in cells
             },
-            cell_descriptors={cid: cr.descriptor for cid, cr in cells},
             ue_signal={
-                uid: signal_row(self._rsrp_cache.setdefault(uid, {}), rt.ue.position)
+                uid: signal_row(self._rsrp_cache.setdefault(uid, {}), rt.position)
                 for uid, rt in ues
             },
             ue_serving={uid: rt.serving for uid, rt in ues},
@@ -691,8 +666,8 @@ class World:
             return
         epoch = self.slot // self.config.mac.epoch_slots
         epoch_s = self.config.mac.epoch_slots * self.slot_seconds
-        for fc in self.config.flows:
-            fr = self.flows[fc.flow_id]
+        for fr in self.flows.values():
+            fc = fr.cfg
             mean_lat = fr.w_latency_sum / fr.w_latency_n if fr.w_latency_n else None
             self.rows.append(
                 {
@@ -762,8 +737,8 @@ class World:
     def build_report(self) -> "MetricsReport":
         per_flow = {}
         all_lat: dict[int, int] = {}
-        for fc in self.config.flows:
-            fr = self.flows[fc.flow_id]
+        for fr in self.flows.values():
+            fc = fr.cfg
             lat_sum = lat_n = 0
             for lat, n in fr.latency_counts.items():
                 all_lat[lat] = all_lat.get(lat, 0) + n
@@ -808,6 +783,7 @@ class World:
             p50, p95, p99 = (float(x) for x in np.percentile(per_packet, [50, 95, 99]))
         else:
             p50 = p95 = p99 = None
+        attempts = self.rach_successes + self.rach_collisions
         return MetricsReport(
             slots=self.slot,
             backend=kernels.backend_name(),
@@ -817,12 +793,10 @@ class World:
             latency_ms_p50=p50,
             latency_ms_p95=p95,
             latency_ms_p99=p99,
-            rach_attempts=self.rach_attempts,
+            rach_attempts=attempts,
             rach_successes=self.rach_successes,
             rach_collisions=self.rach_collisions,
-            rach_success_rate=(
-                self.rach_successes / self.rach_attempts if self.rach_attempts else None
-            ),
+            rach_success_rate=self.rach_successes / attempts if attempts else None,
             steering_actions=dict(sorted(self.action_counts.items())),
             pingpong_count=self._pingpong_count(),
         )

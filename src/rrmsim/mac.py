@@ -433,7 +433,6 @@ class _Leaf:
 
 @dataclass
 class MacSlotResult:
-    slot: int
     alloc: AllocationMap
     served_bits: dict[str, float]
     access_delivered: list[PendingAccess]
@@ -454,11 +453,11 @@ class MacInstance:
             raise ValueError("a coordinator needs at least one portion")
         if len(portions) > 2:
             raise ValueError("at most two portions may share one carrier")
-        keys = [p.key for p in portions]
-        if len(set(keys)) != len(keys):
+        #: the carrier's portions by key, in the order given
+        self.portions = {p.key: p for p in portions}
+        if len(self.portions) != len(portions):
             raise ValueError("portion keys must be unique")
         self.cell = cell
-        self.portions = list(portions)
         self.cfg = config
         self.flows: dict[str, MacFlow] = {}
         self.pending: list[PendingAccess] = []
@@ -478,7 +477,7 @@ class MacInstance:
     def register_flow(self, flow: MacFlow) -> None:
         if flow.flow_id in self.flows:
             raise ValueError(f"flow {flow.flow_id!r} already registered")
-        if flow.portion_key not in {p.key for p in self.portions}:
+        if flow.portion_key not in self.portions:
             raise ValueError(f"unknown portion {flow.portion_key!r}")
         if flow.slice_id == RACH_KEY:
             raise ValueError(f"slice {RACH_KEY!r} would collide with the access partition")
@@ -510,16 +509,10 @@ class MacInstance:
 
     # -- partitioning -------------------------------------------------------
 
-    def portion(self, key: str) -> PortionSpec:
-        for p in self.portions:
-            if p.key == key:
-                return p
-        raise KeyError(key)
-
     def reference_per_prb_bits(self, portion_key: str) -> float:
         """Stable per-PRB rate used for sizing (not per-slot scheduling)."""
-        p = self.portion(portion_key)
-        return link_rate(self.cfg.demand_sinr_db, 1, p.waveform_efficiency, self.cell.grid)
+        eff = self.portions[portion_key].waveform_efficiency
+        return link_rate(self.cfg.demand_sinr_db, 1, eff, self.cell.grid)
 
     def _portion_tree(self, inputs: SlotInputs) -> dict[str, list[tuple]]:
         """Each portion's partition children, ``(key, demand, floor, bare,
@@ -535,13 +528,13 @@ class MacInstance:
         """
         g = self.cfg.min_guarantee_prbs
         tree: dict[str, list[tuple]] = {}
-        for p in self.portions:
-            rate = self.reference_per_prb_bits(p.key)
+        for key in self.portions:
+            rate = self.reference_per_prb_bits(key)
             # Sporadic-access flows ride the contention channel; they neither
             # hold queue partitions nor force the slice dimension open.
             queued = [
                 f for f in self.flows.values()
-                if f.portion_key == p.key and f.service is not TrafficClass.MMTC
+                if f.portion_key == key and f.service is not TrafficClass.MMTC
             ]
             sliced = any(f.slice_id for f in queued)
             groups: dict[str | None, list[MacFlow]] = {}
@@ -577,7 +570,7 @@ class MacInstance:
                         max(g, sum(c[3] for c in leaves)),
                         leaves,
                     ))
-            tree[p.key] = children
+            tree[key] = children
         return tree
 
     def refresh_partitions(self, slot: int, inputs: SlotInputs) -> list[Event]:
@@ -603,7 +596,7 @@ class MacInstance:
             for key in tree
             if any(f.portion_key == key for f in self.flows.values())
             or any(a.portion_key == key for a in self.pending)
-        ] or [self.portions[0].key]
+        ] or [next(iter(self.portions))]
 
         # Portion sizing: all to a lone active portion; shared carriers split
         # proportionally, then shift PRBs so each side can honor guarantees.
@@ -825,7 +818,6 @@ class MacInstance:
             self.pf_avg[ue] = (1.0 - cfg.pf_ewma) * avg + cfg.pf_ewma * pf_served_by_ue.get(ue, 0.0)
 
         return MacSlotResult(
-            slot=slot,
             alloc=amap,
             served_bits=served,
             access_delivered=delivered,

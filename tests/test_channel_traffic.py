@@ -160,10 +160,10 @@ def test_sinr_composes_budget_and_fading():
     )
     w = World(cfg)
     w.slot = 13
-    ((cr, _legs, rates),) = w._channel_inputs()
-    ((ue, pk), rate), = rates.items()
-    sinr = mean_sinr_db(w.chan, cr.cell, w.ues[ue].ue.position) + _fading(w.chan, 5, 0, 13)
-    eff = cr.portion_by_key[pk].waveform_efficiency
+    ((cr, inputs),) = w._channel_inputs()
+    ((ue, pk), rate), = inputs.per_prb_bits.items()
+    sinr = mean_sinr_db(w.chan, cr.cell, w.ues[ue].position) + _fading(w.chan, 5, 0, 13)
+    eff = cr.mac.portions[pk].waveform_efficiency
     assert ue == "u5" and rate == link_rate(sinr, 1, eff, cr.cell.grid)
 
 

@@ -93,6 +93,15 @@ def test_backwards_seed_range_is_rejected(tiny_yaml, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag", (["--seed", "-1"], ["--seeds=-3..-2"], ["--seeds=-1..2"]))
+def test_negative_seed_is_a_usage_error_and_writes_nothing(tiny_yaml, tmp_path, capsys, flag):
+    out = tmp_path / "out"
+    assert main(["run", str(tiny_yaml), *flag, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "non-negative integer" in err and "run failed" not in err
+
+
 def test_invalid_scenario_exits_two_and_writes_nothing(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("name: broken\nnetwork:\n  cells: []\nturbo_mode: 9\n")

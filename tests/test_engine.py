@@ -429,7 +429,7 @@ def test_mid_epoch_urllc_handover_moves_the_reservation_at_the_next_epoch():
         return [b for b in res.alloc.blocks() if b[2] == "ua"]
 
     assert not [b for r in seen["ca"] for b in urllc_blocks(r)]
-    granted = {r.slot: urllc_blocks(r) for r in seen["cb"] if urllc_blocks(r)}
+    granted = {r.alloc.slot: urllc_blocks(r) for r in seen["cb"] if urllc_blocks(r)}
     assert list(granted) == list(range(epoch, 3 * epoch, 2))  # due slots, next epoch on
     a, b = w.cells["cb"].mac._sps_columns["fu"]
     assert all(g == [(a, b, "ua", "URLLC")] for g in granted.values())
@@ -487,12 +487,12 @@ def test_fading_rows_cover_the_mac_epoch_across_mid_epoch_handovers(scenarios):
         slots = np.arange(first, first + n)
         for (ui, ci), row in w._fading.items():
             assert row == chan.fading_db_batch(w.chan, [ui], [ci], slots).tolist()
-        for cr, _legs, rates in out:
-            for (uid, pk), rate in rates.items():
+        for cr, slot_inputs in out:
+            for (uid, pk), rate in slot_inputs.per_prb_bits.items():
                 rt = w.ues[uid]
                 fad = chan.fading_db_batch(w.chan, [rt.index], [cr.index], w.slot)[0]
-                sinr = chan.mean_sinr_db(w.chan, cr.cell, rt.ue.position) + float(fad)
-                eff = cr.portion_by_key[pk].waveform_efficiency
+                sinr = chan.mean_sinr_db(w.chan, cr.cell, rt.position) + float(fad)
+                eff = cr.mac.portions[pk].waveform_efficiency
                 assert rate == link_rate(sinr, 1, eff, cr.cell.grid), (w.slot, uid)
         return out
 
@@ -560,18 +560,17 @@ def test_mobility_moves_from_config_position_and_keeps_other_caches():
     w = _two_cell_world(velocity=vel)
     for _ in range(7):
         w.step_slot()
-    static_rsrp, static_sinr = w._rsrp_cache["ub"], w._sinr_cache["ub"]
-    rsrp_before, sinr_before = dict(static_rsrp), dict(static_sinr)
-    assert rsrp_before and sinr_before
-    assert w._rsrp_cache["ua"] and w._sinr_cache["ua"]
+    static_rsrp = w._rsrp_cache["ub"]
+    rsrp_before = dict(static_rsrp)
+    assert rsrp_before
+    assert w._rsrp_cache["ua"]
 
     w._refresh_positions()  # the mobility stage for slot 7
     t = 7 * w.slot_seconds
-    assert w.ues["ua"].ue.position == (50.0 + vel[0] * t, 10.0 + vel[1] * t)
-    assert w.ues["ub"].ue.position == (350.0, -5.0)
-    assert "ua" not in w._rsrp_cache and "ua" not in w._sinr_cache
+    assert w.ues["ua"].position == (50.0 + vel[0] * t, 10.0 + vel[1] * t)
+    assert w.ues["ub"].position == (350.0, -5.0)
+    assert "ua" not in w._rsrp_cache
     assert w._rsrp_cache["ub"] is static_rsrp and static_rsrp == rsrp_before
-    assert w._sinr_cache["ub"] is static_sinr and static_sinr == sinr_before
 
 
 _coord = st.floats(-2000.0, 2000.0, allow_nan=False)
@@ -615,7 +614,7 @@ def test_mean_sinr_reads_through_the_rsrp_cache_bit_for_bit(
     w = World(cfg)
 
     def check_every_cell():
-        pos = w.ues["u"].ue.position
+        pos = w.ues["u"].position
         for cid, cr in w.cells.items():
             first = w._mean_sinr("u", cid)
             assert first == chan.mean_sinr_db(w.chan, cr.cell, pos)
@@ -645,7 +644,7 @@ def test_steering_context_computes_no_rsrp_until_a_feature_reads_it(monkeypatch)
     ctx = w._context()
     assert calls == []
 
-    pos = w.ues["ua"].ue.position
+    pos = w.ues["ua"].position
     expected = signal_db(real(w.chan, w.cells["cb"].cell, pos))
     assert ctx.ue_signal["ua"]["cb"] == expected
     assert ctx.ue_signal["ua"].get("cb") == expected
@@ -702,10 +701,10 @@ def test_context_row_built_before_a_move_keeps_its_position():
     w = _two_cell_world(velocity=(12.0, -3.0))
     for _ in range(5):
         w.step_slot()
-    before_pos = w.ues["ua"].ue.position
+    before_pos = w.ues["ua"].position
     old = w._context().ue_signal["ua"]
     w._refresh_positions()  # ua moves and drops its cache
-    after_pos = w.ues["ua"].ue.position
+    after_pos = w.ues["ua"].position
     assert after_pos != before_pos
     new = w._context().ue_signal["ua"]
     for cid, cr in w.cells.items():
@@ -723,7 +722,7 @@ def test_eligibility_built_at_init_matches_a_portion_scan(scenarios):
 
     def scan(ue, cell_id):  # the per-UE, per-cell scan eligibility used to be
         best = None
-        for p in w.cells[cell_id].portions:
+        for p in w.cells[cell_id].mac.portions.values():
             if p.required_capability is None or p.required_capability in ue.capabilities:
                 if best is None or p.waveform_efficiency > best.waveform_efficiency:
                     best = p

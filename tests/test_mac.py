@@ -502,7 +502,7 @@ def _tree_trace(mac, backlogs, slots, attempts=0):
     lines, leaves = [], []
     for slot in slots:
         bl = backlogs(slot)
-        rates = {(f"ue-{k}", p.key): 150.0 for k in bl for p in mac.portions}
+        rates = {(f"ue-{k}", pk): 150.0 for k in bl for pk in mac.portions}
         res = mac.run_slot(slot, SlotInputs(bl, rates), rng_a, rng_b)
         lines += [
             e.format() for e in res.events
