@@ -92,24 +92,20 @@ class CapabilityDescriptor:
             raise ValueError(f"current_load outside [0, 1]: {self.current_load}")
 
 
-def link_rate(
-    sinr_db: float, n_prbs: int, waveform_efficiency: float, grid: CarrierGrid
-) -> float:
-    """Deliverable bits for ``n_prbs`` PRBs in one slot at the given SINR.
+def link_rate(sinr_db: float, waveform_efficiency: float, grid: CarrierGrid) -> float:
+    """Deliverable bits for one PRB in one slot at the given SINR.
 
     Shannon-style with an efficiency knob: bandwidth * slot * efficiency *
-    log2(1 + min(sinr, cap)). The per-PRB amount is floored to whole bits, so
-    the result is exactly linear in n_prbs and monotone in SINR.
+    log2(1 + min(sinr, cap)), floored to whole bits, so a block of PRBs
+    carries exactly its size times this, and the rate is monotone in SINR.
     """
-    if n_prbs < 0:
-        raise ValueError("n_prbs must be >= 0")
     if not (0.0 < waveform_efficiency <= 1.0):
         raise ValueError(f"waveform_efficiency must be in (0, 1], got {waveform_efficiency}")
     lin = 10.0 ** (min(sinr_db, SINR_CAP_DB) / 10.0)
     per_prb = math.floor(
         grid.prb_bandwidth_hz * grid.slot_seconds * waveform_efficiency * math.log2(1.0 + lin)
     )
-    return float(n_prbs * per_prb)
+    return float(per_prb)
 
 
 #: Reference SINR used when scoring a cell's standing capacity.
@@ -118,7 +114,7 @@ CAPACITY_REF_SINR_DB = 10.0
 
 def capacity_score(grid: CarrierGrid, waveform_efficiency: float = 1.0) -> float:
     """Bits per slot the whole grid could carry at the reference SINR."""
-    return grid.prbs_per_slot * link_rate(CAPACITY_REF_SINR_DB, 1, waveform_efficiency, grid)
+    return grid.prbs_per_slot * link_rate(CAPACITY_REF_SINR_DB, waveform_efficiency, grid)
 
 
 def describe_cell(

@@ -1,8 +1,8 @@
 """The slot-driven world: traffic, flow control, per-cell MACs, channel,
 and steering wired together deterministically.
 
-Every slot runs the same stage order — mobility, arrivals, steering (on its
-epoch boundary), per-cell MAC, transmission/reception, metrics — and all
+Every slot runs the stages of ``STAGE_ORDER`` — mobility, arrivals, steering
+(on its epoch boundary), per-cell MAC, transmission/reception, metrics — and all
 randomness flows from named substreams of one seed plus the counter-based
 fading hash, so a (config, seed) pair fully determines every output byte.
 
@@ -14,10 +14,11 @@ ends. Lookups the slot loop needs (flows by UE, services by UE, eligible cells
 by capability set) are indexed once at construction. One RSRP cache per UE
 fills as it is read and drops when the UE moves; the mean SINR is derived from
 it on each read. The steering context reads through it, converting with
-``signal_db``, takes cell loads through ``load_fraction`` and describes each
-cell at that load. So a slot costs work per (UE, cell) pair that something
-reads. The World keeps no copy of what the MACs own: portions, loads and
-registrations are read from each ``MacInstance``.
+``signal_db``, takes each cell's load from its MAC's ``load`` and describes
+each cell at that load. So a slot costs work per (UE, cell) pair that something
+reads. The World keeps no copy of what the MACs own: cells, portions, loads
+and registrations are read from each ``MacInstance``, and a load-balance
+flow's legs take their cells' loads just before its packets are routed.
 
 Packets move as runs (``pdcp.Run``): a flow's arrivals in a slot are routed
 in one call, the drain uses up whole packets of a leg's head run with
@@ -50,11 +51,9 @@ from .abstraction import (
     capacity_score,
     describe_cell,
     link_rate,
-    load_fraction,
     signal_db,
 )
 from .core import (
-    Cell,
     Event,
     TrafficClass,
     UserEquipment,
@@ -70,7 +69,6 @@ STAGE_ORDER = (
     ("mobility", "_refresh_positions"),
     ("arrivals", "_arrivals"),
     ("steering", "_steering"),
-    ("legs", "_refresh_legs"),
     ("mac", "_run_macs"),
     ("transport", "_reorder_ticks"),
     ("metrics", "_metrics_rollup"),
@@ -79,7 +77,6 @@ STAGE_ORDER = (
 
 @dataclass
 class CellRuntime:
-    cell: Cell
     index: int
     drop_prob: float
     mac: MacInstance
@@ -153,7 +150,6 @@ class World:
         for i, cc in enumerate(config.cells):
             cell = build_domain(cc)
             self.cells[cc.cell_id] = CellRuntime(
-                cell=cell,
                 index=i,
                 drop_prob=cc.drop_prob,
                 mac=MacInstance(cell, cc.portions, config.mac),
@@ -338,7 +334,7 @@ class World:
         new = state.leg_by_cell(dst) if dst is not None else None
         if dst is not None and new is None:
             eff = self._register_mac_flow(fr, dst).waveform_efficiency
-            new = pdcp.Leg(dst, dst, capacity_score(self.cells[dst].cell.grid, eff))
+            new = pdcp.Leg(dst, dst, capacity_score(self.cells[dst].mac.cell.grid, eff))
             legs.insert(legs.index(old) if old is not None else len(legs), new)
         if old is not None:
             self.cells[src].mac.deregister_flow(fid)
@@ -419,7 +415,7 @@ class World:
         ``position`` and kept there on a miss."""
         val = dbm.get(cell_id)
         if val is None:
-            val = dbm[cell_id] = chan.rsrp_dbm(self.chan, self.cells[cell_id].cell, position)
+            val = dbm[cell_id] = chan.rsrp_dbm(self.chan, self.cells[cell_id].mac.cell, position)
         return val
 
     def _mean_sinr(self, ue_id: str, cell_id: str) -> float:
@@ -445,16 +441,10 @@ class World:
                     mac.queue_attempt(fc.flow_id, float(bits), self.slot)
                 fr.attempts += count
             else:
+                if fr.state.mode is pdcp.Mode.LOAD_BALANCE:  # its switch reads them
+                    for leg in fr.state.legs:
+                        leg.current_load = self.cells[leg.cell_id].mac.load.value
                 pdcp.route_packet(fr.state, float(bits), self.slot, epoch, count)
-
-    def _refresh_legs(self) -> None:
-        # A leg's capacity is fixed by its (UE, cell) when _attach builds it;
-        # only the cell's load moves from slot to slot.
-        for fr in self.flows.values():
-            if fr.state is None:
-                continue
-            for leg in fr.state.legs:
-                leg.current_load = self.cells[leg.cell_id].mac.load_fraction
 
     def _channel_inputs(self) -> list[tuple[CellRuntime, SlotInputs]]:
         """Every cell's ``SlotInputs`` for this slot, in cell order: the
@@ -477,8 +467,7 @@ class World:
         fading = self._fading
         cells = []
         missing: dict[tuple[int, int], None] = {}
-        for cr in self.cells.values():
-            cid = cr.cell.cell_id
+        for cid, cr in self.cells.items():
             backlog: dict[str, float] = {}
             pairs: dict[tuple[str, str], tuple[int, int]] = {}
             for fid, mf in cr.mac.flows.items():
@@ -505,11 +494,11 @@ class World:
             fading.update(zip(missing, rows))
         out = []
         for cr, backlog, pairs in cells:
-            cid, grid, portions = cr.cell.cell_id, cr.cell.grid, cr.mac.portions
+            cid, grid, portions = cr.mac.cell.cell_id, cr.mac.cell.grid, cr.mac.portions
             rates: dict[tuple[str, str], float] = {}
             for (u, pk), fk in pairs.items():
                 eff = portions[pk].waveform_efficiency
-                rates[(u, pk)] = link_rate(self._mean_sinr(u, cid) + fading[fk][k], 1, eff, grid)
+                rates[(u, pk)] = link_rate(self._mean_sinr(u, cid) + fading[fk][k], eff, grid)
             out.append((cr, SlotInputs(backlog_bits=backlog, per_prb_bits=rates)))
         return out
 
@@ -578,7 +567,7 @@ class World:
 
     def _run_macs(self) -> None:
         for cr, inputs in self._channel_inputs():
-            cid = cr.cell.cell_id
+            cid = cr.mac.cell.cell_id
             res = cr.mac.run_slot(self.slot, inputs, self.rng_access, self.rng_backoff)
             self.events.extend(res.events)
             cr.granted_prbs_total += len(res.alloc)
@@ -624,17 +613,14 @@ class World:
             rate[uid] = rt.delivered_window_bits / window_s
             rt.delivered_window_bits = 0.0
         cells, ues = self.cells.items(), self.ues.items()
-        load = {
-            cid: load_fraction(cr.mac.demand_prbs, cr.cell.grid.prbs_per_slot)
-            for cid, cr in cells
-        }
+        load = {cid: cr.mac.load for cid, cr in cells}
         return UtsContext(
             epoch_index=self.slot // self.config.uts.epoch_slots,
             scenario_tag=self.config.uts.scenario_tag,
             cell_load=load,
             cell_descriptors={
                 cid: describe_cell(
-                    cr.cell,
+                    cr.mac.cell,
                     load[cid].value,
                     max(p.waveform_efficiency for p in cr.mac.portions.values()),
                 )
@@ -766,8 +752,8 @@ class World:
                 "served_bits": cr.served_bits_total,
                 "granted_prbs": cr.granted_prbs_total,
                 "prb_utilization": cr.granted_prbs_total
-                / (horizon * cr.cell.grid.prbs_per_slot),
-                "final_load_fraction": cr.mac.load_fraction,
+                / (horizon * cr.mac.cell.grid.prbs_per_slot),
+                "final_load_fraction": cr.mac.load.value,
             }
         rates = [m["delivered_bits"] for m in per_flow.values() if m["delivered_bits"] > 0]
         try:

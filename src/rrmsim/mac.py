@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import kernels
-from .abstraction import link_rate
+from .abstraction import CommonMeasure, link_rate, load_fraction
 from .core import (
     CLASS_ORDER,
     AllocationMap,
@@ -77,7 +77,6 @@ class PartitionPlan:
     demands were given. Assigned PRBs never exceed the planned total.
     """
 
-    epoch_index: int
     start: int
     total: int
     entries: tuple[tuple[str, int, int], ...]
@@ -106,7 +105,6 @@ def partition_resources(
     demands: Mapping[str, int],
     total_prbs: int,
     min_guarantee: int | Mapping[str, int] = 1,
-    epoch_index: int = 0,
     start: int = 0,
 ) -> PartitionPlan:
     """Partition ``total_prbs`` among the keys of ``demands``.
@@ -120,7 +118,7 @@ def partition_resources(
     """
     keys = list(demands)
     if not keys:
-        return PartitionPlan(epoch_index, start, total_prbs, ())
+        return PartitionPlan(start, total_prbs, ())
     if isinstance(min_guarantee, int):
         mins = {k: min_guarantee for k in keys}
     else:
@@ -144,7 +142,7 @@ def partition_resources(
     for k, sz in zip(keys, sizes):
         entries.append((k, cursor, cursor + sz))
         cursor += sz
-    return PartitionPlan(epoch_index, start, total_prbs, tuple(entries))
+    return PartitionPlan(start, total_prbs, tuple(entries))
 
 
 def dss_split(demand_a: int, demand_b: int, total_prbs: int) -> tuple[int, int]:
@@ -244,16 +242,15 @@ def schedule_dynamic_blocks(
 
 
 def schedule_dynamic(
-    interval: tuple[int, int],
-    candidates: Sequence[PfCandidate],
-    purpose: str = TrafficClass.EMBB.value,
+    interval: tuple[int, int], candidates: Sequence[PfCandidate]
 ) -> tuple[list[Grant], dict[str, float]]:
-    """Proportional-fair fill of one interval as one Grant per PRB.
+    """Proportional-fair fill of one interval as one eMBB Grant per PRB.
 
     The per-PRB form of ``schedule_dynamic_blocks`` (same rule, same served
     bits), for callers that compare per-PRB owners.
     """
     blocks, served = schedule_dynamic_blocks(interval, candidates)
+    purpose = TrafficClass.EMBB.value
     grants = [
         Grant(prb=p, owner=ue, purpose=purpose) for a, b, ue in blocks for p in range(a, b)
     ]
@@ -299,14 +296,13 @@ def schedule_one_shot(
     contenders: Sequence[Contender],
     rng: np.random.Generator,
     access_cost_prbs: int = 1,
-    purpose: str = RACH_KEY,
 ) -> tuple[list[AccessOutcome], list[Grant]]:
     """One contention round: uniform independent picks over the resources.
 
     The interval holds floor(size / access_cost_prbs) access resources. A
     resource picked by exactly one contender succeeds and carries its payload;
     resources picked by two or more collide and serve nobody. Only successful
-    picks produce grants, so exclusivity is preserved by construction.
+    picks produce ``RACH_KEY`` grants, so exclusivity is preserved by construction.
     """
     start, stop = interval
     if access_cost_prbs < 1:
@@ -330,7 +326,7 @@ def schedule_one_shot(
             outcomes.append(AccessOutcome(c.ue_id, AccessStatus.SUCCESS, res, c.payload_bits))
             a = start + res * access_cost_prbs
             grants.extend(
-                Grant(prb=p, owner=c.ue_id, purpose=purpose)
+                Grant(prb=p, owner=c.ue_id, purpose=RACH_KEY)
                 for p in range(a, a + access_cost_prbs)
             )
     return outcomes, grants
@@ -462,9 +458,8 @@ class MacInstance:
         self.flows: dict[str, MacFlow] = {}
         self.pending: list[PendingAccess] = []
         self.pf_avg: dict[str, float] = {}
-        self.epoch_index = -1
+        #: PRBs the last partition refresh found in demand, access included
         self.demand_prbs = 0
-        self.load_fraction = 0.0
         self._leaves: list[_Leaf] = []
         # reserved columns per URLLC flow for the current epoch
         self._sps_columns: dict[str, tuple[int, int]] = {}
@@ -507,12 +502,18 @@ class MacInstance:
             )
         )
 
+    @property
+    def load(self) -> CommonMeasure:
+        """The cell's load as of the last partition refresh: its PRB demand
+        over the grid, clamped to full load."""
+        return load_fraction(self.demand_prbs, self.cell.grid.prbs_per_slot)
+
     # -- partitioning -------------------------------------------------------
 
     def reference_per_prb_bits(self, portion_key: str) -> float:
         """Stable per-PRB rate used for sizing (not per-slot scheduling)."""
         eff = self.portions[portion_key].waveform_efficiency
-        return link_rate(self.cfg.demand_sinr_db, 1, eff, self.cell.grid)
+        return link_rate(self.cfg.demand_sinr_db, eff, self.cell.grid)
 
     def _portion_tree(self, inputs: SlotInputs) -> dict[str, list[tuple]]:
         """Each portion's partition children, ``(key, demand, floor, bare,
@@ -577,7 +578,6 @@ class MacInstance:
         """Recompute the full partition tree for the epoch starting at slot."""
         cfg = self.cfg
         epoch = slot // cfg.epoch_slots
-        self.epoch_index = epoch
         total = self.cell.grid.prbs_per_slot
         tree = self._portion_tree(inputs)
         access = {
@@ -641,18 +641,16 @@ class MacInstance:
             if access[key] > floor:
                 floor = max(floor, min(access[key], size - sum(c[2] for c in children)))
             children.append((RACH_KEY, access[key], floor, access_base, None))
-            self._split(slot, epoch, key, None, children, cursor, size, events)
+            self._split(slot, key, None, children, cursor, size, events)
             cursor += size
 
         self._place_reservations(slot, events)
         self.demand_prbs = sum(demand.values())
-        self.load_fraction = min(1.0, self.demand_prbs / total) if total else 0.0
         return events
 
     def _split(
         self,
         slot: int,
-        epoch: int,
         portion: str,
         slice_id: str | None,
         children: list[tuple],
@@ -671,11 +669,11 @@ class MacInstance:
         floors = {c[0]: c[2] for c in children}
         bares = {c[0]: c[3] for c in children}
         try:
-            plan = partition_resources(demands, size, floors, epoch, start)
+            plan = partition_resources(demands, size, floors, start)
         except InsufficientResourcesError:
             if floors == bares:
                 raise
-            plan = partition_resources(demands, size, bares, epoch, start)
+            plan = partition_resources(demands, size, bares, start)
         fields = {"cell": self.cell.cell_id, "portion": portion, "level": "portion"}
         if slice_id is not None:
             fields.update(level="slice", slice=slice_id)
@@ -685,7 +683,7 @@ class MacInstance:
             if sub is None:
                 self._leaves.append(_Leaf(portion, slice_id, key, (a, b)))
             else:
-                self._split(slot, epoch, portion, key, sub, a, b - a, events)
+                self._split(slot, portion, key, sub, a, b - a, events)
 
     def _place_reservations(self, slot: int, events: list[Event]) -> None:
         """Place this epoch's URLLC reservations in their leaves.
@@ -751,7 +749,7 @@ class MacInstance:
     ) -> MacSlotResult:
         cfg = self.cfg
         events: list[Event] = []
-        if slot % cfg.epoch_slots == 0 or self.epoch_index < 0:
+        if slot % cfg.epoch_slots == 0 or not self._leaves:  # or never refreshed
             events.extend(self.refresh_partitions(slot, inputs))
         if self._rosters_stale:
             self._build_rosters()

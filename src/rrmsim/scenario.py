@@ -34,7 +34,7 @@ from .core import (
     UserEquipment,
 )
 from .mac import RACH_KEY, MacConfig, PortionSpec
-from .pdcp import DEFAULT_ENTER_LOAD, DEFAULT_LEAVE_LOAD, DEFAULT_T_REORDER_SLOTS, Mode
+from .pdcp import DEFAULT_ENTER_LOAD, DEFAULT_LEAVE_LOAD, DEFAULT_T_REORDER_SLOTS, Mode, whole_bits
 from .traffic import GENERATOR_KINDS
 from .uts import (
     CARRIER_AGG_ID,
@@ -389,13 +389,17 @@ def _read_flow(r: _Reader, raw, path: str, index: int) -> FlowConfig:
 
     def check_generator(g):
         # an empty packet never fills a full buffer; a URLLC reservation
-        # takes its period and offset from a periodic generator
+        # takes its period and offset from a periodic generator; run
+        # arithmetic holds sizes exactly only below 2**53
         for key, low in (
-            ("packet_bits", 1), ("rate_per_slot", 0), ("period_slots", 1), ("offset_slots", 0),
+            ("packet_bits", 1), ("watermark_bits", 0), ("rate_per_slot", 0),
+            ("period_slots", 1), ("offset_slots", 0),
         ):
             val = getattr(g, key, low)
             if val < low:
                 r.fail(f"{gen_path}.{key}", f"must be >= {low}, got {val}")
+            elif key.endswith("_bits") and not whole_bits(val):
+                r.fail(f"{gen_path}.{key}", f"must be below 2**53, got {val}")
 
     # checks the parameters only: the flow keeps the keys the file gave
     r.read(GENERATOR_KINDS[kind], params, gen_path, check_generator)
@@ -523,7 +527,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         except ValueError:
             continue  # reported under the cell
         for p in c.portions:
-            if math.isnan(v) or link_rate(v, 1, p.waveform_efficiency, grid) <= 0:
+            if math.isnan(v) or link_rate(v, p.waveform_efficiency, grid) <= 0:
                 where = f"cell {c.cell_id!r} portion {p.key!r}"
                 r.fail("mac.demand_sinr_db", f"{v} dB gives no bits per PRB on {where}")
 

@@ -74,37 +74,29 @@ def test_conversions_preserve_order():
 def test_link_rate_reference_point():
     # 180 kHz * 1 ms * log2(1 + 1) = 180 bits for one PRB at 0 dB
     g = mk_grid(prb_bw=180e3, numerology=0)
-    assert link_rate(0.0, 1, 1.0, g) == 180.0
-    assert link_rate(0.0, 0, 1.0, g) == 0.0
-
-
-def test_link_rate_is_exactly_linear_in_prbs():
-    g = mk_grid()
-    one = link_rate(13.7, 1, 0.85, g)
-    for n in (2, 3, 17, 50):
-        assert link_rate(13.7, n, 0.85, g) == n * one
+    assert link_rate(0.0, 1.0, g) == 180.0
 
 
 def test_link_rate_monotone_and_capped():
     g = mk_grid()
-    rates = [link_rate(s, 4, 1.0, g) for s in range(-10, 45, 5)]
+    rates = [link_rate(s, 1.0, g) for s in range(-10, 45, 5)]
     assert all(b >= a for a, b in zip(rates, rates[1:]))
-    assert link_rate(SINR_CAP_DB, 8, 1.0, g) == link_rate(SINR_CAP_DB + 25.0, 8, 1.0, g)
+    assert link_rate(SINR_CAP_DB, 1.0, g) == link_rate(SINR_CAP_DB + 25.0, 1.0, g)
 
 
 def test_link_rate_efficiency_knob():
     g = mk_grid(prb_bw=180e3)
-    full = link_rate(0.0, 1, 1.0, g)
-    assert link_rate(0.0, 1, 0.5, g) == math.floor(full * 0.5)
+    full = link_rate(0.0, 1.0, g)
+    assert link_rate(0.0, 0.5, g) == math.floor(full * 0.5)
     with pytest.raises(ValueError):
-        link_rate(0.0, 1, 0.0, g)
+        link_rate(0.0, 0.0, g)
     with pytest.raises(ValueError):
-        link_rate(0.0, 1, 1.5, g)
+        link_rate(0.0, 1.5, g)
 
 
 def test_capacity_score_is_whole_grid_at_reference_sinr():
     g = mk_grid(prbs=40)
-    assert capacity_score(g) == 40 * link_rate(CAPACITY_REF_SINR_DB, 1, 1.0, g)
+    assert capacity_score(g) == 40 * link_rate(CAPACITY_REF_SINR_DB, 1.0, g)
 
 
 # ---------------------------------------------------------------------------

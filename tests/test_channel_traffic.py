@@ -162,9 +162,9 @@ def test_sinr_composes_budget_and_fading():
     w.slot = 13
     ((cr, inputs),) = w._channel_inputs()
     ((ue, pk), rate), = inputs.per_prb_bits.items()
-    sinr = mean_sinr_db(w.chan, cr.cell, w.ues[ue].position) + _fading(w.chan, 5, 0, 13)
+    sinr = mean_sinr_db(w.chan, cr.mac.cell, w.ues[ue].position) + _fading(w.chan, 5, 0, 13)
     eff = cr.mac.portions[pk].waveform_efficiency
-    assert ue == "u5" and rate == link_rate(sinr, 1, eff, cr.cell.grid)
+    assert ue == "u5" and rate == link_rate(sinr, eff, cr.mac.cell.grid)
 
 
 # ---------------------------------------------------------------------------

@@ -223,10 +223,15 @@ def test_reservation_shape_the_mac_refuses_is_a_config_error(flow_keys, where, t
         # a full buffer of empty packets never fills: the run would hang
         ("eMBB", {"kind": "full_buffer", "packet_bits": 0}, "packet_bits: must be >= 1"),
         ("mMTC", {"kind": "poisson_sporadic", "rate_per_slot": -1}, "rate_per_slot: must be >= 0"),
+        # run arithmetic would round these, so the run would fail at its start
+        ("eMBB", {"kind": "full_buffer", "packet_bits": 2**53 + 1},
+         "packet_bits: must be below 2**53"),
+        ("eMBB", {"kind": "full_buffer", "watermark_bits": 2**53},
+         "watermark_bits: must be below 2**53"),
     ],
     ids=[
         "rate_per_slot", "packet_bits", "watermark_bits", "deadline_slots",
-        "empty_packets", "negative_rate",
+        "empty_packets", "negative_rate", "huge_packets", "huge_watermark",
     ],
 )
 def test_bad_generator_param_is_a_config_error(service, generator, reason, tmp_path, capsys):

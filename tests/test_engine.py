@@ -114,7 +114,9 @@ def _ledger(w, fr):
 def test_bit_ledger_balances_every_mac_epoch(scenarios, name, seed):
     """Every bit that arrived is queued, half sent, or in a completed
     packet, and every bit the MAC served is in the last two, exactly. A flow
-    that ever duplicates is left out: its copies count twice."""
+    that ever duplicates is left out: its copies count twice. Each flow is
+    registered with exactly the MACs of its legs' cells, an mMTC flow with
+    its UE's serving cell's."""
     w = World(scenarios[name], seed=seed)
     duplicating = set()
     checks = 0
@@ -127,6 +129,11 @@ def test_bit_ledger_balances_every_mac_epoch(scenarios, name, seed):
         if w.slot % w.config.mac.epoch_slots:
             continue
         for fid, fr in w.flows.items():
+            registered = {cid for cid, cr in w.cells.items() if fid in cr.mac.flows}
+            if fr.state is None:
+                assert registered == {w.ues[fr.cfg.ue_id].serving}, (w.slot, fid)
+            else:
+                assert registered == {leg.cell_id for leg in fr.state.legs}, (w.slot, fid)
             if fid not in duplicating:
                 (arrived, held), (served, sent) = _ledger(w, fr)
                 assert arrived == held and served == sent, (w.slot, fid)
@@ -273,7 +280,6 @@ def test_stage_order_is_declared():
         ("mobility", "_refresh_positions"),
         ("arrivals", "_arrivals"),
         ("steering", "_steering"),
-        ("legs", "_refresh_legs"),
         ("mac", "_run_macs"),
         ("transport", "_reorder_ticks"),
         ("metrics", "_metrics_rollup"),
@@ -394,6 +400,22 @@ def _capture_mac_results(world):
     return seen
 
 
+def test_load_balance_switch_reads_the_mac_load_of_its_latest_refresh():
+    """A load-balance flow's switch sees the load its MAC computed at the
+    last partition refresh, not a copy of it taken a slot earlier: ``ca``
+    refreshes at slot 0 under the full buffer, so slot 1 leaves it."""
+    gen = {"kind": "full_buffer", "packet_bits": 1500, "watermark_bits": 400_000}
+    w = _two_cell_world(flows=[{"id": "fl", "ue": "ua", "service": "legacy_MBB", "generator": gen}])
+    w.apply_configure_dc("ua", "ca", "cb")
+    state = w.flows["fl"].state
+    assert state.mode is pdcp.Mode.LOAD_BALANCE
+    w.step_slot()
+    w.step_slot()
+    assert state.legs[state.active_leg].cell_id == "cb"
+    assert state.sent_pdus.get("cb", 0) > 0
+    assert w.cells["ca"].mac.load.value == 1.0
+
+
 def test_mid_epoch_handover_moves_grants_on_the_next_slot():
     w = _two_cell_world()
     for _ in range(4):  # into the middle of the first MAC epoch
@@ -491,9 +513,9 @@ def test_fading_rows_cover_the_mac_epoch_across_mid_epoch_handovers(scenarios):
             for (uid, pk), rate in slot_inputs.per_prb_bits.items():
                 rt = w.ues[uid]
                 fad = chan.fading_db_batch(w.chan, [rt.index], [cr.index], w.slot)[0]
-                sinr = chan.mean_sinr_db(w.chan, cr.cell, rt.position) + float(fad)
+                sinr = chan.mean_sinr_db(w.chan, cr.mac.cell, rt.position) + float(fad)
                 eff = cr.mac.portions[pk].waveform_efficiency
-                assert rate == link_rate(sinr, 1, eff, cr.cell.grid), (w.slot, uid)
+                assert rate == link_rate(sinr, eff, cr.mac.cell.grid), (w.slot, uid)
         return out
 
     w._channel_inputs = checked
@@ -527,7 +549,7 @@ def test_context_descriptors_and_mac_backlogs_read_their_owners(scenarios, name)
         ctx = context()
         for cid, cr in w.cells.items():
             load = ctx.cell_load[cid].value
-            assert ctx.cell_descriptors[cid] == describe_cell(cr.cell, load, best[cid])
+            assert ctx.cell_descriptors[cid] == describe_cell(cr.mac.cell, load, best[cid])
         epochs.append(w.slot)
         return ctx
 
@@ -617,8 +639,8 @@ def test_mean_sinr_reads_through_the_rsrp_cache_bit_for_bit(
         pos = w.ues["u"].position
         for cid, cr in w.cells.items():
             first = w._mean_sinr("u", cid)
-            assert first == chan.mean_sinr_db(w.chan, cr.cell, pos)
-            assert w._rsrp_cache["u"][cid] == chan.rsrp_dbm(w.chan, cr.cell, pos)
+            assert first == chan.mean_sinr_db(w.chan, cr.mac.cell, pos)
+            assert w._rsrp_cache["u"][cid] == chan.rsrp_dbm(w.chan, cr.mac.cell, pos)
             assert w._mean_sinr("u", cid) == first  # a cache hit
 
     check_every_cell()
@@ -645,7 +667,7 @@ def test_steering_context_computes_no_rsrp_until_a_feature_reads_it(monkeypatch)
     assert calls == []
 
     pos = w.ues["ua"].position
-    expected = signal_db(real(w.chan, w.cells["cb"].cell, pos))
+    expected = signal_db(real(w.chan, w.cells["cb"].mac.cell, pos))
     assert ctx.ue_signal["ua"]["cb"] == expected
     assert ctx.ue_signal["ua"].get("cb") == expected
     assert calls == ["cb"]
@@ -662,7 +684,7 @@ def test_context_clamps_an_overloaded_cell_at_full_load():
     for _ in range(11):  # past the slot-10 MAC epoch, which sizes demand
         w.step_slot()
     ca, cb = w.cells["ca"], w.cells["cb"]
-    assert ca.mac.demand_prbs > ca.cell.grid.prbs_per_slot and cb.mac.demand_prbs == 0
+    assert ca.mac.demand_prbs > ca.mac.cell.grid.prbs_per_slot and cb.mac.demand_prbs == 0
     ctx = w._context()
     assert ctx.cell_load["ca"].kind is MeasureKind.LOAD_FRACTION
     assert ctx.cell_load["ca"].value == 1.0
@@ -708,12 +730,12 @@ def test_context_row_built_before_a_move_keeps_its_position():
     assert after_pos != before_pos
     new = w._context().ue_signal["ua"]
     for cid, cr in w.cells.items():
-        assert old[cid] == signal_db(chan.rsrp_dbm(w.chan, cr.cell, before_pos))
-        assert new[cid] == signal_db(chan.rsrp_dbm(w.chan, cr.cell, after_pos))
+        assert old[cid] == signal_db(chan.rsrp_dbm(w.chan, cr.mac.cell, before_pos))
+        assert new[cid] == signal_db(chan.rsrp_dbm(w.chan, cr.mac.cell, after_pos))
         assert old[cid] != new[cid]
     # only the new row's reads landed in the UE's cache
     assert w._rsrp_cache["ua"] == {
-        cid: chan.rsrp_dbm(w.chan, cr.cell, after_pos) for cid, cr in w.cells.items()
+        cid: chan.rsrp_dbm(w.chan, cr.mac.cell, after_pos) for cid, cr in w.cells.items()
     }
 
 

@@ -105,11 +105,10 @@ def test_partition_raises_when_guarantees_cannot_fit():
 
 
 def test_partition_intervals_are_contiguous_and_start_anchored():
-    plan = partition_resources({"x": 4, "y": 4}, 10, epoch_index=3, start=20)
+    plan = partition_resources({"x": 4, "y": 4}, 10, start=20)
     assert plan.entries[0][1] == 20
     assert plan.interval("x") == (20, 24) and plan.interval("y") == (24, 28)
     assert [k for k, _, _ in plan.entries] == ["x", "y"]
-    assert plan.epoch_index == 3
 
 
 def test_partition_random_properties():
