@@ -11,9 +11,9 @@ into a dimensionless load fraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping
+from typing import Callable
 
 from .core import Cell, CellClass, CarrierGrid
 
@@ -68,8 +68,9 @@ def load_fraction(queued: float, capacity: float) -> CommonMeasure:
 class CapabilityDescriptor:
     """What a cell offers, with the technology name scrubbed out.
 
-    Coordinators and steering features read only this. ``latency_class`` is
-    "low" when the slot is at most half a millisecond, else "normal";
+    Coordinators and steering features see a cell only through this, which
+    is fixed for a run, and through common units such as its load fraction.
+    ``latency_class`` is "low" when the slot is at most 0.5 ms, else "normal";
     ``coverage_class`` is "wide" for macro cells, "local" otherwise.
     """
 
@@ -79,7 +80,6 @@ class CapabilityDescriptor:
     coverage_class: str
     supports_duplication: bool
     supports_secondary_attach: bool
-    current_load: float
 
     def __post_init__(self):
         if self.capacity_score < 0:
@@ -88,8 +88,6 @@ class CapabilityDescriptor:
             raise ValueError(f"unknown latency_class {self.latency_class!r}")
         if self.coverage_class not in ("wide", "local"):
             raise ValueError(f"unknown coverage_class {self.coverage_class!r}")
-        if not (0.0 <= self.current_load <= 1.0):
-            raise ValueError(f"current_load outside [0, 1]: {self.current_load}")
 
 
 def link_rate(sinr_db: float, waveform_efficiency: float, grid: CarrierGrid) -> float:
@@ -117,9 +115,7 @@ def capacity_score(grid: CarrierGrid, waveform_efficiency: float = 1.0) -> float
     return grid.prbs_per_slot * link_rate(CAPACITY_REF_SINR_DB, waveform_efficiency, grid)
 
 
-def describe_cell(
-    cell: Cell, current_load: float, waveform_efficiency: float = 1.0
-) -> CapabilityDescriptor:
+def describe_cell(cell: Cell, waveform_efficiency: float = 1.0) -> CapabilityDescriptor:
     """Reduce a cell to its technology-neutral descriptor.
 
     Deterministic in its inputs; reads the grid geometry and structural flags
@@ -132,7 +128,6 @@ def describe_cell(
         coverage_class="wide" if cell.cell_class is CellClass.MACRO else "local",
         supports_duplication=cell.supports_duplication,
         supports_secondary_attach=cell.supports_secondary,
-        current_load=current_load,
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,9 +37,6 @@ class ChannelConfig:
     interference_margin_db: float = 3.0
     min_distance_m: float = 1.0
 
-    def exponent(self, cell_class: CellClass) -> float:
-        return DEFAULT_EXPONENTS[cell_class]
-
 
 @functools.lru_cache(maxsize=64)
 def reference_pathloss_db(carrier_hz: float) -> float:
@@ -53,7 +50,7 @@ def pathloss_db(cfg: ChannelConfig, cell: Cell, position: tuple[float, float]) -
     dx = position[0] - cell.position[0]
     dy = position[1] - cell.position[1]
     d = max(math.hypot(dx, dy), cfg.min_distance_m)
-    n = cfg.exponent(cell.cell_class)
+    n = DEFAULT_EXPONENTS[cell.cell_class]
     return reference_pathloss_db(cell.grid.carrier_hz) + 10.0 * n * math.log10(d)
 
 

@@ -11,13 +11,13 @@ call gives every (UE, cell) pair with a queue-driven flow its fading for each
 slot of the epoch, and a pair that a handover brings in mid-epoch gets its row
 the same way. Each slot reads its own column; the rows go when the epoch
 ends. Lookups the slot loop needs (flows by UE, services by UE, eligible cells
-by capability set) are indexed once at construction. One RSRP cache per UE
-fills as it is read and drops when the UE moves; the mean SINR is derived from
-it on each read. The steering context reads through it, converting with
-``signal_db``, takes each cell's load from its MAC's ``load`` and describes
-each cell at that load. So a slot costs work per (UE, cell) pair that something
-reads. The World keeps no copy of what the MACs own: cells, portions, loads
-and registrations are read from each ``MacInstance``, and a load-balance
+by capability set) and the cells' capability descriptors, fixed for a run, are
+built once. One RSRP cache per UE fills as it is read and drops when the UE
+moves; the mean SINR is derived from it on each read. The steering context
+reads through it, converting with ``signal_db``, and takes each cell's load
+from its MAC's ``load``. So a slot costs work per (UE, cell) pair that
+something reads. The World keeps no copy of what the MACs own: cells, portions,
+loads and registrations are read from each ``MacInstance``, and a load-balance
 flow's legs take their cells' loads just before its packets are routed.
 
 Packets move as runs (``pdcp.Run``): a flow's arrivals in a slot are routed
@@ -94,6 +94,9 @@ class UeRuntime:
     position: tuple[float, float]
     secondary: tuple[str, ...] = ()
     delivered_window_bits: float = 0.0
+    #: the cell the last handover left (None before the first), and that handover's slot
+    prev_serving: str | None = None
+    moved_slot: int = 0
 
 
 @dataclass
@@ -147,6 +150,8 @@ class World:
         self._fading: dict[tuple[int, int], list[float]] = {}
 
         self.cells: dict[str, CellRuntime] = {}
+        # what each cell can do, at its best portion's efficiency; fixed for the run
+        descriptors = {}
         for i, cc in enumerate(config.cells):
             cell = build_domain(cc)
             self.cells[cc.cell_id] = CellRuntime(
@@ -155,6 +160,9 @@ class World:
                 mac=MacInstance(cell, cc.portions, config.mac),
                 noise_floor_dbm=chan.noise_floor_dbm(self.chan, cell.grid.prb_bandwidth_hz),
             )
+            best = max(p.waveform_efficiency for p in cc.portions)
+            descriptors[cc.cell_id] = describe_cell(cell, best)
+        self._descriptors = MappingProxyType(descriptors)
 
         # numerology is validated to be uniform, so one slot clock serves all
         mu = config.cells[0].numerology
@@ -179,9 +187,7 @@ class World:
         for caps in dict.fromkeys(u.capabilities for u in built):
             table = self._portions_by_caps[caps] = {}
             for cid, cr in self.cells.items():
-                usable = [
-                    p for p in cr.mac.portions.values() if p.required_capability in (None, *caps)
-                ]
+                usable = [p for p in cr.mac.portions.values() if p.usable_by(caps)]
                 if usable:  # the first of equally efficient portions wins
                     table[cid] = max(usable, key=lambda p: p.waveform_efficiency)
         self._eligible = MappingProxyType(
@@ -236,7 +242,7 @@ class World:
                 name=f"{config.name}-strategy",
                 scenario_tag=config.uts.scenario_tag,
                 ranking=tuple(ranking),
-                thresholds=config.uts.thresholds_dict(),
+                thresholds=config.uts.thresholds,
                 hysteresis_epochs=config.uts.hysteresis_epochs,
                 time_to_trigger_epochs=config.uts.time_to_trigger_epochs,
             )
@@ -248,9 +254,7 @@ class World:
         self.rach_successes = 0
         self.rach_collisions = 0
         self.action_counts: dict[str, int] = {}
-        self.serving_trace: dict[str, list[tuple[int, str]]] = {
-            u: [(0, rt.serving)] for u, rt in self.ues.items()
-        }
+        self.pingpong_count = 0
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -322,9 +326,7 @@ class World:
                 mac = self.cells[src].mac
                 moved = [a for a in mac.pending if a.flow_id == fid]
                 mac.deregister_flow(fid)  # which drops them from src
-            key = self._register_mac_flow(fr, dst).key
-            for a in moved:
-                a.portion_key = key
+            self._register_mac_flow(fr, dst)
             self.cells[dst].mac.pending.extend(moved)
             return
         legs = state.legs
@@ -357,12 +359,17 @@ class World:
     # ------------------------------------------------------------------
 
     def apply_handover(self, ue_id: str, target: str) -> None:
-        rt = self.ues[ue_id]
+        """Serve the UE from ``target``. A return to the cell its last handover
+        left, at most hysteresis x steering-epoch slots later, is a ping-pong."""
+        rt, uts = self.ues[ue_id], self.config.uts
+        window = uts.hysteresis_epochs * uts.epoch_slots
+        if target == rt.prev_serving and self.slot - rt.moved_slot <= window:
+            self.pingpong_count += 1
         prev, rt.serving = rt.serving, target
+        rt.prev_serving, rt.moved_slot = prev, self.slot
         rt.secondary = tuple(c for c in rt.secondary if c != target)
         for fr in self._flows_by_ue[ue_id]:
             self._attach(fr, prev, target)
-        self.serving_trace[ue_id].append((self.slot, target))
 
     def apply_offload(self, ue_id: str, target: str) -> None:
         """Move the UE's data legs to the target while the anchor stays."""
@@ -394,7 +401,7 @@ class World:
                 continue
             if fr.state.leg_by_cell(master) is None:  # homed elsewhere: to the master first
                 self._attach(fr, fr.state.legs[0].cell_id, master)
-            self._attach(fr, None, second, self.config.pdcp.mode_for(fr.cfg.service))
+            self._attach(fr, None, second, self.config.pdcp.service_modes[fr.cfg.service])
 
     # ------------------------------------------------------------------
     # per-slot stages
@@ -601,8 +608,9 @@ class World:
         """This epoch's steering context. Each UE's signal row reads through
         its RSRP cache; the cache dict and the position are bound when the row
         is built, so a row built before the UE moves keeps the values of where
-        it was. Each cell is described at its load measure. Each UE's
-        delivery-rate window closes here and starts again."""
+        it was. Each cell's load is read from its MAC; its descriptor is the
+        one built at construction. Each UE's delivery-rate window closes here
+        and starts again."""
 
         def signal_row(dbm: dict, position: tuple[float, float]) -> LazyRow:
             return LazyRow(self.cells, lambda cid: signal_db(self._rsrp(dbm, cid, position)))
@@ -612,20 +620,12 @@ class World:
         for uid, rt in self.ues.items():
             rate[uid] = rt.delivered_window_bits / window_s
             rt.delivered_window_bits = 0.0
-        cells, ues = self.cells.items(), self.ues.items()
-        load = {cid: cr.mac.load for cid, cr in cells}
+        ues = self.ues.items()
         return UtsContext(
             epoch_index=self.slot // self.config.uts.epoch_slots,
             scenario_tag=self.config.uts.scenario_tag,
-            cell_load=load,
-            cell_descriptors={
-                cid: describe_cell(
-                    cr.mac.cell,
-                    load[cid].value,
-                    max(p.waveform_efficiency for p in cr.mac.portions.values()),
-                )
-                for cid, cr in cells
-            },
+            cell_load={cid: cr.mac.load for cid, cr in self.cells.items()},
+            cell_descriptors=self._descriptors,
             ue_signal={
                 uid: signal_row(self._rsrp_cache.setdefault(uid, {}), rt.position)
                 for uid, rt in ues
@@ -709,17 +709,6 @@ class World:
     # reporting
     # ------------------------------------------------------------------
 
-    def _pingpong_count(self) -> int:
-        window = self.config.uts.hysteresis_epochs * self.config.uts.epoch_slots
-        count = 0
-        for uid, trace in self.serving_trace.items():
-            for i in range(2, len(trace)):
-                slot_i, cell_i = trace[i]
-                slot_p, cell_p = trace[i - 2]
-                if cell_i == cell_p and slot_i - trace[i - 1][0] <= window:
-                    count += 1
-        return count
-
     def build_report(self) -> "MetricsReport":
         per_flow = {}
         all_lat: dict[int, int] = {}
@@ -784,7 +773,7 @@ class World:
             rach_collisions=self.rach_collisions,
             rach_success_rate=self.rach_successes / attempts if attempts else None,
             steering_actions=dict(sorted(self.action_counts.items())),
-            pingpong_count=self._pingpong_count(),
+            pingpong_count=self.pingpong_count,
         )
 
 

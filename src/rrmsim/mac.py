@@ -23,7 +23,6 @@ from .abstraction import CommonMeasure, link_rate, load_fraction
 from .core import (
     CLASS_ORDER,
     AllocationMap,
-    CarrierGrid,
     Cell,
     Event,
     Grant,
@@ -355,6 +354,10 @@ class PortionSpec:
         if not (0.0 < self.waveform_efficiency <= 1.0):
             raise ValueError("waveform_efficiency must be in (0, 1]")
 
+    def usable_by(self, capabilities) -> bool:
+        """Whether a UE with these capabilities may ride this portion."""
+        return self.required_capability is None or self.required_capability in capabilities
+
 
 @dataclass(frozen=True)
 class MacConfig:
@@ -396,8 +399,6 @@ class PendingAccess:
     attempts from the same flow in the same slot are distinct objects."""
 
     flow_id: str
-    ue_id: str
-    portion_key: str
     payload_bits: float
     created_slot: int
     ready_epoch: int
@@ -490,12 +491,12 @@ class MacInstance:
         self._rosters_stale = True
 
     def queue_attempt(self, flow_id: str, payload_bits: float, slot: int) -> None:
-        flow = self.flows[flow_id]
+        """Queue an access attempt; its UE and portion are its flow's."""
+        if flow_id not in self.flows:
+            raise KeyError(flow_id)
         self.pending.append(
             PendingAccess(
                 flow_id=flow_id,
-                ue_id=flow.ue_id,
-                portion_key=flow.portion_key,
                 payload_bits=payload_bits,
                 created_slot=slot,
                 ready_epoch=slot // self.cfg.epoch_slots,
@@ -580,22 +581,21 @@ class MacInstance:
         epoch = slot // cfg.epoch_slots
         total = self.cell.grid.prbs_per_slot
         tree = self._portion_tree(inputs)
-        access = {
-            key: cfg.access_cost_prbs
-            * sum(1 for a in self.pending if a.portion_key == key and a.ready_epoch <= epoch)
-            for key in tree
-        }
+        access = dict.fromkeys(tree, 0)
+        for a in self.pending:
+            if a.ready_epoch <= epoch:
+                access[self.flows[a.flow_id].portion_key] += cfg.access_cost_prbs
         demand = {key: sum(c[1] for c in tree[key]) + access[key] for key in tree}
         # The access partition always holds at least one whole access
         # resource, whatever a resource costs.
         access_base = max(cfg.min_guarantee_prbs, cfg.access_cost_prbs)
         events: list[Event] = []
 
+        # every pending attempt's flow is registered on its portion
         active = [
             key
             for key in tree
             if any(f.portion_key == key for f in self.flows.values())
-            or any(a.portion_key == key for a in self.pending)
         ] or [next(iter(self.portions))]
 
         # Portion sizing: all to a lone active portion; shared carriers split
@@ -882,14 +882,17 @@ class MacInstance:
         ready: list[PendingAccess] = []
         still: list[PendingAccess] = []
         for a in self.pending:
-            if a.portion_key == leaf.portion_key and a.ready_epoch <= epoch:
+            if self.flows[a.flow_id].portion_key == leaf.portion_key and a.ready_epoch <= epoch:
                 ready.append(a)
             else:
                 still.append(a)
         ready.sort(key=lambda a: (a.created_slot, a.flow_id))
         if not ready:
             return [], [], []
-        contenders = [Contender(ue_id=a.ue_id, payload_bits=a.payload_bits) for a in ready]
+        contenders = [
+            Contender(ue_id=self.flows[a.flow_id].ue_id, payload_bits=a.payload_bits)
+            for a in ready
+        ]
         outcomes, grants = schedule_one_shot(
             leaf.interval, contenders, rng_access, self.cfg.access_cost_prbs
         )

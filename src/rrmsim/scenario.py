@@ -117,15 +117,8 @@ class PdcpSection:
     t_reorder_slots: int = DEFAULT_T_REORDER_SLOTS
     leave_load: float = DEFAULT_LEAVE_LOAD
     enter_load: float = DEFAULT_ENTER_LOAD
-    service_modes: tuple[tuple[TrafficClass, Mode], ...] = tuple(
-        sorted(DEFAULT_SERVICE_MODES.items(), key=lambda kv: kv[0].value)
-    )
-
-    def mode_for(self, service: TrafficClass) -> Mode:
-        for svc, mode in self.service_modes:
-            if svc is service:
-                return mode
-        return Mode.AGGREGATE
+    #: every traffic class's mode
+    service_modes: dict[TrafficClass, Mode] = field(default_factory=DEFAULT_SERVICE_MODES.copy)
 
 
 @dataclass(frozen=True)
@@ -135,15 +128,13 @@ class UtsSection:
     scenario_tag: str = "default"
     features: tuple[str, ...] = BUILTIN_FEATURE_IDS
     ranking: tuple[str, ...] = ()
-    thresholds: tuple[tuple[str, tuple[tuple[str, float], ...]], ...] = ()
+    #: per-feature threshold overrides
+    thresholds: dict[str, dict[str, float]] = field(default_factory=dict)
     hysteresis_epochs: int = DEFAULT_HYSTERESIS_EPOCHS
     time_to_trigger_epochs: int = DEFAULT_TIME_TO_TRIGGER_EPOCHS
 
     def effective_ranking(self) -> tuple[str, ...]:
         return self.ranking if self.ranking else self.features
-
-    def thresholds_dict(self) -> dict[str, dict[str, float]]:
-        return {fid: dict(kv) for fid, kv in self.thresholds}
 
 
 @dataclass(frozen=True)
@@ -242,6 +233,16 @@ class _Reader:
             self.fail(path, f"expected a list, got {type(raw).__name__}")
             return []
         return raw
+
+    def names(self, raw, path: str) -> tuple[str, ...]:
+        """The entries of list ``raw``, each of which must be a non-empty string."""
+        out = []
+        for i, val in enumerate(self.seq(raw, path)):
+            if isinstance(val, str) and val:
+                out.append(val)
+            else:
+                self.fail(f"{path}[{i}]", f"expected a non-empty string, got {val!r}")
+        return tuple(out)
 
     def reject_unknown(self, raw: dict, known: set[str], path: str):
         for key in raw:
@@ -366,10 +367,7 @@ def _read_cell(r: _Reader, raw, path: str, index: int) -> CellConfig:
 
 def _read_ue(r: _Reader, raw, path: str, index: int) -> UeConfig:
     m = r.mapping(raw, path)
-    caps_raw = r.seq(m.get("capabilities"), f"{path}.capabilities")
-    caps = tuple(c for c in caps_raw if isinstance(c, str) and c)
-    if caps_raw and len(caps) != len(caps_raw):
-        r.fail(f"{path}.capabilities", "capabilities must be non-empty strings")
+    caps = r.names(m.get("capabilities"), f"{path}.capabilities")
     return r.read(
         UeConfig, m, path, defaults={"ue_id": f"ue{index}"},
         capabilities=caps or UeConfig.capabilities,
@@ -476,10 +474,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     cell_by_id = {c.cell_id: c for c in cells}
 
     def eligible(ue: UeConfig, cell: CellConfig) -> bool:
-        return any(
-            p.required_capability is None or p.required_capability in ue.capabilities
-            for p in cell.portions
-        )
+        return any(p.usable_by(ue.capabilities) for p in cell.portions)
 
     for i, u in enumerate(ues):
         if u.serving_cell is not None:
@@ -544,24 +539,20 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             modes[svc] = Mode(val)
         except ValueError:
             r.fail(f"pdcp.service_modes.{key}", f"unknown mode {val!r}")
-    pdcp = r.read(
-        PdcpSection, pd_m, "pdcp",
-        service_modes=tuple(sorted(modes.items(), key=lambda kv: kv[0].value)),
-    )
+    pdcp = r.read(PdcpSection, pd_m, "pdcp", service_modes=modes)
     if pdcp.t_reorder_slots < 1:
         r.fail("pdcp.t_reorder_slots", "must be >= 1")
     if not (0.0 <= pdcp.enter_load <= pdcp.leave_load <= 1.0):
         r.fail("pdcp", "need 0 <= enter_load <= leave_load <= 1")
 
     uts_m = r.mapping(data.get("uts"), "uts")
-    feats_raw = r.seq(uts_m.get("features"), "uts.features")
-    feats = tuple(f for f in feats_raw if isinstance(f, str))
-    if "features" not in uts_m or uts_m.get("features") is None:
+    feats = r.names(uts_m.get("features"), "uts.features")
+    if uts_m.get("features") is None:
         feats = UtsSection.features
     for f in feats:
         if f not in BUILTIN_FEATURE_IDS:
             r.fail("uts.features", f"unknown feature {f!r}")
-    ranking = tuple(f for f in r.seq(uts_m.get("ranking"), "uts.ranking") if isinstance(f, str))
+    ranking = r.names(uts_m.get("ranking"), "uts.ranking")
     for f in ranking:
         if f not in feats:
             r.fail("uts.ranking", f"ranked feature {f!r} not in features")
@@ -570,13 +561,13 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     if ranking and set(ranking) != set(feats):
         r.fail("uts.ranking", "ranking must cover every enabled feature")
     thr_m = r.mapping(uts_m.get("thresholds"), "uts.thresholds")
-    thr_entries = []
+    thresholds = {}
     for fid, kv in thr_m.items():
         if fid not in feats:
             r.fail(f"uts.thresholds.{fid}", "thresholds for a feature not enabled")
             continue
         kv_m = r.mapping(kv, f"uts.thresholds.{fid}")
-        pairs = []
+        values = thresholds[fid] = {}
         for k, v in kv_m.items():
             num = r.number(v, f"uts.thresholds.{fid}.{k}")
             if num is None:
@@ -584,11 +575,10 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             if fid in DEFAULT_THRESHOLDS and k not in DEFAULT_THRESHOLDS[fid]:
                 r.fail(f"uts.thresholds.{fid}.{k}", "unknown threshold")
                 continue
-            pairs.append((k, num))
-        thr_entries.append((fid, tuple(sorted(pairs))))
+            values[k] = num
     uts = r.read(
         UtsSection, uts_m, "uts",
-        features=feats, ranking=ranking, thresholds=tuple(sorted(thr_entries)),
+        features=feats, ranking=ranking, thresholds=thresholds,
     )
     if uts.epoch_slots < 1:
         r.fail("uts.epoch_slots", "must be >= 1")
@@ -607,6 +597,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     """Serialize a config with every field explicit (round-trip stable)."""
+    modes, thresholds = cfg.pdcp.service_modes, cfg.uts.thresholds
     return {
         "name": cfg.name,
         "sim": _to_dict(cfg.sim),
@@ -622,9 +613,9 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
         "mac": _to_dict(cfg.mac),
         "pdcp": {
             **_to_dict(cfg.pdcp),
-            "service_modes": {svc.value: mode.value for svc, mode in cfg.pdcp.service_modes},
+            "service_modes": {svc.value: mode.value for svc, mode in modes.items()},
         },
-        "uts": {**_to_dict(cfg.uts), "thresholds": cfg.uts.thresholds_dict()},
+        "uts": {**_to_dict(cfg.uts), "thresholds": {f: dict(kv) for f, kv in thresholds.items()}},
     }
 
 

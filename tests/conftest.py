@@ -4,11 +4,17 @@ import dataclasses
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from rrmsim.core import CarrierGrid, Cell, CellClass, UserEquipment
 from rrmsim.scenario import ScenarioConfig, load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+
+# Property tests draw the same examples on every run, so a failure reproduces;
+# some examples build whole worlds, so no per-example deadline.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def mk_grid(prbs=50, carrier_hz=2.0e9, numerology=0, prb_bw=180e3) -> CarrierGrid:

@@ -106,27 +106,24 @@ def test_capacity_score_is_whole_grid_at_reference_sinr():
 def test_descriptor_classes_follow_geometry():
     macro = mk_cell(cell_class=CellClass.MACRO, grid=mk_grid(numerology=0))
     small = mk_cell("s1", cell_class=CellClass.SMALL, grid=mk_grid(numerology=1, carrier_hz=3.5e9))
-    d_macro = describe_cell(macro, 0.3)
-    d_small = describe_cell(small, 0.3)
+    d_macro = describe_cell(macro)
+    d_small = describe_cell(small)
     assert d_macro.coverage_class == "wide" and d_macro.latency_class == "normal"
     assert d_small.coverage_class == "local" and d_small.latency_class == "low"
-    assert d_macro.current_load == 0.3
 
 
 def test_descriptor_ignores_technology_label():
     """Two cells that differ only in their RAT label describe identically."""
     a = mk_cell("c", rat_tag="lte")
     b = mk_cell("c", rat_tag="proprietary-mesh")
-    assert describe_cell(a, 0.5) == describe_cell(b, 0.5)
+    assert describe_cell(a) == describe_cell(b)
 
 
 def test_descriptor_field_validation():
     with pytest.raises(ValueError):
-        CapabilityDescriptor("c", -1.0, "low", "wide", True, True, 0.0)
+        CapabilityDescriptor("c", -1.0, "low", "wide", True, True)
     with pytest.raises(ValueError):
-        CapabilityDescriptor("c", 1.0, "tiny", "wide", True, True, 0.0)
-    with pytest.raises(ValueError):
-        CapabilityDescriptor("c", 1.0, "low", "wide", True, True, 1.5)
+        CapabilityDescriptor("c", 1.0, "tiny", "wide", True, True)
 
 
 # ---------------------------------------------------------------------------

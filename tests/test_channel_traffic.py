@@ -100,7 +100,7 @@ def test_fading_batch_matches_scalar():
     assert np.array_equal(batch, scalar)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(
     pairs=st.lists(
         st.tuples(st.integers(0, 2**20), st.integers(0, 64)), min_size=1, max_size=40
@@ -197,7 +197,7 @@ def test_poisson_count_matches_rate():
     assert abs(n - 1000) <= 3 * math.sqrt(1000)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(
     packet_bits=st.integers(min_value=1, max_value=20_000),
     watermark_bits=st.integers(min_value=0, max_value=200_000),
@@ -231,7 +231,7 @@ def test_make_generator_factory():
         make_generator("bursty_fractal")
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     per_cell=st.lists(
         st.lists(st.integers(min_value=0, max_value=2**20), min_size=1, max_size=70),

@@ -290,6 +290,29 @@ def test_non_finite_number_is_a_config_error(sections, where, shown, tmp_path, c
     _assert_bad_flow_exits_2(flow, message, tmp_path, capsys, **sections)
 
 
+@pytest.mark.parametrize(
+    "uts, where, shown",
+    [
+        ({"features": [5]}, "uts.features[0]", "5"),
+        ({"features": ["load_balance_handover", 7]}, "uts.features[1]", "7"),
+        ({"features": [None]}, "uts.features[0]", "None"),
+        (
+            {"features": ["load_balance_handover"], "ranking": ["load_balance_handover", 3]},
+            "uts.ranking[1]",
+            "3",
+        ),
+    ],
+    ids=["lone-number", "number-after-name", "null", "ranking-number"],
+)
+def test_steering_feature_name_that_is_not_a_string_is_a_config_error(
+    uts, where, shown, tmp_path, capsys
+):
+    # such entries used to be dropped, so the run went on with steering off
+    flow = {"service": "eMBB", "generator": {"kind": "full_buffer", "packet_bits": 4000}}
+    message = f"{where}: expected a non-empty string, got {shown}"
+    _assert_bad_flow_exits_2(flow, message, tmp_path, capsys, uts=uts)
+
+
 def _assert_bad_flow_exits_2(flow_keys, message, tmp_path, capsys, **sections):
     """A one-cell, one-flow scenario with ``flow_keys`` (and any extra
     top-level ``sections``) fails validation naming ``message``, and ``run``

@@ -58,7 +58,7 @@ def test_counter_uniform_decorrelates_across_each_input():
     assert abs(float(base.mean()) - 0.5) < 0.05
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(
     n=st.integers(min_value=1, max_value=50),
     n_slots=st.integers(min_value=1, max_value=12),
@@ -126,7 +126,7 @@ def pf_cases(draw):
     return metric, per_prb, backlog, draw(st.integers(0, 300))
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(pf_cases())
 def test_pf_fill_runs_equal_per_prb_argmax_exactly(case):
     metric, per_prb, backlog, n_prbs = case

@@ -57,7 +57,7 @@ def test_largest_remainder_input_validation():
     demands=st.lists(st.integers(min_value=0, max_value=500), min_size=1, max_size=8).filter(sum),
     total=st.integers(min_value=0, max_value=300),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_largest_remainder_satisfies_quota(demands, total):
     out = largest_remainder(demands, total)
     assert sum(out) == total

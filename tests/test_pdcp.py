@@ -196,7 +196,7 @@ def test_reorder_in_order_stream_never_arms_timer():
 
 
 @given(st.permutations(list(range(12))), st.integers(min_value=0, max_value=1))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_reorder_delivery_is_strictly_increasing(order, tick_between):
     """However PDUs arrive (with duplicates), the delivered SN stream only climbs."""
     rx = ReceiverState(t_reorder_slots=3)
@@ -314,7 +314,7 @@ def _rx_state(rx):
             rx.duplicates_dropped, rx.lost_count)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(
     mode=st.sampled_from(list(Mode)),
     n_legs=st.integers(min_value=1, max_value=3),

@@ -47,7 +47,7 @@ def _cell_state(cell_id, demand, capacity=50.0, cell_class=CellClass.MACRO, **ce
     """A cell's (id, load, descriptor), as the engine puts them in a context."""
     cell = mk_cell(cell_id, cell_class=cell_class, grid=mk_grid(prbs=int(capacity)), **cell_kw)
     load = load_fraction(demand, capacity)
-    return cell_id, load, describe_cell(cell, load.value)
+    return cell_id, load, describe_cell(cell)
 
 
 def _ue_state(ue_id, serving, rsrp, secondary=(), services=(TrafficClass.EMBB,),
