@@ -4,79 +4,13 @@ Layers, bottom up: resource grids and grants (core), the technology
 abstraction and plugin registry (abstraction), per-cell coordinators with
 class-specialized schedulers (mac), split-bearer flow control (pdcp), traffic
 steering (uts), and the world that ties them together (engine). Hot loops
-live in kernels.
+live in kernels. The package root holds the documented entry points; every
+other name is imported from its layer module.
 """
 
-from .core import (
-    AllocationMap,
-    CarrierGrid,
-    Cell,
-    CellClass,
-    DegenerateInputError,
-    Event,
-    Grant,
-    OverlapError,
-    OutOfRangeError,
-    TrafficClass,
-    UserEquipment,
-    Violation,
-    compute_fairness,
-    validate_allocation_map,
-)
-from .abstraction import (
-    CapabilityDescriptor,
-    CommonMeasure,
-    DuplicateIdError,
-    FeatureRecord,
-    MeasureKind,
-    PluginLocation,
-    PluginRegistry,
-    capacity_score,
-    describe_cell,
-    link_rate,
-)
-from .mac import (
-    InsufficientResourcesError,
-    MacConfig,
-    MacFlow,
-    MacInstance,
-    PartitionPlan,
-    PortionSpec,
-    dss_split,
-    estimate_demands,
-    partition_resources,
-    schedule_dynamic,
-    schedule_one_shot,
-)
-from .pdcp import (
-    FlowState,
-    Leg,
-    Mode,
-    ModeArityError,
-    ReceiverState,
-    configure_legs,
-    reorder_deliver,
-    reorder_tick,
-    route_packet,
-)
-from .uts import (
-    ActionKind,
-    MnoStrategy,
-    SteeringAction,
-    UtsContext,
-    UtsController,
-    apply_actions,
-    evaluate_features,
-    register_builtins,
-    resolve_conflicts,
-)
-from .scenario import (
-    ScenarioConfig,
-    ValidationError,
-    load_scenario,
-    scenario_from_dict,
-    scenario_to_dict,
-)
-from .engine import MetricsReport, RunResult, World, run_scenario
+from .abstraction import FeatureRecord, PluginLocation
+from .engine import World, run_scenario
+from .scenario import load_scenario, scenario_from_dict
+from .uts import ActionKind, SteeringAction
 
 __version__ = "0.1.0"

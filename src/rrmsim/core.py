@@ -125,8 +125,8 @@ class AllocationMap:
     Held as sorted, pairwise-disjoint half-open blocks ``(start, stop, owner,
     purpose)``. ``add_block`` is the one exclusivity check: it refuses a block
     that leaves the grid or touches a held PRB, in O(log blocks), before
-    anything lands. ``add`` is its one-PRB form; ``grants()`` expands the
-    blocks to one Grant per PRB in PRB order.
+    anything lands. ``grants()`` expands the blocks to one Grant per PRB in
+    PRB order.
     """
 
     def __init__(self, grid: CarrierGrid, slot: int):
@@ -153,9 +153,6 @@ class AllocationMap:
             raise OverlapError(blocks[i][0], blocks[i][2], owner)
         blocks.insert(i, (start, stop, owner, purpose))
         self._count += stop - start
-
-    def add(self, grant: Grant) -> None:
-        self.add_block(grant.prb, grant.prb + 1, grant.owner, grant.purpose)
 
     def blocks(self) -> list[tuple[int, int, str, str]]:
         return list(self._blocks)

@@ -19,6 +19,7 @@ from its MAC's ``load``. So a slot costs work per (UE, cell) pair that
 something reads. The World keeps no copy of what the MACs own: cells, portions,
 loads and registrations are read from each ``MacInstance``, and a load-balance
 flow's legs take their cells' loads just before its packets are routed.
+The report sums the MACs' access counts and counts the controller's history.
 
 Packets move as runs (``pdcp.Run``): a flow's arrivals in a slot are routed
 in one call, the drain uses up whole packets of a leg's head run with
@@ -38,6 +39,7 @@ which carries its pending access attempts along.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from types import MappingProxyType
@@ -251,9 +253,6 @@ class World:
         self.slot = 0
         self.events: list[Event] = []
         self.rows: list[dict] = []
-        self.rach_successes = 0
-        self.rach_collisions = 0
-        self.action_counts: dict[str, int] = {}
         self.pingpong_count = 0
 
     # ------------------------------------------------------------------
@@ -591,11 +590,6 @@ class World:
                 cr.served_bits_total += att.payload_bits
                 fr.mac_served_bits += att.payload_bits
                 self._deliver(fr, att.payload_bits, att.created_slot)
-            for o in res.outcomes:
-                if o.status.value == "success":
-                    self.rach_successes += 1
-                else:
-                    self.rach_collisions += 1
 
     def _reorder_ticks(self) -> None:
         for fr in self.flows.values():
@@ -641,11 +635,8 @@ class World:
     def _steering(self) -> None:
         if self.controller is None or self.slot % self.config.uts.epoch_slots != 0:
             return
-        applied, events = self.controller.step(self._context(), self, self.slot)
+        _, events = self.controller.step(self._context(), self, self.slot)
         self.events.extend(events)
-        for entry in applied:
-            kind = entry.action.kind.value
-            self.action_counts[kind] = self.action_counts.get(kind, 0) + 1
 
     def _metrics_rollup(self) -> None:
         if (self.slot + 1) % self.config.mac.epoch_slots != 0:
@@ -758,7 +749,11 @@ class World:
             p50, p95, p99 = (float(x) for x in np.percentile(per_packet, [50, 95, 99]))
         else:
             p50 = p95 = p99 = None
-        attempts = self.rach_successes + self.rach_collisions
+        successes = sum(cr.mac.rach_successes for cr in self.cells.values())
+        collisions = sum(cr.mac.rach_collisions for cr in self.cells.values())
+        attempts = successes + collisions
+        history = self.controller.history if self.controller is not None else ()
+        actions = Counter(h.action.kind.value for h in history)
         return MetricsReport(
             slots=self.slot,
             backend=kernels.backend_name(),
@@ -769,10 +764,10 @@ class World:
             latency_ms_p95=p95,
             latency_ms_p99=p99,
             rach_attempts=attempts,
-            rach_successes=self.rach_successes,
-            rach_collisions=self.rach_collisions,
-            rach_success_rate=self.rach_successes / attempts if attempts else None,
-            steering_actions=dict(sorted(self.action_counts.items())),
+            rach_successes=successes,
+            rach_collisions=collisions,
+            rach_success_rate=successes / attempts if attempts else None,
+            steering_actions=dict(sorted(actions.items())),
             pingpong_count=self.pingpong_count,
         )
 

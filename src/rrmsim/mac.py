@@ -7,6 +7,10 @@ proportional-fair for queue-driven broadband, semi-persistent reservations for
 deadline traffic, and one-shot contention for sporadic small payloads. The
 same exact integer apportionment (largest remainder) is used at every level,
 by one recursive split over the partition tree.
+
+Every scheduler hands ``run_slot`` half-open ``(start, stop, ue_id)`` blocks
+for the slot's ``AllocationMap``. A PF leaf is filled from its roster, with the
+metric computed in ``_pf_blocks`` alone; the MAC counts its access outcomes.
 """
 
 from __future__ import annotations
@@ -197,63 +201,53 @@ class PfCandidate:
     avg_bits: float
 
     def __post_init__(self):
-        if self.per_prb_bits < 0 or self.backlog_bits < 0:
-            raise ValueError("rates and backlogs must be >= 0")
-        if self.avg_bits <= 0:
-            raise ValueError("avg_bits must be positive")
+        if self.per_prb_bits < 0 or self.backlog_bits < 0 or self.avg_bits < 0:
+            raise ValueError("rates, backlogs and averages must be >= 0")
 
 
-def schedule_dynamic_blocks(
-    interval: tuple[int, int], candidates: Sequence[PfCandidate]
-) -> tuple[list[tuple[int, int, str]], dict[str, float]]:
-    """Proportional-fair fill of one interval, one contiguous block per winner.
+def _pf_blocks(interval: tuple[int, int], ue_ids, rates, backlogs, avgs):
+    """Proportional-fair fill of one interval for distinct UEs in ue_id order.
 
-    Same outcome as giving each PRB in turn to the backlogged candidate that
-    maximizes instantaneous rate over average served rate (ties to the lowest
+    Same outcome as giving each PRB in turn to the backlogged UE that
+    maximizes per-PRB rate over average served rate (ties to the lowest
     ue_id): that metric is fixed within the slot, so a winner holds every PRB
     until its backlog drains, and ``kernels.pf_fill`` computes the runs
-    directly. Work-conserving: PRBs are left idle only when no candidate has
-    backlog remaining.
-
-    Returns half-open ``(start, stop, ue_id)`` blocks in PRB order and the
-    bits served per candidate this slot (the caller owns the running-average
-    update).
+    directly. At an average of 0.0 the metric is its limit: +inf for a
+    positive rate, else 0.0. Work-conserving: PRBs are left idle only when no
+    UE has backlog remaining. Returns half-open ``(start, stop, ue_id)``
+    blocks in PRB order and the bits served per UE, in the order given.
     """
     start, stop = interval
-    n_prbs = stop - start
-    if n_prbs <= 0 or not candidates:
-        return [], {}
-    ids = [c.ue_id for c in candidates]
-    if len(set(ids)) != len(ids):
-        raise ValueError("candidates must have distinct ue_ids")
-    cands = sorted(candidates, key=lambda c: c.ue_id)
-    runs, served = kernels.pf_fill(
-        [c.per_prb_bits / c.avg_bits for c in cands],
-        [c.per_prb_bits for c in cands],
-        [c.backlog_bits for c in cands],
-        n_prbs,
-    )
+    metric = [r / a if a > 0.0 else (math.inf if r > 0.0 else 0.0) for r, a in zip(rates, avgs)]
+    runs, served = kernels.pf_fill(metric, rates, backlogs, stop - start)
     blocks = []
     for idx, k in runs:
-        blocks.append((start, start + k, cands[idx].ue_id))
+        blocks.append((start, start + k, ue_ids[idx]))
         start += k
-    return blocks, {c.ue_id: served[i] for i, c in enumerate(cands)}
+    return blocks, served
 
 
 def schedule_dynamic(
     interval: tuple[int, int], candidates: Sequence[PfCandidate]
 ) -> tuple[list[Grant], dict[str, float]]:
-    """Proportional-fair fill of one interval as one eMBB Grant per PRB.
-
-    The per-PRB form of ``schedule_dynamic_blocks`` (same rule, same served
-    bits), for callers that compare per-PRB owners.
-    """
-    blocks, served = schedule_dynamic_blocks(interval, candidates)
+    """The PF leaves' rule (``_pf_blocks``) as one eMBB Grant per PRB, for
+    callers that compare per-PRB owners; also returns the bits served per
+    candidate (the caller owns the running-average update)."""
+    if interval[1] <= interval[0] or not candidates:
+        return [], {}
+    cands = sorted(candidates, key=lambda c: c.ue_id)
+    ids = [c.ue_id for c in cands]
+    if len(set(ids)) != len(ids):
+        raise ValueError("candidates must have distinct ue_ids")
+    blocks, served = _pf_blocks(
+        interval, ids, [c.per_prb_bits for c in cands], [c.backlog_bits for c in cands],
+        [c.avg_bits for c in cands],
+    )
     purpose = TrafficClass.EMBB.value
     grants = [
         Grant(prb=p, owner=ue, purpose=purpose) for a, b, ue in blocks for p in range(a, b)
     ]
-    return grants, served
+    return grants, dict(zip(ids, served))
 
 
 def _first_gap(
@@ -295,13 +289,14 @@ def schedule_one_shot(
     contenders: Sequence[Contender],
     rng: np.random.Generator,
     access_cost_prbs: int = 1,
-) -> tuple[list[AccessOutcome], list[Grant]]:
+) -> tuple[list[AccessOutcome], list[tuple[int, int, str]]]:
     """One contention round: uniform independent picks over the resources.
 
     The interval holds floor(size / access_cost_prbs) access resources. A
     resource picked by exactly one contender succeeds and carries its payload;
     resources picked by two or more collide and serve nobody. Only successful
-    picks produce ``RACH_KEY`` grants, so exclusivity is preserved by construction.
+    picks produce blocks, half-open ``(start, stop, ue_id)`` over the
+    resource's PRBs, so exclusivity is preserved by construction.
     """
     start, stop = interval
     if access_cost_prbs < 1:
@@ -316,7 +311,7 @@ def schedule_one_shot(
     picks = np.asarray(rng.integers(0, m, size=len(contenders)), dtype=np.int64)
     collided = kernels.classify_picks(picks, m)
     outcomes: list[AccessOutcome] = []
-    grants: list[Grant] = []
+    blocks: list[tuple[int, int, str]] = []
     for i, c in enumerate(contenders):
         res = int(picks[i])
         if bool(collided[i]):
@@ -324,11 +319,8 @@ def schedule_one_shot(
         else:
             outcomes.append(AccessOutcome(c.ue_id, AccessStatus.SUCCESS, res, c.payload_bits))
             a = start + res * access_cost_prbs
-            grants.extend(
-                Grant(prb=p, owner=c.ue_id, purpose=RACH_KEY)
-                for p in range(a, a + access_cost_prbs)
-            )
-    return outcomes, grants
+            blocks.append((a, a + access_cost_prbs, c.ue_id))
+    return outcomes, blocks
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +451,9 @@ class MacInstance:
         self.flows: dict[str, MacFlow] = {}
         self.pending: list[PendingAccess] = []
         self.pf_avg: dict[str, float] = {}
+        #: access attempts that succeeded and that collided, over the run
+        self.rach_successes = 0
+        self.rach_collisions = 0
         #: PRBs the last partition refresh found in demand, access included
         self.demand_prbs = 0
         self._leaves: list[_Leaf] = []
@@ -764,15 +759,17 @@ class MacInstance:
             if leaf.key == RACH_KEY:
                 if slot % cfg.epoch_slots != 0:
                     continue
-                outs, grants, dels = self._run_contention(
+                outs, blocks, dels = self._run_contention(
                     leaf, slot, epoch, rng_access, rng_backoff
                 )
                 outcomes_all.extend(outs)
                 delivered.extend(dels)
-                for g in grants:
-                    amap.add(g)
+                for a, b, ue in blocks:
+                    amap.add_block(a, b, ue, RACH_KEY)
                 if outs:
-                    n_succ = sum(1 for o in outs if o.status is AccessStatus.SUCCESS)
+                    n_succ = len(dels)
+                    self.rach_successes += n_succ
+                    self.rach_collisions += len(outs) - n_succ
                     events.append(
                         Event.make(
                             slot,
@@ -849,29 +846,28 @@ class MacInstance:
         self._rosters_stale = False
 
     def _run_dynamic(self, leaf: _Leaf, inputs: SlotInputs):
-        by_ue = leaf.roster
-        cands = []
-        for ue, fl in by_ue.items():
-            backlog = sum(inputs.backlog_bits.get(f.flow_id, 0.0) for f in fl)
+        # the roster's backlogged UEs, in ue_id order; each UE's served bits
+        # drain its flows in flow_id order
+        backlog_bits, rates, avg = inputs.backlog_bits, inputs.per_prb_bits, self.pf_avg
+        initial = self.cfg.pf_initial_avg_bits
+        ids, ue_rates, backlogs, avgs = [], [], [], []
+        for ue, fl in leaf.roster.items():
+            backlog = sum(backlog_bits.get(f.flow_id, 0.0) for f in fl)
             if backlog <= 0:
                 continue
-            rate = inputs.per_prb_bits.get((ue, leaf.portion_key), 0.0)
-            cands.append(
-                PfCandidate(
-                    ue_id=ue,
-                    per_prb_bits=rate,
-                    backlog_bits=backlog,
-                    avg_bits=self.pf_avg.get(ue, self.cfg.pf_initial_avg_bits),
-                )
-            )
-        blocks, served_by_ue = schedule_dynamic_blocks(leaf.interval, cands)
+            ids.append(ue)
+            ue_rates.append(rates.get((ue, leaf.portion_key), 0.0))
+            backlogs.append(backlog)
+            avgs.append(avg.get(ue, initial))
+        blocks, served = _pf_blocks(leaf.interval, ids, ue_rates, backlogs, avgs)
+        served_by_ue = dict(zip(ids, served))
         by_flow: dict[str, float] = {}
         for ue, bits in served_by_ue.items():
             pool = bits
-            for f in by_ue[ue]:
+            for f in leaf.roster[ue]:
                 if pool <= 0:
                     break
-                take = min(pool, inputs.backlog_bits.get(f.flow_id, 0.0))
+                take = min(pool, backlog_bits.get(f.flow_id, 0.0))
                 if take > 0:
                     by_flow[f.flow_id] = by_flow.get(f.flow_id, 0.0) + take
                     pool -= take
@@ -893,7 +889,7 @@ class MacInstance:
             Contender(ue_id=self.flows[a.flow_id].ue_id, payload_bits=a.payload_bits)
             for a in ready
         ]
-        outcomes, grants = schedule_one_shot(
+        outcomes, blocks = schedule_one_shot(
             leaf.interval, contenders, rng_access, self.cfg.access_cost_prbs
         )
         delivered = []
@@ -909,4 +905,4 @@ class MacInstance:
                 attempt.ready_epoch = epoch + delay
                 still.append(attempt)
         self.pending = still
-        return outcomes, grants, delivered
+        return outcomes, blocks, delivered

@@ -235,13 +235,16 @@ class _Reader:
         return raw
 
     def names(self, raw, path: str) -> tuple[str, ...]:
-        """The entries of list ``raw``, each of which must be a non-empty string."""
+        """The entries of list ``raw``, each of which must be a non-empty
+        string that no earlier entry holds."""
         out = []
         for i, val in enumerate(self.seq(raw, path)):
-            if isinstance(val, str) and val:
-                out.append(val)
-            else:
+            if not (isinstance(val, str) and val):
                 self.fail(f"{path}[{i}]", f"expected a non-empty string, got {val!r}")
+            elif val in out:
+                self.fail(f"{path}[{i}]", f"repeats {val!r}")
+            else:
+                out.append(val)
         return tuple(out)
 
     def reject_unknown(self, raw: dict, known: set[str], path: str):
@@ -556,8 +559,6 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     for f in ranking:
         if f not in feats:
             r.fail("uts.ranking", f"ranked feature {f!r} not in features")
-    if ranking and len(set(ranking)) != len(ranking):
-        r.fail("uts.ranking", "ranking must not repeat features")
     if ranking and set(ranking) != set(feats):
         r.fail("uts.ranking", "ranking must cover every enabled feature")
     thr_m = r.mapping(uts_m.get("thresholds"), "uts.thresholds")

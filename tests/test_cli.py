@@ -313,6 +313,89 @@ def test_steering_feature_name_that_is_not_a_string_is_a_config_error(
     _assert_bad_flow_exits_2(flow, message, tmp_path, capsys, uts=uts)
 
 
+@pytest.mark.parametrize(
+    "sections, where, shown",
+    [
+        (
+            {"uts": {"features": ["load_balance_handover", "load_balance_handover"]}},
+            "uts.features[1]",
+            "load_balance_handover",
+        ),
+        (
+            {
+                "uts": {
+                    "features": ["load_balance_handover"],
+                    "ranking": ["load_balance_handover", "load_balance_handover"],
+                }
+            },
+            "uts.ranking[1]",
+            "load_balance_handover",
+        ),
+        (
+            {"ues": [{"id": "u1", "position": [30.0, 0.0], "capabilities": ["nr", "lte", "nr"]}]},
+            "ues[0].capabilities[2]",
+            "nr",
+        ),
+    ],
+    ids=["feature", "ranking", "capability"],
+)
+def test_repeated_name_in_a_list_is_a_config_error(sections, where, shown, tmp_path, capsys):
+    # a repeated feature used to validate and then fail the run with exit 1
+    flow = {"service": "eMBB", "generator": {"kind": "full_buffer", "packet_bits": 4000}}
+    message = f"{where}: repeats {shown!r}"
+    _assert_bad_flow_exits_2(flow, message, tmp_path, capsys, **sections)
+
+
+@pytest.mark.parametrize(
+    "ues, flows, pf_ewma, horizon",
+    [
+        (
+            [{"id": "u1", "position": [30.0, 0.0]}, {"id": "u2", "position": [60.0, 0.0]}],
+            [
+                {"id": f"f{i}", "ue": f"u{i}", "service": "eMBB",
+                 "generator": {"kind": "full_buffer", "packet_bits": 4000}}
+                for i in (1, 2)
+            ],
+            1.0,
+            50,
+        ),
+        (
+            [{"id": "u1", "position": [30.0, 0.0]}],
+            [
+                {"id": "f1", "ue": "u1", "service": "eMBB",
+                 "generator": {"kind": "poisson_sporadic", "rate_per_slot": 0.0008,
+                               "packet_bits": 800}}
+            ],
+            0.5,
+            3000,
+        ),
+    ],
+    ids=["full-buffer-ewma-1", "sporadic-ewma-half"],
+)
+def test_pf_average_that_reaches_zero_runs_to_the_horizon(
+    ues, flows, pf_ewma, horizon, tmp_path, capsys
+):
+    """For pf_ewma >= 0.5 an unserved UE's PF average underflows to 0.0 (at
+    once with two full buffers and an ewma of 1; at slot 2754 after the
+    sporadic flow's idle stretch). The run used to stop there with exit 1."""
+    doc = {
+        "name": "pf_zero_average",
+        "network": {"cells": [{"id": "c1", "prbs_per_slot": 10}]},
+        "ues": ues,
+        "traffic": {"flows": flows},
+        "mac": {"pf_ewma": pf_ewma},
+        "sim": {"horizon_slots": horizon, "seed": 1},
+    }
+    p = tmp_path / "pf.yaml"
+    p.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    assert main(["run", str(p), "--out", str(out)]) == 0
+    per_flow = json.loads((out / "summary.json").read_text())["report"]["per_flow"]
+    assert all(m["delivered_bits"] > 0 for m in per_flow.values())
+    if len(ues) == 1:  # every sporadic packet is delivered
+        assert per_flow["f1"]["delivered_bits"] == per_flow["f1"]["arrived_bits"]
+
+
 def _assert_bad_flow_exits_2(flow_keys, message, tmp_path, capsys, **sections):
     """A one-cell, one-flow scenario with ``flow_keys`` (and any extra
     top-level ``sections``) fails validation naming ``message``, and ``run``

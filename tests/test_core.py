@@ -87,7 +87,7 @@ def test_add_block_bounds_checked_before_anything_lands():
 
 def test_allocation_map_owner_queries():
     amap = AllocationMap(mk_grid(prbs=8), slot=0)
-    amap.add(Grant(prb=2, owner="x", purpose="URLLC"))
+    amap.add_block(2, 3, "x", "URLLC")
     assert amap.blocks() == [(2, 3, "x", "URLLC")]
     assert amap.grants() == [Grant(prb=2, owner="x", purpose="URLLC")]
     assert len(amap) == 1
@@ -157,7 +157,7 @@ def test_grants_expand_blocks_in_prb_order_and_validate():
     g = mk_grid(prbs=16)
     amap = AllocationMap(g, slot=0)
     amap.add_block(10, 13, "ue-c", "URLLC")  # added out of PRB order
-    amap.add(Grant(prb=0, owner="ue-a", purpose="rach"))
+    amap.add_block(0, 1, "ue-a", "rach")
     amap.add_block(4, 7, "ue-b", "eMBB")
     grants = amap.grants()
     assert [g.prb for g in grants] == [0, 4, 5, 6, 10, 11, 12]
@@ -214,7 +214,7 @@ def test_map_built_through_add_always_validates_clean():
         for _ in range(60):
             prb = int(rng.integers(0, 45))
             try:
-                amap.add(Grant(prb, f"ue{int(rng.integers(4))}", "eMBB"))
+                amap.add_block(prb, prb + 1, f"ue{int(rng.integers(4))}", "eMBB")
             except (OverlapError, OutOfRangeError):
                 pass
         assert validate_allocation_map(g, amap.grants()) == []

@@ -1,7 +1,9 @@
 """Whole-world runs: determinism, conservation, stage discipline."""
 
 import dataclasses
+import hashlib
 import importlib.util
+import json
 import sys
 from types import MappingProxyType
 
@@ -551,13 +553,29 @@ def test_fading_rows_cover_the_mac_epoch_across_mid_epoch_handovers(scenarios):
     assert [s for s in handovers if s % n] and late_rows
 
 
-def _dense_embb_config():
-    """The benchmark's dense_embb scenario at seed 1, read from its builder."""
+def _dense_embb_config(seed=1):
+    """The benchmark's dense_embb scenario at ``seed``, read from its builder."""
     path = SCENARIO_DIR.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     mod = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
     spec.loader.exec_module(mod)
-    return scenario_from_dict(mod.dense_embb_dict(1))
+    return scenario_from_dict(mod.dense_embb_dict(seed))
+
+
+@pytest.mark.parametrize("seed", [1, 1009])
+def test_dense_embb_files_match_the_benchmark_reference_digests(seed):
+    """The PF path at scale (200 UEs over 16 cells, which the goldens' few
+    UEs do not reach): each rendered file's sha256 equals the benchmark's
+    stored reference for the seed."""
+    refs = json.loads((SCENARIO_DIR.parent / "perfbench" / "reference_digests.json").read_text())
+    result = run_scenario(_dense_embb_config(seed), seed=seed)
+    texts = {
+        "metrics.csv": render_csv(result.rows),
+        "summary.json": render_summary(result),
+        "events.log": render_events(result.events),
+    }
+    got = {f"dense_embb/{n}": hashlib.sha256(t.encode()).hexdigest() for n, t in texts.items()}
+    assert got == refs["dense_embb"][str(seed)]["files"]
 
 
 @pytest.mark.parametrize(
@@ -859,7 +877,9 @@ def test_carrier_aggregation_adds_and_releases_a_secondary_on_a_world():
         (f"2450 {rel}", *home),
         (f"2950 {add}", *both),
     ]
-    assert w.action_counts == {"add_secondary_cell": 3, "release_secondary_cell": 2}
+    assert w.build_report().steering_actions == {
+        "add_secondary_cell": 3, "release_secondary_cell": 2
+    }
     assert w.ues["u1"].serving == "m1"
 
 

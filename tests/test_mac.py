@@ -1,11 +1,13 @@
 """MAC layer: apportionment, schedulers, contention, and the per-cell coordinator."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrmsim.core import TrafficClass, validate_allocation_map
+from rrmsim.core import TrafficClass, validate_allocation_map, validate_blocks
 from rrmsim.mac import (
     AccessStatus,
     Contender,
@@ -172,6 +174,14 @@ def test_estimate_demands():
 # dynamic (proportional-fair) scheduling
 # ---------------------------------------------------------------------------
 
+def pf_metric(c):
+    """Rate over average; at an average of 0.0 its limit, +inf for a
+    positive rate, else 0.0."""
+    if c.avg_bits > 0:
+        return c.per_prb_bits / c.avg_bits
+    return math.inf if c.per_prb_bits > 0 else 0.0
+
+
 def pf_reference(interval, candidates):
     """Straight-line re-implementation used as the scheduling oracle.
 
@@ -186,7 +196,7 @@ def pf_reference(interval, candidates):
         live = [c for c in cands if rem[c.ue_id] > 0]
         if not live:
             break
-        best = max(live, key=lambda c: c.per_prb_bits / c.avg_bits)
+        best = max(live, key=pf_metric)
         take = min(best.per_prb_bits, rem[best.ue_id])
         served[best.ue_id] += take
         rem[best.ue_id] -= take
@@ -249,6 +259,52 @@ def test_pf_matches_reference_oracle():
         assert served == pytest.approx(ref_served)
 
 
+@given(
+    prbs=st.integers(2, 40),  # the eMBB leaf and the access channel hold one PRB each
+    ues=st.lists(
+        st.tuples(
+            st.integers(0, 400),  # per-PRB rate
+            st.lists(st.integers(0, 4000), min_size=1, max_size=2),  # each flow's backlog
+            st.one_of(st.just(0.0), st.floats(0.01, 5000.0)),  # PF average
+        ),
+        min_size=1,
+        max_size=7,
+    ),
+)
+@settings(max_examples=300)
+def test_mac_pf_leaf_matches_the_argmax_oracle(prbs, ues):
+    """One eMBB leaf of ``run_slot``, averages of 0.0 included: its blocks and
+    each UE's served bits are the per-PRB argmax oracle's."""
+    mac = _mac(prbs=prbs)
+    backlogs, rates, cands, ue_of = {}, {}, [], {}
+    for i, (rate, flow_bits, avg) in enumerate(ues):
+        ue = f"ue{i}"
+        for j, bits in enumerate(flow_bits):
+            fid = f"f{i}{'ab'[j]}"
+            mac.register_flow(
+                MacFlow(flow_id=fid, ue_id=ue, service=TrafficClass.EMBB, portion_key="main")
+            )
+            backlogs[fid], ue_of[fid] = float(bits), ue
+        rates[(ue, "main")] = float(rate)
+        mac.pf_avg[ue] = avg
+        cands.append(PfCandidate(ue, float(rate), float(sum(flow_bits)), avg))
+    res = mac.run_slot(
+        0, SlotInputs(backlogs, rates), np.random.default_rng(0), np.random.default_rng(1)
+    )
+    plan = next(e.get("plan") for e in res.events if e.kind == "partition")
+    a, b = (int(x) for x in dict(p.split(":") for p in plan.split(","))["eMBB"].split("-"))
+    owners, served = pf_reference((a, b), [c for c in cands if c.backlog_bits > 0])
+    got = [
+        (p, ue) for s, e, ue, purpose in res.alloc.blocks() if purpose == "eMBB"
+        for p in range(s, e)
+    ]
+    assert got == [(a + k, ue) for k, ue in enumerate(owners)]
+    by_ue = {}
+    for fid, bits in res.served_bits.items():
+        by_ue[ue_of[fid]] = by_ue.get(ue_of[fid], 0.0) + bits
+    assert by_ue == {ue: bits for ue, bits in served.items() if bits > 0}
+
+
 # ---------------------------------------------------------------------------
 # one-shot contention access
 # ---------------------------------------------------------------------------
@@ -256,10 +312,12 @@ def test_pf_matches_reference_oracle():
 def test_one_shot_lone_contender_always_succeeds():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        outs, grants = schedule_one_shot((0, 4), [Contender("u1", 512.0)], rng)
+        outs, blocks = schedule_one_shot((0, 4), [Contender("u1", 512.0)], rng)
         assert len(outs) == 1 and outs[0].status is AccessStatus.SUCCESS
         assert outs[0].payload_bits == 512.0
-        assert len(grants) == 1 and grants[0].owner == "u1" and 0 <= grants[0].prb < 4
+        assert len(blocks) == 1
+        a, b, owner = blocks[0]
+        assert owner == "u1" and 0 <= a < 4 and b == a + 1
 
 
 def test_one_shot_single_resource_always_collides_when_crowded():
@@ -274,7 +332,7 @@ def test_one_shot_collision_iff_shared_resource():
     rng = np.random.default_rng(2)
     for _ in range(200):
         n = int(rng.integers(1, 10))
-        outs, grants = schedule_one_shot((0, 8), [Contender(f"u{i}") for i in range(n)], rng)
+        outs, blocks = schedule_one_shot((0, 8), [Contender(f"u{i}") for i in range(n)], rng)
         pickers: dict[int, list] = {}
         for o in outs:
             pickers.setdefault(o.resource, []).append(o)
@@ -282,16 +340,16 @@ def test_one_shot_collision_iff_shared_resource():
             want = AccessStatus.COLLISION if len(group) > 1 else AccessStatus.SUCCESS
             assert all(o.status is want for o in group)
         winners = {o.ue_id for o in outs if o.status is AccessStatus.SUCCESS}
-        assert {g.owner for g in grants} == winners
-        assert validate_allocation_map(mk_grid(prbs=8), grants) == []
+        assert {ue for _, _, ue in blocks} == winners
+        assert validate_blocks(mk_grid(prbs=8), [(a, b, ue, "rach") for a, b, ue in blocks]) == []
 
 
 def test_one_shot_access_cost_blocks():
     rng = np.random.default_rng(3)
-    outs, grants = schedule_one_shot((0, 5), [Contender("u1")], rng, access_cost_prbs=2)
+    outs, blocks = schedule_one_shot((0, 5), [Contender("u1")], rng, access_cost_prbs=2)
     # 5 PRBs at cost 2 hold two resources, on PRBs {0,1} and {2,3}; PRB 4 is dead
     assert outs[0].resource in (0, 1)
-    assert sorted(g.prb for g in grants) in ([0, 1], [2, 3])
+    assert blocks in ([(0, 2, "u1")], [(2, 4, "u1")])
     assert schedule_one_shot((0, 5), [], rng) == ([], [])
     with pytest.raises(InsufficientResourcesError):
         schedule_one_shot((0, 1), [Contender("u")], rng, access_cost_prbs=2)
