@@ -8,18 +8,20 @@ fading hash, so a (config, seed) pair fully determines every output byte.
 
 The fading hash is stateless, so it is evaluated a MAC epoch at a time: one
 call gives every (UE, cell) pair with a queue-driven flow its fading for each
-slot of the epoch, and a pair that a handover brings in mid-epoch gets its row
-the same way. Each slot reads its own column; the rows go when the epoch
-ends. Lookups the slot loop needs (flows by UE, services by UE, eligible cells
-by capability set) and the cells' capability descriptors, fixed for a run, are
-built once. One RSRP cache per UE fills as it is read and drops when the UE
-moves; the mean SINR is derived from it on each read. The steering context
-reads through it, converting with ``signal_db``, and takes each cell's load
-from its MAC's ``load``. So a slot costs work per (UE, cell) pair that
-something reads. The World keeps no copy of what the MACs own: cells, portions,
-loads and registrations are read from each ``MacInstance``, and a load-balance
-flow's legs take their cells' loads just before its packets are routed.
-The report sums the MACs' access counts and counts the controller's history.
+slot of the epoch, as one row of an array, and a pair that a handover brings
+in mid-epoch gets its row the same way. Each slot reads its own column; the
+block goes when the epoch ends. Lookups the slot loop needs (flows by UE,
+services by UE, eligible cells by capability set) and the cells' capability
+descriptors, fixed for a run, are built once. One RSRP cache per UE fills as
+it is read and drops when the UE moves; the mean SINR is derived from it on
+each read. The steering context builds a UE's signal row only when a feature
+reads it, reads through that cache, converting with ``signal_db``, and takes
+each cell's load from its MAC's ``load``. So a slot costs work per (UE, cell)
+pair that something reads. The World keeps no copy of what the MACs own:
+cells, portions, loads and registrations are read from each ``MacInstance``,
+and a load-balance flow's legs take their cells' loads just before its
+packets are routed. The report sums the MACs' access counts and counts the
+controller's history.
 
 Packets move as runs (``pdcp.Run``): a flow's arrivals in a slot are routed
 in one call, the drain uses up whole packets of a leg's head run with
@@ -146,10 +148,12 @@ class World:
             self.chan = replace(config.channel, fading_seed=self.seed)
         else:
             self.chan = config.channel
-        # fading of each (UE index, cell index) pair over the current MAC
-        # epoch's slots, filled by _channel_inputs
+        # fading over the current MAC epoch's slots: one row of the block per
+        # (UE index, cell index) pair, found by its row number; filled by
+        # _channel_inputs
         self._fading_epoch = -1
-        self._fading: dict[tuple[int, int], list[float]] = {}
+        self._fading: dict[tuple[int, int], int] = {}
+        self._fading_block = np.empty((0, config.mac.epoch_slots))
 
         self.cells: dict[str, CellRuntime] = {}
         # what each cell can do, at its best portion's efficiency; fixed for the run
@@ -460,19 +464,21 @@ class World:
         values each MAC would read just before it runs.
 
         Fading is a stateless hash of (seed, ue, cell, slot), so it is
-        evaluated a MAC epoch at a time: ``_fading`` holds, per (UE index,
-        cell index), the fading of every slot of the current MAC epoch, and is
+        evaluated a MAC epoch at a time: ``_fading_block`` holds one row per
+        (UE index, cell index) pair with the fading of every slot of the
+        current MAC epoch, ``_fading`` each pair's row number, and both are
         dropped when the epoch changes. The pairs it lacks, at the epoch's
         first slot or when a handover brings one in mid-epoch, get their whole
-        rows from one ``fading_db_batch`` call.
+        rows from one ``fading_db_batch`` call. Each slot reads its column.
         """
         epoch_slots = self.config.mac.epoch_slots
         epoch, k = divmod(self.slot, epoch_slots)
         if epoch != self._fading_epoch:
             self._fading_epoch, self._fading = epoch, {}
+            self._fading_block = self._fading_block[:0]
         fading = self._fading
         cells = []
-        missing: dict[tuple[int, int], None] = {}
+        missing: list[tuple[int, int]] = []
         for cid, cr in self.cells.items():
             backlog: dict[str, float] = {}
             pairs: dict[tuple[str, str], tuple[int, int]] = {}
@@ -485,7 +491,8 @@ class World:
                 if key not in pairs:
                     fk = pairs[key] = (self.ues[mf.ue_id].index, cr.index)
                     if fk not in fading:
-                        missing[fk] = None
+                        fading[fk] = len(fading)
+                        missing.append(fk)
             cells.append((cr, backlog, pairs))
         if missing:
             idx = np.fromiter(chain.from_iterable(missing), np.uint64, 2 * len(missing))
@@ -496,15 +503,16 @@ class World:
                 idx[:, :1],
                 idx[:, 1:],
                 np.arange(first, first + epoch_slots, dtype=np.uint64),
-            ).tolist()
-            fading.update(zip(missing, rows))
+            )
+            self._fading_block = np.concatenate((self._fading_block, rows))
+        column = self._fading_block[:, k].tolist()
         out = []
         for cr, backlog, pairs in cells:
             cid, grid, portions = cr.mac.cell.cell_id, cr.mac.cell.grid, cr.mac.portions
             rates: dict[tuple[str, str], float] = {}
             for (u, pk), fk in pairs.items():
                 eff = portions[pk].waveform_efficiency
-                rates[(u, pk)] = link_rate(self._mean_sinr(u, cid) + fading[fk][k], eff, grid)
+                rates[(u, pk)] = link_rate(self._mean_sinr(u, cid) + column[fading[fk]], eff, grid)
             out.append((cr, SlotInputs(backlog_bits=backlog, per_prb_bits=rates)))
         return out
 
@@ -599,31 +607,31 @@ class World:
                 self._deliver(fr, d.bits, d.created_slot, d.count)
 
     def _context(self) -> UtsContext:
-        """This epoch's steering context. Each UE's signal row reads through
-        its RSRP cache; the cache dict and the position are bound when the row
-        is built, so a row built before the UE moves keeps the values of where
-        it was. Each cell's load is read from its MAC; its descriptor is the
-        one built at construction. Each UE's delivery-rate window closes here
-        and starts again."""
+        """This epoch's steering context. Each UE's signal row is built when
+        a feature first reads it, and reads through the RSRP cache dict and
+        the position the UE had when the context was built: a row read after
+        the UE moves gives the values of where it was and writes only into
+        that old dict. Each cell's load is read from its MAC; its descriptor
+        is the one built at construction. Each UE's delivery-rate window
+        closes here and starts again."""
+        cache, ues = self._rsrp_cache, self.ues.items()
+        bound = {uid: (rt.position, cache.setdefault(uid, {})) for uid, rt in ues}
 
-        def signal_row(dbm: dict, position: tuple[float, float]) -> LazyRow:
+        def signal_row(uid: str) -> LazyRow:
+            position, dbm = bound[uid]
             return LazyRow(self.cells, lambda cid: signal_db(self._rsrp(dbm, cid, position)))
 
         window_s = self.config.uts.epoch_slots * self.slot_seconds
         rate = {}
-        for uid, rt in self.ues.items():
+        for uid, rt in ues:
             rate[uid] = rt.delivered_window_bits / window_s
             rt.delivered_window_bits = 0.0
-        ues = self.ues.items()
         return UtsContext(
             epoch_index=self.slot // self.config.uts.epoch_slots,
             scenario_tag=self.config.uts.scenario_tag,
             cell_load={cid: cr.mac.load for cid, cr in self.cells.items()},
             cell_descriptors=self._descriptors,
-            ue_signal={
-                uid: signal_row(self._rsrp_cache.setdefault(uid, {}), rt.position)
-                for uid, rt in ues
-            },
+            ue_signal=LazyRow(bound, signal_row),
             ue_serving={uid: rt.serving for uid, rt in ues},
             ue_secondary={uid: rt.secondary for uid, rt in ues},
             ue_services=self._services,

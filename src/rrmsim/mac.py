@@ -420,6 +420,11 @@ class _Leaf:
     roster: dict[str, list[MacFlow]] = field(default_factory=dict)
 
 
+def _leaf_id(leaf: _Leaf) -> tuple:
+    """What decides which flows a leaf owns (see ``MacInstance._leaf_owns``)."""
+    return leaf.portion_key, leaf.slice_id, leaf.key
+
+
 @dataclass
 class MacSlotResult:
     alloc: AllocationMap
@@ -623,7 +628,7 @@ class MacInstance:
                 )
             )
 
-        self._leaves = []
+        prev_leaves, self._leaves = self._leaves, []
         cursor = 0
         for key, children in tree.items():
             size = sizes[key]
@@ -639,7 +644,7 @@ class MacInstance:
             self._split(slot, key, None, children, cursor, size, events)
             cursor += size
 
-        self._place_reservations(slot, events)
+        self._place_reservations(slot, events, prev_leaves)
         self.demand_prbs = sum(demand.values())
         return events
 
@@ -680,9 +685,14 @@ class MacInstance:
             else:
                 self._split(slot, portion, key, sub, a, b - a, events)
 
-    def _place_reservations(self, slot: int, events: list[Event]) -> None:
+    def _place_reservations(
+        self, slot: int, events: list[Event], prev_leaves: list[_Leaf]
+    ) -> None:
         """Place this epoch's URLLC reservations in their leaves.
 
+        The leaves first get their rosters: those of ``prev_leaves``, the
+        last refresh's, when no flow came or went since and the leaves are
+        the same (portion, slice, class) in the same order, else new ones.
         Columns already held by a flow are kept whenever the new interval
         still covers them, so periodic grants stay on fixed columns while the
         queue-driven partitions around them breathe; only flows that
@@ -692,7 +702,13 @@ class MacInstance:
         """
         prev_placements = self._sps_columns
         self._sps_columns = {}
-        self._build_rosters()
+        if self._rosters_stale or [_leaf_id(l) for l in prev_leaves] != [
+            _leaf_id(l) for l in self._leaves
+        ]:
+            self._build_rosters()
+        else:  # only the intervals moved
+            for leaf, prev in zip(self._leaves, prev_leaves):
+                leaf.roster = prev.roster
         for leaf in self._leaves:
             if leaf.key != TrafficClass.URLLC.value:
                 continue

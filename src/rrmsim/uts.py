@@ -7,6 +7,11 @@ conflicts resolve to at most one action per UE per epoch, with hysteresis
 against reversals and time-to-trigger maturation before anything is emitted.
 The surviving actions are checked against that same context and applied
 through the network's five ``apply_*`` mutators; steering reads nothing else.
+
+Signals cost the most to read, so the built-in features read each one they
+need once and no other: load balancing indexes the UEs by serving cell and
+visits a hot cell's candidate targets by load, stopping where no pair can
+win.
 """
 
 from __future__ import annotations
@@ -88,8 +93,9 @@ class UtsContext:
 
     The engine builds one each steering epoch. Loads are load fractions,
     signals are dB above the common floor, and cells appear solely through
-    their capability descriptors. Each ``ue_signal`` row is a ``LazyRow``:
-    a signal is computed when a feature first reads it.
+    their capability descriptors. ``ue_signal`` and each of its rows are
+    ``LazyRow``s: a UE's row is built, and each of its signals computed,
+    when a feature first reads it; ``in`` computes nothing.
     """
 
     epoch_index: int
@@ -108,7 +114,9 @@ class UtsContext:
 class LazyRow(Mapping):
     """A read-only mapping over the keys of ``keys``, iterated in sorted
     order. A key's value is ``fill(key)``, computed on its first read and
-    then kept; ``fill`` raises ``KeyError`` for a key not in ``keys``."""
+    then kept; ``fill`` raises ``KeyError`` for a key not in ``keys``.
+    ``in`` tests ``keys`` and computes nothing; ``get`` of an absent key
+    returns the default without calling ``fill``."""
 
     def __init__(self, keys, fill: Callable):
         self._keys, self._fill = keys, fill
@@ -119,6 +127,15 @@ class LazyRow(Mapping):
         if val is None:
             val = self._memo[key] = self._fill(key)
         return val
+
+    def __contains__(self, key) -> bool:
+        return key in self._keys
+
+    def get(self, key, default=None):
+        val = self._memo.get(key)
+        if val is None and key in self._keys:
+            val = self._memo[key] = self._fill(key)
+        return default if val is None else val
 
     def __iter__(self):
         return iter(sorted(self._keys))
@@ -181,35 +198,51 @@ DEFAULT_THRESHOLDS: dict[str, dict[str, float]] = {
 }
 
 
-def _signal_ok(ctx: UtsContext, ue: str, cell: str, floor_db: float) -> bool:
-    m = ctx.ue_signal.get(ue, {}).get(cell)
-    return m is not None and m.value >= floor_db
-
-
 def evaluate_load_balance(
     ctx: UtsContext, record: FeatureRecord, thr: Mapping[str, float]
 ) -> list[SteeringAction]:
-    """Move one UE off each overloaded cell toward an underloaded neighbor."""
+    """Move one UE off each overloaded cell toward an underloaded neighbor:
+    of the hot cell's UEs and their eligible targets below ``low_load`` with
+    a signal of ``min_signal_db`` or more, the least loaded target wins, then
+    the strongest signal, then the lowest UE id and target id.
+
+    The UEs are grouped by serving cell once. A hot cell's (UE, target)
+    pairs are visited one target load level at a time, lowest first, and
+    the visit stops after the first level with a winner, so each signal read
+    is one the result may need, and it is read once. The keys are unique
+    and reads are pure, so the winner is the minimum of the full scan."""
+    load = {cid: m.value for cid, m in ctx.cell_load.items()}
+    hot = {cid for cid, v in load.items() if v > thr["high_load"]}
+    served: dict[str, list[str]] = {}
+    for ue, cell in ctx.ue_serving.items():
+        if cell in hot:
+            served.setdefault(cell, []).append(ue)
+    low, floor = thr["low_load"], thr["min_signal_db"]
+    levels: dict[float, list[str]] = {}  # the cells below low_load by load
+    for cid in sorted(load):
+        if load[cid] < low:
+            levels.setdefault(load[cid], []).append(cid)
     actions = []
-    for cell_id in sorted(ctx.cell_load):
-        if ctx.cell_load[cell_id].value <= thr["high_load"]:
-            continue
+    for cell_id in sorted(hot):
+        ues = sorted(served.get(cell_id, ()))
         best: tuple | None = None
-        for ue in sorted(u for u, c in ctx.ue_serving.items() if c == cell_id):
-            for target in sorted(ctx.ue_eligible.get(ue, ())):
-                if target == cell_id:
-                    continue
-                if ctx.cell_load[target].value >= thr["low_load"]:
-                    continue
-                if not _signal_ok(ctx, ue, target, thr["min_signal_db"]):
-                    continue
-                sig = ctx.ue_signal[ue][target].value
-                key = (ctx.cell_load[target].value, -sig, ue, target)
-                if best is None or key < best[0]:
-                    best = (key, ue, target)
+        for tload in sorted(levels):
+            for ue in ues:
+                eligible, row = ctx.ue_eligible.get(ue, ()), ctx.ue_signal.get(ue, {})
+                for target in levels[tload]:
+                    if target == cell_id or target not in eligible:
+                        continue
+                    m = row.get(target)
+                    if m is None or m.value < floor:
+                        continue
+                    key = (tload, -m.value, ue, target)
+                    if best is None or key < best:
+                        best = key
+            if best is not None:
+                break
         if best is not None:
             actions.append(
-                SteeringAction(ActionKind.HANDOVER, best[1], (best[2],), record.feature_id)
+                SteeringAction(ActionKind.HANDOVER, best[2], (best[3],), record.feature_id)
             )
     return actions
 
@@ -236,7 +269,7 @@ def _second_cell(
     leg of the UE: open to secondary attach (and duplication, if asked),
     loaded below ``max_secondary_load``, with a signal of ``min_signal_db``
     or more. Least loaded wins, then strongest, then lowest cell id."""
-    serving = ctx.ue_serving[ue]
+    serving, row = ctx.ue_serving[ue], ctx.ue_signal.get(ue, {})
     fit = []
     for cand in ctx.ue_eligible.get(ue, ()):
         desc = ctx.cell_descriptors[cand]
@@ -245,9 +278,12 @@ def _second_cell(
         if need_duplication and not desc.supports_duplication:
             continue
         load = ctx.cell_load[cand].value
-        if load >= thr["max_secondary_load"] or not _signal_ok(ctx, ue, cand, thr["min_signal_db"]):
+        if load >= thr["max_secondary_load"]:
             continue
-        fit.append((load, -ctx.ue_signal[ue][cand].value, cand))
+        m = row.get(cand)
+        if m is None or m.value < thr["min_signal_db"]:
+            continue
+        fit.append((load, -m.value, cand))
     return min(fit)[-1] if fit else None
 
 

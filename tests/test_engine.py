@@ -537,7 +537,9 @@ def test_fading_rows_cover_the_mac_epoch_across_mid_epoch_handovers(scenarios):
             late_rows.extend(set(w._fading) - before)
         first = w.slot - w.slot % n
         slots = np.arange(first, first + n)
-        for (ui, ci), row in w._fading.items():
+        assert len(w._fading_block) == len(w._fading)
+        for (ui, ci), i in w._fading.items():
+            row = w._fading_block[i].tolist()
             assert row == chan.fading_db_batch(w.chan, [ui], [ci], slots).tolist()
         for cr, slot_inputs in out:
             for (uid, pk), rate in slot_inputs.per_prb_bits.items():
@@ -782,6 +784,84 @@ def test_context_row_built_before_a_move_keeps_its_position():
     assert w._rsrp_cache["ua"] == {
         cid: chan.rsrp_dbm(w.chan, cr.mac.cell, after_pos) for cid, cr in w.cells.items()
     }
+
+
+def test_context_row_first_read_after_a_move_reads_the_build_position():
+    w = _two_cell_world(velocity=(12.0, -3.0))
+    for _ in range(5):
+        w.step_slot()
+    before_pos = w.ues["ua"].position
+    ctx = w._context()  # no row of it read yet
+    w._refresh_positions()  # ua moves and drops its cache
+    after_pos = w.ues["ua"].position
+    assert after_pos != before_pos and "ua" not in w._rsrp_cache
+    w._mean_sinr("ua", "ca")  # a read at the new position starts the new cache
+    new_cache = w._rsrp_cache["ua"]
+    assert new_cache == {"ca": chan.rsrp_dbm(w.chan, w.cells["ca"].mac.cell, after_pos)}
+    row = ctx.ue_signal["ua"]
+    for cid, cr in w.cells.items():
+        assert row[cid] == signal_db(chan.rsrp_dbm(w.chan, cr.mac.cell, before_pos))
+    assert w._rsrp_cache["ua"] is new_cache
+    assert new_cache == {"ca": chan.rsrp_dbm(w.chan, w.cells["ca"].mac.cell, after_pos)}
+
+
+def test_signal_row_membership_and_absent_gets_compute_no_rsrp(monkeypatch):
+    calls = []
+    real = chan.rsrp_dbm
+
+    def counting(cfg, cell, position):
+        calls.append(cell.cell_id)
+        return real(cfg, cell, position)
+
+    monkeypatch.setattr(chan, "rsrp_dbm", counting)
+    w = _two_cell_world(velocity=(12.0, -3.0))
+    for _ in range(3):
+        w.step_slot()
+    w._refresh_positions()  # ua moves and drops its cache
+    calls.clear()
+    ctx = w._context()
+    row = ctx.ue_signal["ua"]
+    assert "ca" in row and "cb" in row and "zz" not in row
+    assert "ua" in ctx.ue_signal and "zz" not in ctx.ue_signal
+    assert row.get("zz") is None and row.get("zz", 1.0) == 1.0
+    assert ctx.ue_signal.get("zz") is None
+    assert calls == []
+    expected = signal_db(real(w.chan, w.cells["cb"].mac.cell, w.ues["ua"].position))
+    assert row.get("cb") == expected and calls == ["cb"]
+    assert row.get("cb") is row["cb"] and "cb" in row and calls == ["cb"]  # kept
+
+
+def _digests(result) -> dict[str, str]:
+    texts = {
+        "metrics.csv": render_csv(result.rows),
+        "summary.json": render_summary(result),
+        "events.log": render_events(result.events),
+    }
+    return {n: hashlib.sha256(t.encode()).hexdigest() for n, t in texts.items()}
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize(
+    "name", [*sorted(p.stem for p in SCENARIO_DIR.glob("*.yaml")), "dense_embb"]
+)
+def test_dropping_caches_at_random_slots_keeps_every_output_byte(scenarios, name, seed):
+    """The RSRP caches, the MAC epoch's fading block and the MACs' rosters
+    are caches: dropping them before a random tenth of the slots gives the
+    straight run's files."""
+    cfg = _dense_embb_config() if name == "dense_embb" else scenarios[name]
+    straight = _digests(run_scenario(cfg, seed=seed))
+    w = World(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    drops = 0
+    while w.slot < cfg.sim.horizon_slots:
+        if rng.random() < 0.1:
+            drops += 1
+            w._rsrp_cache.clear()
+            w._fading_epoch = -1
+            for cr in w.cells.values():
+                cr.mac._rosters_stale = True
+        w.step_slot()
+    assert drops and _digests(w.run()) == straight
 
 
 def test_eligibility_built_at_init_matches_a_portion_scan(scenarios):

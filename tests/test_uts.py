@@ -4,6 +4,8 @@ resolution, and atomic application against a fake network."""
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrmsim.abstraction import (
     FeatureRecord,
@@ -31,6 +33,7 @@ from rrmsim.uts import (
     apply_actions,
     builtin_features,
     evaluate_features,
+    evaluate_load_balance,
     register_builtins,
     _reverses,
     resolve_conflicts,
@@ -155,6 +158,105 @@ def test_load_balance_feature_proposes_handover():
     assert len(handovers) == 1
     assert handovers[0].ue_id == "u0" and handovers[0].targets == ("cb",)
     assert handovers[0].feature_id == LOAD_BALANCE_ID
+
+
+def _load_balance_full_scan(ctx, record, thr):
+    """The load-balance scan before it was indexed, as the oracle: every hot
+    cell rescans every UE, and a passing signal is read twice."""
+
+    def signal_ok(ue, cell):
+        m = ctx.ue_signal.get(ue, {}).get(cell)
+        return m is not None and m.value >= thr["min_signal_db"]
+
+    actions = []
+    for cell_id in sorted(ctx.cell_load):
+        if ctx.cell_load[cell_id].value <= thr["high_load"]:
+            continue
+        best = None
+        for ue in sorted(u for u, c in ctx.ue_serving.items() if c == cell_id):
+            for target in sorted(ctx.ue_eligible.get(ue, ())):
+                if target == cell_id or ctx.cell_load[target].value >= thr["low_load"]:
+                    continue
+                if not signal_ok(ue, target):
+                    continue
+                sig = ctx.ue_signal[ue][target].value
+                key = (ctx.cell_load[target].value, -sig, ue, target)
+                if best is None or key < best[0]:
+                    best = (key, ue, target)
+        if best is not None:
+            actions.append(
+                SteeringAction(ActionKind.HANDOVER, best[1], (best[2],), record.feature_id)
+            )
+    return actions
+
+
+class _CountedRow(LazyRow):
+    """A signal row that logs each lookup of a key as (ue, cell)."""
+
+    def __init__(self, ue, rsrp, lookups):
+        super().__init__(rsrp, lambda cid: signal_db(rsrp[cid]))
+        self.ue, self.lookups = ue, lookups
+
+    def __getitem__(self, key):
+        self.lookups.append((self.ue, key))
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.lookups.append((self.ue, key))
+        return super().get(key, default)
+
+
+# loads and RSRPs from small sets, so loads and signals tie (a load of 0.5
+# is both hot and a target when high_load is 0.45 and low_load 0.6); the
+# RSRPs give signals of 10, 15, 20, 30 and 45 dB around the 20 dB floor
+_LOADS = (0.0, 0.3, 0.45, 0.5, 0.6, 0.85, 1.0)
+_RSRPS = (-130.0, -125.0, -120.0, -110.0, -95.0)
+
+
+@st.composite
+def _load_balance_inputs(draw):
+    """Cells ``c0``.. with drawn loads plus ``hot`` at full load serving
+    nobody; UEs ``u0``.. with drawn serving cells, RSRPs and eligible cells,
+    plus ``u9``, eligible for no cell."""
+    cells = [f"c{i}" for i in range(draw(st.integers(2, 6)))]
+    loads = {cid: draw(st.sampled_from(_LOADS)) for cid in cells}
+    loads["hot"] = 1.0
+    ues = []
+    for i in range(draw(st.integers(0, 8))):
+        rsrp = {cid: draw(st.sampled_from(_RSRPS)) for cid in loads}
+        eligible = draw(st.lists(st.sampled_from([*loads]), unique=True))
+        ues.append((f"u{i}", draw(st.sampled_from(cells)), rsrp, eligible))
+    ues.append(("u9", cells[0], {cid: -95.0 for cid in loads}, []))
+    thr = {
+        "high_load": draw(st.sampled_from([0.8, 0.45])),
+        "low_load": draw(st.sampled_from([0.5, 0.6])),
+        "min_signal_db": 20.0,
+    }
+    return loads, ues, thr
+
+
+def _counted_context(loads, ues, lookups):
+    cells = [_cell_state(cid, load * 50) for cid, load in loads.items()]
+    states = []
+    for ue, serving, rsrp, eligible in ues:
+        _, state = _ue_state(ue, serving, rsrp, eligible=eligible)
+        state["ue_signal"] = _CountedRow(ue, rsrp, lookups)
+        states.append((ue, state))
+    return _snapshot(cells, states)
+
+
+@settings(max_examples=300)
+@given(_load_balance_inputs())
+def test_load_balance_scan_equals_the_full_scan(inputs):
+    loads, ues, thr = inputs
+    record = builtin_features()[0][0]
+    full, lookups = [], []
+    expected = _load_balance_full_scan(_counted_context(loads, ues, full), record, thr)
+    ctx = _counted_context(loads, ues, lookups)
+    assert evaluate_load_balance(ctx, record, thr) == expected
+    # each signal looked up once at most, and none of a target at or above low_load
+    assert len(lookups) == len(set(lookups)) and set(lookups) <= set(full)
+    assert all(ctx.cell_load[cid].value < thr["low_load"] for _, cid in lookups)
 
 
 def test_thresholds_come_from_strategy_over_defaults():
