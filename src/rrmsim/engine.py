@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import chain
 from types import MappingProxyType
 
@@ -800,24 +800,10 @@ class MetricsReport:
     pingpong_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "slots": self.slots,
-            "backend": self.backend,
-            "fairness_delivered": self.fairness_delivered,
-            "latency_ms_p50": self.latency_ms_p50,
-            "latency_ms_p95": self.latency_ms_p95,
-            "latency_ms_p99": self.latency_ms_p99,
-            "rach": {
-                "attempts": self.rach_attempts,
-                "successes": self.rach_successes,
-                "collisions": self.rach_collisions,
-                "success_rate": self.rach_success_rate,
-            },
-            "steering_actions": self.steering_actions,
-            "pingpong_count": self.pingpong_count,
-            "per_flow": self.per_flow,
-            "per_cell": self.per_cell,
-        }
+        """The fields as a document, the four ``rach_*`` nested under ``rach``."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}  # asdict would deep-copy
+        doc["rach"] = {k[5:]: doc.pop(k) for k in list(doc) if k.startswith("rach_")}
+        return doc
 
 
 @dataclass

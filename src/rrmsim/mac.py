@@ -11,12 +11,16 @@ by one recursive split over the partition tree.
 Every scheduler hands ``run_slot`` half-open ``(start, stop, ue_id)`` blocks
 for the slot's ``AllocationMap``. A PF leaf is filled from its roster, with the
 metric computed in ``_pf_blocks`` alone; the MAC counts its access outcomes.
+
+``MacInstance._leaf_key`` alone says which leaf serves a flow: a refresh builds
+each leaf with its roster grouped by it, and a flow that comes or goes between
+refreshes changes the roster of that one leaf.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -39,6 +43,12 @@ RACH_KEY = "rach"
 
 #: Implicit slice for flows without a slice label in a sliced cell.
 DEFAULT_SLICE = "default"
+
+# enum lookups for the MAC's hot paths, made once: class keys, then members
+_CLASS_KEYS = tuple(tc.value for tc in CLASS_ORDER)
+_URLLC = TrafficClass.URLLC.value
+_MMTC = TrafficClass.MMTC
+_PF_CLASSES = frozenset((TrafficClass.EMBB, TrafficClass.LEGACY_MBB))
 
 
 class InsufficientResourcesError(Exception):
@@ -370,6 +380,12 @@ class MacConfig:
         if self.backoff_min_epochs < 1 or self.backoff_max_epochs < self.backoff_min_epochs:
             raise ValueError("backoff window must satisfy 1 <= min <= max")
 
+    @property
+    def access_floor_prbs(self) -> int:
+        """PRBs every cell's access partition holds from its first slot, flows
+        or not: one whole access resource, whatever it costs."""
+        return max(self.min_guarantee_prbs, self.access_cost_prbs)
+
 
 @dataclass(frozen=True)
 class MacFlow:
@@ -416,13 +432,16 @@ class _Leaf:
     key: str
     interval: tuple[int, int]
     #: the flows this leaf owns, by UE in ue_id order, each UE's in flow_id
-    #: order; rebuilt when flows or leaves change (see ``_build_rosters``)
-    roster: dict[str, list[MacFlow]] = field(default_factory=dict)
+    #: order; built with the leaf, then kept by ``(de)register_flow``
+    roster: dict[str, list[MacFlow]]
 
 
-def _leaf_id(leaf: _Leaf) -> tuple:
-    """What decides which flows a leaf owns (see ``MacInstance._leaf_owns``)."""
-    return leaf.portion_key, leaf.slice_id, leaf.key
+def _roster(flows: Sequence[MacFlow]) -> dict[str, list[MacFlow]]:
+    """``flows`` by UE, UEs in ue_id order, each UE's flows in flow_id order."""
+    roster: dict[str, list[MacFlow]] = {}
+    for f in sorted(flows, key=lambda f: (f.ue_id, f.flow_id)):
+        roster.setdefault(f.ue_id, []).append(f)
+    return roster
 
 
 @dataclass
@@ -461,12 +480,16 @@ class MacInstance:
         self.rach_collisions = 0
         #: PRBs the last partition refresh found in demand, access included
         self.demand_prbs = 0
+        # the epoch's leaves in plan order, and the same by (portion, slice,
+        # class) for the flows that come and go before the next refresh
         self._leaves: list[_Leaf] = []
+        self._leaf_by_key: dict[tuple[str, str | None, str], _Leaf] = {}
+        # portions whose queued flows named a slice at the last refresh
+        self._sliced: set[str] = set()
         # reserved columns per URLLC flow for the current epoch
         self._sps_columns: dict[str, tuple[int, int]] = {}
-        # UEs with a PF-scheduled flow, in order of their first flow_id
-        self._dynamic_ues: list[str] = []
-        self._rosters_stale = True
+        # eMBB and legacy flows per UE: the UEs whose PF average is kept
+        self._pf_flows: dict[str, int] = {}
 
     # -- population ---------------------------------------------------------
 
@@ -483,12 +506,27 @@ class MacInstance:
             if flow.sps_offset_slots < 0:
                 raise ValueError("sps_offset_slots must be >= 0")
         self.flows[flow.flow_id] = flow
-        self._rosters_stale = True
+        if flow.service in _PF_CLASSES:
+            self._pf_flows[flow.ue_id] = self._pf_flows.get(flow.ue_id, 0) + 1
+        # a flow without a leaf waits for the next refresh to get one
+        leaf = self._leaf_by_key.get(self._leaf_key(flow))
+        if leaf is not None:
+            leaf.roster = _roster([f for fl in leaf.roster.values() for f in fl] + [flow])
 
     def deregister_flow(self, flow_id: str) -> None:
-        self.flows.pop(flow_id, None)
+        flow = self.flows.pop(flow_id, None)
         self.pending = [p for p in self.pending if p.flow_id != flow_id]
-        self._rosters_stale = True
+        if flow is None:
+            return
+        if flow.service in _PF_CLASSES:
+            n = self._pf_flows[flow.ue_id] - 1
+            if n:
+                self._pf_flows[flow.ue_id] = n
+            else:
+                del self._pf_flows[flow.ue_id]
+        leaf = self._leaf_by_key.get(self._leaf_key(flow))
+        if leaf is not None:
+            leaf.roster = _roster([f for fl in leaf.roster.values() for f in fl if f is not flow])
 
     def queue_attempt(self, flow_id: str, payload_bits: float, slot: int) -> None:
         """Queue an access attempt; its UE and portion are its flow's."""
@@ -516,52 +554,58 @@ class MacInstance:
         eff = self.portions[portion_key].waveform_efficiency
         return link_rate(self.cfg.demand_sinr_db, eff, self.cell.grid)
 
-    def _portion_tree(self, inputs: SlotInputs) -> dict[str, list[tuple]]:
-        """Each portion's partition children, ``(key, demand, floor, bare,
-        sub)`` in split order, before the access child.
+    def _leaf_key(self, flow: MacFlow) -> tuple[str, str | None, str]:
+        """The (portion, slice, class) of the leaf that serves ``flow``, the
+        one place it is worked out. A portion is sliced as of the last
+        refresh; in a sliced portion a flow without a label is in
+        DEFAULT_SLICE, in an unsliced one labels are ignored."""
+        p = flow.portion_key
+        sid = (flow.slice_id or DEFAULT_SLICE) if p in self._sliced else None
+        return p, sid, flow.service.value
 
-        A class leaf has ``sub`` None. Deadline traffic holds its reserved
-        columns outright, so a URLLC leaf's floor covers them; queue-driven
-        classes get the configured minimum and compete for the rest. ``bare``
-        is the degraded floor used when the reservations no longer fit. In a
-        sliced portion each slice is a child whose ``sub`` holds its class
-        leaves in CLASS_ORDER; an unsliced portion holds its class leaves
-        directly.
+    def _portion_tree(self, inputs: SlotInputs) -> tuple[dict[str, list[tuple]], set[str]]:
+        """Each portion's partition children, ``(key, demand, floor, bare,
+        sub)`` in split order, before the access child, and the portions
+        with a flow (mMTC included).
+
+        A class leaf's ``sub`` is its roster (see ``_Leaf.roster``). Deadline
+        traffic holds its reserved columns outright, so a URLLC leaf's floor
+        covers them; queue-driven classes get the configured minimum and
+        compete for the rest. ``bare`` is the degraded floor used when the
+        reservations no longer fit. In a sliced portion each slice is a child
+        whose ``sub`` is the list of its class leaves in CLASS_ORDER; an
+        unsliced portion holds its class leaves directly. Decides which
+        portions are sliced until the next refresh.
         """
         g = self.cfg.min_guarantee_prbs
+        in_use = {f.portion_key for f in self.flows.values()}
+        # Sporadic-access flows ride the contention channel; they neither
+        # hold queue partitions nor force the slice dimension open.
+        queued = [f for f in self.flows.values() if f.service is not _MMTC]
+        self._sliced = {f.portion_key for f in queued if f.slice_id}
+        # each leaf's flows in registration order, which its backlog sum keeps
+        groups: dict[tuple[str, str | None, str], list[MacFlow]] = {}
+        for f in queued:
+            groups.setdefault(self._leaf_key(f), []).append(f)
+        backlog_bits = inputs.backlog_bits
         tree: dict[str, list[tuple]] = {}
         for key in self.portions:
             rate = self.reference_per_prb_bits(key)
-            # Sporadic-access flows ride the contention channel; they neither
-            # hold queue partitions nor force the slice dimension open.
-            queued = [
-                f for f in self.flows.values()
-                if f.portion_key == key and f.service is not TrafficClass.MMTC
-            ]
-            sliced = any(f.slice_id for f in queued)
-            groups: dict[str | None, list[MacFlow]] = {}
-            for f in queued:
-                groups.setdefault((f.slice_id or DEFAULT_SLICE) if sliced else None, []).append(f)
             children = []
-            for sid, fl in sorted(groups.items(), key=lambda kv: kv[0] or ""):
-                by_class = {tc: [f for f in fl if f.service is tc] for tc in CLASS_ORDER}
+            for sid in sorted({s for p, s, _ in groups if p == key}, key=lambda s: s or ""):
+                by_class = [(c, groups[k]) for c in _CLASS_KEYS if (k := (key, sid, c)) in groups]
                 demands = estimate_demands(
                     {
-                        tc.value: sum(inputs.backlog_bits.get(f.flow_id, 0.0) for f in cl)
-                        for tc, cl in by_class.items()
-                        if cl and tc is not TrafficClass.URLLC
+                        c: sum(backlog_bits.get(f.flow_id, 0.0) for f in fl)
+                        for c, fl in by_class
+                        if c != _URLLC
                     },
                     rate,
                 )
                 leaves = []
-                for tc, cl in by_class.items():
-                    if not cl:
-                        continue
-                    if tc is TrafficClass.URLLC:
-                        d = sum(f.sps_prbs for f in cl)
-                        leaves.append((tc.value, d, max(g, d), g, None))
-                    else:
-                        leaves.append((tc.value, demands[tc.value], g, g, None))
+                for c, fl in by_class:
+                    d = sum(f.sps_prbs for f in fl) if c == _URLLC else demands[c]
+                    leaves.append((c, d, max(g, d) if c == _URLLC else g, g, _roster(fl)))
                 if sid is None:
                     children = leaves
                 else:
@@ -573,30 +617,24 @@ class MacInstance:
                         leaves,
                     ))
             tree[key] = children
-        return tree
+        return tree, in_use
 
     def refresh_partitions(self, slot: int, inputs: SlotInputs) -> list[Event]:
         """Recompute the full partition tree for the epoch starting at slot."""
         cfg = self.cfg
         epoch = slot // cfg.epoch_slots
         total = self.cell.grid.prbs_per_slot
-        tree = self._portion_tree(inputs)
+        tree, in_use = self._portion_tree(inputs)
         access = dict.fromkeys(tree, 0)
         for a in self.pending:
             if a.ready_epoch <= epoch:
                 access[self.flows[a.flow_id].portion_key] += cfg.access_cost_prbs
         demand = {key: sum(c[1] for c in tree[key]) + access[key] for key in tree}
-        # The access partition always holds at least one whole access
-        # resource, whatever a resource costs.
-        access_base = max(cfg.min_guarantee_prbs, cfg.access_cost_prbs)
+        access_base = cfg.access_floor_prbs
         events: list[Event] = []
 
         # every pending attempt's flow is registered on its portion
-        active = [
-            key
-            for key in tree
-            if any(f.portion_key == key for f in self.flows.values())
-        ] or [next(iter(self.portions))]
+        active = [key for key in tree if key in in_use] or [next(iter(self.portions))]
 
         # Portion sizing: all to a lone active portion; shared carriers split
         # proportionally, then shift PRBs so each side can honor guarantees.
@@ -628,7 +666,7 @@ class MacInstance:
                 )
             )
 
-        prev_leaves, self._leaves = self._leaves, []
+        self._leaves, self._leaf_by_key = [], {}
         cursor = 0
         for key, children in tree.items():
             size = sizes[key]
@@ -640,11 +678,11 @@ class MacInstance:
             floor = access_base
             if access[key] > floor:
                 floor = max(floor, min(access[key], size - sum(c[2] for c in children)))
-            children.append((RACH_KEY, access[key], floor, access_base, None))
+            children.append((RACH_KEY, access[key], floor, access_base, {}))
             self._split(slot, key, None, children, cursor, size, events)
             cursor += size
 
-        self._place_reservations(slot, events, prev_leaves)
+        self._place_reservations(slot, events)
         self.demand_prbs = sum(demand.values())
         return events
 
@@ -662,8 +700,9 @@ class MacInstance:
 
         The split honors the children's floors, degrading to their bare
         minimums when the floors cannot fit (placement then reports the
-        reservations that were dropped). Class leaves are appended to the
-        epoch's leaves in plan order; a slice is split in turn.
+        reservations that were dropped). Class leaves are built with their
+        rosters and appended to the epoch's leaves in plan order; a slice is
+        split in turn.
         """
         demands = {c[0]: c[1] for c in children}
         floors = {c[0]: c[2] for c in children}
@@ -680,19 +719,17 @@ class MacInstance:
         fields["plan"] = ",".join(f"{k}:{a}-{b}" for k, a, b in plan.entries)
         events.append(Event.make(slot, "mac", "partition", **fields))
         for (key, _, _, _, sub), (_, a, b) in zip(children, plan.entries):
-            if sub is None:
-                self._leaves.append(_Leaf(portion, slice_id, key, (a, b)))
-            else:
+            if isinstance(sub, list):
                 self._split(slot, portion, key, sub, a, b - a, events)
+            else:
+                leaf = _Leaf(portion, slice_id, key, (a, b), sub)
+                self._leaves.append(leaf)
+                self._leaf_by_key[portion, slice_id, key] = leaf
 
-    def _place_reservations(
-        self, slot: int, events: list[Event], prev_leaves: list[_Leaf]
-    ) -> None:
-        """Place this epoch's URLLC reservations in their leaves.
+    def _place_reservations(self, slot: int, events: list[Event]) -> None:
+        """Place this epoch's URLLC reservations in their leaves, for the
+        flows on the leaves' rosters.
 
-        The leaves first get their rosters: those of ``prev_leaves``, the
-        last refresh's, when no flow came or went since and the leaves are
-        the same (portion, slice, class) in the same order, else new ones.
         Columns already held by a flow are kept whenever the new interval
         still covers them, so periodic grants stay on fixed columns while the
         queue-driven partitions around them breathe; only flows that
@@ -702,15 +739,8 @@ class MacInstance:
         """
         prev_placements = self._sps_columns
         self._sps_columns = {}
-        if self._rosters_stale or [_leaf_id(l) for l in prev_leaves] != [
-            _leaf_id(l) for l in self._leaves
-        ]:
-            self._build_rosters()
-        else:  # only the intervals moved
-            for leaf, prev in zip(self._leaves, prev_leaves):
-                leaf.roster = prev.roster
         for leaf in self._leaves:
-            if leaf.key != TrafficClass.URLLC.value:
+            if leaf.key != _URLLC:
                 continue
             lo, hi = leaf.interval
             taken: list[tuple[int, int]] = []
@@ -762,8 +792,6 @@ class MacInstance:
         events: list[Event] = []
         if slot % cfg.epoch_slots == 0 or not self._leaves:  # or never refreshed
             events.extend(self.refresh_partitions(slot, inputs))
-        if self._rosters_stale:
-            self._build_rosters()
         epoch = slot // cfg.epoch_slots
         amap = AllocationMap(self.cell.grid, slot)
         served: dict[str, float] = {}
@@ -798,7 +826,7 @@ class MacInstance:
                             collisions=len(outs) - n_succ,
                         )
                     )
-            elif leaf.key == TrafficClass.URLLC.value:
+            elif leaf.key == _URLLC:
                 # only flows placed at the last refresh hold columns; one that
                 # arrived mid-epoch waits for the next, one that left is gone
                 for ue, fl in leaf.roster.items():
@@ -824,7 +852,7 @@ class MacInstance:
                     pf_served_by_ue[ue] = pf_served_by_ue.get(ue, 0.0) + bits
 
         # Average-rate bookkeeping for every UE visible to the PF scheduler.
-        for ue in self._dynamic_ues:
+        for ue in self._pf_flows:
             avg = self.pf_avg.get(ue, cfg.pf_initial_avg_bits)
             self.pf_avg[ue] = (1.0 - cfg.pf_ewma) * avg + cfg.pf_ewma * pf_served_by_ue.get(ue, 0.0)
 
@@ -835,31 +863,6 @@ class MacInstance:
             outcomes=outcomes_all,
             events=events,
         )
-
-    def _leaf_owns(self, leaf: _Leaf, flow: MacFlow) -> bool:
-        if flow.portion_key != leaf.portion_key:
-            return False
-        sid = (flow.slice_id or DEFAULT_SLICE) if leaf.slice_id is not None else None
-        return sid == leaf.slice_id and flow.service.value == leaf.key
-
-    def _build_rosters(self) -> None:
-        """Index the flows by leaf and the PF-scheduled UEs, once per change
-        of flows or leaves rather than on every slot."""
-        flows = sorted(self.flows.values(), key=lambda f: f.flow_id)
-        for leaf in self._leaves:
-            by_ue: dict[str, list[MacFlow]] = {}
-            for f in flows:
-                if self._leaf_owns(leaf, f):
-                    by_ue.setdefault(f.ue_id, []).append(f)
-            leaf.roster = dict(sorted(by_ue.items()))
-        self._dynamic_ues = list(
-            dict.fromkeys(
-                f.ue_id
-                for f in flows
-                if f.service in (TrafficClass.EMBB, TrafficClass.LEGACY_MBB)
-            )
-        )
-        self._rosters_stale = False
 
     def _run_dynamic(self, leaf: _Leaf, inputs: SlotInputs):
         # the roster's backlogged UEs, in ue_id order; each UE's served bits

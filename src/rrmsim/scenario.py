@@ -517,13 +517,20 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             r.fail("mac", "backoff window must satisfy 1 <= min <= max")
 
     mac = r.read(MacConfig, data.get("mac"), "mac", check_mac)
-    # a portion the MAC's demand SINR gives no bits per PRB stops the run
+    # a cell narrower than its access partition, or with a portion the MAC's
+    # demand SINR gives no bits per PRB, stops the run at its first slot
     v = mac.demand_sinr_db
-    for c in cells:
+    for i, c in enumerate(cells):
         try:
             grid = CarrierGrid(c.carrier_hz, c.prbs_per_slot, c.numerology, c.prb_bandwidth_hz)
         except ValueError:
             continue  # reported under the cell
+        if c.prbs_per_slot < mac.access_floor_prbs:
+            r.fail(
+                f"network.cells[{i}].prbs_per_slot",
+                f"must be >= {mac.access_floor_prbs}, the access partition's PRBs"
+                " (the larger of mac.min_guarantee_prbs and mac.access_cost_prbs)",
+            )
         for p in c.portions:
             if math.isnan(v) or link_rate(v, p.waveform_efficiency, grid) <= 0:
                 where = f"cell {c.cell_id!r} portion {p.key!r}"

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from rrmsim.core import CarrierGrid, Cell, CellClass, UserEquipment
+from rrmsim.core import CarrierGrid, Cell, CellClass
 from rrmsim.scenario import ScenarioConfig, load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -36,10 +36,6 @@ def mk_cell(cell_id="c1", cell_class=CellClass.MACRO, grid=None, position=(0.0, 
         tx_power_dbm=tx_power_dbm,
         **kw,
     )
-
-
-def mk_ue(ue_id="u1", position=(10.0, 0.0), caps=("nr",)) -> UserEquipment:
-    return UserEquipment(ue_id=ue_id, position=position, capabilities=frozenset(caps))
 
 
 def shorten(cfg: ScenarioConfig, slots: int, seed=None) -> ScenarioConfig:

@@ -396,6 +396,43 @@ def test_pf_average_that_reaches_zero_runs_to_the_horizon(
         assert per_flow["f1"]["delivered_bits"] == per_flow["f1"]["arrived_bits"]
 
 
+def _two_cells(small_prbs):
+    """A 50-PRB cell serving the UE and an idle cell of ``small_prbs`` PRBs."""
+    return {"cells": [
+        {"id": "c1", "prbs_per_slot": 50},
+        {"id": "c2", "prbs_per_slot": small_prbs, "position": [500.0, 0.0]},
+    ]}
+
+
+_EMBB = {"service": "eMBB", "generator": {"kind": "full_buffer", "packet_bits": 4000}}
+
+
+@pytest.mark.parametrize(
+    "mac", [{"access_cost_prbs": 4}, {"min_guarantee_prbs": 4}], ids=["access_cost", "guarantee"]
+)
+def test_cell_narrower_than_its_access_partition_is_a_config_error(mac, tmp_path, capsys):
+    # every MAC holds max(min_guarantee_prbs, access_cost_prbs) PRBs for access
+    # from its first slot, flows or not, so the idle 3-PRB cell used to stop
+    # the run at slot 0 with exit 1 after validating
+    message = "network.cells[1].prbs_per_slot: must be >= 4"
+    _assert_bad_flow_exits_2(_EMBB, message, tmp_path, capsys, network=_two_cells(3), mac=mac)
+
+
+def test_cell_as_wide_as_its_access_partition_runs(tmp_path, capsys):
+    doc = {
+        "name": "narrow_cell",
+        "network": _two_cells(4),
+        "ues": [{"id": "u1", "position": [30.0, 0.0]}],
+        "traffic": {"flows": [{"id": "f1", "ue": "u1", **_EMBB}]},
+        "mac": {"access_cost_prbs": 4},
+        "sim": {"horizon_slots": 20, "seed": 1},
+    }
+    p = tmp_path / "narrow.yaml"
+    p.write_text(yaml.safe_dump(doc))
+    assert main(["validate", str(p)]) == 0
+    assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 0
+
+
 def _assert_bad_flow_exits_2(flow_keys, message, tmp_path, capsys, **sections):
     """A one-cell, one-flow scenario with ``flow_keys`` (and any extra
     top-level ``sections``) fails validation naming ``message``, and ``run``

@@ -845,9 +845,8 @@ def _digests(result) -> dict[str, str]:
     "name", [*sorted(p.stem for p in SCENARIO_DIR.glob("*.yaml")), "dense_embb"]
 )
 def test_dropping_caches_at_random_slots_keeps_every_output_byte(scenarios, name, seed):
-    """The RSRP caches, the MAC epoch's fading block and the MACs' rosters
-    are caches: dropping them before a random tenth of the slots gives the
-    straight run's files."""
+    """The RSRP caches and the MAC epoch's fading block are caches: dropping
+    them before a random tenth of the slots gives the straight run's files."""
     cfg = _dense_embb_config() if name == "dense_embb" else scenarios[name]
     straight = _digests(run_scenario(cfg, seed=seed))
     w = World(cfg, seed=seed)
@@ -858,10 +857,53 @@ def test_dropping_caches_at_random_slots_keeps_every_output_byte(scenarios, name
             drops += 1
             w._rsrp_cache.clear()
             w._fading_epoch = -1
-            for cr in w.cells.values():
-                cr.mac._rosters_stale = True
         w.step_slot()
     assert drops and _digests(w.run()) == straight
+
+
+#: (scenario, seed) -> sha256 of metrics.csv, summary.json and events.log with
+#: steering every 15 slots, so flows register and leave mid MAC epoch
+_MID_EPOCH_DIGESTS = {
+    ("urllc_duplication", 1): (
+        "cc3301b18829c3248890a0660d917aff7db2f4cb966bf5ebc4f0879d8b264a58",
+        "df97e655e61b4e9c86c1b6bcab68875e189c6de6b3aa5c0d0abb6f2489ca4413",
+        "bd9b1fff15b97fa610ea36743e45cbc9169950e966b21f49818a71cf355ba185",
+    ),
+    ("urllc_duplication", 7): (
+        "95f41900985a31ae506a2ee837ee2992a7eb098f7e6742dd251da1a98da9758b",
+        "0a95adc72b1170f2b43451e73b311f863d4d6702aa1bc784431757f884b647d7",
+        "ffbb23fcd8ea8e70363274104452810bf3f097e7d5a5ccad9411bda1c2955133",
+    ),
+    ("hetnet_walkthrough", 1): (
+        "e62bab0de8b8e6c67307b0e6454e8ba56a3252faeaab90959c4e218ea65540bb",
+        "c4917b9b29a9146b7795567e33a91d26226dadb82c87308aec3c7e9a7cbb52fb",
+        "25b240f2bff2f2635c6b238fb1da816293c36b507b9b0499a47a83f12b0a934c",
+    ),
+    ("hetnet_walkthrough", 7): (
+        "817d296493346738137542d2450a40991a37dc0793bc5c23d509907126ca051c",
+        "52b0547bc081d335d3dfabcccd05b68ddcf55caee2e10ffcf22c26a7d474d1cd",
+        "e0ef83c27efcd2d47625be2d285762cf30c4ec7ea6840780fea75679c710665c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(_MID_EPOCH_DIGESTS))
+def test_steering_off_the_mac_epoch_keeps_its_pinned_outputs(scenarios, name, seed):
+    """With ``uts.epoch_slots: 15`` against a 10-slot MAC epoch, legs are
+    added and released between partition refreshes, which no shipped file
+    does; the three files keep the digests pinned here."""
+    cfg = scenarios[name]
+    cfg = dataclasses.replace(cfg, uts=dataclasses.replace(cfg.uts, epoch_slots=15))
+    result = run_scenario(cfg, seed=seed)
+    off_epoch = [
+        e for e in result.events
+        if e.subsystem == "uts" and e.slot % cfg.mac.epoch_slots
+    ]
+    assert len(off_epoch) >= 20
+    digests = _digests(result)
+    assert tuple(digests[n] for n in ("metrics.csv", "summary.json", "events.log")) == (
+        _MID_EPOCH_DIGESTS[name, seed]
+    )
 
 
 def test_eligibility_built_at_init_matches_a_portion_scan(scenarios):

@@ -1,6 +1,7 @@
 """MAC layer: apportionment, schedulers, contention, and the per-cell coordinator."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from rrmsim.core import TrafficClass, validate_allocation_map, validate_blocks
 from rrmsim.mac import (
+    DEFAULT_SLICE,
     AccessStatus,
     Contender,
     InsufficientResourcesError,
@@ -543,6 +545,73 @@ def test_mac_schedules_flows_registered_after_the_leaves_were_built():
     assert owners(7) == {"ue-fa", "ue-fb", "ue-fc"}
     mac.deregister_flow("fa")
     assert owners(8) == {"ue-fb", "ue-fc"}
+
+
+def _leaf_owns(leaf, flow):
+    """Whether ``leaf`` serves ``flow``: the predicate the MAC used to rebuild
+    every roster with, over every flow, before leaves came with theirs."""
+    if flow.portion_key != leaf.portion_key:
+        return False
+    sid = (flow.slice_id or DEFAULT_SLICE) if leaf.slice_id is not None else None
+    return sid == leaf.slice_id and flow.service.value == leaf.key
+
+
+def _assert_rosters_regroup_the_flows(mac):
+    flows = sorted(mac.flows.values(), key=lambda f: f.flow_id)
+    for leaf in mac._leaves:
+        by_ue = {}
+        for f in flows:
+            if _leaf_owns(leaf, f):
+                by_ue.setdefault(f.ue_id, []).append(f)
+        assert list(leaf.roster.items()) == sorted(by_ue.items())
+    pf = (TrafficClass.EMBB, TrafficClass.LEGACY_MBB)
+    assert mac._pf_flows == Counter(f.ue_id for f in flows if f.service in pf)
+
+
+# (UE, class, portion, slice label, reserved PRBs) of a flow to register
+_FLOW_SPEC = st.tuples(
+    st.integers(0, 4),
+    st.sampled_from(list(TrafficClass)),
+    st.integers(0, 1),
+    st.sampled_from([None, "gold", "silver"]),
+    st.integers(1, 3),
+)
+
+
+@given(
+    n_portions=st.integers(1, 2),
+    initial=st.lists(_FLOW_SPEC, max_size=10),
+    ops=st.lists(st.one_of(_FLOW_SPEC, st.integers(0, 19)), max_size=15),
+)
+@settings(max_examples=200)
+def test_rosters_kept_between_refreshes_regroup_the_flows(n_portions, initial, ops):
+    """After a refresh, each register_flow (a spec) or deregister_flow (a
+    flow number, registered or not) leaves every leaf's roster equal to a
+    regrouping of all flows, and the PF UEs those with eMBB or legacy flows."""
+    mac = _mac(prbs=400, portions=[PortionSpec(key=f"p{i}") for i in range(n_portions)])
+    made = 0
+
+    def register(spec):
+        nonlocal made
+        ue, service, portion, slice_id, prbs = spec
+        shape = {"sps_period_slots": 2, "sps_prbs": prbs} if service is TrafficClass.URLLC else {}
+        mac.register_flow(MacFlow(
+            f"f{made:02d}", f"u{ue}", service, f"p{portion % n_portions}", slice_id, **shape
+        ))
+        made += 1
+
+    for spec in initial:
+        register(spec)
+    mac.refresh_partitions(0, SlotInputs({}, {}))
+    _assert_rosters_regroup_the_flows(mac)
+    for op in ops:
+        if isinstance(op, int):
+            mac.deregister_flow(f"f{op:02d}")
+        else:
+            register(op)
+        _assert_rosters_regroup_the_flows(mac)
+    mac.refresh_partitions(mac.cfg.epoch_slots, SlotInputs({}, {}))
+    _assert_rosters_regroup_the_flows(mac)
 
 
 # ---------------------------------------------------------------------------
