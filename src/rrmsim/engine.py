@@ -109,6 +109,8 @@ class FlowRuntime:
     generator: object
     state: pdcp.FlowState | None
     rx: pdcp.ReceiverState
+    #: the service's key, ``cfg.service.value``, read once
+    service: str
     arrived_bits: float = 0.0
     delivered_bits: float = 0.0
     mac_served_bits: float = 0.0
@@ -224,7 +226,7 @@ class World:
                     enter_load=config.pdcp.enter_load,
                 )
             rx = pdcp.ReceiverState(t_reorder_slots=config.pdcp.t_reorder_slots)
-            fr = self.flows[fc.flow_id] = FlowRuntime(cfg=fc, generator=gen, state=state, rx=rx)
+            fr = self.flows[fc.flow_id] = FlowRuntime(fc, gen, state, rx, fc.service.value)
             self._flows_by_ue[fc.ue_id].append(fr)
             self._attach(fr, None, self.ues[fc.ue_id].serving)
         self._services = MappingProxyType({
@@ -659,7 +661,7 @@ class World:
                     "epoch": epoch,
                     "flow": fc.flow_id,
                     "ue": fc.ue_id,
-                    "service": fc.service.value,
+                    "service": fr.service,
                     "arrived_bits": fr.w_arrived,
                     "delivered_bits": fr.w_delivered,
                     "throughput_bps": fr.w_delivered / epoch_s,
@@ -720,7 +722,7 @@ class World:
                 lat_n += n
             per_flow[fc.flow_id] = {
                 "ue": fc.ue_id,
-                "service": fc.service.value,
+                "service": fr.service,
                 "arrived_bits": fr.arrived_bits,
                 "delivered_bits": fr.delivered_bits,
                 "mac_served_bits": fr.mac_served_bits,

@@ -5,8 +5,11 @@ context (common-unit measurements plus capability descriptors) and propose
 actions from one closed set. An operator strategy ranks features totally;
 conflicts resolve to at most one action per UE per epoch, with hysteresis
 against reversals and time-to-trigger maturation before anything is emitted.
-The surviving actions are checked against that same context and applied
-through the network's five ``apply_*`` mutators; steering reads nothing else.
+Every action acts on one cell, its last target (configure_dc names its master
+first). The surviving actions are checked against that same context by one
+statement of the refusal rules, ``_refusal``, and applied through the
+network's five ``apply_*`` mutators; steering reads nothing else. One table,
+``_UNDOES``, says which kinds undo which, for hysteresis.
 
 Signals cost the most to read, so the built-in features read each one they
 need once and no other: load balancing indexes the UEs by serving cell and
@@ -60,6 +63,22 @@ class ActionKind(str, Enum):
 
 KIND_ORDER: dict[ActionKind, int] = {k: i for i, k in enumerate(ActionKind)}
 
+#: The kinds that move the UE's data to their cell, add a leg on it, or drop it.
+_MOVES = frozenset({ActionKind.HANDOVER, ActionKind.OFFLOAD})
+_ADDS = frozenset({ActionKind.ADD_SECONDARY_CELL, ActionKind.CONFIGURE_DC})
+_RELEASES = frozenset({ActionKind.RELEASE_SECONDARY_CELL, ActionKind.RELEASE_LEG})
+
+#: The earlier kinds each kind undoes: a move back to the cell a move left, an
+#: add of a cell a release dropped, a release of a cell an add named.
+_UNDOES: dict[ActionKind, frozenset[ActionKind]] = {
+    ActionKind.HANDOVER: _MOVES,
+    ActionKind.ADD_SECONDARY_CELL: _RELEASES,
+    ActionKind.RELEASE_SECONDARY_CELL: _ADDS,
+    ActionKind.CONFIGURE_DC: _RELEASES,
+    ActionKind.RELEASE_LEG: _ADDS,
+    ActionKind.OFFLOAD: _MOVES,
+}
+
 
 class UndeclaredActionError(ValueError):
     """A feature proposed an action kind absent from its registered outputs."""
@@ -71,6 +90,9 @@ class UnrankedFeatureError(ValueError):
 
 @dataclass(frozen=True)
 class SteeringAction:
+    """One proposed action. ``targets`` is the one cell it acts on, except for
+    configure_dc's ``(master, second)``; the acted-on cell is the last."""
+
     kind: ActionKind
     ue_id: str
     targets: tuple[str, ...]
@@ -79,8 +101,9 @@ class SteeringAction:
     def __post_init__(self):
         if not isinstance(self.kind, ActionKind):
             raise ValueError(f"kind must be an ActionKind, got {self.kind!r}")
-        if not self.targets:
-            raise ValueError("targets must be non-empty")
+        want = 2 if self.kind is ActionKind.CONFIGURE_DC else 1
+        if len(self.targets) != want:
+            raise ValueError(f"{self.kind.value} takes {want} target(s), got {len(self.targets)}")
 
 
 # ---------------------------------------------------------------------------
@@ -430,28 +453,14 @@ class HistoryEntry:
 
 
 def _reverses(candidate: SteeringAction, entry: HistoryEntry) -> bool:
-    if entry.action.ue_id != candidate.ue_id:
+    """True when ``candidate`` undoes ``entry``'s action on the same UE, by
+    ``_UNDOES``: its cell is the one an earlier move left, or one an earlier
+    add or release named."""
+    earlier = entry.action
+    if earlier.ue_id != candidate.ue_id or earlier.kind not in _UNDOES[candidate.kind]:
         return False
-    k, pk = candidate.kind, entry.action.kind
-    if k in (ActionKind.HANDOVER, ActionKind.OFFLOAD):
-        return (
-            pk in (ActionKind.HANDOVER, ActionKind.OFFLOAD)
-            and entry.prev_serving is not None
-            and candidate.targets[-1] == entry.prev_serving
-        )
-    if k is ActionKind.ADD_SECONDARY_CELL:
-        return pk in (ActionKind.RELEASE_SECONDARY_CELL, ActionKind.RELEASE_LEG) and (
-            candidate.targets[0] in entry.action.targets
-        )
-    if k is ActionKind.CONFIGURE_DC:
-        return pk in (ActionKind.RELEASE_SECONDARY_CELL, ActionKind.RELEASE_LEG) and (
-            candidate.targets[-1] in entry.action.targets
-        )
-    if k in (ActionKind.RELEASE_SECONDARY_CELL, ActionKind.RELEASE_LEG):
-        return pk in (ActionKind.ADD_SECONDARY_CELL, ActionKind.CONFIGURE_DC) and (
-            candidate.targets[0] in entry.action.targets
-        )
-    return False
+    cell = candidate.targets[-1]
+    return cell == entry.prev_serving if candidate.kind in _MOVES else cell in earlier.targets
 
 
 def resolve_conflicts(
@@ -491,16 +500,51 @@ def resolve_conflicts(
 # application
 # ---------------------------------------------------------------------------
 
+#: Per kind: the network mutator it calls with ``(ue, *targets)``, then the
+#: leg event it writes on the serving cell (or None) and the one on its cell.
+_APPLY: dict[ActionKind, tuple[str, str | None, str]] = {
+    ActionKind.HANDOVER: ("apply_handover", "release_leg", "add_leg"),
+    ActionKind.ADD_SECONDARY_CELL: ("apply_add_secondary", None, "add_leg"),
+    ActionKind.RELEASE_SECONDARY_CELL: ("apply_release_secondary", None, "release_leg"),
+    ActionKind.CONFIGURE_DC: ("apply_configure_dc", "reconfigure", "add_leg"),
+    ActionKind.RELEASE_LEG: ("apply_release_secondary", None, "release_leg"),
+    ActionKind.OFFLOAD: ("apply_offload", "release_leg", "add_leg"),
+}
+
+
+def _refusal(ctx: UtsContext, action: SteeringAction) -> str | None:
+    """The first steering rule ``action`` breaks against ``ctx``, or None if
+    it breaks none: the one statement of the refusal rules, in order."""
+    ue, kind, cell = action.ue_id, action.kind, action.targets[-1]
+    if ue not in ctx.ue_serving:
+        return "unknown_ue"
+    if any(t not in ctx.cell_descriptors for t in action.targets):
+        return "unknown_target"
+    serving, secondary = ctx.ue_serving[ue], ctx.ue_secondary[ue]
+    if kind in _RELEASES:
+        return None if cell in secondary else "not_attached"
+    if kind in _MOVES and cell == serving:
+        return "already_serving"
+    if kind is ActionKind.CONFIGURE_DC and action.targets[0] != serving:
+        return "master_not_serving"
+    if kind is not ActionKind.HANDOVER and (cell == serving or cell in secondary):
+        return "already_attached"
+    if cell not in ctx.ue_eligible[ue]:
+        return "not_eligible"
+    return None
+
+
 def apply_actions(
     ctx: UtsContext, network, actions: Sequence[SteeringAction], slot: int
 ) -> tuple[list[HistoryEntry], list[Event]]:
     """Apply resolved actions atomically, one by one.
 
-    Each action is checked against ``ctx``, the context it was decided on,
-    before any of its mutations run; a failed check emits a steer_error event
-    and skips the action, leaving the network untouched by it. Unknown
-    targets never raise. ``network`` is driven only through its five
-    ``apply_*`` mutators.
+    Each action is checked by ``_refusal`` against ``ctx``, the context it
+    was decided on, before any of its mutations run; a refused action emits
+    a steer_error event and is skipped, leaving the network untouched by it.
+    Unknown targets never raise. An action that passes calls its kind's one
+    ``apply_*`` mutator and writes its kind's leg events, as ``_APPLY`` lists
+    them; ``network`` is driven through nothing else.
 
     Checking against ``ctx`` rather than the live network is exact because
     ``actions`` holds at most one action per UE, as ``resolve_conflicts``
@@ -508,91 +552,25 @@ def apply_actions(
     """
     applied: list[HistoryEntry] = []
     events: list[Event] = []
-
-    def err(action: SteeringAction, reason: str):
-        events.append(
-            Event.make(
-                slot,
-                "uts",
-                "steer_error",
-                ue=action.ue_id,
-                action=action.kind.value,
-                targets="|".join(action.targets),
-                reason=reason,
-            )
-        )
-
-    def leg_event(kind: str, action: SteeringAction, cell: str):
-        events.append(
-            Event.make(
-                slot,
-                "uts",
-                kind,
-                ue=action.ue_id,
-                cell=cell,
-                action=action.kind.value,
-                feature=action.feature_id,
-            )
-        )
-
     for action in actions:
-        ue = action.ue_id
-        if ue not in ctx.ue_serving:
-            err(action, "unknown_ue")
+        ue, kind = action.ue_id, action.kind
+        reason = _refusal(ctx, action)
+        if reason is not None:
+            events.append(Event.make(
+                slot, "uts", "steer_error",
+                ue=ue, action=kind.value, targets="|".join(action.targets), reason=reason,
+            ))
             continue
-        if any(t not in ctx.cell_descriptors for t in action.targets):
-            err(action, "unknown_target")
-            continue
-        k, target = action.kind, action.targets[0]
-        serving, secondary = ctx.ue_serving[ue], ctx.ue_secondary[ue]
-        moves = k in (ActionKind.HANDOVER, ActionKind.OFFLOAD)
-        if moves:
-            if target == serving:
-                err(action, "already_serving")
-                continue
-            if k is ActionKind.OFFLOAD and target in secondary:
-                err(action, "already_attached")
-                continue
-            if target not in ctx.ue_eligible[ue]:
-                err(action, "not_eligible")
-                continue
-            move = network.apply_handover if k is ActionKind.HANDOVER else network.apply_offload
-            move(ue, target)
-            leg_event("release_leg", action, serving)
-            leg_event("add_leg", action, target)
-        elif k is ActionKind.ADD_SECONDARY_CELL:
-            if target == serving or target in secondary:
-                err(action, "already_attached")
-                continue
-            if target not in ctx.ue_eligible[ue]:
-                err(action, "not_eligible")
-                continue
-            network.apply_add_secondary(ue, target)
-            leg_event("add_leg", action, target)
-        elif k in (ActionKind.RELEASE_SECONDARY_CELL, ActionKind.RELEASE_LEG):
-            if target not in secondary:
-                err(action, "not_attached")
-                continue
-            network.apply_release_secondary(ue, target)
-            leg_event("release_leg", action, target)
-        elif k is ActionKind.CONFIGURE_DC:
-            master, second = target, action.targets[-1]
-            if master != serving:
-                err(action, "master_not_serving")
-                continue
-            if second == serving or second in secondary:
-                err(action, "already_attached")
-                continue
-            if second not in ctx.ue_eligible[ue]:
-                err(action, "not_eligible")
-                continue
-            network.apply_configure_dc(ue, master, second)
-            leg_event("reconfigure", action, master)
-            leg_event("add_leg", action, second)
-        else:  # pragma: no cover - enum is closed
-            err(action, "unknown_kind")
-            continue
-        applied.append(HistoryEntry(ctx.epoch_index, action, serving if moves else None))
+        serving = ctx.ue_serving[ue]
+        mutator, on_serving, on_cell = _APPLY[kind]
+        getattr(network, mutator)(ue, *action.targets)
+        for leg, cell in ((on_serving, serving), (on_cell, action.targets[-1])):
+            if leg is not None:
+                events.append(Event.make(
+                    slot, "uts", leg, ue=ue, cell=cell, action=kind.value,
+                    feature=action.feature_id,
+                ))
+        applied.append(HistoryEntry(ctx.epoch_index, action, serving if kind in _MOVES else None))
     return applied, events
 
 

@@ -1030,6 +1030,76 @@ def test_offload_onto_a_held_secondary_is_refused_as_already_attached(scenarios)
     assert w.ues["ue-dc"].secondary == ("small1",)
 
 
+def test_every_action_kind_through_a_world(scenarios):
+    """A plugin feature proposes each of the six kinds once on the hetnet
+    walkthrough, one per steering epoch, with its built-in features off. The
+    UE's serving cell and secondaries follow each mutator as documented, the
+    leg events are the ones each kind writes, and after every action each
+    flow's legs are exactly the cells whose MAC holds it."""
+    from rrmsim.abstraction import FeatureRecord, PluginLocation
+    from rrmsim.uts import ActionKind as K, SteeringAction
+
+    plan = [
+        (K.CONFIGURE_DC, "ue-dc", ("macro1", "small1")),
+        (K.RELEASE_LEG, "ue-dc", ("small1",)),
+        (K.ADD_SECONDARY_CELL, "ue-wifi", ("small1",)),
+        (K.RELEASE_SECONDARY_CELL, "ue-wifi", ("small1",)),
+        (K.HANDOVER, "ue-dc", ("small1",)),
+        (K.OFFLOAD, "ue-wifi", ("macro1",)),
+    ]
+    rec = FeatureRecord("every_kind", ("ue_serving",), tuple(k.value for k in K),
+                        PluginLocation.BELOW_UTS, ("none",), ("any",))
+
+    def propose(ctx, record, thr):
+        if ctx.epoch_index >= len(plan):
+            return []
+        kind, ue, targets = plan[ctx.epoch_index]
+        return [SteeringAction(kind, ue, targets, record.feature_id)]
+
+    base = _short(scenarios, "hetnet_walkthrough", 600)
+    uts = dataclasses.replace(base.uts, features=(), ranking=(), hysteresis_epochs=0,
+                              time_to_trigger_epochs=1)
+    w = World(dataclasses.replace(base, uts=uts), extra_features=[(rec, propose)])
+    seen = []
+    while w.slot < 600:
+        n = len(w.events)
+        w.step_slot()
+        steered = [e for e in w.events[n:] if e.subsystem == "uts"]
+        if not steered:
+            continue
+        kind = plan[len(seen)][0].value
+        assert all(e.get("action") == kind and e.get("feature") == "every_kind" for e in steered)
+        for fid, fr in w.flows.items():
+            legs = sorted(leg.cell_id for leg in fr.state.legs)
+            assert legs == sorted(c for c, cr in w.cells.items() if fid in cr.mac.flows), fid
+        seen.append((
+            [e.format().split(" action=")[0] for e in steered],
+            {u: (w.ues[u].serving, w.ues[u].secondary) for u in ("ue-dc", "ue-wifi")},
+            {f: [leg.cell_id for leg in w.flows[f].state.legs] for f in ("f-dc-embb", "f-wifi")},
+        ))
+    assert seen == [
+        (["0 uts reconfigure ue=ue-dc cell=macro1", "0 uts add_leg ue=ue-dc cell=small1"],
+         {"ue-dc": ("macro1", ("small1",)), "ue-wifi": ("ap1", ())},
+         {"f-dc-embb": ["macro1", "small1"], "f-wifi": ["ap1"]}),
+        (["100 uts release_leg ue=ue-dc cell=small1"],
+         {"ue-dc": ("macro1", ()), "ue-wifi": ("ap1", ())},
+         {"f-dc-embb": ["macro1"], "f-wifi": ["ap1"]}),
+        (["200 uts add_leg ue=ue-wifi cell=small1"],
+         {"ue-dc": ("macro1", ()), "ue-wifi": ("ap1", ("small1",))},
+         {"f-dc-embb": ["macro1"], "f-wifi": ["ap1", "small1"]}),
+        (["300 uts release_leg ue=ue-wifi cell=small1"],
+         {"ue-dc": ("macro1", ()), "ue-wifi": ("ap1", ())},
+         {"f-dc-embb": ["macro1"], "f-wifi": ["ap1"]}),
+        (["400 uts release_leg ue=ue-dc cell=macro1", "400 uts add_leg ue=ue-dc cell=small1"],
+         {"ue-dc": ("small1", ()), "ue-wifi": ("ap1", ())},
+         {"f-dc-embb": ["small1"], "f-wifi": ["ap1"]}),
+        (["500 uts release_leg ue=ue-wifi cell=ap1", "500 uts add_leg ue=ue-wifi cell=macro1"],
+         {"ue-dc": ("small1", ()), "ue-wifi": ("ap1", ("macro1",))},
+         {"f-dc-embb": ["small1"], "f-wifi": ["macro1"]}),
+    ]
+    assert w.build_report().steering_actions == {k.value: 1 for k in K}
+
+
 def _attach_world(flows, cells=("ca", "cb")):
     """25-PRB cells 200 m apart in a row, steering off, and one UE ``u`` on
     the first cell with ``flows``: (flow id, service) pairs."""

@@ -6,6 +6,9 @@ two runs of one build. A change that moves a digest must say which bytes
 changed and why; regenerate the file with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints each ``scenario@seed file`` whose digest moved and leaves the
+file untouched when none did.
 """
 
 import hashlib
@@ -57,7 +60,36 @@ def test_output_matches_golden_digest(golden, name, seed):
     assert render_digests(name, seed) == golden[_key(name, seed)]
 
 
+def rerecord(path: Path, doc: dict[str, dict[str, str]]) -> list[str]:
+    """Write ``doc`` to ``path`` if any digest in it differs from the file's,
+    and return each ``scenario@seed file`` that moved, came or went."""
+    old = json.loads(path.read_text()) if path.exists() else {}
+    moved = [
+        f"{key} {name}"
+        for key in sorted(set(old) | set(doc))
+        for name in sorted(set(old.get(key, {})) | set(doc.get(key, {})))
+        if old.get(key, {}).get(name) != doc.get(key, {}).get(name)
+    ]
+    if moved:
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return moved
+
+
+def test_rerecord_names_what_moved_and_writes_only_then(tmp_path):
+    path = tmp_path / "digests.json"
+    doc = {"a@7": {"events.log": "1", "summary.json": "2"}, "b@7": {"events.log": "3"}}
+    assert rerecord(path, doc) == ["a@7 events.log", "a@7 summary.json", "b@7 events.log"]
+    path.write_text(path.read_text() + "\n")  # a rewrite would drop this line
+    kept = path.read_text()
+    assert rerecord(path, doc) == [] and path.read_text() == kept
+    moved = {"a@7": {"events.log": "1", "summary.json": "9"}, "c@7": {"events.log": "3"}}
+    assert rerecord(path, moved) == ["a@7 summary.json", "b@7 events.log", "c@7 events.log"]
+    assert json.loads(path.read_text()) == moved
+
+
 if __name__ == "__main__":
-    doc = {_key(n, s): render_digests(n, s) for n in SCENARIOS for s in SEEDS}
-    DIGESTS.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    moved = rerecord(DIGESTS, {_key(n, s): render_digests(n, s) for n in SCENARIOS for s in SEEDS})
+    for line in moved:
+        print(f"moved: {line}")
+    print(f"{DIGESTS.name}: {len(moved)} digests moved" if moved else "no digest moved")
     sys.exit(0)

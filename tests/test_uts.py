@@ -15,7 +15,7 @@ from rrmsim.abstraction import (
     load_fraction,
     signal_db,
 )
-from rrmsim.core import CellClass, TrafficClass
+from rrmsim.core import CellClass, Event, TrafficClass
 from rrmsim.uts import (
     ActionKind,
     CARRIER_AGG_ID,
@@ -679,9 +679,191 @@ def test_apply_respects_eligibility():
     assert hist == [] and events[0].get("reason") == "not_eligible"
 
 
+@pytest.mark.parametrize("kind", list(ActionKind))
+def test_each_kind_takes_one_target_and_configure_dc_two(kind):
+    want = 2 if kind is ActionKind.CONFIGURE_DC else 1
+    ok = ("ca", "cb")[:want]
+    assert SteeringAction(kind, "u1", ok, "f").targets == ok
+    for n in {0, 1, 2, 3} - {want}:
+        with pytest.raises(ValueError, match=f"{kind.value} takes {want} target"):
+            SteeringAction(kind, "u1", ("ca", "cb", "cc")[:n], "f")
+
+
+def _apply_per_kind(ctx, network, actions, slot):
+    """The apply path with each kind's checks written out in its own branch,
+    as it stood before one function stated the refusal rules: the oracle of
+    ``apply_actions``."""
+    applied, events = [], []
+
+    def err(action, reason):
+        events.append(Event.make(slot, "uts", "steer_error", ue=action.ue_id,
+                                 action=action.kind.value,
+                                 targets="|".join(action.targets), reason=reason))
+
+    def leg_event(kind, action, cell):
+        events.append(Event.make(slot, "uts", kind, ue=action.ue_id, cell=cell,
+                                 action=action.kind.value, feature=action.feature_id))
+
+    for action in actions:
+        ue = action.ue_id
+        if ue not in ctx.ue_serving:
+            err(action, "unknown_ue")
+            continue
+        if any(t not in ctx.cell_descriptors for t in action.targets):
+            err(action, "unknown_target")
+            continue
+        k, target = action.kind, action.targets[0]
+        serving, secondary = ctx.ue_serving[ue], ctx.ue_secondary[ue]
+        moves = k in (ActionKind.HANDOVER, ActionKind.OFFLOAD)
+        if moves:
+            if target == serving:
+                err(action, "already_serving")
+                continue
+            if k is ActionKind.OFFLOAD and target in secondary:
+                err(action, "already_attached")
+                continue
+            if target not in ctx.ue_eligible[ue]:
+                err(action, "not_eligible")
+                continue
+            move = network.apply_handover if k is ActionKind.HANDOVER else network.apply_offload
+            move(ue, target)
+            leg_event("release_leg", action, serving)
+            leg_event("add_leg", action, target)
+        elif k is ActionKind.ADD_SECONDARY_CELL:
+            if target == serving or target in secondary:
+                err(action, "already_attached")
+                continue
+            if target not in ctx.ue_eligible[ue]:
+                err(action, "not_eligible")
+                continue
+            network.apply_add_secondary(ue, target)
+            leg_event("add_leg", action, target)
+        elif k in (ActionKind.RELEASE_SECONDARY_CELL, ActionKind.RELEASE_LEG):
+            if target not in secondary:
+                err(action, "not_attached")
+                continue
+            network.apply_release_secondary(ue, target)
+            leg_event("release_leg", action, target)
+        else:  # configure_dc
+            master, second = target, action.targets[-1]
+            if master != serving:
+                err(action, "master_not_serving")
+                continue
+            if second == serving or second in secondary:
+                err(action, "already_attached")
+                continue
+            if second not in ctx.ue_eligible[ue]:
+                err(action, "not_eligible")
+                continue
+            network.apply_configure_dc(ue, master, second)
+            leg_event("reconfigure", action, master)
+            leg_event("add_leg", action, second)
+        applied.append(HistoryEntry(ctx.epoch_index, action, serving if moves else None))
+    return applied, events
+
+
+def _reverses_per_kind(candidate, entry):
+    """Reversal with each kind's rule written out: the oracle of ``_reverses``."""
+    if entry.action.ue_id != candidate.ue_id:
+        return False
+    k, pk = candidate.kind, entry.action.kind
+    moves = (ActionKind.HANDOVER, ActionKind.OFFLOAD)
+    releases = (ActionKind.RELEASE_SECONDARY_CELL, ActionKind.RELEASE_LEG)
+    if k in moves:
+        return pk in moves and entry.prev_serving is not None and (
+            candidate.targets[-1] == entry.prev_serving
+        )
+    if k is ActionKind.ADD_SECONDARY_CELL:
+        return pk in releases and candidate.targets[0] in entry.action.targets
+    if k is ActionKind.CONFIGURE_DC:
+        return pk in releases and candidate.targets[-1] in entry.action.targets
+    return pk in (ActionKind.ADD_SECONDARY_CELL, ActionKind.CONFIGURE_DC) and (
+        candidate.targets[0] in entry.action.targets
+    )
+
+
+@st.composite
+def _steering_cases(draw):
+    """1-4 cells, up to three UEs with random serving cells, secondaries and
+    eligibility, and at most one action per UE (plus one for an unknown UE)
+    of any kind, on cells known or not; and earlier history entries."""
+    cells = [f"c{i}" for i in range(draw(st.integers(1, 4)))]
+    ues = [f"u{i}" for i in range(draw(st.integers(1, 3)))]
+    state = {
+        ue: (
+            draw(st.sampled_from(cells)),
+            draw(st.lists(st.sampled_from(cells), unique=True)),
+            set(draw(st.lists(st.sampled_from(cells), unique=True))),
+        )
+        for ue in ues
+    }
+    names = st.sampled_from(cells + ["nowhere"])
+
+    def action(ue):
+        kind = draw(st.sampled_from(list(ActionKind)))
+        first = names
+        if kind is ActionKind.CONFIGURE_DC and ue in state:  # often the serving cell
+            first = st.sampled_from([state[ue][0], state[ue][0], *cells, "nowhere"])
+        targets = (draw(first),) + (
+            (draw(names),) if kind is ActionKind.CONFIGURE_DC else ()
+        )
+        return SteeringAction(kind, ue, targets, draw(st.sampled_from(["fa", "fb"])))
+
+    actions = [action(ue) for ue in ues + ["ghost"] if draw(st.booleans())]
+    history = [
+        HistoryEntry(draw(st.integers(0, 3)), action(draw(st.sampled_from(ues))),
+                     draw(st.one_of(st.none(), names)))
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    return cells, state, actions, history
+
+
+@settings(max_examples=500)
+@given(_steering_cases())
+def test_apply_and_reversal_match_the_per_kind_rules(case):
+    cells, state, actions, history = case
+    nets = []
+    for _ in range(2):
+        net = FakeNetwork(set(cells), {u: s[0] for u, s in state.items()},
+                          eligible={u: s[2] for u, s in state.items()})
+        for u, s in state.items():
+            net.secondary[u] = list(s[1])
+        nets.append(net)
+    got = apply_actions(nets[0].context(epoch=3), nets[0], actions, slot=300)
+    want = _apply_per_kind(nets[1].context(epoch=3), nets[1], actions, slot=300)
+    assert got == want
+    assert nets[0].log == nets[1].log
+    for entry in history + got[0]:
+        for cand in actions:
+            assert _reverses(cand, entry) == _reverses_per_kind(cand, entry), (cand, entry)
+
+
 # ---------------------------------------------------------------------------
 # closed-loop controller
 # ---------------------------------------------------------------------------
+
+def test_padded_targets_cannot_slip_a_return_past_hysteresis():
+    """A handover whose targets are padded with a second cell is refused
+    when it is built: apply and reversal read one cell of it, so a padded
+    return cannot land on the cell it left while the test looks at another.
+    Unpadded, the return is suppressed inside the hysteresis window."""
+    plan = {}
+    rec = FeatureRecord("pad", ("ue_serving",), ("handover",), PluginLocation.BELOW_UTS,
+                        ("none",), ("any",))
+    registry = PluginRegistry().register(rec, lambda ctx, r, thr: [
+        SteeringAction(ActionKind.HANDOVER, "u1", plan[ctx.epoch_index], r.feature_id)
+    ])
+    strat = _strategy(ranking=("pad",), time_to_trigger_epochs=1, hysteresis_epochs=4)
+    ctrl = UtsController(registry, strat)
+    net = FakeNetwork({"ca", "cb", "cc"}, {"u1": "ca"})
+    plan.update({0: ("cb", "cc"), 1: ("ca", "cc")})
+    with pytest.raises(ValueError, match="handover takes 1 target"):
+        ctrl.step(net.context(epoch=0), net, slot=0)
+    assert net.log == [] and ctrl.history == []
+    plan.update({0: ("cb",), 1: ("ca",)})
+    for epoch in (0, 1):
+        ctrl.step(net.context(epoch=epoch), net, slot=epoch * 100)
+    assert net.log == [("handover", "u1", "cb")] and net.serving["u1"] == "cb"
 
 def test_controller_waits_for_time_to_trigger():
     reg = _registry()
