@@ -172,7 +172,7 @@ def cmd_run(args) -> int:
         return EXIT_CONFIG
 
     runs = seeds if seeds is not None else [cfg.sim.seed]
-    multi = len(runs) > 1
+    multi = args.seeds is not None  # a range, of any length, writes seed-N/
     for seed in runs:
         log.info("running %s with seed %d", cfg.name, seed)
         try:

@@ -1,5 +1,5 @@
 """Physical-resource domain model: carrier grids, exclusive PRB grants,
-cells, user equipment, traffic classes, and the Jain fairness metric.
+cells, traffic classes, events, and the Jain fairness metric.
 
 Everything downstream (MAC coordinators, flow control, steering) is built on
 these types; they deliberately know nothing about scheduling policy.
@@ -238,26 +238,6 @@ class Cell:
             raise ValueError("cell_id must be non-empty")
         if not math.isfinite(self.tx_power_dbm):
             raise ValueError("tx_power_dbm must be finite")
-
-
-@dataclass(frozen=True)
-class UserEquipment:
-    """A terminal with a position and a set of capability flags.
-
-    Capability flags are opaque strings matched against cell/portion
-    requirements (e.g. "nr", "lte", "dual_connectivity").
-    """
-
-    ue_id: str
-    position: tuple[float, float]
-    capabilities: frozenset[str]
-    velocity: tuple[float, float] = (0.0, 0.0)
-
-    def __post_init__(self):
-        if not self.ue_id:
-            raise ValueError("ue_id must be non-empty")
-        if not self.capabilities:
-            raise ValueError(f"UE {self.ue_id!r} must declare at least one capability")
 
 
 def compute_fairness(values: Sequence[float]) -> float:

@@ -10,9 +10,11 @@ The fading hash is stateless, so it is evaluated a MAC epoch at a time: one
 call gives every (UE, cell) pair with a queue-driven flow its fading for each
 slot of the epoch, as one row of an array, and a pair that a handover brings
 in mid-epoch gets its row the same way. Each slot reads its own column; the
-block goes when the epoch ends. Lookups the slot loop needs (flows by UE,
-services by UE, eligible cells by capability set) and the cells' capability
-descriptors, fixed for a run, are built once. One RSRP cache per UE fills as
+block goes when the epoch ends. A UE is its ``UeConfig``. Lookups fixed for
+a run (flows, services, capabilities and eligible cells by UE, best portions
+by capability set, the cells' capability descriptors) are built once; the
+read-only ones pickle as plain dicts, so a World pickles between any two
+slots and resumes to the same bytes. One RSRP cache per UE fills as
 it is read and drops when the UE moves; the mean SINR is derived from it on
 each read. The steering context builds a UE's signal row only when a feature
 reads it, reads through that cache, converting with ``signal_db``, and takes
@@ -20,14 +22,15 @@ each cell's load from its MAC's ``load``. So a slot costs work per (UE, cell)
 pair that something reads. The World keeps no copy of what the MACs own:
 cells, portions, loads and registrations are read from each ``MacInstance``,
 and a load-balance flow's legs take their cells' loads just before its
-packets are routed. The report sums the MACs' access counts and counts the
-controller's history.
+packets are routed. The report sums the MACs' access and grant counts and
+counts the controller's history.
 
 Packets move as runs (``pdcp.Run``): a flow's arrivals in a slot are routed
 in one call, the drain uses up whole packets of a leg's head run with
 arithmetic, and the receiver and the delivery books take a run at a time.
 Latencies are kept as a count per latency in slots, so a flow's state does
-not grow with the horizon. Run arithmetic is exact because every bit amount
+not grow with the horizon; a flow's MAC-epoch row is its running totals less
+their values at the last rollup. Run arithmetic is exact because every bit amount
 is a whole number below 2**53; generator sizes and the MAC's served bits are
 checked where they enter (``pdcp.whole_bits``).
 
@@ -60,12 +63,11 @@ from .abstraction import (
 from .core import (
     Event,
     TrafficClass,
-    UserEquipment,
     compute_fairness,
     DegenerateInputError,
 )
 from .mac import MacFlow, MacInstance, PortionSpec, SlotInputs
-from .scenario import FlowConfig, ScenarioConfig, build_domain, build_ue
+from .scenario import FlowConfig, ScenarioConfig, UeConfig, build_domain
 from .uts import LazyRow, MnoStrategy, UtsContext, UtsController, builtin_features
 
 #: Each slot's stages in order, and the ``World`` method that runs each.
@@ -86,13 +88,12 @@ class CellRuntime:
     mac: MacInstance
     noise_floor_dbm: float
     served_bits_total: float = 0.0
-    granted_prbs_total: int = 0
 
 
 @dataclass
 class UeRuntime:
-    #: as configured, so ``ue.position`` is where the UE starts
-    ue: UserEquipment
+    #: as configured, so ``cfg.position`` is where the UE starts
+    cfg: UeConfig
     index: int
     serving: str
     position: tuple[float, float]
@@ -105,6 +106,10 @@ class UeRuntime:
 
 @dataclass
 class FlowRuntime:
+    """A flow's state and running totals. Its MAC-epoch window is its totals
+    less ``rolled``, their values at the last rollup: exact, as every bit
+    amount is a whole number below 2**53 (``pdcp.whole_bits``)."""
+
     cfg: FlowConfig
     generator: object
     state: pdcp.FlowState | None
@@ -120,12 +125,12 @@ class FlowRuntime:
     attempts: int = 0
     #: delivered packets by latency in slots
     latency_counts: dict[int, int] = field(default_factory=dict)
+    #: the sum of the delivered packets' latencies in slots, and their count
+    latency_sum: int = 0
+    latency_n: int = 0
     deadline_misses: int = 0
-    # per-MAC-epoch window accumulators
-    w_arrived: float = 0.0
-    w_delivered: float = 0.0
-    w_latency_sum: int = 0
-    w_latency_n: int = 0
+    #: arrived, delivered, latency sum and count at the last rollup
+    rolled: tuple = (0.0, 0.0, 0, 0)
 
     def queued_bits(self) -> float:
         if self.state is None:
@@ -190,23 +195,23 @@ class World:
 
         # Eligibility is static: each distinct capability set's best portion
         # per cell it may use, in config cell order, and those cells by UE.
-        built = [build_ue(uc) for uc in config.ues]
+        capabilities = {uc.ue_id: frozenset(uc.capabilities) for uc in config.ues}
+        self._capabilities = MappingProxyType(capabilities)
         self._portions_by_caps: dict[frozenset[str], dict[str, PortionSpec]] = {}
-        for caps in dict.fromkeys(u.capabilities for u in built):
+        for caps in dict.fromkeys(capabilities.values()):
             table = self._portions_by_caps[caps] = {}
             for cid, cr in self.cells.items():
                 usable = [p for p in cr.mac.portions.values() if p.usable_by(caps)]
                 if usable:  # the first of equally efficient portions wins
                     table[cid] = max(usable, key=lambda p: p.waveform_efficiency)
         self._eligible = MappingProxyType(
-            {u.ue_id: tuple(self._portions_by_caps[u.capabilities]) for u in built}
+            {uid: tuple(self._portions_by_caps[caps]) for uid, caps in capabilities.items()}
         )
-        self._capabilities = MappingProxyType({u.ue_id: u.capabilities for u in built})
 
         self.ues: dict[str, UeRuntime] = {}
-        for i, (uc, ue) in enumerate(zip(config.ues, built)):
-            serving = uc.serving_cell or self._best_cell(ue)
-            self.ues[uc.ue_id] = UeRuntime(ue=ue, index=i, serving=serving, position=ue.position)
+        for i, uc in enumerate(config.ues):
+            serving = uc.serving_cell or self._best_cell(uc.ue_id, uc.position)
+            self.ues[uc.ue_id] = UeRuntime(cfg=uc, index=i, serving=serving, position=uc.position)
 
         self.flows: dict[str, FlowRuntime] = {}
         for fc in config.flows:
@@ -261,18 +266,29 @@ class World:
         self.rows: list[dict] = []
         self.pingpong_count = 0
 
+    #: the read-only tables built at construction, which pickle as plain dicts
+    _VIEWS = ("_descriptors", "_eligible", "_capabilities", "_services")
+
+    def __getstate__(self) -> dict:
+        return {k: dict(v) if k in self._VIEWS else v for k, v in self.__dict__.items()}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        for k in self._VIEWS:
+            setattr(self, k, MappingProxyType(state[k]))
+
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
 
-    def _portion_for(self, ue: UserEquipment, cell_id: str) -> PortionSpec | None:
-        return self._portions_by_caps[ue.capabilities].get(cell_id)
+    def _portion_for(self, ue_id: str, cell_id: str) -> PortionSpec | None:
+        return self._portions_by_caps[self._capabilities[ue_id]].get(cell_id)
 
-    def _best_cell(self, ue: UserEquipment) -> str:
-        dbm = self._rsrp_cache.setdefault(ue.ue_id, {})
-        cands = [(-self._rsrp(dbm, cid, ue.position), cid) for cid in self._eligible[ue.ue_id]]
+    def _best_cell(self, ue_id: str, position: tuple[float, float]) -> str:
+        dbm = self._rsrp_cache.setdefault(ue_id, {})
+        cands = [(-self._rsrp(dbm, cid, position), cid) for cid in self._eligible[ue_id]]
         if not cands:
-            raise ValueError(f"UE {ue.ue_id!r} is eligible for no cell")
+            raise ValueError(f"UE {ue_id!r} is eligible for no cell")
         return min(cands)[1]
 
     def _register_mac_flow(self, fr: FlowRuntime, cell_id: str) -> PortionSpec:
@@ -280,7 +296,7 @@ class World:
         A URLLC flow's explicit ``sps_*`` settings win; a periodic generator
         fills in the rest, and the reservation covers one packet."""
         fc = fr.cfg
-        portion = self._portion_for(self.ues[fc.ue_id].ue, cell_id)
+        portion = self._portion_for(fc.ue_id, cell_id)
         if portion is None:
             raise ValueError(f"flow {fc.flow_id!r}: UE not eligible on cell {cell_id!r}")
         sps = {}
@@ -415,10 +431,10 @@ class World:
     def _refresh_positions(self) -> None:
         t = self.slot * self.slot_seconds
         for uid, rt in self.ues.items():
-            vx, vy = rt.ue.velocity
+            vx, vy = rt.cfg.velocity
             if vx == 0.0 and vy == 0.0:
                 continue
-            x, y = rt.ue.position
+            x, y = rt.cfg.position
             rt.position = (x + vx * t, y + vy * t)
             self._rsrp_cache.pop(uid, None)
 
@@ -446,7 +462,6 @@ class World:
             if not count:
                 continue
             fr.arrived_bits += bits * count
-            fr.w_arrived += bits * count
             if fr.state is None:
                 mac = self.cells[self.ues[fc.ue_id].serving].mac
                 for _ in range(count):
@@ -567,15 +582,14 @@ class World:
 
     def _deliver(self, fr: FlowRuntime, bits: float, created_slot: int, count: int = 1) -> None:
         """Book ``count`` deliveries of ``bits`` each, in order or by random
-        access: the flow's totals and window, its latency and deadline, and
-        the UE's steering window."""
+        access: the flow's totals, its latency and deadline, and the UE's
+        steering window."""
         total = bits * count
         fr.delivered_bits += total
-        fr.w_delivered += total
         lat = self.slot - created_slot
         fr.latency_counts[lat] = fr.latency_counts.get(lat, 0) + count
-        fr.w_latency_sum += lat * count
-        fr.w_latency_n += count
+        fr.latency_sum += lat * count
+        fr.latency_n += count
         self.ues[fr.cfg.ue_id].delivered_window_bits += total
         if isinstance(fr.generator, traffic.PeriodicDeadline):
             if lat > fr.generator.deadline_slots:
@@ -586,7 +600,6 @@ class World:
             cid = cr.mac.cell.cell_id
             res = cr.mac.run_slot(self.slot, inputs, self.rng_access, self.rng_backoff)
             self.events.extend(res.events)
-            cr.granted_prbs_total += len(res.alloc)
             for fid in sorted(res.served_bits):
                 fr = self.flows[fid]
                 bits = res.served_bits[fid]
@@ -655,25 +668,25 @@ class World:
         epoch_s = self.config.mac.epoch_slots * self.slot_seconds
         for fr in self.flows.values():
             fc = fr.cfg
-            mean_lat = fr.w_latency_sum / fr.w_latency_n if fr.w_latency_n else None
+            totals = (fr.arrived_bits, fr.delivered_bits, fr.latency_sum, fr.latency_n)
+            arrived, delivered, lat_sum, lat_n = (t - r for t, r in zip(totals, fr.rolled))
+            fr.rolled = totals
+            mean_lat = lat_sum / lat_n if lat_n else None
             self.rows.append(
                 {
                     "epoch": epoch,
                     "flow": fc.flow_id,
                     "ue": fc.ue_id,
                     "service": fr.service,
-                    "arrived_bits": fr.w_arrived,
-                    "delivered_bits": fr.w_delivered,
-                    "throughput_bps": fr.w_delivered / epoch_s,
+                    "arrived_bits": arrived,
+                    "delivered_bits": delivered,
+                    "throughput_bps": delivered / epoch_s,
                     "backlog_bits": fr.queued_bits(),
                     "mean_latency_ms": (
                         mean_lat * self.slot_seconds * 1e3 if mean_lat is not None else None
                     ),
                 }
             )
-            fr.w_arrived = 0.0
-            fr.w_delivered = 0.0
-            fr.w_latency_sum = fr.w_latency_n = 0
             if fr.state is not None and len(fr.state.legs) > 1:
                 self.events.append(
                     Event.make(
@@ -712,14 +725,10 @@ class World:
 
     def build_report(self) -> "MetricsReport":
         per_flow = {}
-        all_lat: dict[int, int] = {}
+        all_lat: Counter[int] = Counter()
         for fr in self.flows.values():
             fc = fr.cfg
-            lat_sum = lat_n = 0
-            for lat, n in fr.latency_counts.items():
-                all_lat[lat] = all_lat.get(lat, 0) + n
-                lat_sum += lat * n
-                lat_n += n
+            all_lat.update(fr.latency_counts)
             per_flow[fc.flow_id] = {
                 "ue": fc.ue_id,
                 "service": fr.service,
@@ -733,16 +742,17 @@ class World:
                 "lost_in_transit": fr.lost_in_transit,
                 "deadline_misses": fr.deadline_misses,
                 "access_attempts": fr.attempts,
-                "mean_latency_ms": lat_sum * self.slot_ms / lat_n if lat_n else None,
+                "mean_latency_ms": (
+                    fr.latency_sum * self.slot_ms / fr.latency_n if fr.latency_n else None
+                ),
             }
         per_cell = {}
         horizon = max(self.slot, 1)
         for cid, cr in self.cells.items():
             per_cell[cid] = {
                 "served_bits": cr.served_bits_total,
-                "granted_prbs": cr.granted_prbs_total,
-                "prb_utilization": cr.granted_prbs_total
-                / (horizon * cr.mac.cell.grid.prbs_per_slot),
+                "granted_prbs": cr.mac.granted_prbs,
+                "prb_utilization": cr.mac.granted_prbs / (horizon * cr.mac.cell.grid.prbs_per_slot),
                 "final_load_fraction": cr.mac.load.value,
             }
         rates = [m["delivered_bits"] for m in per_flow.values() if m["delivered_bits"] > 0]

@@ -10,7 +10,8 @@ by one recursive split over the partition tree.
 
 Every scheduler hands ``run_slot`` half-open ``(start, stop, ue_id)`` blocks
 for the slot's ``AllocationMap``. A PF leaf is filled from its roster, with the
-metric computed in ``_pf_blocks`` alone; the MAC counts its access outcomes.
+metric computed in ``_pf_blocks`` alone; the MAC counts its access outcomes
+and granted PRBs, and averages the PF rate of the UEs its registrations name.
 
 ``MacInstance._leaf_key`` alone says which leaf serves a flow: a refresh builds
 each leaf with its roster grouped by it, and a flow that comes or goes between
@@ -449,7 +450,6 @@ class MacSlotResult:
     alloc: AllocationMap
     served_bits: dict[str, float]
     access_delivered: list[PendingAccess]
-    outcomes: list[AccessOutcome]
     events: list[Event]
 
 
@@ -478,6 +478,8 @@ class MacInstance:
         #: access attempts that succeeded and that collided, over the run
         self.rach_successes = 0
         self.rach_collisions = 0
+        #: PRBs granted over the run
+        self.granted_prbs = 0
         #: PRBs the last partition refresh found in demand, access included
         self.demand_prbs = 0
         # the epoch's leaves in plan order, and the same by (portion, slice,
@@ -488,8 +490,6 @@ class MacInstance:
         self._sliced: set[str] = set()
         # reserved columns per URLLC flow for the current epoch
         self._sps_columns: dict[str, tuple[int, int]] = {}
-        # eMBB and legacy flows per UE: the UEs whose PF average is kept
-        self._pf_flows: dict[str, int] = {}
 
     # -- population ---------------------------------------------------------
 
@@ -506,8 +506,6 @@ class MacInstance:
             if flow.sps_offset_slots < 0:
                 raise ValueError("sps_offset_slots must be >= 0")
         self.flows[flow.flow_id] = flow
-        if flow.service in _PF_CLASSES:
-            self._pf_flows[flow.ue_id] = self._pf_flows.get(flow.ue_id, 0) + 1
         # a flow without a leaf waits for the next refresh to get one
         leaf = self._leaf_by_key.get(self._leaf_key(flow))
         if leaf is not None:
@@ -518,12 +516,6 @@ class MacInstance:
         self.pending = [p for p in self.pending if p.flow_id != flow_id]
         if flow is None:
             return
-        if flow.service in _PF_CLASSES:
-            n = self._pf_flows[flow.ue_id] - 1
-            if n:
-                self._pf_flows[flow.ue_id] = n
-            else:
-                del self._pf_flows[flow.ue_id]
         leaf = self._leaf_by_key.get(self._leaf_key(flow))
         if leaf is not None:
             leaf.roster = _roster([f for fl in leaf.roster.values() for f in fl if f is not flow])
@@ -796,7 +788,6 @@ class MacInstance:
         amap = AllocationMap(self.cell.grid, slot)
         served: dict[str, float] = {}
         delivered: list[PendingAccess] = []
-        outcomes_all: list[AccessOutcome] = []
         pf_served_by_ue: dict[str, float] = {}
 
         for leaf in self._leaves:
@@ -806,7 +797,6 @@ class MacInstance:
                 outs, blocks, dels = self._run_contention(
                     leaf, slot, epoch, rng_access, rng_backoff
                 )
-                outcomes_all.extend(outs)
                 delivered.extend(dels)
                 for a, b, ue in blocks:
                     amap.add_block(a, b, ue, RACH_KEY)
@@ -851,16 +841,16 @@ class MacInstance:
                 for ue, bits in by_ue.items():
                     pf_served_by_ue[ue] = pf_served_by_ue.get(ue, 0.0) + bits
 
-        # Average-rate bookkeeping for every UE visible to the PF scheduler.
-        for ue in self._pf_flows:
+        # the average rate of every UE with an eMBB or legacy flow, in registration order
+        for ue in {f.ue_id: None for f in self.flows.values() if f.service in _PF_CLASSES}:
             avg = self.pf_avg.get(ue, cfg.pf_initial_avg_bits)
             self.pf_avg[ue] = (1.0 - cfg.pf_ewma) * avg + cfg.pf_ewma * pf_served_by_ue.get(ue, 0.0)
+        self.granted_prbs += len(amap)
 
         return MacSlotResult(
             alloc=amap,
             served_bits=served,
             access_delivered=delivered,
-            outcomes=outcomes_all,
             events=events,
         )
 

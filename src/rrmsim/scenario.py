@@ -31,7 +31,6 @@ from .core import (
     Cell,
     CellClass,
     TrafficClass,
-    UserEquipment,
 )
 from .mac import RACH_KEY, MacConfig, PortionSpec
 from .pdcp import DEFAULT_ENTER_LOAD, DEFAULT_LEAVE_LOAD, DEFAULT_T_REORDER_SLOTS, Mode, whole_bits
@@ -659,13 +658,4 @@ def build_domain(cfg: CellConfig) -> Cell:
         rat_tag=cfg.rat_tag,
         supports_duplication=cfg.supports_duplication,
         supports_secondary=cfg.supports_secondary,
-    )
-
-
-def build_ue(cfg: UeConfig) -> UserEquipment:
-    return UserEquipment(
-        ue_id=cfg.ue_id,
-        position=cfg.position,
-        capabilities=frozenset(cfg.capabilities),
-        velocity=cfg.velocity,
     )

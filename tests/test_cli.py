@@ -80,6 +80,13 @@ def test_seed_range_makes_one_directory_per_seed(tiny_yaml, tmp_path):
     assert seeds == [("seed-4", 4), ("seed-5", 5), ("seed-6", 6)]
 
 
+def test_a_one_seed_range_writes_its_seed_directory(tiny_yaml, tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", str(tiny_yaml), "--seeds", "4..4", "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["seed-4"]
+    assert json.loads((out / "seed-4" / "summary.json").read_text())["seed"] == 4
+
+
 def test_seed_and_seeds_together_is_a_usage_error(tiny_yaml, tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["run", str(tiny_yaml), "--seed", "1", "--seeds", "1..2", "--out", str(out)])

@@ -13,7 +13,6 @@ from rrmsim.core import (
     Grant,
     OutOfRangeError,
     OverlapError,
-    UserEquipment,
     compute_fairness,
     validate_allocation_map,
     validate_blocks,
@@ -229,8 +228,6 @@ def test_cell_and_ue_validation():
         Cell("", CellClass.MACRO, mk_grid(), (0, 0), 43.0)
     with pytest.raises(ValueError):
         Cell("c", CellClass.MACRO, mk_grid(), (0, 0), float("nan"))
-    with pytest.raises(ValueError):
-        UserEquipment("u", (0, 0), frozenset())
 
 
 # ---------------------------------------------------------------------------

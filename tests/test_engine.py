@@ -4,7 +4,9 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import pickle
 import sys
+from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
@@ -861,6 +863,27 @@ def test_dropping_caches_at_random_slots_keeps_every_output_byte(scenarios, name
     assert drops and _digests(w.run()) == straight
 
 
+_GOLDEN = json.loads((Path(__file__).resolve().parent / "golden" / "digests.json").read_text())
+
+
+@pytest.mark.parametrize("seed", [7, 1009])
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIO_DIR.glob("*.yaml")))
+def test_a_pickled_world_resumes_to_the_golden_files(scenarios, name, seed):
+    """A World pickled mid MAC epoch (slot H/2 + 3), resumed, run on to the
+    next steering slot and pickled again there resumes to the golden files.
+    Its read-only tables stay read-only views."""
+    cfg = scenarios[name]
+    mid = cfg.sim.horizon_slots // 2 + 3
+    assert mid % cfg.mac.epoch_slots
+    w = World(cfg, seed=seed)
+    for cut in (mid, -(-mid // cfg.uts.epoch_slots) * cfg.uts.epoch_slots):
+        while w.slot < cut:
+            w.step_slot()
+        w = pickle.loads(pickle.dumps(w))
+    assert all(isinstance(getattr(w, k), MappingProxyType) for k in World._VIEWS)
+    assert _digests(w.run()) == _GOLDEN[f"{name}@{seed}"]
+
+
 #: (scenario, seed) -> sha256 of metrics.csv, summary.json and events.log with
 #: steering every 15 slots, so flows register and leave mid MAC epoch
 _MID_EPOCH_DIGESTS = {
@@ -909,10 +932,10 @@ def test_steering_off_the_mac_epoch_keeps_its_pinned_outputs(scenarios, name, se
 def test_eligibility_built_at_init_matches_a_portion_scan(scenarios):
     w = World(scenarios["hetnet_walkthrough"])
 
-    def scan(ue, cell_id):  # the per-UE, per-cell scan eligibility used to be
+    def scan(uc, cell_id):  # the per-UE, per-cell scan eligibility used to be
         best = None
         for p in w.cells[cell_id].mac.portions.values():
-            if p.required_capability is None or p.required_capability in ue.capabilities:
+            if p.required_capability is None or p.required_capability in uc.capabilities:
                 if best is None or p.waveform_efficiency > best.waveform_efficiency:
                     best = p
         return best
@@ -920,17 +943,18 @@ def test_eligibility_built_at_init_matches_a_portion_scan(scenarios):
     ctx = w._context()
     eligible = {}
     for uid, rt in w.ues.items():
-        eligible[uid] = tuple(cid for cid in w.cells if scan(rt.ue, cid) is not None)
+        eligible[uid] = tuple(cid for cid in w.cells if scan(rt.cfg, cid) is not None)
         assert ctx.ue_eligible[uid] == eligible[uid]
+        assert ctx.ue_capabilities[uid] == frozenset(rt.cfg.capabilities)
         for cid in w.cells:
-            assert w._portion_for(rt.ue, cid) == scan(rt.ue, cid)
-            assert (w._portion_for(rt.ue, cid) is not None) == (cid in ctx.ue_eligible[uid])
-    assert len({rt.ue.capabilities for rt in w.ues.values()}) == 4
+            assert w._portion_for(uid, cid) == scan(rt.cfg, cid)
+            assert (w._portion_for(uid, cid) is not None) == (cid in ctx.ue_eligible[uid])
+    assert len(set(ctx.ue_capabilities.values())) == 4
     assert eligible["ue-dc"] == ("macro1", "small1")
     assert eligible["ue-legacy"] == ("macro1", "small1")
     assert eligible["ue-wifi"] == ("macro1", "small1", "ap1")
-    assert w._portion_for(w.ues["ue-legacy"].ue, "macro1").key == "legacy"
-    assert w._portion_for(w.ues["ue-dc"].ue, "macro1").key == "nr"
+    assert w._portion_for("ue-legacy", "macro1").key == "legacy"
+    assert w._portion_for("ue-dc", "macro1").key == "nr"
 
 
 def test_carrier_aggregation_adds_and_releases_a_secondary_on_a_world():

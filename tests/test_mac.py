@@ -1,7 +1,6 @@
 """MAC layer: apportionment, schedulers, contention, and the per-cell coordinator."""
 
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -489,10 +488,14 @@ def test_mac_contention_rounds_run_on_epoch_start_only():
         if slot and slot % 4 == 0:
             mac.queue_attempt("fm", 256.0, slot=slot)
         res = mac.run_slot(slot, _inputs({}), rng_a, rng_b)
-        if res.outcomes:
+        held = [e for e in res.events if e.kind == "rach_round"]
+        if held:
             rounds.append(slot)
-        for o in res.outcomes:
-            assert o.status in (AccessStatus.SUCCESS, AccessStatus.COLLISION)
+            (ev,) = held
+            n, won, lost = (int(ev.get(k)) for k in ("contenders", "successes", "collisions"))
+            assert won + lost == n and won == len(res.access_delivered)
+        else:
+            assert res.access_delivered == []
     assert rounds and all(s % 4 == 0 for s in rounds)
 
 
@@ -503,9 +506,11 @@ def test_mac_attempt_queued_mid_epoch_waits_for_next_round():
     mac.run_slot(0, _inputs({}), rng_a, rng_b)
     mac.queue_attempt("fm", 128.0, slot=1)  # becomes ready in epoch 1
     for slot in (1, 2, 3):
-        assert mac.run_slot(slot, _inputs({}), rng_a, rng_b).outcomes == []
+        res = mac.run_slot(slot, _inputs({}), rng_a, rng_b)
+        assert res.access_delivered == [] and all(e.kind != "rach_round" for e in res.events)
     res = mac.run_slot(4, _inputs({}), rng_a, rng_b)
-    assert len(res.outcomes) == 1 and res.outcomes[0].status is AccessStatus.SUCCESS
+    (ev,) = [e for e in res.events if e.kind == "rach_round"]
+    assert (ev.get("contenders"), ev.get("successes"), ev.get("collisions")) == ("1", "1", "0")
     assert [d.payload_bits for d in res.access_delivered] == [128.0]
 
 
@@ -547,6 +552,41 @@ def test_mac_schedules_flows_registered_after_the_leaves_were_built():
     assert owners(8) == {"ue-fb", "ue-fc"}
 
 
+
+def test_pf_average_decays_for_exactly_the_ues_holding_an_embb_or_legacy_flow():
+    """With nothing queued, each slot decays the PF average of every UE that
+    holds an eMBB or legacy registration at that slot, in a leaf or not yet,
+    and leaves every other UE's alone: URLLC registrations do not count. New
+    averages appear in the order their UEs first registered."""
+    embb, legacy, urllc = TrafficClass.EMBB, TrafficClass.LEGACY_MBB, TrafficClass.URLLC
+    mac = _mac(prbs=40, epoch_slots=4)
+    rng_a, rng_b = np.random.default_rng(0), np.random.default_rng(1)
+    # before each slot: flows to register as (flow, UE, class) or to drop by
+    # id, then the UEs whose average that slot decays
+    steps = [
+        ([("e1", "ua", embb), ("l1", "ub", legacy), ("r1", "uc", urllc)], {"ua", "ub"}),
+        ([("e2", "ub", embb), ("r2", "ua", urllc)], {"ua", "ub"}),
+        (["l1"], {"ua", "ub"}),
+        (["e2", ("e3", "uc", embb)], {"ua", "uc"}),
+        (["e1"], {"uc"}),
+        ([("l2", "ub", legacy)], {"ub", "uc"}),
+        (["e3", "r1", "r2", "l2"], set()),
+    ]
+    for slot, (ops, pf_ues) in enumerate(steps):
+        for op in ops:
+            if isinstance(op, str):
+                mac.deregister_flow(op)
+            else:
+                shape = {"sps_period_slots": 2, "sps_prbs": 1} if op[2] is urllc else {}
+                mac.register_flow(MacFlow(*op, "main", **shape))
+        before = dict(mac.pf_avg)
+        mac.run_slot(slot, SlotInputs({}, {}), rng_a, rng_b)
+        initial = mac.cfg.pf_initial_avg_bits
+        assert {u for u, avg in mac.pf_avg.items() if avg < before.get(u, initial)} == pf_ues
+        kept = {u: avg for u, avg in mac.pf_avg.items() if u not in pf_ues}
+        assert kept == {u: avg for u, avg in before.items() if u not in pf_ues}
+    assert list(mac.pf_avg) == ["ua", "ub", "uc"]
+
 def _leaf_owns(leaf, flow):
     """Whether ``leaf`` serves ``flow``: the predicate the MAC used to rebuild
     every roster with, over every flow, before leaves came with theirs."""
@@ -564,8 +604,6 @@ def _assert_rosters_regroup_the_flows(mac):
             if _leaf_owns(leaf, f):
                 by_ue.setdefault(f.ue_id, []).append(f)
         assert list(leaf.roster.items()) == sorted(by_ue.items())
-    pf = (TrafficClass.EMBB, TrafficClass.LEGACY_MBB)
-    assert mac._pf_flows == Counter(f.ue_id for f in flows if f.service in pf)
 
 
 # (UE, class, portion, slice label, reserved PRBs) of a flow to register
@@ -587,7 +625,7 @@ _FLOW_SPEC = st.tuples(
 def test_rosters_kept_between_refreshes_regroup_the_flows(n_portions, initial, ops):
     """After a refresh, each register_flow (a spec) or deregister_flow (a
     flow number, registered or not) leaves every leaf's roster equal to a
-    regrouping of all flows, and the PF UEs those with eMBB or legacy flows."""
+    regrouping of all flows."""
     mac = _mac(prbs=400, portions=[PortionSpec(key=f"p{i}") for i in range(n_portions)])
     made = 0
 
