@@ -5,6 +5,9 @@ Fading is replayable: the dB excursion for (ue, cell, slot) comes from a
 counter-based hash, so any slot can be evaluated independently, or a block
 of slots in one call, and the whole surface is a pure function of the fading
 seed. The engine adds the excursion to the mean SINR for each slot's rate.
+
+``rsrp_estimate`` is ``rsrp_dbm`` in numpy over a block of pairs, within
+``SIGNAL_ESTIMATE_TOL_DB`` of it at every SIMD dispatch level: it rules pairs out.
 """
 
 from __future__ import annotations
@@ -56,6 +59,30 @@ def pathloss_db(cfg: ChannelConfig, cell: Cell, position: tuple[float, float]) -
 
 def rsrp_dbm(cfg: ChannelConfig, cell: Cell, position: tuple[float, float]) -> float:
     return cell.tx_power_dbm - pathloss_db(cfg, cell, position)
+
+
+#: How far ``rsrp_estimate`` may lie from ``rsrp_dbm``, in dB: 10**7 times the
+#: largest gap (5.7e-14 dB) over 200,000 random pairs within 2 km, carriers of
+#: 0.7-6 GHz and both exponents, numpy 2.4.6 with AVX-512 kernels on and off.
+SIGNAL_ESTIMATE_TOL_DB = 1e-6
+
+
+def cell_constants(cells) -> np.ndarray:
+    """Rows x, y, tx power, reference pathloss and 10 * exponent, a column
+    per cell: what ``rsrp_estimate`` reads of the cells."""
+    return np.array([
+        (*c.position, c.tx_power_dbm, reference_pathloss_db(c.grid.carrier_hz),
+         10.0 * DEFAULT_EXPONENTS[c.cell_class]) for c in cells
+    ]).T
+
+
+def rsrp_estimate(cfg: ChannelConfig, consts: np.ndarray, positions) -> np.ndarray:
+    """``rsrp_dbm`` in its operation order, positions by row and the cells of
+    ``consts`` by column: within ``SIGNAL_ESTIMATE_TOL_DB`` of the exact value."""
+    x, y, tx, ref, ten_n = consts
+    p = np.asarray(positions, dtype=float).reshape(-1, 2)
+    d = np.maximum(np.hypot(p[:, :1] - x, p[:, 1:] - y), cfg.min_distance_m)
+    return tx - (ref + ten_n * np.log10(d))
 
 
 def noise_floor_dbm(cfg: ChannelConfig, prb_bandwidth_hz: float) -> float:

@@ -12,15 +12,17 @@ slot of the epoch, as one row of an array, and a pair that a handover brings
 in mid-epoch gets its row the same way. Each slot reads its own column; the
 block goes when the epoch ends. A UE is its ``UeConfig``. Lookups fixed for
 a run (flows, services, capabilities and eligible cells by UE, best portions
-by capability set, the cells' capability descriptors) are built once; the
-read-only ones pickle as plain dicts, so a World pickles between any two
-slots and resumes to the same bytes. One RSRP cache per UE fills as
-it is read and drops when the UE moves; the mean SINR is derived from it on
-each read. The steering context builds a UE's signal row only when a feature
-reads it, reads through that cache, converting with ``signal_db``, and takes
-each cell's load from its MAC's ``load``. So a slot costs work per (UE, cell)
-pair that something reads. The World keeps no copy of what the MACs own:
-cells, portions, loads and registrations are read from each ``MacInstance``,
+by capability set, the cells' capability descriptors and radio constants)
+are built once; the read-only ones pickle as plain dicts, so a World
+pickles between any two slots and resumes to the same bytes. One RSRP cache
+per UE fills as it is read and drops when the UE moves; the mean SINR is
+derived from it on each read. The steering context builds a UE's signal row
+only when a feature reads it, reads through that cache, converting with
+``signal_db``, and takes each cell's load from its MAC's ``load``. Its
+signal estimate (``chan.rsrp_estimate``) only rules pairs out, as does the
+one that picks serving cells at construction. So a slot costs work per (UE,
+cell) pair that something reads. The World keeps no copy of what the MACs
+own: cells, portions, loads and registrations are read from each ``MacInstance``,
 and a load-balance flow's legs take their cells' loads just before its
 packets are routed. The report sums the MACs' access and grant counts and
 counts the controller's history.
@@ -54,6 +56,7 @@ import numpy as np
 from . import channel as chan
 from . import kernels, pdcp, traffic
 from .abstraction import (
+    RSRP_FLOOR_DBM,
     PluginRegistry,
     capacity_score,
     describe_cell,
@@ -176,6 +179,7 @@ class World:
             best = max(p.waveform_efficiency for p in cc.portions)
             descriptors[cc.cell_id] = describe_cell(cell, best)
         self._descriptors = MappingProxyType(descriptors)
+        self._radio = chan.cell_constants(cr.mac.cell for cr in self.cells.values())
 
         # numerology is validated to be uniform, so one slot clock serves all
         mu = config.cells[0].numerology
@@ -208,9 +212,12 @@ class World:
             {uid: tuple(self._portions_by_caps[caps]) for uid, caps in capabilities.items()}
         )
 
+        todo = [uc for uc in config.ues if not uc.serving_cell]
+        rows = chan.rsrp_estimate(self.chan, self._radio, [uc.position for uc in todo])
+        best = {uc.ue_id: self._best_cell(uc.ue_id, uc.position, r) for uc, r in zip(todo, rows)}
         self.ues: dict[str, UeRuntime] = {}
         for i, uc in enumerate(config.ues):
-            serving = uc.serving_cell or self._best_cell(uc.ue_id, uc.position)
+            serving = uc.serving_cell or best[uc.ue_id]
             self.ues[uc.ue_id] = UeRuntime(cfg=uc, index=i, serving=serving, position=uc.position)
 
         self.flows: dict[str, FlowRuntime] = {}
@@ -284,12 +291,15 @@ class World:
     def _portion_for(self, ue_id: str, cell_id: str) -> PortionSpec | None:
         return self._portions_by_caps[self._capabilities[ue_id]].get(cell_id)
 
-    def _best_cell(self, ue_id: str, position: tuple[float, float]) -> str:
-        dbm = self._rsrp_cache.setdefault(ue_id, {})
-        cands = [(-self._rsrp(dbm, cid, position), cid) for cid in self._eligible[ue_id]]
-        if not cands:
+    def _best_cell(self, ue_id: str, position: tuple[float, float], estimate) -> str:
+        """The eligible cell of the highest RSRP, the lowest id on a tie; only
+        cells within twice the tolerance of the best ``estimate`` can be it."""
+        est = {cid: estimate[self.cells[cid].index] for cid in self._eligible[ue_id]}
+        if not est:
             raise ValueError(f"UE {ue_id!r} is eligible for no cell")
-        return min(cands)[1]
+        cut = max(est.values()) - 2 * chan.SIGNAL_ESTIMATE_TOL_DB
+        dbm = self._rsrp_cache.setdefault(ue_id, {})
+        return min((-self._rsrp(dbm, cid, position), cid) for cid, e in est.items() if e >= cut)[1]
 
     def _register_mac_flow(self, fr: FlowRuntime, cell_id: str) -> PortionSpec:
         """Register the flow with the cell's MAC on the UE's best portion there.
@@ -626,7 +636,8 @@ class World:
         a feature first reads it, and reads through the RSRP cache dict and
         the position the UE had when the context was built: a row read after
         the UE moves gives the values of where it was and writes only into
-        that old dict. Each cell's load is read from its MAC; its descriptor
+        that old dict. The signal estimate, computed when called, reads those
+        positions too. Each cell's load is read from its MAC; its descriptor
         is the one built at construction. Each UE's delivery-rate window
         closes here and starts again."""
         cache, ues = self._rsrp_cache, self.ues.items()
@@ -635,6 +646,10 @@ class World:
         def signal_row(uid: str) -> LazyRow:
             position, dbm = bound[uid]
             return LazyRow(self.cells, lambda cid: signal_db(self._rsrp(dbm, cid, position)))
+
+        def signal_estimate(uids, cids) -> np.ndarray:
+            radio = self._radio[:, [self.cells[cid].index for cid in cids]]
+            return chan.rsrp_estimate(self.chan, radio, [bound[u][0] for u in uids]) - RSRP_FLOOR_DBM
 
         window_s = self.config.uts.epoch_slots * self.slot_seconds
         rate = {}
@@ -653,6 +668,7 @@ class World:
             ue_capabilities=self._capabilities,
             ue_eligible=self._eligible,
             ue_rate_bps=rate,
+            signal_estimate=signal_estimate,
         )
 
     def _steering(self) -> None:

@@ -635,16 +635,18 @@ class MacInstance:
             sizes[active[0]] = total
         else:
             ka, kb = active
-            a, b = dss_split(demand[ka], demand[kb], total)
             min_a, min_b = (sum(c[3] for c in tree[k]) + access_base for k in active)
-            if min_a + min_b > total:
-                raise InsufficientResourcesError(
-                    f"cell {self.cell.cell_id}: {total} PRBs cannot cover portion guarantees"
-                )
-            if a < min_a:
-                a, b = min_a, total - min_a
-            if b < min_b:
-                a, b = total - min_b, min_b
+            if min_a + min_b <= total:
+                a, b = dss_split(demand[ka], demand[kb], total)
+                if a < min_a:
+                    a, b = min_a, total - min_a
+                if b < min_b:
+                    a, b = total - min_b, min_b
+            elif total < 2 * access_base:  # no room for two access partitions
+                a, b = total, 0
+            else:  # each keeps its access floor; the bare minimums share the rest
+                bare = [min_a - access_base, min_b - access_base]
+                a, b = (e + access_base for e in largest_remainder(bare, total - 2 * access_base))
             sizes[ka], sizes[kb] = a, b
             events.append(
                 Event.make(
@@ -692,19 +694,20 @@ class MacInstance:
 
         The split honors the children's floors, degrading to their bare
         minimums when the floors cannot fit (placement then reports the
-        reservations that were dropped). Class leaves are built with their
-        rosters and appended to the epoch's leaves in plan order; a slice is
-        split in turn.
+        reservations that were dropped), then to the access floor plus the
+        rest split by largest remainder over the others' bare minimums (a
+        leaf may get no PRB). Class leaves, built with their rosters, join
+        the epoch's leaves in plan order; a slice is split in turn.
         """
         demands = {c[0]: c[1] for c in children}
-        floors = {c[0]: c[2] for c in children}
-        bares = {c[0]: c[3] for c in children}
-        try:
-            plan = partition_resources(demands, size, floors, start)
-        except InsufficientResourcesError:
-            if floors == bares:
-                raise
-            plan = partition_resources(demands, size, bares, start)
+        mins = {c[0]: c[2] for c in children}
+        if sum(mins.values()) > size:
+            mins = {c[0]: c[3] for c in children}
+        if sum(mins.values()) > size:
+            left = size - mins.pop(RACH_KEY, 0)
+            shares = largest_remainder(list(mins.values()), left)
+            mins = {**dict(zip(mins, shares)), RACH_KEY: size - left}
+        plan = partition_resources(demands, size, mins, start)
         fields = {"cell": self.cell.cell_id, "portion": portion, "level": "portion"}
         if slice_id is not None:
             fields.update(level="slice", slice=slice_id)

@@ -13,8 +13,8 @@ network's five ``apply_*`` mutators; steering reads nothing else. One table,
 
 Signals cost the most to read, so the built-in features read each one they
 need once and no other: load balancing indexes the UEs by serving cell and
-visits a hot cell's candidate targets by load, stopping where no pair can
-win.
+visits a hot cell's pairs by target load, then by the context's signal
+estimate, stopping where no pair can win; every signal it compares is exact.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .abstraction import (
     CapabilityDescriptor,
     CommonMeasure,
@@ -32,6 +34,7 @@ from .abstraction import (
     PluginLocation,
     PluginRegistry,
 )
+from .channel import SIGNAL_ESTIMATE_TOL_DB
 from .core import Event, TrafficClass
 from .pdcp import Mode
 
@@ -119,6 +122,9 @@ class UtsContext:
     their capability descriptors. ``ue_signal`` and each of its rows are
     ``LazyRow``s: a UE's row is built, and each of its signals computed,
     when a feature first reads it; ``in`` computes nothing.
+    ``signal_estimate(ues, cells)``, if given, is a (len(ues), len(cells))
+    array of signal values from one numpy pass, each within
+    ``SIGNAL_ESTIMATE_TOL_DB`` of the exact one; features may ignore it.
     """
 
     epoch_index: int
@@ -132,6 +138,7 @@ class UtsContext:
     ue_capabilities: Mapping[str, frozenset[str]]
     ue_eligible: Mapping[str, tuple[str, ...]]
     ue_rate_bps: Mapping[str, float]
+    signal_estimate: Callable[[Sequence[str], Sequence[str]], np.ndarray] | None = None
 
 
 class LazyRow(Mapping):
@@ -231,9 +238,10 @@ def evaluate_load_balance(
 
     The UEs are grouped by serving cell once. A hot cell's (UE, target)
     pairs are visited one target load level at a time, lowest first, and
-    the visit stops after the first level with a winner, so each signal read
-    is one the result may need, and it is read once. The keys are unique
-    and reads are pure, so the winner is the minimum of the full scan."""
+    the visit stops after the first level with a winner. A level's pairs go
+    by decreasing estimate (+inf without one) and stop where it plus the
+    tolerance is below the floor or the best signal read, as no later pair
+    can win or tie. Keys are unique, so the winner is the full scan's."""
     load = {cid: m.value for cid, m in ctx.cell_load.items()}
     hot = {cid for cid, v in load.items() if v > thr["high_load"]}
     served: dict[str, list[str]] = {}
@@ -245,22 +253,28 @@ def evaluate_load_balance(
     for cid in sorted(load):
         if load[cid] < low:
             levels.setdefault(load[cid], []).append(cid)
-    actions = []
+    estimate, actions = ctx.signal_estimate, []
     for cell_id in sorted(hot):
         ues = sorted(served.get(cell_id, ()))
         best: tuple | None = None
         for tload in sorted(levels):
-            for ue in ues:
-                eligible, row = ctx.ue_eligible.get(ue, ()), ctx.ue_signal.get(ue, {})
-                for target in levels[tload]:
-                    if target == cell_id or target not in eligible:
-                        continue
-                    m = row.get(target)
-                    if m is None or m.value < floor:
-                        continue
-                    key = (tload, -m.value, ue, target)
-                    if best is None or key < best:
-                        best = key
+            targets = levels[tload]
+            if estimate is None:
+                bounds = np.full(len(ues) * len(targets), np.inf)
+            else:
+                bounds = estimate(ues, targets).ravel() + SIGNAL_ESTIMATE_TOL_DB
+            for k in np.argsort(-bounds, kind="stable").tolist():
+                if bounds[k] < floor or (best is not None and bounds[k] < -best[1]):
+                    break
+                ue, target = ues[k // len(targets)], targets[k % len(targets)]
+                if target == cell_id or target not in ctx.ue_eligible.get(ue, ()):
+                    continue
+                m = ctx.ue_signal.get(ue, {}).get(target)
+                if m is None or m.value < floor:
+                    continue
+                key = (tload, -m.value, ue, target)
+                if best is None or key < best:
+                    best = key
             if best is not None:
                 break
         if best is not None:

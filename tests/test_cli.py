@@ -440,6 +440,72 @@ def test_cell_as_wide_as_its_access_partition_runs(tmp_path, capsys):
     assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 0
 
 
+def _dss_cell(prbs):
+    """One cell of ``prbs`` PRBs whose carrier an LTE and an NR portion share."""
+    return {"cells": [{"id": "c1", "prbs_per_slot": prbs, "rat": "lte+nr", "portions": [
+        {"key": "legacy", "required_capability": "lte"},
+        {"key": "nr", "required_capability": "nr"},
+    ]}]}
+
+
+_LEGACY_AND_NR = (
+    [{"id": "u1", "position": [30.0, 0.0], "capabilities": ["lte"]},
+     {"id": "u2", "position": [40.0, 0.0]}],
+    [{"id": "f1", "ue": "u1", "service": "legacy_MBB",
+      "generator": {"kind": "full_buffer", "packet_bits": 4000}},
+     {"id": "f2", "ue": "u2", **_EMBB}],
+)
+
+
+@pytest.mark.parametrize(
+    "network, ues, flows, mac, shown",
+    [
+        ({"cells": [{"id": "c1", "prbs_per_slot": 1}]},
+         [{"id": "u1", "position": [30.0, 0.0]}], [{"id": "f1", "ue": "u1", **_EMBB}], {},
+         ["plan=eMBB:0-0,rach:0-1"]),
+        ({"cells": [{"id": "c1", "prbs_per_slot": 6}]},
+         [{"id": "u1", "position": [30.0, 0.0]}], [{"id": "f1", "ue": "u1", **_EMBB}],
+         {"min_guarantee_prbs": 4}, ["plan=eMBB:0-2,rach:2-6"]),
+        (_dss_cell(3), *_LEGACY_AND_NR, {},
+         ["portions=legacy:2|nr:1", "plan=legacy_MBB:0-1,rach:1-2", "plan=eMBB:2-2,rach:2-3"]),
+        (_dss_cell(1), *_LEGACY_AND_NR, {},
+         ["portions=legacy:1|nr:0", "plan=legacy_MBB:0-0,rach:0-1"]),
+        ({"cells": [{"id": "c1", "prbs_per_slot": 3}]},
+         [{"id": "u1", "position": [30.0, 0.0]}],
+         [{"id": "f1", "ue": "u1", "slice": "a", **_EMBB},
+          {"id": "f2", "ue": "u1", "slice": "b", **_EMBB},
+          {"id": "f3", "ue": "u1", "slice": "b", "service": "URLLC",
+           "generator": {"kind": "periodic_deadline", "period_slots": 20, "packet_bits": 1200,
+                         "deadline_slots": 20}}],
+         {}, ["plan=a:0-1,b:1-2,rach:2-3", "slice=b plan=URLLC:1-2,eMBB:2-2"]),
+    ],
+    ids=["one-prb", "guarantee-over-half", "dss-three-prbs", "dss-one-prb", "two-slices"],
+)
+def test_cell_that_cannot_cover_its_flows_minimums_keeps_its_access_floor_and_runs(
+    network, ues, flows, mac, shown, tmp_path, capsys
+):
+    """A cell as wide as its access partition passes validation whatever
+    flows it holds. When the flows' bare minimums do not fit beside it, the
+    access partition keeps its floor and the others share what is left, so
+    a leaf may get no PRB; two portions that cannot both keep an access
+    floor leave the carrier to the first. These runs used to exit 1."""
+    doc = {
+        "name": "narrow_for_its_flows",
+        "network": network,
+        "ues": ues,
+        "traffic": {"flows": flows},
+        "mac": mac,
+        "sim": {"horizon_slots": 30, "seed": 1},
+    }
+    p = tmp_path / "narrow.yaml"
+    p.write_text(yaml.safe_dump(doc))
+    assert main(["validate", str(p)]) == 0
+    out = tmp_path / "out"
+    assert main(["run", str(p), "--out", str(out)]) == 0
+    events = (out / "events.log").read_text()
+    assert all(s in events for s in shown)
+
+
 def _assert_bad_flow_exits_2(flow_keys, message, tmp_path, capsys, **sections):
     """A one-cell, one-flow scenario with ``flow_keys`` (and any extra
     top-level ``sections``) fails validation naming ``message``, and ``run``

@@ -8,6 +8,7 @@ import pickle
 import sys
 from pathlib import Path
 from types import MappingProxyType
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from rrmsim.cli import render_csv, render_events, render_summary
 from rrmsim.core import TrafficClass
 from rrmsim.engine import World, run_scenario
 from rrmsim.scenario import scenario_from_dict
+from rrmsim.uts import DEFAULT_THRESHOLDS, LOAD_BALANCE_ID, builtin_features, evaluate_load_balance
 
 from conftest import SCENARIO_DIR, shorten
 
@@ -696,6 +698,197 @@ def test_mean_sinr_reads_through_the_rsrp_cache_bit_for_bit(
     w.slot = slot
     w._refresh_positions()
     check_every_cell()
+
+
+_cell_draw = st.tuples(
+    _coord,
+    _coord,
+    st.sampled_from(["macro", "small", "ap"]),
+    st.floats(0.7e9, 6.0e9),
+    st.floats(20.0, 46.0),
+)
+
+
+@st.composite
+def _ue_positions(draw, cells):
+    """UE positions anywhere in the cells' area, far outside it, and inside
+    the minimum distance of a cell."""
+    near = st.sampled_from(cells).flatmap(
+        lambda c: st.tuples(st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)).map(
+            lambda d: (c[0] + d[0], c[1] + d[1])
+        )
+    )
+    far = st.tuples(st.floats(-5e4, 5e4), st.floats(-5e4, 5e4))
+    return draw(st.lists(st.one_of(st.tuples(_coord, _coord), far, near), min_size=1, max_size=6))
+
+
+@settings(max_examples=200)
+@given(
+    cells=st.lists(_cell_draw, min_size=1, max_size=5),
+    data=st.data(),
+    min_distance=st.sampled_from([0.5, 1.0, 10.0]),
+)
+def test_signal_estimate_lies_within_its_tolerance_of_every_exact_signal(
+    cells, data, min_distance
+):
+    positions = data.draw(_ue_positions(cells))
+    cfg = scenario_from_dict(
+        {
+            "name": "estimate",
+            "channel": {"min_distance_m": min_distance},
+            "network": {
+                "cells": [
+                    {"id": f"c{i}", "position": [x, y], "class": k, "carrier_hz": f,
+                     "tx_power_dbm": p}
+                    for i, (x, y, k, f, p) in enumerate(cells)
+                ]
+            },
+            "ues": [{"id": f"u{i}", "position": list(pos)} for i, pos in enumerate(positions)],
+        }
+    )
+    w = World(cfg)
+    ctx = w._context()
+    ues, cids = sorted(w.ues), sorted(w.cells)
+    est = ctx.signal_estimate(ues, cids)
+    assert est.shape == (len(ues), len(cids))
+    for i, uid in enumerate(ues):
+        for j, cid in enumerate(cids):
+            exact = ctx.ue_signal[uid][cid].value
+            assert exact == signal_db(chan.rsrp_dbm(w.chan, w.cells[cid].mac.cell, w.ues[uid].position)).value
+            assert abs(est[i, j] - exact) <= chan.SIGNAL_ESTIMATE_TOL_DB
+
+
+@settings(max_examples=100)
+@given(
+    cells=st.lists(_cell_draw, min_size=1, max_size=4),
+    lte_only=st.lists(st.booleans(), min_size=8, max_size=8),
+    ues=st.lists(
+        st.tuples(st.floats(-2000.0, 2000.0), st.sampled_from([("nr",), ("lte", "nr"), ("lte",)])),
+        min_size=1,
+        max_size=6,
+    ),
+    ids=st.permutations(range(8)),
+    offsets=st.lists(st.one_of(st.just(0.0), st.floats(-0.99, 0.99)), min_size=48, max_size=48),
+)
+def test_best_cell_is_the_full_scan_winner_and_a_tie_goes_to_the_lowest_id(
+    cells, lte_only, ues, ids, offsets
+):
+    """Each drawn cell has a mirror image across x = 0 with the same radio;
+    a UE on that axis sees both at the same RSRP. Cell ids are drawn so the
+    lower id is either of the two, and some cells serve LTE UEs only. The
+    estimate is moved by ``offsets`` (in units of the tolerance), as far as
+    its bound lets it lie."""
+    specs = []
+    for i, (x, y, k, f, p) in enumerate(cells):
+        for j, mx in enumerate((x, -x)):
+            n = 2 * i + j
+            spec = {"id": f"c{ids[n]}", "position": [mx, y], "class": k, "carrier_hz": f,
+                    "tx_power_dbm": p}
+            if lte_only[n] and n:  # the first cell serves every UE
+                spec["portions"] = [{"key": "lte", "required_capability": "lte"}]
+            specs.append(spec)
+    ue_specs = [
+        {"id": f"u{i}", "position": [0.0 if i % 2 else x, x / 3.0], "capabilities": list(caps)}
+        for i, (x, caps) in enumerate(ues)
+    ]
+    cfg = scenario_from_dict(
+        {"name": "best_cell", "network": {"cells": specs}, "ues": ue_specs}
+    )
+    real = chan.rsrp_estimate
+
+    def perturbed(cfg, consts, positions):
+        est = real(cfg, consts, positions)
+        return est + np.reshape(offsets[: est.size], est.shape) * chan.SIGNAL_ESTIMATE_TOL_DB
+
+    with mock.patch.object(chan, "rsrp_estimate", perturbed):
+        w = World(cfg)
+    for uid, rt in w.ues.items():
+        full = min(
+            (-chan.rsrp_dbm(w.chan, w.cells[cid].mac.cell, rt.cfg.position), cid)
+            for cid in w._eligible[uid]
+        )
+        assert rt.serving == full[1]
+
+
+def test_best_cell_reads_a_tied_cell_that_its_estimate_puts_below_the_best():
+    """Mirror-image macros tie at a UE on their axis. An estimate 0.9 of the
+    tolerance low for the lower id, and as much high for the other, puts the
+    lower id 1.8 tolerances below the best; it is still read, and wins."""
+    cfg = scenario_from_dict(
+        {
+            "name": "tie",
+            "network": {"cells": [
+                {"id": "cb", "position": [-100.0, 0.0]},
+                {"id": "ca", "position": [100.0, 0.0]},
+            ]},
+            "ues": [{"id": "u", "position": [0.0, 50.0]}],
+        }
+    )
+    real = chan.rsrp_estimate
+
+    def perturbed(cfg, consts, positions):
+        return real(cfg, consts, positions) + np.array([0.9, -0.9]) * chan.SIGNAL_ESTIMATE_TOL_DB
+
+    with mock.patch.object(chan, "rsrp_estimate", perturbed):
+        w = World(cfg)
+    assert w._rsrp_cache["u"]["ca"] == w._rsrp_cache["u"]["cb"]
+    assert w.ues["u"].serving == "ca"
+
+
+def _hot_and_cold_world():
+    """A full-buffer macro ``ca`` serving six UEs on the line toward an idle
+    macro ``cb``, 11 slots in, so ``ca`` is at full load."""
+    gen = {"kind": "full_buffer", "packet_bits": 1500, "watermark_bits": 400_000}
+    cfg = scenario_from_dict(
+        {
+            "name": "hot_and_cold",
+            "network": {
+                "cells": [
+                    {"id": "ca", "prbs_per_slot": 20, "position": [0.0, 0.0]},
+                    {"id": "cb", "prbs_per_slot": 20, "position": [400.0, 0.0]},
+                ]
+            },
+            "ues": [
+                {"id": f"u{i}", "position": [40.0 * (i + 1), 5.0], "serving_cell": "ca"}
+                for i in range(6)
+            ],
+            "traffic": {"flows": [
+                {"id": f"f{i}", "ue": f"u{i}", "service": "eMBB", "generator": gen}
+                for i in range(6)
+            ]},
+            "mac": {"epoch_slots": 10},
+            "uts": {"features": []},
+        }
+    )
+    w = World(cfg)
+    for _ in range(11):
+        w.step_slot()
+    return w
+
+
+def test_load_balance_reads_fewer_signals_than_it_has_pairs(monkeypatch):
+    calls = []
+    real = chan.rsrp_dbm
+
+    def counting(cfg, cell, position):
+        calls.append(cell.cell_id)
+        return real(cfg, cell, position)
+
+    monkeypatch.setattr(chan, "rsrp_dbm", counting)
+    record = builtin_features()[0][0]
+    thr = DEFAULT_THRESHOLDS[LOAD_BALANCE_ID]
+    results = []
+    for estimate in (True, False):
+        w = _hot_and_cold_world()
+        ctx = w._context()
+        assert ctx.cell_load["ca"].value == 1.0 and ctx.cell_load["cb"].value == 0.0
+        if not estimate:
+            ctx = dataclasses.replace(ctx, signal_estimate=None)
+        calls.clear()
+        results.append((evaluate_load_balance(ctx, record, thr), len(calls)))
+    (with_est, reads), (without, all_reads) = results
+    assert with_est == without and [a.ue_id for a in with_est] == ["u5"]  # nearest cb
+    assert all_reads == 6 and 0 < reads < all_reads
 
 
 def test_steering_context_computes_no_rsrp_until_a_feature_reads_it(monkeypatch):

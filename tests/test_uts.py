@@ -3,6 +3,7 @@ resolution, and atomic application against a fake network."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from rrmsim.abstraction import (
     load_fraction,
     signal_db,
 )
+from rrmsim.channel import SIGNAL_ESTIMATE_TOL_DB
 from rrmsim.core import CellClass, Event, TrafficClass
 from rrmsim.uts import (
     ActionKind,
@@ -235,28 +237,49 @@ def _load_balance_inputs(draw):
     return loads, ues, thr
 
 
-def _counted_context(loads, ues, lookups):
+def _counted_context(loads, ues, lookups, offsets=None):
+    """The context of ``_load_balance_inputs``, logging signal lookups in
+    ``lookups``. With ``offsets`` (by (ue, cell), in units of the tolerance)
+    it carries a signal estimate: each exact value plus its offset."""
     cells = [_cell_state(cid, load * 50) for cid, load in loads.items()]
-    states = []
+    states, signal = [], {}
     for ue, serving, rsrp, eligible in ues:
         _, state = _ue_state(ue, serving, rsrp, eligible=eligible)
         state["ue_signal"] = _CountedRow(ue, rsrp, lookups)
         states.append((ue, state))
-    return _snapshot(cells, states)
+        signal[ue] = {cid: signal_db(v).value for cid, v in rsrp.items()}
+    ctx = _snapshot(cells, states)
+    if offsets is None:
+        return ctx
+
+    def estimate(ue_ids, cids):
+        return np.array([
+            [signal[u][c] + offsets[u, c] * SIGNAL_ESTIMATE_TOL_DB for c in cids] for u in ue_ids
+        ]).reshape(len(ue_ids), len(cids))
+
+    return dataclasses.replace(ctx, signal_estimate=estimate)
+
+
+# offsets inside the tolerance, zero (so estimates tie as signals do) most often
+_offset = st.one_of(st.just(0.0), st.floats(-0.99, 0.99))
 
 
 @settings(max_examples=300)
-@given(_load_balance_inputs())
-def test_load_balance_scan_equals_the_full_scan(inputs):
+@given(_load_balance_inputs(), st.data())
+def test_load_balance_scan_equals_the_full_scan(inputs, data):
     loads, ues, thr = inputs
     record = builtin_features()[0][0]
-    full, lookups = [], []
+    full = []
     expected = _load_balance_full_scan(_counted_context(loads, ues, full), record, thr)
-    ctx = _counted_context(loads, ues, lookups)
-    assert evaluate_load_balance(ctx, record, thr) == expected
-    # each signal looked up once at most, and none of a target at or above low_load
-    assert len(lookups) == len(set(lookups)) and set(lookups) <= set(full)
-    assert all(ctx.cell_load[cid].value < thr["low_load"] for _, cid in lookups)
+    pairs = [(ue, cid) for ue, *_ in ues for cid in loads]
+    offsets = dict(zip(pairs, data.draw(st.lists(_offset, min_size=len(pairs), max_size=len(pairs)))))
+    for off in (None, offsets):
+        lookups = []
+        ctx = _counted_context(loads, ues, lookups, off)
+        assert evaluate_load_balance(ctx, record, thr) == expected
+        # each signal looked up once at most, and none of a target at or above low_load
+        assert len(lookups) == len(set(lookups)) and set(lookups) <= set(full)
+        assert all(ctx.cell_load[cid].value < thr["low_load"] for _, cid in lookups)
 
 
 def test_thresholds_come_from_strategy_over_defaults():
