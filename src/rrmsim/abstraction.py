@@ -48,22 +48,10 @@ class CommonMeasure:
             raise ValueError(f"load fraction outside [0, 1]: {self.value}")
 
 
-_new, _set, _SIGNAL = object.__new__, object.__setattr__, MeasureKind.SIGNAL_DB
-
-
 def signal_db(rsrp_dbm: float) -> CommonMeasure:
-    """Received power in dBm as signal quality in dB above the -140 dBm floor.
-
-    Steering reads one per (UE, cell) pair it looks at, so this makes the
-    one check a signal needs, finiteness, and sets the two fields directly
-    rather than through the frozen dataclass's init round-trip."""
-    value = rsrp_dbm - RSRP_FLOOR_DBM
-    if not math.isfinite(value):
-        raise ValueError(f"common measure must be finite, got {value}")
-    m = _new(CommonMeasure)
-    _set(m, "kind", _SIGNAL)
-    _set(m, "value", value)
-    return m
+    """Received power in dBm as signal quality in dB above the -140 dBm
+    floor; like every common measure, it must be finite."""
+    return CommonMeasure(MeasureKind.SIGNAL_DB, rsrp_dbm - RSRP_FLOOR_DBM)
 
 
 def load_fraction(queued: float, capacity: float) -> CommonMeasure:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 from typing import Iterable, Sequence

@@ -6,14 +6,14 @@ Every slot runs the stages of ``STAGE_ORDER`` — mobility, arrivals, steering
 randomness flows from named substreams of one seed plus the counter-based
 fading hash, so a (config, seed) pair fully determines every output byte.
 
-The fading hash is stateless, so it is evaluated a MAC epoch at a time: one
-call gives every (UE, cell) pair with a queue-driven flow its fading for each
-slot of the epoch, as one row of an array, and a pair that a handover brings
-in mid-epoch gets its row the same way. Each slot reads its own column; the
-block goes when the epoch ends. A UE is its ``UeConfig``. Lookups fixed for
-a run (flows, services, capabilities and eligible cells by UE, best portions
-by capability set, the cells' capability descriptors and radio constants)
-are built once; the read-only ones pickle as plain dicts, so a World
+The fading hash is stateless, so it is evaluated a span at a time: the MAC
+epoch, but at most ``FADING_SPAN_MAX`` slots, so memory does not grow with
+the epoch. One call gives every (UE, cell) pair with a queue-driven flow a
+list of its fading over the span, and a pair that a handover brings in
+mid-span gets its list the same way; the lists go when the span ends. A UE
+is its ``UeConfig``. Lookups fixed for a run (flows, services, capabilities
+and eligible cells by UE, best portions by capability set, the cells'
+capability descriptors and radio constants) are built once; the read-only ones pickle as plain dicts, so a World
 pickles between any two slots and resumes to the same bytes. One RSRP cache
 per UE fills as it is read and drops when the UE moves; the mean SINR is
 derived from it on each read. The steering context builds a UE's signal row
@@ -48,7 +48,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
-from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -67,11 +66,14 @@ from .core import (
     Event,
     TrafficClass,
     compute_fairness,
-    DegenerateInputError,
 )
 from .mac import MacFlow, MacInstance, PortionSpec, SlotInputs
 from .scenario import FlowConfig, ScenarioConfig, UeConfig, build_domain
 from .uts import LazyRow, MnoStrategy, UtsContext, UtsController, builtin_features
+
+#: The most slots of fading evaluated in one call: a pair's fading list
+#: covers the MAC epoch, or this many slots if the epoch is longer.
+FADING_SPAN_MAX = 64
 
 #: Each slot's stages in order, and the ``World`` method that runs each.
 STAGE_ORDER = (
@@ -158,12 +160,10 @@ class World:
             self.chan = replace(config.channel, fading_seed=self.seed)
         else:
             self.chan = config.channel
-        # fading over the current MAC epoch's slots: one row of the block per
-        # (UE index, cell index) pair, found by its row number; filled by
-        # _channel_inputs
+        # fading over the current span's slots, one list per (UE index, cell
+        # index) pair, and the span's index; filled by _channel_inputs
         self._fading_epoch = -1
-        self._fading: dict[tuple[int, int], int] = {}
-        self._fading_block = np.empty((0, config.mac.epoch_slots))
+        self._fading: dict[tuple[int, int], list[float]] = {}
 
         self.cells: dict[str, CellRuntime] = {}
         # what each cell can do, at its best portion's efficiency; fixed for the run
@@ -491,18 +491,18 @@ class World:
         values each MAC would read just before it runs.
 
         Fading is a stateless hash of (seed, ue, cell, slot), so it is
-        evaluated a MAC epoch at a time: ``_fading_block`` holds one row per
-        (UE index, cell index) pair with the fading of every slot of the
-        current MAC epoch, ``_fading`` each pair's row number, and both are
-        dropped when the epoch changes. The pairs it lacks, at the epoch's
-        first slot or when a handover brings one in mid-epoch, get their whole
-        rows from one ``fading_db_batch`` call. Each slot reads its column.
+        evaluated a span at a time: the MAC epoch, or ``FADING_SPAN_MAX``
+        slots if that is shorter. ``_fading`` holds each (UE index, cell
+        index) pair's fading for every slot of the current span, as a list,
+        and is dropped when the span changes. The pairs it lacks, at the
+        span's first slot or when a handover brings one in mid-span, get
+        their lists from one ``fading_db_batch`` call. Each slot reads its
+        entry of each list.
         """
-        epoch_slots = self.config.mac.epoch_slots
-        epoch, k = divmod(self.slot, epoch_slots)
+        span = min(self.config.mac.epoch_slots, FADING_SPAN_MAX)
+        epoch, k = divmod(self.slot, span)
         if epoch != self._fading_epoch:
             self._fading_epoch, self._fading = epoch, {}
-            self._fading_block = self._fading_block[:0]
         fading = self._fading
         cells = []
         missing: list[tuple[int, int]] = []
@@ -518,28 +518,25 @@ class World:
                 if key not in pairs:
                     fk = pairs[key] = (self.ues[mf.ue_id].index, cr.index)
                     if fk not in fading:
-                        fading[fk] = len(fading)
                         missing.append(fk)
             cells.append((cr, backlog, pairs))
         if missing:
-            idx = np.fromiter(chain.from_iterable(missing), np.uint64, 2 * len(missing))
-            idx = idx.reshape(-1, 2)
-            first = epoch * epoch_slots
+            idx = np.array(missing, dtype=np.uint64)
+            first = epoch * span
             rows = chan.fading_db_batch(
                 self.chan,
                 idx[:, :1],
                 idx[:, 1:],
-                np.arange(first, first + epoch_slots, dtype=np.uint64),
+                np.arange(first, first + span, dtype=np.uint64),
             )
-            self._fading_block = np.concatenate((self._fading_block, rows))
-        column = self._fading_block[:, k].tolist()
+            fading.update(zip(missing, rows.tolist()))
         out = []
         for cr, backlog, pairs in cells:
             cid, grid, portions = cr.mac.cell.cell_id, cr.mac.cell.grid, cr.mac.portions
             rates: dict[tuple[str, str], float] = {}
             for (u, pk), fk in pairs.items():
                 eff = portions[pk].waveform_efficiency
-                rates[(u, pk)] = link_rate(self._mean_sinr(u, cid) + column[fading[fk]], eff, grid)
+                rates[(u, pk)] = link_rate(self._mean_sinr(u, cid) + fading[fk][k], eff, grid)
             out.append((cr, SlotInputs(backlog_bits=backlog, per_prb_bits=rates)))
         return out
 
@@ -772,10 +769,7 @@ class World:
                 "final_load_fraction": cr.mac.load.value,
             }
         rates = [m["delivered_bits"] for m in per_flow.values() if m["delivered_bits"] > 0]
-        try:
-            fairness = compute_fairness(rates) if rates else None
-        except DegenerateInputError:
-            fairness = None
+        fairness = compute_fairness(rates) if rates else None
         if all_lat:
             # percentiles over every delivered packet, each latency in ms as
             # it always was: l * slot_seconds * 1e3 is not always l * slot_ms

@@ -57,12 +57,6 @@ def counter_uniform(seed: int, a, b, c) -> np.ndarray:
     return h.astype(np.float64) * _INV_2_53
 
 
-def _floats(values) -> list[float]:
-    if isinstance(values, np.ndarray):
-        return values.astype(np.float64, copy=False).tolist()
-    return [float(v) for v in values]
-
-
 def pf_fill(metric, per_prb_bits, backlog_bits, n_prbs: int):
     """Sequential proportional-fair PRB fill, one contiguous run per winner.
 
@@ -74,20 +68,18 @@ def pf_fill(metric, per_prb_bits, backlog_bits, n_prbs: int):
     metric and drains each in turn, with the same ``take``/``served``/``rem``
     float steps per PRB as the per-PRB argmax, so the result is bit-identical
     to it. A candidate with zero rate and some backlog keeps every PRB left.
-    Cost is O(n_prbs + n log n). Accepts lists or numpy arrays.
+    Cost is O(n_prbs + n log n). It reads its inputs as given, lists or
+    float64 arrays, and copies none of them.
 
     Returns (runs, served): runs lists (candidate index, PRB count) in PRB
     order, starting at PRB 0; served[i] is the bits drained from candidate i
     (capped at its backlog). PRBs past the last run stay idle.
     """
-    metric = _floats(metric)
-    per_prb = _floats(per_prb_bits)
-    rem = _floats(backlog_bits)
     served = [0.0] * len(metric)
     # metric > -1.0 mirrors the argmax's starting best, which no lower
     # (or NaN) metric can beat.
     order = sorted(
-        (i for i, m in enumerate(metric) if rem[i] > 0.0 and m > -1.0),
+        (i for i, m in enumerate(metric) if backlog_bits[i] > 0.0 and m > -1.0),
         key=lambda i: -metric[i],
     )
     runs: list[tuple[int, int]] = []
@@ -95,7 +87,7 @@ def pf_fill(metric, per_prb_bits, backlog_bits, n_prbs: int):
     for i in order:
         if p >= n_prbs:
             break
-        rate, r, s, first = per_prb[i], rem[i], 0.0, p
+        rate, r, s, first = per_prb_bits[i], backlog_bits[i], 0.0, p
         while p < n_prbs and r > 0.0:
             take = rate if rate < r else r
             s += take

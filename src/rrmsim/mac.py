@@ -188,18 +188,6 @@ def dss_split(demand_a: int, demand_b: int, total_prbs: int) -> tuple[int, int]:
     return (a, b)
 
 
-def estimate_demands(backlog_bits: Mapping[str, float], per_prb_bits: float) -> dict[str, int]:
-    """PRB demand per key from queue backlogs: ceil(backlog / per-PRB rate)."""
-    if per_prb_bits <= 0:
-        raise ValueError("per_prb_bits must be positive")
-    out: dict[str, int] = {}
-    for key, bits in backlog_bits.items():
-        if bits < 0:
-            raise ValueError(f"backlog for {key!r} must be >= 0")
-        out[key] = math.ceil(bits / per_prb_bits) if bits > 0 else 0
-    return out
-
-
 # ---------------------------------------------------------------------------
 # schedulers
 # ---------------------------------------------------------------------------
@@ -542,9 +530,14 @@ class MacInstance:
     # -- partitioning -------------------------------------------------------
 
     def reference_per_prb_bits(self, portion_key: str) -> float:
-        """Stable per-PRB rate used for sizing (not per-slot scheduling)."""
+        """Stable per-PRB rate used for sizing (not per-slot scheduling).
+        Raises ValueError if it is not positive, as nothing can be sized by
+        it; only a portion with a flow reads it."""
         eff = self.portions[portion_key].waveform_efficiency
-        return link_rate(self.cfg.demand_sinr_db, eff, self.cell.grid)
+        rate = link_rate(self.cfg.demand_sinr_db, eff, self.cell.grid)
+        if not rate > 0:
+            raise ValueError("per_prb_bits must be positive")
+        return rate
 
     def _leaf_key(self, flow: MacFlow) -> tuple[str, str | None, str]:
         """The (portion, slice, class) of the leaf that serves ``flow``, the
@@ -579,24 +572,18 @@ class MacInstance:
         groups: dict[tuple[str, str | None, str], list[MacFlow]] = {}
         for f in queued:
             groups.setdefault(self._leaf_key(f), []).append(f)
-        backlog_bits = inputs.backlog_bits
+        backlog, rate = inputs.backlog_bits, self.reference_per_prb_bits
         tree: dict[str, list[tuple]] = {}
         for key in self.portions:
-            rate = self.reference_per_prb_bits(key)
             children = []
             for sid in sorted({s for p, s, _ in groups if p == key}, key=lambda s: s or ""):
                 by_class = [(c, groups[k]) for c in _CLASS_KEYS if (k := (key, sid, c)) in groups]
-                demands = estimate_demands(
-                    {
-                        c: sum(backlog_bits.get(f.flow_id, 0.0) for f in fl)
-                        for c, fl in by_class
-                        if c != _URLLC
-                    },
-                    rate,
-                )
                 leaves = []
                 for c, fl in by_class:
-                    d = sum(f.sps_prbs for f in fl) if c == _URLLC else demands[c]
+                    if c == _URLLC:
+                        d = sum(f.sps_prbs for f in fl)
+                    else:  # PRBs to drain the leaf's backlog at the reference rate
+                        d = math.ceil(sum(backlog.get(f.flow_id, 0.0) for f in fl) / rate(key))
                     leaves.append((c, d, max(g, d) if c == _URLLC else g, g, _roster(fl)))
                 if sid is None:
                     children = leaves

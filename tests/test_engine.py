@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrmsim import channel as chan
+from rrmsim import engine
 from rrmsim import pdcp
 from rrmsim.abstraction import MeasureKind, describe_cell, link_rate, signal_db
 from rrmsim.cli import render_csv, render_events, render_summary
@@ -541,9 +542,7 @@ def test_fading_rows_cover_the_mac_epoch_across_mid_epoch_handovers(scenarios):
             late_rows.extend(set(w._fading) - before)
         first = w.slot - w.slot % n
         slots = np.arange(first, first + n)
-        assert len(w._fading_block) == len(w._fading)
-        for (ui, ci), i in w._fading.items():
-            row = w._fading_block[i].tolist()
+        for (ui, ci), row in w._fading.items():
             assert row == chan.fading_db_batch(w.chan, [ui], [ci], slots).tolist()
         for cr, slot_inputs in out:
             for (uid, pk), rate in slot_inputs.per_prb_bits.items():
@@ -557,6 +556,26 @@ def test_fading_rows_cover_the_mac_epoch_across_mid_epoch_handovers(scenarios):
     w._channel_inputs = checked
     w.run()
     assert [s for s in handovers if s % n] and late_rows
+
+
+@pytest.mark.parametrize("span_max", [1, 3, 64])
+def test_the_fading_span_moves_no_output_byte(scenarios, monkeypatch, span_max):
+    """Fading is a counter-based hash, so evaluating it 1, 3 or 64 slots at
+    a time, against MAC epochs of 10, gives the golden files."""
+    monkeypatch.setattr(engine, "FADING_SPAN_MAX", span_max)
+    for name in ("two_cell_load_balance", "hetnet_walkthrough"):
+        assert _digests(run_scenario(scenarios[name], seed=7)) == _GOLDEN[f"{name}@7"]
+
+
+def test_fading_memory_does_not_grow_with_the_mac_epoch(scenarios):
+    """A MAC epoch of 10**7 slots keeps each pair's fading list at
+    FADING_SPAN_MAX entries."""
+    base = _short(scenarios, "single_cell", 50)
+    cfg = dataclasses.replace(base, mac=dataclasses.replace(base.mac, epoch_slots=10**7))
+    w = World(cfg)
+    while w.slot < 50:
+        w.step_slot()
+        assert w._fading and all(len(r) <= engine.FADING_SPAN_MAX for r in w._fading.values())
 
 
 def _dense_embb_config(seed=1):

@@ -20,7 +20,6 @@ from rrmsim.mac import (
     PortionSpec,
     SlotInputs,
     dss_split,
-    estimate_demands,
     largest_remainder,
     partition_resources,
     schedule_dynamic,
@@ -161,14 +160,35 @@ def test_dss_split_rejects_impossible_coexistence():
         dss_split(5, 5, 1)
 
 
-def test_estimate_demands():
-    d = estimate_demands({"f1": 1000.0, "f2": 0.0}, per_prb_bits=100.0)
-    assert d == {"f1": 10, "f2": 0}
-    assert estimate_demands({"f": 1001.0}, 100.0)["f"] == 11  # ceil, not round
-    with pytest.raises(ValueError):
-        estimate_demands({"f": 1.0}, 0.0)
-    with pytest.raises(ValueError):
-        estimate_demands({"f": -1.0}, 10.0)
+def test_refresh_sizes_each_leaf_at_its_backlog_over_the_reference_rate_rounded_up():
+    """A refresh's ``demand_prbs`` is the sum over queue-driven leaves of
+    ceil(leaf backlog / reference per-PRB rate), plus the access partition's
+    demand; a portion whose reference rate is not positive raises once a
+    flow on it is refreshed."""
+    mac = _mac(prbs=100, access_cost_prbs=2)
+    rate = mac.reference_per_prb_bits("main")
+    for f in (_flow("fa"), _flow("fb"), _flow("fl", TrafficClass.LEGACY_MBB),
+              _flow("fz", TrafficClass.LEGACY_MBB), _flow("fm", TrafficClass.MMTC)):
+        mac.register_flow(f)
+    mac.queue_attempt("fm", 100.0, 0)
+    # the eMBB leaf holds 3.1 PRBs of backlog: 4 rounded up, 3 to the nearest
+    backlog = {"fa": 2 * rate, "fb": 1.1 * rate, "fl": 0.0, "fz": 0.0}
+    leaves = (backlog["fa"] + backlog["fb"], backlog["fl"] + backlog["fz"])
+    mac.refresh_partitions(0, SlotInputs(backlog, {}))
+    assert mac.demand_prbs == sum(math.ceil(b / rate) for b in leaves) + 2 == 6
+    assert sum(round(b / rate) for b in leaves) + 2 == 5
+    mac.refresh_partitions(6, SlotInputs({"fa": 5 * rate, "fl": rate + 1.0}, {}))
+    assert mac.demand_prbs == 5 + 2 + 2
+
+    # at -30 dB a 180 kHz PRB of 1 ms floors to 0 bits; a portion with no
+    # flow never reads the rate, so the idle cell still runs
+    starved = _mac(demand_sinr_db=-30.0)
+    starved.run_slot(0, _inputs({}), np.random.default_rng(0), np.random.default_rng(1))
+    starved.register_flow(_flow("fa"))
+    with pytest.raises(ValueError, match="per_prb_bits must be positive"):
+        starved.refresh_partitions(6, _inputs({"fa": 100.0}))
+    with pytest.raises(ValueError, match="per_prb_bits must be positive"):
+        starved.reference_per_prb_bits("main")
 
 
 # ---------------------------------------------------------------------------
