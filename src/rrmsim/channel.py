@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import Cell, CellClass
+from .core import Cell, CellClass, check_rules
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -39,6 +39,10 @@ class ChannelConfig:
     noise_psd_dbm_hz: float = -174.0
     interference_margin_db: float = 3.0
     min_distance_m: float = 1.0
+
+    def __post_init__(self):
+        check_rules(self, ("fading_scale", self.fading_scale >= 0, "must be >= 0"),
+                    ("min_distance_m", self.min_distance_m > 0, "must be positive"))
 
 
 @functools.lru_cache(maxsize=64)

@@ -73,6 +73,26 @@ class DegenerateInputError(ValueError):
     """Raised by metrics when the input carries no information (empty/all-zero)."""
 
 
+class ValidationError(ValueError):
+    """Config values that failed their rules, as (path, reason) pairs."""
+
+    def __init__(self, failures: list[tuple[str, str]]):
+        self.failures = failures
+        lines = "; ".join(f"{p}: {r}" for p, r in failures)
+        super().__init__(f"{len(failures)} config error(s): {lines}")
+
+
+def check_rules(obj, *rules: tuple[str, bool, str]) -> None:
+    """Raise ValidationError naming each ``(field, ok, reason)`` rule of ``obj``
+    that fails; an empty field marks a rule over the whole value. A reason is
+    formatted only on failure, with the field's value in place of ``{}``."""
+    for _, ok, _ in rules:
+        if not ok:
+            raise ValidationError(
+                [(f, r.format(getattr(obj, f)) if f else r) for f, ok, r in rules if not ok]
+            )
+
+
 @dataclass(frozen=True)
 class CarrierGrid:
     """One carrier's resource plane: PRBs across frequency, slots along time.

@@ -33,8 +33,8 @@ arithmetic, and the receiver and the delivery books take a run at a time.
 Latencies are kept as a count per latency in slots, so a flow's state does
 not grow with the horizon; a flow's MAC-epoch row is its running totals less
 their values at the last rollup. Run arithmetic is exact because every bit amount
-is a whole number below 2**53; generator sizes and the MAC's served bits are
-checked where they enter (``pdcp.whole_bits``).
+is a whole number below 2**53: the generator types refuse other sizes, and
+the MAC's served bits are checked as they enter (``pdcp.whole_bits``).
 
 A flow's attachment changes in one place, ``World._attach``: it moves, adds
 or drops one leg (whose id is its cell's id) and keeps the MAC registrations,
@@ -162,7 +162,7 @@ class World:
             self.chan = config.channel
         # fading over the current span's slots, one list per (UE index, cell
         # index) pair, and the span's index; filled by _channel_inputs
-        self._fading_epoch = -1
+        self._fading_span = -1
         self._fading: dict[tuple[int, int], list[float]] = {}
 
         self.cells: dict[str, CellRuntime] = {}
@@ -182,12 +182,10 @@ class World:
         self._radio = chan.cell_constants(cr.mac.cell for cr in self.cells.values())
 
         # numerology is validated to be uniform, so one slot clock serves all
-        mu = config.cells[0].numerology
-        self.slot_seconds = 1e-3 / (2**mu)
+        grid = next(iter(self.cells.values())).mac.cell.grid
+        self.slot_seconds = grid.slot_seconds
         # a power of two, so an integer latency sum times it is exact
-        self.slot_ms = self.slot_seconds * 1e3
-        if self.slot_ms != 2.0**-mu:
-            raise AssertionError(f"slot of {self.slot_ms!r} ms is not 2**-{mu}")
+        self.slot_ms = 2.0**-grid.numerology
 
         # Init-time indexes, O(U + F), so per-slot and per-handover paths never
         # rescan the config: each UE's flows in config order (filled as the
@@ -222,12 +220,10 @@ class World:
 
         self.flows: dict[str, FlowRuntime] = {}
         for fc in config.flows:
-            gen = traffic.make_generator(fc.generator_kind, fc.generator_params)
-            # run arithmetic needs whole-number bits, and a packet has some
-            for name, low in (("packet_bits", 1), ("watermark_bits", 0)):
-                val = getattr(gen, name, low)
-                if not (pdcp.whole_bits(val) and val >= low):
-                    raise ValueError(f"flow {fc.flow_id!r}: {name} must be whole bits >= {low}")
+            try:
+                gen = traffic.make_generator(fc.generator_kind, fc.generator_params)
+            except ValueError as e:
+                raise ValueError(f"flow {fc.flow_id!r}: {e}") from None
             state = None
             if fc.service is not TrafficClass.MMTC:
                 state = pdcp.FlowState(
@@ -500,9 +496,9 @@ class World:
         entry of each list.
         """
         span = min(self.config.mac.epoch_slots, FADING_SPAN_MAX)
-        epoch, k = divmod(self.slot, span)
-        if epoch != self._fading_epoch:
-            self._fading_epoch, self._fading = epoch, {}
+        index, k = divmod(self.slot, span)
+        if index != self._fading_span:
+            self._fading_span, self._fading = index, {}
         fading = self._fading
         cells = []
         missing: list[tuple[int, int]] = []
@@ -522,7 +518,7 @@ class World:
             cells.append((cr, backlog, pairs))
         if missing:
             idx = np.array(missing, dtype=np.uint64)
-            first = epoch * span
+            first = index * span
             rows = chan.fading_db_batch(
                 self.chan,
                 idx[:, :1],

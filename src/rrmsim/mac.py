@@ -36,6 +36,7 @@ from .core import (
     Event,
     Grant,
     TrafficClass,
+    check_rules,
 )
 
 #: Partition key for the contention-based access channel. It is part of every
@@ -340,10 +341,9 @@ class PortionSpec:
     waveform_efficiency: float = 1.0
 
     def __post_init__(self):
-        if not self.key:
-            raise ValueError("portion key must be non-empty")
-        if not (0.0 < self.waveform_efficiency <= 1.0):
-            raise ValueError("waveform_efficiency must be in (0, 1]")
+        eff = self.waveform_efficiency
+        check_rules(self, ("key", bool(self.key), "must be non-empty"),
+                    ("waveform_efficiency", 0.0 < eff <= 1.0, "must be in (0, 1], got {}"))
 
     def usable_by(self, capabilities) -> bool:
         """Whether a UE with these capabilities may ride this portion."""
@@ -362,12 +362,13 @@ class MacConfig:
     backoff_max_epochs: int = 8
 
     def __post_init__(self):
-        if self.epoch_slots < 1:
-            raise ValueError("epoch_slots must be >= 1")
-        if not (0.0 < self.pf_ewma <= 1.0):
-            raise ValueError("pf_ewma must be in (0, 1]")
-        if self.backoff_min_epochs < 1 or self.backoff_max_epochs < self.backoff_min_epochs:
-            raise ValueError("backoff window must satisfy 1 <= min <= max")
+        check_rules(self, ("epoch_slots", self.epoch_slots >= 1, "must be >= 1"),
+                    ("min_guarantee_prbs", self.min_guarantee_prbs >= 0, "must be >= 0"),
+                    ("access_cost_prbs", self.access_cost_prbs >= 1, "must be >= 1"),
+                    ("pf_ewma", 0.0 < self.pf_ewma <= 1.0, "must be in (0, 1]"),
+                    ("pf_initial_avg_bits", self.pf_initial_avg_bits > 0, "must be positive"),
+                    ("", 1 <= self.backoff_min_epochs <= self.backoff_max_epochs,
+                     "backoff window must satisfy 1 <= min <= max"))
 
     @property
     def access_floor_prbs(self) -> int:

@@ -5,10 +5,13 @@ network, UEs, traffic flows, and the MAC / flow-control / steering / sim
 knobs. Each section is a config dataclass, and the runtime layers' own types
 (``mac.MacConfig``, ``channel.ChannelConfig``, ``mac.PortionSpec``) serve as
 sections directly: a section's keys, value types and defaults are read from
-its dataclass fields, so each setting is declared once. Parsing is strict:
-unknown keys and out-of-range values are collected and reported together,
-each with its config path. ``scenario_to_dict`` emits every field from the
-same field lists, so a serialized config re-parses to an equal one.
+its dataclass fields, so each setting is declared once. So is each range
+rule, in the ``__post_init__`` of the type that holds the value, which a
+config built in Python meets too; the reader checks only rules across
+sections. Parsing is strict: unknown keys and refused values are collected
+and reported together, each with its config path. ``scenario_to_dict`` emits
+every field from the same field lists, so a serialized config re-parses to
+an equal one.
 """
 
 from __future__ import annotations
@@ -31,9 +34,11 @@ from .core import (
     Cell,
     CellClass,
     TrafficClass,
+    ValidationError,
+    check_rules,
 )
 from .mac import RACH_KEY, MacConfig, PortionSpec
-from .pdcp import DEFAULT_ENTER_LOAD, DEFAULT_LEAVE_LOAD, DEFAULT_T_REORDER_SLOTS, Mode, whole_bits
+from .pdcp import DEFAULT_ENTER_LOAD, DEFAULT_LEAVE_LOAD, DEFAULT_T_REORDER_SLOTS, Mode
 from .traffic import GENERATOR_KINDS
 from .uts import (
     CARRIER_AGG_ID,
@@ -58,15 +63,6 @@ class ParseError(Exception):
     """The input was not a readable mapping at all."""
 
 
-class ValidationError(Exception):
-    """One or more config fields failed validation."""
-
-    def __init__(self, failures: list[tuple[str, str]]):
-        self.failures = failures
-        lines = "; ".join(f"{p}: {r}" for p, r in failures)
-        super().__init__(f"{len(failures)} config error(s): {lines}")
-
-
 @dataclass(frozen=True)
 class CellConfig:
     cell_id: str
@@ -82,6 +78,12 @@ class CellConfig:
     supports_secondary: bool = True
     drop_prob: float = 0.0
     portions: tuple[PortionSpec, ...] = (PortionSpec(key="main"),)
+
+    def __post_init__(self):
+        n, keys = len(self.portions), {p.key for p in self.portions}
+        check_rules(self, ("drop_prob", 0.0 <= self.drop_prob < 1.0, "must be in [0, 1), got {}"),
+                    ("portions", n <= 2, "at most 2 portions may share a carrier"),
+                    ("portions", len(keys) == n, "portion keys must be unique"))
 
     def effective_tx_power_dbm(self) -> float:
         if self.tx_power_dbm is not None:
@@ -110,6 +112,18 @@ class FlowConfig:
     sps_prbs: int | None = None
     sps_offset_slots: int = 0
 
+    def __post_init__(self):
+        # the MAC refuses these reservation shapes when the flow registers
+        period, prbs = self.sps_period_slots, self.sps_prbs
+        check_rules(self, ("ue_id", bool(self.ue_id), "flow must name its UE"),
+                    ("slice_id", self.slice_id != RACH_KEY, "{!r} is the access partition's key"),
+                    ("sps_period_slots", period is None or period >= 1, "must be >= 1, got {}"),
+                    ("sps_prbs", prbs is None or prbs >= 1, "must be >= 1, got {}"),
+                    ("sps_offset_slots", self.sps_offset_slots >= 0, "must be >= 0, got {}"),
+                    ("", self.service is not TrafficClass.URLLC or period is not None
+                     or self.generator_kind == "periodic_deadline",
+                     "URLLC flows need a periodic_deadline generator or explicit sps_period_slots"))
+
 
 @dataclass(frozen=True)
 class PdcpSection:
@@ -118,6 +132,11 @@ class PdcpSection:
     enter_load: float = DEFAULT_ENTER_LOAD
     #: every traffic class's mode
     service_modes: dict[TrafficClass, Mode] = field(default_factory=DEFAULT_SERVICE_MODES.copy)
+
+    def __post_init__(self):
+        check_rules(self, ("t_reorder_slots", self.t_reorder_slots >= 1, "must be >= 1"),
+                    ("", 0.0 <= self.enter_load <= self.leave_load <= 1.0,
+                     "need 0 <= enter_load <= leave_load <= 1"))
 
 
 @dataclass(frozen=True)
@@ -132,6 +151,11 @@ class UtsSection:
     hysteresis_epochs: int = DEFAULT_HYSTERESIS_EPOCHS
     time_to_trigger_epochs: int = DEFAULT_TIME_TO_TRIGGER_EPOCHS
 
+    def __post_init__(self):
+        check_rules(self, ("epoch_slots", self.epoch_slots >= 1, "must be >= 1"),
+                    ("hysteresis_epochs", self.hysteresis_epochs >= 0, "must be >= 0"),
+                    ("time_to_trigger_epochs", self.time_to_trigger_epochs >= 1, "must be >= 1"))
+
     def effective_ranking(self) -> tuple[str, ...]:
         return self.ranking if self.ranking else self.features
 
@@ -140,6 +164,10 @@ class UtsSection:
 class SimSection:
     horizon_slots: int = 1000
     seed: int = 0
+
+    def __post_init__(self):
+        check_rules(self, ("horizon_slots", self.horizon_slots >= 1, "must be >= 1, got {}"),
+                    ("seed", self.seed >= 0, "must be >= 0, got {}"))
 
 
 @dataclass(frozen=True)
@@ -302,17 +330,18 @@ class _Reader:
             self.fail(where, f"expected one of ({ok}), got {val!r}")
             return default
 
-    def read(self, cls, raw, path: str, check=None, defaults=None, **given):
+    def read(self, cls, raw, path: str, defaults=None, **given):
         """Read config dataclass ``cls`` from its mapping at ``path``.
 
         Keys, value types and defaults come from the class's fields.
         ``defaults`` overrides a field's default (an index-derived id) and
-        ``given`` holds the fields the caller read by hand. ``check`` sees the
-        values before the instance is built and reports range failures. If
-        the values make ``__post_init__`` raise after failures were reported
-        here, the defaults are used instead, since the parse fails anyway.
+        ``given`` holds the fields the caller read by hand. The class's own
+        rules judge the values: each refusal is reported at its field's YAML
+        key, or at ``path`` for a rule over the whole value. The values are
+        then kept, each refused field at its default, in an instance built
+        without running the rules again, so the cross-section checks still
+        see the rest; the parse fails anyway.
         """
-        mark = len(self.failures)
         m = self.mapping(raw, path)
         by_key, field_defaults = _fields(cls)
         defaults = defaults or {}
@@ -324,42 +353,26 @@ class _Reader:
             name, kind = by_key[key]
             if kind is not None and name not in given:
                 values[name] = self.get(m, key, kind, values[name], path)
-        if check is not None:
-            ns = types.SimpleNamespace(**values)
-            check(ns)
-            values = vars(ns)
         try:
             return cls(**values)
-        except ValueError:
-            if len(self.failures) == mark:
-                raise
-            return cls(**defaults, **given)
-
-
-def _read_portion(r: _Reader, raw, path: str, index: int) -> PortionSpec:
-    def check(p):
-        if not (0.0 < p.waveform_efficiency <= 1.0):
-            r.fail(f"{path}.waveform_efficiency", f"must be in (0, 1], got {p.waveform_efficiency}")
-            p.waveform_efficiency = 1.0
-
-    return r.read(PortionSpec, raw, path, check, defaults={"key": f"portion{index}"})
+        except ValidationError as e:
+            keys = _YAML_KEYS.get(cls, {})
+            for name, reason in e.failures:
+                self.fail(f"{path}.{keys.get(name, name)}" if name else path, reason)
+                if name:
+                    values[name] = defaults.get(name, getattr(cls, name, None))
+        obj = object.__new__(cls)
+        obj.__dict__.update(values)
+        return obj
 
 
 def _read_cell(r: _Reader, raw, path: str, index: int) -> CellConfig:
     m = r.mapping(raw, path)
-    portions_raw = r.seq(m.get("portions"), f"{path}.portions")
     portions = tuple(
-        _read_portion(r, p, f"{path}.portions[{i}]", i) for i, p in enumerate(portions_raw)
+        r.read(PortionSpec, p, f"{path}.portions[{i}]", defaults={"key": f"portion{i}"})
+        for i, p in enumerate(r.seq(m.get("portions"), f"{path}.portions"))
     ) or CellConfig.portions
-    if len(portions) > 2:
-        r.fail(f"{path}.portions", f"at most 2 portions may share a carrier, got {len(portions)}")
-        portions = portions[:2]
-    keys = [p.key for p in portions]
-    if len(set(keys)) != len(keys):
-        r.fail(f"{path}.portions", f"portion keys must be unique, got {keys}")
     cfg = r.read(CellConfig, m, path, defaults={"cell_id": f"cell{index}"}, portions=portions)
-    if not (0.0 <= cfg.drop_prob < 1.0):
-        r.fail(f"{path}.drop_prob", f"must be in [0, 1), got {cfg.drop_prob}")
     try:
         CarrierGrid(cfg.carrier_hz, cfg.prbs_per_slot, cfg.numerology, cfg.prb_bandwidth_hz)
     except ValueError as e:
@@ -387,42 +400,12 @@ def _read_flow(r: _Reader, raw, path: str, index: int) -> FlowConfig:
         r.fail(f"{gen_path}.kind", f"unknown kind {kind!r}")
         kind, params = FlowConfig.generator_kind, {}
 
-    def check_generator(g):
-        # an empty packet never fills a full buffer; a URLLC reservation
-        # takes its period and offset from a periodic generator; run
-        # arithmetic holds sizes exactly only below 2**53
-        for key, low in (
-            ("packet_bits", 1), ("watermark_bits", 0), ("rate_per_slot", 0),
-            ("period_slots", 1), ("offset_slots", 0),
-        ):
-            val = getattr(g, key, low)
-            if val < low:
-                r.fail(f"{gen_path}.{key}", f"must be >= {low}, got {val}")
-            elif key.endswith("_bits") and not whole_bits(val):
-                r.fail(f"{gen_path}.{key}", f"must be below 2**53, got {val}")
-
     # checks the parameters only: the flow keeps the keys the file gave
-    r.read(GENERATOR_KINDS[kind], params, gen_path, check_generator)
-    flow = r.read(
+    r.read(GENERATOR_KINDS[kind], params, gen_path)
+    return r.read(
         FlowConfig, m, path, defaults={"flow_id": f"flow{index}"},
         generator_kind=kind, generator_params=params,
     )
-    if not flow.ue_id:
-        r.fail(f"{path}.ue", "flow must name its UE")
-    if flow.slice_id == RACH_KEY:
-        r.fail(f"{path}.slice", f"{RACH_KEY!r} is the access partition's key")
-    # the MAC refuses these reservation shapes when the flow registers
-    for name, low in (("sps_period_slots", 1), ("sps_prbs", 1), ("sps_offset_slots", 0)):
-        val = getattr(flow, name)
-        if val is not None and val < low:
-            r.fail(f"{path}.{name}", f"must be >= {low}, got {val}")
-    if flow.service is TrafficClass.URLLC:
-        if flow.sps_period_slots is None and kind != "periodic_deadline":
-            r.fail(
-                f"{path}",
-                "URLLC flows need a periodic_deadline generator or explicit sps_period_slots",
-            )
-    return flow
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
@@ -441,16 +424,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     name = r.get(data, "name", str, ScenarioConfig.name, "")
 
     sim = r.read(SimSection, data.get("sim"), "sim")
-    if sim.horizon_slots < 1:
-        r.fail("sim.horizon_slots", f"must be >= 1, got {sim.horizon_slots}")
-    if sim.seed < 0:
-        r.fail("sim.seed", f"must be >= 0, got {sim.seed}")
-
     channel = r.read(ChannelConfig, data.get("channel"), "channel")
-    if channel.fading_scale < 0:
-        r.fail("channel.fading_scale", "must be >= 0")
-    if channel.min_distance_m <= 0:
-        r.fail("channel.min_distance_m", "must be positive")
 
     net_m = r.mapping(data.get("network"), "network")
     r.reject_unknown(net_m, {"cells"}, "network")
@@ -501,21 +475,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         if f.ue_id and f.ue_id not in known_ues:
             r.fail(f"traffic.flows[{i}].ue", f"unknown UE {f.ue_id!r}")
 
-    def check_mac(mac):
-        if mac.epoch_slots < 1:
-            r.fail("mac.epoch_slots", "must be >= 1")
-        if mac.min_guarantee_prbs < 0:
-            r.fail("mac.min_guarantee_prbs", "must be >= 0")
-        if mac.access_cost_prbs < 1:
-            r.fail("mac.access_cost_prbs", "must be >= 1")
-        if not (0.0 < mac.pf_ewma <= 1.0):
-            r.fail("mac.pf_ewma", "must be in (0, 1]")
-        if mac.pf_initial_avg_bits <= 0:
-            r.fail("mac.pf_initial_avg_bits", "must be positive")
-        if not (1 <= mac.backoff_min_epochs <= mac.backoff_max_epochs):
-            r.fail("mac", "backoff window must satisfy 1 <= min <= max")
-
-    mac = r.read(MacConfig, data.get("mac"), "mac", check_mac)
+    mac = r.read(MacConfig, data.get("mac"), "mac")
     # a cell narrower than its access partition, or with a portion the MAC's
     # demand SINR gives no bits per PRB, stops the run at its first slot
     v = mac.demand_sinr_db
@@ -549,10 +509,6 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         except ValueError:
             r.fail(f"pdcp.service_modes.{key}", f"unknown mode {val!r}")
     pdcp = r.read(PdcpSection, pd_m, "pdcp", service_modes=modes)
-    if pdcp.t_reorder_slots < 1:
-        r.fail("pdcp.t_reorder_slots", "must be >= 1")
-    if not (0.0 <= pdcp.enter_load <= pdcp.leave_load <= 1.0):
-        r.fail("pdcp", "need 0 <= enter_load <= leave_load <= 1")
 
     uts_m = r.mapping(data.get("uts"), "uts")
     feats = r.names(uts_m.get("features"), "uts.features")
@@ -587,12 +543,6 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         UtsSection, uts_m, "uts",
         features=feats, ranking=ranking, thresholds=thresholds,
     )
-    if uts.epoch_slots < 1:
-        r.fail("uts.epoch_slots", "must be >= 1")
-    if uts.hysteresis_epochs < 0:
-        r.fail("uts.hysteresis_epochs", "must be >= 0")
-    if uts.time_to_trigger_epochs < 1:
-        r.fail("uts.time_to_trigger_epochs", "must be >= 1")
 
     if r.failures:
         raise ValidationError(r.failures)

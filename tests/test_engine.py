@@ -535,9 +535,9 @@ def test_fading_rows_cover_the_mac_epoch_across_mid_epoch_handovers(scenarios):
     w.apply_handover = recorded
 
     def checked():
-        before = set(w._fading) if w._fading_epoch == w.slot // n else set()
+        before = set(w._fading) if w._fading_span == w.slot // n else set()
         out = inputs()
-        assert w._fading_epoch == w.slot // n
+        assert w._fading_span == w.slot // n
         if w.slot % n:
             late_rows.extend(set(w._fading) - before)
         first = w.slot - w.slot % n
@@ -1070,7 +1070,7 @@ def test_dropping_caches_at_random_slots_keeps_every_output_byte(scenarios, name
         if rng.random() < 0.1:
             drops += 1
             w._rsrp_cache.clear()
-            w._fading_epoch = -1
+            w._fading_span = -1
         w.step_slot()
     assert drops and _digests(w.run()) == straight
 
@@ -1516,3 +1516,18 @@ def test_a_generator_size_that_run_arithmetic_would_round_is_refused(params):
     cfg.flows[0].generator_params.update(params)
     with pytest.raises(ValueError, match="f1"):
         World(cfg)
+
+
+@pytest.mark.parametrize("mu", range(5))
+def test_the_slot_clock_is_the_grid_slot_and_a_power_of_two_in_ms(mu):
+    # latency sums times slot_ms are exact only if slot_ms is a power of two
+    cfg = scenario_from_dict(
+        {
+            "name": "clock",
+            "network": {"cells": [{"id": "c1", "prbs_per_slot": 10, "numerology": mu}]},
+            "ues": [{"id": "u1", "position": [30.0, 0.0]}],
+        }
+    )
+    w = World(cfg)
+    assert w.slot_seconds == w.cells["c1"].mac.cell.grid.slot_seconds
+    assert w.slot_ms == w.slot_seconds * 1e3 == 2.0**-mu

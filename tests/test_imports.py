@@ -1,9 +1,12 @@
-"""Source hygiene: no module under ``src/rrmsim`` imports a name it never uses.
+"""Source hygiene: no module under ``src/rrmsim`` imports a name it never
+uses, or defines a private name that nothing reads.
 
-The check reads each module's syntax tree only. A name bound by an import
+The checks read each module's syntax tree only. A name bound by an import
 counts as used if it is read as a name anywhere in the module, annotations
 included. The package root is exempt: its imports are the entry points it
-re-exports.
+re-exports. A private name (``_x``, not a dunder) bound at module or class
+level counts as read if the module reads it as a name, as an attribute or as
+a string: the engine's stages are named by string in ``STAGE_ORDER``.
 """
 
 import ast
@@ -31,6 +34,40 @@ def stranded_imports(source: str) -> list[tuple[int, str]]:
     return sorted(out)
 
 
+def _bound_names(body) -> list[tuple[int, str]]:
+    """(line, name) of each name a module or class body binds, nested
+    classes' bodies included."""
+    out = []
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            out += _bound_names(node.body)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            leaves = (n for t in targets for n in ast.walk(t))
+            out += [(n.lineno, n.id) for n in leaves if isinstance(n, ast.Name)]
+    return out
+
+
+def stranded_private_names(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each private name bound at module or class level that
+    the module never reads as a name, an attribute or a string."""
+    tree = ast.parse(source)
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return sorted(
+        (line, name) for line, name in _bound_names(tree.body)
+        if name.startswith("_") and not name.endswith("__") and name not in read
+    )
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert stranded_imports(path.read_text()) == []
@@ -46,3 +83,27 @@ def test_the_check_finds_a_stranded_import():
         "    return np.sum(x)\n"
     )
     assert stranded_imports(source) == [(3, "chain")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_keeps_a_private_name_it_never_reads(path):
+    assert stranded_private_names(path.read_text()) == []
+
+
+def test_the_check_finds_a_stranded_private_name():
+    source = (
+        "__version__ = '1'\n"
+        "_LIMIT = 3\n"
+        "_UNUSED: int = 4\n"
+        "STAGES = ('_step',)\n"
+        "def _helper(x):\n"
+        "    return x + _LIMIT\n"
+        "def _orphan():\n"
+        "    return _helper(1)\n"
+        "class A:\n"
+        "    _kept = 1\n"
+        "    _dropped = 2\n"
+        "    def _step(self):\n"
+        "        return self._kept\n"
+    )
+    assert stranded_private_names(source) == [(3, "_UNUSED"), (7, "_orphan"), (11, "_dropped")]
