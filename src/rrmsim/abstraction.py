@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
+import numpy as np
+
 from .core import Cell, CellClass, CarrierGrid
 
 #: Post-conversion floor for signal quality: raw RSRP is offset by this so the
@@ -105,6 +107,34 @@ def link_rate(sinr_db: float, waveform_efficiency: float, grid: CarrierGrid) -> 
         grid.prb_bandwidth_hz * grid.slot_seconds * waveform_efficiency * math.log2(1.0 + lin)
     )
     return float(per_prb)
+
+
+#: Per unit of ``link_rate``'s factor k = PRB bandwidth * slot * efficiency:
+#: the most it rises per dB of SINR (its derivative is k * log2(10)/10 *
+#: lin/(1 + lin)), and how far numpy's rate may lie from it at one SINR. Numpy's
+#: pow and log2 may each differ from libm's by a few ulps (its SIMD kernels
+#: promise 4), which moves log2(1 + lin) <= log2(1001) < 10 by under 1e-14,
+#: and the product with k rounds once more, 2.2e-15: 1e-12 is 40 times both.
+RATE_SLOPE_PER_DB, RATE_ROUNDING = math.log2(10.0) / 10.0, 1e-12
+
+
+def link_rates(sinr_db: np.ndarray, links, tol_db: float, exact_sinr) -> list[list[float]]:
+    """``link_rate`` over a block of SINR estimates, as lists by row: row i
+    is for ``links[i]``, a (waveform efficiency, grid) pair, and entry (i, j)
+    lies within ``tol_db`` of the SINR ``exact_sinr(i, j)``. Numpy rules each
+    rate in: k * log2(1 + 10**(min(sinr, cap)/10)) lies within k *
+    (RATE_SLOPE_PER_DB * tol_db + RATE_ROUNDING) of the exact value, so its
+    floor is the rate unless a whole number lies that close; such an entry
+    takes ``link_rate`` at ``exact_sinr(i, j)``. An estimate ``tol_db`` or
+    more above the cap is surely capped, so both rates are taken at the cap
+    itself and its margin is k * RATE_ROUNDING alone."""
+    k = np.array([g.prb_bandwidth_hz * g.slot_seconds * eff for eff, g in links])[:, None]
+    est = k * np.log2(1.0 + 10.0 ** (np.minimum(sinr_db, SINR_CAP_DB) / 10.0))
+    rates = np.floor(est)
+    slack = np.where(sinr_db >= SINR_CAP_DB + tol_db, 0.0, RATE_SLOPE_PER_DB * tol_db)
+    for i, j in np.argwhere(np.abs(est - np.rint(est)) <= k * (slack + RATE_ROUNDING)).tolist():
+        rates[i, j] = link_rate(exact_sinr(i, j), *links[i])
+    return rates.tolist()
 
 
 #: Reference SINR used when scoring a cell's standing capacity.

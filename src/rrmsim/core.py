@@ -107,20 +107,20 @@ class CarrierGrid:
     prb_bandwidth_hz: float
 
     def __post_init__(self):
-        if not (CARRIER_HZ_MIN <= self.carrier_hz <= CARRIER_HZ_MAX):
-            raise ValueError(
-                f"carrier_hz {self.carrier_hz:g} outside "
-                f"[{CARRIER_HZ_MIN:g}, {CARRIER_HZ_MAX:g}]"
-            )
-        if self.prbs_per_slot < 1:
-            raise ValueError(f"prbs_per_slot must be >= 1, got {self.prbs_per_slot}")
-        if not (NUMEROLOGY_MIN <= self.numerology <= NUMEROLOGY_MAX):
-            raise ValueError(
-                f"numerology must be in [{NUMEROLOGY_MIN}, {NUMEROLOGY_MAX}], "
-                f"got {self.numerology}"
-            )
-        if self.prb_bandwidth_hz <= 0:
-            raise ValueError("prb_bandwidth_hz must be positive")
+        check_rules(self, *self.rules(self))
+
+    @staticmethod
+    def rules(g) -> tuple[tuple[str, bool, str], ...]:
+        """The grid's rules over ``g``, anything with the grid's four fields:
+        a ``CellConfig`` states them on its own fields of the same names."""
+        return (
+            ("carrier_hz", CARRIER_HZ_MIN <= g.carrier_hz <= CARRIER_HZ_MAX,
+             f"carrier_hz {{:g}} outside [{CARRIER_HZ_MIN:g}, {CARRIER_HZ_MAX:g}]"),
+            ("prbs_per_slot", g.prbs_per_slot >= 1, "prbs_per_slot must be >= 1, got {}"),
+            ("numerology", NUMEROLOGY_MIN <= g.numerology <= NUMEROLOGY_MAX,
+             f"numerology must be in [{NUMEROLOGY_MIN}, {NUMEROLOGY_MAX}], got {{}}"),
+            ("prb_bandwidth_hz", g.prb_bandwidth_hz > 0, "prb_bandwidth_hz must be positive"),
+        )
 
     @property
     def slot_seconds(self) -> float:

@@ -6,22 +6,24 @@ Every slot runs the stages of ``STAGE_ORDER`` — mobility, arrivals, steering
 randomness flows from named substreams of one seed plus the counter-based
 fading hash, so a (config, seed) pair fully determines every output byte.
 
-The fading hash is stateless, so it is evaluated a span at a time: the MAC
-epoch, but at most ``FADING_SPAN_MAX`` slots, so memory does not grow with
-the epoch. One call gives every (UE, cell) pair with a queue-driven flow a
-list of its fading over the span, and a pair that a handover brings in
-mid-span gets its list the same way; the lists go when the span ends. A UE
-is its ``UeConfig``. Lookups fixed for a run (flows, services, capabilities
-and eligible cells by UE, best portions by capability set, the cells'
-capability descriptors and radio constants) are built once; the read-only ones pickle as plain dicts, so a World
-pickles between any two slots and resumes to the same bytes. One RSRP cache
-per UE fills as it is read and drops when the UE moves; the mean SINR is
-derived from it on each read. The steering context builds a UE's signal row
-only when a feature reads it, reads through that cache, converting with
-``signal_db``, and takes each cell's load from its MAC's ``load``. Its
-signal estimate (``chan.rsrp_estimate``) only rules pairs out, as does the
-one that picks serving cells at construction. So a slot costs work per (UE,
-cell) pair that something reads. The World keeps no copy of what the MACs
+The fading hash is stateless and a UE's position a function of the slot
+(``_position_at``), so slot inputs come a span of ``FADING_SPAN_MAX`` slots
+at a time: one numpy block gives every (UE, cell) pair with a queue-driven
+flow a list of its per-PRB rates over the span, and a pair that a handover
+brings in mid-span gets its list the same way; the lists go when the span
+ends. The block's numpy rates only rule each rate in; ``link_rate`` at the
+exact SINR decides the rest (``link_rates``). A UE is its ``UeConfig``.
+Lookups fixed for a run (flows, services, capabilities and eligible cells
+by UE, best portions by capability set, the cells' capability descriptors
+and radio constants) are built once; the read-only ones pickle as plain
+dicts, so a World pickles between any two slots and resumes to the same
+bytes. One RSRP cache per UE fills as steering and serving-cell selection
+read it and drops when the UE moves. The steering context builds a UE's signal row only when a feature
+reads it, reads through that cache, converting with ``signal_db``, and
+takes each cell's load from its MAC's ``load``. Its signal estimate
+(``chan.rsrp_estimate``) only rules pairs out, as does the one that picks
+serving cells at construction. So a slot costs work per (UE, cell) pair
+that something reads. The World keeps no copy of what the MACs
 own: cells, portions, loads and registrations are read from each ``MacInstance``,
 and a load-balance flow's legs take their cells' loads just before its
 packets are routed. The report sums the MACs' access and grant counts and
@@ -59,7 +61,7 @@ from .abstraction import (
     PluginRegistry,
     capacity_score,
     describe_cell,
-    link_rate,
+    link_rates,
     signal_db,
 )
 from .core import (
@@ -71,8 +73,8 @@ from .mac import MacFlow, MacInstance, PortionSpec, SlotInputs
 from .scenario import FlowConfig, ScenarioConfig, UeConfig, build_domain
 from .uts import LazyRow, MnoStrategy, UtsContext, UtsController, builtin_features
 
-#: The most slots of fading evaluated in one call: a pair's fading list
-#: covers the MAC epoch, or this many slots if the epoch is longer.
+#: The slots of one rate table: a pair's row covers this many slots, its
+#: fading evaluated in one call.
 FADING_SPAN_MAX = 64
 
 #: Each slot's stages in order, and the ``World`` method that runs each.
@@ -160,10 +162,10 @@ class World:
             self.chan = replace(config.channel, fading_seed=self.seed)
         else:
             self.chan = config.channel
-        # fading over the current span's slots, one list per (UE index, cell
-        # index) pair, and the span's index; filled by _channel_inputs
-        self._fading_span = -1
-        self._fading: dict[tuple[int, int], list[float]] = {}
+        # per-PRB rates over the current span's slots, one list per (UE index,
+        # cell index) pair, and the span's index; filled by _channel_inputs
+        self._rates_span = -1
+        self._rates: dict[tuple[int, int], list[float]] = {}
 
         self.cells: dict[str, CellRuntime] = {}
         # what each cell can do, at its best portion's efficiency; fixed for the run
@@ -434,15 +436,17 @@ class World:
     # per-slot stages
     # ------------------------------------------------------------------
 
+    def _position_at(self, rt: UeRuntime, slot: int) -> tuple[float, float]:
+        """Where the UE is at ``slot``: its start moved at its velocity."""
+        (x, y), (vx, vy) = rt.cfg.position, rt.cfg.velocity
+        t = slot * self.slot_seconds
+        return (x + vx * t, y + vy * t)
+
     def _refresh_positions(self) -> None:
-        t = self.slot * self.slot_seconds
         for uid, rt in self.ues.items():
-            vx, vy = rt.cfg.velocity
-            if vx == 0.0 and vy == 0.0:
-                continue
-            x, y = rt.cfg.position
-            rt.position = (x + vx * t, y + vy * t)
-            self._rsrp_cache.pop(uid, None)
+            if any(rt.cfg.velocity):
+                rt.position = self._position_at(rt, self.slot)
+                self._rsrp_cache.pop(uid, None)
 
     def _rsrp(self, dbm: dict, cell_id: str, position: tuple[float, float]) -> float:
         """RSRP of ``cell_id`` from a UE's cache ``dbm``, computed at
@@ -451,12 +455,6 @@ class World:
         if val is None:
             val = dbm[cell_id] = chan.rsrp_dbm(self.chan, self.cells[cell_id].mac.cell, position)
         return val
-
-    def _mean_sinr(self, ue_id: str, cell_id: str) -> float:
-        dbm = self._rsrp_cache.setdefault(ue_id, {})
-        rsrp = self._rsrp(dbm, cell_id, self.ues[ue_id].position)
-        # chan.mean_sinr_db's operations in its order, so the float is the same
-        return rsrp - self.cells[cell_id].noise_floor_dbm - self.chan.interference_margin_db
 
     def _arrivals(self) -> None:
         """Each flow's packets of this slot: one routed run, or for an mMTC
@@ -486,22 +484,19 @@ class World:
         its own cell's legs, so reading every backlog up front gives the
         values each MAC would read just before it runs.
 
-        Fading is a stateless hash of (seed, ue, cell, slot), so it is
-        evaluated a span at a time: the MAC epoch, or ``FADING_SPAN_MAX``
-        slots if that is shorter. ``_fading`` holds each (UE index, cell
-        index) pair's fading for every slot of the current span, as a list,
-        and is dropped when the span changes. The pairs it lacks, at the
-        span's first slot or when a handover brings one in mid-span, get
-        their lists from one ``fading_db_batch`` call. Each slot reads its
-        entry of each list.
+        ``_rates`` holds each (UE index, cell index) pair's rate for every
+        slot of the current span of ``FADING_SPAN_MAX`` slots, as a list (a
+        UE has one portion per cell), and is dropped when the span changes.
+        The pairs it lacks, at the span's first slot or when a handover
+        brings one in mid-span, get their rows from one block
+        (``_fill_rates``). Each slot reads its entry of each row.
         """
-        span = min(self.config.mac.epoch_slots, FADING_SPAN_MAX)
+        span = FADING_SPAN_MAX
         index, k = divmod(self.slot, span)
-        if index != self._fading_span:
-            self._fading_span, self._fading = index, {}
-        fading = self._fading
+        if index != self._rates_span:
+            self._rates_span, self._rates = index, {}
         cells = []
-        missing: list[tuple[int, int]] = []
+        missing: dict[tuple[int, int], tuple[UeRuntime, CellRuntime, float]] = {}
         for cid, cr in self.cells.items():
             backlog: dict[str, float] = {}
             pairs: dict[tuple[str, str], tuple[int, int]] = {}
@@ -512,29 +507,48 @@ class World:
                 backlog[fid] = state.leg_by_cell(cid).queue_bits
                 key = (mf.ue_id, mf.portion_key)
                 if key not in pairs:
-                    fk = pairs[key] = (self.ues[mf.ue_id].index, cr.index)
-                    if fk not in fading:
-                        missing.append(fk)
+                    rt = self.ues[mf.ue_id]
+                    fk = pairs[key] = (rt.index, cr.index)
+                    if fk not in self._rates:
+                        missing[fk] = (rt, cr, cr.mac.portions[mf.portion_key].waveform_efficiency)
             cells.append((cr, backlog, pairs))
         if missing:
-            idx = np.array(missing, dtype=np.uint64)
-            first = index * span
-            rows = chan.fading_db_batch(
-                self.chan,
-                idx[:, :1],
-                idx[:, 1:],
-                np.arange(first, first + span, dtype=np.uint64),
-            )
-            fading.update(zip(missing, rows.tolist()))
-        out = []
-        for cr, backlog, pairs in cells:
-            cid, grid, portions = cr.mac.cell.cell_id, cr.mac.cell.grid, cr.mac.portions
-            rates: dict[tuple[str, str], float] = {}
-            for (u, pk), fk in pairs.items():
-                eff = portions[pk].waveform_efficiency
-                rates[(u, pk)] = link_rate(self._mean_sinr(u, cid) + fading[fk][k], eff, grid)
-            out.append((cr, SlotInputs(backlog_bits=backlog, per_prb_bits=rates)))
-        return out
+            self._fill_rates(missing, index * span, span)
+        return [
+            (cr, SlotInputs(backlog, {key: self._rates[fk][k] for key, fk in pairs.items()}))
+            for cr, backlog, pairs in cells
+        ]
+
+    def _fill_rates(self, missing: dict, first: int, span: int) -> None:
+        """The rate table's rows for ``missing``, (UE index, cell index) ->
+        (UE, cell, efficiency), over ``span`` slots from ``first``, from one
+        numpy block: fading, the signal estimate at each slot's position less
+        noise floor and margin, then ``link_rates``, whose exact SINR is
+        ``mean_sinr_db`` at ``_position_at`` plus the same fading. The pairs'
+        constants are read here, not kept."""
+        keys, rows = list(missing), list(missing.values())
+        idx = np.array(keys, dtype=np.uint64)
+        slots = np.arange(first, first + span)
+        fading = chan.fading_db_batch(self.chan, idx[:, :1], idx[:, 1:], slots.astype(np.uint64))
+        start = np.array([rt.cfg.position for rt, _, _ in rows])[:, None]
+        velocity = np.array([rt.cfg.velocity for rt, _, _ in rows])[:, None]
+        positions = start + velocity * (slots * self.slot_seconds)[:, None]
+        # one column of cell constants per (pair, slot) entry
+        radio = np.repeat(self._radio[:, [cr.index for _, cr, _ in rows]], span, axis=1)
+        rsrp = chan.rsrp_estimate(self.chan, radio[..., None], positions.reshape(-1, 2))
+        noise = np.array([cr.noise_floor_dbm for _, cr, _ in rows])[:, None]
+        sinr = rsrp.reshape(len(rows), span) - noise - self.chan.interference_margin_db + fading
+
+        def exact(i: int, j: int) -> float:
+            rt, cr, _ = rows[i]
+            at = self._position_at(rt, first + j)
+            return chan.mean_sinr_db(self.chan, cr.mac.cell, at) + float(fading[i, j])
+
+        links = [(eff, cr.mac.cell.grid) for _, cr, eff in rows]
+        # the estimate's own tolerance, and as much again for the rounding of
+        # the three subtractions after it (each under 1e-11 dB at any distance)
+        rates = link_rates(sinr, links, 2 * chan.SIGNAL_ESTIMATE_TOL_DB, exact)
+        self._rates.update(zip(keys, rates))
 
     def _drain_flow(self, fr: FlowRuntime, cell_id: str, bits: float) -> float:
         """Send ``bits`` from the flow's leg on ``cell_id``: finish the head

@@ -81,7 +81,8 @@ class CellConfig:
 
     def __post_init__(self):
         n, keys = len(self.portions), {p.key for p in self.portions}
-        check_rules(self, ("drop_prob", 0.0 <= self.drop_prob < 1.0, "must be in [0, 1), got {}"),
+        check_rules(self, *CarrierGrid.rules(self),
+                    ("drop_prob", 0.0 <= self.drop_prob < 1.0, "must be in [0, 1), got {}"),
                     ("portions", n <= 2, "at most 2 portions may share a carrier"),
                     ("portions", len(keys) == n, "portion keys must be unique"))
 
@@ -372,12 +373,7 @@ def _read_cell(r: _Reader, raw, path: str, index: int) -> CellConfig:
         r.read(PortionSpec, p, f"{path}.portions[{i}]", defaults={"key": f"portion{i}"})
         for i, p in enumerate(r.seq(m.get("portions"), f"{path}.portions"))
     ) or CellConfig.portions
-    cfg = r.read(CellConfig, m, path, defaults={"cell_id": f"cell{index}"}, portions=portions)
-    try:
-        CarrierGrid(cfg.carrier_hz, cfg.prbs_per_slot, cfg.numerology, cfg.prb_bandwidth_hz)
-    except ValueError as e:
-        r.fail(path, str(e))
-    return cfg
+    return r.read(CellConfig, m, path, defaults={"cell_id": f"cell{index}"}, portions=portions)
 
 
 def _read_ue(r: _Reader, raw, path: str, index: int) -> UeConfig:
@@ -479,11 +475,8 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     # a cell narrower than its access partition, or with a portion the MAC's
     # demand SINR gives no bits per PRB, stops the run at its first slot
     v = mac.demand_sinr_db
-    for i, c in enumerate(cells):
-        try:
-            grid = CarrierGrid(c.carrier_hz, c.prbs_per_slot, c.numerology, c.prb_bandwidth_hz)
-        except ValueError:
-            continue  # reported under the cell
+    for i, c in enumerate(cells):  # a refused grid field is at its default here
+        grid = CarrierGrid(c.carrier_hz, c.prbs_per_slot, c.numerology, c.prb_bandwidth_hz)
         if c.prbs_per_slot < mac.access_floor_prbs:
             r.fail(
                 f"network.cells[{i}].prbs_per_slot",

@@ -73,6 +73,7 @@ class PeriodicDeadline:
         p = self.packet_bits
         check_rules(self, ("period_slots", self.period_slots >= 1, _AT_LEAST_1),
                     ("offset_slots", self.offset_slots >= 0, _AT_LEAST_0),
+                    ("deadline_slots", self.deadline_slots >= 0, _AT_LEAST_0),
                     ("packet_bits", p >= 1, _AT_LEAST_1), ("packet_bits", p < 2**53, _BELOW),
                     ("packet_bits", p % 1 == 0, _WHOLE))
 

@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rrmsim.abstraction import (
     CAPACITY_REF_SINR_DB,
@@ -16,9 +19,11 @@ from rrmsim.abstraction import (
     capacity_score,
     describe_cell,
     link_rate,
+    link_rates,
     load_fraction,
     signal_db,
 )
+from rrmsim.channel import SIGNAL_ESTIMATE_TOL_DB
 from rrmsim.core import CellClass
 
 from conftest import mk_cell, mk_grid
@@ -92,6 +97,70 @@ def test_link_rate_efficiency_knob():
         link_rate(0.0, 0.0, g)
     with pytest.raises(ValueError):
         link_rate(0.0, 1.5, g)
+
+
+#: puts 180 kHz over a 1 ms slot at 1000 bits at the cap, give or take rounding
+_WHOLE_AT_CAP = 1000.0 / (180.0 * math.log2(1001.0))
+
+_links = st.tuples(
+    st.one_of(st.floats(1e-3, 1.0), st.sampled_from([0.5, 0.8, 1.0, _WHOLE_AT_CAP])),
+    st.builds(mk_grid, numerology=st.integers(0, 4),
+              prb_bw=st.sampled_from([180e3, 360e3, 720e3, 123_456.0])),
+)
+
+
+def _block(rows, tol, offsets=None):
+    """``link_rates`` on rows of (link, exact SINRs), each estimate moved
+    from its exact SINR by ``offsets`` (in units of ``tol``), against
+    ``link_rate`` at every exact SINR."""
+    exact = [sinrs for _, sinrs in rows]
+    est = np.array(exact)
+    if offsets is not None:
+        est = est + np.reshape(offsets[: est.size], est.shape) * tol
+    got = link_rates(est, [link for link, _ in rows], tol, lambda i, j: exact[i][j])
+    assert got == [[link_rate(s, *link) for s in sinrs] for link, sinrs in rows]
+
+
+@settings(max_examples=300)
+@given(
+    links=st.lists(_links, min_size=1, max_size=4),
+    sinrs=st.lists(st.floats(-80.0, 80.0), min_size=12, max_size=12),
+    offsets=st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)), min_size=48, max_size=48),
+    tol=st.sampled_from([0.0, SIGNAL_ESTIMATE_TOL_DB]),
+)
+def test_link_rates_are_link_rate_at_random_sinrs(links, sinrs, offsets, tol):
+    _block([(link, sinrs) for link in links], tol, offsets if tol else None)
+
+
+def _breakpoints(eff, grid):
+    """The first float SINR of every whole-bit level below the cap, from
+    ``link_rate`` itself: bisection around the analytic level down to two
+    adjacent floats."""
+    k = grid.prb_bandwidth_hz * grid.slot_seconds * eff
+    out = []
+    for m in range(1, int(link_rate(SINR_CAP_DB, eff, grid)) + 1):
+        s = 10.0 * math.log10(math.expm1(m / k * math.log(2.0)))
+        lo, hi = s - 1e-9 * (1.0 + abs(s)), s + 1e-9 * (1.0 + abs(s))
+        assert link_rate(lo, eff, grid) < m <= link_rate(hi, eff, grid)
+        while (mid := (lo + hi) / 2) not in (lo, hi):
+            lo, hi = (lo, mid) if link_rate(mid, eff, grid) >= m else (mid, hi)
+        out.append(hi)
+    return out
+
+
+@settings(max_examples=20)
+@given(link=_links, tol=st.sampled_from([0.0, SIGNAL_ESTIMATE_TOL_DB]))
+@example(link=(_WHOLE_AT_CAP, mk_grid()), tol=SIGNAL_ESTIMATE_TOL_DB)
+def test_link_rates_are_link_rate_at_every_breakpoint_and_the_cap(link, tol):
+    """Estimates that are the exact SINR, one ulp either side of each rate
+    step, and at and around the cap and the cap plus ``tol``."""
+    sinrs = [
+        t for s in _breakpoints(*link)
+        for t in (math.nextafter(s, -math.inf), s, math.nextafter(s, math.inf))
+    ]
+    for c in (SINR_CAP_DB, SINR_CAP_DB + tol, SINR_CAP_DB + 2 * tol):
+        sinrs += [math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf)]
+    _block([(link, sinrs + [80.0, 1e6])], tol)
 
 
 def test_capacity_score_is_whole_grid_at_reference_sinr():

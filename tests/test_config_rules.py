@@ -71,6 +71,10 @@ CASES = [
     gen_case("poisson_sporadic", "rate_per_slot", -1.0),
     gen_case("periodic_deadline", "period_slots", 0),
     gen_case("periodic_deadline", "offset_slots", -3),
+    # these two used to construct: every delivery then missed its deadline,
+    # or the World refused the carrier without naming the cell
+    gen_case("periodic_deadline", "deadline_slots", -3),
+    case("cell.carrier_hz", BASE.cells[0], "carrier_hz", 1.0, "network.cells[0].carrier_hz"),
 ]
 
 

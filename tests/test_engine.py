@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrmsim import abstraction
 from rrmsim import channel as chan
 from rrmsim import engine
 from rrmsim import pdcp
@@ -516,15 +517,15 @@ def test_fading_rows_cover_the_mac_epoch_across_mid_epoch_handovers(scenarios):
     """Steering every 7 slots against MAC epochs of 10 hands UEs over
     mid-epoch. Every slot's rates equal link_rate at the mean SINR plus the
     fading of that pair and slot from a call of its own; a pair that appears
-    mid-epoch gets its row then; the table only holds the current MAC
-    epoch's rows."""
+    mid-span gets its row then; the table only holds the current span's
+    rows, each a rate per slot of the span."""
     base = scenarios["two_cell_load_balance"]
     cfg = dataclasses.replace(
         shorten(base, 150), uts=dataclasses.replace(base.uts, epoch_slots=7)
     )
     w = World(cfg, seed=1)
-    n = w.config.mac.epoch_slots
-    assert cfg.uts.epoch_slots % n
+    n = engine.FADING_SPAN_MAX
+    assert cfg.uts.epoch_slots % w.config.mac.epoch_slots and cfg.uts.epoch_slots % n
     inputs, handover = w._channel_inputs, w.apply_handover
     late_rows, handovers = [], []
 
@@ -535,15 +536,12 @@ def test_fading_rows_cover_the_mac_epoch_across_mid_epoch_handovers(scenarios):
     w.apply_handover = recorded
 
     def checked():
-        before = set(w._fading) if w._fading_span == w.slot // n else set()
+        before = set(w._rates) if w._rates_span == w.slot // n else set()
         out = inputs()
-        assert w._fading_span == w.slot // n
+        assert w._rates_span == w.slot // n
         if w.slot % n:
-            late_rows.extend(set(w._fading) - before)
-        first = w.slot - w.slot % n
-        slots = np.arange(first, first + n)
-        for (ui, ci), row in w._fading.items():
-            assert row == chan.fading_db_batch(w.chan, [ui], [ci], slots).tolist()
+            late_rows.extend(set(w._rates) - before)
+        assert all(len(row) == n for row in w._rates.values())
         for cr, slot_inputs in out:
             for (uid, pk), rate in slot_inputs.per_prb_bits.items():
                 rt = w.ues[uid]
@@ -575,7 +573,7 @@ def test_fading_memory_does_not_grow_with_the_mac_epoch(scenarios):
     w = World(cfg)
     while w.slot < 50:
         w.step_slot()
-        assert w._fading and all(len(r) <= engine.FADING_SPAN_MAX for r in w._fading.values())
+        assert w._rates and all(len(r) <= engine.FADING_SPAN_MAX for r in w._rates.values())
 
 
 def _dense_embb_config(seed=1):
@@ -652,6 +650,8 @@ def test_mobility_moves_from_config_position_and_keeps_other_caches():
     w = _two_cell_world(velocity=vel)
     for _ in range(7):
         w.step_slot()
+    ctx = w._context()  # slot inputs read no RSRP; steering fills the caches
+    ctx.ue_signal["ua"]["ca"], ctx.ue_signal["ub"]["cb"]
     static_rsrp = w._rsrp_cache["ub"]
     rsrp_before = dict(static_rsrp)
     assert rsrp_before
@@ -686,9 +686,13 @@ _coord = st.floats(-2000.0, 2000.0, allow_nan=False)
     margin=st.floats(-10.0, 20.0, allow_nan=False),
     slot=st.integers(1, 5000),
 )
-def test_mean_sinr_reads_through_the_rsrp_cache_bit_for_bit(
+def test_a_slot_rate_and_an_rsrp_read_are_their_exact_values_bit_for_bit(
     cells, position, velocity, margin, slot
 ):
+    """At the first slot and at a random later one (a new rate span): the
+    UE is where its velocity takes it, every RSRP read through its cache is
+    ``rsrp_dbm`` there, and its serving pair's rate is ``link_rate`` at the
+    mean SINR there plus the pair's fading."""
     cfg = scenario_from_dict(
         {
             "name": "sinr",
@@ -701,17 +705,27 @@ def test_mean_sinr_reads_through_the_rsrp_cache_bit_for_bit(
                 ]
             },
             "ues": [{"id": "u", "position": list(position), "velocity": list(velocity)}],
+            "traffic": {"flows": [{"id": "f", "ue": "u", "service": "eMBB"}]},
         }
     )
     w = World(cfg)
 
     def check_every_cell():
-        pos = w.ues["u"].position
+        rt = w.ues["u"]
+        pos = rt.position
+        assert pos == w._position_at(rt, w.slot)
+        dbm = w._rsrp_cache.setdefault("u", {})
         for cid, cr in w.cells.items():
-            first = w._mean_sinr("u", cid)
-            assert first == chan.mean_sinr_db(w.chan, cr.mac.cell, pos)
-            assert w._rsrp_cache["u"][cid] == chan.rsrp_dbm(w.chan, cr.mac.cell, pos)
-            assert w._mean_sinr("u", cid) == first  # a cache hit
+            first = w._rsrp(dbm, cid, pos)
+            assert first == chan.rsrp_dbm(w.chan, cr.mac.cell, pos) == dbm[cid]
+            assert w._rsrp(dbm, cid, pos) == first  # a cache hit
+        cr = w.cells[rt.serving]
+        ((cell, inputs),) = [(c, i) for c, i in w._channel_inputs() if i.per_prb_bits]
+        (((_, pk), rate),) = inputs.per_prb_bits.items()
+        fading = chan.fading_db_batch(w.chan, [0], [cr.index], w.slot)[0]
+        sinr = chan.mean_sinr_db(w.chan, cr.mac.cell, pos) + float(fading)
+        eff = cr.mac.portions[pk].waveform_efficiency
+        assert cell is cr and rate == link_rate(sinr, eff, cr.mac.cell.grid)
 
     check_every_cell()
     w.slot = slot
@@ -932,11 +946,13 @@ def test_steering_context_computes_no_rsrp_until_a_feature_reads_it(monkeypatch)
     assert ctx.ue_signal["ua"]["cb"] == expected
     assert ctx.ue_signal["ua"].get("cb") == expected
     assert calls == ["cb"]
-    # ub is static: the MAC's SINR for its serving cell already read cb
+    # ub is static: its serving cell is computed once for the cache's life
     ctx.ue_signal["ub"]["cb"]
-    assert calls == ["cb"]
+    assert calls == ["cb", "cb"]
+    w._context().ue_signal["ub"]["cb"]
+    assert calls == ["cb", "cb"]
     ctx.ue_signal["ub"]["ca"]
-    assert calls == ["cb", "ca"]
+    assert calls == ["cb", "cb", "ca"]
 
 
 def test_context_clamps_an_overloaded_cell_at_full_load():
@@ -1009,7 +1025,7 @@ def test_context_row_first_read_after_a_move_reads_the_build_position():
     w._refresh_positions()  # ua moves and drops its cache
     after_pos = w.ues["ua"].position
     assert after_pos != before_pos and "ua" not in w._rsrp_cache
-    w._mean_sinr("ua", "ca")  # a read at the new position starts the new cache
+    w._rsrp(w._rsrp_cache.setdefault("ua", {}), "ca", after_pos)  # starts the new cache
     new_cache = w._rsrp_cache["ua"]
     assert new_cache == {"ca": chan.rsrp_dbm(w.chan, w.cells["ca"].mac.cell, after_pos)}
     row = ctx.ue_signal["ua"]
@@ -1070,7 +1086,7 @@ def test_dropping_caches_at_random_slots_keeps_every_output_byte(scenarios, name
         if rng.random() < 0.1:
             drops += 1
             w._rsrp_cache.clear()
-            w._fading_span = -1
+            w._rates_span = -1
         w.step_slot()
     assert drops and _digests(w.run()) == straight
 
@@ -1094,6 +1110,51 @@ def test_a_pickled_world_resumes_to_the_golden_files(scenarios, name, seed):
         w = pickle.loads(pickle.dumps(w))
     assert all(isinstance(getattr(w, k), MappingProxyType) for k in World._VIEWS)
     assert _digests(w.run()) == _GOLDEN[f"{name}@{seed}"]
+
+
+def _golden_runs(scenarios) -> dict:
+    """Every golden (scenario, seed) run's digests, by its golden key."""
+    runs = (key.split("@") for key in _GOLDEN)
+    return {f"{n}@{s}": _digests(run_scenario(scenarios[n], seed=int(s))) for n, s in runs}
+
+
+@pytest.mark.parametrize("offset", [0.9, -0.9])
+def test_the_golden_files_hold_with_the_signal_estimate_anywhere_in_its_tolerance(
+    scenarios, offset
+):
+    """The rate blocks' signal estimate (and steering's) only rules values
+    in or out: moved by 0.9 of its tolerance either way, every golden file
+    is the same."""
+    real = chan.rsrp_estimate
+
+    def perturbed(cfg, consts, positions):
+        return real(cfg, consts, positions) + offset * chan.SIGNAL_ESTIMATE_TOL_DB
+
+    with mock.patch.object(chan, "rsrp_estimate", perturbed):
+        assert _golden_runs(scenarios) == _GOLDEN
+
+
+def test_the_golden_files_hold_with_every_rate_from_the_exact_path(scenarios, monkeypatch):
+    """A tolerance of 1000 dB puts every entry of every rate block within its
+    margin of a whole bit and none surely at the cap, so each one takes
+    ``link_rate`` at its exact SINR; every golden file is the same."""
+    entries, exact = [], []
+    fading, rate = chan.fading_db_batch, abstraction.link_rate
+
+    def counted_fading(*args):
+        out = fading(*args)
+        entries.append(out.size)
+        return out
+
+    def counted_rate(*args):
+        exact.append(args[0])
+        return rate(*args)
+
+    monkeypatch.setattr(chan, "SIGNAL_ESTIMATE_TOL_DB", 1e3)
+    monkeypatch.setattr(chan, "fading_db_batch", counted_fading)
+    monkeypatch.setattr(abstraction, "link_rate", counted_rate)
+    assert _golden_runs(scenarios) == _GOLDEN
+    assert len(exact) >= sum(entries) > 0
 
 
 #: (scenario, seed) -> sha256 of metrics.csv, summary.json and events.log with
