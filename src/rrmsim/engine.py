@@ -1,8 +1,8 @@
 """The slot-driven world: traffic, flow control, per-cell MACs, channel,
 and steering wired together deterministically.
 
-Every slot runs the stages of ``STAGE_ORDER`` — mobility, arrivals, steering
-(on its epoch boundary), per-cell MAC, transmission/reception, metrics — and all
+Every slot runs the stages of ``STAGE_ORDER`` — arrivals, steering (on its
+epoch boundary), per-cell MAC, transmission/reception, metrics — and all
 randomness flows from named substreams of one seed plus the counter-based
 fading hash, so a (config, seed) pair fully determines every output byte.
 
@@ -17,17 +17,17 @@ Lookups fixed for a run (flows, services, capabilities and eligible cells
 by UE, best portions by capability set, the cells' capability descriptors
 and radio constants) are built once; the read-only ones pickle as plain
 dicts, so a World pickles between any two slots and resumes to the same
-bytes. One RSRP cache per UE fills as steering and serving-cell selection
-read it and drops when the UE moves. The steering context builds a UE's signal row only when a feature
-reads it, reads through that cache, converting with ``signal_db``, and
-takes each cell's load from its MAC's ``load``. Its signal estimate
-(``chan.rsrp_estimate``) only rules pairs out, as does the one that picks
-serving cells at construction. So a slot costs work per (UE, cell) pair
-that something reads. The World keeps no copy of what the MACs
-own: cells, portions, loads and registrations are read from each ``MacInstance``,
-and a load-balance flow's legs take their cells' loads just before its
-packets are routed. The report sums the MACs' access and grant counts and
-counts the controller's history.
+bytes. No position or RSRP is stored: the steering context builds a UE's
+signal row only when a feature reads it, as ``rsrp_dbm`` at the UE's
+position at the context's slot converted with ``signal_db``, and the row
+alone keeps what it read; each cell's load is its MAC's ``load``. Its
+signal estimate (``chan.rsrp_estimate``) only rules pairs out, as does the
+one that picks serving cells at construction. So a slot costs work per
+(UE, cell) pair that something reads. The World keeps no copy of what the
+MACs own: cells, portions, loads and registrations are read from each
+``MacInstance``, and a load-balance flow's legs take their cells' loads
+just before its packets are routed. The report sums the MACs' access and
+grant counts and counts the controller's history.
 
 Packets move as runs (``pdcp.Run``): a flow's arrivals in a slot are routed
 in one call, the drain uses up whole packets of a leg's head run with
@@ -79,7 +79,6 @@ FADING_SPAN_MAX = 64
 
 #: Each slot's stages in order, and the ``World`` method that runs each.
 STAGE_ORDER = (
-    ("mobility", "_refresh_positions"),
     ("arrivals", "_arrivals"),
     ("steering", "_steering"),
     ("mac", "_run_macs"),
@@ -103,7 +102,6 @@ class UeRuntime:
     cfg: UeConfig
     index: int
     serving: str
-    position: tuple[float, float]
     secondary: tuple[str, ...] = ()
     delivered_window_bits: float = 0.0
     #: the cell the last handover left (None before the first), and that handover's slot
@@ -194,9 +192,6 @@ class World:
         # flows are built) and its services.
         self._flows_by_ue: dict[str, list[FlowRuntime]] = {uc.ue_id: [] for uc in config.ues}
 
-        # per UE, then per cell: RSRP; a UE that moves drops its row
-        self._rsrp_cache: dict[str, dict[str, float]] = {}
-
         # Eligibility is static: each distinct capability set's best portion
         # per cell it may use, in config cell order, and those cells by UE.
         capabilities = {uc.ue_id: frozenset(uc.capabilities) for uc in config.ues}
@@ -218,7 +213,7 @@ class World:
         self.ues: dict[str, UeRuntime] = {}
         for i, uc in enumerate(config.ues):
             serving = uc.serving_cell or best[uc.ue_id]
-            self.ues[uc.ue_id] = UeRuntime(cfg=uc, index=i, serving=serving, position=uc.position)
+            self.ues[uc.ue_id] = UeRuntime(cfg=uc, index=i, serving=serving)
 
         self.flows: dict[str, FlowRuntime] = {}
         for fc in config.flows:
@@ -296,8 +291,10 @@ class World:
         if not est:
             raise ValueError(f"UE {ue_id!r} is eligible for no cell")
         cut = max(est.values()) - 2 * chan.SIGNAL_ESTIMATE_TOL_DB
-        dbm = self._rsrp_cache.setdefault(ue_id, {})
-        return min((-self._rsrp(dbm, cid, position), cid) for cid, e in est.items() if e >= cut)[1]
+        return min(
+            (-chan.rsrp_dbm(self.chan, self.cells[cid].mac.cell, position), cid)
+            for cid, e in est.items() if e >= cut
+        )[1]
 
     def _register_mac_flow(self, fr: FlowRuntime, cell_id: str) -> PortionSpec:
         """Register the flow with the cell's MAC on the UE's best portion there.
@@ -442,20 +439,6 @@ class World:
         t = slot * self.slot_seconds
         return (x + vx * t, y + vy * t)
 
-    def _refresh_positions(self) -> None:
-        for uid, rt in self.ues.items():
-            if any(rt.cfg.velocity):
-                rt.position = self._position_at(rt, self.slot)
-                self._rsrp_cache.pop(uid, None)
-
-    def _rsrp(self, dbm: dict, cell_id: str, position: tuple[float, float]) -> float:
-        """RSRP of ``cell_id`` from a UE's cache ``dbm``, computed at
-        ``position`` and kept there on a miss."""
-        val = dbm.get(cell_id)
-        if val is None:
-            val = dbm[cell_id] = chan.rsrp_dbm(self.chan, self.cells[cell_id].mac.cell, position)
-        return val
-
     def _arrivals(self) -> None:
         """Each flow's packets of this slot: one routed run, or for an mMTC
         flow one access attempt per packet."""
@@ -541,12 +524,15 @@ class World:
 
         def exact(i: int, j: int) -> float:
             rt, cr, _ = rows[i]
-            at = self._position_at(rt, first + j)
-            return chan.mean_sinr_db(self.chan, cr.mac.cell, at) + float(fading[i, j])
+            slot = first + j
+            mean = chan.mean_sinr_db(self.chan, cr.mac.cell, self._position_at(rt, slot))
+            return mean + chan.fading_db(self.chan, rt.index, cr.index, slot)
 
         links = [(eff, cr.mac.cell.grid) for _, cr, eff in rows]
         # the estimate's own tolerance, and as much again for the rounding of
         # the three subtractions after it (each under 1e-11 dB at any distance)
+        # and for the gap between numpy's fading and ``fading_db``'s (at most
+        # 7.1e-15 dB; none with numpy's AVX-512 kernels off)
         rates = link_rates(sinr, links, 2 * chan.SIGNAL_ESTIMATE_TOL_DB, exact)
         self._rates.update(zip(keys, rates))
 
@@ -640,23 +626,23 @@ class World:
 
     def _context(self) -> UtsContext:
         """This epoch's steering context. Each UE's signal row is built when
-        a feature first reads it, and reads through the RSRP cache dict and
-        the position the UE had when the context was built: a row read after
-        the UE moves gives the values of where it was and writes only into
-        that old dict. The signal estimate, computed when called, reads those
-        positions too. Each cell's load is read from its MAC; its descriptor
-        is the one built at construction. Each UE's delivery-rate window
-        closes here and starts again."""
-        cache, ues = self._rsrp_cache, self.ues.items()
-        bound = {uid: (rt.position, cache.setdefault(uid, {})) for uid, rt in ues}
+        a feature first reads it, from ``rsrp_dbm`` at the UE's position at
+        the context's slot, so a row read later gives the same values; the
+        row keeps what it reads, and nothing else does. The signal estimate,
+        computed when called, reads those positions too. Each cell's load is
+        read from its MAC; its descriptor is the one built at construction.
+        Each UE's delivery-rate window closes here and starts again."""
+        slot, ues = self.slot, self.ues.items()
 
         def signal_row(uid: str) -> LazyRow:
-            position, dbm = bound[uid]
-            return LazyRow(self.cells, lambda cid: signal_db(self._rsrp(dbm, cid, position)))
+            position = self._position_at(self.ues[uid], slot)
+            return LazyRow(self.cells, lambda cid: signal_db(
+                chan.rsrp_dbm(self.chan, self.cells[cid].mac.cell, position)))
 
         def signal_estimate(uids, cids) -> np.ndarray:
             radio = self._radio[:, [self.cells[cid].index for cid in cids]]
-            return chan.rsrp_estimate(self.chan, radio, [bound[u][0] for u in uids]) - RSRP_FLOOR_DBM
+            positions = [self._position_at(self.ues[u], slot) for u in uids]
+            return chan.rsrp_estimate(self.chan, radio, positions) - RSRP_FLOOR_DBM
 
         window_s = self.config.uts.epoch_slots * self.slot_seconds
         rate = {}
@@ -668,7 +654,7 @@ class World:
             scenario_tag=self.config.uts.scenario_tag,
             cell_load={cid: cr.mac.load for cid, cr in self.cells.items()},
             cell_descriptors=self._descriptors,
-            ue_signal=LazyRow(bound, signal_row),
+            ue_signal=LazyRow(self.ues, signal_row),
             ue_serving={uid: rt.serving for uid, rt in ues},
             ue_secondary={uid: rt.secondary for uid, rt in ues},
             ue_services=self._services,

@@ -1,6 +1,7 @@
 """Propagation model and traffic generators."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from rrmsim.abstraction import link_rate
 from rrmsim.channel import (
     ChannelConfig,
+    fading_db,
     fading_db_batch,
     mean_sinr_db,
     noise_floor_dbm,
@@ -74,6 +76,22 @@ def test_mean_sinr_is_fading_free_link_budget():
 def _fading(cfg, ue, cell, slot):
     """One pair's excursion at one slot, from a call of its own."""
     return float(fading_db_batch(cfg, [ue], [cell], slot)[0])
+
+
+def test_one_fading_value_in_math_is_the_block_value():
+    """``fading_db`` lies within 1e-14 dB of ``fading_db_batch``, and with
+    ``NPY_DISABLE_CPU_FEATURES`` set (numpy's AVX-512 kernels off, as CI
+    runs it) is the same float."""
+    exact = bool(os.environ.get("NPY_DISABLE_CPU_FEATURES"))
+    ues, cells = np.repeat(np.arange(30), 4), np.tile(np.arange(4), 30)
+    slots = np.arange(1000, 1064)
+    for seed, scale in ((1, 1.0), (1009, 1.0), (2**63 + 5, 1.0), (7, 0.0)):
+        cfg = ChannelConfig(fading_seed=seed, fading_scale=scale)
+        block = fading_db_batch(cfg, ues[:, None], cells[:, None], slots.astype(np.uint64))
+        for i, (ue, cell) in enumerate(zip(ues.tolist(), cells.tolist())):
+            for j, slot in enumerate(slots.tolist()):
+                one = fading_db(cfg, ue, cell, slot)
+                assert one == block[i, j] if exact else abs(one - block[i, j]) <= 1e-14
 
 
 def test_fading_replayable_and_scale_zero_exact():
@@ -162,7 +180,8 @@ def test_sinr_composes_budget_and_fading():
     w.slot = 13
     ((cr, inputs),) = w._channel_inputs()
     ((ue, pk), rate), = inputs.per_prb_bits.items()
-    sinr = mean_sinr_db(w.chan, cr.mac.cell, w.ues[ue].position) + _fading(w.chan, 5, 0, 13)
+    at = w._position_at(w.ues[ue], 13)
+    sinr = mean_sinr_db(w.chan, cr.mac.cell, at) + _fading(w.chan, 5, 0, 13)
     eff = cr.mac.portions[pk].waveform_efficiency
     assert ue == "u5" and rate == link_rate(sinr, eff, cr.mac.cell.grid)
 

@@ -19,7 +19,7 @@ from rrmsim import abstraction
 from rrmsim import channel as chan
 from rrmsim import engine
 from rrmsim import pdcp
-from rrmsim.abstraction import MeasureKind, describe_cell, link_rate, signal_db
+from rrmsim.abstraction import RSRP_FLOOR_DBM, MeasureKind, describe_cell, link_rate, signal_db
 from rrmsim.cli import render_csv, render_events, render_summary
 from rrmsim.core import TrafficClass
 from rrmsim.engine import World, run_scenario
@@ -285,7 +285,6 @@ def test_stage_order_is_declared():
     from rrmsim.engine import STAGE_ORDER
 
     assert STAGE_ORDER == (
-        ("mobility", "_refresh_positions"),
         ("arrivals", "_arrivals"),
         ("steering", "_steering"),
         ("mac", "_run_macs"),
@@ -546,7 +545,8 @@ def test_fading_rows_cover_the_mac_epoch_across_mid_epoch_handovers(scenarios):
             for (uid, pk), rate in slot_inputs.per_prb_bits.items():
                 rt = w.ues[uid]
                 fad = chan.fading_db_batch(w.chan, [rt.index], [cr.index], w.slot)[0]
-                sinr = chan.mean_sinr_db(w.chan, cr.mac.cell, rt.position) + float(fad)
+                at = w._position_at(rt, w.slot)
+                sinr = chan.mean_sinr_db(w.chan, cr.mac.cell, at) + float(fad)
                 eff = cr.mac.portions[pk].waveform_efficiency
                 assert rate == link_rate(sinr, eff, cr.mac.cell.grid), (w.slot, uid)
         return out
@@ -645,24 +645,24 @@ def test_context_descriptors_and_mac_backlogs_read_their_owners(scenarios, name)
         assert epochs == list(range(0, cfg.sim.horizon_slots, n))
 
 
-def test_mobility_moves_from_config_position_and_keeps_other_caches():
+def test_a_ue_moves_from_its_config_position_at_its_velocity():
+    """A UE's position is a function of the slot: where it starts, moved at
+    its velocity, so a static UE stays put; a context built at a slot reads
+    every signal there."""
     vel = (12.0, -3.0)
     w = _two_cell_world(velocity=vel)
     for _ in range(7):
         w.step_slot()
-    ctx = w._context()  # slot inputs read no RSRP; steering fills the caches
-    ctx.ue_signal["ua"]["ca"], ctx.ue_signal["ub"]["cb"]
-    static_rsrp = w._rsrp_cache["ub"]
-    rsrp_before = dict(static_rsrp)
-    assert rsrp_before
-    assert w._rsrp_cache["ua"]
-
-    w._refresh_positions()  # the mobility stage for slot 7
+    ua, ub = w.ues["ua"], w.ues["ub"]
     t = 7 * w.slot_seconds
-    assert w.ues["ua"].position == (50.0 + vel[0] * t, 10.0 + vel[1] * t)
-    assert w.ues["ub"].position == (350.0, -5.0)
-    assert "ua" not in w._rsrp_cache
-    assert w._rsrp_cache["ub"] is static_rsrp and static_rsrp == rsrp_before
+    assert w._position_at(ua, 0) == ua.cfg.position == (50.0, 10.0)
+    assert w._position_at(ua, 7) == (50.0 + vel[0] * t, 10.0 + vel[1] * t)
+    assert w._position_at(ub, 7) == w._position_at(ub, 0) == (350.0, -5.0)
+    ctx = w._context()
+    for uid, rt in w.ues.items():
+        at = w._position_at(rt, 7)
+        for cid, cr in w.cells.items():
+            assert ctx.ue_signal[uid][cid] == signal_db(chan.rsrp_dbm(w.chan, cr.mac.cell, at))
 
 
 _coord = st.floats(-2000.0, 2000.0, allow_nan=False)
@@ -690,9 +690,9 @@ def test_a_slot_rate_and_an_rsrp_read_are_their_exact_values_bit_for_bit(
     cells, position, velocity, margin, slot
 ):
     """At the first slot and at a random later one (a new rate span): the
-    UE is where its velocity takes it, every RSRP read through its cache is
-    ``rsrp_dbm`` there, and its serving pair's rate is ``link_rate`` at the
-    mean SINR there plus the pair's fading."""
+    UE is where its velocity takes it, every signal a context reads is
+    ``rsrp_dbm`` there and kept by its row, and its serving pair's rate is
+    ``link_rate`` at the mean SINR there plus the pair's fading."""
     cfg = scenario_from_dict(
         {
             "name": "sinr",
@@ -712,13 +712,14 @@ def test_a_slot_rate_and_an_rsrp_read_are_their_exact_values_bit_for_bit(
 
     def check_every_cell():
         rt = w.ues["u"]
-        pos = rt.position
-        assert pos == w._position_at(rt, w.slot)
-        dbm = w._rsrp_cache.setdefault("u", {})
+        pos = w._position_at(rt, w.slot)
+        t = w.slot * w.slot_seconds
+        assert pos == (position[0] + velocity[0] * t, position[1] + velocity[1] * t)
+        row = w._context().ue_signal["u"]
         for cid, cr in w.cells.items():
-            first = w._rsrp(dbm, cid, pos)
-            assert first == chan.rsrp_dbm(w.chan, cr.mac.cell, pos) == dbm[cid]
-            assert w._rsrp(dbm, cid, pos) == first  # a cache hit
+            first = row[cid]
+            assert first == signal_db(chan.rsrp_dbm(w.chan, cr.mac.cell, pos))
+            assert row[cid] is first  # kept by the row
         cr = w.cells[rt.serving]
         ((cell, inputs),) = [(c, i) for c, i in w._channel_inputs() if i.per_prb_bits]
         (((_, pk), rate),) = inputs.per_prb_bits.items()
@@ -729,7 +730,6 @@ def test_a_slot_rate_and_an_rsrp_read_are_their_exact_values_bit_for_bit(
 
     check_every_cell()
     w.slot = slot
-    w._refresh_positions()
     check_every_cell()
 
 
@@ -787,7 +787,8 @@ def test_signal_estimate_lies_within_its_tolerance_of_every_exact_signal(
     for i, uid in enumerate(ues):
         for j, cid in enumerate(cids):
             exact = ctx.ue_signal[uid][cid].value
-            assert exact == signal_db(chan.rsrp_dbm(w.chan, w.cells[cid].mac.cell, w.ues[uid].position)).value
+            at = w._position_at(w.ues[uid], w.slot)
+            assert exact == signal_db(chan.rsrp_dbm(w.chan, w.cells[cid].mac.cell, at)).value
             assert abs(est[i, j] - exact) <= chan.SIGNAL_ESTIMATE_TOL_DB
 
 
@@ -857,14 +858,19 @@ def test_best_cell_reads_a_tied_cell_that_its_estimate_puts_below_the_best():
             "ues": [{"id": "u", "position": [0.0, 50.0]}],
         }
     )
-    real = chan.rsrp_estimate
+    real, real_rsrp, reads = chan.rsrp_estimate, chan.rsrp_dbm, {}
 
     def perturbed(cfg, consts, positions):
         return real(cfg, consts, positions) + np.array([0.9, -0.9]) * chan.SIGNAL_ESTIMATE_TOL_DB
 
-    with mock.patch.object(chan, "rsrp_estimate", perturbed):
+    def recorded(cfg, cell, position):
+        reads[cell.cell_id] = real_rsrp(cfg, cell, position)
+        return reads[cell.cell_id]
+
+    with mock.patch.object(chan, "rsrp_estimate", perturbed), \
+            mock.patch.object(chan, "rsrp_dbm", recorded):
         w = World(cfg)
-    assert w._rsrp_cache["u"]["ca"] == w._rsrp_cache["u"]["cb"]
+    assert sorted(reads) == ["ca", "cb"] and reads["ca"] == reads["cb"]
     assert w.ues["u"].serving == "ca"
 
 
@@ -936,23 +942,23 @@ def test_steering_context_computes_no_rsrp_until_a_feature_reads_it(monkeypatch)
     w = _two_cell_world(velocity=(12.0, -3.0))  # both serving cells given
     for _ in range(3):
         w.step_slot()
-    w._refresh_positions()  # ua moves and drops its cache
     calls.clear()
     ctx = w._context()
     assert calls == []
 
-    pos = w.ues["ua"].position
+    pos = w._position_at(w.ues["ua"], w.slot)
     expected = signal_db(real(w.chan, w.cells["cb"].mac.cell, pos))
     assert ctx.ue_signal["ua"]["cb"] == expected
     assert ctx.ue_signal["ua"].get("cb") == expected
     assert calls == ["cb"]
-    # ub is static: its serving cell is computed once for the cache's life
+    # ub is static, yet each context computes a cell once for itself
+    ctx.ue_signal["ub"]["cb"]
     ctx.ue_signal["ub"]["cb"]
     assert calls == ["cb", "cb"]
     w._context().ue_signal["ub"]["cb"]
-    assert calls == ["cb", "cb"]
+    assert calls == ["cb", "cb", "cb"]
     ctx.ue_signal["ub"]["ca"]
-    assert calls == ["cb", "cb", "ca"]
+    assert calls == ["cb", "cb", "cb", "ca"]
 
 
 def test_context_clamps_an_overloaded_cell_at_full_load():
@@ -997,42 +1003,44 @@ def test_context_rate_is_the_window_bits_over_its_duration_and_resets():
 
 
 def test_context_row_built_before_a_move_keeps_its_position():
+    """A row of a context built at slot ``s`` and read at once gives the
+    signals at ``_position_at(rt, s)`` and keeps them after the UE moves; a
+    context built later reads where the UE is then."""
     w = _two_cell_world(velocity=(12.0, -3.0))
     for _ in range(5):
         w.step_slot()
-    before_pos = w.ues["ua"].position
-    old = w._context().ue_signal["ua"]
-    w._refresh_positions()  # ua moves and drops its cache
-    after_pos = w.ues["ua"].position
-    assert after_pos != before_pos
+    rt, built = w.ues["ua"], w.slot
+    ctx = w._context()
+    old = {cid: ctx.ue_signal["ua"][cid] for cid in w.cells}
+    for _ in range(3):
+        w.step_slot()
     new = w._context().ue_signal["ua"]
+    then, here = w._position_at(rt, built), w._position_at(rt, w.slot)
+    assert then != here
     for cid, cr in w.cells.items():
-        assert old[cid] == signal_db(chan.rsrp_dbm(w.chan, cr.mac.cell, before_pos))
-        assert new[cid] == signal_db(chan.rsrp_dbm(w.chan, cr.mac.cell, after_pos))
-        assert old[cid] != new[cid]
-    # only the new row's reads landed in the UE's cache
-    assert w._rsrp_cache["ua"] == {
-        cid: chan.rsrp_dbm(w.chan, cr.mac.cell, after_pos) for cid, cr in w.cells.items()
-    }
+        at_build = signal_db(chan.rsrp_dbm(w.chan, cr.mac.cell, then))
+        assert old[cid] == ctx.ue_signal["ua"][cid] == at_build
+        assert new[cid] == signal_db(chan.rsrp_dbm(w.chan, cr.mac.cell, here)) != at_build
 
 
 def test_context_row_first_read_after_a_move_reads_the_build_position():
+    """A context built at slot ``s`` whose row, and signal estimate, are first
+    read slots later give the values at ``_position_at(rt, s)``."""
     w = _two_cell_world(velocity=(12.0, -3.0))
     for _ in range(5):
         w.step_slot()
-    before_pos = w.ues["ua"].position
+    rt, built = w.ues["ua"], w.slot
     ctx = w._context()  # no row of it read yet
-    w._refresh_positions()  # ua moves and drops its cache
-    after_pos = w.ues["ua"].position
-    assert after_pos != before_pos and "ua" not in w._rsrp_cache
-    w._rsrp(w._rsrp_cache.setdefault("ua", {}), "ca", after_pos)  # starts the new cache
-    new_cache = w._rsrp_cache["ua"]
-    assert new_cache == {"ca": chan.rsrp_dbm(w.chan, w.cells["ca"].mac.cell, after_pos)}
+    for _ in range(3):
+        w.step_slot()
+    then, here = w._position_at(rt, built), w._position_at(rt, w.slot)
+    assert then != here
     row = ctx.ue_signal["ua"]
     for cid, cr in w.cells.items():
-        assert row[cid] == signal_db(chan.rsrp_dbm(w.chan, cr.mac.cell, before_pos))
-    assert w._rsrp_cache["ua"] is new_cache
-    assert new_cache == {"ca": chan.rsrp_dbm(w.chan, w.cells["ca"].mac.cell, after_pos)}
+        assert row[cid] == signal_db(chan.rsrp_dbm(w.chan, cr.mac.cell, then))
+        assert row[cid] != signal_db(chan.rsrp_dbm(w.chan, cr.mac.cell, here))
+    est = ctx.signal_estimate(["ua"], ["ca", "cb"])
+    assert est.tolist() == (chan.rsrp_estimate(w.chan, w._radio, [then]) - RSRP_FLOOR_DBM).tolist()
 
 
 def test_signal_row_membership_and_absent_gets_compute_no_rsrp(monkeypatch):
@@ -1047,7 +1055,6 @@ def test_signal_row_membership_and_absent_gets_compute_no_rsrp(monkeypatch):
     w = _two_cell_world(velocity=(12.0, -3.0))
     for _ in range(3):
         w.step_slot()
-    w._refresh_positions()  # ua moves and drops its cache
     calls.clear()
     ctx = w._context()
     row = ctx.ue_signal["ua"]
@@ -1056,9 +1063,32 @@ def test_signal_row_membership_and_absent_gets_compute_no_rsrp(monkeypatch):
     assert row.get("zz") is None and row.get("zz", 1.0) == 1.0
     assert ctx.ue_signal.get("zz") is None
     assert calls == []
-    expected = signal_db(real(w.chan, w.cells["cb"].mac.cell, w.ues["ua"].position))
+    expected = signal_db(real(w.chan, w.cells["cb"].mac.cell, w._position_at(w.ues["ua"], 3)))
     assert row.get("cb") == expected and calls == ["cb"]
     assert row.get("cb") is row["cb"] and "cb" in row and calls == ["cb"]  # kept
+
+
+@pytest.mark.parametrize("steering", [True, False])
+def test_signals_are_computed_only_at_steering_epochs(monkeypatch, steering):
+    """On dense_embb (200 moving UEs, load balancing every 10 slots) every
+    ``rsrp_dbm`` call after construction comes at a steering slot; with
+    steering off there is none. No position or RSRP is stored."""
+    cfg = _dense_embb_config()
+    if not steering:
+        cfg = dataclasses.replace(cfg, uts=dataclasses.replace(cfg.uts, enabled=False))
+    w = World(cfg, seed=1)
+    slots, real = [], chan.rsrp_dbm
+
+    def recorded(cfg, cell, position):
+        slots.append(w.slot)
+        return real(cfg, cell, position)
+
+    monkeypatch.setattr(chan, "rsrp_dbm", recorded)
+    w.run()
+    assert all(s % cfg.uts.epoch_slots == 0 for s in slots)
+    assert bool(slots) == steering
+    assert not hasattr(w, "_rsrp_cache")
+    assert "position" not in {f.name for f in dataclasses.fields(engine.UeRuntime)}
 
 
 def _digests(result) -> dict[str, str]:
@@ -1075,8 +1105,8 @@ def _digests(result) -> dict[str, str]:
     "name", [*sorted(p.stem for p in SCENARIO_DIR.glob("*.yaml")), "dense_embb"]
 )
 def test_dropping_caches_at_random_slots_keeps_every_output_byte(scenarios, name, seed):
-    """The RSRP caches and the MAC epoch's fading block are caches: dropping
-    them before a random tenth of the slots gives the straight run's files."""
+    """The span's rate table is a cache: dropping it before a random tenth
+    of the slots gives the straight run's files."""
     cfg = _dense_embb_config() if name == "dense_embb" else scenarios[name]
     straight = _digests(run_scenario(cfg, seed=seed))
     w = World(cfg, seed=seed)
@@ -1085,7 +1115,6 @@ def test_dropping_caches_at_random_slots_keeps_every_output_byte(scenarios, name
     while w.slot < cfg.sim.horizon_slots:
         if rng.random() < 0.1:
             drops += 1
-            w._rsrp_cache.clear()
             w._rates_span = -1
         w.step_slot()
     assert drops and _digests(w.run()) == straight
@@ -1110,6 +1139,22 @@ def test_a_pickled_world_resumes_to_the_golden_files(scenarios, name, seed):
         w = pickle.loads(pickle.dumps(w))
     assert all(isinstance(getattr(w, k), MappingProxyType) for k in World._VIEWS)
     assert _digests(w.run()) == _GOLDEN[f"{name}@{seed}"]
+
+
+def test_a_world_of_moving_ues_pickled_off_every_epoch_resumes_to_the_reference():
+    """dense_embb at seed 1, whose UEs all move, pickled at slot 103 (off the
+    steering and the MAC epoch) and resumed, gives the benchmark's stored
+    reference files."""
+    cfg = _dense_embb_config(1)
+    assert 103 % cfg.uts.epoch_slots and 103 % cfg.mac.epoch_slots
+    assert all(any(uc.velocity) for uc in cfg.ues)
+    w = World(cfg, seed=1)
+    while w.slot < 103:
+        w.step_slot()
+    w = pickle.loads(pickle.dumps(w))
+    refs = json.loads((SCENARIO_DIR.parent / "perfbench" / "reference_digests.json").read_text())
+    got = {f"dense_embb/{n}": d for n, d in _digests(w.run()).items()}
+    assert got == refs["dense_embb"]["1"]["files"]
 
 
 def _golden_runs(scenarios) -> dict:
