@@ -12,7 +12,8 @@ at a time: one numpy block gives every (UE, cell) pair with a queue-driven
 flow a list of its per-PRB rates over the span, and a pair that a handover
 brings in mid-span gets its list the same way; the lists go when the span
 ends. The block's numpy rates only rule each rate in; ``link_rate`` at the
-exact SINR decides the rest (``link_rates``). A UE is its ``UeConfig``.
+exact SINR decides the rest (``link_rates``). A UE is its ``UeConfig``, and
+a flow's traffic source is its config's ``generator``.
 Lookups fixed for a run (flows, services, capabilities and eligible cells
 by UE, best portions by capability set, the cells' capability descriptors
 and radio constants) are built once; the read-only ones pickle as plain
@@ -116,7 +117,6 @@ class FlowRuntime:
     amount is a whole number below 2**53 (``pdcp.whole_bits``)."""
 
     cfg: FlowConfig
-    generator: object
     state: pdcp.FlowState | None
     rx: pdcp.ReceiverState
     #: the service's key, ``cfg.service.value``, read once
@@ -217,10 +217,6 @@ class World:
 
         self.flows: dict[str, FlowRuntime] = {}
         for fc in config.flows:
-            try:
-                gen = traffic.make_generator(fc.generator_kind, fc.generator_params)
-            except ValueError as e:
-                raise ValueError(f"flow {fc.flow_id!r}: {e}") from None
             state = None
             if fc.service is not TrafficClass.MMTC:
                 state = pdcp.FlowState(
@@ -231,7 +227,7 @@ class World:
                     enter_load=config.pdcp.enter_load,
                 )
             rx = pdcp.ReceiverState(t_reorder_slots=config.pdcp.t_reorder_slots)
-            fr = self.flows[fc.flow_id] = FlowRuntime(fc, gen, state, rx, fc.service.value)
+            fr = self.flows[fc.flow_id] = FlowRuntime(fc, state, rx, fc.service.value)
             self._flows_by_ue[fc.ue_id].append(fr)
             self._attach(fr, None, self.ues[fc.ue_id].serving)
         self._services = MappingProxyType({
@@ -299,23 +295,21 @@ class World:
     def _register_mac_flow(self, fr: FlowRuntime, cell_id: str) -> PortionSpec:
         """Register the flow with the cell's MAC on the UE's best portion there.
         A URLLC flow's explicit ``sps_*`` settings win; a periodic generator
-        fills in the rest, and the reservation covers one packet."""
+        fills in the rest, and the reservation covers one of its packets."""
         fc = fr.cfg
         portion = self._portion_for(fc.ue_id, cell_id)
         if portion is None:
             raise ValueError(f"flow {fc.flow_id!r}: UE not eligible on cell {cell_id!r}")
         sps = {}
         if fc.service is TrafficClass.URLLC:
-            gen = fr.generator
+            gen = fc.generator
             period, prbs, offset = fc.sps_period_slots, fc.sps_prbs, fc.sps_offset_slots
-            bits = 2000
             if isinstance(gen, traffic.PeriodicDeadline):
                 period = period or gen.period_slots
                 offset = offset or gen.offset_slots
-                bits = gen.packet_bits
             if prbs is None:
                 rate = self.cells[cell_id].mac.reference_per_prb_bits(portion.key)
-                prbs = max(1, math.ceil(bits / rate))
+                prbs = max(1, math.ceil(gen.packet_bits / rate))
             sps = dict(sps_period_slots=period, sps_prbs=prbs, sps_offset_slots=offset)
         self.cells[cell_id].mac.register_flow(
             MacFlow(
@@ -445,7 +439,7 @@ class World:
         epoch = self.slot // self.config.uts.epoch_slots
         for fr in self.flows.values():
             fc = fr.cfg
-            count, bits = fr.generator.step(self.slot, self.rng_traffic, fr.queued_bits())
+            count, bits = fc.generator.step(self.slot, self.rng_traffic, fr.queued_bits())
             if not count:
                 continue
             fr.arrived_bits += bits * count
@@ -594,9 +588,9 @@ class World:
         fr.latency_sum += lat * count
         fr.latency_n += count
         self.ues[fr.cfg.ue_id].delivered_window_bits += total
-        if isinstance(fr.generator, traffic.PeriodicDeadline):
-            if lat > fr.generator.deadline_slots:
-                fr.deadline_misses += count
+        gen = fr.cfg.generator
+        if isinstance(gen, traffic.PeriodicDeadline) and lat > gen.deadline_slots:
+            fr.deadline_misses += count
 
     def _run_macs(self) -> None:
         for cr, inputs in self._channel_inputs():

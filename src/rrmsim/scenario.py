@@ -4,8 +4,9 @@ A scenario is a plain mapping (usually YAML on disk) with sections for the
 network, UEs, traffic flows, and the MAC / flow-control / steering / sim
 knobs. Each section is a config dataclass, and the runtime layers' own types
 (``mac.MacConfig``, ``channel.ChannelConfig``, ``mac.PortionSpec``) serve as
-sections directly: a section's keys, value types and defaults are read from
-its dataclass fields, so each setting is declared once. So is each range
+sections directly, and a flow's ``generator`` is the ``traffic`` generator
+itself: a section's keys, value types and defaults are read from its
+dataclass fields, so each setting is declared once. So is each range
 rule, in the ``__post_init__`` of the type that holds the value, which a
 config built in Python meets too; the reader checks only rules across
 sections. Parsing is strict: unknown keys and refused values are collected
@@ -39,7 +40,7 @@ from .core import (
 )
 from .mac import RACH_KEY, MacConfig, PortionSpec
 from .pdcp import DEFAULT_ENTER_LOAD, DEFAULT_LEAVE_LOAD, DEFAULT_T_REORDER_SLOTS, Mode
-from .traffic import GENERATOR_KINDS
+from .traffic import GENERATOR_KINDS, FullBuffer, PeriodicDeadline
 from .uts import (
     CARRIER_AGG_ID,
     DEFAULT_HYSTERESIS_EPOCHS,
@@ -51,6 +52,9 @@ from .uts import (
 )
 
 BUILTIN_FEATURE_IDS = (LOAD_BALANCE_ID, CARRIER_AGG_ID, DUAL_CONN_ID)
+
+#: each generator type's kind, as a scenario file names it
+_KIND_OF = {cls: kind for kind, cls in GENERATOR_KINDS.items()}
 
 DEFAULT_TX_POWER_DBM = {
     CellClass.MACRO: 43.0,
@@ -106,8 +110,8 @@ class FlowConfig:
     flow_id: str
     ue_id: str
     service: TrafficClass = TrafficClass.EMBB
-    generator_kind: str = "full_buffer"
-    generator_params: dict = field(default_factory=dict)
+    #: one of the ``traffic.GENERATOR_KINDS`` types
+    generator: object = FullBuffer()
     slice_id: str | None = None
     sps_period_slots: int | None = None
     sps_prbs: int | None = None
@@ -117,12 +121,14 @@ class FlowConfig:
         # the MAC refuses these reservation shapes when the flow registers
         period, prbs = self.sps_period_slots, self.sps_prbs
         check_rules(self, ("ue_id", bool(self.ue_id), "flow must name its UE"),
+                    ("generator", type(self.generator) in _KIND_OF,
+                     "must be a traffic generator, got {!r}"),
                     ("slice_id", self.slice_id != RACH_KEY, "{!r} is the access partition's key"),
                     ("sps_period_slots", period is None or period >= 1, "must be >= 1, got {}"),
                     ("sps_prbs", prbs is None or prbs >= 1, "must be >= 1, got {}"),
                     ("sps_offset_slots", self.sps_offset_slots >= 0, "must be >= 0, got {}"),
                     ("", self.service is not TrafficClass.URLLC or period is not None
-                     or self.generator_kind == "periodic_deadline",
+                     or isinstance(self.generator, PeriodicDeadline),
                      "URLLC flows need a periodic_deadline generator or explicit sps_period_slots"))
 
 
@@ -135,9 +141,13 @@ class PdcpSection:
     service_modes: dict[TrafficClass, Mode] = field(default_factory=DEFAULT_SERVICE_MODES.copy)
 
     def __post_init__(self):
+        modes = self.service_modes
         check_rules(self, ("t_reorder_slots", self.t_reorder_slots >= 1, "must be >= 1"),
                     ("", 0.0 <= self.enter_load <= self.leave_load <= 1.0,
-                     "need 0 <= enter_load <= leave_load <= 1"))
+                     "need 0 <= enter_load <= leave_load <= 1"),
+                    ("service_modes", set(modes) == set(TrafficClass)
+                     and all(isinstance(m, Mode) for m in modes.values()),
+                     "must map every traffic class to a Mode, got {}"))
 
 
 @dataclass(frozen=True)
@@ -153,9 +163,17 @@ class UtsSection:
     time_to_trigger_epochs: int = DEFAULT_TIME_TO_TRIGGER_EPOCHS
 
     def __post_init__(self):
+        feats, ranking = self.features, self.ranking
+        # each reason picks its entry out of the field's value, which it is formatted with
         check_rules(self, ("epoch_slots", self.epoch_slots >= 1, "must be >= 1"),
                     ("hysteresis_epochs", self.hysteresis_epochs >= 0, "must be >= 0"),
-                    ("time_to_trigger_epochs", self.time_to_trigger_epochs >= 1, "must be >= 1"))
+                    ("time_to_trigger_epochs", self.time_to_trigger_epochs >= 1, "must be >= 1"),
+                    *(("features", f in BUILTIN_FEATURE_IDS, f"unknown feature {{0[{i}]!r}}")
+                      for i, f in enumerate(feats)),
+                    *(("ranking", f in feats, f"ranked feature {{0[{i}]!r}} not in features")
+                      for i, f in enumerate(ranking)),
+                    ("ranking", not ranking or set(ranking) == set(feats),
+                     "ranking must cover every enabled feature"))
 
     def effective_ranking(self) -> tuple[str, ...]:
         return self.ranking if self.ranking else self.features
@@ -188,10 +206,7 @@ class ScenarioConfig:
 _YAML_KEYS = {
     CellConfig: {"cell_id": "id", "cell_class": "class", "rat_tag": "rat"},
     UeConfig: {"ue_id": "id"},
-    FlowConfig: {
-        "flow_id": "id", "ue_id": "ue", "slice_id": "slice",
-        "generator_kind": "generator", "generator_params": "generator",
-    },
+    FlowConfig: {"flow_id": "id", "ue_id": "ue", "slice_id": "slice"},
 }
 
 
@@ -201,8 +216,7 @@ def _fields(cls) -> tuple[dict[str, tuple[str, object]], dict[str, object]]:
     and the defaults of the fields that have a kind.
 
     ``kind`` is int, float, bool, str, an Enum class, or ``tuple`` for an
-    [x, y] pair; None marks a field its caller reads by hand. Two fields may
-    share a key (the flow's ``generator``), both read by hand. Resolving the
+    [x, y] pair; None marks a field its caller reads by hand. Resolving the
     type hints costs far more than reading a section, so each class's table
     is built once.
     """
@@ -389,18 +403,15 @@ def _read_flow(r: _Reader, raw, path: str, index: int) -> FlowConfig:
     m = r.mapping(raw, path)
     gen_path = f"{path}.generator"
     gen = r.mapping(m.get("generator"), gen_path)
-    kind = r.get(gen, "kind", str, FlowConfig.generator_kind, gen_path)
-    # a null parameter takes its default, as a null key does everywhere else
-    params = {k: v for k, v in gen.items() if k != "kind" and v is not None}
+    default = _KIND_OF[type(FlowConfig.generator)]
+    kind = r.get(gen, "kind", str, default, gen_path)
     if kind not in GENERATOR_KINDS:
         r.fail(f"{gen_path}.kind", f"unknown kind {kind!r}")
-        kind, params = FlowConfig.generator_kind, {}
-
-    # checks the parameters only: the flow keeps the keys the file gave
-    r.read(GENERATOR_KINDS[kind], params, gen_path)
+        kind, gen = default, {}
+    params = {k: v for k, v in gen.items() if k != "kind"}
+    generator = r.read(GENERATOR_KINDS[kind], params, gen_path)
     return r.read(
-        FlowConfig, m, path, defaults={"flow_id": f"flow{index}"},
-        generator_kind=kind, generator_params=params,
+        FlowConfig, m, path, defaults={"flow_id": f"flow{index}"}, generator=generator
     )
 
 
@@ -507,15 +518,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     feats = r.names(uts_m.get("features"), "uts.features")
     if uts_m.get("features") is None:
         feats = UtsSection.features
-    for f in feats:
-        if f not in BUILTIN_FEATURE_IDS:
-            r.fail("uts.features", f"unknown feature {f!r}")
     ranking = r.names(uts_m.get("ranking"), "uts.ranking")
-    for f in ranking:
-        if f not in feats:
-            r.fail("uts.ranking", f"ranked feature {f!r} not in features")
-    if ranking and set(ranking) != set(feats):
-        r.fail("uts.ranking", "ranking must cover every enabled feature")
     thr_m = r.mapping(uts_m.get("thresholds"), "uts.thresholds")
     thresholds = {}
     for fid, kv in thr_m.items():
@@ -556,7 +559,10 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
         "ues": [_to_dict(u) for u in cfg.ues],
         "traffic": {
             "flows": [
-                {**_to_dict(f), "generator": {"kind": f.generator_kind, **f.generator_params}}
+                {
+                    **_to_dict(f),
+                    "generator": {"kind": _KIND_OF[type(f.generator)], **_to_dict(f.generator)},
+                }
                 for f in cfg.flows
             ]
         },

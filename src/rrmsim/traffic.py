@@ -5,6 +5,9 @@ sporadic small-packet source with Poisson arrivals, and a strictly periodic
 source with a delivery deadline. Every packet of a generator has the same
 size, so each step returns ``(count, bits)``: how many packets arrive in that
 slot and the size of each.
+
+A flow's config holds its generator, one of these frozen objects, which
+every World built from that config shares: ``step`` keeps no state.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ _AT_LEAST_0, _AT_LEAST_1 = "must be >= 0, got {}", "must be >= 1, got {}"
 _BELOW, _WHOLE = "must be below 2**53, got {}", "must be a whole number, got {}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class FullBuffer:
     """Keeps at least ``watermark_bits`` queued by emitting fixed packets."""
 
@@ -42,7 +45,7 @@ class FullBuffer:
         return (int(-(-deficit // self.packet_bits)) if deficit > 0 else 0), self.packet_bits
 
 
-@dataclass
+@dataclass(frozen=True)
 class PoissonSporadic:
     """Small packets with Poisson-distributed arrivals per slot."""
 
@@ -59,7 +62,7 @@ class PoissonSporadic:
         return int(rng.poisson(self.rate_per_slot)), self.packet_bits
 
 
-@dataclass
+@dataclass(frozen=True)
 class PeriodicDeadline:
     """One packet every ``period_slots``, due within ``deadline_slots``."""
 
@@ -87,11 +90,3 @@ GENERATOR_KINDS = {
     "poisson_sporadic": PoissonSporadic,
     "periodic_deadline": PeriodicDeadline,
 }
-
-
-def make_generator(kind: str, params: dict | None = None):
-    try:
-        cls = GENERATOR_KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown generator kind {kind!r}") from None
-    return cls(**(params or {}))

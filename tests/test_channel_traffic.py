@@ -27,7 +27,6 @@ from rrmsim.traffic import (
     FullBuffer,
     PeriodicDeadline,
     PoissonSporadic,
-    make_generator,
 )
 
 from conftest import mk_cell, mk_grid
@@ -240,14 +239,6 @@ def test_poisson_reproducible_per_seed():
 
     assert trace(7) == trace(7)
     assert trace(7) != trace(8)
-
-
-def test_make_generator_factory():
-    g = make_generator("periodic_deadline", {"period_slots": 4})
-    assert isinstance(g, PeriodicDeadline) and g.period_slots == 4
-    assert isinstance(make_generator("full_buffer"), FullBuffer)
-    with pytest.raises(ValueError):
-        make_generator("bursty_fractal")
 
 
 @settings(max_examples=200)

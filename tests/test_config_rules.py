@@ -7,19 +7,17 @@ import re
 
 import pytest
 
+from rrmsim.core import TrafficClass
 from rrmsim.scenario import ValidationError, load_scenario, scenario_from_dict, scenario_to_dict
-from rrmsim.traffic import make_generator
+from rrmsim.traffic import GENERATOR_KINDS, FullBuffer
+from rrmsim.uts import LOAD_BALANCE_ID
 
 from conftest import SCENARIO_DIR
 
 BASE = load_scenario(SCENARIO_DIR / "single_cell.yaml")
-FLOW = {f.generator_kind: i for i, f in enumerate(BASE.flows)}  # one flow of each kind
+KIND = {cls: kind for kind, cls in GENERATOR_KINDS.items()}
+FLOW = {KIND[type(f.generator)]: i for i, f in enumerate(BASE.flows)}  # one flow of each kind
 PORTION = BASE.cells[0].portions[0]
-
-
-def _generator(kind):
-    flow = BASE.flows[FLOW[kind]]
-    return make_generator(flow.generator_kind, flow.generator_params)
 
 
 def case(id, obj, field, value, path, yaml_value=None, whole=False):
@@ -33,7 +31,7 @@ def case(id, obj, field, value, path, yaml_value=None, whole=False):
 
 def gen_case(kind, field, value):
     path = f"traffic.flows[{FLOW[kind]}].generator.{field}"
-    return case(f"{kind}.{field}", _generator(kind), field, value, path)
+    return case(f"{kind}.{field}", BASE.flows[FLOW[kind]].generator, field, value, path)
 
 
 URLLC = FLOW["periodic_deadline"]
@@ -60,12 +58,17 @@ CASES = [
          [{"key": p.key} for p in THREE]),
     case("flow.sps_prbs", BASE.flows[0], "sps_prbs", 0, "traffic.flows[0].sps_prbs"),
     case("flow.slice", BASE.flows[0], "slice_id", "rach", "traffic.flows[0].slice"),
-    case("flow.urllc_shape", BASE.flows[URLLC], "generator_kind", "full_buffer",
+    case("flow.urllc_shape", BASE.flows[URLLC], "generator", FullBuffer(),
          f"traffic.flows[{URLLC}].generator", {"kind": "full_buffer"}, whole=True),
     case("pdcp.loads", BASE.pdcp, "enter_load", 0.95, "pdcp.enter_load", whole=True),
     case("uts.hysteresis", BASE.uts, "hysteresis_epochs", -1, "uts.hysteresis_epochs"),
     case("uts.time_to_trigger", BASE.uts, "time_to_trigger_epochs", 0,
          "uts.time_to_trigger_epochs"),
+    # these two used to construct; the World then raised KeyError, or ran
+    # without complaint
+    case("uts.features", BASE.uts, "features", ("bogus",), "uts.features", ["bogus"]),
+    case("uts.ranking", BASE.uts, "ranking", (LOAD_BALANCE_ID,), "uts.ranking",
+         [LOAD_BALANCE_ID]),
     gen_case("full_buffer", "packet_bits", 0),
     gen_case("full_buffer", "watermark_bits", 2**53),
     gen_case("poisson_sporadic", "rate_per_slot", -1.0),
@@ -107,3 +110,29 @@ def test_a_refusal_is_a_value_error_that_shows_the_value_only_where_asked():
     with pytest.raises(ValidationError) as e:
         dataclasses.replace(BASE.uts, epoch_slots=0)
     assert e.value.failures == [("epoch_slots", "must be >= 1")]
+
+
+def test_a_flow_refuses_a_generator_that_is_not_a_traffic_generator():
+    # a kind-and-parameters mapping is the YAML form, not a generator
+    flow = BASE.flows[FLOW["full_buffer"]]
+    for value in ({"kind": "full_buffer"}, "full_buffer", None):
+        with pytest.raises(ValidationError) as e:
+            dataclasses.replace(flow, generator=value)
+        [(refused, reason)] = e.value.failures
+        assert refused == "generator" and repr(value) in reason
+
+
+@pytest.mark.parametrize(
+    "modes",
+    [
+        {svc: mode for svc, mode in BASE.pdcp.service_modes.items() if svc is not TrafficClass.URLLC},
+        {svc: mode.value for svc, mode in BASE.pdcp.service_modes.items()},
+    ],
+    ids=["missing_class", "string_mode"],
+)
+def test_pdcp_modes_map_every_traffic_class_to_a_mode(modes):
+    # a partial map used to raise KeyError mid-run, a string mode AttributeError
+    with pytest.raises(ValidationError) as e:
+        dataclasses.replace(BASE.pdcp, service_modes=modes)
+    [(refused, reason)] = e.value.failures
+    assert refused == "service_modes" and "every traffic class" in reason

@@ -21,7 +21,7 @@ from rrmsim import engine
 from rrmsim import pdcp
 from rrmsim.abstraction import RSRP_FLOOR_DBM, MeasureKind, describe_cell, link_rate, signal_db
 from rrmsim.cli import render_csv, render_events, render_summary
-from rrmsim.core import TrafficClass
+from rrmsim.core import TrafficClass, ValidationError
 from rrmsim.engine import World, run_scenario
 from rrmsim.scenario import scenario_from_dict
 from rrmsim.uts import DEFAULT_THRESHOLDS, LOAD_BALANCE_ID, builtin_features, evaluate_load_balance
@@ -79,7 +79,7 @@ def test_clean_channel_conserves_every_bit(scenarios):
     one packet per leg that may sit half-transmitted when the run stops."""
     cfg = _short(scenarios, "single_cell", 400)
     res = run_scenario(cfg)
-    pkt = {f.flow_id: f.generator_params.get("packet_bits", 0.0) for f in cfg.flows}
+    pkt = {f.flow_id: f.generator.packet_bits for f in cfg.flows}
     for fid, m in res.report.per_flow.items():
         assert m["lost_in_transit"] == 0
         if m["declared_lost"] is not None:
@@ -108,7 +108,7 @@ def _ledger(w, fr):
     legs = fr.state.legs
     queued = sum(leg.queue_bits for leg in legs)
     in_flight = sum(leg.head_sent_bits for leg in legs)
-    late_or_lost = (fr.rx.duplicates_dropped + fr.lost_in_transit) * fr.generator.packet_bits
+    late_or_lost = (fr.rx.duplicates_dropped + fr.lost_in_transit) * fr.cfg.generator.packet_bits
     buffered = sum(bits for bits, _ in fr.rx.buffer.values())
     completed = fr.delivered_bits + buffered + late_or_lost
     return (fr.arrived_bits, queued + in_flight + completed), (
@@ -1619,9 +1619,27 @@ def test_a_generator_size_that_run_arithmetic_would_round_is_refused(params):
             "traffic": {"flows": [{"id": "f1", "ue": "u1", "generator": {"kind": "full_buffer"}}]},
         }
     )
-    cfg.flows[0].generator_params.update(params)
-    with pytest.raises(ValueError, match="f1"):
-        World(cfg)
+    with pytest.raises(ValidationError) as e:
+        dataclasses.replace(cfg.flows[0].generator, **params)
+    assert [field for field, _ in e.value.failures] == list(params)
+
+
+def test_a_urllc_reservation_covers_one_of_its_flows_packets():
+    # a generator other than periodic_deadline used to be sized as 2000 bits
+    cfg = scenario_from_dict(
+        {
+            "name": "sps",
+            "network": {"cells": [{"id": "c1", "prbs_per_slot": 50}]},
+            "ues": [{"id": "u1", "position": [30.0, 0.0]}],
+            "traffic": {"flows": [{
+                "id": "f1", "ue": "u1", "service": "URLLC", "sps_period_slots": 5,
+                "generator": {"kind": "full_buffer", "packet_bits": 6000},
+            }]},
+        }
+    )
+    mac = World(cfg).cells["c1"].mac
+    rate = mac.reference_per_prb_bits("main")
+    assert mac.flows["f1"].sps_prbs == -(-6000 // rate) == 10
 
 
 @pytest.mark.parametrize("mu", range(5))

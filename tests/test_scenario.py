@@ -14,6 +14,7 @@ from rrmsim.scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from rrmsim.traffic import FullBuffer
 
 from conftest import SCENARIO_DIR
 
@@ -43,7 +44,7 @@ def test_minimal_scenario_fills_defaults():
     assert cfg.cells[0].portions[0].key == "main"
     assert cfg.mac.epoch_slots == 10
     assert cfg.uts.enabled is True
-    assert cfg.flows[0].generator_kind == "full_buffer"
+    assert cfg.flows[0].generator == FullBuffer()
 
 
 def test_every_shipped_scenario_loads(scenarios):
@@ -133,7 +134,20 @@ def test_null_generator_param_takes_its_default():
         "kind": "full_buffer", "packet_bits": 4000, "watermark_bits": None,
     }
     flow = scenario_from_dict(data).flows[0]
-    assert flow.generator_params == {"packet_bits": 4000}
+    assert flow.generator == FullBuffer(packet_bits=4000)
+
+
+def test_an_unknown_generator_kind_is_reported_at_its_path():
+    data = minimal()
+    data["traffic"]["flows"][0]["generator"] = {"kind": "bursty_fractal", "packet_bits": 8}
+    assert failures_of(data) == {"traffic.flows[0].generator.kind": "unknown kind 'bursty_fractal'"}
+
+
+def test_serialization_writes_every_generator_parameter():
+    data = minimal()
+    data["traffic"]["flows"][0]["generator"] = {"kind": "full_buffer"}
+    gen = scenario_to_dict(scenario_from_dict(data))["traffic"]["flows"][0]["generator"]
+    assert gen == {"kind": "full_buffer", "packet_bits": 12000, "watermark_bits": 120000}
 
 
 def test_ue_with_no_eligible_cell_is_an_error():
