@@ -30,9 +30,12 @@ MACs own: cells, portions, loads and registrations are read from each
 just before its packets are routed. The report sums the MACs' access and
 grant counts and counts the controller's history.
 
-Packets move as runs (``pdcp.Run``): a flow's arrivals in a slot are routed
-in one call, the drain uses up whole packets of a leg's head run with
-arithmetic, and the receiver and the delivery books take a run at a time.
+Packets move as runs (``pdcp.Run``): the drain uses up whole packets of a
+leg's head run with arithmetic, and the books take a run at a time. The slot
+loop sends a one-leg flow's arrivals with ``pdcp.send_run`` and takes a run
+that arrives in order, nothing buffered, with ``pdcp.take_in_order``;
+``route_packet`` and ``reorder_deliver`` decide the rest: two or more legs,
+and any gap, duplicate or loss.
 Latencies are kept as a count per latency in slots, so a flow's state does
 not grow with the horizon; a flow's MAC-epoch row is its running totals less
 their values at the last rollup. Run arithmetic is exact because every bit amount
@@ -434,25 +437,30 @@ class World:
         return (x + vx * t, y + vy * t)
 
     def _arrivals(self) -> None:
-        """Each flow's packets of this slot: one routed run, or for an mMTC
-        flow one access attempt per packet."""
-        epoch = self.slot // self.config.uts.epoch_slots
+        """Each flow's packets of this slot: one run, sent onto a flow's only
+        leg (AGGREGATE, as ``_attach`` leaves it) or else routed, or for an
+        mMTC flow one access attempt per packet."""
+        slot, rng, epoch = self.slot, self.rng_traffic, self.slot // self.config.uts.epoch_slots
         for fr in self.flows.values():
-            fc = fr.cfg
-            count, bits = fc.generator.step(self.slot, self.rng_traffic, fr.queued_bits())
+            fc, state = fr.cfg, fr.state
+            one_leg = state is not None and len(state.legs) == 1
+            queued = state.legs[0].queue_bits if one_leg else fr.queued_bits()
+            count, bits = fc.generator.step(slot, rng, queued)
             if not count:
                 continue
             fr.arrived_bits += bits * count
-            if fr.state is None:
+            if one_leg:
+                pdcp.send_run(state, state.legs, float(bits), slot, count)
+            elif state is None:
                 mac = self.cells[self.ues[fc.ue_id].serving].mac
                 for _ in range(count):
-                    mac.queue_attempt(fc.flow_id, float(bits), self.slot)
+                    mac.queue_attempt(fc.flow_id, float(bits), slot)
                 fr.attempts += count
             else:
-                if fr.state.mode is pdcp.Mode.LOAD_BALANCE:  # its switch reads them
-                    for leg in fr.state.legs:
+                if state.mode is pdcp.Mode.LOAD_BALANCE:  # its switch reads them
+                    for leg in state.legs:
                         leg.current_load = self.cells[leg.cell_id].mac.load.value
-                pdcp.route_packet(fr.state, float(bits), self.slot, epoch, count)
+                pdcp.route_packet(state, float(bits), slot, epoch, count)
 
     def _channel_inputs(self) -> list[tuple[CellRuntime, SlotInputs]]:
         """Every cell's ``SlotInputs`` for this slot, in cell order: the
@@ -534,14 +542,14 @@ class World:
         """Send ``bits`` from the flow's leg on ``cell_id``: finish the head
         packet, then as many whole packets as the bits cover, then part of
         the next. Each finished packet is lost with the cell's ``drop_prob``
-        (one draw per packet, in SN order) or received."""
+        or received; received packets in order with nothing buffered are
+        taken at once, others go through ``reorder_deliver``."""
         leg = fr.state.leg_by_cell(cell_id)
         if leg is None:
             return 0.0
-        pool = bits
-        drained = 0.0
+        pool, drained = bits, 0.0
         drop_prob = self.cells[cell_id].drop_prob
-        queue = leg.queue
+        queue, rx = leg.queue, fr.rx
         while pool > 0 and queue:
             sn, count, size, created = queue[0]
             need = size - leg.head_sent_bits
@@ -561,21 +569,23 @@ class World:
                 queue.popleft()
             else:
                 queue[0] = pdcp.Run(sn + done, count - done, size, created)
+            ends = [done]
+            if drop_prob > 0.0:  # one draw per packet, in SN order
+                lost = (self.rng_loss.random(done) < drop_prob).tolist()
+                ends = [i for i, x in enumerate(lost) if x] + ends
+                fr.lost_in_transit += len(ends) - 1
             first = 0  # the first finished packet not yet lost or received
-            if drop_prob > 0.0:
-                for i, lost in enumerate((self.rng_loss.random(done) < drop_prob).tolist()):
-                    if lost:
-                        fr.lost_in_transit += 1
-                        if i > first:
-                            self._receive(fr, sn + first, i - first, size, created)
-                        first = i + 1
-            if done > first:
-                self._receive(fr, sn + first, done - first, size, created)
+            for end in ends:  # each lost packet, then the run's end
+                if end > first:
+                    s, n = sn + first, end - first
+                    if s == rx.expected_sn and not rx.buffer:
+                        pdcp.take_in_order(rx, n)
+                        self._deliver(fr, size, created, n)
+                    else:
+                        for d in pdcp.reorder_deliver(rx, s, size, created, self.slot, n):
+                            self._deliver(fr, d.bits, d.created_slot, d.count)
+                first = end + 1
         return drained
-
-    def _receive(self, fr: FlowRuntime, sn: int, count: int, bits: float, created: int) -> None:
-        for d in pdcp.reorder_deliver(fr.rx, sn, bits, created, self.slot, count):
-            self._deliver(fr, d.bits, d.created_slot, d.count)
 
     def _deliver(self, fr: FlowRuntime, bits: float, created_slot: int, count: int = 1) -> None:
         """Book ``count`` deliveries of ``bits`` each, in order or by random
@@ -613,7 +623,7 @@ class World:
 
     def _reorder_ticks(self) -> None:
         for fr in self.flows.values():
-            if fr.state is None:
+            if fr.rx.gap_since is None:  # no timer running (never for mMTC)
                 continue
             for d in pdcp.reorder_tick(fr.rx, self.slot):
                 self._deliver(fr, d.bits, d.created_slot, d.count)

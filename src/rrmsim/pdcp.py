@@ -7,11 +7,15 @@ every leg. The receiver delivers strictly in order, buffers gaps, discards
 duplicates silently, and declares a gap lost when its reorder timer expires.
 
 The unit both sides work on is a ``Run``: ``count`` identical packets with
-consecutive SNs, created in the same slot. A slot's arrivals for one flow are
-routed in one call, leg queues hold runs, and an in-order run with no gap
-buffered is delivered in one step. Bit amounts are whole numbers below
+consecutive SNs, created in the same slot. Bit amounts are whole numbers below
 2**53 (``whole_bits``), so ``bits * count`` equals the sum over the run's
 packets exactly, and a run gives the same result as its packets one by one.
+Leg queues hold runs: ``send_run`` queues one under the flow's next SNs, and
+``take_in_order`` delivers one whose first SN is the expected one while
+nothing is buffered. The engine calls these two itself for a flow with one
+leg and for such a run; ``route_packet`` and ``reorder_deliver`` use them for
+the same cases and stay the rules for everything else: two or more legs, and
+any gap, duplicate or loss.
 """
 
 from __future__ import annotations
@@ -156,30 +160,29 @@ def route_packet(
     """
     if count < 1:
         raise ValueError(f"flow {state.flow_id!r}: a run holds at least one packet, got {count}")
-    sn = state.next_sn
-    state.next_sn += count
     legs = state.legs
 
     if state.mode is Mode.DUPLICATE:
         if len(legs) < 2:
             raise ModeArityError(f"flow {state.flow_id!r}: duplicate mode needs >= 2 legs")
-        run = Run(sn, count, packet_bits, created_slot)
-        return [_send(state, leg, run) for leg in legs]
+        sn = send_run(state, legs, packet_bits, created_slot, count)
+        return [(leg.leg_id, sn) for leg in legs]
 
     if state.mode is Mode.AGGREGATE and len(legs) > 1:
         # per packet, each seeing the bits its predecessors queued; a packet
         # that picks its predecessor's leg joins that run
         sent: list[tuple[str, int]] = []
         prev = None
-        for s in range(sn, sn + count):
+        for _ in range(count):
             leg = legs[min(range(len(legs)), key=lambda i: (legs[i].delay_estimate_slots, i))]
             if leg is prev:
                 tail = leg.queue[-1]
                 leg.queue[-1] = tail._replace(count=tail.count + 1)
                 leg.queue_bits += packet_bits
                 state.sent_pdus[leg.leg_id] += 1
+                state.next_sn += 1
             else:
-                sent.append(_send(state, leg, Run(s, 1, packet_bits, created_slot)))
+                sent.append((leg.leg_id, send_run(state, [leg], packet_bits, created_slot, 1)))
             prev = leg
         return sent
 
@@ -194,19 +197,26 @@ def route_packet(
                 if i != state.active_leg and legs[i].current_load < state.enter_load
             ]
             if alts:
-                best = min(alts, key=lambda i: (legs[i].current_load, i))
-                state.active_leg = best
+                state.active_leg = min(alts, key=lambda i: (legs[i].current_load, i))
                 state.last_switch_epoch = epoch
         leg = legs[state.active_leg]
     else:  # aggregate over its one leg
         leg = legs[0]
-    return [_send(state, leg, Run(sn, count, packet_bits, created_slot))]
+    return [(leg.leg_id, send_run(state, [leg], packet_bits, created_slot, count))]
 
 
-def _send(state: FlowState, leg: Leg, run: Run) -> tuple[str, int]:
-    leg.enqueue(run)
-    state.sent_pdus[leg.leg_id] = state.sent_pdus.get(leg.leg_id, 0) + run.count
-    return leg.leg_id, run.sn
+def send_run(state: FlowState, legs: list[Leg], bits: float, created_slot: int, count: int) -> int:
+    """Give the flow's next ``count`` SNs to one run of ``bits``-bit packets
+    created in ``created_slot``, queue it on each of ``legs`` and count it in
+    ``sent_pdus``; return its first SN."""
+    sn = state.next_sn
+    state.next_sn = sn + count
+    run = Run(sn, count, bits, created_slot)
+    sent = state.sent_pdus
+    for leg in legs:
+        leg.enqueue(run)
+        sent[leg.leg_id] = sent.get(leg.leg_id, 0) + count
+    return sn
 
 
 @dataclass
@@ -231,6 +241,14 @@ def _drain(rx: ReceiverState, out: list[Run]) -> None:
         rx.delivered_count += 1
 
 
+def take_in_order(rx: ReceiverState, count: int) -> None:
+    """Deliver ``count`` packets from ``rx.expected_sn`` on, with nothing
+    buffered: the receiver's bookkeeping for a run that arrives in order."""
+    rx.expected_sn += count
+    rx.delivered_count += count
+    rx.gap_since = None
+
+
 def reorder_deliver(
     rx: ReceiverState, sn: int, bits: float, created_slot: int, now: int, count: int = 1
 ) -> list[Run]:
@@ -248,9 +266,7 @@ def reorder_deliver(
         if s == rx.expected_sn and not rx.buffer:
             rest = sn + count - s
             out.append(Run(s, rest, bits, created_slot))
-            rx.expected_sn += rest
-            rx.delivered_count += rest
-            rx.gap_since = None
+            take_in_order(rx, rest)
             break
         if s < rx.expected_sn or s in rx.buffer:
             rx.duplicates_dropped += 1

@@ -67,6 +67,11 @@ class ParseError(Exception):
     """The input was not a readable mapping at all."""
 
 
+def _literal(text: str) -> str:
+    """``text`` as a ``check_rules`` reason that formats to itself."""
+    return text.replace("{", "{{").replace("}", "}}")
+
+
 @dataclass(frozen=True)
 class CellConfig:
     cell_id: str
@@ -164,7 +169,8 @@ class UtsSection:
 
     def __post_init__(self):
         feats, ranking = self.features, self.ranking
-        # each reason picks its entry out of the field's value, which it is formatted with
+        thr = [(f, k, v) for f, kv in self.thresholds.items() for k, v in kv.items()]
+        # each reason picks its entry out of the value it is formatted with, or is _literal
         check_rules(self, ("epoch_slots", self.epoch_slots >= 1, "must be >= 1"),
                     ("hysteresis_epochs", self.hysteresis_epochs >= 0, "must be >= 0"),
                     ("time_to_trigger_epochs", self.time_to_trigger_epochs >= 1, "must be >= 1"),
@@ -173,7 +179,11 @@ class UtsSection:
                     *(("ranking", f in feats, f"ranked feature {{0[{i}]!r}} not in features")
                       for i, f in enumerate(ranking)),
                     ("ranking", not ranking or set(ranking) == set(feats),
-                     "ranking must cover every enabled feature"))
+                     "ranking must cover every enabled feature"),
+                    *(("thresholds", f not in DEFAULT_THRESHOLDS or k in DEFAULT_THRESHOLDS[f],
+                       _literal(f"{f}.{k}: unknown threshold")) for f, k, _ in thr),
+                    *(("thresholds", isinstance(v, (int, float)) and math.isfinite(v),
+                       _literal(f"{f}.{k}: must be finite, got {v!r}")) for f, k, v in thr))
 
     def effective_ranking(self) -> tuple[str, ...]:
         return self.ranking if self.ranking else self.features
@@ -522,19 +532,13 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     thr_m = r.mapping(uts_m.get("thresholds"), "uts.thresholds")
     thresholds = {}
     for fid, kv in thr_m.items():
-        if fid not in feats:
+        if fid not in feats:  # a file's rule only: Python configs may switch features off
             r.fail(f"uts.thresholds.{fid}", "thresholds for a feature not enabled")
             continue
-        kv_m = r.mapping(kv, f"uts.thresholds.{fid}")
         values = thresholds[fid] = {}
-        for k, v in kv_m.items():
-            num = r.number(v, f"uts.thresholds.{fid}.{k}")
-            if num is None:
-                continue
-            if fid in DEFAULT_THRESHOLDS and k not in DEFAULT_THRESHOLDS[fid]:
-                r.fail(f"uts.thresholds.{fid}.{k}", "unknown threshold")
-                continue
-            values[k] = num
+        for k, v in r.mapping(kv, f"uts.thresholds.{fid}").items():
+            if (num := r.number(v, f"uts.thresholds.{fid}.{k}")) is not None:
+                values[k] = num
     uts = r.read(
         UtsSection, uts_m, "uts",
         features=feats, ranking=ranking, thresholds=thresholds,

@@ -69,6 +69,9 @@ CASES = [
     case("uts.features", BASE.uts, "features", ("bogus",), "uts.features", ["bogus"]),
     case("uts.ranking", BASE.uts, "ranking", (LOAD_BALANCE_ID,), "uts.ranking",
          [LOAD_BALANCE_ID]),
+    # this one used to construct; the feature then ignored the key
+    case("uts.thresholds", BASE.uts, "thresholds", {LOAD_BALANCE_ID: {"high_lod": 0.6}},
+         "uts.thresholds"),
     gen_case("full_buffer", "packet_bits", 0),
     gen_case("full_buffer", "watermark_bits", 2**53),
     gen_case("poisson_sporadic", "rate_per_slot", -1.0),
@@ -110,6 +113,22 @@ def test_a_refusal_is_a_value_error_that_shows_the_value_only_where_asked():
     with pytest.raises(ValidationError) as e:
         dataclasses.replace(BASE.uts, epoch_slots=0)
     assert e.value.failures == [("epoch_slots", "must be >= 1")]
+
+
+@pytest.mark.parametrize("thresholds", [
+    {LOAD_BALANCE_ID: {"high_load": float("nan")}},
+    {LOAD_BALANCE_ID: {"high_load": "0.6"}},
+    {"{plugin}": {"{knob}": float("inf")}},
+], ids=["nan", "text", "braces"])
+def test_steering_thresholds_are_checked_where_they_are_built(thresholds):
+    # a nan high_load used to construct and run with load balancing silently off
+    with pytest.raises(ValidationError) as e:
+        dataclasses.replace(BASE.uts, features=(LOAD_BALANCE_ID,), thresholds=thresholds)
+    [(feature, kv)] = thresholds.items()
+    [(refused, reason)] = e.value.failures
+    assert refused == "thresholds" and reason.startswith(f"{feature}.{next(iter(kv))}: ")
+    # a plugin feature's own keys and a finite value are fine
+    dataclasses.replace(BASE.uts, thresholds={"plugin": {"knob": 1}, LOAD_BALANCE_ID: {}})
 
 
 def test_a_flow_refuses_a_generator_that_is_not_a_traffic_generator():

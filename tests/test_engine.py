@@ -1655,3 +1655,26 @@ def test_the_slot_clock_is_the_grid_slot_and_a_power_of_two_in_ms(mu):
     w = World(cfg)
     assert w.slot_seconds == w.cells["c1"].mac.cell.grid.slot_seconds
     assert w.slot_ms == w.slot_seconds * 1e3 == 2.0**-mu
+
+
+@pytest.mark.parametrize(
+    "name, slots, fallback",
+    [("two_cell_load_balance", 400, False), ("urllc_duplication", None, True),
+     ("hetnet_walkthrough", None, True)],
+)
+def test_each_scenario_takes_the_transport_path_its_flows_need(scenarios, name, slots, fallback):
+    """One-leg flows and in-order runs are booked in the slot loop; two or
+    more legs, gaps, duplicates and losses still go through the pdcp rules.
+    Call counts are deterministic, so this holds on any host."""
+    cfg = scenarios[name] if slots is None else _short(scenarios, name, slots)
+    with mock.patch.object(pdcp, "route_packet", wraps=pdcp.route_packet) as route, \
+            mock.patch.object(pdcp, "reorder_deliver", wraps=pdcp.reorder_deliver) as deliver, \
+            mock.patch.object(pdcp, "reorder_tick", wraps=pdcp.reorder_tick) as tick:
+        res = run_scenario(cfg, seed=1)
+    calls = route.call_count, deliver.call_count, tick.call_count
+    if fallback:
+        assert route.call_count > 0 and deliver.call_count > 0, calls
+    else:
+        # three load-balance handovers move queued runs, still in order
+        assert sum(e.kind == "add_leg" for e in res.events) == 3
+        assert calls == (0, 0, 0)

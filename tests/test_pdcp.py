@@ -15,6 +15,8 @@ from rrmsim.pdcp import (
     reorder_deliver,
     reorder_tick,
     route_packet,
+    send_run,
+    take_in_order,
 )
 
 
@@ -314,6 +316,19 @@ def _rx_state(rx):
             rx.duplicates_dropped, rx.lost_count)
 
 
+def _tx_state(tx):
+    return tx.next_sn, tx.active_leg, tx.last_switch_epoch, tx.sent_pdus
+
+
+def _lane_receive(rx, sn, bits, created, now, count):
+    """A received stretch as the engine's drain takes it: at once when it
+    starts at the expected SN with nothing buffered, else through the rules."""
+    if sn == rx.expected_sn and not rx.buffer:
+        take_in_order(rx, count)
+        return [Run(sn, count, bits, created)]
+    return reorder_deliver(rx, sn, bits, created, now, count)
+
+
 @settings(max_examples=200)
 @given(
     mode=st.sampled_from(list(Mode)),
@@ -323,9 +338,12 @@ def _rx_state(rx):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_a_run_of_n_packets_equals_n_single_packet_calls(mode, n_legs, loss, slots, seed):
-    """Route, lose, reorder and deliver the same traffic twice: once as runs,
-    once packet by packet. Legs drain unevenly and in a shuffled order, so
-    packets arrive out of order (and twice when duplicating)."""
+    """Route, lose, reorder and deliver the same traffic three times: as runs,
+    packet by packet, and as the engine's lanes do (``send_run`` for a flow
+    with one leg, ``take_in_order`` for a stretch that arrives in order with
+    nothing buffered, a tick only while the gap timer runs, the rules
+    otherwise). Legs drain unevenly and in a shuffled order, so packets
+    arrive out of order (and twice when duplicating)."""
     if mode is Mode.DUPLICATE:
         n_legs = max(n_legs, 2)
     rng = np.random.default_rng(seed)
@@ -337,11 +355,12 @@ def test_a_run_of_n_packets_equals_n_single_packet_calls(mode, n_legs, loss, slo
 
     runs_tx, runs_rx = build()
     one_tx, one_rx = build()
-    got_runs, got_one = [], []
+    lane_tx, lane_rx = build()
+    got_runs, got_one, got_lane = [], [], []
     for slot in range(slots):
         epoch = slot // 4
         loads = rng.uniform(0.0, 1.0, n_legs).tolist()
-        for tx in (runs_tx, one_tx):
+        for tx in (runs_tx, one_tx, lane_tx):
             for leg, load in zip(tx.legs, loads):
                 leg.current_load = load
         count, bits = int(rng.integers(0, 9)), float(rng.integers(1, 600))
@@ -349,40 +368,50 @@ def test_a_run_of_n_packets_equals_n_single_packet_calls(mode, n_legs, loss, slo
             route_packet(runs_tx, bits, slot, epoch, count)
             for _ in range(count):
                 route_packet(one_tx, bits, slot, epoch)
-        for a, b in zip(runs_tx.legs, one_tx.legs):
-            assert _packets(a.queue) == _packets(b.queue)
-            assert a.queue_bits == b.queue_bits
-        assert (runs_tx.next_sn, runs_tx.active_leg, runs_tx.last_switch_epoch, runs_tx.sent_pdus) == (
-            one_tx.next_sn, one_tx.active_leg, one_tx.last_switch_epoch, one_tx.sent_pdus
-        )
+            if len(lane_tx.legs) == 1:
+                send_run(lane_tx, lane_tx.legs, bits, slot, count)
+            else:
+                route_packet(lane_tx, bits, slot, epoch, count)
+        for a, b, c in zip(runs_tx.legs, one_tx.legs, lane_tx.legs):
+            assert _packets(a.queue) == _packets(b.queue) == _packets(c.queue)
+            assert a.queue_bits == b.queue_bits == c.queue_bits
+        assert _tx_state(runs_tx) == _tx_state(one_tx) == _tx_state(lane_tx)
+        # each SN is counted once per leg it went onto
+        copies = n_legs if mode is Mode.DUPLICATE else 1
+        assert sum(lane_tx.sent_pdus.values()) == lane_tx.next_sn * copies
 
         order = rng.permutation(n_legs).tolist()
         for i in order:
             k = int(rng.integers(0, 7))
             taken = _take(runs_tx.legs[i], k)
             assert _packets(taken) == _packets(_take(one_tx.legs[i], k))
+            assert _packets(taken) == _packets(_take(lane_tx.legs[i], k))
             lost = (rng.random(len(_packets(taken))) < loss).tolist()
-            # as runs: each stretch between lost packets arrives in one call
+            # as runs, and as the lanes: each stretch between lost packets
+            # arrives in one call
             j = 0
             for r in taken:
                 first = 0
-                for x in range(r.count):
-                    if lost[j + x]:
+                for x in range(r.count + 1):
+                    if x == r.count or lost[j + x]:
                         if x > first:
-                            got_runs += reorder_deliver(runs_rx, r.sn + first, r.bits,
-                                                        r.created_slot, slot, x - first)
+                            args = (r.sn + first, r.bits, r.created_slot, slot, x - first)
+                            got_runs += reorder_deliver(runs_rx, *args)
+                            got_lane += _lane_receive(lane_rx, *args)
                         first = x + 1
-                if r.count > first:
-                    got_runs += reorder_deliver(runs_rx, r.sn + first, r.bits, r.created_slot,
-                                                slot, r.count - first)
                 j += r.count
             # packet by packet
             for (sn, b, created), dropped in zip(_packets(taken), lost):
                 if not dropped:
                     got_one += reorder_deliver(one_rx, sn, b, created, slot)
-            assert _rx_state(runs_rx) == _rx_state(one_rx)
+            assert _rx_state(runs_rx) == _rx_state(one_rx) == _rx_state(lane_rx)
         got_runs += reorder_tick(runs_rx, slot)
         got_one += reorder_tick(one_rx, slot)
-        assert _rx_state(runs_rx) == _rx_state(one_rx)
+        if lane_rx.gap_since is not None:
+            got_lane += reorder_tick(lane_rx, slot)
+        assert _rx_state(runs_rx) == _rx_state(one_rx) == _rx_state(lane_rx)
+        # the gap timer runs exactly while something is buffered
+        assert (lane_rx.gap_since is None) == (not lane_rx.buffer)
     assert all(r.count == 1 for r in got_one)
+    assert got_lane == got_runs
     assert [(s, c) for s, _, c in _packets(got_runs)] == [(s, c) for s, _, c in _packets(got_one)]
