@@ -85,12 +85,12 @@ class ValidationError(ValueError):
 def check_rules(obj, *rules: tuple[str, bool, str]) -> None:
     """Raise ValidationError naming each ``(field, ok, reason)`` rule of ``obj``
     that fails; an empty field marks a rule over the whole value. A reason is
-    formatted only on failure, with the field's value in place of ``{}``."""
+    formatted only on failure, with the field's value in place of ``{}``, unless
+    its name picks an entry or a part (``flows[2].ue_id``, ``mac.demand_sinr_db``)."""
     for _, ok, _ in rules:
         if not ok:
-            raise ValidationError(
-                [(f, r.format(getattr(obj, f)) if f else r) for f, ok, r in rules if not ok]
-            )
+            raise ValidationError([(f, r.format(getattr(obj, f)) if f.isidentifier() else r)
+                                   for f, ok, r in rules if not ok])
 
 
 @dataclass(frozen=True)

@@ -136,7 +136,6 @@ class FlowRuntime:
     #: the sum of the delivered packets' latencies in slots, and their count
     latency_sum: int = 0
     latency_n: int = 0
-    deadline_misses: int = 0
     #: arrived, delivered, latency sum and count at the last rollup
     rolled: tuple = (0.0, 0.0, 0, 0)
 
@@ -287,8 +286,6 @@ class World:
         """The eligible cell of the highest RSRP, the lowest id on a tie; only
         cells within twice the tolerance of the best ``estimate`` can be it."""
         est = {cid: estimate[self.cells[cid].index] for cid in self._eligible[ue_id]}
-        if not est:
-            raise ValueError(f"UE {ue_id!r} is eligible for no cell")
         cut = max(est.values()) - 2 * chan.SIGNAL_ESTIMATE_TOL_DB
         return min(
             (-chan.rsrp_dbm(self.chan, self.cells[cid].mac.cell, position), cid)
@@ -545,9 +542,7 @@ class World:
         or received; received packets in order with nothing buffered are
         taken at once, others go through ``reorder_deliver``."""
         leg = fr.state.leg_by_cell(cell_id)
-        if leg is None:
-            return 0.0
-        pool, drained = bits, 0.0
+        pool = bits
         drop_prob = self.cells[cell_id].drop_prob
         queue, rx = leg.queue, fr.rx
         while pool > 0 and queue:
@@ -556,13 +551,11 @@ class World:
             if pool < need:
                 leg.head_sent_bits += pool
                 leg.queue_bits -= pool
-                drained += pool
-                break
+                return bits
             # whole-number bits, so this equals taking the packets one by one
             done = 1 + min(count - 1, int((pool - need) // size))
             used = need + (done - 1) * size
             pool -= used
-            drained += used
             leg.queue_bits -= used
             leg.head_sent_bits = 0.0
             if done == count:
@@ -585,12 +578,11 @@ class World:
                         for d in pdcp.reorder_deliver(rx, s, size, created, self.slot, n):
                             self._deliver(fr, d.bits, d.created_slot, d.count)
                 first = end + 1
-        return drained
+        return bits - pool
 
     def _deliver(self, fr: FlowRuntime, bits: float, created_slot: int, count: int = 1) -> None:
         """Book ``count`` deliveries of ``bits`` each, in order or by random
-        access: the flow's totals, its latency and deadline, and the UE's
-        steering window."""
+        access: the flow's totals, its latency, and the UE's steering window."""
         total = bits * count
         fr.delivered_bits += total
         lat = self.slot - created_slot
@@ -598,9 +590,6 @@ class World:
         fr.latency_sum += lat * count
         fr.latency_n += count
         self.ues[fr.cfg.ue_id].delivered_window_bits += total
-        gen = fr.cfg.generator
-        if isinstance(gen, traffic.PeriodicDeadline) and lat > gen.deadline_slots:
-            fr.deadline_misses += count
 
     def _run_macs(self) -> None:
         for cr, inputs in self._channel_inputs():
@@ -740,8 +729,9 @@ class World:
         per_flow = {}
         all_lat: Counter[int] = Counter()
         for fr in self.flows.values():
-            fc = fr.cfg
+            fc, gen = fr.cfg, fr.cfg.generator
             all_lat.update(fr.latency_counts)
+            deadline = gen.deadline_slots if isinstance(gen, traffic.PeriodicDeadline) else math.inf
             per_flow[fc.flow_id] = {
                 "ue": fc.ue_id,
                 "service": fr.service,
@@ -753,7 +743,7 @@ class World:
                 "duplicates_dropped": fr.rx.duplicates_dropped if fr.state is not None else None,
                 "declared_lost": fr.rx.lost_count if fr.state is not None else None,
                 "lost_in_transit": fr.lost_in_transit,
-                "deadline_misses": fr.deadline_misses,
+                "deadline_misses": sum(n for l, n in fr.latency_counts.items() if l > deadline),
                 "access_attempts": fr.attempts,
                 "mean_latency_ms": (
                     fr.latency_sum * self.slot_ms / fr.latency_n if fr.latency_n else None

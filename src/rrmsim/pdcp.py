@@ -221,8 +221,8 @@ def send_run(state: FlowState, legs: list[Leg], bits: float, created_slot: int, 
 
 @dataclass
 class ReceiverState:
-    """Receive-side reordering window for one flow. ``buffer`` maps each
-    buffered SN to its (bits, created_slot)."""
+    """Receive-side reordering window for one flow. ``buffer`` maps each buffered SN to its
+    (bits, created_slot); the gap timer ``gap_since`` runs exactly while something is buffered."""
 
     t_reorder_slots: int = DEFAULT_T_REORDER_SLOTS
     expected_sn: int = 0
@@ -246,7 +246,6 @@ def take_in_order(rx: ReceiverState, count: int) -> None:
     buffered: the receiver's bookkeeping for a run that arrives in order."""
     rx.expected_sn += count
     rx.delivered_count += count
-    rx.gap_since = None
 
 
 def reorder_deliver(
@@ -297,9 +296,6 @@ def reorder_tick(rx: ReceiverState, now: int) -> list[Run]:
     if rx.gap_since is None:
         return out
     if now - rx.gap_since < rx.t_reorder_slots:
-        return out
-    if not rx.buffer:
-        rx.gap_since = None
         return out
     nxt = min(rx.buffer)
     rx.lost_count += nxt - rx.expected_sn

@@ -7,9 +7,10 @@ knobs. Each section is a config dataclass, and the runtime layers' own types
 sections directly, and a flow's ``generator`` is the ``traffic`` generator
 itself: a section's keys, value types and defaults are read from its
 dataclass fields, so each setting is declared once. So is each range
-rule, in the ``__post_init__`` of the type that holds the value, which a
-config built in Python meets too; the reader checks only rules across
-sections. Parsing is strict: unknown keys and refused values are collected
+rule, in the ``__post_init__`` of the type that holds the value, and each
+rule across sections, on ``ScenarioConfig``: a config built in Python meets
+them too, and the reader adds only that ``uts.thresholds`` name enabled
+features. Parsing is strict: unknown keys and refused values are collected
 and reported together, each with its config path. ``scenario_to_dict`` emits
 every field from the same field lists, so a serialized config re-parses to
 an equal one.
@@ -211,6 +212,55 @@ class ScenarioConfig:
     pdcp: PdcpSection = PdcpSection()
     uts: UtsSection = UtsSection()
 
+    def __post_init__(self):
+        check_rules(self, *self._rules())
+
+    def _rules(self):
+        """Each rule across sections, in order; one on an entry or with a list in
+        its reason is yielded only if it fails, so a valid config formats no reason."""
+        cells, ues, flows = self.cells, self.ues, self.flows
+        yield "cells", bool(cells), "at least one cell is required"
+        yield from _repeats("cells", "cell", [c.cell_id for c in cells])
+        yield ("cells", len({c.numerology for c in cells}) <= 1,
+               "all cells must share one numerology (one slot clock)")
+        yield from _repeats("ues", "ue", [u.ue_id for u in ues])
+        by_id = {c.cell_id: c for c in cells}
+
+        def admits(c, u):  # some portion of cell c takes UE u
+            return any(p.usable_by(u.capabilities) for p in c.portions)
+
+        for i, u in enumerate(ues):
+            sc = u.serving_cell
+            if sc is not None and sc not in by_id:
+                yield f"ues[{i}].serving_cell", False, f"unknown cell {sc!r}"
+            elif sc is not None and not admits(by_id[sc], u):
+                yield f"ues[{i}].serving_cell", False, f"{u.ue_id!r} lacks a usable portion there"
+            elif sc is None and cells and not any(admits(c, u) for c in cells):
+                yield f"ues[{i}]", False, f"{u.ue_id!r} is eligible for no cell"
+        yield from _repeats("flows", "flow", [f.flow_id for f in flows])
+        known = {u.ue_id for u in ues}
+        for i, f in enumerate(flows):
+            if f.ue_id and f.ue_id not in known:
+                yield f"flows[{i}].ue_id", False, f"unknown UE {f.ue_id!r}"
+        # a cell narrower than its access partition, or with a portion the MAC's
+        # demand SINR gives no bits per PRB, would stop the run at its first slot
+        floor, v = self.mac.access_floor_prbs, self.mac.demand_sinr_db
+        for i, c in enumerate(cells):
+            if c.prbs_per_slot < floor:
+                yield (f"cells[{i}].prbs_per_slot", False, f"must be >= {floor}, the access"
+                       " partition's PRBs (the larger of mac.min_guarantee_prbs and"
+                       " mac.access_cost_prbs)")
+            grid = CarrierGrid(c.carrier_hz, c.prbs_per_slot, c.numerology, c.prb_bandwidth_hz)
+            for p in c.portions:
+                if math.isnan(v) or link_rate(v, p.waveform_efficiency, grid) <= 0:
+                    where = f"cell {c.cell_id!r} portion {p.key!r}"
+                    yield "mac.demand_sinr_db", False, f"{v} dB gives no bits per PRB on {where}"
+
+
+def _repeats(field: str, what: str, ids: list[str]):
+    if len(set(ids)) < len(ids):
+        yield field, False, _literal(f"{what} ids must be unique, got {ids}")
+
 
 #: YAML keys that differ from their dataclass field names, per class.
 _YAML_KEYS = {
@@ -218,6 +268,15 @@ _YAML_KEYS = {
     UeConfig: {"ue_id": "id"},
     FlowConfig: {"flow_id": "id", "ue_id": "ue", "slice_id": "slice"},
 }
+
+def _yaml_path(parts: dict, rule: str) -> str:
+    """The file path of a ``ScenarioConfig`` rule over the fields ``parts``, with
+    the entry's or part's YAML key: ``flows[2].ue_id`` is ``traffic.flows[2].ue``."""
+    head, dot, sub = rule.partition(".")
+    field, bracket, index = head.partition("[")
+    part = parts[field][int(index[:-1])] if bracket else parts[field]
+    where = {"cells": "network.cells", "flows": "traffic.flows"}.get(field, field)
+    return where + bracket + index + dot + _YAML_KEYS.get(type(part), {}).get(sub, sub)
 
 
 @functools.cache
@@ -364,8 +423,8 @@ class _Reader:
         rules judge the values: each refusal is reported at its field's YAML
         key, or at ``path`` for a rule over the whole value. The values are
         then kept, each refused field at its default, in an instance built
-        without running the rules again, so the cross-section checks still
-        see the rest; the parse fails anyway.
+        without running the rules again, so the scenario's rules across
+        sections still see the rest; the parse fails anyway.
         """
         m = self.mapping(raw, path)
         by_key, field_defaults = _fields(cls)
@@ -434,10 +493,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         raise ParseError(f"scenario must be a mapping, got {type(data).__name__}")
     r = _Reader()
     r.reject_unknown(
-        data,
-        {"name", "sim", "channel", "network", "ues", "traffic", "mac", "pdcp", "uts"},
-        "",
-    )
+        data, {"name", "sim", "channel", "network", "ues", "traffic", "mac", "pdcp", "uts"}, "")
     name = r.get(data, "name", str, ScenarioConfig.name, "")
 
     sim = r.read(SimSection, data.get("sim"), "sim")
@@ -449,34 +505,9 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         _read_cell(r, c, f"network.cells[{i}]", i)
         for i, c in enumerate(r.seq(net_m.get("cells"), "network.cells"))
     )
-    if not cells:
-        r.fail("network.cells", "at least one cell is required")
-    ids = [c.cell_id for c in cells]
-    if len(set(ids)) != len(ids):
-        r.fail("network.cells", f"cell ids must be unique, got {ids}")
-    if len({c.numerology for c in cells}) > 1:
-        r.fail("network.cells", "all cells must share one numerology (one slot clock)")
-
     ues = tuple(
         _read_ue(r, u, f"ues[{i}]", i) for i, u in enumerate(r.seq(data.get("ues"), "ues"))
     )
-    uids = [u.ue_id for u in ues]
-    if len(set(uids)) != len(uids):
-        r.fail("ues", f"ue ids must be unique, got {uids}")
-
-    cell_by_id = {c.cell_id: c for c in cells}
-
-    def eligible(ue: UeConfig, cell: CellConfig) -> bool:
-        return any(p.usable_by(ue.capabilities) for p in cell.portions)
-
-    for i, u in enumerate(ues):
-        if u.serving_cell is not None:
-            if u.serving_cell not in cell_by_id:
-                r.fail(f"ues[{i}].serving_cell", f"unknown cell {u.serving_cell!r}")
-            elif not eligible(u, cell_by_id[u.serving_cell]):
-                r.fail(f"ues[{i}].serving_cell", f"{u.ue_id!r} lacks a usable portion there")
-        elif cells and not any(eligible(u, c) for c in cells):
-            r.fail(f"ues[{i}]", f"{u.ue_id!r} is eligible for no cell")
 
     tr_m = r.mapping(data.get("traffic"), "traffic")
     r.reject_unknown(tr_m, {"flows"}, "traffic")
@@ -484,30 +515,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         _read_flow(r, f, f"traffic.flows[{i}]", i)
         for i, f in enumerate(r.seq(tr_m.get("flows"), "traffic.flows"))
     )
-    fids = [f.flow_id for f in flows]
-    if len(set(fids)) != len(fids):
-        r.fail("traffic.flows", f"flow ids must be unique, got {fids}")
-    known_ues = {u.ue_id for u in ues}
-    for i, f in enumerate(flows):
-        if f.ue_id and f.ue_id not in known_ues:
-            r.fail(f"traffic.flows[{i}].ue", f"unknown UE {f.ue_id!r}")
-
     mac = r.read(MacConfig, data.get("mac"), "mac")
-    # a cell narrower than its access partition, or with a portion the MAC's
-    # demand SINR gives no bits per PRB, stops the run at its first slot
-    v = mac.demand_sinr_db
-    for i, c in enumerate(cells):  # a refused grid field is at its default here
-        grid = CarrierGrid(c.carrier_hz, c.prbs_per_slot, c.numerology, c.prb_bandwidth_hz)
-        if c.prbs_per_slot < mac.access_floor_prbs:
-            r.fail(
-                f"network.cells[{i}].prbs_per_slot",
-                f"must be >= {mac.access_floor_prbs}, the access partition's PRBs"
-                " (the larger of mac.min_guarantee_prbs and mac.access_cost_prbs)",
-            )
-        for p in c.portions:
-            if math.isnan(v) or link_rate(v, p.waveform_efficiency, grid) <= 0:
-                where = f"cell {c.cell_id!r} portion {p.key!r}"
-                r.fail("mac.demand_sinr_db", f"{v} dB gives no bits per PRB on {where}")
 
     pd_m = r.mapping(data.get("pdcp"), "pdcp")
     modes_m = r.mapping(pd_m.get("service_modes"), "pdcp.service_modes")
@@ -544,12 +552,16 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         features=feats, ranking=ranking, thresholds=thresholds,
     )
 
+    parts = dict(name=name, sim=sim, channel=channel, cells=cells, ues=ues, flows=flows,
+                 mac=mac, pdcp=pdcp, uts=uts)
+    try:
+        cfg = ScenarioConfig(**parts)
+    except ValidationError as e:
+        for rule, reason in e.failures:
+            r.fail(_yaml_path(parts, rule), reason)
     if r.failures:
         raise ValidationError(r.failures)
-    return ScenarioConfig(
-        name=name, sim=sim, channel=channel, cells=cells, ues=ues,
-        flows=flows, mac=mac, pdcp=pdcp, uts=uts,
-    )
+    return cfg
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:

@@ -155,3 +155,109 @@ def test_pdcp_modes_map_every_traffic_class_to_a_mode(modes):
         dataclasses.replace(BASE.pdcp, service_modes=modes)
     [(refused, reason)] = e.value.failures
     assert refused == "service_modes" and "every traffic class" in reason
+
+
+LB = load_scenario(SCENARIO_DIR / "two_cell_load_balance.yaml")
+GATED = (dataclasses.replace(PORTION, required_capability="lte_m"),)
+FLOOR = "the access partition's PRBs (the larger of mac.min_guarantee_prbs and mac.access_cost_prbs)"
+
+
+def entry(seq, i, **changes):
+    return tuple(dataclasses.replace(x, **changes) if j == i else x for j, x in enumerate(seq))
+
+
+def ids_with_repeat(seq, name):
+    """The ids of ``seq`` with the second entry's id the first's."""
+    return [getattr(seq[0], name)] * 2 + [getattr(x, name) for x in seq[2:]]
+
+
+def across(id, changes, field, reason, yaml=None, path=None):
+    """``LB`` with ``changes`` to its sections is refused, among others, by
+    rule ``field`` for ``reason``; where a file can say it, the file with the
+    ``yaml`` edits (path: value) is refused for the same reason at ``path``."""
+    return pytest.param(changes, field, reason, yaml, path, id=id)
+
+
+ACROSS = [
+    # these two used to run to the end
+    across("two_numerologies", {"cells": entry(LB.cells, 1, numerology=1)}, "cells",
+           "all cells must share one numerology (one slot clock)",
+           {"network.cells[1].numerology": 1}, "network.cells"),
+    across("repeated_ue_id", {"ues": entry(LB.ues, 1, ue_id="ue01")}, "ues",
+           f"ue ids must be unique, got {ids_with_repeat(LB.ues, 'ue_id')}",
+           {"ues[1].id": "ue01"}, "ues"),
+    # these ten used to fail inside the World or the MAC, naming no config field
+    across("repeated_cell_id", {"cells": entry(LB.cells, 1, cell_id="cell-a")}, "cells",
+           "cell ids must be unique, got ['cell-a', 'cell-a']",
+           {"network.cells[1].id": "cell-a"}, "network.cells"),
+    across("repeated_flow_id", {"flows": entry(LB.flows, 1, flow_id="f01")}, "flows",
+           f"flow ids must be unique, got {ids_with_repeat(LB.flows, 'flow_id')}",
+           {"traffic.flows[1].id": "f01"}, "traffic.flows"),
+    across("unknown_ue", {"flows": entry(LB.flows, 2, ue_id="nobody")}, "flows[2].ue_id",
+           "unknown UE 'nobody'", {"traffic.flows[2].ue": "nobody"}, "traffic.flows[2].ue"),
+    across("unknown_serving_cell", {"ues": entry(LB.ues, 3, serving_cell="nowhere")},
+           "ues[3].serving_cell", "unknown cell 'nowhere'",
+           {"ues[3].serving_cell": "nowhere"}, "ues[3].serving_cell"),
+    across("serving_cell_unusable", {"cells": entry(LB.cells, 0, portions=GATED)},
+           "ues[0].serving_cell", "'ue01' lacks a usable portion there",
+           {"network.cells[0].portions": [{"key": "main", "required_capability": "lte_m"}]},
+           "ues[0].serving_cell"),
+    across("eligible_for_no_cell",
+           {"cells": tuple(dataclasses.replace(c, portions=GATED) for c in LB.cells),
+            "ues": tuple(dataclasses.replace(u, serving_cell=None) for u in LB.ues)},
+           "ues[0]", "'ue01' is eligible for no cell",
+           {**{f"network.cells[{i}].portions": [{"key": "main", "required_capability": "lte_m"}]
+               for i in range(2)},
+            **{f"ues[{i}].serving_cell": None for i in range(len(LB.ues))}}, "ues[0]"),
+    across("cell_under_access_floor",
+           {"mac": dataclasses.replace(LB.mac, access_cost_prbs=60)},
+           "cells[1].prbs_per_slot", f"must be >= 60, {FLOOR}",
+           {"mac.access_cost_prbs": 60}, "network.cells[1].prbs_per_slot"),
+    # a file refuses nan where it is read, as not finite
+    across("nan_demand_sinr", {"mac": dataclasses.replace(LB.mac, demand_sinr_db=float("nan"))},
+           "mac.demand_sinr_db", "nan dB gives no bits per PRB on cell 'cell-a' portion 'main'"),
+    across("demand_sinr_sizes_no_bits", {"mac": dataclasses.replace(LB.mac, demand_sinr_db=-60.0)},
+           "mac.demand_sinr_db", "-60.0 dB gives no bits per PRB on cell 'cell-b' portion 'main'",
+           {"mac.demand_sinr_db": -60.0}, "mac.demand_sinr_db"),
+    across("no_cells", {"cells": ()}, "cells", "at least one cell is required",
+           {"network.cells": []}, "network.cells"),
+]
+
+
+@pytest.mark.parametrize("changes, field, reason, yaml, path", ACROSS)
+def test_a_config_built_in_python_meets_the_rules_across_sections(changes, field, reason, yaml,
+                                                                   path):
+    with pytest.raises(ValidationError) as e:
+        dataclasses.replace(LB, **changes)
+    assert (field, reason) in e.value.failures, e.value.failures
+    if yaml is None:
+        return
+    with pytest.raises(ValidationError) as e:
+        scenario_from_dict(lb_file_with(yaml))
+    assert (path, reason) in e.value.failures, e.value.failures
+
+
+def lb_file_with(yaml):
+    """``LB``'s file with the ``yaml`` edits (path: value)."""
+    data = scenario_to_dict(LB)
+    for where, value in yaml.items():
+        *parents, key = re.findall(r"[^.\[\]]+", where)
+        node = data
+        for part in parents:
+            node = node[int(part)] if part.isdigit() else node[part]
+        node[key] = value
+    return data
+
+
+@pytest.mark.parametrize("yaml, refusals", [
+    ({"ues[1].id": "ue01", "ues[1].serving_cell": "nowhere"},
+     [("ues", f"ue ids must be unique, got {ids_with_repeat(LB.ues, 'ue_id')}"),
+      ("ues[1].serving_cell", "unknown cell 'nowhere'")]),
+    ({"network.cells[1].numerology": 1, "mac.access_cost_prbs": 60},
+     [("network.cells", "all cells must share one numerology (one slot clock)"),
+      ("network.cells[1].prbs_per_slot", f"must be >= 60, {FLOOR}")]),
+], ids=["repeated_ue_id_and_unknown_serving_cell", "two_numerologies_and_a_narrow_cell"])
+def test_a_file_breaking_a_list_rule_and_an_entry_rule_gets_both_refusals(yaml, refusals):
+    with pytest.raises(ValidationError) as e:
+        scenario_from_dict(lb_file_with(yaml))
+    assert all(refusal in e.value.failures for refusal in refusals), e.value.failures
