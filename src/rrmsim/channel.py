@@ -82,10 +82,14 @@ def cell_constants(cells) -> np.ndarray:
 
 def rsrp_estimate(cfg: ChannelConfig, consts: np.ndarray, positions) -> np.ndarray:
     """``rsrp_dbm`` in its operation order, positions by row and the cells of
-    ``consts`` by column: within ``SIGNAL_ESTIMATE_TOL_DB`` of the exact value."""
+    ``consts`` by column: within ``SIGNAL_ESTIMATE_TOL_DB`` of the exact value.
+    It broadcasts: ``consts`` of shape (5, P, 1, 1) against positions of shape
+    (P, S, 2) give each of P pairs its own cell's value at S positions."""
     x, y, tx, ref, ten_n = consts
-    p = np.asarray(positions, dtype=float).reshape(-1, 2)
-    d = np.maximum(np.hypot(p[:, :1] - x, p[:, 1:] - y), cfg.min_distance_m)
+    p = np.asarray(positions, dtype=float)
+    if p.ndim < 2:  # no position, or one
+        p = p.reshape(-1, 2)
+    d = np.maximum(np.hypot(p[..., :1] - x, p[..., 1:] - y), cfg.min_distance_m)
     return tx - (ref + ten_n * np.log10(d))
 
 

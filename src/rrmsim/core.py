@@ -166,12 +166,15 @@ class AllocationMap:
         if stop > n:
             raise OutOfRangeError(stop - 1, n)
         blocks = self._blocks
-        i = bisect_right(blocks, start, key=_block_start)
-        if i > 0 and blocks[i - 1][1] > start:
-            raise OverlapError(start, blocks[i - 1][2], owner)
-        if i < len(blocks) and blocks[i][0] < stop:
-            raise OverlapError(blocks[i][0], blocks[i][2], owner)
-        blocks.insert(i, (start, stop, owner, purpose))
+        if not blocks or blocks[-1][1] <= start:  # past every held block
+            blocks.append((start, stop, owner, purpose))
+        else:
+            i = bisect_right(blocks, start, key=_block_start)
+            if i > 0 and blocks[i - 1][1] > start:
+                raise OverlapError(start, blocks[i - 1][2], owner)
+            if i < len(blocks) and blocks[i][0] < stop:
+                raise OverlapError(blocks[i][0], blocks[i][2], owner)
+            blocks.insert(i, (start, stop, owner, purpose))
         self._count += stop - start
 
     def blocks(self) -> list[tuple[int, int, str, str]]:

@@ -9,11 +9,16 @@ fading hash, so a (config, seed) pair fully determines every output byte.
 The fading hash is stateless and a UE's position a function of the slot
 (``_position_at``), so slot inputs come a span of ``FADING_SPAN_MAX`` slots
 at a time: one numpy block gives every (UE, cell) pair with a queue-driven
-flow a list of its per-PRB rates over the span, and a pair that a handover
-brings in mid-span gets its list the same way; the lists go when the span
-ends. The block's numpy rates only rule each rate in; ``link_rate`` at the
-exact SINR decides the rest (``link_rates``). A UE is its ``UeConfig``, and
-a flow's traffic source is its config's ``generator``.
+flow a list of its per-PRB rates over the span (a static UE's signal
+estimate made once), and a pair that a handover brings in mid-span gets its
+list the same way; the lists go when the span ends. The block's numpy rates
+only rule each rate in; ``link_rate`` at the exact SINR decides the rest
+(``link_rates``). Each cell's pair table (``CellRuntime.pairs``) maps every
+queue-driven flow its MAC has registered, in ``mac.flows`` order, to its leg
+there, its (UE, portion) and its (UE index, cell index); ``_attach`` keeps
+it, so a slot's inputs and drains read the tables and never scan the MACs'
+flows. A UE is its ``UeConfig``, and a flow's traffic source is its
+config's ``generator``.
 Lookups fixed for a run (flows, services, capabilities and eligible cells
 by UE, best portions by capability set, the cells' capability descriptors
 and radio constants) are built once; the read-only ones pickle as plain
@@ -43,10 +48,10 @@ is a whole number below 2**53: the generator types refuse other sizes, and
 the MAC's served bits are checked as they enter (``pdcp.whole_bits``).
 
 A flow's attachment changes in one place, ``World._attach``: it moves, adds
-or drops one leg (whose id is its cell's id) and keeps the MAC registrations,
-the queued runs, the last-leg rule and the mode's leg count in step. The five
-steering mutators go only through it, and so does an mMTC flow's handover,
-which carries its pending access attempts along.
+or drops one leg (whose id is its cell's id) and keeps the MAC registrations
+and the pair tables, the queued runs, the last-leg rule and the mode's leg
+count in step. The five steering mutators go only through it, and so does an
+mMTC flow's handover, which carries its pending access attempts along.
 """
 
 from __future__ import annotations
@@ -98,6 +103,12 @@ class CellRuntime:
     mac: MacInstance
     noise_floor_dbm: float
     served_bits_total: float = 0.0
+    #: the pair table: each queue-driven flow the MAC has registered, in
+    #: ``mac.flows`` order, to its leg here, its (UE id, portion key) and its
+    #: (UE index, cell index); kept by ``World._attach``
+    pairs: dict[str, tuple[pdcp.Leg, tuple[str, str], tuple[int, int]]] = field(
+        default_factory=dict
+    )
 
 
 @dataclass
@@ -330,14 +341,15 @@ class World:
         to ``dst``, add a leg on ``dst`` (``src`` None) or drop the one on
         ``src`` (``dst`` None). A leg's id is its cell's id.
 
-        In the same step the MACs follow (``src`` deregisters the flow,
-        ``dst`` registers it), the old leg's queue goes to the target leg, or
-        on a drop to the first leg left unless the flow duplicates (a partly
-        sent head packet goes whole, and its sent bits count in
-        ``resent_bits``), the flow keeps its last leg, ``active_leg`` resets
-        when a leg goes, and below two legs the mode is AGGREGATE. ``mode``, if given, is the flow's mode
-        from now on. An mMTC flow has no legs: its registration moves and its
-        pending access attempts move with it.
+        In the same step the MACs and their cells' pair tables follow
+        (``src`` deregisters the flow, ``dst`` registers it), the old leg's
+        queue goes to the target leg, or on a drop to the first leg left
+        unless the flow duplicates (a partly sent head packet goes whole, and
+        its sent bits count in ``resent_bits``), the flow keeps its last leg,
+        ``active_leg`` resets when a leg goes, and below two legs the mode is
+        AGGREGATE. ``mode``, if given, is the flow's mode from now on. An
+        mMTC flow has no legs: its registration moves and its pending access
+        attempts move with it.
         """
         fid, state = fr.cfg.flow_id, fr.state
         if state is None:
@@ -355,11 +367,14 @@ class World:
             return  # no leg there, or the flow's last leg, which it keeps
         new = state.leg_by_cell(dst) if dst is not None else None
         if dst is not None and new is None:
-            eff = self._register_mac_flow(fr, dst).waveform_efficiency
-            new = pdcp.Leg(dst, dst, capacity_score(self.cells[dst].mac.cell.grid, eff))
+            portion, cr = self._register_mac_flow(fr, dst), self.cells[dst]
+            new = pdcp.Leg(dst, dst, capacity_score(cr.mac.cell.grid, portion.waveform_efficiency))
             legs.insert(legs.index(old) if old is not None else len(legs), new)
+            ue = fr.cfg.ue_id
+            cr.pairs[fid] = (new, (ue, portion.key), (self.ues[ue].index, cr.index))
         if old is not None:
             self.cells[src].mac.deregister_flow(fid)
+            del self.cells[src].pairs[fid]
             legs.remove(old)
             if dst is not None or state.mode is not pdcp.Mode.DUPLICATE:
                 into = new if dst is not None else legs[0]
@@ -460,11 +475,13 @@ class World:
                 pdcp.route_packet(state, float(bits), slot, epoch, count)
 
     def _channel_inputs(self) -> list[tuple[CellRuntime, SlotInputs]]:
-        """Every cell's ``SlotInputs`` for this slot, in cell order: the
-        backlog of each queue-driven flow's leg on the cell and the per-PRB
-        rate of each (UE, portion) pair with such a flow. A MAC drains only
-        its own cell's legs, so reading every backlog up front gives the
-        values each MAC would read just before it runs.
+        """Every cell's ``SlotInputs`` for this slot, in cell order, read
+        straight from its pair table (``CellRuntime.pairs``, which
+        ``_attach`` keeps in step with the MAC's registrations): the backlog
+        of each queue-driven flow's leg on the cell and the per-PRB rate of
+        each (UE, portion) pair with such a flow. A MAC drains only its own
+        cell's legs, so reading every backlog up front gives the values each
+        MAC would read just before it runs.
 
         ``_rates`` holds each (UE index, cell index) pair's rate for every
         slot of the current span of ``FADING_SPAN_MAX`` slots, as a list (a
@@ -477,28 +494,22 @@ class World:
         index, k = divmod(self.slot, span)
         if index != self._rates_span:
             self._rates_span, self._rates = index, {}
-        cells = []
-        missing: dict[tuple[int, int], tuple[UeRuntime, CellRuntime, float]] = {}
-        for cid, cr in self.cells.items():
-            backlog: dict[str, float] = {}
-            pairs: dict[tuple[str, str], tuple[int, int]] = {}
-            for fid, mf in cr.mac.flows.items():
-                state = self.flows[fid].state
-                if state is None:  # mMTC: the access channel, no queue
-                    continue
-                backlog[fid] = state.leg_by_cell(cid).queue_bits
-                key = (mf.ue_id, mf.portion_key)
-                if key not in pairs:
-                    rt = self.ues[mf.ue_id]
-                    fk = pairs[key] = (rt.index, cr.index)
-                    if fk not in self._rates:
-                        missing[fk] = (rt, cr, cr.mac.portions[mf.portion_key].waveform_efficiency)
-            cells.append((cr, backlog, pairs))
-        if missing:
-            self._fill_rates(missing, index * span, span)
+        cells, rates = self.cells.values(), self._rates
+
+        def per_prb() -> list[dict[tuple[str, str], float]]:
+            return [{key: rates[fk][k] for _, key, fk in cr.pairs.values()} for cr in cells]
+
+        try:
+            cell_rates = per_prb()
+        except KeyError:  # pairs the span has no rows for yet
+            self._fill_rates({
+                fk: (self.ues[key[0]], cr, cr.mac.portions[key[1]].waveform_efficiency)
+                for cr in cells for _, key, fk in cr.pairs.values() if fk not in rates
+            }, index * span, span)
+            cell_rates = per_prb()
         return [
-            (cr, SlotInputs(backlog, {key: self._rates[fk][k] for key, fk in pairs.items()}))
-            for cr, backlog, pairs in cells
+            (cr, SlotInputs({fid: leg.queue_bits for fid, (leg, _, _) in cr.pairs.items()}, r))
+            for cr, r in zip(cells, cell_rates)
         ]
 
     def _fill_rates(self, missing: dict, first: int, span: int) -> None:
@@ -506,20 +517,26 @@ class World:
         (UE, cell, efficiency), over ``span`` slots from ``first``, from one
         numpy block: fading, the signal estimate at each slot's position less
         noise floor and margin, then ``link_rates``, whose exact SINR is
-        ``mean_sinr_db`` at ``_position_at`` plus the same fading. The pairs'
-        constants are read here, not kept."""
+        ``mean_sinr_db`` at ``_position_at`` plus the same fading. Each
+        pair's cell constants are indexed once and broadcast over its slots,
+        and a static pair's estimate is made once for the whole span. The
+        pairs' constants are read here, not kept."""
         keys, rows = list(missing), list(missing.values())
         idx = np.array(keys, dtype=np.uint64)
         slots = np.arange(first, first + span)
         fading = chan.fading_db_batch(self.chan, idx[:, :1], idx[:, 1:], slots.astype(np.uint64))
+        radio = self._radio[:, [cr.index for _, cr, _ in rows]][..., None, None]
         start = np.array([rt.cfg.position for rt, _, _ in rows])[:, None]
         velocity = np.array([rt.cfg.velocity for rt, _, _ in rows])[:, None]
-        positions = start + velocity * (slots * self.slot_seconds)[:, None]
-        # one column of cell constants per (pair, slot) entry
-        radio = np.repeat(self._radio[:, [cr.index for _, cr, _ in rows]], span, axis=1)
-        rsrp = chan.rsrp_estimate(self.chan, radio[..., None], positions.reshape(-1, 2))
+        moving = velocity.any(axis=(1, 2))
+        rsrp, static = np.empty((len(rows), span)), ~moving
+        if static.any():  # one estimate per pair, broadcast over the span
+            rsrp[static] = chan.rsrp_estimate(self.chan, radio[:, static], start[static])[..., 0]
+        if moving.any():
+            at = start[moving] + velocity[moving] * (slots * self.slot_seconds)[:, None]
+            rsrp[moving] = chan.rsrp_estimate(self.chan, radio[:, moving], at)[..., 0]
         noise = np.array([cr.noise_floor_dbm for _, cr, _ in rows])[:, None]
-        sinr = rsrp.reshape(len(rows), span) - noise - self.chan.interference_margin_db + fading
+        sinr = rsrp - noise - self.chan.interference_margin_db + fading
 
         def exact(i: int, j: int) -> float:
             rt, cr, _ = rows[i]
@@ -535,15 +552,16 @@ class World:
         rates = link_rates(sinr, links, 2 * chan.SIGNAL_ESTIMATE_TOL_DB, exact)
         self._rates.update(zip(keys, rates))
 
-    def _drain_flow(self, fr: FlowRuntime, cell_id: str, bits: float) -> float:
-        """Send ``bits`` from the flow's leg on ``cell_id``: finish the head
-        packet, then as many whole packets as the bits cover, then part of
-        the next. Each finished packet is lost with the cell's ``drop_prob``
-        or received; received packets in order with nothing buffered are
-        taken at once, others go through ``reorder_deliver``."""
-        leg = fr.state.leg_by_cell(cell_id)
+    def _drain_flow(self, fr: FlowRuntime, cr: CellRuntime, bits: float) -> float:
+        """Send ``bits`` from the flow's leg on cell ``cr``, read from its pair
+        table: finish the head packet, then as many whole packets as the bits
+        cover, then part of the next. Each finished packet is lost with the
+        cell's ``drop_prob`` or received; received packets in order with
+        nothing buffered are taken at once, others go through
+        ``reorder_deliver``."""
+        leg = cr.pairs[fr.cfg.flow_id][0]
         pool = bits
-        drop_prob = self.cells[cell_id].drop_prob
+        drop_prob = cr.drop_prob
         queue, rx = leg.queue, fr.rx
         while pool > 0 and queue:
             sn, count, size, created = queue[0]
@@ -601,7 +619,7 @@ class World:
                 bits = res.served_bits[fid]
                 if not pdcp.whole_bits(bits):  # run arithmetic would round
                     raise AssertionError(f"{cid} served {bits!r} bits to {fid}")
-                got = self._drain_flow(fr, cid, bits)
+                got = self._drain_flow(fr, cr, bits)
                 cr.served_bits_total += got
                 fr.mac_served_bits += got
             for att in res.access_delivered:

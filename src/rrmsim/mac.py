@@ -9,9 +9,12 @@ same exact integer apportionment (largest remainder) is used at every level,
 by one recursive split over the partition tree.
 
 Every scheduler hands ``run_slot`` half-open ``(start, stop, ue_id)`` blocks
-for the slot's ``AllocationMap``. A PF leaf is filled from its roster, with the
-metric computed in ``_pf_blocks`` alone; the MAC counts its access outcomes
-and granted PRBs, and averages the PF rate of the UEs its registrations name.
+for the slot's ``AllocationMap``. A PF leaf is filled in one pass over its
+roster: each backlogged UE's backlog, rate and metric (``_pf_metric``, the
+one statement of it), then the fill, whose winners' bits are booked straight
+into the slot's per-flow and per-UE totals. The MAC counts its access
+outcomes and granted PRBs, and averages the PF rate of the UEs its
+registrations name.
 
 ``MacInstance._leaf_key`` alone says which leaf serves a flow: a refresh builds
 each leaf with its roster grouped by it, and a flow that comes or goes between
@@ -205,21 +208,25 @@ class PfCandidate:
             raise ValueError("rates, backlogs and averages must be >= 0")
 
 
-def _pf_blocks(interval: tuple[int, int], ue_ids, rates, backlogs, avgs):
+def _pf_metric(rate: float, avg: float) -> float:
+    """The proportional-fair metric: per-PRB rate over average served rate.
+    At an average of 0.0 it is its limit: +inf for a positive rate, else 0.0."""
+    return rate / avg if avg > 0.0 else (math.inf if rate > 0.0 else 0.0)
+
+
+def _pf_blocks(interval: tuple[int, int], ue_ids, rates, backlogs, metrics):
     """Proportional-fair fill of one interval for distinct UEs in ue_id order.
 
-    Same outcome as giving each PRB in turn to the backlogged UE that
-    maximizes per-PRB rate over average served rate (ties to the lowest
-    ue_id): that metric is fixed within the slot, so a winner holds every PRB
-    until its backlog drains, and ``kernels.pf_fill`` computes the runs
-    directly. At an average of 0.0 the metric is its limit: +inf for a
-    positive rate, else 0.0. Work-conserving: PRBs are left idle only when no
-    UE has backlog remaining. Returns half-open ``(start, stop, ue_id)``
-    blocks in PRB order and the bits served per UE, in the order given.
+    Same outcome as giving each PRB in turn to the backlogged UE of the
+    highest ``_pf_metric`` (ties to the lowest ue_id): that metric is fixed
+    within the slot, so a winner holds every PRB until its backlog drains,
+    and ``kernels.pf_fill`` computes the runs directly. Work-conserving: PRBs
+    are left idle only when no UE has backlog remaining. Returns half-open
+    ``(start, stop, ue_id)`` blocks in PRB order and the bits served per UE,
+    in the order given.
     """
     start, stop = interval
-    metric = [r / a if a > 0.0 else (math.inf if r > 0.0 else 0.0) for r, a in zip(rates, avgs)]
-    runs, served = kernels.pf_fill(metric, rates, backlogs, stop - start)
+    runs, served = kernels.pf_fill(metrics, rates, backlogs, stop - start)
     blocks = []
     for idx, k in runs:
         blocks.append((start, start + k, ue_ids[idx]))
@@ -241,7 +248,7 @@ def schedule_dynamic(
         raise ValueError("candidates must have distinct ue_ids")
     blocks, served = _pf_blocks(
         interval, ids, [c.per_prb_bits for c in cands], [c.backlog_bits for c in cands],
-        [c.avg_bits for c in cands],
+        [_pf_metric(c.per_prb_bits, c.avg_bits) for c in cands],
     )
     purpose = TrafficClass.EMBB.value
     grants = [
@@ -464,6 +471,9 @@ class MacInstance:
         self.flows: dict[str, MacFlow] = {}
         self.pending: list[PendingAccess] = []
         self.pf_avg: dict[str, float] = {}
+        # the UEs with an eMBB or legacy flow, in registration order; None
+        # from a change of flows until the next slot lists them again
+        self._pf_ues: tuple[str, ...] | None = None
         #: access attempts that succeeded and that collided, over the run
         self.rach_successes = 0
         self.rach_collisions = 0
@@ -495,6 +505,7 @@ class MacInstance:
             if flow.sps_offset_slots < 0:
                 raise ValueError("sps_offset_slots must be >= 0")
         self.flows[flow.flow_id] = flow
+        self._pf_ues = None
         # a flow without a leaf waits for the next refresh to get one
         leaf = self._leaf_by_key.get(self._leaf_key(flow))
         if leaf is not None:
@@ -505,6 +516,7 @@ class MacInstance:
         self.pending = [p for p in self.pending if p.flow_id != flow_id]
         if flow is None:
             return
+        self._pf_ues = None
         leaf = self._leaf_by_key.get(self._leaf_key(flow))
         if leaf is not None:
             leaf.roster = _roster([f for fl in leaf.roster.values() for f in fl if f is not flow])
@@ -779,7 +791,7 @@ class MacInstance:
         amap = AllocationMap(self.cell.grid, slot)
         served: dict[str, float] = {}
         delivered: list[PendingAccess] = []
-        pf_served_by_ue: dict[str, float] = {}
+        pf_served: dict[str, float] = {}
 
         for leaf in self._leaves:
             if leaf.key == RACH_KEY:
@@ -824,18 +836,16 @@ class MacInstance:
                         if got > 0:
                             served[f.flow_id] = served.get(f.flow_id, 0.0) + got
             else:
-                blocks, by_flow, by_ue = self._run_dynamic(leaf, inputs)
-                for a, b, ue in blocks:
+                for a, b, ue in self._run_dynamic(leaf, inputs, served, pf_served):
                     amap.add_block(a, b, ue, leaf.key)
-                for fid, bits in by_flow.items():
-                    served[fid] = served.get(fid, 0.0) + bits
-                for ue, bits in by_ue.items():
-                    pf_served_by_ue[ue] = pf_served_by_ue.get(ue, 0.0) + bits
 
-        # the average rate of every UE with an eMBB or legacy flow, in registration order
-        for ue in {f.ue_id: None for f in self.flows.values() if f.service in _PF_CLASSES}:
-            avg = self.pf_avg.get(ue, cfg.pf_initial_avg_bits)
-            self.pf_avg[ue] = (1.0 - cfg.pf_ewma) * avg + cfg.pf_ewma * pf_served_by_ue.get(ue, 0.0)
+        # the average rate of every UE with an eMBB or legacy flow
+        if self._pf_ues is None:
+            pf_flows = (f for f in self.flows.values() if f.service in _PF_CLASSES)
+            self._pf_ues = tuple({f.ue_id: None for f in pf_flows})
+        keep, ewma, avg = 1.0 - cfg.pf_ewma, cfg.pf_ewma, self.pf_avg
+        for ue in self._pf_ues:
+            avg[ue] = keep * avg.get(ue, cfg.pf_initial_avg_bits) + ewma * pf_served.get(ue, 0.0)
         self.granted_prbs += len(amap)
 
         return MacSlotResult(
@@ -845,33 +855,41 @@ class MacInstance:
             events=events,
         )
 
-    def _run_dynamic(self, leaf: _Leaf, inputs: SlotInputs):
-        # the roster's backlogged UEs, in ue_id order; each UE's served bits
-        # drain its flows in flow_id order
+    def _run_dynamic(
+        self, leaf: _Leaf, inputs: SlotInputs, served: dict[str, float], by_ue: dict[str, float]
+    ) -> list[tuple[int, int, str]]:
+        """A PF leaf's blocks, from one pass over its roster: each UE's
+        backlog (its flows' summed), rate and ``_pf_metric``, for the
+        backlogged UEs in ue_id order, then the fill. Each winner's bits are
+        booked straight into ``by_ue`` and, draining its flows in flow_id
+        order, into ``served``."""
         backlog_bits, rates, avg = inputs.backlog_bits, inputs.per_prb_bits, self.pf_avg
-        initial = self.cfg.pf_initial_avg_bits
-        ids, ue_rates, backlogs, avgs = [], [], [], []
+        initial, portion = self.cfg.pf_initial_avg_bits, leaf.portion_key
+        ids, ue_rates, backlogs, metrics = [], [], [], []
         for ue, fl in leaf.roster.items():
-            backlog = sum(backlog_bits.get(f.flow_id, 0.0) for f in fl)
+            backlog = 0.0
+            for f in fl:
+                backlog += backlog_bits.get(f.flow_id, 0.0)
             if backlog <= 0:
                 continue
+            rate = rates.get((ue, portion), 0.0)
             ids.append(ue)
-            ue_rates.append(rates.get((ue, leaf.portion_key), 0.0))
+            ue_rates.append(rate)
             backlogs.append(backlog)
-            avgs.append(avg.get(ue, initial))
-        blocks, served = _pf_blocks(leaf.interval, ids, ue_rates, backlogs, avgs)
-        served_by_ue = dict(zip(ids, served))
-        by_flow: dict[str, float] = {}
-        for ue, bits in served_by_ue.items():
-            pool = bits
+            metrics.append(_pf_metric(rate, avg.get(ue, initial)))
+        blocks, got = _pf_blocks(leaf.interval, ids, ue_rates, backlogs, metrics)
+        for ue, pool in zip(ids, got):
+            if pool <= 0:
+                continue
+            by_ue[ue] = by_ue.get(ue, 0.0) + pool
             for f in leaf.roster[ue]:
-                if pool <= 0:
-                    break
                 take = min(pool, backlog_bits.get(f.flow_id, 0.0))
                 if take > 0:
-                    by_flow[f.flow_id] = by_flow.get(f.flow_id, 0.0) + take
+                    served[f.flow_id] = served.get(f.flow_id, 0.0) + take
                     pool -= take
-        return blocks, by_flow, served_by_ue
+                    if pool <= 0:
+                        break
+        return blocks
 
     def _run_contention(self, leaf, slot, epoch, rng_access, rng_backoff):
         # one pass splits the queue, keeping order (attempts compare by identity)

@@ -652,6 +652,51 @@ def test_context_descriptors_and_mac_backlogs_read_their_owners(scenarios, name)
         assert epochs == list(range(0, cfg.sim.horizon_slots, n))
 
 
+def _check_pair_tables(w):
+    """Each cell's pair table is its MAC's queue-driven registrations in
+    ``mac.flows`` order, each naming the flow's own leg there (by identity),
+    its (UE, portion) and its (UE index, cell index)."""
+    for cid, cr in w.cells.items():
+        queued = [fid for fid in cr.mac.flows if w.flows[fid].state is not None]
+        assert list(cr.pairs) == queued, (w.slot, cid)
+        for fid, (leg, key, fk) in cr.pairs.items():
+            mf = cr.mac.flows[fid]
+            assert leg is w.flows[fid].state.leg_by_cell(cid), (w.slot, cid, fid)
+            assert key == (mf.ue_id, mf.portion_key)
+            assert fk == (w.ues[mf.ue_id].index, cr.index)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [*sorted(p.stem for p in SCENARIO_DIR.glob("*.yaml")), "dense_embb",
+     "hetnet_walkthrough@15", "urllc_duplication@15"],
+)
+def test_each_pair_table_is_its_macs_queue_driven_registrations_after_every_slot(
+    scenarios, name
+):
+    """After every slot, and after a pickle round trip every 97 slots, each
+    cell's pair table is what its MAC registered (``_check_pair_tables``).
+    With ``uts.epoch_slots: 15`` legs change mid MAC epoch; there, and on
+    dense_embb, the tables do change over the run."""
+    base, _, every = name.partition("@")
+    cfg = _dense_embb_config() if base == "dense_embb" else scenarios[base]
+    if every:
+        cfg = dataclasses.replace(cfg, uts=dataclasses.replace(cfg.uts, epoch_slots=int(every)))
+    w = World(cfg, seed=1)
+    _check_pair_tables(w)
+    tables, changes = None, 0
+    while w.slot < cfg.sim.horizon_slots:
+        w.step_slot()
+        _check_pair_tables(w)
+        now = [list(cr.pairs) for cr in w.cells.values()]
+        changes += tables is not None and now != tables
+        tables = now
+        if w.slot % 97 == 0:
+            w = pickle.loads(pickle.dumps(w))
+            _check_pair_tables(w)
+    assert changes or not (every or base == "dense_embb")
+
+
 def test_a_ue_moves_from_its_config_position_at_its_velocity():
     """A UE's position is a function of the slot: where it starts, moved at
     its velocity, so a static UE stays put; a context built at a slot reads

@@ -326,6 +326,41 @@ def test_mac_pf_leaf_matches_the_argmax_oracle(prbs, ues):
     assert by_ue == {ue: bits for ue, bits in served.items() if bits > 0}
 
 
+@given(
+    prbs=st.integers(2, 40),
+    rate=st.integers(0, 400),
+    backlogs=st.tuples(st.integers(0, 4000), st.integers(0, 4000)),
+    registered_in_reverse=st.booleans(),
+    others=st.lists(st.tuples(st.integers(0, 400), st.integers(0, 4000)), max_size=4),
+)
+@settings(max_examples=300)
+def test_mac_pf_leaf_drains_a_ues_flows_in_flow_id_order(
+    prbs, rate, backlogs, registered_in_reverse, others
+):
+    """A UE with two flows in one eMBB leaf, among other UEs: its served bits
+    drain the lower flow_id's backlog in full before the other flow gets any,
+    whichever registered first, and they are its PRBs' bits up to its backlog."""
+    mac = _mac(prbs=prbs)
+    mine = list(zip(("fa", "fb"), backlogs))
+    bits, rates = {}, {("u0", "main"): float(rate)}
+    for fid, b in mine[::-1] if registered_in_reverse else mine:
+        mac.register_flow(MacFlow(flow_id=fid, ue_id="u0", service=TrafficClass.EMBB,
+                                  portion_key="main"))
+        bits[fid] = float(b)
+    for i, (r, b) in enumerate(others, 1):
+        mac.register_flow(MacFlow(flow_id=f"f{i}", ue_id=f"u{i}", service=TrafficClass.EMBB,
+                                  portion_key="main"))
+        bits[f"f{i}"], rates[(f"u{i}", "main")] = float(b), float(r)
+    res = mac.run_slot(
+        0, SlotInputs(bits, rates), np.random.default_rng(0), np.random.default_rng(1)
+    )
+    got_a, got_b = (res.served_bits.get(fid, 0.0) for fid in ("fa", "fb"))
+    assert got_a <= bits["fa"] and got_b <= bits["fb"]
+    assert got_b == 0.0 or got_a == bits["fa"]
+    held = sum(b - a for a, b, ue, _ in res.alloc.blocks() if ue == "u0")
+    assert got_a + got_b == min(held * rate, bits["fa"] + bits["fb"])
+
+
 # ---------------------------------------------------------------------------
 # one-shot contention access
 # ---------------------------------------------------------------------------
