@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import Cell, CellClass, check_rules
+from .core import Cell, CellClass, check_rules, finite_rules
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -42,7 +42,9 @@ class ChannelConfig:
 
     def __post_init__(self):
         check_rules(self, ("fading_scale", self.fading_scale >= 0, "must be >= 0"),
-                    ("min_distance_m", self.min_distance_m > 0, "must be positive"))
+                    ("min_distance_m", self.min_distance_m > 0, "must be positive"),
+                    *finite_rules(self, "fading_scale", "noise_psd_dbm_hz",
+                                  "interference_margin_db", "min_distance_m"))
 
 
 @functools.lru_cache(maxsize=64)

@@ -93,6 +93,17 @@ def check_rules(obj, *rules: tuple[str, bool, str]) -> None:
                                    for f, ok, r in rules if not ok])
 
 
+def finite_rules(obj, *fields: str, prefix: str = ""):
+    """A failed ``check_rules`` rule ``prefix + field`` for each named field of
+    ``obj`` that is not finite: a number, or either coordinate of an [x, y]
+    pair (shown in list form); None passes."""
+    for f in fields:
+        v = getattr(obj, f)
+        pair = isinstance(v, (tuple, list))
+        if not (v is None or (all(map(math.isfinite, v)) if pair else math.isfinite(v))):
+            yield prefix + f, False, f"must be finite, got {list(v) if pair else v}"
+
+
 @dataclass(frozen=True)
 class CarrierGrid:
     """One carrier's resource plane: PRBs across frequency, slots along time.
@@ -120,6 +131,7 @@ class CarrierGrid:
             ("numerology", NUMEROLOGY_MIN <= g.numerology <= NUMEROLOGY_MAX,
              f"numerology must be in [{NUMEROLOGY_MIN}, {NUMEROLOGY_MAX}], got {{}}"),
             ("prb_bandwidth_hz", g.prb_bandwidth_hz > 0, "prb_bandwidth_hz must be positive"),
+            *finite_rules(g, "prb_bandwidth_hz"),
         )
 
     @property
@@ -257,10 +269,8 @@ class Cell:
     supports_secondary: bool = True
 
     def __post_init__(self):
-        if not self.cell_id:
-            raise ValueError("cell_id must be non-empty")
-        if not math.isfinite(self.tx_power_dbm):
-            raise ValueError("tx_power_dbm must be finite")
+        check_rules(self, ("cell_id", bool(self.cell_id), "must be non-empty"),
+                    *finite_rules(self, "tx_power_dbm"))
 
 
 def compute_fairness(values: Sequence[float]) -> float:

@@ -40,6 +40,7 @@ from .core import (
     Grant,
     TrafficClass,
     check_rules,
+    finite_rules,
 )
 
 #: Partition key for the contention-based access channel. It is part of every
@@ -374,6 +375,7 @@ class MacConfig:
                     ("access_cost_prbs", self.access_cost_prbs >= 1, "must be >= 1"),
                     ("pf_ewma", 0.0 < self.pf_ewma <= 1.0, "must be in (0, 1]"),
                     ("pf_initial_avg_bits", self.pf_initial_avg_bits > 0, "must be positive"),
+                    *finite_rules(self, "pf_initial_avg_bits"),
                     ("", 1 <= self.backoff_min_epochs <= self.backoff_max_epochs,
                      "backoff window must satisfy 1 <= min <= max"))
 

@@ -13,9 +13,9 @@ packets exactly, and a run gives the same result as its packets one by one.
 Leg queues hold runs: ``send_run`` queues one under the flow's next SNs, and
 ``take_in_order`` delivers one whose first SN is the expected one while
 nothing is buffered. The engine calls these two itself for a flow with one
-leg and for such a run; ``route_packet`` and ``reorder_deliver`` use them for
-the same cases and stay the rules for everything else: two or more legs, and
-any gap, duplicate or loss.
+leg and for such a run, so ``route_packet`` is the rule for two or more legs
+(over one leg, every mode queues the same single run), and ``reorder_deliver``
+for any gap, duplicate or loss.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def route_packet(
         sn = send_run(state, legs, packet_bits, created_slot, count)
         return [(leg.leg_id, sn) for leg in legs]
 
-    if state.mode is Mode.AGGREGATE and len(legs) > 1:
+    if state.mode is Mode.AGGREGATE:
         # per packet, each seeing the bits its predecessors queued; a packet
         # that picks its predecessor's leg joins that run
         sent: list[tuple[str, int]] = []
@@ -186,22 +186,14 @@ def route_packet(
             prev = leg
         return sent
 
-    if state.mode is Mode.LOAD_BALANCE:
-        if state.active_leg >= len(legs):
-            state.active_leg = 0
-        cur = legs[state.active_leg]
-        if cur.current_load > state.leave_load and state.last_switch_epoch != epoch:
-            alts = [
-                i
-                for i in range(len(legs))
-                if i != state.active_leg and legs[i].current_load < state.enter_load
-            ]
-            if alts:
-                state.active_leg = min(alts, key=lambda i: (legs[i].current_load, i))
-                state.last_switch_epoch = epoch
-        leg = legs[state.active_leg]
-    else:  # aggregate over its one leg
-        leg = legs[0]
+    # load balance: ``active_leg`` indexes ``legs``, as whoever drops a leg leaves it
+    active = state.active_leg
+    if legs[active].current_load > state.leave_load and state.last_switch_epoch != epoch:
+        alts = [i for i, l in enumerate(legs) if i != active and l.current_load < state.enter_load]
+        if alts:
+            state.active_leg = min(alts, key=lambda i: (legs[i].current_load, i))
+            state.last_switch_epoch = epoch
+    leg = legs[state.active_leg]
     return [(leg.leg_id, send_run(state, [leg], packet_bits, created_slot, count))]
 
 

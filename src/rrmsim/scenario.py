@@ -6,14 +6,16 @@ knobs. Each section is a config dataclass, and the runtime layers' own types
 (``mac.MacConfig``, ``channel.ChannelConfig``, ``mac.PortionSpec``) serve as
 sections directly, and a flow's ``generator`` is the ``traffic`` generator
 itself: a section's keys, value types and defaults are read from its
-dataclass fields, so each setting is declared once. So is each range
-rule, in the ``__post_init__`` of the type that holds the value, and each
-rule across sections, on ``ScenarioConfig``: a config built in Python meets
-them too, and the reader adds only that ``uts.thresholds`` name enabled
-features. Parsing is strict: unknown keys and refused values are collected
-and reported together, each with its config path. ``scenario_to_dict`` emits
-every field from the same field lists, so a serialized config re-parses to
-an equal one.
+dataclass fields, so each setting is declared once. So is each value rule
+(a range, finiteness, no repeated entry), in the ``__post_init__`` of the
+type that holds the value, and each rule across sections, on
+``ScenarioConfig``: a config built in Python meets them too. The reader
+checks each value's type and shape, and keeps two value rules: that
+``uts.thresholds`` name enabled features, and that each threshold is finite,
+reported at its nested path. Parsing is strict: unknown keys and refused
+values are collected and reported together, each with its config path.
+``scenario_to_dict`` emits every field from the same field lists, so a
+serialized config re-parses to an equal one.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .core import (
     TrafficClass,
     ValidationError,
     check_rules,
+    finite_rules,
 )
 from .mac import RACH_KEY, MacConfig, PortionSpec
 from .pdcp import DEFAULT_ENTER_LOAD, DEFAULT_LEAVE_LOAD, DEFAULT_T_REORDER_SLOTS, Mode
@@ -73,6 +76,12 @@ def _literal(text: str) -> str:
     return text.replace("{", "{{").replace("}", "}}")
 
 
+def _each_repeat(field: str, names) -> list:
+    """A failed rule ``field[i]`` for each entry ``i`` of ``names`` an earlier one holds."""
+    return [(f"{field}[{i}]", False, f"repeats {n!r}")
+            for i, n in enumerate(names) if n in names[:i]]
+
+
 @dataclass(frozen=True)
 class CellConfig:
     cell_id: str
@@ -91,7 +100,7 @@ class CellConfig:
 
     def __post_init__(self):
         n, keys = len(self.portions), {p.key for p in self.portions}
-        check_rules(self, *CarrierGrid.rules(self),
+        check_rules(self, *CarrierGrid.rules(self), *finite_rules(self, "position", "tx_power_dbm"),
                     ("drop_prob", 0.0 <= self.drop_prob < 1.0, "must be in [0, 1), got {}"),
                     ("portions", n <= 2, "at most 2 portions may share a carrier"),
                     ("portions", len(keys) == n, "portion keys must be unique"))
@@ -109,6 +118,10 @@ class UeConfig:
     velocity: tuple[float, float] = (0.0, 0.0)
     capabilities: tuple[str, ...] = ("nr",)
     serving_cell: str | None = None
+
+    def __post_init__(self):
+        check_rules(self, *finite_rules(self, "position", "velocity"),
+                    *_each_repeat("capabilities", self.capabilities))
 
 
 @dataclass(frozen=True)
@@ -181,6 +194,7 @@ class UtsSection:
                       for i, f in enumerate(ranking)),
                     ("ranking", not ranking or set(ranking) == set(feats),
                      "ranking must cover every enabled feature"),
+                    *_each_repeat("features", feats), *_each_repeat("ranking", ranking),
                     *(("thresholds", f not in DEFAULT_THRESHOLDS or k in DEFAULT_THRESHOLDS[f],
                        _literal(f"{f}.{k}: unknown threshold")) for f, k, _ in thr),
                     *(("thresholds", isinstance(v, (int, float)) and math.isfinite(v),
@@ -245,6 +259,7 @@ class ScenarioConfig:
         # a cell narrower than its access partition, or with a portion the MAC's
         # demand SINR gives no bits per PRB, would stop the run at its first slot
         floor, v = self.mac.access_floor_prbs, self.mac.demand_sinr_db
+        yield from finite_rules(self.mac, "demand_sinr_db", prefix="mac.")
         for i, c in enumerate(cells):
             if c.prbs_per_slot < floor:
                 yield (f"cells[{i}].prbs_per_slot", False, f"must be >= {floor}, the access"
@@ -345,18 +360,15 @@ class _Reader:
             return []
         return raw
 
-    def names(self, raw, path: str) -> tuple[str, ...]:
-        """The entries of list ``raw``, each of which must be a non-empty
-        string that no earlier entry holds."""
-        out = []
-        for i, val in enumerate(self.seq(raw, path)):
-            if not (isinstance(val, str) and val):
-                self.fail(f"{path}[{i}]", f"expected a non-empty string, got {val!r}")
-            elif val in out:
-                self.fail(f"{path}[{i}]", f"repeats {val!r}")
-            else:
-                out.append(val)
-        return tuple(out)
+    def names(self, raw, path: str) -> tuple[str, ...] | None:
+        """The entries of list ``raw``, each a non-empty string, or None for
+        the field's default if ``raw`` is missing or refused: each entry that
+        is not such a string is reported, and refuses the whole list."""
+        seq = self.seq(raw, path)
+        bad = [i for i, val in enumerate(seq) if not (isinstance(val, str) and val)]
+        for i in bad:
+            self.fail(f"{path}[{i}]", f"expected a non-empty string, got {seq[i]!r}")
+        return tuple(seq) if isinstance(raw, list) and not bad else None
 
     def reject_unknown(self, raw: dict, known: set[str], path: str):
         for key in raw:
@@ -364,15 +376,12 @@ class _Reader:
                 self.fail(f"{path}.{key}" if path else str(key), "unknown key")
 
     def number(self, val, where: str) -> float | None:
-        """``val`` as a float, or None once the reason it is not a finite
-        number is reported: nan and inf are refused where they are read."""
+        """``val`` as a float, or None once the reason it is not a number is
+        reported; its type judges whether the number is finite."""
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             self.fail(where, f"expected a number, got {val!r}")
-        elif not math.isfinite(val):
-            self.fail(where, f"must be finite, got {val!r}")
-        else:
-            return float(val)
-        return None
+            return None
+        return float(val)
 
     def get(self, raw: dict, key: str, kind, default, path: str):
         if key not in raw or raw[key] is None:
@@ -403,9 +412,6 @@ class _Reader:
             ):
                 self.fail(where, f"expected [x, y] numbers, got {val!r}")
                 return default
-            if not all(map(math.isfinite, val)):
-                self.fail(where, f"must be finite, got {val!r}")
-                return default
             return (float(val[0]), float(val[1]))
         try:
             return kind(val)
@@ -419,12 +425,13 @@ class _Reader:
 
         Keys, value types and defaults come from the class's fields.
         ``defaults`` overrides a field's default (an index-derived id) and
-        ``given`` holds the fields the caller read by hand. The class's own
-        rules judge the values: each refusal is reported at its field's YAML
-        key, or at ``path`` for a rule over the whole value. The values are
-        then kept, each refused field at its default, in an instance built
-        without running the rules again, so the scenario's rules across
-        sections still see the rest; the parse fails anyway.
+        ``given`` holds the fields the caller read by hand. Values are checked
+        here for type and shape only; the class's own rules judge them: each
+        refusal is reported at its field's YAML key (``features[1]`` for a
+        rule on one entry), or at ``path`` for a rule over the whole value.
+        The values are then kept, each refused field at its default, in an
+        instance built without running the rules again, so the scenario's
+        rules across sections still see the rest; the parse fails anyway.
         """
         m = self.mapping(raw, path)
         by_key, field_defaults = _fields(cls)
@@ -441,8 +448,9 @@ class _Reader:
             return cls(**values)
         except ValidationError as e:
             keys = _YAML_KEYS.get(cls, {})
-            for name, reason in e.failures:
-                self.fail(f"{path}.{keys.get(name, name)}" if name else path, reason)
+            for rule, reason in e.failures:
+                name, br, entry = rule.partition("[")  # a rule on one entry: features[1]
+                self.fail(f"{path}.{keys.get(name, name)}{br}{entry}" if name else path, reason)
                 if name:
                     values[name] = defaults.get(name, getattr(cls, name, None))
         obj = object.__new__(cls)
@@ -534,9 +542,9 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 
     uts_m = r.mapping(data.get("uts"), "uts")
     feats = r.names(uts_m.get("features"), "uts.features")
-    if uts_m.get("features") is None:
+    if feats is None:
         feats = UtsSection.features
-    ranking = r.names(uts_m.get("ranking"), "uts.ranking")
+    ranking = r.names(uts_m.get("ranking"), "uts.ranking") or ()
     thr_m = r.mapping(uts_m.get("thresholds"), "uts.thresholds")
     thresholds = {}
     for fid, kv in thr_m.items():
@@ -545,7 +553,10 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             continue
         values = thresholds[fid] = {}
         for k, v in r.mapping(kv, f"uts.thresholds.{fid}").items():
-            if (num := r.number(v, f"uts.thresholds.{fid}.{k}")) is not None:
+            where = f"uts.thresholds.{fid}.{k}"
+            if (num := r.number(v, where)) is not None and not math.isfinite(num):
+                r.fail(where, f"must be finite, got {num!r}")  # at its nested path
+            elif num is not None:
                 values[k] = num
     uts = r.read(
         UtsSection, uts_m, "uts",

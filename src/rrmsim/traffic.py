@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_rules
+from .core import check_rules, finite_rules
 
 
 # a size in bits must be a whole number below 2**53, or run arithmetic rounds it
@@ -55,6 +55,7 @@ class PoissonSporadic:
     def __post_init__(self):
         p = self.packet_bits
         check_rules(self, ("rate_per_slot", self.rate_per_slot >= 0, _AT_LEAST_0),
+                    *finite_rules(self, "rate_per_slot"),
                     ("packet_bits", p >= 1, _AT_LEAST_1), ("packet_bits", p < 2**53, _BELOW),
                     ("packet_bits", p % 1 == 0, _WHOLE))
 

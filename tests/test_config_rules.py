@@ -8,7 +8,9 @@ import re
 import pytest
 
 from rrmsim.core import TrafficClass
-from rrmsim.scenario import ValidationError, load_scenario, scenario_from_dict, scenario_to_dict
+from rrmsim.scenario import (
+    ValidationError, build_domain, load_scenario, scenario_from_dict, scenario_to_dict,
+)
 from rrmsim.traffic import GENERATOR_KINDS, FullBuffer
 from rrmsim.uts import LOAD_BALANCE_ID
 
@@ -36,6 +38,8 @@ def gen_case(kind, field, value):
 
 URLLC = FLOW["periodic_deadline"]
 THREE = tuple(dataclasses.replace(PORTION, key=k) for k in "abc")
+POISSON = FLOW["poisson_sporadic"]
+NAN, INF = float("nan"), float("inf")
 
 CASES = [
     # these five used to construct; the run then divided by zero, delivered
@@ -81,6 +85,30 @@ CASES = [
     # or the World refused the carrier without naming the cell
     gen_case("periodic_deadline", "deadline_slots", -3),
     case("cell.carrier_hz", BASE.cells[0], "carrier_hz", 1.0, "network.cells[0].carrier_hz"),
+    # a number that is not finite: these used to construct, and the run then
+    # delivered nothing, ran on with it, or failed inside the World naming no
+    # field; an infinite PRB bandwidth failed building the ScenarioConfig
+    case("channel.noise_psd_dbm_hz", BASE.channel, "noise_psd_dbm_hz", NAN,
+         "channel.noise_psd_dbm_hz"),
+    case("channel.interference_margin_db", BASE.channel, "interference_margin_db", NAN,
+         "channel.interference_margin_db"),
+    case("channel.fading_scale_inf", BASE.channel, "fading_scale", INF, "channel.fading_scale"),
+    case("channel.min_distance_m_inf", BASE.channel, "min_distance_m", INF,
+         "channel.min_distance_m"),
+    case("mac.pf_initial_avg_bits", BASE.mac, "pf_initial_avg_bits", INF,
+         "mac.pf_initial_avg_bits"),
+    case("ue.position", BASE.ues[0], "position", (NAN, 0.0), "ues[0].position", [NAN, 0.0]),
+    case("ue.velocity", BASE.ues[0], "velocity", (INF, 0.0), "ues[0].velocity", [INF, 0.0]),
+    case("cell.position", BASE.cells[0], "position", (0.0, -INF), "network.cells[0].position",
+         [0.0, -INF]),
+    case("cell.tx_power_dbm_nan", BASE.cells[0], "tx_power_dbm", NAN,
+         "network.cells[0].tx_power_dbm"),
+    case("cell.tx_power_dbm_inf", BASE.cells[0], "tx_power_dbm", INF,
+         "network.cells[0].tx_power_dbm"),
+    case("cell.prb_bandwidth_hz", BASE.cells[0], "prb_bandwidth_hz", INF,
+         "network.cells[0].prb_bandwidth_hz"),
+    case("poisson_sporadic.rate_per_slot_inf", BASE.flows[POISSON].generator, "rate_per_slot",
+         INF, f"traffic.flows[{POISSON}].generator.rate_per_slot"),
 ]
 
 
@@ -101,6 +129,23 @@ def test_a_config_built_in_python_meets_the_yaml_rules(obj, field, value, path, 
         scenario_from_dict(data)
     where = path.rsplit(".", 1)[0] if whole else path
     assert (where, reason) in e.value.failures, e.value.failures
+
+
+def test_a_number_that_is_not_finite_is_shown_as_it_was_given():
+    # a pair in list form, as a file writes it; each field refused by its rule
+    with pytest.raises(ValidationError) as e:
+        dataclasses.replace(BASE.ues[0], position=(30.0, -INF), velocity=(NAN, 1.0))
+    assert e.value.failures == [("position", "must be finite, got [30.0, -inf]"),
+                                ("velocity", "must be finite, got [nan, 1.0]")]
+    dataclasses.replace(BASE.cells[0], tx_power_dbm=None)  # None takes the class default
+
+
+def test_the_domain_cell_and_grid_refuse_what_their_config_refuses():
+    cell = build_domain(BASE.cells[0])
+    for obj, field, value in [(cell, "tx_power_dbm", INF), (cell.grid, "prb_bandwidth_hz", INF)]:
+        with pytest.raises(ValidationError) as e:
+            dataclasses.replace(obj, **{field: value})
+        assert e.value.failures == [(field, "must be finite, got inf")]
 
 
 def test_a_refusal_is_a_value_error_that_shows_the_value_only_where_asked():
@@ -213,6 +258,10 @@ ACROSS = [
            {"mac": dataclasses.replace(LB.mac, access_cost_prbs=60)},
            "cells[1].prbs_per_slot", f"must be >= 60, {FLOOR}",
            {"mac.access_cost_prbs": 60}, "network.cells[1].prbs_per_slot"),
+    # this one used to run to the end
+    across("inf_demand_sinr", {"mac": dataclasses.replace(LB.mac, demand_sinr_db=INF)},
+           "mac.demand_sinr_db", "must be finite, got inf", {"mac.demand_sinr_db": INF},
+           "mac.demand_sinr_db"),
     # a file refuses nan where it is read, as not finite
     across("nan_demand_sinr", {"mac": dataclasses.replace(LB.mac, demand_sinr_db=float("nan"))},
            "mac.demand_sinr_db", "nan dB gives no bits per PRB on cell 'cell-a' portion 'main'"),
@@ -261,3 +310,24 @@ def test_a_file_breaking_a_list_rule_and_an_entry_rule_gets_both_refusals(yaml, 
     with pytest.raises(ValidationError) as e:
         scenario_from_dict(lb_file_with(yaml))
     assert all(refusal in e.value.failures for refusal in refusals), e.value.failures
+
+
+@pytest.mark.parametrize("obj, changes, rule, path, yaml", [
+    pytest.param(LB.uts, {"features": (LOAD_BALANCE_ID,) * 2}, "features[1]", "uts.features[1]",
+                 {"uts.features": [LOAD_BALANCE_ID] * 2}, id="uts.features"),
+    pytest.param(LB.uts, {"ranking": (LOAD_BALANCE_ID,) * 2}, "ranking[1]", "uts.ranking[1]",
+                 {"uts.ranking": [LOAD_BALANCE_ID] * 2}, id="uts.ranking"),
+    pytest.param(LB.ues[0], {"capabilities": ("nr", "lte", "nr")}, "capabilities[2]",
+                 "ues[0].capabilities[2]", {"ues[0].capabilities": ["nr", "lte", "nr"]},
+                 id="ue.capabilities"),
+])
+def test_a_list_refuses_a_repeated_entry_where_it_is_built(obj, changes, rule, path, yaml):
+    # a repeated feature or ranked feature used to construct, and the World
+    # then raised DuplicateIdError or ValueError
+    with pytest.raises(ValidationError) as e:
+        dataclasses.replace(obj, **changes)
+    [value] = changes.values()
+    assert e.value.failures == [(rule, f"repeats {value[0]!r}")]
+    with pytest.raises(ValidationError) as e:
+        scenario_from_dict(lb_file_with(yaml))
+    assert e.value.failures == [(path, f"repeats {value[0]!r}")]
