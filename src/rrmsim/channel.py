@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import Cell, CellClass, check_rules, finite_rules
+from .core import Cell, CellClass, check_kinds, check_rules, finite_rules
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -41,6 +41,7 @@ class ChannelConfig:
     min_distance_m: float = 1.0
 
     def __post_init__(self):
+        check_kinds(self)
         check_rules(self, ("fading_scale", self.fading_scale >= 0, "must be >= 0"),
                     ("min_distance_m", self.min_distance_m > 0, "must be positive"),
                     *finite_rules(self, "fading_scale", "noise_psd_dbm_hz",

@@ -7,10 +7,15 @@ these types; they deliberately know nothing about scheduling policy.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
+import types
+import typing
 from bisect import bisect_right
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, EnumMeta
+from numbers import Integral, Real
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -93,6 +98,85 @@ def check_rules(obj, *rules: tuple[str, bool, str]) -> None:
                                    for f, ok, r in rules if not ok])
 
 
+class KindError(ValidationError):
+    """Config values not of their field's kind; the value rules did not run."""
+
+
+#: the kinds of an [x, y] pair of numbers and of a list of names
+PAIR, NAMES = tuple[float, float], tuple[str, ...]
+
+
+@functools.cache
+def field_kinds(cls) -> tuple[tuple[str, object, bool, object], ...]:
+    """Each field of config dataclass ``cls`` that has a kind, as (name, kind,
+    optional, default): ``kind`` is int, float, bool, str (non-empty), an Enum
+    class, ``PAIR`` or ``NAMES``, and ``optional`` if None is allowed too. Type
+    hints cost far more to resolve than a check, so each table is built once."""
+    hints, kinds = typing.get_type_hints(cls), []
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        if optional := isinstance(hint, types.UnionType):  # X | None
+            (hint,) = (a for a in typing.get_args(hint) if a is not type(None))
+        # the kind itself, so a kind is told by identity (``kind is PAIR``)
+        kind = next((k for k in (int, float, bool, str, PAIR, NAMES) if k == hint), None)
+        if kind is not None or isinstance(hint, EnumMeta):
+            kinds.append((f.name, kind or hint, optional, f.default))
+    return tuple(kinds)
+
+
+def number_refusal(v, finite: bool = False) -> str | None:
+    """Why ``v`` is not a number a float holds (nor, if ``finite``, nan or ±inf),
+    or None: a bool is not one, nor is a whole number too large for a float."""
+    if type(v) is not float and (isinstance(v, bool) or not isinstance(v, Real)):
+        return f"expected a number, got {v!r}"
+    try:
+        x = float(v)
+    except OverflowError:
+        return f"expected a number a float can hold, got {v!r}"
+    return f"must be finite, got {v!r}" if finite and not math.isfinite(x) else None
+
+
+def _refusals(field: str, kind, v) -> list[tuple[str, str]]:
+    """The (field, reason) refusals of ``v`` for a field of ``kind``; a list
+    of names is refused at each entry that is not a name (``features[1]``)."""
+    if kind is NAMES and isinstance(v, tuple):
+        return [r for i, e in enumerate(v) for r in _refusals(f"{field}[{i}]", str, e)]
+    if kind is float:
+        return [(field, why)] if (why := number_refusal(v)) else []
+    if kind is PAIR:
+        ok = isinstance(v, tuple) and len(v) == 2 and not any(map(number_refusal, v))
+        want, v = "[x, y] numbers", list(v) if isinstance(v, (tuple, list)) else v  # list form
+    elif kind is NAMES:
+        ok, want = False, "a list of names"
+    elif kind is int:
+        ok, want = isinstance(v, Integral) and not isinstance(v, bool), "an integer"
+    elif kind is bool:
+        ok, want = isinstance(v, bool), "a boolean"
+    elif kind is str:
+        ok, want = isinstance(v, str) and v != "", "a non-empty string"
+    else:
+        ok, want = isinstance(v, kind), f"one of ({', '.join(e.value for e in kind)})"
+    return [] if ok else [(field, f"expected {want}, got {v!r}")]
+
+
+def check_kinds(obj) -> None:
+    """Raise KindError naming each field of config dataclass ``obj`` whose value
+    is not of its kind (``field_kinds``); None passes where allowed, and so does
+    the field's default. Any non-bool ``numbers.Integral`` is an int, and a float
+    field takes one too. Each config type runs this first in ``__post_init__``."""
+    failures = []
+    for name, kind, optional, default in field_kinds(type(obj)):
+        v = getattr(obj, name)
+        # a value of the exact type passes at once, but a str only if not empty
+        if v is default or (type(v) is kind and v != "") or (v is None and optional):
+            continue
+        if kind is PAIR and type(v) is tuple and len(v) == 2 and type(v[0]) is type(v[1]) is float:
+            continue
+        failures += _refusals(name, kind, v)
+    if failures:
+        raise KindError(failures)
+
+
 def finite_rules(obj, *fields: str, prefix: str = ""):
     """A failed ``check_rules`` rule ``prefix + field`` for each named field of
     ``obj`` that is not finite: a number, or either coordinate of an [x, y]
@@ -118,6 +202,7 @@ class CarrierGrid:
     prb_bandwidth_hz: float
 
     def __post_init__(self):
+        check_kinds(self)
         check_rules(self, *self.rules(self))
 
     @staticmethod
@@ -264,13 +349,13 @@ class Cell:
     grid: CarrierGrid
     position: tuple[float, float]
     tx_power_dbm: float
-    rat_tag: str = ""
+    rat_tag: str = "nr"
     supports_duplication: bool = True
     supports_secondary: bool = True
 
     def __post_init__(self):
-        check_rules(self, ("cell_id", bool(self.cell_id), "must be non-empty"),
-                    *finite_rules(self, "tx_power_dbm"))
+        check_kinds(self)
+        check_rules(self, *finite_rules(self, "tx_power_dbm"))
 
 
 def compute_fairness(values: Sequence[float]) -> float:

@@ -57,6 +57,7 @@ mMTC flow's handover, which carries its pending access attempts along.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
@@ -161,7 +162,8 @@ class World:
 
     def __init__(self, config: ScenarioConfig, seed: int | None = None, extra_features=()):
         self.config = config
-        self.seed = config.sim.seed if seed is None else seed
+        # a numpy integer seed would overflow the fading hash's 64-bit mask
+        self.seed = operator.index(config.sim.seed if seed is None else seed)
         ss = np.random.SeedSequence(self.seed)
         streams = ss.spawn(4)
         self.rng_traffic = np.random.default_rng(streams[0])
@@ -169,10 +171,9 @@ class World:
         self.rng_backoff = np.random.default_rng(streams[2])
         self.rng_loss = np.random.default_rng(streams[3])
 
-        if config.channel.fading_seed is None:
-            self.chan = replace(config.channel, fading_seed=self.seed)
-        else:
-            self.chan = config.channel
+        fading_seed = config.channel.fading_seed
+        self.chan = replace(config.channel, fading_seed=self.seed if fading_seed is None
+                            else operator.index(fading_seed))
         # per-PRB rates over the current span's slots, one list per (UE index,
         # cell index) pair, and the span's index; filled by _channel_inputs
         self._rates_span = -1

@@ -39,6 +39,7 @@ from .core import (
     Event,
     Grant,
     TrafficClass,
+    check_kinds,
     check_rules,
     finite_rules,
 )
@@ -349,9 +350,9 @@ class PortionSpec:
     waveform_efficiency: float = 1.0
 
     def __post_init__(self):
+        check_kinds(self)
         eff = self.waveform_efficiency
-        check_rules(self, ("key", bool(self.key), "must be non-empty"),
-                    ("waveform_efficiency", 0.0 < eff <= 1.0, "must be in (0, 1], got {}"))
+        check_rules(self, ("waveform_efficiency", 0.0 < eff <= 1.0, "must be in (0, 1], got {}"))
 
     def usable_by(self, capabilities) -> bool:
         """Whether a UE with these capabilities may ride this portion."""
@@ -370,6 +371,7 @@ class MacConfig:
     backoff_max_epochs: int = 8
 
     def __post_init__(self):
+        check_kinds(self)
         check_rules(self, ("epoch_slots", self.epoch_slots >= 1, "must be >= 1"),
                     ("min_guarantee_prbs", self.min_guarantee_prbs >= 0, "must be >= 0"),
                     ("access_cost_prbs", self.access_cost_prbs >= 1, "must be >= 1"),

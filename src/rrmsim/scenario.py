@@ -2,20 +2,16 @@
 
 A scenario is a plain mapping (usually YAML on disk) with sections for the
 network, UEs, traffic flows, and the MAC / flow-control / steering / sim
-knobs. Each section is a config dataclass, and the runtime layers' own types
-(``mac.MacConfig``, ``channel.ChannelConfig``, ``mac.PortionSpec``) serve as
-sections directly, and a flow's ``generator`` is the ``traffic`` generator
-itself: a section's keys, value types and defaults are read from its
-dataclass fields, so each setting is declared once. So is each value rule
-(a range, finiteness, no repeated entry), in the ``__post_init__`` of the
-type that holds the value, and each rule across sections, on
-``ScenarioConfig``: a config built in Python meets them too. The reader
-checks each value's type and shape, and keeps two value rules: that
-``uts.thresholds`` name enabled features, and that each threshold is finite,
-reported at its nested path. Parsing is strict: unknown keys and refused
-values are collected and reported together, each with its config path.
-``scenario_to_dict`` emits every field from the same field lists, so a
-serialized config re-parses to an equal one.
+knobs. Each section is a config dataclass (the runtime layers' own
+``mac.MacConfig``, ``channel.ChannelConfig`` and ``mac.PortionSpec`` among
+them; a flow's ``generator`` is the ``traffic`` generator itself) whose fields
+declare each key, kind and default once. Each type judges its values in
+``__post_init__``, kinds first (``core.check_kinds``), then its value rules,
+and ``ScenarioConfig`` the rules across sections: a config built in Python is
+refused as its file is. The reader only shapes YAML values, and keeps one rule
+of its own, that ``uts.thresholds`` name enabled features. Unknown keys and
+refusals are collected and reported together, each at its config path.
+``scenario_to_dict`` emits every field, so a serialized config re-parses equal.
 """
 
 from __future__ import annotations
@@ -23,10 +19,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import types
-import typing
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import Enum, EnumMeta
 from pathlib import Path
 
 import yaml
@@ -34,13 +28,19 @@ import yaml
 from .abstraction import link_rate
 from .channel import ChannelConfig
 from .core import (
+    NAMES,
+    PAIR,
     CarrierGrid,
     Cell,
     CellClass,
+    KindError,
     TrafficClass,
     ValidationError,
+    check_kinds,
     check_rules,
+    field_kinds,
     finite_rules,
+    number_refusal,
 )
 from .mac import RACH_KEY, MacConfig, PortionSpec
 from .pdcp import DEFAULT_ENTER_LOAD, DEFAULT_LEAVE_LOAD, DEFAULT_T_REORDER_SLOTS, Mode
@@ -99,6 +99,7 @@ class CellConfig:
     portions: tuple[PortionSpec, ...] = (PortionSpec(key="main"),)
 
     def __post_init__(self):
+        check_kinds(self)
         n, keys = len(self.portions), {p.key for p in self.portions}
         check_rules(self, *CarrierGrid.rules(self), *finite_rules(self, "position", "tx_power_dbm"),
                     ("drop_prob", 0.0 <= self.drop_prob < 1.0, "must be in [0, 1), got {}"),
@@ -120,6 +121,7 @@ class UeConfig:
     serving_cell: str | None = None
 
     def __post_init__(self):
+        check_kinds(self)
         check_rules(self, *finite_rules(self, "position", "velocity"),
                     *_each_repeat("capabilities", self.capabilities))
 
@@ -137,10 +139,10 @@ class FlowConfig:
     sps_offset_slots: int = 0
 
     def __post_init__(self):
+        check_kinds(self)
         # the MAC refuses these reservation shapes when the flow registers
         period, prbs = self.sps_period_slots, self.sps_prbs
-        check_rules(self, ("ue_id", bool(self.ue_id), "flow must name its UE"),
-                    ("generator", type(self.generator) in _KIND_OF,
+        check_rules(self, ("generator", type(self.generator) in _KIND_OF,
                      "must be a traffic generator, got {!r}"),
                     ("slice_id", self.slice_id != RACH_KEY, "{!r} is the access partition's key"),
                     ("sps_period_slots", period is None or period >= 1, "must be >= 1, got {}"),
@@ -160,6 +162,7 @@ class PdcpSection:
     service_modes: dict[TrafficClass, Mode] = field(default_factory=DEFAULT_SERVICE_MODES.copy)
 
     def __post_init__(self):
+        check_kinds(self)
         modes = self.service_modes
         check_rules(self, ("t_reorder_slots", self.t_reorder_slots >= 1, "must be >= 1"),
                     ("", 0.0 <= self.enter_load <= self.leave_load <= 1.0,
@@ -182,8 +185,10 @@ class UtsSection:
     time_to_trigger_epochs: int = DEFAULT_TIME_TO_TRIGGER_EPOCHS
 
     def __post_init__(self):
+        check_kinds(self)
         feats, ranking = self.features, self.ranking
-        thr = [(f, k, v) for f, kv in self.thresholds.items() for k, v in kv.items()]
+        thr = [(f, k, number_refusal(v, finite=True))  # why threshold f.k is refused, or None
+               for f, kv in self.thresholds.items() for k, v in kv.items()]
         # each reason picks its entry out of the value it is formatted with, or is _literal
         check_rules(self, ("epoch_slots", self.epoch_slots >= 1, "must be >= 1"),
                     ("hysteresis_epochs", self.hysteresis_epochs >= 0, "must be >= 0"),
@@ -197,8 +202,7 @@ class UtsSection:
                     *_each_repeat("features", feats), *_each_repeat("ranking", ranking),
                     *(("thresholds", f not in DEFAULT_THRESHOLDS or k in DEFAULT_THRESHOLDS[f],
                        _literal(f"{f}.{k}: unknown threshold")) for f, k, _ in thr),
-                    *(("thresholds", isinstance(v, (int, float)) and math.isfinite(v),
-                       _literal(f"{f}.{k}: must be finite, got {v!r}")) for f, k, v in thr))
+                    *(("thresholds", why is None, _literal(f"{f}.{k}: {why}")) for f, k, why in thr))
 
     def effective_ranking(self) -> tuple[str, ...]:
         return self.ranking if self.ranking else self.features
@@ -210,6 +214,7 @@ class SimSection:
     seed: int = 0
 
     def __post_init__(self):
+        check_kinds(self)
         check_rules(self, ("horizon_slots", self.horizon_slots >= 1, "must be >= 1, got {}"),
                     ("seed", self.seed >= 0, "must be >= 0, got {}"))
 
@@ -227,6 +232,7 @@ class ScenarioConfig:
     uts: UtsSection = UtsSection()
 
     def __post_init__(self):
+        check_kinds(self)
         check_rules(self, *self._rules())
 
     def _rules(self):
@@ -277,48 +283,38 @@ def _repeats(field: str, what: str, ids: list[str]):
         yield field, False, _literal(f"{what} ids must be unique, got {ids}")
 
 
-#: YAML keys that differ from their dataclass field names, per class.
+#: YAML keys that differ from their dataclass field names, per class; the
+#: scenario's lists of cells and flows sit under their own sections.
 _YAML_KEYS = {
     CellConfig: {"cell_id": "id", "cell_class": "class", "rat_tag": "rat"},
     UeConfig: {"ue_id": "id"},
     FlowConfig: {"flow_id": "id", "ue_id": "ue", "slice_id": "slice"},
+    ScenarioConfig: {"cells": "network.cells", "flows": "traffic.flows"},
 }
 
-def _yaml_path(parts: dict, rule: str) -> str:
-    """The file path of a ``ScenarioConfig`` rule over the fields ``parts``, with
-    the entry's or part's YAML key: ``flows[2].ue_id`` is ``traffic.flows[2].ue``."""
+
+def _yaml_path(path: str, cls, values: dict, rule: str) -> str:
+    """The file path of ``cls``'s rule ``rule`` over ``values`` read at ``path``: at
+    the YAML key of its field, entry (``features[1]``) or entry's part
+    (``flows[2].ue_id`` is ``traffic.flows[2].ue``), or at ``path`` itself."""
     head, dot, sub = rule.partition(".")
-    field, bracket, index = head.partition("[")
-    part = parts[field][int(index[:-1])] if bracket else parts[field]
-    where = {"cells": "network.cells", "flows": "traffic.flows"}.get(field, field)
-    return where + bracket + index + dot + _YAML_KEYS.get(type(part), {}).get(sub, sub)
+    name, bracket, index = head.partition("[")
+    if not name:
+        return path
+    if dot:
+        part = values[name][int(index[:-1])] if bracket else values[name]
+        sub = _YAML_KEYS.get(type(part), {}).get(sub, sub)
+    key = _YAML_KEYS.get(cls, {}).get(name, name)
+    return (f"{path}.{key}" if path else key) + bracket + index + dot + sub
 
 
 @functools.cache
 def _fields(cls) -> tuple[dict[str, tuple[str, object]], dict[str, object]]:
-    """How config dataclass ``cls`` maps to YAML: (field, kind) by YAML key,
-    and the defaults of the fields that have a kind.
-
-    ``kind`` is int, float, bool, str, an Enum class, or ``tuple`` for an
-    [x, y] pair; None marks a field its caller reads by hand. Resolving the
-    type hints costs far more than reading a section, so each class's table
-    is built once.
-    """
-    hints = typing.get_type_hints(cls)
-    by_key, defaults = {}, {}
-    for f in dataclasses.fields(cls):
-        hint = hints[f.name]
-        if isinstance(hint, types.UnionType):  # X | None
-            (hint,) = (a for a in typing.get_args(hint) if a is not type(None))
-        if hint == tuple[float, float]:
-            kind = tuple
-        elif hint in (int, float, bool, str) or (isinstance(hint, type) and issubclass(hint, Enum)):
-            kind = hint
-        else:
-            kind = None
-        by_key[_YAML_KEYS.get(cls, {}).get(f.name, f.name)] = (f.name, kind)
-        if kind is not None:
-            defaults[f.name] = None if f.default is dataclasses.MISSING else f.default
+    """How config dataclass ``cls`` maps to YAML: (field, kind) by YAML key, a
+    kind of None for a field read by hand, and the judged fields' defaults."""
+    kinds, keys = {name: kind for name, kind, _, _ in field_kinds(cls)}, _YAML_KEYS.get(cls, {})
+    by_key = {keys.get(f.name, f.name): (f.name, kinds.get(f.name)) for f in dataclasses.fields(cls)}
+    defaults = {name: None if d is dataclasses.MISSING else d for name, _, _, d in field_kinds(cls)}
     return by_key, defaults
 
 
@@ -339,157 +335,106 @@ class _Reader:
     """Walks a raw mapping, collecting (path, reason) failures as it goes."""
 
     def __init__(self):
-        self.failures: list[tuple[str, str]] = []
+        self.failures: dict[tuple[str, str], None] = {}  # an ordered set of refusals
 
     def fail(self, path: str, reason: str):
-        self.failures.append((path, reason))
+        self.failures[path, reason] = None
 
-    def mapping(self, raw, path: str) -> dict:
-        if raw is None:
-            return {}
-        if not isinstance(raw, dict):
-            self.fail(path, f"expected a mapping, got {type(raw).__name__}")
-            return {}
-        return raw
-
-    def seq(self, raw, path: str) -> list:
-        if raw is None:
-            return []
-        if not isinstance(raw, list):
-            self.fail(path, f"expected a list, got {type(raw).__name__}")
-            return []
-        return raw
-
-    def names(self, raw, path: str) -> tuple[str, ...] | None:
-        """The entries of list ``raw``, each a non-empty string, or None for
-        the field's default if ``raw`` is missing or refused: each entry that
-        is not such a string is reported, and refuses the whole list."""
-        seq = self.seq(raw, path)
-        bad = [i for i, val in enumerate(seq) if not (isinstance(val, str) and val)]
-        for i in bad:
-            self.fail(f"{path}[{i}]", f"expected a non-empty string, got {seq[i]!r}")
-        return tuple(seq) if isinstance(raw, list) and not bad else None
+    def shaped(self, raw, path: str, shape=dict):
+        """``raw`` if it is a ``shape`` (a dict, or a list), else an empty one:
+        null is empty, and a value of another type is reported."""
+        if raw is not None and not isinstance(raw, shape):
+            what = "a mapping" if shape is dict else "a list"
+            self.fail(path, f"expected {what}, got {type(raw).__name__}")
+        return raw if isinstance(raw, shape) else shape()
 
     def reject_unknown(self, raw: dict, known: set[str], path: str):
         for key in raw:
             if key not in known:
                 self.fail(f"{path}.{key}" if path else str(key), "unknown key")
 
-    def number(self, val, where: str) -> float | None:
-        """``val`` as a float, or None once the reason it is not a number is
-        reported; its type judges whether the number is finite."""
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            self.fail(where, f"expected a number, got {val!r}")
-            return None
-        return float(val)
-
-    def get(self, raw: dict, key: str, kind, default, path: str):
-        if key not in raw or raw[key] is None:
+    @staticmethod
+    def get(raw: dict, key: str, kind, default):
+        """``raw[key]`` (``default`` if missing or null) shaped for a field of ``kind``:
+        a list in a pair or names field becomes a tuple, a name its Enum member, a
+        number in a float field or pair a float; the type judges every value."""
+        val = raw.get(key)
+        if val is None:
             return default
-        val = raw[key]
-        where = f"{path}.{key}" if path else key
         if kind is float:
-            num = self.number(val, where)
-            return default if num is None else num
-        if kind is int:
-            if isinstance(val, bool) or not isinstance(val, int):
-                self.fail(where, f"expected an integer, got {val!r}")
-                return default
-            return val
-        if kind is bool:
-            if not isinstance(val, bool):
-                self.fail(where, f"expected a boolean, got {val!r}")
-                return default
-            return val
-        if kind is str:
-            if not isinstance(val, str) or not val:
-                self.fail(where, f"expected a non-empty string, got {val!r}")
-                return default
-            return val
-        if kind is tuple:
-            if not isinstance(val, list) or len(val) != 2 or any(
-                isinstance(v, bool) or not isinstance(v, (int, float)) for v in val
-            ):
-                self.fail(where, f"expected [x, y] numbers, got {val!r}")
-                return default
-            return (float(val[0]), float(val[1]))
-        try:
-            return kind(val)
-        except ValueError:
-            ok = ", ".join(e.value for e in kind)
-            self.fail(where, f"expected one of ({ok}), got {val!r}")
-            return default
+            return val if number_refusal(val) else float(val)
+        if isinstance(val, list) and (kind is PAIR or kind is NAMES):
+            pair = kind is PAIR and len(val) == 2 and not any(map(number_refusal, val))
+            return tuple(map(float, val)) if pair else tuple(val)
+        if isinstance(kind, EnumMeta):
+            try:
+                return kind(val)
+            except ValueError:
+                pass
+        return val
+
+    def refused(self, cls, values: dict, e: ValidationError, path: str, defaults=None):
+        """Report each refusal of ``cls(**values)`` in ``e`` at its path under ``path``,
+        reset each refused field to its default (``defaults`` or the class's) and
+        return the values in an instance built without the rules, for the rules
+        across sections; after a kind refusal they are built again, for the value rules."""
+        for rule, reason in e.failures:
+            self.fail(_yaml_path(path, cls, values, rule), reason)
+        for rule, _ in e.failures:  # a rule on one entry (features[1]) or part
+            if name := rule.split("[")[0].split(".")[0]:
+                values[name] = (defaults or {}).get(name, getattr(cls, name, None))
+        if isinstance(e, KindError):
+            try:
+                return cls(**values)
+            except KindError:
+                pass  # a required field, reported above, has no default to take
+            except ValidationError as again:
+                return self.refused(cls, values, again, path, defaults)
+        obj = object.__new__(cls)
+        obj.__dict__.update(values)
+        return obj
 
     def read(self, cls, raw, path: str, defaults=None, **given):
-        """Read config dataclass ``cls`` from its mapping at ``path``.
-
-        Keys, value types and defaults come from the class's fields.
-        ``defaults`` overrides a field's default (an index-derived id) and
-        ``given`` holds the fields the caller read by hand. Values are checked
-        here for type and shape only; the class's own rules judge them: each
-        refusal is reported at its field's YAML key (``features[1]`` for a
-        rule on one entry), or at ``path`` for a rule over the whole value.
-        The values are then kept, each refused field at its default, in an
-        instance built without running the rules again, so the scenario's
-        rules across sections still see the rest; the parse fails anyway.
-        """
-        m = self.mapping(raw, path)
+        """Read config dataclass ``cls`` from its mapping at ``path``, with keys,
+        kinds and defaults from its fields; ``defaults`` overrides a default (an
+        index-derived id) and ``given`` holds the fields read by hand. Values are
+        only shaped here (``get``); the class judges them (see ``refused``)."""
+        m = self.shaped(raw, path)
         by_key, field_defaults = _fields(cls)
-        defaults = defaults or {}
-        values = {**field_defaults, **defaults, **given}
+        values = {**field_defaults, **(defaults or {}), **given}
         for key in m:
             if key not in by_key:
                 self.fail(f"{path}.{key}", f"unknown key (accepts: {', '.join(by_key)})")
                 continue
             name, kind = by_key[key]
             if kind is not None and name not in given:
-                values[name] = self.get(m, key, kind, values[name], path)
+                values[name] = self.get(m, key, kind, values[name])
         try:
             return cls(**values)
         except ValidationError as e:
-            keys = _YAML_KEYS.get(cls, {})
-            for rule, reason in e.failures:
-                name, br, entry = rule.partition("[")  # a rule on one entry: features[1]
-                self.fail(f"{path}.{keys.get(name, name)}{br}{entry}" if name else path, reason)
-                if name:
-                    values[name] = defaults.get(name, getattr(cls, name, None))
-        obj = object.__new__(cls)
-        obj.__dict__.update(values)
-        return obj
+            return self.refused(cls, values, e, path, defaults)
 
 
 def _read_cell(r: _Reader, raw, path: str, index: int) -> CellConfig:
-    m = r.mapping(raw, path)
+    m = r.shaped(raw, path)
     portions = tuple(
         r.read(PortionSpec, p, f"{path}.portions[{i}]", defaults={"key": f"portion{i}"})
-        for i, p in enumerate(r.seq(m.get("portions"), f"{path}.portions"))
+        for i, p in enumerate(r.shaped(m.get("portions"), f"{path}.portions", list))
     ) or CellConfig.portions
     return r.read(CellConfig, m, path, defaults={"cell_id": f"cell{index}"}, portions=portions)
 
 
-def _read_ue(r: _Reader, raw, path: str, index: int) -> UeConfig:
-    m = r.mapping(raw, path)
-    caps = r.names(m.get("capabilities"), f"{path}.capabilities")
-    return r.read(
-        UeConfig, m, path, defaults={"ue_id": f"ue{index}"},
-        capabilities=caps or UeConfig.capabilities,
-    )
-
-
 def _read_flow(r: _Reader, raw, path: str, index: int) -> FlowConfig:
-    m = r.mapping(raw, path)
+    m = r.shaped(raw, path)
     gen_path = f"{path}.generator"
-    gen = r.mapping(m.get("generator"), gen_path)
-    default = _KIND_OF[type(FlowConfig.generator)]
-    kind = r.get(gen, "kind", str, default, gen_path)
-    if kind not in GENERATOR_KINDS:
+    gen = r.shaped(m.get("generator"), gen_path)
+    kind = r.get(gen, "kind", str, _KIND_OF[type(FlowConfig.generator)])
+    if not isinstance(kind, str) or kind not in GENERATOR_KINDS:
         r.fail(f"{gen_path}.kind", f"unknown kind {kind!r}")
-        kind, gen = default, {}
+        kind, gen = _KIND_OF[type(FlowConfig.generator)], {}
     params = {k: v for k, v in gen.items() if k != "kind"}
     generator = r.read(GENERATOR_KINDS[kind], params, gen_path)
-    return r.read(
-        FlowConfig, m, path, defaults={"flow_id": f"flow{index}"}, generator=generator
-    )
+    return r.read(FlowConfig, m, path, defaults={"flow_id": f"flow{index}"}, generator=generator)
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
@@ -502,31 +447,30 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     r = _Reader()
     r.reject_unknown(
         data, {"name", "sim", "channel", "network", "ues", "traffic", "mac", "pdcp", "uts"}, "")
-    name = r.get(data, "name", str, ScenarioConfig.name, "")
-
     sim = r.read(SimSection, data.get("sim"), "sim")
     channel = r.read(ChannelConfig, data.get("channel"), "channel")
 
-    net_m = r.mapping(data.get("network"), "network")
+    net_m = r.shaped(data.get("network"), "network")
     r.reject_unknown(net_m, {"cells"}, "network")
     cells = tuple(
         _read_cell(r, c, f"network.cells[{i}]", i)
-        for i, c in enumerate(r.seq(net_m.get("cells"), "network.cells"))
+        for i, c in enumerate(r.shaped(net_m.get("cells"), "network.cells", list))
     )
     ues = tuple(
-        _read_ue(r, u, f"ues[{i}]", i) for i, u in enumerate(r.seq(data.get("ues"), "ues"))
+        r.read(UeConfig, u, f"ues[{i}]", defaults={"ue_id": f"ue{i}"})
+        for i, u in enumerate(r.shaped(data.get("ues"), "ues", list))
     )
 
-    tr_m = r.mapping(data.get("traffic"), "traffic")
+    tr_m = r.shaped(data.get("traffic"), "traffic")
     r.reject_unknown(tr_m, {"flows"}, "traffic")
     flows = tuple(
         _read_flow(r, f, f"traffic.flows[{i}]", i)
-        for i, f in enumerate(r.seq(tr_m.get("flows"), "traffic.flows"))
+        for i, f in enumerate(r.shaped(tr_m.get("flows"), "traffic.flows", list))
     )
     mac = r.read(MacConfig, data.get("mac"), "mac")
 
-    pd_m = r.mapping(data.get("pdcp"), "pdcp")
-    modes_m = r.mapping(pd_m.get("service_modes"), "pdcp.service_modes")
+    pd_m = r.shaped(data.get("pdcp"), "pdcp")
+    modes_m = r.shaped(pd_m.get("service_modes"), "pdcp.service_modes")
     modes = dict(DEFAULT_SERVICE_MODES)
     for key, val in modes_m.items():
         try:
@@ -540,38 +484,31 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             r.fail(f"pdcp.service_modes.{key}", f"unknown mode {val!r}")
     pdcp = r.read(PdcpSection, pd_m, "pdcp", service_modes=modes)
 
-    uts_m = r.mapping(data.get("uts"), "uts")
-    feats = r.names(uts_m.get("features"), "uts.features")
-    if feats is None:
-        feats = UtsSection.features
-    ranking = r.names(uts_m.get("ranking"), "uts.ranking") or ()
-    thr_m = r.mapping(uts_m.get("thresholds"), "uts.thresholds")
+    uts_m = r.shaped(data.get("uts"), "uts")
+    feats = r.get(uts_m, "features", NAMES, UtsSection.features)
+    thr_m = r.shaped(uts_m.get("thresholds"), "uts.thresholds")
     thresholds = {}
     for fid, kv in thr_m.items():
-        if fid not in feats:  # a file's rule only: Python configs may switch features off
+        if fid not in (feats if isinstance(feats, tuple) else UtsSection.features):
+            # a file's rule only: Python configs may switch features off
             r.fail(f"uts.thresholds.{fid}", "thresholds for a feature not enabled")
             continue
         values = thresholds[fid] = {}
-        for k, v in r.mapping(kv, f"uts.thresholds.{fid}").items():
-            where = f"uts.thresholds.{fid}.{k}"
-            if (num := r.number(v, where)) is not None and not math.isfinite(num):
-                r.fail(where, f"must be finite, got {num!r}")  # at its nested path
-            elif num is not None:
-                values[k] = num
-    uts = r.read(
-        UtsSection, uts_m, "uts",
-        features=feats, ranking=ranking, thresholds=thresholds,
-    )
+        for k, v in r.shaped(kv, f"uts.thresholds.{fid}").items():
+            if (why := number_refusal(v, finite=True)) is None:
+                values[k] = float(v)
+            else:
+                r.fail(f"uts.thresholds.{fid}.{k}", why)  # at its nested path
+    uts = r.read(UtsSection, uts_m, "uts", thresholds=thresholds)
 
-    parts = dict(name=name, sim=sim, channel=channel, cells=cells, ues=ues, flows=flows,
-                 mac=mac, pdcp=pdcp, uts=uts)
+    parts = dict(name=r.get(data, "name", str, ScenarioConfig.name), sim=sim, channel=channel,
+                 cells=cells, ues=ues, flows=flows, mac=mac, pdcp=pdcp, uts=uts)
     try:
         cfg = ScenarioConfig(**parts)
     except ValidationError as e:
-        for rule, reason in e.failures:
-            r.fail(_yaml_path(parts, rule), reason)
+        r.refused(ScenarioConfig, parts, e, "")
     if r.failures:
-        raise ValidationError(r.failures)
+        raise ValidationError(list(r.failures))
     return cfg
 
 
@@ -619,19 +556,6 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 
 def build_domain(cfg: CellConfig) -> Cell:
     """Construct the domain Cell for one cell config."""
-    grid = CarrierGrid(
-        carrier_hz=cfg.carrier_hz,
-        prbs_per_slot=cfg.prbs_per_slot,
-        numerology=cfg.numerology,
-        prb_bandwidth_hz=cfg.prb_bandwidth_hz,
-    )
-    return Cell(
-        cell_id=cfg.cell_id,
-        cell_class=cfg.cell_class,
-        grid=grid,
-        position=cfg.position,
-        tx_power_dbm=cfg.effective_tx_power_dbm(),
-        rat_tag=cfg.rat_tag,
-        supports_duplication=cfg.supports_duplication,
-        supports_secondary=cfg.supports_secondary,
-    )
+    grid = CarrierGrid(cfg.carrier_hz, cfg.prbs_per_slot, cfg.numerology, cfg.prb_bandwidth_hz)
+    return Cell(cfg.cell_id, cfg.cell_class, grid, cfg.position, cfg.effective_tx_power_dbm(),
+                cfg.rat_tag, cfg.supports_duplication, cfg.supports_secondary)

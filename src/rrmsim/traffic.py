@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_rules, finite_rules
+from .core import check_kinds, check_rules, finite_rules
 
 
-# a size in bits must be a whole number below 2**53, or run arithmetic rounds it
+# a size in bits must be below 2**53, or run arithmetic rounds it
 _AT_LEAST_0, _AT_LEAST_1 = "must be >= 0, got {}", "must be >= 1, got {}"
-_BELOW, _WHOLE = "must be below 2**53, got {}", "must be a whole number, got {}"
+_BELOW = "must be below 2**53, got {}"
 
 
 @dataclass(frozen=True)
@@ -32,11 +32,11 @@ class FullBuffer:
     watermark_bits: int = 10 * 1500 * 8
 
     def __post_init__(self):
+        check_kinds(self)
         p, w = self.packet_bits, self.watermark_bits
         check_rules(self, ("packet_bits", p >= 1, _AT_LEAST_1),
                     ("watermark_bits", w >= 0, _AT_LEAST_0),
-                    ("packet_bits", p < 2**53, _BELOW), ("watermark_bits", w < 2**53, _BELOW),
-                    ("packet_bits", p % 1 == 0, _WHOLE), ("watermark_bits", w % 1 == 0, _WHOLE))
+                    ("packet_bits", p < 2**53, _BELOW), ("watermark_bits", w < 2**53, _BELOW))
 
     def step(self, slot: int, rng: np.random.Generator, queued_bits: float) -> tuple[int, int]:
         # the fewest packets that lift the queue to the watermark; bit
@@ -53,11 +53,11 @@ class PoissonSporadic:
     packet_bits: int = 256
 
     def __post_init__(self):
+        check_kinds(self)
         p = self.packet_bits
         check_rules(self, ("rate_per_slot", self.rate_per_slot >= 0, _AT_LEAST_0),
                     *finite_rules(self, "rate_per_slot"),
-                    ("packet_bits", p >= 1, _AT_LEAST_1), ("packet_bits", p < 2**53, _BELOW),
-                    ("packet_bits", p % 1 == 0, _WHOLE))
+                    ("packet_bits", p >= 1, _AT_LEAST_1), ("packet_bits", p < 2**53, _BELOW))
 
     def step(self, slot: int, rng: np.random.Generator, queued_bits: float) -> tuple[int, int]:
         return int(rng.poisson(self.rate_per_slot)), self.packet_bits
@@ -73,13 +73,13 @@ class PeriodicDeadline:
     offset_slots: int = 0
 
     def __post_init__(self):
+        check_kinds(self)
         # a URLLC reservation takes its period and offset from this generator
         p = self.packet_bits
         check_rules(self, ("period_slots", self.period_slots >= 1, _AT_LEAST_1),
                     ("offset_slots", self.offset_slots >= 0, _AT_LEAST_0),
                     ("deadline_slots", self.deadline_slots >= 0, _AT_LEAST_0),
-                    ("packet_bits", p >= 1, _AT_LEAST_1), ("packet_bits", p < 2**53, _BELOW),
-                    ("packet_bits", p % 1 == 0, _WHOLE))
+                    ("packet_bits", p >= 1, _AT_LEAST_1), ("packet_bits", p < 2**53, _BELOW))
 
     def step(self, slot: int, rng: np.random.Generator, queued_bits: float) -> tuple[int, int]:
         due = slot >= self.offset_slots and (slot - self.offset_slots) % self.period_slots == 0

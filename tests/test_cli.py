@@ -297,6 +297,28 @@ def test_non_finite_number_is_a_config_error(sections, where, shown, tmp_path, c
     _assert_bad_flow_exits_2(flow, message, tmp_path, capsys, **sections)
 
 
+_HUGE = int("9" * 400)
+
+
+@pytest.mark.parametrize(
+    "sections, where",
+    [
+        ({"channel": {"fading_scale": _HUGE}}, "channel.fading_scale"),
+        (
+            {"uts": {"features": ["load_balance_handover"],
+                     "thresholds": {"load_balance_handover": {"high_load": _HUGE}}}},
+            "uts.thresholds.load_balance_handover.high_load",
+        ),
+    ],
+    ids=["fading_scale", "threshold"],
+)
+def test_a_number_too_large_for_a_float_is_a_config_error(sections, where, tmp_path, capsys):
+    # each of these used to exit 1 with an OverflowError traceback
+    flow = {"service": "eMBB", "generator": {"kind": "full_buffer", "packet_bits": 4000}}
+    message = f"{where}: expected a number a float can hold, got {_HUGE!r}"
+    _assert_bad_flow_exits_2(flow, message, tmp_path, capsys, **sections)
+
+
 @pytest.mark.parametrize(
     "uts, where, shown",
     [

@@ -4,12 +4,18 @@ that ``scenario_from_dict`` reports at the value's YAML path."""
 
 import dataclasses
 import re
+import typing
+from enum import Enum
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from rrmsim.core import TrafficClass
+from rrmsim.core import NAMES, PAIR, CellClass, TrafficClass, field_kinds
 from rrmsim.scenario import (
-    ValidationError, build_domain, load_scenario, scenario_from_dict, scenario_to_dict,
+    ScenarioConfig, ValidationError, build_domain, load_scenario, scenario_from_dict,
+    scenario_to_dict,
 )
 from rrmsim.traffic import GENERATOR_KINDS, FullBuffer
 from rrmsim.uts import LOAD_BALANCE_ID
@@ -109,6 +115,16 @@ CASES = [
          "network.cells[0].prb_bandwidth_hz"),
     case("poisson_sporadic.rate_per_slot_inf", BASE.flows[POISSON].generator, "rate_per_slot",
          INF, f"traffic.flows[{POISSON}].generator.rate_per_slot"),
+    # a value of the wrong kind: these used to construct and run to the end, or
+    # (a whole-number float) pass the generator's rules
+    case("mac.epoch_slots_float", BASE.mac, "epoch_slots", 2.5, "mac.epoch_slots"),
+    case("uts.epoch_slots_inf", BASE.uts, "epoch_slots", INF, "uts.epoch_slots"),
+    case("cell.prbs_per_slot_float", BASE.cells[0], "prbs_per_slot", 50.5,
+         "network.cells[0].prbs_per_slot"),
+    case("uts.enabled_text", BASE.uts, "enabled", "yes", "uts.enabled"),
+    case("cell.class_text", BASE.cells[0], "cell_class", "tower", "network.cells[0].class"),
+    case("full_buffer.packet_bits_float", BASE.flows[FLOW["full_buffer"]].generator, "packet_bits",
+         1500.0, f"traffic.flows[{FLOW['full_buffer']}].generator.packet_bits"),
 ]
 
 
@@ -331,3 +347,107 @@ def test_a_list_refuses_a_repeated_entry_where_it_is_built(obj, changes, rule, p
     with pytest.raises(ValidationError) as e:
         scenario_from_dict(lb_file_with(yaml))
     assert e.value.failures == [(path, f"repeats {value[0]!r}")]
+
+
+def test_an_enum_field_takes_its_member_not_the_members_name():
+    # a plain "macro" used to construct from Python; a file's name is read as the member
+    with pytest.raises(ValidationError) as e:
+        dataclasses.replace(BASE.cells[0], cell_class="macro")
+    assert e.value.failures == [("cell_class", "expected one of (macro, small, ap), got 'macro'")]
+    data = scenario_to_dict(BASE)
+    data["network"]["cells"][0]["class"] = "macro"
+    assert scenario_from_dict(data).cells[0].cell_class is CellClass.MACRO
+
+
+def test_a_kind_refusal_does_not_hide_the_sections_value_rules():
+    # the refused field takes its default, and the section is built again
+    data = scenario_to_dict(BASE)
+    data["mac"].update(epoch_slots="x", pf_ewma=5)
+    with pytest.raises(ValidationError) as e:
+        scenario_from_dict(data)
+    assert ("mac.epoch_slots", "expected an integer, got 'x'") in e.value.failures
+    assert ("mac.pf_ewma", "must be in (0, 1]") in e.value.failures
+
+
+@pytest.mark.parametrize("value, reason", [
+    (True, "expected a number, got True"),
+    (10**400, f"expected a number a float can hold, got {10**400!r}"),
+], ids=["bool", "huge"])
+def test_a_steering_threshold_is_a_number_a_float_holds(value, reason):
+    # True used to construct, and 10**400 raised OverflowError; a file's value is
+    # refused at its nested path, where the reader used to raise too
+    with pytest.raises(ValidationError) as e:
+        dataclasses.replace(LB.uts, thresholds={LOAD_BALANCE_ID: {"high_load": value}})
+    assert e.value.failures == [("thresholds", f"{LOAD_BALANCE_ID}.high_load: {reason}")]
+    with pytest.raises(ValidationError) as e:
+        scenario_from_dict(lb_file_with({f"uts.thresholds.{LOAD_BALANCE_ID}.high_load": value}))
+    assert e.value.failures == [(f"uts.thresholds.{LOAD_BALANCE_ID}.high_load", reason)]
+
+
+def _configs() -> list[type]:
+    """Each config dataclass a ``ScenarioConfig`` holds, found through its
+    fields' types, and each generator type."""
+    found, todo = [], [ScenarioConfig, *GENERATOR_KINDS.values()]
+    while todo:
+        cls = todo.pop()
+        if cls not in found:
+            found.append(cls)
+            for hint in typing.get_type_hints(cls).values():
+                todo += [t for t in (hint, *typing.get_args(hint)) if dataclasses.is_dataclass(t)]
+    return found
+
+
+#: the fields whose values the reader builds by hand: entries, sections and maps
+HAND_READ = {"cells", "ues", "flows", "sim", "channel", "mac", "pdcp", "uts", "portions",
+             "generator", "service_modes", "thresholds"}
+CELL = build_domain(BASE.cells[0])
+#: a valid instance of each config type, and of the domain cell and grid
+INSTANCES = {type(obj): obj for obj in (
+    BASE, BASE.sim, BASE.channel, BASE.cells[0], PORTION, BASE.ues[0], BASE.flows[0], BASE.mac,
+    BASE.pdcp, BASE.uts, *(f.generator for f in BASE.flows), CELL, CELL.grid)}
+JUDGED = [(cls, name, kind, optional, default) for cls in INSTANCES
+          for name, kind, optional, default in field_kinds(cls)]
+
+
+def of_kind(kind, optional, v) -> bool:
+    """Whether ``v`` is a value of ``kind``, stated apart from the checker."""
+    if v is None or isinstance(v, bool):
+        return (v is None and optional) or (v is not None and kind is bool)
+    if kind in (int, float) and isinstance(v, (int, np.integer)):
+        return kind is int or abs(v) < 2**1023
+    if kind is PAIR:
+        return isinstance(v, tuple) and len(v) == 2 and all(of_kind(float, False, c) for c in v)
+    if kind is NAMES:
+        return isinstance(v, tuple) and all(of_kind(str, False, n) for n in v)
+    return isinstance(v, kind) and v != ""
+
+
+def test_every_config_field_is_judged_by_its_kind_or_read_by_hand():
+    assert set(_configs()) <= set(INSTANCES)
+    for cls in _configs():
+        judged = {name for name, *_ in field_kinds(cls)}
+        for f in dataclasses.fields(cls):
+            assert (f.name in judged) != (f.name in HAND_READ), (cls.__name__, f.name)
+    # a value that is the field's own default is not checked, so each default is of its kind
+    for cls, name, kind, optional, default in JUDGED:
+        assert default is dataclasses.MISSING or of_kind(kind, optional, default), (cls, name)
+
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**64, 2**64), st.floats(), st.text(max_size=3),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.just(10**400),
+    st.sampled_from([*CellClass, *TrafficClass, "macro", "eMBB"]),
+)
+VALUES = st.one_of(SCALARS, st.tuples(SCALARS, SCALARS), st.lists(SCALARS, max_size=3),
+                   st.lists(SCALARS, max_size=3).map(tuple))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(JUDGED), VALUES)
+def test_a_value_of_the_wrong_kind_is_refused_naming_its_field(judged, value):
+    cls, name, kind, optional, _ = judged
+    assume(not of_kind(kind, optional, value))
+    with pytest.raises(ValidationError) as e:
+        dataclasses.replace(INSTANCES[cls], **{name: value})
+    assert e.value.failures and all(re.fullmatch(rf"{name}(\[\d+\])?", rule)
+                                    for rule, _ in e.value.failures), e.value.failures

@@ -50,6 +50,24 @@ def test_different_seeds_diverge(scenarios):
     assert a.seed == 1 and b.seed == 2
 
 
+@pytest.mark.parametrize("where", ["run", "sim.seed", "channel.fading_seed"])
+def test_a_numpy_integer_seed_writes_the_files_of_the_same_int(scenarios, where):
+    # a numpy seed used to overflow the fading hash's 64-bit mask
+    cfg = _short(scenarios, "two_cell_load_balance", 200)
+
+    def run(seed):
+        if where == "run":
+            return run_scenario(cfg, seed=seed)
+        section, field = where.split(".")
+        part = dataclasses.replace(getattr(cfg, section), **{field: seed})
+        return run_scenario(dataclasses.replace(cfg, **{section: part}))
+
+    a, b = run(np.int64(3)), run(3)
+    assert render_summary(a) == render_summary(b)
+    assert render_csv(a.rows) == render_csv(b.rows)
+    assert render_events(a.events) == render_events(b.events)
+
+
 def test_served_bits_balance_between_flows_and_cells(scenarios):
     for name in ("single_cell", "hetnet_walkthrough", "mmtc_swarm"):
         res = run_scenario(_short(scenarios, name, 250))
