@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import Cell, CellClass, check_kinds, check_rules, finite_rules
+from .core import Cell, CellClass, Config, finite_rules
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -32,7 +32,7 @@ DEFAULT_EXPONENTS: dict[CellClass, float] = {
 
 
 @dataclass(frozen=True)
-class ChannelConfig:
+class ChannelConfig(Config):
     fading_scale: float = 1.0
     #: None stands for the run seed; the engine fills it in before use.
     fading_seed: int | None = None
@@ -40,12 +40,11 @@ class ChannelConfig:
     interference_margin_db: float = 3.0
     min_distance_m: float = 1.0
 
-    def __post_init__(self):
-        check_kinds(self)
-        check_rules(self, ("fading_scale", self.fading_scale >= 0, "must be >= 0"),
-                    ("min_distance_m", self.min_distance_m > 0, "must be positive"),
-                    *finite_rules(self, "fading_scale", "noise_psd_dbm_hz",
-                                  "interference_margin_db", "min_distance_m"))
+    def rules(self):
+        return (("fading_scale", self.fading_scale >= 0, "must be >= 0"),
+                ("min_distance_m", self.min_distance_m > 0, "must be positive"),
+                *finite_rules(self, "fading_scale", "noise_psd_dbm_hz",
+                              "interference_margin_db", "min_distance_m"))
 
 
 @functools.lru_cache(maxsize=64)

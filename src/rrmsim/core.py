@@ -163,7 +163,7 @@ def check_kinds(obj) -> None:
     """Raise KindError naming each field of config dataclass ``obj`` whose value
     is not of its kind (``field_kinds``); None passes where allowed, and so does
     the field's default. Any non-bool ``numbers.Integral`` is an int, and a float
-    field takes one too. Each config type runs this first in ``__post_init__``."""
+    field takes one too. ``Config`` runs this first, before a type's value rules."""
     failures = []
     for name, kind, optional, default in field_kinds(type(obj)):
         v = getattr(obj, name)
@@ -175,6 +175,23 @@ def check_kinds(obj) -> None:
         failures += _refusals(name, kind, v)
     if failures:
         raise KindError(failures)
+
+
+class Config:
+    """The one check protocol of every config type, a frozen dataclass that
+    states its value rules once, as ``check_rules`` rules, in ``rules()``: on
+    construction each field's kind is judged first (``check_kinds``), then the
+    value rules run, so a rule never sees a value of the wrong kind."""
+
+    def __post_init__(self):
+        check_kinds(self)
+        check_rules(self, *self.rules())
+
+
+def repeat_rules(field: str, names) -> list:
+    """A failed rule ``field[i]`` for each entry ``i`` of ``names`` an earlier one holds."""
+    return [(f"{field}[{i}]", False, f"repeats {n!r}")
+            for i, n in enumerate(names) if n in names[:i]]
 
 
 def finite_rules(obj, *fields: str, prefix: str = ""):
@@ -189,7 +206,7 @@ def finite_rules(obj, *fields: str, prefix: str = ""):
 
 
 @dataclass(frozen=True)
-class CarrierGrid:
+class CarrierGrid(Config):
     """One carrier's resource plane: PRBs across frequency, slots along time.
 
     ``numerology`` follows the usual scalable-slot convention: slot duration is
@@ -201,22 +218,17 @@ class CarrierGrid:
     numerology: int
     prb_bandwidth_hz: float
 
-    def __post_init__(self):
-        check_kinds(self)
-        check_rules(self, *self.rules(self))
-
-    @staticmethod
-    def rules(g) -> tuple[tuple[str, bool, str], ...]:
-        """The grid's rules over ``g``, anything with the grid's four fields:
-        a ``CellConfig`` states them on its own fields of the same names."""
+    def rules(self):
+        """The grid's rules over ``self``, or anything with the grid's four
+        fields: a ``CellConfig`` states them on its own fields of the same names."""
         return (
-            ("carrier_hz", CARRIER_HZ_MIN <= g.carrier_hz <= CARRIER_HZ_MAX,
+            ("carrier_hz", CARRIER_HZ_MIN <= self.carrier_hz <= CARRIER_HZ_MAX,
              f"carrier_hz {{:g}} outside [{CARRIER_HZ_MIN:g}, {CARRIER_HZ_MAX:g}]"),
-            ("prbs_per_slot", g.prbs_per_slot >= 1, "prbs_per_slot must be >= 1, got {}"),
-            ("numerology", NUMEROLOGY_MIN <= g.numerology <= NUMEROLOGY_MAX,
+            ("prbs_per_slot", self.prbs_per_slot >= 1, "prbs_per_slot must be >= 1, got {}"),
+            ("numerology", NUMEROLOGY_MIN <= self.numerology <= NUMEROLOGY_MAX,
              f"numerology must be in [{NUMEROLOGY_MIN}, {NUMEROLOGY_MAX}], got {{}}"),
-            ("prb_bandwidth_hz", g.prb_bandwidth_hz > 0, "prb_bandwidth_hz must be positive"),
-            *finite_rules(g, "prb_bandwidth_hz"),
+            ("prb_bandwidth_hz", self.prb_bandwidth_hz > 0, "prb_bandwidth_hz must be positive"),
+            *finite_rules(self, "prb_bandwidth_hz"),
         )
 
     @property
@@ -337,7 +349,7 @@ def validate_allocation_map(
 
 
 @dataclass(frozen=True)
-class Cell:
+class Cell(Config):
     """A transmission point: macro, small cell, or access point.
 
     ``rat_tag`` is a label carried for reporting only; no scheduling or
@@ -353,9 +365,8 @@ class Cell:
     supports_duplication: bool = True
     supports_secondary: bool = True
 
-    def __post_init__(self):
-        check_kinds(self)
-        check_rules(self, *finite_rules(self, "tx_power_dbm"))
+    def rules(self):
+        return finite_rules(self, "tx_power_dbm")
 
 
 def compute_fairness(values: Sequence[float]) -> float:

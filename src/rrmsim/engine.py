@@ -9,16 +9,15 @@ fading hash, so a (config, seed) pair fully determines every output byte.
 The fading hash is stateless and a UE's position a function of the slot
 (``_position_at``), so slot inputs come a span of ``FADING_SPAN_MAX`` slots
 at a time: one numpy block gives every (UE, cell) pair with a queue-driven
-flow a list of its per-PRB rates over the span (a static UE's signal
-estimate made once), and a pair that a handover brings in mid-span gets its
-list the same way; the lists go when the span ends. The block's numpy rates
-only rule each rate in; ``link_rate`` at the exact SINR decides the rest
-(``link_rates``). Each cell's pair table (``CellRuntime.pairs``) maps every
-queue-driven flow its MAC has registered, in ``mac.flows`` order, to its leg
-there, its (UE, portion) and its (UE index, cell index); ``_attach`` keeps
-it, so a slot's inputs and drains read the tables and never scan the MACs'
-flows. A UE is its ``UeConfig``, and a flow's traffic source is its
-config's ``generator``.
+flow a list of its per-PRB rates over the span, and a pair that a handover
+brings in mid-span gets its list the same way; the lists go when the span
+ends. The block's numpy rates only rule each rate in; ``link_rate`` at the
+exact SINR decides the rest (``link_rates``). Each cell's pair table
+(``CellRuntime.pairs``) maps every queue-driven flow its MAC has registered,
+in ``mac.flows`` order, to its leg there, its (UE, portion) and its (UE
+index, cell index); ``_attach`` keeps it, so a slot's inputs and drains read
+the tables and never scan the MACs' flows. A UE is its ``UeConfig``, and a
+flow's traffic source is its config's ``generator``.
 Lookups fixed for a run (flows, services, capabilities and eligible cells
 by UE, best portions by capability set, the cells' capability descriptors
 and radio constants) are built once; the read-only ones pickle as plain
@@ -520,8 +519,9 @@ class World:
         noise floor and margin, then ``link_rates``, whose exact SINR is
         ``mean_sinr_db`` at ``_position_at`` plus the same fading. Each
         pair's cell constants are indexed once and broadcast over its slots,
-        and a static pair's estimate is made once for the whole span. The
-        pairs' constants are read here, not kept."""
+        and one estimate covers every pair: at each slot's position, or once
+        if no UE of the block moves. The pairs' constants are read here, not
+        kept."""
         keys, rows = list(missing), list(missing.values())
         idx = np.array(keys, dtype=np.uint64)
         slots = np.arange(first, first + span)
@@ -529,13 +529,8 @@ class World:
         radio = self._radio[:, [cr.index for _, cr, _ in rows]][..., None, None]
         start = np.array([rt.cfg.position for rt, _, _ in rows])[:, None]
         velocity = np.array([rt.cfg.velocity for rt, _, _ in rows])[:, None]
-        moving = velocity.any(axis=(1, 2))
-        rsrp, static = np.empty((len(rows), span)), ~moving
-        if static.any():  # one estimate per pair, broadcast over the span
-            rsrp[static] = chan.rsrp_estimate(self.chan, radio[:, static], start[static])[..., 0]
-        if moving.any():
-            at = start[moving] + velocity[moving] * (slots * self.slot_seconds)[:, None]
-            rsrp[moving] = chan.rsrp_estimate(self.chan, radio[:, moving], at)[..., 0]
+        t = (slots * self.slot_seconds)[:, None] if velocity.any() else 0.0
+        rsrp = chan.rsrp_estimate(self.chan, radio, start + velocity * t)[..., 0]
         noise = np.array([cr.noise_floor_dbm for _, cr, _ in rows])[:, None]
         sinr = rsrp - noise - self.chan.interference_margin_db + fading
 

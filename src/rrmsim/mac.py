@@ -39,8 +39,7 @@ from .core import (
     Event,
     Grant,
     TrafficClass,
-    check_kinds,
-    check_rules,
+    Config,
     finite_rules,
 )
 
@@ -337,7 +336,7 @@ def schedule_one_shot(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PortionSpec:
+class PortionSpec(Config):
     """One spectrum portion of a (possibly shared) carrier.
 
     A plain carrier has a single portion. A shared carrier declares one
@@ -349,10 +348,9 @@ class PortionSpec:
     required_capability: str | None = None
     waveform_efficiency: float = 1.0
 
-    def __post_init__(self):
-        check_kinds(self)
+    def rules(self):
         eff = self.waveform_efficiency
-        check_rules(self, ("waveform_efficiency", 0.0 < eff <= 1.0, "must be in (0, 1], got {}"))
+        return (("waveform_efficiency", 0.0 < eff <= 1.0, "must be in (0, 1], got {}"),)
 
     def usable_by(self, capabilities) -> bool:
         """Whether a UE with these capabilities may ride this portion."""
@@ -360,7 +358,7 @@ class PortionSpec:
 
 
 @dataclass(frozen=True)
-class MacConfig:
+class MacConfig(Config):
     epoch_slots: int = 10
     min_guarantee_prbs: int = 1
     access_cost_prbs: int = 1
@@ -370,16 +368,15 @@ class MacConfig:
     backoff_min_epochs: int = 1
     backoff_max_epochs: int = 8
 
-    def __post_init__(self):
-        check_kinds(self)
-        check_rules(self, ("epoch_slots", self.epoch_slots >= 1, "must be >= 1"),
-                    ("min_guarantee_prbs", self.min_guarantee_prbs >= 0, "must be >= 0"),
-                    ("access_cost_prbs", self.access_cost_prbs >= 1, "must be >= 1"),
-                    ("pf_ewma", 0.0 < self.pf_ewma <= 1.0, "must be in (0, 1]"),
-                    ("pf_initial_avg_bits", self.pf_initial_avg_bits > 0, "must be positive"),
-                    *finite_rules(self, "pf_initial_avg_bits"),
-                    ("", 1 <= self.backoff_min_epochs <= self.backoff_max_epochs,
-                     "backoff window must satisfy 1 <= min <= max"))
+    def rules(self):
+        return (("epoch_slots", self.epoch_slots >= 1, "must be >= 1"),
+                ("min_guarantee_prbs", self.min_guarantee_prbs >= 0, "must be >= 0"),
+                ("access_cost_prbs", self.access_cost_prbs >= 1, "must be >= 1"),
+                ("pf_ewma", 0.0 < self.pf_ewma <= 1.0, "must be in (0, 1]"),
+                ("pf_initial_avg_bits", self.pf_initial_avg_bits > 0, "must be positive"),
+                *finite_rules(self, "pf_initial_avg_bits"),
+                ("", 1 <= self.backoff_min_epochs <= self.backoff_max_epochs,
+                 "backoff window must satisfy 1 <= min <= max"))
 
     @property
     def access_floor_prbs(self) -> int:

@@ -5,12 +5,13 @@ network, UEs, traffic flows, and the MAC / flow-control / steering / sim
 knobs. Each section is a config dataclass (the runtime layers' own
 ``mac.MacConfig``, ``channel.ChannelConfig`` and ``mac.PortionSpec`` among
 them; a flow's ``generator`` is the ``traffic`` generator itself) whose fields
-declare each key, kind and default once. Each type judges its values in
-``__post_init__``, kinds first (``core.check_kinds``), then its value rules,
-and ``ScenarioConfig`` the rules across sections: a config built in Python is
-refused as its file is. The reader only shapes YAML values, and keeps one rule
-of its own, that ``uts.thresholds`` name enabled features. Unknown keys and
-refusals are collected and reported together, each at its config path.
+declare each key, kind and default once. Each type is a ``core.Config``, which
+judges its values on construction, kinds first (``core.check_kinds``), then
+the value rules the type states in ``rules()``; ``ScenarioConfig``'s are the
+rules across sections. So a config built in Python is refused as its file is.
+The reader only shapes YAML values, and keeps one rule of its own, that
+``uts.thresholds`` name enabled features. Unknown keys and refusals are
+collected and reported together, each at its config path.
 ``scenario_to_dict`` emits every field, so a serialized config re-parses equal.
 """
 
@@ -33,14 +34,15 @@ from .core import (
     CarrierGrid,
     Cell,
     CellClass,
+    Config,
     KindError,
     TrafficClass,
     ValidationError,
-    check_kinds,
     check_rules,
     field_kinds,
     finite_rules,
     number_refusal,
+    repeat_rules,
 )
 from .mac import RACH_KEY, MacConfig, PortionSpec
 from .pdcp import DEFAULT_ENTER_LOAD, DEFAULT_LEAVE_LOAD, DEFAULT_T_REORDER_SLOTS, Mode
@@ -53,6 +55,7 @@ from .uts import (
     DEFAULT_TIME_TO_TRIGGER_EPOCHS,
     DUAL_CONN_ID,
     LOAD_BALANCE_ID,
+    MnoStrategy,
 )
 
 BUILTIN_FEATURE_IDS = (LOAD_BALANCE_ID, CARRIER_AGG_ID, DUAL_CONN_ID)
@@ -76,14 +79,8 @@ def _literal(text: str) -> str:
     return text.replace("{", "{{").replace("}", "}}")
 
 
-def _each_repeat(field: str, names) -> list:
-    """A failed rule ``field[i]`` for each entry ``i`` of ``names`` an earlier one holds."""
-    return [(f"{field}[{i}]", False, f"repeats {n!r}")
-            for i, n in enumerate(names) if n in names[:i]]
-
-
 @dataclass(frozen=True)
-class CellConfig:
+class CellConfig(Config):
     cell_id: str
     cell_class: CellClass = CellClass.MACRO
     rat_tag: str = "nr"
@@ -98,13 +95,12 @@ class CellConfig:
     drop_prob: float = 0.0
     portions: tuple[PortionSpec, ...] = (PortionSpec(key="main"),)
 
-    def __post_init__(self):
-        check_kinds(self)
+    def rules(self):
         n, keys = len(self.portions), {p.key for p in self.portions}
-        check_rules(self, *CarrierGrid.rules(self), *finite_rules(self, "position", "tx_power_dbm"),
-                    ("drop_prob", 0.0 <= self.drop_prob < 1.0, "must be in [0, 1), got {}"),
-                    ("portions", n <= 2, "at most 2 portions may share a carrier"),
-                    ("portions", len(keys) == n, "portion keys must be unique"))
+        return (*CarrierGrid.rules(self), *finite_rules(self, "position", "tx_power_dbm"),
+                ("drop_prob", 0.0 <= self.drop_prob < 1.0, "must be in [0, 1), got {}"),
+                ("portions", n <= 2, "at most 2 portions may share a carrier"),
+                ("portions", len(keys) == n, "portion keys must be unique"))
 
     def effective_tx_power_dbm(self) -> float:
         if self.tx_power_dbm is not None:
@@ -113,21 +109,20 @@ class CellConfig:
 
 
 @dataclass(frozen=True)
-class UeConfig:
+class UeConfig(Config):
     ue_id: str
     position: tuple[float, float] = (0.0, 0.0)
     velocity: tuple[float, float] = (0.0, 0.0)
     capabilities: tuple[str, ...] = ("nr",)
     serving_cell: str | None = None
 
-    def __post_init__(self):
-        check_kinds(self)
-        check_rules(self, *finite_rules(self, "position", "velocity"),
-                    *_each_repeat("capabilities", self.capabilities))
+    def rules(self):
+        return (*finite_rules(self, "position", "velocity"),
+                *repeat_rules("capabilities", self.capabilities))
 
 
 @dataclass(frozen=True)
-class FlowConfig:
+class FlowConfig(Config):
     flow_id: str
     ue_id: str
     service: TrafficClass = TrafficClass.EMBB
@@ -138,42 +133,40 @@ class FlowConfig:
     sps_prbs: int | None = None
     sps_offset_slots: int = 0
 
-    def __post_init__(self):
-        check_kinds(self)
+    def rules(self):
         # the MAC refuses these reservation shapes when the flow registers
         period, prbs = self.sps_period_slots, self.sps_prbs
-        check_rules(self, ("generator", type(self.generator) in _KIND_OF,
-                     "must be a traffic generator, got {!r}"),
-                    ("slice_id", self.slice_id != RACH_KEY, "{!r} is the access partition's key"),
-                    ("sps_period_slots", period is None or period >= 1, "must be >= 1, got {}"),
-                    ("sps_prbs", prbs is None or prbs >= 1, "must be >= 1, got {}"),
-                    ("sps_offset_slots", self.sps_offset_slots >= 0, "must be >= 0, got {}"),
-                    ("", self.service is not TrafficClass.URLLC or period is not None
-                     or isinstance(self.generator, PeriodicDeadline),
-                     "URLLC flows need a periodic_deadline generator or explicit sps_period_slots"))
+        return (("generator", type(self.generator) in _KIND_OF,
+                 "must be a traffic generator, got {!r}"),
+                ("slice_id", self.slice_id != RACH_KEY, "{!r} is the access partition's key"),
+                ("sps_period_slots", period is None or period >= 1, "must be >= 1, got {}"),
+                ("sps_prbs", prbs is None or prbs >= 1, "must be >= 1, got {}"),
+                ("sps_offset_slots", self.sps_offset_slots >= 0, "must be >= 0, got {}"),
+                ("", self.service is not TrafficClass.URLLC or period is not None
+                 or isinstance(self.generator, PeriodicDeadline),
+                 "URLLC flows need a periodic_deadline generator or explicit sps_period_slots"))
 
 
 @dataclass(frozen=True)
-class PdcpSection:
+class PdcpSection(Config):
     t_reorder_slots: int = DEFAULT_T_REORDER_SLOTS
     leave_load: float = DEFAULT_LEAVE_LOAD
     enter_load: float = DEFAULT_ENTER_LOAD
     #: every traffic class's mode
     service_modes: dict[TrafficClass, Mode] = field(default_factory=DEFAULT_SERVICE_MODES.copy)
 
-    def __post_init__(self):
-        check_kinds(self)
+    def rules(self):
         modes = self.service_modes
-        check_rules(self, ("t_reorder_slots", self.t_reorder_slots >= 1, "must be >= 1"),
-                    ("", 0.0 <= self.enter_load <= self.leave_load <= 1.0,
-                     "need 0 <= enter_load <= leave_load <= 1"),
-                    ("service_modes", set(modes) == set(TrafficClass)
-                     and all(isinstance(m, Mode) for m in modes.values()),
-                     "must map every traffic class to a Mode, got {}"))
+        return (("t_reorder_slots", self.t_reorder_slots >= 1, "must be >= 1"),
+                ("", 0.0 <= self.enter_load <= self.leave_load <= 1.0,
+                 "need 0 <= enter_load <= leave_load <= 1"),
+                ("service_modes", set(modes) == set(TrafficClass)
+                 and all(isinstance(m, Mode) for m in modes.values()),
+                 "must map every traffic class to a Mode, got {}"))
 
 
 @dataclass(frozen=True)
-class UtsSection:
+class UtsSection(Config):
     enabled: bool = True
     epoch_slots: int = 100
     scenario_tag: str = "default"
@@ -184,43 +177,39 @@ class UtsSection:
     hysteresis_epochs: int = DEFAULT_HYSTERESIS_EPOCHS
     time_to_trigger_epochs: int = DEFAULT_TIME_TO_TRIGGER_EPOCHS
 
-    def __post_init__(self):
-        check_kinds(self)
+    def rules(self):
         feats, ranking = self.features, self.ranking
         thr = [(f, k, number_refusal(v, finite=True))  # why threshold f.k is refused, or None
                for f, kv in self.thresholds.items() for k, v in kv.items()]
         # each reason picks its entry out of the value it is formatted with, or is _literal
-        check_rules(self, ("epoch_slots", self.epoch_slots >= 1, "must be >= 1"),
-                    ("hysteresis_epochs", self.hysteresis_epochs >= 0, "must be >= 0"),
-                    ("time_to_trigger_epochs", self.time_to_trigger_epochs >= 1, "must be >= 1"),
-                    *(("features", f in BUILTIN_FEATURE_IDS, f"unknown feature {{0[{i}]!r}}")
-                      for i, f in enumerate(feats)),
-                    *(("ranking", f in feats, f"ranked feature {{0[{i}]!r}} not in features")
-                      for i, f in enumerate(ranking)),
-                    ("ranking", not ranking or set(ranking) == set(feats),
-                     "ranking must cover every enabled feature"),
-                    *_each_repeat("features", feats), *_each_repeat("ranking", ranking),
-                    *(("thresholds", f not in DEFAULT_THRESHOLDS or k in DEFAULT_THRESHOLDS[f],
-                       _literal(f"{f}.{k}: unknown threshold")) for f, k, _ in thr),
-                    *(("thresholds", why is None, _literal(f"{f}.{k}: {why}")) for f, k, why in thr))
+        return (("epoch_slots", self.epoch_slots >= 1, "must be >= 1"), *MnoStrategy.rules(self),
+                *(("features", f in BUILTIN_FEATURE_IDS, f"unknown feature {{0[{i}]!r}}")
+                  for i, f in enumerate(feats)),
+                *(("ranking", f in feats, f"ranked feature {{0[{i}]!r}} not in features")
+                  for i, f in enumerate(ranking)),
+                ("ranking", not ranking or set(ranking) == set(feats),
+                 "ranking must cover every enabled feature"),
+                *repeat_rules("features", feats),
+                *(("thresholds", f not in DEFAULT_THRESHOLDS or k in DEFAULT_THRESHOLDS[f],
+                   _literal(f"{f}.{k}: unknown threshold")) for f, k, _ in thr),
+                *(("thresholds", why is None, _literal(f"{f}.{k}: {why}")) for f, k, why in thr))
 
     def effective_ranking(self) -> tuple[str, ...]:
         return self.ranking if self.ranking else self.features
 
 
 @dataclass(frozen=True)
-class SimSection:
+class SimSection(Config):
     horizon_slots: int = 1000
     seed: int = 0
 
-    def __post_init__(self):
-        check_kinds(self)
-        check_rules(self, ("horizon_slots", self.horizon_slots >= 1, "must be >= 1, got {}"),
-                    ("seed", self.seed >= 0, "must be >= 0, got {}"))
+    def rules(self):
+        return (("horizon_slots", self.horizon_slots >= 1, "must be >= 1, got {}"),
+                ("seed", self.seed >= 0, "must be >= 0, got {}"))
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Config):
     name: str = "scenario"
     sim: SimSection = SimSection()
     channel: ChannelConfig = ChannelConfig()
@@ -231,11 +220,7 @@ class ScenarioConfig:
     pdcp: PdcpSection = PdcpSection()
     uts: UtsSection = UtsSection()
 
-    def __post_init__(self):
-        check_kinds(self)
-        check_rules(self, *self._rules())
-
-    def _rules(self):
+    def rules(self):
         """Each rule across sections, in order; one on an entry or with a list in
         its reason is yielded only if it fails, so a valid config formats no reason."""
         cells, ues, flows = self.cells, self.ues, self.flows
@@ -375,30 +360,32 @@ class _Reader:
 
     def refused(self, cls, values: dict, e: ValidationError, path: str, defaults=None):
         """Report each refusal of ``cls(**values)`` in ``e`` at its path under ``path``,
-        reset each refused field to its default (``defaults`` or the class's) and
-        return the values in an instance built without the rules, for the rules
-        across sections; after a kind refusal they are built again, for the value rules."""
-        for rule, reason in e.failures:
-            self.fail(_yaml_path(path, cls, values, rule), reason)
-        for rule, _ in e.failures:  # a rule on one entry (features[1]) or part
-            if name := rule.split("[")[0].split(".")[0]:
-                values[name] = (defaults or {}).get(name, getattr(cls, name, None))
-        if isinstance(e, KindError):
+        reset each refused field to its default (``defaults`` or the class's; None if
+        required, which no value rule reads) and return a stand-in, the values in an
+        instance built unchecked, for the rules across sections; after a kind
+        refusal the value rules run on the stand-in and are reported too."""
+        stand_in = object.__new__(cls)
+        while True:
+            for rule, reason in e.failures:
+                self.fail(_yaml_path(path, cls, values, rule), reason)
+            for rule, _ in e.failures:  # a rule on one entry (features[1]) or part
+                if name := rule.split("[")[0].split(".")[0]:
+                    values[name] = (defaults or {}).get(name, getattr(cls, name, None))
+            stand_in.__dict__.update(values)
+            if not isinstance(e, KindError):
+                return stand_in
             try:
-                return cls(**values)
-            except KindError:
-                pass  # a required field, reported above, has no default to take
+                check_rules(stand_in, *stand_in.rules())
+                return stand_in
             except ValidationError as again:
-                return self.refused(cls, values, again, path, defaults)
-        obj = object.__new__(cls)
-        obj.__dict__.update(values)
-        return obj
+                e = again
 
     def read(self, cls, raw, path: str, defaults=None, **given):
         """Read config dataclass ``cls`` from its mapping at ``path``, with keys,
         kinds and defaults from its fields; ``defaults`` overrides a default (an
         index-derived id) and ``given`` holds the fields read by hand. Values are
-        only shaped here (``get``); the class judges them (see ``refused``)."""
+        only shaped here (``get``); the class judges them once, on construction,
+        and ``refused`` reports what it refuses."""
         m = self.shaped(raw, path)
         by_key, field_defaults = _fields(cls)
         values = {**field_defaults, **(defaults or {}), **given}

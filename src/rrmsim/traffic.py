@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_kinds, check_rules, finite_rules
+from .core import Config, finite_rules
 
 
 # a size in bits must be below 2**53, or run arithmetic rounds it
@@ -25,18 +25,16 @@ _BELOW = "must be below 2**53, got {}"
 
 
 @dataclass(frozen=True)
-class FullBuffer:
+class FullBuffer(Config):
     """Keeps at least ``watermark_bits`` queued by emitting fixed packets."""
 
     packet_bits: int = 1500 * 8
     watermark_bits: int = 10 * 1500 * 8
 
-    def __post_init__(self):
-        check_kinds(self)
+    def rules(self):
         p, w = self.packet_bits, self.watermark_bits
-        check_rules(self, ("packet_bits", p >= 1, _AT_LEAST_1),
-                    ("watermark_bits", w >= 0, _AT_LEAST_0),
-                    ("packet_bits", p < 2**53, _BELOW), ("watermark_bits", w < 2**53, _BELOW))
+        return (("packet_bits", p >= 1, _AT_LEAST_1), ("watermark_bits", w >= 0, _AT_LEAST_0),
+                ("packet_bits", p < 2**53, _BELOW), ("watermark_bits", w < 2**53, _BELOW))
 
     def step(self, slot: int, rng: np.random.Generator, queued_bits: float) -> tuple[int, int]:
         # the fewest packets that lift the queue to the watermark; bit
@@ -46,25 +44,24 @@ class FullBuffer:
 
 
 @dataclass(frozen=True)
-class PoissonSporadic:
+class PoissonSporadic(Config):
     """Small packets with Poisson-distributed arrivals per slot."""
 
     rate_per_slot: float = 0.01
     packet_bits: int = 256
 
-    def __post_init__(self):
-        check_kinds(self)
+    def rules(self):
         p = self.packet_bits
-        check_rules(self, ("rate_per_slot", self.rate_per_slot >= 0, _AT_LEAST_0),
-                    *finite_rules(self, "rate_per_slot"),
-                    ("packet_bits", p >= 1, _AT_LEAST_1), ("packet_bits", p < 2**53, _BELOW))
+        return (("rate_per_slot", self.rate_per_slot >= 0, _AT_LEAST_0),
+                *finite_rules(self, "rate_per_slot"),
+                ("packet_bits", p >= 1, _AT_LEAST_1), ("packet_bits", p < 2**53, _BELOW))
 
     def step(self, slot: int, rng: np.random.Generator, queued_bits: float) -> tuple[int, int]:
         return int(rng.poisson(self.rate_per_slot)), self.packet_bits
 
 
 @dataclass(frozen=True)
-class PeriodicDeadline:
+class PeriodicDeadline(Config):
     """One packet every ``period_slots``, due within ``deadline_slots``."""
 
     period_slots: int = 10
@@ -72,14 +69,13 @@ class PeriodicDeadline:
     deadline_slots: int = 10
     offset_slots: int = 0
 
-    def __post_init__(self):
-        check_kinds(self)
+    def rules(self):
         # a URLLC reservation takes its period and offset from this generator
         p = self.packet_bits
-        check_rules(self, ("period_slots", self.period_slots >= 1, _AT_LEAST_1),
-                    ("offset_slots", self.offset_slots >= 0, _AT_LEAST_0),
-                    ("deadline_slots", self.deadline_slots >= 0, _AT_LEAST_0),
-                    ("packet_bits", p >= 1, _AT_LEAST_1), ("packet_bits", p < 2**53, _BELOW))
+        return (("period_slots", self.period_slots >= 1, _AT_LEAST_1),
+                ("offset_slots", self.offset_slots >= 0, _AT_LEAST_0),
+                ("deadline_slots", self.deadline_slots >= 0, _AT_LEAST_0),
+                ("packet_bits", p >= 1, _AT_LEAST_1), ("packet_bits", p < 2**53, _BELOW))
 
     def step(self, slot: int, rng: np.random.Generator, queued_bits: float) -> tuple[int, int]:
         due = slot >= self.offset_slots and (slot - self.offset_slots) % self.period_slots == 0

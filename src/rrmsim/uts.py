@@ -35,7 +35,7 @@ from .abstraction import (
     PluginRegistry,
 )
 from .channel import SIGNAL_ESTIMATE_TOL_DB
-from .core import Event, TrafficClass
+from .core import Config, Event, TrafficClass, repeat_rules
 from .pdcp import Mode
 
 DEFAULT_HYSTERESIS_EPOCHS = 10
@@ -179,7 +179,7 @@ class LazyRow(Mapping):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MnoStrategy:
+class MnoStrategy(Config):
     """Operator policy: a total order over features plus their thresholds."""
 
     name: str = "default"
@@ -189,11 +189,11 @@ class MnoStrategy:
     hysteresis_epochs: int = DEFAULT_HYSTERESIS_EPOCHS
     time_to_trigger_epochs: int = DEFAULT_TIME_TO_TRIGGER_EPOCHS
 
-    def __post_init__(self):
-        if len(set(self.ranking)) != len(self.ranking):
-            raise ValueError("ranking must not repeat features")
-        if self.hysteresis_epochs < 0 or self.time_to_trigger_epochs < 1:
-            raise ValueError("hysteresis >= 0 and time_to_trigger >= 1 required")
+    def rules(self):
+        """The strategy's rules over ``self``, or a ``scenario.UtsSection``: it includes them."""
+        return (("hysteresis_epochs", self.hysteresis_epochs >= 0, "must be >= 0"),
+                ("time_to_trigger_epochs", self.time_to_trigger_epochs >= 1, "must be >= 1"),
+                *repeat_rules("ranking", self.ranking))
 
     def rank_of(self, feature_id: str) -> int:
         try:

@@ -12,13 +12,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rrmsim.core import NAMES, PAIR, CellClass, TrafficClass, field_kinds
+from rrmsim.core import NAMES, PAIR, CarrierGrid, Cell, CellClass, Config, TrafficClass, field_kinds
 from rrmsim.scenario import (
     ScenarioConfig, ValidationError, build_domain, load_scenario, scenario_from_dict,
     scenario_to_dict,
 )
 from rrmsim.traffic import GENERATOR_KINDS, FullBuffer
-from rrmsim.uts import LOAD_BALANCE_ID
+from rrmsim.uts import LOAD_BALANCE_ID, MnoStrategy
 
 from conftest import SCENARIO_DIR
 
@@ -302,15 +302,19 @@ def test_a_config_built_in_python_meets_the_rules_across_sections(changes, field
     assert (path, reason) in e.value.failures, e.value.failures
 
 
-def lb_file_with(yaml):
-    """``LB``'s file with the ``yaml`` edits (path: value)."""
-    data = scenario_to_dict(LB)
+def lb_file_with(yaml, cfg=LB):
+    """``cfg``'s file with the ``yaml`` edits (path: value); a value of
+    ``dataclasses.MISSING`` takes the key out."""
+    data = scenario_to_dict(cfg)
     for where, value in yaml.items():
         *parents, key = re.findall(r"[^.\[\]]+", where)
         node = data
         for part in parents:
             node = node[int(part)] if part.isdigit() else node[part]
-        node[key] = value
+        if value is dataclasses.MISSING:
+            del node[key]
+        else:
+            node[key] = value
     return data
 
 
@@ -360,13 +364,57 @@ def test_an_enum_field_takes_its_member_not_the_members_name():
 
 
 def test_a_kind_refusal_does_not_hide_the_sections_value_rules():
-    # the refused field takes its default, and the section is built again
+    # the refused field takes its default, and the value rules run on the stand-in
     data = scenario_to_dict(BASE)
     data["mac"].update(epoch_slots="x", pf_ewma=5)
     with pytest.raises(ValidationError) as e:
         scenario_from_dict(data)
     assert ("mac.epoch_slots", "expected an integer, got 'x'") in e.value.failures
     assert ("mac.pf_ewma", "must be in (0, 1]") in e.value.failures
+
+
+@pytest.mark.parametrize("yaml, refusals", [
+    # a required field with no default, refused by kind or missing, used to
+    # hide the flow's value rules
+    pytest.param({"traffic.flows[0].ue": 5, "traffic.flows[0].sps_prbs": 0},
+                 [("traffic.flows[0].ue", "expected a non-empty string, got 5"),
+                  ("traffic.flows[0].sps_prbs", "must be >= 1, got 0")], id="flow.ue"),
+    pytest.param({"traffic.flows[0].ue": dataclasses.MISSING, "traffic.flows[0].sps_prbs": 0},
+                 [("traffic.flows[0].ue", "expected a non-empty string, got None"),
+                  ("traffic.flows[0].sps_prbs", "must be >= 1, got 0")], id="flow.ue_missing"),
+    # an id, which takes a default from its index
+    pytest.param({"network.cells[0].id": 5, "network.cells[0].drop_prob": 2.0},
+                 [("network.cells[0].id", "expected a non-empty string, got 5"),
+                  ("network.cells[0].drop_prob", "must be in [0, 1), got 2.0")], id="cell.id"),
+    pytest.param({"ues[0].id": 5, "ues[0].position": [NAN, 0.0]},
+                 [("ues[0].id", "expected a non-empty string, got 5"),
+                  ("ues[0].position", "must be finite, got [nan, 0.0]")], id="ue.id"),
+    pytest.param({"network.cells[0].portions[0].key": 5,
+                  "network.cells[0].portions[0].waveform_efficiency": 2.0},
+                 [("network.cells[0].portions[0].key", "expected a non-empty string, got 5"),
+                  ("network.cells[0].portions[0].waveform_efficiency",
+                   "must be in (0, 1], got 2.0")], id="portion.key"),
+])
+def test_a_kind_refusal_of_a_field_keeps_its_entrys_value_rules(yaml, refusals):
+    with pytest.raises(ValidationError) as e:
+        scenario_from_dict(lb_file_with(yaml, BASE))
+    assert all(refusal in e.value.failures for refusal in refusals), e.value.failures
+
+
+@pytest.mark.parametrize("changes, rule", [
+    ({"hysteresis_epochs": -1}, "hysteresis_epochs"),
+    ({"time_to_trigger_epochs": 0}, "time_to_trigger_epochs"),
+    ({"ranking": ("a", "a")}, "ranking[1]"),
+], ids=["hysteresis", "time_to_trigger", "ranking"])
+def test_the_steering_strategy_states_the_rules_its_section_meets(changes, rule):
+    # the strategy used to raise a plain ValueError naming no field
+    with pytest.raises(ValidationError) as e:
+        MnoStrategy(**changes)
+    [(refused, reason)] = e.value.failures
+    assert refused == rule
+    with pytest.raises(ValidationError) as e:
+        dataclasses.replace(LB.uts, **changes)
+    assert (rule, reason) in e.value.failures, e.value.failures
 
 
 @pytest.mark.parametrize("value, reason", [
@@ -431,6 +479,12 @@ def test_every_config_field_is_judged_by_its_kind_or_read_by_hand():
     # a value that is the field's own default is not checked, so each default is of its kind
     for cls, name, kind, optional, default in JUDGED:
         assert default is dataclasses.MISSING or of_kind(kind, optional, default), (cls, name)
+
+
+def test_every_config_type_is_checked_by_the_one_protocol():
+    # kinds, then the type's own rules(), run by core.Config alone
+    for cls in [*_configs(), Cell, CarrierGrid, MnoStrategy]:
+        assert issubclass(cls, Config) and "__post_init__" not in vars(cls), cls.__name__
 
 
 SCALARS = st.one_of(

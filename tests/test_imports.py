@@ -1,5 +1,6 @@
 """Source hygiene: no module under ``src/rrmsim`` imports a name it never
-uses, or defines a private name that nothing reads.
+uses, or defines a private name that nothing reads, and config kinds are
+judged in one place.
 
 The checks read each module's syntax tree only. A name bound by an import
 counts as used if it is read as a name anywhere in the module, annotations
@@ -107,3 +108,42 @@ def test_the_check_finds_a_stranded_private_name():
         "        return self._kept\n"
     )
     assert stranded_private_names(source) == [(3, "_UNUSED"), (7, "_orphan"), (11, "_dropped")]
+
+
+def callers(source: str, name: str) -> list[str]:
+    """The dotted scope (``Class.method``, ``function``, or "" at module level)
+    of each call of ``name``, plain or as an attribute (``core.name``)."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                        getattr(child.func, "attr", None)):
+                out.append(scope)
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return out
+
+
+def test_only_the_config_base_judges_kinds():
+    # every config type is checked by core.Config: kinds, then its rules()
+    found = [(p.stem, scope) for p in sorted(SRC.glob("*.py"))
+             for scope in callers(p.read_text(), "check_kinds")]
+    assert found == [("core", "Config.__post_init__")]
+
+
+def test_the_check_finds_every_caller():
+    source = (
+        "x = check_kinds(1)\n"
+        "def f():\n"
+        "    return [core.check_kinds(y) for y in ()]\n"
+        "class A:\n"
+        "    def g(self):\n"
+        "        check_rules(self)\n"
+        "        check_kinds(self)\n"
+    )
+    assert callers(source, "check_kinds") == ["", "f", "A.g"]
