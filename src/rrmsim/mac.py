@@ -455,7 +455,8 @@ class MacInstance:
 
     Call ``register_flow``/``queue_attempt`` as the population changes, then
     ``run_slot`` once per slot with fresh SlotInputs. Partitions refresh on
-    epoch boundaries; contention rounds run on the epoch's first slot.
+    epoch boundaries, reusing the last refresh's plan when nothing it reads
+    has changed; contention rounds run on the epoch's first slot.
     """
 
     def __init__(self, cell: Cell, portions: Sequence[PortionSpec], config: MacConfig):
@@ -488,6 +489,9 @@ class MacInstance:
         self._leaf_by_key: dict[tuple[str, str | None, str], _Leaf] = {}
         # portions whose queued flows named a slice at the last refresh
         self._sliced: set[str] = set()
+        # the last refresh's shape (``_refresh_shape``), None from a change of
+        # flows until the next refresh, and its (inputs, events, demand_prbs)
+        self._shape = self._memo = None
         # reserved columns per URLLC flow for the current epoch
         self._sps_columns: dict[str, tuple[int, int]] = {}
 
@@ -506,7 +510,7 @@ class MacInstance:
             if flow.sps_offset_slots < 0:
                 raise ValueError("sps_offset_slots must be >= 0")
         self.flows[flow.flow_id] = flow
-        self._pf_ues = None
+        self._pf_ues = self._shape = None
         # a flow without a leaf waits for the next refresh to get one
         leaf = self._leaf_by_key.get(self._leaf_key(flow))
         if leaf is not None:
@@ -517,7 +521,7 @@ class MacInstance:
         self.pending = [p for p in self.pending if p.flow_id != flow_id]
         if flow is None:
             return
-        self._pf_ues = None
+        self._pf_ues = self._shape = None
         leaf = self._leaf_by_key.get(self._leaf_key(flow))
         if leaf is not None:
             leaf.roster = _roster([f for fl in leaf.roster.values() for f in fl if f is not flow])
@@ -562,10 +566,38 @@ class MacInstance:
         sid = (flow.slice_id or DEFAULT_SLICE) if p in self._sliced else None
         return p, sid, flow.service.value
 
-    def _portion_tree(self, inputs: SlotInputs) -> tuple[dict[str, list[tuple]], set[str]]:
+    def _refresh_shape(self) -> tuple:
+        """What a refresh reads of the flows: the portions with a flow; each
+        portion's slices in order, with their class leaves ``(class, reserved
+        PRBs or None if queue-driven, roster)`` in CLASS_ORDER; and each
+        queue-driven leaf's flow ids, in registration order for its backlog
+        sum, with its portion's reference rate. Decides which portions are
+        sliced until the next shape. Sporadic-access flows neither hold queue
+        partitions nor force the slice dimension open."""
+        queued = [f for f in self.flows.values() if f.service is not _MMTC]
+        self._sliced = {f.portion_key for f in queued if f.slice_id}
+        groups: dict[tuple[str, str | None, str], list[MacFlow]] = {}
+        for f in queued:
+            groups.setdefault(self._leaf_key(f), []).append(f)
+        slices_of, sizing = {}, []
+        for key in self.portions:
+            rate, slices_of[key] = None, []
+            for sid in sorted({s for p, s, _ in groups if p == key}, key=lambda s: s or ""):
+                leaves = []
+                by_class = [(c, groups[k]) for c in _CLASS_KEYS if (k := (key, sid, c)) in groups]
+                for c, fl in by_class:
+                    need = sum(f.sps_prbs for f in fl) if c == _URLLC else None
+                    if need is None:  # the reference rate, read once per portion
+                        rate = rate or self.reference_per_prb_bits(key)
+                        sizing.append((tuple(f.flow_id for f in fl), rate))
+                    leaves.append((c, need, _roster(fl)))
+                slices_of[key].append((sid, leaves))
+        return {f.portion_key for f in self.flows.values()}, slices_of, tuple(sizing)
+
+    def _portion_tree(self, leaf_demands: Sequence[int]) -> dict[str, list[tuple]]:
         """Each portion's partition children, ``(key, demand, floor, bare,
-        sub)`` in split order, before the access child, and the portions
-        with a flow (mMTC included).
+        sub)`` in split order, before the access child, given the
+        queue-driven leaves' demands in shape order.
 
         A class leaf's ``sub`` is its roster (see ``_Leaf.roster``). Deadline
         traffic holds its reserved columns outright, so a URLLC leaf's floor
@@ -573,32 +605,19 @@ class MacInstance:
         compete for the rest. ``bare`` is the degraded floor used when the
         reservations no longer fit. In a sliced portion each slice is a child
         whose ``sub`` is the list of its class leaves in CLASS_ORDER; an
-        unsliced portion holds its class leaves directly. Decides which
-        portions are sliced until the next refresh.
+        unsliced portion holds its class leaves directly.
         """
         g = self.cfg.min_guarantee_prbs
-        in_use = {f.portion_key for f in self.flows.values()}
-        # Sporadic-access flows ride the contention channel; they neither
-        # hold queue partitions nor force the slice dimension open.
-        queued = [f for f in self.flows.values() if f.service is not _MMTC]
-        self._sliced = {f.portion_key for f in queued if f.slice_id}
-        # each leaf's flows in registration order, which its backlog sum keeps
-        groups: dict[tuple[str, str | None, str], list[MacFlow]] = {}
-        for f in queued:
-            groups.setdefault(self._leaf_key(f), []).append(f)
-        backlog, rate = inputs.backlog_bits, self.reference_per_prb_bits
+        demands = iter(leaf_demands)
         tree: dict[str, list[tuple]] = {}
-        for key in self.portions:
+        for key, slices in self._shape[1].items():
             children = []
-            for sid in sorted({s for p, s, _ in groups if p == key}, key=lambda s: s or ""):
-                by_class = [(c, groups[k]) for c in _CLASS_KEYS if (k := (key, sid, c)) in groups]
-                leaves = []
-                for c, fl in by_class:
-                    if c == _URLLC:
-                        d = sum(f.sps_prbs for f in fl)
-                    else:  # PRBs to drain the leaf's backlog at the reference rate
-                        d = math.ceil(sum(backlog.get(f.flow_id, 0.0) for f in fl) / rate(key))
-                    leaves.append((c, d, max(g, d) if c == _URLLC else g, g, _roster(fl)))
+            for sid, classes in slices:
+                leaves = [
+                    (c, next(demands), g, g, roster) if need is None
+                    else (c, need, max(g, need), g, roster)
+                    for c, need, roster in classes
+                ]
                 if sid is None:
                     children = leaves
                 else:
@@ -610,24 +629,46 @@ class MacInstance:
                         leaves,
                     ))
             tree[key] = children
-        return tree, in_use
+        return tree
 
     def refresh_partitions(self, slot: int, inputs: SlotInputs) -> list[Event]:
-        """Recompute the full partition tree for the epoch starting at slot."""
-        cfg = self.cfg
-        epoch = slot // cfg.epoch_slots
-        total = self.cell.grid.prbs_per_slot
-        tree, in_use = self._portion_tree(inputs)
-        access = dict.fromkeys(tree, 0)
+        """Partition the grid for the epoch starting at slot, from the shape
+        of the flows (``_refresh_shape``), each queue-driven leaf's demand
+        (the PRBs that drain its backlog at the reference rate) and each
+        portion's ready access PRBs. When all equal the last refresh's, its
+        plan is reused: the leaves stay and its DSS and partition events are
+        written again at this slot. Reservations are placed at every refresh.
+        """
+        epoch = slot // self.cfg.epoch_slots
+        if self._shape is None:
+            self._shape, self._memo = self._refresh_shape(), None
+        access = dict.fromkeys(self.portions, 0)
         for a in self.pending:
             if a.ready_epoch <= epoch:
-                access[self.flows[a.flow_id].portion_key] += cfg.access_cost_prbs
+                access[self.flows[a.flow_id].portion_key] += self.cfg.access_cost_prbs
+        get = inputs.backlog_bits.get
+        demands = (math.ceil(sum(get(i, 0.0) for i in ids) / rate) for ids, rate in self._shape[2])
+        key = (tuple(demands), tuple(access.values()))
+        if self._memo is None or self._memo[0] != key:
+            self._memo = key, *self._plan(slot, key[0], access)
+        _, split, self.demand_prbs = self._memo
+        events = [Event(slot, e.subsystem, e.kind, e.fields) for e in split]
+        self._place_reservations(slot, events)
+        return events
+
+    def _plan(
+        self, slot: int, demands: tuple[int, ...], access: dict[str, int]
+    ) -> tuple[tuple[Event, ...], int]:
+        """Size the portions and split each down to its leaves. Returns the
+        DSS and partition events and the PRBs in demand, access included."""
+        total = self.cell.grid.prbs_per_slot
+        tree = self._portion_tree(demands)
         demand = {key: sum(c[1] for c in tree[key]) + access[key] for key in tree}
-        access_base = cfg.access_floor_prbs
+        access_base = self.cfg.access_floor_prbs
         events: list[Event] = []
 
         # every pending attempt's flow is registered on its portion
-        active = [key for key in tree if key in in_use] or [next(iter(self.portions))]
+        active = [key for key in tree if key in self._shape[0]] or [next(iter(self.portions))]
 
         # Portion sizing: all to a lone active portion; shared carriers split
         # proportionally, then shift PRBs so each side can honor guarantees.
@@ -677,9 +718,7 @@ class MacInstance:
             self._split(slot, key, None, children, cursor, size, events)
             cursor += size
 
-        self._place_reservations(slot, events)
-        self.demand_prbs = sum(demand.values())
-        return events
+        return tuple(events), sum(demand.values())
 
     def _split(
         self,

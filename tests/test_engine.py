@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from rrmsim import abstraction
 from rrmsim import channel as chan
 from rrmsim import engine
+from rrmsim import mac as mac_layer
 from rrmsim import pdcp
 from rrmsim.abstraction import RSRP_FLOOR_DBM, MeasureKind, describe_cell, link_rate, signal_db
 from rrmsim.cli import render_csv, render_events, render_summary
@@ -1175,8 +1176,9 @@ def _digests(result) -> dict[str, str]:
     "name", [*sorted(p.stem for p in SCENARIO_DIR.glob("*.yaml")), "dense_embb"]
 )
 def test_dropping_caches_at_random_slots_keeps_every_output_byte(scenarios, name, seed):
-    """The span's rate table is a cache: dropping it before a random tenth
-    of the slots gives the straight run's files."""
+    """The span's rate table and each MAC's refresh shape and plan memo are
+    caches: dropping them all before a random tenth of the slots gives the
+    straight run's files."""
     cfg = _dense_embb_config() if name == "dense_embb" else scenarios[name]
     straight = _digests(run_scenario(cfg, seed=seed))
     w = World(cfg, seed=seed)
@@ -1186,6 +1188,8 @@ def test_dropping_caches_at_random_slots_keeps_every_output_byte(scenarios, name
         if rng.random() < 0.1:
             drops += 1
             w._rates_span = -1
+            for cr in w.cells.values():
+                cr.mac._shape = cr.mac._memo = None
         w.step_slot()
     assert drops and _digests(w.run()) == straight
 
@@ -1748,3 +1752,26 @@ def test_each_scenario_takes_the_transport_path_its_flows_need(scenarios, name, 
         # three load-balance handovers move queued runs, still in order
         assert sum(e.kind == "add_leg" for e in res.events) == 3
         assert calls == (0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "name, seed, refreshes, most",
+    [("two_cell_load_balance", None, 520, 10), ("dense_embb", 1, 320, 110)],
+)
+def test_a_refresh_whose_inputs_have_not_changed_reuses_the_last_plan(
+    scenarios, name, seed, refreshes, most
+):
+    """Most MAC-epoch refreshes find the leaf demands, the ready access PRBs
+    and the flows as the cell's last refresh left them, and reuse its plan.
+    Every refresh writes one partition event per portion, and, in these
+    one-portion unsliced cells, one planned from scratch makes one
+    ``partition_resources`` call. Call counts are deterministic, so this
+    holds on any host."""
+    cfg = _dense_embb_config(seed) if name == "dense_embb" else scenarios[name]
+    assert all(len(c.portions) == 1 for c in cfg.cells)
+    real = mac_layer.partition_resources
+    with mock.patch.object(mac_layer, "partition_resources", wraps=real) as planned:
+        res = run_scenario(cfg, seed=seed)
+    assert sum(e.kind == "partition" for e in res.events) == refreshes
+    assert all(e.get("level") == "portion" for e in res.events if e.kind == "partition")
+    assert 0 < planned.call_count <= most

@@ -863,6 +863,78 @@ def test_sps_reservation_that_no_longer_fits_is_parked():
             ]
 
 
+def _sps_trace_with_and_without_the_memo(flows, backlogs, epochs, **mac_kw):
+    """Drive two MACs holding ``flows`` with the same inputs over ``epochs``
+    epochs of 4 slots, dropping one's memo before every slot. Both give the
+    same events, leaves and blocks at every slot. Returns each sps_reconfig
+    as (slot, flow, cols), and the epochs at which the kept MAC reused its
+    last plan (its leaves are the same objects)."""
+    macs = [_mac(epoch_slots=4, **mac_kw) for _ in range(2)]
+    rngs = [(np.random.default_rng(0), np.random.default_rng(1)) for _ in macs]
+    for mac in macs:
+        for f in flows:
+            mac.register_flow(f)
+    reconf, reused = [], []
+    for slot in range(4 * epochs):
+        macs[1]._memo = None
+        before = macs[0]._leaves
+        seen = []
+        for mac, (rng_a, rng_b) in zip(macs, rngs):
+            res = mac.run_slot(slot, _inputs(backlogs(slot)), rng_a, rng_b)
+            leaves = [(lf.portion_key, lf.slice_id, lf.key, lf.interval, lf.roster)
+                      for lf in mac._leaves]
+            seen.append(([e.format() for e in res.events], leaves, res.alloc.blocks()))
+        assert seen[0] == seen[1], slot
+        reconf += [(slot, e.get("flow"), e.get("cols")) for e in res.events
+                   if e.kind == "sps_reconfig"]
+        if slot % 4 == 0 and macs[0]._leaves is before:
+            reused.append(slot // 4)
+    return reconf, reused
+
+
+def test_a_refresh_reuses_its_plan_only_while_its_inputs_hold_still():
+    """The same leaf demands keep the last refresh's leaves; an access
+    attempt that becomes ready, or a new flow, plans again."""
+    mac = _mac(prbs=50, access_cost_prbs=4)
+    rate = mac.reference_per_prb_bits("main")
+    for f in (_flow("fa"), _flow("fm", TrafficClass.MMTC)):
+        mac.register_flow(f)
+    backlog = SlotInputs({"fa": 2.5 * rate}, {})
+    mac.refresh_partitions(0, backlog)
+    leaves = mac._leaves
+    mac.refresh_partitions(6, backlog)
+    assert mac._leaves is leaves and mac.demand_prbs == 3
+    mac.queue_attempt("fm", 100.0, 6)
+    mac.refresh_partitions(12, backlog)
+    assert mac._leaves is not leaves and mac.demand_prbs == 3 + 4
+    leaves = mac._leaves
+    mac.register_flow(_flow("fb"))
+    mac.refresh_partitions(18, backlog)
+    assert mac._leaves is not leaves and mac.demand_prbs == 3 + 4
+
+
+def test_sps_reconfig_under_a_reused_plan_is_what_a_fresh_plan_gives():
+    """A reused plan still places reservations from the last epoch's: a flow
+    moved at epoch e keeps its columns at e + 1 and is reported at e only,
+    and a parked flow is reported at every refresh."""
+    # fu's slice follows fa's, which grows at epoch 1 and then holds still
+    reconf, reused = _sps_trace_with_and_without_the_memo(
+        [_flow("fa", slice_id="a"),
+         _flow("fu", TrafficClass.URLLC, slice_id="b", sps_period_slots=1, sps_prbs=2)],
+        lambda slot: {"fa": 2_000.0 if slot < 4 else 20_000.0, "fu": 100.0},
+        epochs=4,
+    )
+    assert [(s, f) for s, f, _ in reconf] == [(4, "fu")] and reused == [2, 3]
+    # 8 reserved columns cannot fit beside the access partition on 6 PRBs
+    reconf, reused = _sps_trace_with_and_without_the_memo(
+        [_urllc("f1", 1, 4), _urllc("f2", 1, 4)],
+        lambda slot: {"f1": 100.0, "f2": 100.0},
+        epochs=4,
+        prbs=6,
+    )
+    assert reconf == [(s, "f2", "none") for s in (0, 4, 8, 12)] and reused == [1, 2, 3]
+
+
 def test_sps_grants_repeat_on_fixed_columns():
     mac = _mac(prbs=24, epoch_slots=6)
     mac.register_flow(_urllc("f1", period=5, prbs=2, offset=2))
