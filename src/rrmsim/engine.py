@@ -156,6 +156,11 @@ class FlowRuntime:
         return sum(l.queue_bits for l in self.state.legs)
 
 
+#: (UE, cell) pairs per signal estimate block when serving cells are picked:
+#: a few 512 KiB arrays at a time, whatever the network's size
+ESTIMATE_BLOCK_PAIRS = 1 << 16
+
+
 class World:
     """One simulation run's mutable state plus the steering hooks."""
 
@@ -216,13 +221,11 @@ class World:
                 usable = [p for p in cr.mac.portions.values() if p.usable_by(caps)]
                 if usable:  # the first of equally efficient portions wins
                     table[cid] = max(usable, key=lambda p: p.waveform_efficiency)
-        self._eligible = MappingProxyType(
-            {uid: tuple(self._portions_by_caps[caps]) for uid, caps in capabilities.items()}
-        )
+        # one tuple per capability set, shared by its UEs
+        eligible = {caps: tuple(table) for caps, table in self._portions_by_caps.items()}
+        self._eligible = MappingProxyType({uid: eligible[caps] for uid, caps in capabilities.items()})
 
-        todo = [uc for uc in config.ues if not uc.serving_cell]
-        rows = chan.rsrp_estimate(self.chan, self._radio, [uc.position for uc in todo])
-        best = {uc.ue_id: self._best_cell(uc.ue_id, uc.position, r) for uc, r in zip(todo, rows)}
+        best = self._best_cells(eligible, [uc for uc in config.ues if not uc.serving_cell])
         self.ues: dict[str, UeRuntime] = {}
         for i, uc in enumerate(config.ues):
             serving = uc.serving_cell or best[uc.ue_id]
@@ -293,15 +296,33 @@ class World:
     def _portion_for(self, ue_id: str, cell_id: str) -> PortionSpec | None:
         return self._portions_by_caps[self._capabilities[ue_id]].get(cell_id)
 
-    def _best_cell(self, ue_id: str, position: tuple[float, float], estimate) -> str:
-        """The eligible cell of the highest RSRP, the lowest id on a tie; only
-        cells within twice the tolerance of the best ``estimate`` can be it."""
-        est = {cid: estimate[self.cells[cid].index] for cid in self._eligible[ue_id]}
-        cut = max(est.values()) - 2 * chan.SIGNAL_ESTIMATE_TOL_DB
-        return min(
-            (-chan.rsrp_dbm(self.chan, self.cells[cid].mac.cell, position), cid)
-            for cid, e in est.items() if e >= cut
-        )[1]
+    def _best_cells(self, eligible: dict, ues: list) -> dict[str, str]:
+        """Each UE's eligible cell of the highest RSRP, the lowest id on a tie.
+        Only cells within twice the tolerance of the row's best estimate can
+        be it; ``rsrp_dbm`` decides where there are two or more. Estimates go
+        by capability set, over its eligible cells, in blocks of at most
+        ``ESTIMATE_BLOCK_PAIRS`` pairs, so memory grows with UEs alone."""
+        by_caps: dict[frozenset[str], list] = {}
+        for uc in ues:
+            by_caps.setdefault(self._capabilities[uc.ue_id], []).append(uc)
+        best = {}
+        for caps, group in by_caps.items():
+            ids = eligible[caps]
+            radio = self._radio[:, [self.cells[cid].index for cid in ids]]
+            step = max(1, ESTIMATE_BLOCK_PAIRS // len(ids))
+            for start in range(0, len(group), step):
+                chunk = group[start:start + step]
+                est = chan.rsrp_estimate(self.chan, radio, [uc.position for uc in chunk])
+                near = est >= est.max(axis=1, keepdims=True) - 2 * chan.SIGNAL_ESTIMATE_TOL_DB
+                picks = [ids[j] for j in near.argmax(axis=1).tolist()]
+                for i in np.flatnonzero(near.sum(axis=1) > 1).tolist():
+                    position = chunk[i].position
+                    picks[i] = min(
+                        (-chan.rsrp_dbm(self.chan, self.cells[ids[j]].mac.cell, position), ids[j])
+                        for j in np.flatnonzero(near[i]).tolist()
+                    )[1]
+                best.update(zip((uc.ue_id for uc in chunk), picks))
+        return best
 
     def _register_mac_flow(self, fr: FlowRuntime, cell_id: str) -> PortionSpec:
         """Register the flow with the cell's MAC on the UE's best portion there.

@@ -526,14 +526,36 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     }
 
 
+class ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """``yaml.safe_load``'s loader, parsed by libyaml where PyYAML has it; the
+    same data either way. It refuses a key repeated in one mapping."""
+
+    def construct_mapping(self, node, deep=False):
+        # the node's own pairs: merging deletes its merge keys from this list
+        # and gives the node a new one, with the merged pairs in front
+        own = node.value
+        mapping = super().construct_mapping(node, deep=deep)
+        if len(mapping) < len(own) or node.value is not own:
+            seen = set()
+            for key_node, _ in own:
+                key = self.construct_object(key_node, deep=deep)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"repeated key {key!r}", key_node.start_mark,
+                    )
+                seen.add(key)
+        return mapping
+
+
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Read and validate a YAML scenario file."""
+    """Read and validate a YAML scenario file: UTF-8, or UTF-16 by its BOM."""
     try:
-        text = Path(path).read_text()
+        source = Path(path).read_bytes()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from None
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(source, Loader=ScenarioLoader)
     except yaml.YAMLError as e:
         raise ParseError(f"invalid YAML in {path}: {e}") from None
     if data is None:

@@ -1,11 +1,13 @@
 """Whole-world runs: determinism, conservation, stage discipline."""
 
 import dataclasses
+import gc
 import hashlib
 import importlib.util
 import json
 import pickle
 import sys
+import tracemalloc
 from pathlib import Path
 from types import MappingProxyType
 from unittest import mock
@@ -943,6 +945,65 @@ def test_best_cell_reads_a_tied_cell_that_its_estimate_puts_below_the_best():
         w = World(cfg)
     assert sorted(reads) == ["ca", "cb"] and reads["ca"] == reads["cb"]
     assert w.ues["u"].serving == "ca"
+
+
+def _ladder_config(grid: int):
+    """The benchmark's dense_embb network grown to ``grid`` x ``grid`` macros
+    500 m apart: 5 UEs around each, a hotspot of 30 at every third cell each
+    way, a full-buffer flow per UE. One more UE stands midway between each
+    pair of horizontal neighbours, where the two tie exactly."""
+    rng = np.random.default_rng(grid)
+    cells, positions, ties = [], [], []
+    for i in range(grid * grid):
+        x, y = (i % grid) * 500.0, (i // grid) * 500.0
+        cells.append({"id": f"m{i:04d}", "prbs_per_slot": 100, "position": [x, y]})
+        if i % grid % 3 == 1 and i // grid % 3 == 1:
+            r, th = rng.uniform(20.0, 150.0, 30), rng.uniform(0.0, 2 * np.pi, 30)
+            positions += zip(x + r * np.cos(th), y + r * np.sin(th))
+        positions += [(x + dx, y + dy) for dx, dy in rng.uniform(-200.0, 200.0, (5, 2))]
+        if i % grid < grid - 1:
+            ties.append((f"m{i:04d}", len(positions)))
+            positions.append((x + 250.0, y))
+    ues = [{"id": f"u{u:05d}", "position": [float(x), float(y)]} for u, (x, y) in enumerate(positions)]
+    gen = {"kind": "full_buffer", "packet_bits": 6000, "watermark_bits": 6000}
+    flows = [{"id": f"f{u:05d}", "ue": ue["id"], "generator": gen} for u, ue in enumerate(ues)]
+    cfg = scenario_from_dict(
+        {"name": "ladder", "network": {"cells": cells}, "ues": ues, "traffic": {"flows": flows}}
+    )
+    return cfg, {f"u{u:05d}": cid for cid, u in ties}
+
+
+def test_world_construction_grows_with_ues_alone():
+    """From 64 to 576 cells, ``World()`` keeps about the same bytes per UE and
+    peaks at about the same bytes per UE, and it reads ``rsrp_dbm`` only
+    where estimates tie: at most once per UE plus once per tie. A tied UE is
+    served by the lower id."""
+    per_ue = {}
+    for grid in (8, 24):
+        cfg, ties = _ladder_config(grid)
+        calls, real = [], chan.rsrp_dbm
+
+        def counting(cfg, cell, position):
+            calls.append(cell.cell_id)
+            return real(cfg, cell, position)
+
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with mock.patch.object(chan, "rsrp_dbm", counting):
+                w = World(cfg)
+            gc.collect()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = len(cfg.ues)
+        per_ue[grid] = ((retained - base) / n, (peak - base) / n)
+        assert len(calls) <= n + len(ties)
+        assert all(w.ues[uid].serving == cid for uid, cid in ties.items())
+    (small_kept, small_peak), (large_kept, large_peak) = per_ue[8], per_ue[24]
+    assert large_kept <= 1.1 * small_kept, per_ue
+    assert large_peak <= 1.5 * small_peak, per_ue
 
 
 def _hot_and_cold_world():

@@ -2,13 +2,19 @@
 
 import copy
 import dataclasses
+import os
 import re
+import subprocess
+import sys
+import textwrap
 
 import pytest
 import yaml
 
+from rrmsim.cli import main
 from rrmsim.scenario import (
     ParseError,
+    ScenarioLoader,
     ValidationError,
     load_scenario,
     scenario_from_dict,
@@ -178,12 +184,99 @@ def test_parse_error_for_non_mapping_input(tmp_path):
         load_scenario(tmp_path / "missing.yaml")
 
 
+def _documents():
+    """Each shipped scenario file and each YAML block of docs/formats.md."""
+    docs = {p.name: p.read_bytes() for p in sorted(SCENARIO_DIR.glob("*.yaml"))}
+    blocks = re.findall(r"^```yaml\n(.*?)^```", DOCS_FORMATS.read_text(), re.M | re.S)
+    docs.update({f"formats.md block {i}": b.encode() for i, b in enumerate(blocks)})
+    return docs
+
+
 def test_shipped_scenarios_parse_as_plain_yaml():
-    """The files on disk stay loadable with a vanilla YAML reader."""
-    for path in sorted(SCENARIO_DIR.glob("*.yaml")):
-        data = yaml.safe_load(path.read_text())
-        assert isinstance(data, dict)
-        assert "network" in data
+    """The files on disk and the documented blocks read the same under
+    PyYAML's pure-Python ``SafeLoader`` as under the loader ``load_scenario``
+    uses (libyaml where PyYAML has it), so a host without libyaml runs the
+    same configs."""
+    for name, text in _documents().items():
+        plain = yaml.load(text, Loader=yaml.SafeLoader)
+        ours = yaml.load(text, Loader=ScenarioLoader)
+        assert isinstance(plain, dict) and "network" in plain, name
+        assert ours == plain, name
+        assert scenario_from_dict(ours) == scenario_from_dict(plain), name
+    # docs/formats.md: an exponent without a dot and a sign reads as a string
+    for loader in (yaml.SafeLoader, ScenarioLoader):
+        assert yaml.load(b"carrier_hz: 1e9", Loader=loader) == {"carrier_hz": "1e9"}
+        assert yaml.load(b"carrier_hz: 1.0e+9", Loader=loader) == {"carrier_hz": 1.0e9}
+
+
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"name: x\n\xff\xfe bad: 1\n")
+    with pytest.raises(ParseError):
+        load_scenario(bad)
+    assert main(["validate", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("parse error:")
+
+
+def test_a_utf16_file_with_a_bom_loads_as_its_utf8_original(tmp_path):
+    original = SCENARIO_DIR / "single_cell.yaml"
+    utf16 = tmp_path / "single_cell.yaml"
+    utf16.write_bytes(original.read_text(encoding="utf-8").encode("utf-16"))
+    assert utf16.read_bytes()[:2] in (b"\xff\xfe", b"\xfe\xff")
+    assert load_scenario(utf16) == load_scenario(original)
+
+
+@pytest.mark.parametrize(
+    "text, key, line",
+    [
+        ("name: x\nname: y\n", "name", 2),
+        (
+            "network:\n  cells:\n    - id: c1\n      prbs_per_slot: 20\n"
+            "      position: [0, 0]\n      prbs_per_slot: 30\n",
+            "prbs_per_slot",
+            6,
+        ),
+    ],
+)
+def test_a_repeated_key_is_refused_with_its_line(tmp_path, text, key, line):
+    p = tmp_path / "repeated.yaml"
+    p.write_text(text)
+    with pytest.raises(ParseError, match=rf"repeated key '{key}'\n.*line {line},"):
+        load_scenario(p)
+
+
+def test_without_libyaml_the_loader_is_pythons_and_refuses_the_same(tmp_path):
+    """Where PyYAML has no libyaml, the loader is ``yaml.SafeLoader``'s, picked
+    at import, and refuses what the libyaml one refuses."""
+    (tmp_path / "repeated.yaml").write_text("name: x\nname: y\n")
+    (tmp_path / "bad.yaml").write_bytes(b"name: x\n\xff\n")
+    original = SCENARIO_DIR / "single_cell.yaml"
+    (tmp_path / "utf16.yaml").write_bytes(original.read_text(encoding="utf-8").encode("utf-16"))
+    script = textwrap.dedent(
+        """
+        import sys, yaml
+        del yaml.CSafeLoader
+        from rrmsim.scenario import ParseError, ScenarioLoader, load_scenario
+        assert ScenarioLoader.__mro__[1] is yaml.SafeLoader
+        for name, reason in (("repeated", "repeated key 'name'"), ("bad", "unacceptable character #x00ff")):
+            try:
+                load_scenario(f"{sys.argv[1]}/{name}.yaml")
+            except ParseError as e:
+                assert reason in str(e), e
+            else:
+                raise AssertionError(name)
+        assert load_scenario(f"{sys.argv[1]}/utf16.yaml") == load_scenario(sys.argv[2])
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", script, str(tmp_path), str(original)], env=env, check=True)
+
+
+def test_merge_keys_may_override_but_not_repeat():
+    base = "base: &b {x: 1, y: 2}\n"
+    assert yaml.load(base + "d: {<<: *b, y: 3}\n", Loader=ScenarioLoader)["d"] == {"x": 1, "y": 3}
+    with pytest.raises(yaml.YAMLError, match="repeated key 'y'"):
+        yaml.load(base + "d: {<<: *b, y: 3, y: 4}\n", Loader=ScenarioLoader)
 
 
 @pytest.mark.parametrize(
